@@ -162,9 +162,7 @@ def _gateway_rule_matches(rule: m.GatewayRule, hop: route_mod.Hop, ctx: FlowCont
 def target_tags(s: Scenario, svc: m.ServiceSpec) -> frozenset[str]:
     """Effective tags of the service's project plus its assets' classifications."""
     idx = s.index()
-    cache = getattr(idx, "_target_tags", None)
-    if cache is None:
-        cache = idx._target_tags = {}
+    cache = idx.target_tags
     if svc.id in cache:
         return cache[svc.id]
     tags = set(m.effective_tags(svc.project, idx.nodes))
@@ -199,18 +197,16 @@ def _scope_chain(s: Scenario, ctx: FlowContext, idx: ScenarioIndex) -> list[tupl
     """(scope kind, scope key) list for this flow: org, folders root->leaf, segment.
 
     Anchored at the source side for segment-borne flows and at the target side
-    for flows entering from ONPREM/INTERNET.
+    for flows entering from ONPREM/INTERNET. An anchor whose project is not in
+    the hierarchy raises ``UnknownNodeError``: skipping its folder scopes would
+    bypass their rules.
     """
     anchor_seg = ctx.source_segment
     if anchor_seg is None and ctx.target_service is not None:
         anchor_seg = idx.segments.get(ctx.target_service.segment)
     scopes: list[tuple[str, str]] = [("organization", m.ORG_SCOPE)]
     if anchor_seg is not None:
-        try:
-            chain = m.ancestors(anchor_seg.project, idx.nodes)
-        except Exception:
-            chain = []
-        for node_id in chain:
+        for node_id in m.ancestors(anchor_seg.project, idx.nodes):
             node = idx.nodes.get(node_id)
             if node is not None and node.kind is m.NodeKind.FOLDER:
                 scopes.append(("folder", f"folder:{node_id}"))
@@ -233,15 +229,10 @@ def evaluate_firewall_chain(
 ) -> tuple[PointOutcome, PointOutcome]:
     """Hierarchical then segment firewall outcomes for one flow."""
     idx = s.index()
-    by_scope: dict[str, list[m.FirewallRule]] = {}
-    for r in s.firewall_rules:
-        by_scope.setdefault(r.scope, []).append(r)
-
     hier = PointOutcome(m.Verdict.ALLOW, m.DEFAULT_RULE)
     terminal: tuple[str, m.FirewallRule] | None = None
     for scope_kind, scope_key in _scope_chain(s, ctx, idx):
-        rules = sorted(by_scope.get(scope_key, []), key=lambda r: r.priority)
-        for rule in rules:
+        for rule in idx.firewall_rules_by_scope.get(scope_key, ()):
             if not _firewall_rule_matches(rule, ctx, idx):
                 continue
             if rule.action is m.RuleAction.DELEGATE:
@@ -379,7 +370,7 @@ def evaluate_rbac(
     tags = target_tags(s, svc)
     applicable = [
         b
-        for b in s.bindings
+        for b in s.index().bindings_for_service.get(svc.id, ())
         if principal.matches_identity(b.principal) and b.grants(svc.id, method)
     ]
     satisfied = next(

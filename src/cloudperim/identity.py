@@ -71,9 +71,7 @@ def resolve_credential(
     if target_idp not in idx.idps:
         raise UnknownIdpError(target_idp)
     bound = bound if bound is not None else s.chain_bound
-    cache = getattr(idx, "_credential_cache", None)
-    if cache is None:
-        cache = idx._credential_cache = {}
+    cache = idx.credential_cache
     key = (principal, target_idp, bound)
     if key in cache:
         return cache[key]

@@ -307,7 +307,7 @@ def lint(s: Scenario, perimeter_threshold: int = DEFAULT_PERIMETER_THRESHOLD) ->
     def flat(a: str, b: str) -> bool:
         if a == b:
             return True
-        hops = route_mod._shortest_locus_path(s, a, b, b)
+        hops = route_mod._locus_path(s, a, b)
         return hops is not None and all(h.kind in _FLAT_HOPS for h in hops)
 
     for edge in s.trust_edges:

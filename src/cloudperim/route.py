@@ -2,7 +2,10 @@
 
 Loci are network segments plus the distinguished ONPREM and INTERNET.
 Paths are shortest by hop count with lexicographic edge-id tie-break, so
-resolution is deterministic for a fixed scenario.
+resolution is deterministic for a fixed scenario. One breadth-first search
+per source (two when the source also asks for INTERNET) yields a shortest-path
+tree over the index's per-locus adjacency; every path from that source is read
+off the tree, and trees and resolved paths are memoised in the scenario index.
 
 Non-routable segments are origins or destinations, never transit: a path
 may leave one only when it is the flow's source, and may enter one only
@@ -12,14 +15,13 @@ hop is legal only as the final hop toward INTERNET.
 
 from __future__ import annotations
 
-import heapq
 import ipaddress
 from dataclasses import dataclass
 from enum import Enum
 
 from . import model as m
 from .errors import UnknownLocusError, UnknownTargetError
-from .scenario import Scenario
+from .scenario import Scenario, ScenarioIndex
 
 
 class HopKind(str, Enum):
@@ -86,55 +88,53 @@ class Unreachable:
     reason: UnreachableReason
 
 
-def _edge_traversals(s: Scenario, at: str, source: str, final_target: str):
-    """Yield (edge, next_locus) legal from ``at`` for a flow from ``source``."""
-    idx = s.index()
-    at_seg = idx.segments.get(at)
-    if at_seg is not None and at_seg.routability is m.Routability.NON_ROUTABLE and at != source:
-        return  # non-routable segments are never transit
-    for e in s.edges:
-        if at not in e.ends:
-            continue
-        nxt = e.other_end(at)
-        if nxt == at:
-            continue
-        if e.direction is m.EdgeDirection.OUTBOUND_ONLY and e.ends[0] != at:
-            continue
-        if e.kind is m.EdgeKind.NAT_GATEWAY and (nxt != m.INTERNET or final_target != m.INTERNET):
-            continue  # nat only as the final hop toward INTERNET
-        nxt_seg = idx.segments.get(nxt)
-        if (
-            nxt_seg is not None
-            and nxt_seg.routability is m.Routability.NON_ROUTABLE
-            and e.kind is not m.EdgeKind.VPC_CONNECTOR
-        ):
-            continue  # cannot route into a non-routable segment
-        yield e, nxt
+def _search(idx: ScenarioIndex, source: str, to_internet: bool) -> dict[str, m.ConnectivityEdge]:
+    """Shortest-path tree from ``source``: locus -> the edge its path enters by.
+
+    Breadth-first, so loci are reached in hop-count order. Each level is kept
+    in the order of its loci's edge-id sequences and adjacency lists are
+    sorted by edge id, so the first edge to reach a locus ends its path that
+    is minimal by (hop count, edge ids). NAT edges are usable only when the
+    goal is INTERNET; a non-routable segment is left only when it is the source.
+    """
+    tree: dict[str, m.ConnectivityEdge] = {}
+    seen = {source}
+    level = [source]
+    while level:
+        reached = []
+        for at in level:
+            if at in idx.non_routable and at != source:
+                continue
+            for edge, nxt in idx.adjacency.get(at, ()):
+                if nxt in seen or (edge.kind is m.EdgeKind.NAT_GATEWAY and not to_internet):
+                    continue
+                seen.add(nxt)
+                tree[nxt] = edge
+                reached.append(nxt)
+        level = reached
+    return tree
 
 
-def _shortest_locus_path(s: Scenario, source: str, goal: str, final_target: str) -> list[Hop] | None:
+def _locus_path(s: Scenario, source: str, goal: str) -> list[Hop] | None:
     """Deterministic shortest path between loci: (hop count, edge ids) minimal."""
     if source == goal:
         return []
-    counter = 0  # heap tiebreaker; Hop tuples do not order
-    queue: list[tuple[int, tuple[str, ...], int, str, tuple[Hop, ...]]] = [(0, (), 0, source, ())]
-    best: dict[str, tuple[int, tuple[str, ...]]] = {source: (0, ())}
-    while queue:
-        dist, key, _, at, hops = heapq.heappop(queue)
-        if at == goal:
-            return list(hops)
-        if best.get(at, (dist, key)) < (dist, key):
-            continue
-        for edge, nxt in _edge_traversals(s, at, source, final_target):
-            cand_key = key + (edge.id,)
-            cand = (dist + 1, cand_key)
-            if nxt in best and best[nxt] <= cand:
-                continue
-            best[nxt] = cand
-            hop = Hop(kind=_EDGE_HOP[edge.kind], src=at, dst=nxt, edge=edge.id)
-            counter += 1
-            heapq.heappush(queue, (dist + 1, cand_key, counter, nxt, hops + (hop,)))
-    return None
+    idx = s.index()
+    key = (source, goal == m.INTERNET)
+    tree = idx.route_trees.get(key)
+    if tree is None:
+        tree = idx.route_trees[key] = _search(idx, source, key[1])
+    hops: list[Hop] = []
+    at = goal
+    while at != source:
+        edge = tree.get(at)
+        if edge is None:
+            return None
+        prev = edge.other_end(at)
+        hops.append(Hop(kind=_EDGE_HOP[edge.kind], src=prev, dst=at, edge=edge.id))
+        at = prev
+    hops.reverse()
+    return hops
 
 
 def _candidate_paths_to_service(s: Scenario, source: str, svc: m.ServiceSpec) -> list[list[Hop]]:
@@ -143,13 +143,13 @@ def _candidate_paths_to_service(s: Scenario, source: str, svc: m.ServiceSpec) ->
     if source == svc.segment:
         candidates.append([Hop(kind=HopKind.INTRA_SEGMENT, src=source, dst=source)])
     else:
-        direct = _shortest_locus_path(s, source, svc.segment, svc.segment)
+        direct = _locus_path(s, source, svc.segment)
         if direct is not None:
             candidates.append(direct)
     att = idx.attachment_for_service.get(svc.id)
     if att is not None:
         for ep in idx.endpoints_for_attachment.get(att.id, ()):
-            lead = _shortest_locus_path(s, source, ep.segment, ep.segment)
+            lead = _locus_path(s, source, ep.segment)
             if lead is None:
                 continue
             traversal = Hop(
@@ -174,9 +174,7 @@ def resolve_path(s: Scenario, source: str, target: str) -> RoutePath | Unreachab
     idx = s.index()
     if source not in idx.segments and source not in m.DISTINGUISHED_LOCI:
         raise UnknownLocusError(source)
-    cache = getattr(idx, "_path_cache", None)
-    if cache is None:
-        cache = idx._path_cache = {}
+    cache = idx.path_cache
     if (source, target) in cache:
         return cache[(source, target)]
     result = _resolve_uncached(s, source, target)
@@ -187,7 +185,7 @@ def resolve_path(s: Scenario, source: str, target: str) -> RoutePath | Unreachab
 def _resolve_uncached(s: Scenario, source: str, target: str) -> RoutePath | Unreachable:
     idx = s.index()
     if target == m.INTERNET:
-        hops = _shortest_locus_path(s, source, m.INTERNET, m.INTERNET)
+        hops = _locus_path(s, source, m.INTERNET)
         return RoutePath(tuple(hops)) if hops is not None else Unreachable(UnreachableReason.NO_PATH)
 
     if target in idx.services:
@@ -206,7 +204,7 @@ def _resolve_uncached(s: Scenario, source: str, target: str) -> RoutePath | Unre
         svc = idx.services.get(att.service) if att else None
         if svc is None:
             raise UnknownTargetError(target)
-        lead = _shortest_locus_path(s, source, ep.segment, ep.segment)
+        lead = _locus_path(s, source, ep.segment)
         if lead is None:
             return Unreachable(UnreachableReason.NO_PATH)
         traversal = Hop(
@@ -233,7 +231,7 @@ def _resolve_uncached(s: Scenario, source: str, target: str) -> RoutePath | Unre
         return RoutePath((Hop(kind=HopKind.INTRA_SEGMENT, src=source, dst=source),))
     if holder.routability is m.Routability.NON_ROUTABLE:
         return Unreachable(UnreachableReason.NON_ROUTABLE)
-    hops = _shortest_locus_path(s, source, holder.id, holder.id)
+    hops = _locus_path(s, source, holder.id)
     return RoutePath(tuple(hops)) if hops is not None else Unreachable(UnreachableReason.NO_PATH)
 
 

@@ -14,12 +14,15 @@ from __future__ import annotations
 
 import ipaddress
 from dataclasses import dataclass, field, fields
-from typing import Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterator
 
 import yaml
 
 from . import model as m
 from .errors import ScenarioParseError
+
+if TYPE_CHECKING:
+    from .route import RoutePath, Unreachable
 
 
 @dataclass(frozen=True)
@@ -44,9 +47,14 @@ class Violation:
         return f"{self.code}: {self.subject}: {self.message}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
-    """Immutable-by-convention container for one modeled architecture."""
+    """Immutable container for one modeled architecture.
+
+    Assigning a field raises ``FrozenInstanceError``: the index built on first
+    use holds facts derived from every field, so a changed scenario is a new
+    one (``dataclasses.replace``).
+    """
 
     name: str
     description: str = ""
@@ -73,11 +81,11 @@ class Scenario:
         for f in fields(self):
             if f.name.startswith("_") or f.name in ("name", "description", "chain_bound"):
                 continue
-            setattr(self, f.name, tuple(getattr(self, f.name)))
+            object.__setattr__(self, f.name, tuple(getattr(self, f.name)))
 
     def index(self) -> "ScenarioIndex":
         if self._index is None:
-            self._index = ScenarioIndex(self)
+            object.__setattr__(self, "_index", ScenarioIndex(self))
         return self._index
 
     def entity_count(self) -> int:
@@ -90,7 +98,10 @@ class Scenario:
 
 
 class ScenarioIndex:
-    """Lookup maps derived once per scenario; scenarios never mutate."""
+    """Facts derived once per scenario, and the memos of queries over it.
+
+    Scenarios are frozen, so neither the facts nor the memos can go stale.
+    """
 
     def __init__(self, s: Scenario) -> None:
         self.scenario = s
@@ -111,6 +122,28 @@ class ScenarioIndex:
         self.services_in_segment: dict[str, list[m.ServiceSpec]] = {}
         for svc in s.services:
             self.services_in_segment.setdefault(svc.segment, []).append(svc)
+        # firewall rules per scope in evaluation order: ascending priority,
+        # scenario order among equal priorities
+        by_scope: dict[str, list[m.FirewallRule]] = {}
+        for r in s.firewall_rules:
+            by_scope.setdefault(r.scope, []).append(r)
+        self.firewall_rules_by_scope: dict[str, tuple[m.FirewallRule, ...]] = {
+            scope: tuple(sorted(rules, key=lambda r: r.priority)) for scope, rules in by_scope.items()
+        }
+        # bindings with a permission naming the service, in scenario order
+        self.bindings_for_service: dict[str, list[m.RBACBinding]] = {}
+        for b in s.bindings:
+            for svc_id in dict.fromkeys(p.service for p in b.role):
+                self.bindings_for_service.setdefault(svc_id, []).append(b)
+        self.non_routable = frozenset(
+            x.id for x in s.segments if x.routability is m.Routability.NON_ROUTABLE
+        )
+        self.adjacency = _locus_adjacency(s.edges, self.non_routable)
+        # memos of route, identity and engine queries
+        self.path_cache: dict[tuple[str, str], RoutePath | Unreachable] = {}
+        self.route_trees: dict[tuple[str, bool], dict[str, m.ConnectivityEdge]] = {}
+        self.credential_cache: dict[tuple[str, str, int], m.CredentialChain | None] = {}
+        self.target_tags: dict[str, frozenset[str]] = {}
         self._memberships: dict[str, frozenset[str]] | None = None
 
     def memberships(self) -> dict[str, frozenset[str]]:
@@ -131,19 +164,38 @@ class ScenarioIndex:
                 return p
         return None
 
-    def segment_of_locus(self, locus: str) -> m.NetworkSegment | None:
-        return self.segments.get(locus)
-
-    def project_of_locus(self, locus: str) -> str | None:
-        seg = self.segments.get(locus)
-        return seg.project if seg else None
-
     def canonical_address(self, segment_id: str) -> str | None:
         seg = self.segments.get(segment_id)
         if seg is None or not seg.cidrs:
             return None
         net = ipaddress.ip_network(seg.cidrs[0], strict=False)
         return str(net.network_address + 1)
+
+
+def _locus_adjacency(
+    edges: tuple[m.ConnectivityEdge, ...], non_routable: frozenset[str]
+) -> dict[str, tuple[tuple[m.ConnectivityEdge, str], ...]]:
+    """Locus -> the (edge, next locus) pairs legal from it for any flow, by edge id.
+
+    An outbound-only edge leaves only its first end. Self-loops, NAT edges not
+    leading into INTERNET, and entries into a non-routable segment other than
+    by vpc-connector are never legal. The rules that depend on the flow
+    (non-routable transit, NAT only toward INTERNET) are the route search's.
+    """
+    out: dict[str, list[tuple[m.ConnectivityEdge, str]]] = {}
+    for e in edges:
+        a, b = e.ends
+        if a == b:
+            continue
+        for at, nxt in ((a, b), (b, a)):
+            if e.direction is m.EdgeDirection.OUTBOUND_ONLY and at != a:
+                continue
+            if e.kind is m.EdgeKind.NAT_GATEWAY and nxt != m.INTERNET:
+                continue
+            if nxt in non_routable and e.kind is not m.EdgeKind.VPC_CONNECTOR:
+                continue
+            out.setdefault(at, []).append((e, nxt))
+    return {at: tuple(sorted(pairs, key=lambda p: p[0].id)) for at, pairs in out.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from cloudperim import builtin_scenario, evaluate_flow, parse_scenario
+from cloudperim import builtin_scenario, evaluate_flow, oracle_evaluate, parse_scenario
 from cloudperim import model as m
 from cloudperim.engine import (
     _build_context,
@@ -15,7 +15,7 @@ from cloudperim.engine import (
     evaluate_firewall_chain,
     evaluate_rbac,
 )
-from cloudperim.errors import UnknownEntityError
+from cloudperim.errors import UnknownEntityError, UnknownNodeError
 
 sys.path.insert(0, str(Path(__file__).parent))
 from genrandom import random_request, random_scenario  # noqa: E402
@@ -109,6 +109,20 @@ def test_folder_deny_beats_segment_allow():
     decision, trace = evaluate_flow(opened, flow("p", "net", m.INTERNET))
     assert decision.allowed
     assert verdicts(trace)[m.PointKind.SEGMENT_FIREWALL][1] == "segment-allow-inet"
+
+
+def test_segment_in_unknown_project_fails_closed():
+    # A programmatic scenario skips the parser's reference checks. Skipping
+    # the folder scopes would let the segment allow bypass the folder deny.
+    s = parse_scenario(HIER_DOC)
+    ghost = dataclasses.replace(
+        s, segments=tuple(dataclasses.replace(x, project="ghost") for x in s.segments)
+    )
+    request = flow("p", "net", m.INTERNET)
+    with pytest.raises(UnknownNodeError):
+        evaluate_flow(ghost, request)
+    with pytest.raises(UnknownNodeError):
+        oracle_evaluate(ghost, request)
 
 
 def test_no_rules_intra_segment_trusting_defaults_allow():

@@ -1,13 +1,15 @@
 """Path resolution over the locus graph."""
 
 import dataclasses
+import heapq
 import random
 import sys
 from pathlib import Path
 
 import pytest
 
-from cloudperim import builtin_scenario, parse_scenario, resolve_path, routable_pairs
+from cloudperim import TEMPLATE_NAMES, builtin_scenario, parse_scenario, resolve_path, routable_pairs
+from cloudperim import route as route_mod
 from cloudperim import model as m
 from cloudperim.errors import UnknownLocusError, UnknownTargetError
 from cloudperim.oracle import _all_simple_paths
@@ -202,3 +204,114 @@ def test_resolution_is_deterministic(seed):
             assert type(first) is type(second)
             if isinstance(first, RoutePath):
                 assert [h.edge for h in first.hops] == [h.edge for h in second.hops]
+
+
+# ---------------------------------------------------------------------------
+# The per-source search against the goal-directed search it replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_traversals(s, at, source, final_target):
+    """Yield (edge, next_locus) legal from ``at`` for a flow from ``source``."""
+    idx = s.index()
+    at_seg = idx.segments.get(at)
+    if at_seg is not None and at_seg.routability is m.Routability.NON_ROUTABLE and at != source:
+        return  # non-routable segments are never transit
+    for e in s.edges:
+        if at not in e.ends:
+            continue
+        nxt = e.other_end(at)
+        if nxt == at:
+            continue
+        if e.direction is m.EdgeDirection.OUTBOUND_ONLY and e.ends[0] != at:
+            continue
+        if e.kind is m.EdgeKind.NAT_GATEWAY and (nxt != m.INTERNET or final_target != m.INTERNET):
+            continue  # nat only as the final hop toward INTERNET
+        nxt_seg = idx.segments.get(nxt)
+        if (
+            nxt_seg is not None
+            and nxt_seg.routability is m.Routability.NON_ROUTABLE
+            and e.kind is not m.EdgeKind.VPC_CONNECTOR
+        ):
+            continue  # cannot route into a non-routable segment
+        yield e, nxt
+
+
+def _reference_locus_path(s, source, goal):
+    """Goal-directed search scanning every edge at each popped locus; the
+    goal is also the flow's final target."""
+    if source == goal:
+        return []
+    counter = 0  # heap tiebreaker; Hop tuples do not order
+    queue = [(0, (), 0, source, ())]
+    best = {source: (0, ())}
+    while queue:
+        dist, key, _, at, hops = heapq.heappop(queue)
+        if at == goal:
+            return list(hops)
+        if best.get(at, (dist, key)) < (dist, key):
+            continue
+        for edge, nxt in _reference_traversals(s, at, source, goal):
+            cand_key = key + (edge.id,)
+            cand = (dist + 1, cand_key)
+            if nxt in best and best[nxt] <= cand:
+                continue
+            best[nxt] = cand
+            hop = route_mod.Hop(kind=route_mod._EDGE_HOP[edge.kind], src=at, dst=nxt, edge=edge.id)
+            counter += 1
+            heapq.heappush(queue, (dist + 1, cand_key, counter, nxt, hops + (hop,)))
+    return None
+
+
+def _resolve_or_error(resolve, s, source, target):
+    try:
+        return resolve(s, source, target)
+    except (UnknownLocusError, UnknownTargetError) as e:
+        return type(e)
+
+
+def _assert_search_matches_reference(s, monkeypatch):
+    idx = s.index()
+    sources = [x.id for x in s.segments] + [m.ONPREM, m.INTERNET]
+    targets = [x.id for x in s.services] + [x.id for x in s.endpoints] + [m.INTERNET]
+    targets += [a for a in (idx.canonical_address(x.id) for x in s.segments) if a is not None]
+    with monkeypatch.context() as patched:
+        patched.setattr(route_mod, "_locus_path", _reference_locus_path)
+        expected = {
+            (src, tgt): _resolve_or_error(route_mod._resolve_uncached, s, src, tgt)
+            for src in sources
+            for tgt in targets
+        }
+    fresh = dataclasses.replace(s)
+    for (src, tgt), want in expected.items():
+        assert _resolve_or_error(resolve_path, fresh, src, tgt) == want, (s.name, src, tgt)
+
+
+@pytest.mark.parametrize("name", TEMPLATE_NAMES)
+def test_search_matches_reference_on_templates(name, monkeypatch):
+    _assert_search_matches_reference(builtin_scenario(name), monkeypatch)
+
+
+def _with_random_edges(rng, s, count):
+    """``s`` plus ``count`` edges of every kind and direction between random
+    loci (self-loops included), so paths run long and hop-count ties are common."""
+    loci = [x.id for x in s.segments] + [m.ONPREM, m.INTERNET]
+    ids = rng.sample(range(1000), count)
+    extra = tuple(
+        m.ConnectivityEdge(
+            id=f"x{i}",
+            kind=rng.choice(list(m.EdgeKind)),
+            ends=(rng.choice(loci), rng.choice(loci)),
+            direction=rng.choice(list(m.EdgeDirection)),
+        )
+        for i in ids
+    )
+    return dataclasses.replace(s, edges=s.edges + extra)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_search_matches_reference_on_random_scenarios(seed, monkeypatch):
+    rng = random.Random(9000 + seed)
+    s = random_scenario(rng)
+    _assert_search_matches_reference(s, monkeypatch)
+    _assert_search_matches_reference(_with_random_edges(rng, s, 2 * len(s.segments)), monkeypatch)

@@ -200,6 +200,15 @@ def test_serialization_is_byte_deterministic():
     assert serialize_scenario(s) == serialize_scenario(dataclasses.replace(s))
 
 
+def test_scenario_is_frozen_after_index():
+    # the index holds adjacency, route trees and rule groups derived from the
+    # fields; an assignment would leave them describing another scenario
+    s = parse_scenario(MINIMAL)
+    s.index()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.edges = ()
+
+
 def test_builtin_scenario_names():
     assert len(TEMPLATE_NAMES) == 10
     with pytest.raises(UnknownTemplateError):
