@@ -17,11 +17,12 @@ unmatched traversals; endpoint policies allow when empty.
 
 from __future__ import annotations
 
-import ipaddress
 from dataclasses import dataclass
+from typing import Iterator
 
 from . import identity as identity_mod
 from . import model as m
+from . import prefix
 from . import route as route_mod
 from .errors import UnknownEntityError
 from .scenario import Scenario, ScenarioIndex
@@ -40,8 +41,10 @@ class FlowContext:
     endpoint: m.ConsumerEndpoint | None
     attachment: m.ServiceAttachment | None
     source_segment: m.NetworkSegment | None
-    source_address: str | None
+    source_nets: tuple[prefix.Interval, ...]  # source address, then source segment CIDRs
+    target_nets: tuple[prefix.Interval, ...]  # target host addresses, then its segment CIDRs
     dst_port: int | None
+    index: ScenarioIndex
 
 
 # ---------------------------------------------------------------------------
@@ -49,61 +52,31 @@ class FlowContext:
 # ---------------------------------------------------------------------------
 
 
-def _address_in(address: str | None, cidr: str) -> bool:
-    if address is None:
-        return False
-    try:
-        return ipaddress.ip_address(address) in ipaddress.ip_network(cidr, strict=False)
-    except ValueError:
-        return False
-
-
 def _src_token_matches(token: str, ctx: FlowContext) -> bool:
+    """A CIDR token matches the source address or any CIDR of the source segment."""
     if token == m.ANY:
         return True
     if token in m.DISTINGUISHED_LOCI:
         return ctx.request.source == token
-    if ctx.source_segment is None:
-        return _address_in(ctx.source_address, token)
-    return _address_in(ctx.source_address, token) or _cidr_overlaps_segment(
-        token, ctx.source_segment
-    )
+    return prefix.meets_any(ctx.index.network(token), ctx.source_nets)
 
 
-def _cidr_overlaps_segment(cidr: str, seg: m.NetworkSegment) -> bool:
-    try:
-        net = ipaddress.ip_network(cidr, strict=False)
-    except ValueError:
-        return False
-    return any(net.overlaps(ipaddress.ip_network(c, strict=False)) for c in seg.cidrs)
-
-
-def _dst_token_matches(token: str, ctx: FlowContext, idx: ScenarioIndex) -> bool:
+def _dst_token_matches(token: str, ctx: FlowContext) -> bool:
+    """A CIDR token matches a target host address or any CIDR of the target's segment."""
     if token == m.ANY:
         return True
     if token == m.INTERNET:
         return ctx.target_service is None
-    if token == m.ONPREM:
-        return False  # flows never target ONPREM
-    if ctx.target_service is None:
-        return False
-    candidates: list[str] = []
-    if ctx.endpoint is not None and ctx.endpoint.address is not None:
-        candidates.append(ctx.endpoint.address.split(":")[0])
-    if ctx.target_service.host is not None:
-        candidates.append(ctx.target_service.host)
-    if any(_address_in(a, token) for a in candidates):
-        return True
-    seg = idx.segments.get(ctx.target_service.segment)
-    return seg is not None and _cidr_overlaps_segment(token, seg)
+    # flows never target ONPREM
+    return token != m.ONPREM and prefix.meets_any(ctx.index.network(token), ctx.target_nets)
 
 
-def _firewall_rule_matches(rule: m.FirewallRule, ctx: FlowContext, idx: ScenarioIndex) -> bool:
+def _firewall_rule_matches(rule: m.FirewallRule, ctx: FlowContext) -> bool:
     if rule.protocol not in ("any", FLOW_PROTOCOL):
         return False
     if not any(_src_token_matches(t, ctx) for t in rule.src):
         return False
-    if not any(_dst_token_matches(t, ctx, idx) for t in rule.dst):
+    if not any(_dst_token_matches(t, ctx) for t in rule.dst):
         return False
     if rule.ports:
         if ctx.dst_port is None:
@@ -224,37 +197,33 @@ def _flow_is_intra_segment(ctx: FlowContext) -> bool:
     return False
 
 
+def _terminal_rule(
+    s: Scenario, ctx: FlowContext, idx: ScenarioIndex
+) -> tuple[str, m.FirewallRule] | tuple[None, None]:
+    """(scope kind, rule) of the first matching non-delegate rule, scope by scope."""
+    for scope_kind, scope_key in _scope_chain(s, ctx, idx):
+        for rule in idx.firewall_rules_by_scope.get(scope_key, ()):
+            if _firewall_rule_matches(rule, ctx):
+                if rule.action is not m.RuleAction.DELEGATE:
+                    return scope_kind, rule
+                break  # hand over to the next scope
+    return None, None
+
+
 def evaluate_firewall_chain(
     s: Scenario, ctx: FlowContext
 ) -> tuple[PointOutcome, PointOutcome]:
     """Hierarchical then segment firewall outcomes for one flow."""
-    idx = s.index()
     hier = PointOutcome(m.Verdict.ALLOW, m.DEFAULT_RULE)
-    terminal: tuple[str, m.FirewallRule] | None = None
-    for scope_kind, scope_key in _scope_chain(s, ctx, idx):
-        for rule in idx.firewall_rules_by_scope.get(scope_key, ()):
-            if not _firewall_rule_matches(rule, ctx, idx):
-                continue
-            if rule.action is m.RuleAction.DELEGATE:
-                break  # hand over to the next scope
-            terminal = (scope_kind, rule)
-            break
-        if terminal is not None:
-            break
-
-    if terminal is not None:
-        scope_kind, rule = terminal
-        if scope_kind in ("organization", "folder"):
-            if rule.action is m.RuleAction.DENY:
-                return (
-                    PointOutcome(m.Verdict.DENY, rule.id, m.DenyReason.HIER_FIREWALL),
-                    _ALLOW_NA,
-                )
-            return PointOutcome(m.Verdict.ALLOW, rule.id), _ALLOW_NA
-        if rule.action is m.RuleAction.DENY:
-            return hier, PointOutcome(m.Verdict.DENY, rule.id, m.DenyReason.SEGMENT_FIREWALL)
-        return hier, PointOutcome(m.Verdict.ALLOW, rule.id)
-
+    scope_kind, rule = _terminal_rule(s, ctx, s.index())
+    if rule is not None:
+        segment = scope_kind == "segment"
+        if rule.action is m.RuleAction.ALLOW:
+            outcome = PointOutcome(m.Verdict.ALLOW, rule.id)
+        else:
+            reason = m.DenyReason.SEGMENT_FIREWALL if segment else m.DenyReason.HIER_FIREWALL
+            outcome = PointOutcome(m.Verdict.DENY, rule.id, reason)
+        return (hier, outcome) if segment else (outcome, _ALLOW_NA)
     if (
         _flow_is_intra_segment(ctx)
         and ctx.source_segment is not None
@@ -317,25 +286,16 @@ def evaluate_perimeter_crossing(
         intra = PointOutcome(m.Verdict.ALLOW, "intra-perimeter")
         return intra, intra
 
-    if src_perim is None:
-        egress = _ALLOW_NA
-    else:
-        hit = next((r for r in src_perim.egress if _perimeter_rule_matches(r, ctx)), None)
-        egress = (
-            PointOutcome(m.Verdict.ALLOW, hit.id)
-            if hit is not None
-            else PointOutcome(m.Verdict.DENY, m.DEFAULT_RULE, m.DenyReason.PERIMETER_EGRESS)
-        )
-    if dst_perim is None:
-        ingress = _ALLOW_NA
-    else:
-        hit = next((r for r in dst_perim.ingress if _perimeter_rule_matches(r, ctx)), None)
-        ingress = (
-            PointOutcome(m.Verdict.ALLOW, hit.id)
-            if hit is not None
-            else PointOutcome(m.Verdict.DENY, m.DEFAULT_RULE, m.DenyReason.PERIMETER_INGRESS)
-        )
-    return egress, ingress
+    def crossing(rules: tuple[m.PerimeterRule, ...], reason: m.DenyReason) -> PointOutcome:
+        hit = next((r for r in rules if _perimeter_rule_matches(r, ctx)), None)
+        if hit is None:
+            return PointOutcome(m.Verdict.DENY, m.DEFAULT_RULE, reason)
+        return PointOutcome(m.Verdict.ALLOW, hit.id)
+
+    return (
+        _ALLOW_NA if src_perim is None else crossing(src_perim.egress, m.DenyReason.PERIMETER_EGRESS),
+        _ALLOW_NA if dst_perim is None else crossing(dst_perim.ingress, m.DenyReason.PERIMETER_INGRESS),
+    )
 
 
 def evaluate_authn(s: Scenario, ctx: FlowContext) -> tuple[PointOutcome, m.Principal]:
@@ -424,10 +384,13 @@ def _build_context(s: Scenario, r: m.FlowRequest) -> FlowContext:
         if ep_hop is not None:
             endpoint = idx.endpoints.get(ep_hop.edge)
             attachment = idx.attachments.get(ep_hop.attachment)
-    source_segment = idx.segments.get(r.source)
-    source_address = r.source_address
-    if source_address is None and source_segment is not None:
-        source_address = idx.canonical_address(source_segment.id)
+    if r.source_address is None:
+        source_nets = idx.source_nets.get(r.source, ())
+    else:
+        address = prefix.address(r.source_address)
+        source_nets = idx.segment_nets.get(r.source, ())
+        if address is not None:
+            source_nets = (address,) + source_nets
     dst_port = None
     if endpoint is not None and endpoint.address and ":" in endpoint.address:
         dst_port = int(endpoint.address.split(":")[1])
@@ -440,64 +403,41 @@ def _build_context(s: Scenario, r: m.FlowRequest) -> FlowContext:
         target_service=target_service,
         endpoint=endpoint,
         attachment=attachment,
-        source_segment=source_segment,
-        source_address=source_address,
+        source_segment=idx.segments.get(r.source),
+        source_nets=source_nets,
+        target_nets=idx.target_nets(target_service, endpoint) if target_service is not None else (),
         dst_port=dst_port,
+        index=idx,
     )
+
+
+def _point_outcomes(s: Scenario, ctx: FlowContext) -> Iterator[PointOutcome]:
+    """The outcome of each point in ``ENFORCEMENT_CHAIN`` order, computed as it
+    is pulled; a point is evaluated only if every earlier one allowed."""
+    if ctx.path is None:
+        yield PointOutcome(m.Verdict.DENY, m.DEFAULT_RULE, m.DenyReason.NO_ROUTE)
+        return
+    yield PointOutcome(m.Verdict.ALLOW, ctx.path.describe())
+    yield from evaluate_firewall_chain(s, ctx)
+    yield evaluate_gateways(ctx, ctx.index)
+    yield from evaluate_endpoint_pair(ctx)
+    yield from evaluate_perimeter_crossing(s, ctx)
+    authn, terminal = evaluate_authn(s, ctx)
+    yield authn
+    if ctx.target_service is None:
+        yield _ALLOW_NA
+    else:
+        yield evaluate_rbac(s, ctx.target_service, terminal, ctx.request.method)
 
 
 def evaluate_flow(s: Scenario, r: m.FlowRequest) -> tuple[m.Decision, m.DecisionTrace]:
     """Evaluate one request through every enforcement point, with full trace."""
-    ctx = _build_context(s, r)
-    idx = s.index()
-    outcomes: dict[m.PointKind, PointOutcome] = {}
-
-    if ctx.path is None:
-        outcomes[m.PointKind.ROUTE] = PointOutcome(
-            m.Verdict.DENY, m.DEFAULT_RULE, m.DenyReason.NO_ROUTE
-        )
-    else:
-        outcomes[m.PointKind.ROUTE] = PointOutcome(m.Verdict.ALLOW, ctx.path.describe())
-        hier, seg = evaluate_firewall_chain(s, ctx)
-        outcomes[m.PointKind.HIER_FIREWALL] = hier
-        if hier.verdict is m.Verdict.ALLOW:
-            outcomes[m.PointKind.SEGMENT_FIREWALL] = seg
-            if seg.verdict is m.Verdict.ALLOW:
-                outcomes[m.PointKind.GATEWAY] = evaluate_gateways(ctx, idx)
-                if outcomes[m.PointKind.GATEWAY].verdict is m.Verdict.ALLOW:
-                    consumer, producer = evaluate_endpoint_pair(ctx)
-                    outcomes[m.PointKind.CONSUMER_ENDPOINT] = consumer
-                    if consumer.verdict is m.Verdict.ALLOW:
-                        outcomes[m.PointKind.PRODUCER_ATTACHMENT] = producer
-                        if producer.verdict is m.Verdict.ALLOW:
-                            egress, ingress = evaluate_perimeter_crossing(s, ctx)
-                            outcomes[m.PointKind.PERIMETER_EGRESS] = egress
-                            if egress.verdict is m.Verdict.ALLOW:
-                                outcomes[m.PointKind.PERIMETER_INGRESS] = ingress
-                                if ingress.verdict is m.Verdict.ALLOW:
-                                    authn, terminal = evaluate_authn(s, ctx)
-                                    outcomes[m.PointKind.AUTHN] = authn
-                                    if authn.verdict is m.Verdict.ALLOW:
-                                        if ctx.target_service is None:
-                                            outcomes[m.PointKind.RBAC] = _ALLOW_NA
-                                        else:
-                                            outcomes[m.PointKind.RBAC] = evaluate_rbac(
-                                                s, ctx.target_service, terminal, r.method
-                                            )
-
-    steps = []
+    outcomes = _point_outcomes(s, _build_context(s, r))
     decision = m.ALLOW
+    steps = []
     for i, point in enumerate(m.ENFORCEMENT_CHAIN):
-        outcome = outcomes.get(point, _ALLOW_NA)
-        steps.append(
-            m.TraceStep(
-                index=i,
-                point=point,
-                verdict=outcome.verdict,
-                rule=outcome.rule,
-                reason=outcome.reason,
-            )
-        )
-        if outcome.verdict is m.Verdict.DENY and decision.allowed:
+        outcome = next(outcomes) if decision.allowed else _ALLOW_NA
+        if outcome.verdict is m.Verdict.DENY:
             decision = m.deny(outcome.reason)
+        steps.append(m.TraceStep(i, point, outcome.verdict, outcome.rule, outcome.reason))
     return decision, tuple(steps)

@@ -31,7 +31,7 @@ def _traversals(s: Scenario, at_idp: str):
     """
     for e in s.trust_edges:
         if e.src == at_idp:
-            yield e, e.dst, dict(e.mapping)
+            yield e, e.dst, e.mapping
         if e.kind is m.TrustKind.TWO_WAY_TRUST and e.dst == at_idp:
             inverted: dict[str, str] = {}
             for src_p, dst_p in sorted(e.mapping.items()):

@@ -10,9 +10,9 @@ nearest-definition-wins down the hierarchy.
 
 from __future__ import annotations
 
-import ipaddress
 from dataclasses import dataclass, field
 from enum import Enum
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import EmptyPerimeterError, InvalidHierarchyError, UnknownNodeError
@@ -23,6 +23,12 @@ DISTINGUISHED_LOCI = frozenset({ONPREM, INTERNET})
 
 # Wildcard token accepted in rule match positions (CIDR lists, target sets, methods).
 ANY = "*"
+
+
+def _freeze(obj: object, name: str) -> None:
+    """Hold a mapping field read-only; mapping fields compare by value and
+    stay out of the hash (``field(hash=False)``)."""
+    object.__setattr__(obj, name, MappingProxyType(dict(getattr(obj, name))))
 
 
 class NodeKind(str, Enum):
@@ -173,24 +179,10 @@ class ResourceNode:
     kind: NodeKind
     parent: str | None = None
     tags: frozenset[str] = frozenset()
-    labels: Mapping[str, str] = field(default_factory=dict)
+    labels: Mapping[str, str] = field(default_factory=dict, hash=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "labels", dict(self.labels))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ResourceNode):
-            return NotImplemented
-        return (
-            self.id == other.id
-            and self.kind == other.kind
-            and self.parent == other.parent
-            and self.tags == other.tags
-            and dict(self.labels) == dict(other.labels)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.id, self.kind, self.parent, self.tags))
+        _freeze(self, "labels")
 
 
 def tag_key(tag: str) -> str:
@@ -249,38 +241,12 @@ class NetworkSegment:
     project: str
     routability: Routability
     cidrs: tuple[str, ...]
-    subnets: Mapping[str, str] = field(default_factory=dict)
+    subnets: Mapping[str, str] = field(default_factory=dict, hash=False)
     trust_mode: TrustMode = TrustMode.TRUSTING
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "cidrs", tuple(self.cidrs))
-        object.__setattr__(self, "subnets", dict(self.subnets))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, NetworkSegment):
-            return NotImplemented
-        return (
-            self.id,
-            self.project,
-            self.routability,
-            self.cidrs,
-            dict(self.subnets),
-            self.trust_mode,
-        ) == (
-            other.id,
-            other.project,
-            other.routability,
-            other.cidrs,
-            dict(other.subnets),
-            other.trust_mode,
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.id, self.project, self.cidrs))
-
-    def contains_address(self, address: str) -> bool:
-        addr = ipaddress.ip_address(address)
-        return any(addr in ipaddress.ip_network(c) for c in self.cidrs)
+        _freeze(self, "subnets")
 
 
 @dataclass(frozen=True)
@@ -445,29 +411,15 @@ class PerimeterRule:
 
     id: str
     identities: tuple[str, ...] = ()          # principal ids / groups; empty = any
-    device: Mapping[str, str] = field(default_factory=dict)
+    device: Mapping[str, str] = field(default_factory=dict, hash=False)
     networks: tuple[str, ...] = ()            # CIDRs or ONPREM/INTERNET; empty = any
     targets: tuple[PerimeterTarget, ...] = ()  # empty = any target
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "identities", tuple(self.identities))
-        object.__setattr__(self, "device", dict(self.device))
+        _freeze(self, "device")
         object.__setattr__(self, "networks", tuple(self.networks))
         object.__setattr__(self, "targets", tuple(self.targets))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PerimeterRule):
-            return NotImplemented
-        return (
-            self.id,
-            self.identities,
-            dict(self.device),
-            self.networks,
-            self.targets,
-        ) == (other.id, other.identities, dict(other.device), other.networks, other.targets)
-
-    def __hash__(self) -> int:
-        return hash((self.id, self.identities, self.networks, self.targets))
 
 
 @dataclass(frozen=True)
@@ -560,25 +512,11 @@ class Principal:
     kind: PrincipalKind
     idp: str
     groups: tuple[str, ...] = ()
-    device: Mapping[str, str] = field(default_factory=dict)
+    device: Mapping[str, str] = field(default_factory=dict, hash=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "groups", tuple(self.groups))
-        object.__setattr__(self, "device", dict(self.device))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Principal):
-            return NotImplemented
-        return (self.id, self.kind, self.idp, self.groups, dict(self.device)) == (
-            other.id,
-            other.kind,
-            other.idp,
-            other.groups,
-            dict(other.device),
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.id, self.kind, self.idp, self.groups))
+        _freeze(self, "device")
 
     def matches_identity(self, token: str) -> bool:
         """True if ``token`` names this principal, one of its groups, or any."""
@@ -591,24 +529,10 @@ class TrustEdge:
     src: str
     dst: str
     kind: TrustKind
-    mapping: Mapping[str, str] = field(default_factory=dict)
+    mapping: Mapping[str, str] = field(default_factory=dict, hash=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mapping", dict(self.mapping))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TrustEdge):
-            return NotImplemented
-        return (self.id, self.src, self.dst, self.kind, dict(self.mapping)) == (
-            other.id,
-            other.src,
-            other.dst,
-            other.kind,
-            dict(other.mapping),
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.id, self.src, self.dst, self.kind))
+        _freeze(self, "mapping")
 
 
 @dataclass(frozen=True)

@@ -85,12 +85,6 @@ def _all_simple_paths(s: Scenario, source: str, goal: str, final_target: str) ->
     return paths
 
 
-def _best(paths: list[list[tuple]]) -> list[tuple] | None:
-    if not paths:
-        return None
-    return min(paths, key=lambda p: (len(p), tuple(step[0] for step in p)))
-
-
 def _oracle_route(s: Scenario, source: str, target: str):
     """Returns (gateway traversals, endpoint or None, reached: bool, key)."""
     services = {x.id: x for x in s.services}
@@ -129,7 +123,7 @@ def _oracle_route(s: Scenario, source: str, target: str):
             candidates.append((lead + [(ep.id, ep.segment, svc.segment)], ep.id))
     else:
         host = target.split(":")[0]
-        holder = next((g for g in s.segments if g.cidrs and g.contains_address(host)), None)
+        holder = next((g for g in s.segments if any(_addr_in(host, c) for c in g.cidrs)), None)
         if holder is None:
             raise UnknownEntityError(target)
         if holder.id == source:

@@ -15,11 +15,11 @@ hop is legal only as the final hop toward INTERNET.
 
 from __future__ import annotations
 
-import ipaddress
 from dataclasses import dataclass
 from enum import Enum
 
 from . import model as m
+from . import prefix
 from .errors import UnknownLocusError, UnknownTargetError
 from .scenario import Scenario, ScenarioIndex
 
@@ -217,13 +217,9 @@ def _resolve_uncached(s: Scenario, source: str, target: str) -> RoutePath | Unre
         return RoutePath(tuple(lead + [traversal]))
 
     # bare address target
-    try:
-        ipaddress.ip_address(target.split(":")[0])
-    except ValueError:
-        raise UnknownTargetError(target) from None
+    host = prefix.address(target.split(":")[0])
     holder = next(
-        (seg for seg in s.segments if seg.cidrs and seg.contains_address(target.split(":")[0])),
-        None,
+        (seg for seg in s.segments if prefix.meets_any(host, idx.segment_nets[seg.id])), None
     )
     if holder is None:
         raise UnknownTargetError(target)

@@ -12,14 +12,14 @@ one; scenario authors get the complete list in a single run.
 
 from __future__ import annotations
 
-import ipaddress
 from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Any, Iterator
 
 import yaml
 
 from . import model as m
-from .errors import ScenarioParseError
+from . import prefix
+from .errors import InvalidHierarchyError, ScenarioParseError, UnknownNodeError
 
 if TYPE_CHECKING:
     from .route import RoutePath, Unreachable
@@ -139,12 +139,24 @@ class ScenarioIndex:
             x.id for x in s.segments if x.routability is m.Routability.NON_ROUTABLE
         )
         self.adjacency = _locus_adjacency(s.edges, self.non_routable)
+        # each segment's CIDRs as intervals; a request from a segment that
+        # names no source address carries the segment's canonical address
+        self.segment_nets: dict[str, tuple[prefix.Interval, ...]] = {}
+        self.source_nets: dict[str, tuple[prefix.Interval, ...]] = {}
+        for seg in s.segments:
+            nets = tuple(n for n in map(prefix.network, seg.cidrs) if n is not None)
+            canonical = prefix.address(prefix.first_host(seg.cidrs[0])) if seg.cidrs else None
+            self.segment_nets[seg.id] = nets
+            self.source_nets[seg.id] = nets if canonical is None else (canonical,) + nets
         # memos of route, identity and engine queries
         self.path_cache: dict[tuple[str, str], RoutePath | Unreachable] = {}
         self.route_trees: dict[tuple[str, bool], dict[str, m.ConnectivityEdge]] = {}
         self.credential_cache: dict[tuple[str, str, int], m.CredentialChain | None] = {}
         self.target_tags: dict[str, frozenset[str]] = {}
+        self._networks: dict[str, prefix.Interval | None] = {}
+        self._target_nets: dict[tuple[str, str | None], tuple[prefix.Interval, ...]] = {}
         self._memberships: dict[str, frozenset[str]] | None = None
+        self._data_plane_perimeter: dict[str, m.AbstractPerimeter] | None = None
 
     def memberships(self) -> dict[str, frozenset[str]]:
         """Perimeter id -> resolved member project set."""
@@ -155,21 +167,39 @@ class ScenarioIndex:
         return self._memberships
 
     def data_plane_perimeter_of(self, project: str | None) -> m.AbstractPerimeter | None:
+        """The first data-plane perimeter, in scenario order, holding ``project``."""
         if project is None:
             return None
-        for p in self.scenario.perimeters:
-            if m.Mechanism.DATA_PLANE_PERIMETER not in p.mechanisms:
-                continue
-            if project in self.memberships()[p.id]:
-                return p
-        return None
+        if self._data_plane_perimeter is None:
+            dp = [p for p in self.scenario.perimeters if m.Mechanism.DATA_PLANE_PERIMETER in p.mechanisms]
+            members = self.memberships() if dp else {}
+            by_project: dict[str, m.AbstractPerimeter] = {}
+            for p in dp:
+                for prj in members[p.id]:
+                    by_project.setdefault(prj, p)
+            self._data_plane_perimeter = by_project
+        return self._data_plane_perimeter.get(project)
 
-    def canonical_address(self, segment_id: str) -> str | None:
-        seg = self.segments.get(segment_id)
-        if seg is None or not seg.cidrs:
-            return None
-        net = ipaddress.ip_network(seg.cidrs[0], strict=False)
-        return str(net.network_address + 1)
+    def network(self, token: str) -> prefix.Interval | None:
+        """A rule's CIDR token as an interval, parsed once per scenario."""
+        try:
+            return self._networks[token]
+        except KeyError:
+            net = self._networks[token] = prefix.network(token)
+            return net
+
+    def target_nets(
+        self, svc: m.ServiceSpec, endpoint: m.ConsumerEndpoint | None
+    ) -> tuple[prefix.Interval, ...]:
+        """The endpoint's and the service's host addresses and the service segment's CIDRs."""
+        key = (svc.id, endpoint.id if endpoint is not None else None)
+        nets = self._target_nets.get(key)
+        if nets is None:
+            hosts = (endpoint.address if endpoint is not None else None, svc.address)
+            points = (prefix.address(h.split(":", 1)[0]) for h in hosts if h is not None)
+            nets = tuple(p for p in points if p is not None) + self.segment_nets.get(svc.segment, ())
+            self._target_nets[key] = nets
+        return nets
 
 
 def _locus_adjacency(
@@ -269,14 +299,6 @@ def _tags(ctx: _Ctx, value: Any, subject: str) -> frozenset[str]:
     return frozenset(out)
 
 
-def _cidr_ok(token: str) -> bool:
-    try:
-        ipaddress.ip_network(token, strict=False)
-        return True
-    except ValueError:
-        return False
-
-
 def _net_tokens(ctx: _Ctx, value: Any, subject: str, default: tuple[str, ...] = ()) -> tuple[str, ...]:
     """CIDRs plus the ONPREM/INTERNET/* tokens used in match positions."""
     items = _expect_list(ctx, value, subject)
@@ -285,11 +307,21 @@ def _net_tokens(ctx: _Ctx, value: Any, subject: str, default: tuple[str, ...] = 
     out = []
     for tok in items:
         tok = str(tok)
-        if tok in (m.ONPREM, m.INTERNET, m.ANY) or _cidr_ok(tok):
+        if tok in (m.ONPREM, m.INTERNET, m.ANY) or prefix.network(tok) is not None:
             out.append(tok)
         else:
             ctx.err("BAD_VALUE", subject, f"{tok!r} is not a CIDR or ONPREM/INTERNET/*")
     return tuple(out)
+
+
+def _address(ctx: _Ctx, value: Any, subject: str) -> str | None:
+    """An ``ip`` or ``ip:port`` address."""
+    if value is None:
+        return None
+    text = str(value)
+    if prefix.host_port(text) is None:
+        ctx.err("BAD_VALUE", subject, f"address {text!r} is not ip or ip:port (port 0-65535)")
+    return text
 
 
 def _str_list(ctx: _Ctx, value: Any, subject: str) -> tuple[str, ...]:
@@ -453,13 +485,13 @@ def _parse_networks(ctx: _Ctx, raw: Any) -> tuple[list, list]:
         cidrs = []
         for c in _expect_list(ctx, sd.get("cidrs"), sub):
             c = str(c)
-            if _cidr_ok(c):
+            if prefix.network(c) is not None:
                 cidrs.append(c)
             else:
                 ctx.err("BAD_VALUE", sub, f"bad CIDR {c!r}")
         subnets = _str_map(ctx, sd.get("subnets"), sub)
         for name, c in subnets.items():
-            if not _cidr_ok(c):
+            if prefix.network(c) is None:
                 ctx.err("BAD_VALUE", sub, f"bad subnet CIDR {c!r} for {name!r}")
         segments.append(
             m.NetworkSegment(
@@ -548,7 +580,7 @@ def _parse_services(ctx: _Ctx, raw: Any) -> tuple[list, list, list]:
                 auth_mode=_enum(
                     ctx, m.AuthMode, sd.get("auth_mode"), sub, m.AuthMode.PERIMETER_TRUSTING
                 ),
-                address=str(sd["address"]) if sd.get("address") is not None else None,
+                address=_address(ctx, sd.get("address"), sub),
                 fqdn=str(sd["fqdn"]) if sd.get("fqdn") is not None else None,
                 backends=_str_list(ctx, sd.get("backends"), sub),
                 run_as=_str_list(ctx, sd.get("run_as"), sub),
@@ -585,7 +617,7 @@ def _parse_services(ctx: _Ctx, raw: Any) -> tuple[list, list, list]:
                 id=str(ed["id"]),
                 segment=str(ed.get("segment", "")),
                 attachment=str(ed.get("attachment", "")),
-                address=str(ed["address"]) if ed.get("address") is not None else None,
+                address=_address(ctx, ed.get("address"), sub),
                 fqdn=str(ed["fqdn"]) if ed.get("fqdn") is not None else None,
                 policy=_predicates(ctx, ed.get("policy"), f"{sub}.policy"),
             )
@@ -901,7 +933,8 @@ def validate_scenario(s: Scenario) -> list[Violation]:
             continue
         parent = nodes.get(n.parent)
         if parent is None:
-            continue  # caught at parse time
+            out.append(Violation("UNKNOWN_REF", n.id, f"unknown parent node {n.parent!r}"))
+            continue
         allowed = {
             m.NodeKind.FOLDER: (m.NodeKind.ORGANIZATION, m.NodeKind.FOLDER),
             m.NodeKind.PROJECT: (m.NodeKind.ORGANIZATION, m.NodeKind.FOLDER),
@@ -918,23 +951,29 @@ def validate_scenario(s: Scenario) -> list[Violation]:
     for n in s.nodes:
         try:
             m.ancestors(n.id, nodes)
-        except Exception:
+        except UnknownNodeError:
+            continue  # the node naming the unknown parent is reported above
+        except InvalidHierarchyError:
             out.append(Violation("PARENT_CYCLE", n.id, "hierarchy contains a parent cycle"))
             break
 
-    routable = [seg for seg in s.segments if seg.routability is m.Routability.ROUTABLE]
-    for i, a in enumerate(routable):
-        for b in routable[i + 1 :]:
-            if _cidrs_overlap(a.cidrs, b.cidrs):
-                out.append(
-                    Violation("CIDR_OVERLAP", a.id, f"routable segments {a.id!r} and {b.id!r} overlap")
-                )
+    nets_of: list[list[prefix.Interval]] = []
     for seg in s.segments:
-        nets = [ipaddress.ip_network(c, strict=False) for c in seg.cidrs]
-        for i, a in enumerate(nets):
-            if any(a.overlaps(b) for b in nets[i + 1 :]):
-                out.append(Violation("CIDR_INTERNAL", seg.id, "segment reuses address space internally"))
-                break
+        nets_of.append([])
+        for c in seg.cidrs:
+            net = prefix.network(c)
+            if net is None:
+                out.append(Violation("CIDR_BAD", seg.id, f"{c!r} is not a CIDR"))
+            else:
+                nets_of[-1].append(net)
+    seg_nets = {seg.id: nets for seg, nets in zip(s.segments, nets_of)}
+    routable = [i for i, seg in enumerate(s.segments) if seg.routability is m.Routability.ROUTABLE]
+    for i, j in prefix.overlapping_pairs([nets_of[k] for k in routable]):
+        a, b = s.segments[routable[i]], s.segments[routable[j]]
+        out.append(Violation("CIDR_OVERLAP", a.id, f"routable segments {a.id!r} and {b.id!r} overlap"))
+    for seg, nets in zip(s.segments, nets_of):
+        if prefix.overlapping_pairs([[net] for net in nets]):
+            out.append(Violation("CIDR_INTERNAL", seg.id, "segment reuses address space internally"))
 
     scope_priorities: dict[str, set[int]] = {}
     for fw in s.firewall_rules:
@@ -952,10 +991,19 @@ def validate_scenario(s: Scenario) -> list[Violation]:
         if count > 1:
             out.append(Violation("ATTACH_DUP", svc_id, f"service has {count} attachments; at most one"))
 
-    segs = {x.id: x for x in s.segments}
+    def host(thing: m.ServiceSpec | m.ConsumerEndpoint, code: str) -> prefix.Interval | None:
+        """The host of ``thing``'s address; an address that is not ip or ip:port is reported."""
+        if thing.address is None:
+            return None
+        parsed = prefix.host_port(thing.address)
+        if parsed is None:
+            out.append(Violation(code, thing.id, f"address {thing.address!r} is not ip or ip:port"))
+            return None
+        return parsed[0]
+
     for ep in s.endpoints:
-        seg = segs.get(ep.segment)
-        if ep.address is not None and seg is not None and not seg.contains_address(ep.address.split(":")[0]):
+        addr = host(ep, "ENDPOINT_ADDR")
+        if addr is not None and ep.segment in seg_nets and not prefix.meets_any(addr, seg_nets[ep.segment]):
             out.append(
                 Violation("ENDPOINT_ADDR", ep.id, f"address {ep.address} outside segment {ep.segment} CIDRs")
             )
@@ -973,12 +1021,9 @@ def validate_scenario(s: Scenario) -> list[Violation]:
     for svc in s.services:
         if svc.layer is m.ServiceLayer.L7 and svc.fqdn is None:
             out.append(Violation("SERVICE_FQDN", svc.id, "L7 service must expose an fqdn"))
-        if svc.address is not None:
-            seg = segs.get(svc.segment)
-            if seg is not None and seg.cidrs and not seg.contains_address(svc.host):
-                out.append(
-                    Violation("SERVICE_ADDR", svc.id, f"address {svc.address} outside home segment CIDRs")
-                )
+        addr = host(svc, "SERVICE_ADDR")
+        if addr is not None and seg_nets.get(svc.segment) and not prefix.meets_any(addr, seg_nets[svc.segment]):
+            out.append(Violation("SERVICE_ADDR", svc.id, f"address {svc.address} outside home segment CIDRs"))
 
     backend_segment: dict[str, str] = {}
     for svc in s.services:
@@ -1004,7 +1049,7 @@ def validate_scenario(s: Scenario) -> list[Violation]:
             memberships[p.id] = m.resolve_members(p, nodes)
         except m.EmptyPerimeterError:
             out.append(Violation("EMPTY_PERIMETER", p.id, "member selector resolves to zero projects"))
-        except Exception:
+        except (UnknownNodeError, InvalidHierarchyError):
             continue  # hierarchy problems reported above
     dp = [p for p in s.perimeters if m.Mechanism.DATA_PLANE_PERIMETER in p.mechanisms]
     for i, a in enumerate(dp):
@@ -1020,12 +1065,6 @@ def validate_scenario(s: Scenario) -> list[Violation]:
                 )
 
     return out
-
-
-def _cidrs_overlap(a: tuple[str, ...], b: tuple[str, ...]) -> bool:
-    nets_a = [ipaddress.ip_network(c, strict=False) for c in a]
-    nets_b = [ipaddress.ip_network(c, strict=False) for c in b]
-    return any(x.overlaps(y) for x in nets_a for y in nets_b)
 
 
 # ---------------------------------------------------------------------------

@@ -183,7 +183,7 @@ def _naive_firewall(s, ctx):
     idx = s.index()
     for kind, key in _scope_chain(s, ctx, idx):
         for rule in sorted((r for r in s.firewall_rules if r.scope == key), key=lambda r: r.priority):
-            if _firewall_rule_matches(rule, ctx, idx):
+            if _firewall_rule_matches(rule, ctx):
                 if rule.action is m.RuleAction.DELEGATE:
                     break
                 return kind, rule
@@ -593,3 +593,51 @@ def test_and_composition_and_trace_completeness(seed):
             assert decision.reason is denies[0].reason
             assert denies[0].reason is not None
         assert trace  # non-empty for every evaluated request
+
+
+# ---------------------------------------------------------------------------
+# Source addresses: engine and oracle agree wherever the address points
+# ---------------------------------------------------------------------------
+
+
+def _last_host(cidr):
+    import ipaddress
+
+    return str(ipaddress.ip_network(cidr, strict=False).broadcast_address - 1)
+
+
+def _source_addresses(s, source):
+    """Addresses inside the source segment, inside another segment, outside
+    every segment, IPv6 and malformed."""
+    import ipaddress
+
+    cidrs = [ipaddress.ip_network(c, strict=False) for seg in s.segments for c in seg.cidrs]
+    outside = next(
+        a for a in ("192.0.2.77", "198.51.100.9", "203.0.113.5")
+        if not any(ipaddress.ip_address(a) in net for net in cidrs)
+    )
+    own = next((seg for seg in s.segments if seg.id == source), None)
+    other = next((seg for seg in s.segments if seg.id != source and seg.cidrs), None)
+    addresses = [outside, "2001:db8::5", "not-an-ip"]
+    if own is not None and own.cidrs:
+        addresses.append(_last_host(own.cidrs[-1]))
+    if other is not None:
+        addresses.append(_last_host(other.cidrs[-1]))
+    return addresses
+
+
+@pytest.mark.parametrize("name", sorted(__import__("cloudperim").TEMPLATE_NAMES))
+def test_engine_matches_oracle_with_source_addresses(name):
+    from cloudperim.analysis import default_request_space
+
+    s = builtin_scenario(name)
+    moved = 0
+    for r in default_request_space(s):
+        plain, _ = evaluate_flow(s, r)
+        for address in _source_addresses(s, r.source):
+            addressed = dataclasses.replace(r, source_address=address)
+            decision, _ = evaluate_flow(s, addressed)
+            assert decision == oracle_evaluate(s, addressed), addressed
+            moved += decision != plain
+    if name in ("fig1-lift-shift", "fig11-combined"):
+        assert moved  # the templates with CIDR-scoped rules see the address

@@ -197,3 +197,44 @@ def test_tag_condition_exact_presence_and_conflict():
     assert not cond.holds({"pii:true"})
     assert not cond.holds(set())
     assert not cond.holds({"pii:false", "pii:true"})  # conflicting values fail closed
+
+
+# ---------------------------------------------------------------------------
+# Immutability of mapping fields
+# ---------------------------------------------------------------------------
+
+
+def test_mapping_fields_are_read_only():
+    p = m.Principal(id="u", kind=m.PrincipalKind.HUMAN, idp="idp", device={"managed": "true"})
+    node = m.ResourceNode(id="prj", kind=m.NodeKind.PROJECT, parent="org", labels={"team": "a"})
+    with pytest.raises(TypeError):
+        p.device["managed"] = "false"
+    with pytest.raises(TypeError):
+        node.labels["team"] = "b"
+    assert p.device == {"managed": "true"} and node.labels == {"team": "a"}
+
+
+def test_mapping_fields_copy_their_input():
+    device = {"managed": "true"}
+    p = m.Principal(id="u", kind=m.PrincipalKind.HUMAN, idp="idp", device=device)
+    device["managed"] = "false"
+    assert p.device["managed"] == "true"
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda d: m.ResourceNode(id="n", kind=m.NodeKind.PROJECT, parent="org", labels=d),
+        lambda d: m.NetworkSegment(
+            id="s", project="p", routability=m.Routability.ROUTABLE, cidrs=("10.0.0.0/8",), subnets=d
+        ),
+        lambda d: m.PerimeterRule(id="r", device=d),
+        lambda d: m.Principal(id="u", kind=m.PrincipalKind.HUMAN, idp="idp", device=d),
+        lambda d: m.TrustEdge(id="t", src="a", dst="b", kind=m.TrustKind.ONE_WAY_TRUST, mapping=d),
+    ],
+)
+def test_equal_instances_hash_equal_and_mappings_compare_by_value(make):
+    a, b = make({"k": "1", "j": "2"}), make({"j": "2", "k": "1"})
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != make({"k": "other"})

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from cloudperim import TEMPLATE_NAMES, builtin_scenario, parse_scenario, resolve_path, routable_pairs
+from cloudperim import prefix
 from cloudperim import route as route_mod
 from cloudperim import model as m
 from cloudperim.errors import UnknownLocusError, UnknownTargetError
@@ -271,10 +272,9 @@ def _resolve_or_error(resolve, s, source, target):
 
 
 def _assert_search_matches_reference(s, monkeypatch):
-    idx = s.index()
     sources = [x.id for x in s.segments] + [m.ONPREM, m.INTERNET]
     targets = [x.id for x in s.services] + [x.id for x in s.endpoints] + [m.INTERNET]
-    targets += [a for a in (idx.canonical_address(x.id) for x in s.segments) if a is not None]
+    targets += [a for a in (prefix.first_host(x.cidrs[0]) for x in s.segments if x.cidrs) if a is not None]
     with monkeypatch.context() as patched:
         patched.setattr(route_mod, "_locus_path", _reference_locus_path)
         expected = {

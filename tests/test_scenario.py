@@ -237,3 +237,104 @@ def test_fig5_template_content():
     ordering = [x for x in s.services if x.workload == "ordering"]
     assert {"txn", "inventory"} <= {x.id for x in ordering}
     assert any(e.kind is m.EdgeKind.NAT_GATEWAY for e in s.edges)
+
+
+# ---------------------------------------------------------------------------
+# Malformed addresses and hierarchy references are reported, never raised
+# ---------------------------------------------------------------------------
+
+
+def _fig4_with(old, new):
+    text = template_text("fig4-landing-point")
+    assert old in text
+    return text.replace(old, new)
+
+
+def _replace_entity(s, section, entity_id, **changes):
+    items = tuple(
+        dataclasses.replace(x, **changes) if x.id == entity_id else x for x in getattr(s, section)
+    )
+    return dataclasses.replace(s, **{section: items})
+
+
+def test_service_address_with_non_integer_port_rejected():
+    with pytest.raises(ScenarioParseError) as exc:
+        parse_scenario(_fig4_with("172.16.1.10:5432", "172.16.1.10:http"))
+    assert [i.code for i in exc.value.issues] == ["BAD_VALUE"]
+    assert "172.16.1.10:http" in exc.value.issues[0].message
+    # a scenario built in code is reported by the validator instead
+    s = _replace_entity(builtin_scenario("fig4-landing-point"), "services", "sql-db",
+                        address="172.16.1.10:http")
+    assert [(v.code, v.subject) for v in validate_scenario(s)] == [("SERVICE_ADDR", "sql-db")]
+
+
+def test_endpoint_address_that_is_not_an_ip_rejected():
+    with pytest.raises(ScenarioParseError) as exc:
+        parse_scenario(_fig4_with("address: 10.0.1.10}", "address: not-an-ip}"))
+    assert [i.code for i in exc.value.issues] == ["BAD_VALUE"]
+    s = _replace_entity(builtin_scenario("fig4-landing-point"), "endpoints", "ep-sql",
+                        address="not-an-ip")
+    assert [(v.code, v.subject) for v in validate_scenario(s)] == [("ENDPOINT_ADDR", "ep-sql")]
+
+
+@pytest.mark.parametrize("address", ["10.0.1.10:65536", "10.0.1.10:", "2001:db8::1"])
+def test_endpoint_address_port_out_of_range_or_missing_rejected(address):
+    with pytest.raises(ScenarioParseError):
+        parse_scenario(_fig4_with("address: 10.0.1.10}", f'address: "{address}"}}'))
+
+
+def test_host_bit_segment_cidr_validates_and_evaluates_like_its_network():
+    from cloudperim import evaluate_flow
+    from cloudperim.analysis import default_request_space
+
+    base = builtin_scenario("fig4-landing-point")
+    text = template_text("fig4-landing-point")
+    text = text.replace("cidrs: [172.16.0.0/16]", "cidrs: [172.16.0.5/16]")
+    text = text.replace("cidrs: [10.0.0.0/16]", "cidrs: [10.0.3.4/16]")
+    host_bits = parse_scenario(text)
+    assert validate_scenario(host_bits) == validate_scenario(base) == []
+    for r in default_request_space(base):
+        assert evaluate_flow(host_bits, r) == evaluate_flow(base, r)
+
+
+def test_unknown_parent_is_an_unknown_reference_not_a_cycle():
+    s = _replace_entity(builtin_scenario("fig3-hierarchy"), "nodes", "f-prod-green", parent="ghost")
+    violations = validate_scenario(s)
+    assert [(v.code, v.subject) for v in violations] == [("UNKNOWN_REF", "f-prod-green")]
+    assert "'ghost'" in violations[0].message
+
+
+def test_parent_cycle_still_reported():
+    s = builtin_scenario("fig3-hierarchy")
+    s = _replace_entity(s, "nodes", "f-prod", parent="f-prod-green")
+    assert "PARENT_CYCLE" in [v.code for v in validate_scenario(s)]
+
+
+def test_data_plane_perimeter_of_first_perimeter_in_scenario_order_wins():
+    s = builtin_scenario("fig3-hierarchy")
+    wide = m.AbstractPerimeter(
+        id="prod", name="prod", members=m.MemberSelector(folders=("f-prod",)),
+        mechanisms=frozenset({m.Mechanism.DATA_PLANE_PERIMETER}),
+    )
+    after = dataclasses.replace(s, perimeters=s.perimeters + (wide,)).index()
+    before = dataclasses.replace(s, perimeters=(wide,) + s.perimeters).index()
+    assert after.data_plane_perimeter_of("prj-web-prod").id == "green-prod"
+    assert before.data_plane_perimeter_of("prj-web-prod").id == "prod"
+    assert after.data_plane_perimeter_of("prj-web-dev").id == "green-dev"
+    assert after.data_plane_perimeter_of(None) is None
+    assert after.data_plane_perimeter_of("no-such-project") is None
+
+
+def test_data_plane_perimeter_of_raises_on_an_empty_perimeter_only_when_resolving():
+    from cloudperim.errors import EmptyPerimeterError
+
+    s = builtin_scenario("fig3-hierarchy")
+    empty = m.AbstractPerimeter(id="empty", name="empty", members=m.MemberSelector(projects=("gone",)))
+    with_dp = dataclasses.replace(s, perimeters=s.perimeters + (empty,)).index()
+    assert with_dp.data_plane_perimeter_of(None) is None
+    for _ in range(2):
+        with pytest.raises(EmptyPerimeterError):
+            with_dp.data_plane_perimeter_of("prj-web-prod")
+    # without a data-plane perimeter nothing is resolved, so nothing raises
+    no_dp = dataclasses.replace(s, perimeters=(empty,)).index()
+    assert no_dp.data_plane_perimeter_of("prj-web-prod") is None
