@@ -183,20 +183,7 @@ def _cmd_compile(args) -> int:
     s = _load_scenario(args.scenario)
     compiled = compiler_mod.compile_perimeter(s, args.perimeter, args.mechanism)
     if args.output == "records":
-        import json
-
-        for rule in compiled.firewall_rules:
-            print(json.dumps({"kind": "firewall", "id": rule.id, "scope": rule.scope,
-                              "priority": rule.priority, "action": rule.action.value,
-                              "src": list(rule.src), "dst": list(rule.dst)}))
-        for rule in compiled.gateway_rules:
-            print(json.dumps({"kind": "gateway", "id": rule.id, "from": rule.src_zone,
-                              "to": rule.dst_zone, "action": rule.action.value}))
-        for b in compiled.bindings:
-            print(json.dumps({"kind": "rbac", "id": b.id, "principal": b.principal,
-                              "role": [{"service": p.service, "method": p.method} for p in b.role]}))
-        for note in compiled.divergence_notes:
-            print(json.dumps({"kind": "note", "text": note}))
+        _emit(records.compiled_records(compiled))
     else:
         print(f"compiled {args.perimeter!r} with mechanism {compiled.mechanism.value}:")
         for rule in compiled.firewall_rules:

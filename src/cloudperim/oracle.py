@@ -37,7 +37,7 @@ def _first_host(seg: m.NetworkSegment) -> str | None:
     if not seg.cidrs:
         return None
     net = ipaddress.ip_network(seg.cidrs[0], strict=False)
-    return str(net.network_address + 1)
+    return str(net[1] if net.num_addresses > 1 else net[0])  # a one-address segment is its own source
 
 
 # ---------------------------------------------------------------------------

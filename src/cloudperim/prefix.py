@@ -52,12 +52,13 @@ def host_port(text: str) -> tuple[Interval, int | None] | None:
 
 
 def first_host(text: str) -> str | None:
-    """The address after a CIDR's network address; None if the CIDR is
-    malformed or that address does not exist."""
+    """The address after a CIDR's network address, or the one address of a
+    one-address prefix; None if the CIDR is malformed."""
     try:
-        return str(ipaddress.ip_network(text, strict=False).network_address + 1)
+        net = ipaddress.ip_network(text, strict=False)
     except ValueError:
         return None
+    return str(net.network_address + (net.num_addresses > 1))
 
 
 def meets_any(net: Interval | None, nets: Iterable[Interval]) -> bool:

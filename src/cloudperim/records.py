@@ -11,6 +11,11 @@ CLI may change freely, these may not. One JSON object per line.
 - blast entry: workload, service, method, hops
 - divergence: mechanism, perimeter, principal, source, target, method,
   abstract, compiled, class
+- compiled rule, by ``kind``:
+  - ``firewall``: kind, id, scope, priority, action, src, dst
+  - ``gateway``: kind, id, from, to, action
+  - ``rbac``: kind, id, principal, role (a list of {service, method})
+  - ``note``: kind, text
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from typing import Any
 
 from . import model as m
 from .analysis import BlastReport, ExfilReport, ReachabilityMatrix
-from .compiler import EquivalenceReport
+from .compiler import CompiledRuleSet, EquivalenceReport
 from .lint import Finding
 from .scenario import Violation
 
@@ -137,3 +142,22 @@ def divergence_records(report: EquivalenceReport) -> list[str]:
             )
         )
     return out
+
+
+def compiled_records(compiled: CompiledRuleSet) -> list[str]:
+    """Firewall rules, gateway rules, bindings, then divergence notes."""
+    out = [
+        _line({"kind": "firewall", "id": r.id, "scope": r.scope, "priority": r.priority,
+               "action": r.action.value, "src": list(r.src), "dst": list(r.dst)})
+        for r in compiled.firewall_rules
+    ]
+    out += [
+        _line({"kind": "gateway", "id": r.id, "from": r.src_zone, "to": r.dst_zone, "action": r.action.value})
+        for r in compiled.gateway_rules
+    ]
+    out += [
+        _line({"kind": "rbac", "id": b.id, "principal": b.principal,
+               "role": [{"service": p.service, "method": p.method} for p in b.role]})
+        for b in compiled.bindings
+    ]
+    return out + [_line({"kind": "note", "text": note}) for note in compiled.divergence_notes]

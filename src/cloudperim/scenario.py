@@ -6,14 +6,19 @@ A scenario is one YAML document with top-level sections ``hierarchy``,
 exact field keys are documented in the README and exercised by the built-in
 templates, which are stored in this format and parsed by this parser.
 
-Parsing collects every problem it finds instead of stopping at the first
-one; scenario authors get the complete list in a single run.
+The format is declared once, as one field table per model type (``_NODE``,
+``_SEGMENT``, ... and ``_SCENARIO`` for the document): each field's key,
+codec and default. Parsing, the unknown-field check and serialization are
+walks over that table. Parsing collects every problem it finds instead of
+stopping at the first one; scenario authors get the complete list in a
+single run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING, Any, Iterator
+from functools import partial
+from typing import TYPE_CHECKING, Any, Callable
 
 import yaml
 
@@ -229,16 +234,15 @@ def _locus_adjacency(
 
 
 # ---------------------------------------------------------------------------
-# Parsing
+# The document format: one field table per model type
 # ---------------------------------------------------------------------------
 
 
-class _Ctx:
-    def __init__(self) -> None:
-        self.issues: list[ParseIssue] = []
+class _Ctx(list):
+    """The issues found so far."""
 
     def err(self, code: str, subject: str, message: str, location: str | None = None) -> None:
-        self.issues.append(ParseIssue(code, subject, message, location))
+        self.append(ParseIssue(code, subject, message, location))
 
 
 def _expect_map(ctx: _Ctx, value: Any, subject: str, allowed: set[str]) -> dict:
@@ -263,139 +267,447 @@ def _expect_list(ctx: _Ctx, value: Any, subject: str) -> list:
 
 
 def _scalar_str(value: Any) -> str:
+    """A scalar compared with tag text; a YAML boolean keeps its YAML spelling."""
     if isinstance(value, bool):
         return "true" if value else "false"
     return str(value)
 
 
-def _str_map(ctx: _Ctx, value: Any, subject: str) -> dict[str, str]:
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        ctx.err("BAD_VALUE", subject, "expected a mapping of scalars")
-        return {}
-    return {str(k): _scalar_str(v) for k, v in value.items()}
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _enum(ctx: _Ctx, enum_cls, value: Any, subject: str, default=None):
-    if value is None and default is not None:
+@dataclass(frozen=True)
+class _Codec:
+    """How a field's document value becomes its model value, and back.
+
+    ``read(ctx, raw, subject, default)`` reports problems under ``subject``
+    and falls back to ``default``; it reads a null only for a field whose
+    default is not None. ``write`` gives the value as the document holds it.
+    """
+
+    read: Callable[[_Ctx, Any, str, Any], Any]
+    write: Callable[[Any], Any] = lambda value: value
+
+
+def _typed(accepts: Callable[[Any], bool], what: str) -> _Codec:
+    """A value taken as it is if ``accepts`` it, never converted; else reported as not ``what``."""
+
+    def read(ctx: _Ctx, raw: Any, subject: str, default: Any) -> Any:
+        if accepts(raw):
+            return raw
+        ctx.err("BAD_VALUE", subject, f"{raw!r} is not {what}")
+        return default
+
+    return _Codec(read)
+
+
+def _read_enum(cls, ctx: _Ctx, raw: Any, subject: str, default: Any):
+    if raw is None:
         return default
     try:
-        return enum_cls(value)
+        return cls(raw)
     except ValueError:
-        choices = ", ".join(e.value for e in enum_cls)
-        ctx.err("BAD_VALUE", subject, f"{value!r} is not one of: {choices}")
-        return default if default is not None else next(iter(enum_cls))
-
-
-def _tags(ctx: _Ctx, value: Any, subject: str) -> frozenset[str]:
-    out = set()
-    for t in _expect_list(ctx, value, subject):
-        t = _scalar_str(t)
-        if ":" not in t:
-            ctx.err("BAD_VALUE", subject, f"tag {t!r} is not key:value")
-            continue
-        out.add(t)
-    return frozenset(out)
-
-
-def _net_tokens(ctx: _Ctx, value: Any, subject: str, default: tuple[str, ...] = ()) -> tuple[str, ...]:
-    """CIDRs plus the ONPREM/INTERNET/* tokens used in match positions."""
-    items = _expect_list(ctx, value, subject)
-    if not items:
+        choices = ", ".join(e.value for e in cls)
+        ctx.err("BAD_VALUE", subject, f"{raw!r} is not one of: {choices}")
         return default
-    out = []
-    for tok in items:
-        tok = str(tok)
-        if tok in (m.ONPREM, m.INTERNET, m.ANY) or prefix.network(tok) is not None:
-            out.append(tok)
-        else:
+
+
+def _enum(cls) -> _Codec:
+    return _Codec(partial(_read_enum, cls), lambda member: member.value)
+
+
+def _enum_set(cls, member_default) -> _Codec:
+    def read(ctx: _Ctx, raw: Any, subject: str, default: Any) -> frozenset:
+        items = _expect_list(ctx, raw, subject)
+        return frozenset(_read_enum(cls, ctx, v, subject, member_default) for v in items)
+
+    return _Codec(read, lambda members: sorted(x.value for x in members))
+
+
+def _read_text_map(ctx: _Ctx, raw: Any, subject: str, default: Any) -> dict[str, str]:
+    if raw is None:
+        return {}
+    if not isinstance(raw, dict):
+        ctx.err("BAD_VALUE", subject, "expected a mapping of scalars")
+        return {}
+    return {str(k): _scalar_str(v) for k, v in raw.items()}
+
+
+def _read_tags(ctx: _Ctx, raw: Any, subject: str, default: Any) -> frozenset[str]:
+    tags = tuple(map(_scalar_str, _expect_list(ctx, raw, subject)))
+    for tag in tags:
+        if ":" not in tag:
+            ctx.err("BAD_VALUE", subject, f"tag {tag!r} is not key:value")
+    return frozenset(tags)
+
+
+def _read_tokens(ctx: _Ctx, raw: Any, subject: str, default: Any) -> tuple[str, ...]:
+    """CIDRs plus the ONPREM/INTERNET/* tokens used in match positions."""
+    tokens = tuple(map(str, _expect_list(ctx, raw, subject)))
+    for tok in tokens:
+        if tok not in (m.ONPREM, m.INTERNET, m.ANY) and prefix.network(tok) is None:
             ctx.err("BAD_VALUE", subject, f"{tok!r} is not a CIDR or ONPREM/INTERNET/*")
-    return tuple(out)
+    return tokens or default
 
 
-def _address(ctx: _Ctx, value: Any, subject: str) -> str | None:
+def _read_address(ctx: _Ctx, raw: Any, subject: str, default: Any) -> str:
     """An ``ip`` or ``ip:port`` address."""
-    if value is None:
-        return None
-    text = str(value)
+    text = str(raw)
     if prefix.host_port(text) is None:
         ctx.err("BAD_VALUE", subject, f"address {text!r} is not ip or ip:port (port 0-65535)")
     return text
 
 
-def _str_list(ctx: _Ctx, value: Any, subject: str) -> tuple[str, ...]:
-    return tuple(str(v) for v in _expect_list(ctx, value, subject))
-
-
-def _ports(ctx: _Ctx, value: Any, subject: str) -> tuple[tuple[int, int], ...]:
-    out = []
-    for p in _expect_list(ctx, value, subject):
-        if isinstance(p, int):
-            out.append((p, p))
-        elif isinstance(p, dict) and set(p) <= {"from", "to"}:
-            out.append((int(p.get("from", 0)), int(p.get("to", 65535))))
+def _read_ports(ctx: _Ctx, raw: Any, subject: str, default: Any) -> tuple[tuple[int, int], ...]:
+    """Ports as ``p`` or ``{from: lo, to: hi}`` (each end defaulting to 0 and 65535)."""
+    ports = []
+    for p in _expect_list(ctx, raw, subject):
+        span = (p, p)
+        if isinstance(p, dict) and set(p) <= {"from", "to"}:
+            span = (p.get("from", 0), p.get("to", 65535))
+        if _is_int(span[0]) and _is_int(span[1]):
+            ports.append(span)
         else:
             ctx.err("BAD_VALUE", subject, f"bad port entry {p!r}")
-    return tuple(out)
+    return tuple(ports)
 
 
-def _predicates(ctx: _Ctx, value: Any, subject: str) -> tuple[m.AccessPredicate, ...]:
-    out = []
-    for i, raw in enumerate(_expect_list(ctx, value, subject)):
-        sub = f"{subject}[{i}]"
-        d = _expect_map(ctx, raw, sub, {"id", "action", "identities", "cidrs", "methods"})
-        out.append(
-            m.AccessPredicate(
-                id=str(d.get("id", f"{subject}-{i}")),
-                action=_enum(ctx, m.RuleAction, d.get("action"), sub, m.RuleAction.ALLOW),
-                identities=_str_list(ctx, d.get("identities"), sub),
-                cidrs=_net_tokens(ctx, d.get("cidrs"), sub),
-                methods=_str_list(ctx, d.get("methods"), sub),
-            )
-        )
-    return tuple(out)
+_TEXT = _Codec(lambda ctx, raw, subject, default: str(raw))  # names and references
+_TAG_TEXT = _Codec(lambda ctx, raw, subject, default: _scalar_str(raw))  # text compared with tags
+_INT = _typed(_is_int, "an integer")
+_BOOL = _typed(lambda value: isinstance(value, bool), "true or false")
+_TEXTS = _Codec(lambda ctx, raw, subject, default: tuple(map(str, _expect_list(ctx, raw, subject))), list)
+_TAG_TEXTS = _Codec(
+    lambda ctx, raw, subject, default: tuple(map(_scalar_str, _expect_list(ctx, raw, subject))), list
+)
+_TEXT_MAP = _Codec(_read_text_map, dict)
+_TAGS = _Codec(_read_tags, sorted)
+_TOKENS = _Codec(_read_tokens, list)
+_ADDRESS = _Codec(_read_address)
+_PORTS = _Codec(_read_ports, lambda ports: [{"from": lo, "to": hi} for lo, hi in ports])
 
 
-def _perimeter_rules(ctx: _Ctx, value: Any, subject: str) -> tuple[m.PerimeterRule, ...]:
-    out = []
-    for i, raw in enumerate(_expect_list(ctx, value, subject)):
-        sub = f"{subject}[{i}]"
-        d = _expect_map(ctx, raw, sub, {"id", "identities", "device", "networks", "targets"})
-        targets = []
-        for j, t in enumerate(_expect_list(ctx, d.get("targets"), sub)):
-            td = _expect_map(ctx, t, f"{sub}.targets[{j}]", {"project", "service", "method"})
-            targets.append(
-                m.PerimeterTarget(
-                    project=str(td.get("project", m.ANY)),
-                    service=str(td.get("service", m.ANY)),
-                    method=str(td.get("method", m.ANY)),
-                )
-            )
-        out.append(
-            m.PerimeterRule(
-                id=str(d.get("id", f"{subject}-{i}")),
-                identities=_str_list(ctx, d.get("identities"), sub),
-                device=_str_map(ctx, d.get("device"), sub),
-                networks=_net_tokens(ctx, d.get("networks"), sub),
-                targets=tuple(targets),
-            )
-        )
-    return tuple(out)
+@dataclass(frozen=True)
+class _Many:
+    """A list of nested entities. Entry ``j`` is reported as
+    ``<subject>.<key>[j]``, and the list itself as ``<subject>.<key>``, or as
+    ``<subject>`` when ``owner_subject`` is set. The ids of a scenario's list
+    are unique within its ``noun``; lists sharing a noun share their ids."""
+
+    type: "_Type"
+    noun: str | None = None
+    owner_subject: bool = False
 
 
-_SECTIONS = {
-    "name",
-    "description",
-    "chain_bound",
-    "hierarchy",
-    "networks",
-    "services",
-    "identity",
-    "policies",
-    "perimeters",
-    "assets",
-}
+@dataclass(frozen=True)
+class _One:
+    """One nested entity. Its mapping is reported as ``<subject>.<key>``, its
+    fields as ``<subject>``."""
+
+    type: "_Type"
+
+
+_REQUIRED = object()  # the default of an id: an entity without one is reported and skipped
+_ABSENT = object()  # the document value of a field the document leaves out
+
+
+class _F:
+    """One document field: its key, its codec, its default, and the model
+    attribute it fills (the key's last part unless named).
+
+    A callable default is computed from the owner's fields read before it.
+    ``check`` is a rule of the owning type alone, run on the value read.
+    ``elide`` leaves the field out of a written document when it holds its
+    default.
+    """
+
+    def __init__(self, key: str, codec: _Codec | _Many | _One, default: Any = None, *,
+                 attr: str | None = None, check: Callable[[_Ctx, str, Any], Any] | None = None,
+                 elide: bool = False) -> None:
+        self.key, self.codec, self.default = key, codec, default
+        self.attr = attr or key.rpartition(".")[2]
+        self.check, self.elide = check, elide
+
+
+class _Type:
+    """The document form of one model type: its fields in document order.
+
+    The id is read first and the keys in ``first`` next, so problems are
+    reported in their established order. ``ids`` is the ``str.format``
+    pattern of the default id of entry ``{j}`` of a nested list reported as
+    ``{subject}``, given the ``{owner}``'s fields read so far.
+    """
+
+    def __init__(self, model: Callable[..., Any], *fields: _F, first: tuple[str, ...] = (),
+                 ids: str | None = None) -> None:
+        self.model, self.fields, self.ids = model, fields, ids
+        self.keys = {f.key for f in fields}
+        self.order = sorted(fields, key=lambda f: (f.key != "id", f.key not in first))
+
+
+_ID = _F("id", _TEXT, _REQUIRED)
+
+_NODE = _Type(
+    m.ResourceNode,
+    _ID,
+    _F("kind", _enum(m.NodeKind), m.NodeKind.PROJECT),
+    _F("parent", _TEXT),
+    _F("tags", _TAGS, frozenset()),
+    _F("labels", _TEXT_MAP, {}),
+)
+
+
+def _segment_cidrs(ctx: _Ctx, subject: str, cidrs: tuple[str, ...]) -> tuple[str, ...]:
+    for c in cidrs:
+        if prefix.network(c) is None:
+            ctx.err("BAD_VALUE", subject, f"bad CIDR {c!r}")
+    return cidrs
+
+
+def _subnet_cidrs(ctx: _Ctx, subject: str, subnets: dict[str, str]) -> dict[str, str]:
+    for name, c in subnets.items():
+        if prefix.network(c) is None:
+            ctx.err("BAD_VALUE", subject, f"bad subnet CIDR {c!r} for {name!r}")
+    return subnets
+
+
+_SEGMENT = _Type(
+    m.NetworkSegment,
+    _ID,
+    _F("project", _TEXT, ""),
+    _F("routability", _enum(m.Routability), m.Routability.ROUTABLE),
+    _F("cidrs", _TEXTS, (), check=_segment_cidrs),
+    _F("subnets", _TEXT_MAP, {}, check=_subnet_cidrs),
+    _F("trust_mode", _enum(m.TrustMode), m.TrustMode.TRUSTING),
+    first=("cidrs", "subnets"),
+)
+_GATEWAY_RULE = _Type(
+    m.GatewayRule,
+    _ID,
+    _F("from", _TEXT, m.ANY, attr="src_zone"),
+    _F("to", _TEXT, m.ANY, attr="dst_zone"),
+    _F("action", _enum(m.RuleAction), m.RuleAction.DENY),
+    _F("new_connection", _BOOL, True),
+    _F("protocol", _TEXT, "tcp"),
+    _F("content_class", _TAG_TEXT),
+    ids="{owner[id]}-r{j}",
+)
+
+
+def _two_ends(ctx: _Ctx, subject: str, ends: tuple[str, ...]) -> tuple[str, ...]:
+    if len(ends) != 2:
+        ctx.err("BAD_VALUE", subject, f"ends must name exactly two loci, got {len(ends)}")
+        ends = (ends + ("?", "?"))[:2]
+    return ends
+
+
+_EDGE = _Type(
+    m.ConnectivityEdge,
+    _ID,
+    _F("kind", _enum(m.EdgeKind), m.EdgeKind.PEERING),
+    _F("ends", _TEXTS, (), check=_two_ends),
+    _F("direction", _enum(m.EdgeDirection), lambda edge: (
+        m.EdgeDirection.OUTBOUND_ONLY if edge["kind"] is m.EdgeKind.NAT_GATEWAY
+        else m.EdgeDirection.BIDIRECTIONAL
+    )),
+    _F("gateway_rules", _Many(_GATEWAY_RULE, owner_subject=True), ()),
+    first=("ends", "gateway_rules"),
+)
+_SERVICE = _Type(
+    m.ServiceSpec,
+    _ID,
+    _F("project", _TEXT, ""),
+    _F("segment", _TEXT, ""),
+    _F("layer", _enum(m.ServiceLayer), m.ServiceLayer.L4),
+    _F("compute", _enum(m.ComputeKind), m.ComputeKind.VM),
+    _F("auth_mode", _enum(m.AuthMode), m.AuthMode.PERIMETER_TRUSTING),
+    _F("address", _ADDRESS),
+    _F("fqdn", _TEXT),
+    _F("backends", _TEXTS, ()),
+    _F("run_as", _TEXTS, ()),
+    _F("workload", _TEXT),
+    _F("idp", _TEXT),
+    _F("reads", _TEXTS, ()),
+    _F("writes", _TEXTS, ()),
+    _F("depends_on", _TEXTS, ()),
+)
+_PREDICATE = _Type(
+    m.AccessPredicate,
+    _ID,
+    _F("action", _enum(m.RuleAction), m.RuleAction.ALLOW),
+    _F("identities", _TEXTS, ()),
+    _F("cidrs", _TOKENS, ()),
+    _F("methods", _TEXTS, ()),
+    ids="{subject}-{j}",
+)
+_ATTACHMENT = _Type(
+    m.ServiceAttachment,
+    _ID,
+    _F("service", _TEXT, ""),
+    _F("policy", _Many(_PREDICATE), ()),
+)
+_ENDPOINT = _Type(
+    m.ConsumerEndpoint,
+    _ID,
+    _F("segment", _TEXT, ""),
+    _F("attachment", _TEXT, ""),
+    _F("address", _ADDRESS),
+    _F("fqdn", _TEXT),
+    _F("policy", _Many(_PREDICATE), ()),
+)
+_IDP = _Type(
+    m.IdentityProvider,
+    _ID,
+    _F("kind", _enum(m.IdpKind), m.IdpKind.CLOUD_NATIVE),
+    _F("segment", _TEXT),
+)
+_PRINCIPAL = _Type(
+    m.Principal,
+    _ID,
+    _F("kind", _enum(m.PrincipalKind), m.PrincipalKind.SERVICE_ACCOUNT),
+    _F("idp", _TEXT, ""),
+    _F("groups", _TEXTS, ()),
+    _F("device", _TEXT_MAP, {}),
+)
+_TRUST_EDGE = _Type(
+    m.TrustEdge,
+    _ID,
+    _F("from", _TEXT, "", attr="src"),
+    _F("to", _TEXT, "", attr="dst"),
+    _F("kind", _enum(m.TrustKind), m.TrustKind.ONE_WAY_TRUST),
+    _F("mapping", _TEXT_MAP, {}),
+)
+
+
+def _scope_shape(ctx: _Ctx, subject: str, scope: str) -> str:
+    if scope != m.ORG_SCOPE and scope.split(":", 1)[0] not in ("folder", "segment"):
+        ctx.err("BAD_VALUE", subject, f"scope {scope!r} must be organization, folder:<id> or segment:<id>")
+    return scope
+
+
+_FIREWALL_RULE = _Type(
+    m.FirewallRule,
+    _ID,
+    _F("scope", _TEXT, m.ORG_SCOPE, check=_scope_shape),
+    _F("priority", _INT, 1000),
+    _F("action", _enum(m.RuleAction), m.RuleAction.DENY),
+    _F("src", _TOKENS, (m.ANY,)),
+    _F("dst", _TOKENS, (m.ANY,)),
+    _F("protocol", _TEXT, "any"),
+    _F("ports", _PORTS, ()),
+)
+_PERMISSION = _Type(m.Permission, _F("service", _TEXT, m.ANY), _F("method", _TEXT, m.ANY))
+_CONDITION = _Type(m.TagCondition, _F("key", _TEXT, ""), _F("value", _TAG_TEXT, ""))
+_BINDING = _Type(
+    m.RBACBinding,
+    _ID,
+    _F("principal", _TEXT, ""),
+    _F("role", _Many(_PERMISSION, owner_subject=True), ()),
+    _F("condition", _One(_CONDITION)),
+)
+_CONSTRAINT = _Type(
+    m.OrgConstraint,
+    _ID,
+    _F("kind", _enum(m.ConstraintKind), m.ConstraintKind.NO_PUBLIC_IP),
+    _F("scope", _TEXT, ""),
+    _F("exception_tag", _TAG_TEXT),
+)
+_MEMBERS = _Type(
+    m.MemberSelector, _F("folders", _TEXTS, ()), _F("projects", _TEXTS, ()), _F("tags", _TAG_TEXTS, ())
+)
+_TARGET = _Type(
+    m.PerimeterTarget, _F("project", _TEXT, m.ANY), _F("service", _TEXT, m.ANY), _F("method", _TEXT, m.ANY)
+)
+_PERIMETER_RULE = _Type(
+    m.PerimeterRule,
+    _ID,
+    _F("identities", _TEXTS, ()),
+    _F("device", _TEXT_MAP, {}),
+    _F("networks", _TOKENS, ()),
+    _F("targets", _Many(_TARGET, owner_subject=True), ()),
+    first=("targets",),
+    ids="{subject}-{j}",
+)
+_PERIMETER = _Type(
+    m.AbstractPerimeter,
+    _ID,
+    _F("name", _TEXT, lambda perimeter: perimeter["id"]),
+    _F("members", _One(_MEMBERS), m.MemberSelector()),
+    _F("mechanisms", _enum_set(m.Mechanism, m.Mechanism.NETWORK_SEGMENTATION), frozenset()),
+    _F("ingress", _Many(_PERIMETER_RULE), ()),
+    _F("egress", _Many(_PERIMETER_RULE), ()),
+)
+_ASSET = _Type(m.DataAsset, _ID, _F("resource", _TEXT, ""), _F("tags", _TAGS, frozenset()))
+
+# The document itself: a dotted key is a list inside a top-level section.
+_SCENARIO = _Type(
+    Scenario,
+    _F("name", _TEXT, "unnamed"),
+    _F("description", _TEXT, "", check=lambda ctx, subject, text: text.strip(), elide=True),
+    _F("chain_bound", _INT, 4, elide=True),
+    _F("hierarchy", _Many(_NODE, "node"), (), attr="nodes"),
+    _F("networks.segments", _Many(_SEGMENT, "segment"), ()),
+    _F("networks.edges", _Many(_EDGE, "edge"), ()),
+    _F("services.specs", _Many(_SERVICE, "service/endpoint"), (), attr="services"),
+    _F("services.attachments", _Many(_ATTACHMENT, "attachment"), ()),
+    _F("services.endpoints", _Many(_ENDPOINT, "service/endpoint"), ()),
+    _F("identity.idps", _Many(_IDP, "idp"), ()),
+    _F("identity.principals", _Many(_PRINCIPAL, "principal"), ()),
+    _F("identity.trust_edges", _Many(_TRUST_EDGE, "trust edge"), ()),
+    _F("policies.firewall", _Many(_FIREWALL_RULE, "firewall rule"), (), attr="firewall_rules"),
+    _F("policies.rbac", _Many(_BINDING, "binding"), (), attr="bindings"),
+    _F("policies.org_constraints", _Many(_CONSTRAINT, "org constraint"), (), attr="constraints"),
+    _F("perimeters", _Many(_PERIMETER, "perimeter"), ()),
+    _F("assets", _Many(_ASSET, "asset"), ()),
+)
+_SECTIONS: dict[str, set[str]] = {}  # top-level key -> the keys inside it
+for _key in _SCENARIO.keys:
+    _SECTIONS.setdefault(_key.split(".")[0], set()).add(_key.rpartition(".")[2])
+
+
+def _read(ctx: _Ctx, t: _Type, d: dict, subject: str, default_id: str | None = None,
+          get: Callable[[str, Any], Any] | None = None) -> Any:
+    """The entity of type ``t`` from its mapping ``d`` (its fields looked up
+    by ``get``, ``d.get`` unless given); None, once reported, if it has no id
+    and none is given."""
+    get = get or d.get
+    values: dict[str, Any] = {}
+    for f in t.order:
+        raw = get(f.key, _ABSENT)
+        default = f.default
+        if default is _REQUIRED and raw is _ABSENT:
+            if default_id is None:
+                ctx.err("BAD_VALUE", subject, "missing id")
+                return None
+            raw = default_id
+        elif callable(default):
+            default = default(values)
+        if raw is _ABSENT or (raw is None and default is None):
+            value = default
+        elif isinstance(f.codec, _Codec):
+            value = f.codec.read(ctx, raw, subject, default)
+        else:
+            value = _read_nested(ctx, f, raw, subject, values)
+        values[f.attr] = value if f.check is None else f.check(ctx, subject, value)
+    return t.model(**values)
+
+
+def _read_nested(ctx: _Ctx, f: _F, raw: Any, subject: str, owner: dict) -> Any:
+    """The nested entity, or the tuple of them, of field ``f`` of ``owner``."""
+    t = f.codec.type
+    if isinstance(f.codec, _One):
+        return _read(ctx, t, _expect_map(ctx, raw, f"{subject}.{f.key}", t.keys), subject)
+    path = f.key if subject == "document" else f"{subject}.{f.key}"
+    list_subject = subject if f.codec.owner_subject else path
+    entries = []
+    for j, item in enumerate(_expect_list(ctx, raw, list_subject)):
+        sub = f"{path}[{j}]"
+        default_id = t.ids and t.ids.format(subject=list_subject, j=j, owner=owner)
+        entry = _read(ctx, t, _expect_map(ctx, item, sub, t.keys), sub, default_id)
+        if entry is not None:
+            entries.append(entry)
+    return tuple(entries)
 
 
 def parse_scenario(document: str) -> Scenario:
@@ -409,418 +721,46 @@ def parse_scenario(document: str) -> Scenario:
         if mark is not None:
             loc = f"line {mark.line + 1}, column {mark.column + 1}"
         ctx.err("SYNTAX", "document", str(getattr(e, "problem", None) or e), loc)
-        raise ScenarioParseError(ctx.issues)
+        raise ScenarioParseError(ctx)
     if not isinstance(raw, dict):
         ctx.err("SYNTAX", "document", "top level must be a mapping")
-        raise ScenarioParseError(ctx.issues)
+        raise ScenarioParseError(ctx)
     for key in raw:
         if key not in _SECTIONS:
             ctx.err("BAD_VALUE", "document", f"unknown section {key!r}")
 
-    nodes = _parse_hierarchy(ctx, raw.get("hierarchy"))
-    segments, edges = _parse_networks(ctx, raw.get("networks"))
-    services, attachments, endpoints = _parse_services(ctx, raw.get("services"))
-    idps, principals, trust_edges = _parse_identity(ctx, raw.get("identity"))
-    firewall_rules, bindings, constraints = _parse_policies(ctx, raw.get("policies"))
-    perimeters = _parse_perimeters(ctx, raw.get("perimeters"))
-    assets = _parse_assets(ctx, raw.get("assets"))
+    sections: dict[str, dict] = {}
 
-    s = Scenario(
-        name=str(raw.get("name", "unnamed")),
-        description=str(raw.get("description", "")).strip(),
-        nodes=tuple(nodes),
-        segments=tuple(segments),
-        edges=tuple(edges),
-        services=tuple(services),
-        attachments=tuple(attachments),
-        endpoints=tuple(endpoints),
-        idps=tuple(idps),
-        principals=tuple(principals),
-        trust_edges=tuple(trust_edges),
-        firewall_rules=tuple(firewall_rules),
-        bindings=tuple(bindings),
-        constraints=tuple(constraints),
-        perimeters=tuple(perimeters),
-        assets=tuple(assets),
-        chain_bound=int(raw.get("chain_bound", 4)),
-    )
-    _check_duplicates(ctx, s)
-    _check_references(ctx, s)
-    if ctx.issues:
-        raise ScenarioParseError(ctx.issues)
+    def get(path: str, absent: Any) -> Any:
+        """A dotted path names a key of a section, checked when first read."""
+        section, _, key = path.rpartition(".")
+        if not section:
+            return raw.get(key, absent)
+        if section not in sections:
+            sections[section] = _expect_map(ctx, raw.get(section), section, _SECTIONS[section])
+        return sections[section].get(key, absent)
+
+    s = _read(ctx, _SCENARIO, raw, "document", get=get)
+    ctx.extend(ParseIssue(*problem) for problem in _integrity_problems(s))
+    if ctx:
+        raise ScenarioParseError(ctx)
     return s
 
 
-def _parse_hierarchy(ctx: _Ctx, raw: Any) -> list[m.ResourceNode]:
-    out = []
-    for i, entry in enumerate(_expect_list(ctx, raw, "hierarchy")):
-        sub = f"hierarchy[{i}]"
-        d = _expect_map(ctx, entry, sub, {"id", "kind", "parent", "tags", "labels"})
-        if "id" not in d:
-            ctx.err("BAD_VALUE", sub, "missing id")
-            continue
-        out.append(
-            m.ResourceNode(
-                id=str(d["id"]),
-                kind=_enum(ctx, m.NodeKind, d.get("kind"), sub, m.NodeKind.PROJECT),
-                parent=str(d["parent"]) if d.get("parent") is not None else None,
-                tags=_tags(ctx, d.get("tags"), sub),
-                labels=_str_map(ctx, d.get("labels"), sub),
-            )
-        )
-    return out
-
-
-def _parse_networks(ctx: _Ctx, raw: Any) -> tuple[list, list]:
-    d = _expect_map(ctx, raw, "networks", {"segments", "edges"})
-    segments = []
-    for i, entry in enumerate(_expect_list(ctx, d.get("segments"), "networks.segments")):
-        sub = f"networks.segments[{i}]"
-        sd = _expect_map(
-            ctx, entry, sub, {"id", "project", "routability", "cidrs", "subnets", "trust_mode"}
-        )
-        if "id" not in sd:
-            ctx.err("BAD_VALUE", sub, "missing id")
-            continue
-        cidrs = []
-        for c in _expect_list(ctx, sd.get("cidrs"), sub):
-            c = str(c)
-            if prefix.network(c) is not None:
-                cidrs.append(c)
-            else:
-                ctx.err("BAD_VALUE", sub, f"bad CIDR {c!r}")
-        subnets = _str_map(ctx, sd.get("subnets"), sub)
-        for name, c in subnets.items():
-            if prefix.network(c) is None:
-                ctx.err("BAD_VALUE", sub, f"bad subnet CIDR {c!r} for {name!r}")
-        segments.append(
-            m.NetworkSegment(
-                id=str(sd["id"]),
-                project=str(sd.get("project", "")),
-                routability=_enum(
-                    ctx, m.Routability, sd.get("routability"), sub, m.Routability.ROUTABLE
-                ),
-                cidrs=tuple(cidrs),
-                subnets=subnets,
-                trust_mode=_enum(ctx, m.TrustMode, sd.get("trust_mode"), sub, m.TrustMode.TRUSTING),
-            )
-        )
-    edges = []
-    for i, entry in enumerate(_expect_list(ctx, d.get("edges"), "networks.edges")):
-        sub = f"networks.edges[{i}]"
-        ed = _expect_map(ctx, entry, sub, {"id", "kind", "ends", "direction", "gateway_rules"})
-        if "id" not in ed:
-            ctx.err("BAD_VALUE", sub, "missing id")
-            continue
-        ends = _str_list(ctx, ed.get("ends"), sub)
-        if len(ends) != 2:
-            ctx.err("BAD_VALUE", sub, f"ends must name exactly two loci, got {len(ends)}")
-            ends = (ends + ("?", "?"))[:2]
-        rules = []
-        for j, r in enumerate(_expect_list(ctx, ed.get("gateway_rules"), sub)):
-            rsub = f"{sub}.gateway_rules[{j}]"
-            rd = _expect_map(
-                ctx, r, rsub, {"id", "from", "to", "action", "new_connection", "protocol", "content_class"}
-            )
-            rules.append(
-                m.GatewayRule(
-                    id=str(rd.get("id", f"{ed['id']}-r{j}")),
-                    src_zone=str(rd.get("from", m.ANY)),
-                    dst_zone=str(rd.get("to", m.ANY)),
-                    action=_enum(ctx, m.RuleAction, rd.get("action"), rsub, m.RuleAction.DENY),
-                    new_connection=bool(rd.get("new_connection", True)),
-                    protocol=str(rd.get("protocol", "tcp")),
-                    content_class=(
-                        _scalar_str(rd["content_class"]) if rd.get("content_class") is not None else None
-                    ),
-                )
-            )
-        kind = _enum(ctx, m.EdgeKind, ed.get("kind"), sub, m.EdgeKind.PEERING)
-        default_dir = (
-            m.EdgeDirection.OUTBOUND_ONLY
-            if kind is m.EdgeKind.NAT_GATEWAY
-            else m.EdgeDirection.BIDIRECTIONAL
-        )
-        edges.append(
-            m.ConnectivityEdge(
-                id=str(ed["id"]),
-                kind=kind,
-                ends=tuple(ends),
-                direction=_enum(ctx, m.EdgeDirection, ed.get("direction"), sub, default_dir),
-                gateway_rules=tuple(rules),
-            )
-        )
-    return segments, edges
-
-
-def _parse_services(ctx: _Ctx, raw: Any) -> tuple[list, list, list]:
-    d = _expect_map(ctx, raw, "services", {"specs", "attachments", "endpoints"})
-    specs = []
-    for i, entry in enumerate(_expect_list(ctx, d.get("specs"), "services.specs")):
-        sub = f"services.specs[{i}]"
-        sd = _expect_map(
-            ctx,
-            entry,
-            sub,
-            {
-                "id", "project", "segment", "layer", "compute", "auth_mode", "address",
-                "fqdn", "backends", "run_as", "workload", "idp", "reads", "writes", "depends_on",
-            },
-        )
-        if "id" not in sd:
-            ctx.err("BAD_VALUE", sub, "missing id")
-            continue
-        specs.append(
-            m.ServiceSpec(
-                id=str(sd["id"]),
-                project=str(sd.get("project", "")),
-                segment=str(sd.get("segment", "")),
-                layer=_enum(ctx, m.ServiceLayer, sd.get("layer"), sub, m.ServiceLayer.L4),
-                compute=_enum(ctx, m.ComputeKind, sd.get("compute"), sub, m.ComputeKind.VM),
-                auth_mode=_enum(
-                    ctx, m.AuthMode, sd.get("auth_mode"), sub, m.AuthMode.PERIMETER_TRUSTING
-                ),
-                address=_address(ctx, sd.get("address"), sub),
-                fqdn=str(sd["fqdn"]) if sd.get("fqdn") is not None else None,
-                backends=_str_list(ctx, sd.get("backends"), sub),
-                run_as=_str_list(ctx, sd.get("run_as"), sub),
-                workload=str(sd["workload"]) if sd.get("workload") is not None else None,
-                idp=str(sd["idp"]) if sd.get("idp") is not None else None,
-                reads=_str_list(ctx, sd.get("reads"), sub),
-                writes=_str_list(ctx, sd.get("writes"), sub),
-                depends_on=_str_list(ctx, sd.get("depends_on"), sub),
-            )
-        )
-    attachments = []
-    for i, entry in enumerate(_expect_list(ctx, d.get("attachments"), "services.attachments")):
-        sub = f"services.attachments[{i}]"
-        ad = _expect_map(ctx, entry, sub, {"id", "service", "policy"})
-        if "id" not in ad:
-            ctx.err("BAD_VALUE", sub, "missing id")
-            continue
-        attachments.append(
-            m.ServiceAttachment(
-                id=str(ad["id"]),
-                service=str(ad.get("service", "")),
-                policy=_predicates(ctx, ad.get("policy"), f"{sub}.policy"),
-            )
-        )
-    endpoints = []
-    for i, entry in enumerate(_expect_list(ctx, d.get("endpoints"), "services.endpoints")):
-        sub = f"services.endpoints[{i}]"
-        ed = _expect_map(ctx, entry, sub, {"id", "segment", "attachment", "address", "fqdn", "policy"})
-        if "id" not in ed:
-            ctx.err("BAD_VALUE", sub, "missing id")
-            continue
-        endpoints.append(
-            m.ConsumerEndpoint(
-                id=str(ed["id"]),
-                segment=str(ed.get("segment", "")),
-                attachment=str(ed.get("attachment", "")),
-                address=_address(ctx, ed.get("address"), sub),
-                fqdn=str(ed["fqdn"]) if ed.get("fqdn") is not None else None,
-                policy=_predicates(ctx, ed.get("policy"), f"{sub}.policy"),
-            )
-        )
-    return specs, attachments, endpoints
-
-
-def _parse_identity(ctx: _Ctx, raw: Any) -> tuple[list, list, list]:
-    d = _expect_map(ctx, raw, "identity", {"idps", "principals", "trust_edges"})
-    idps = []
-    for i, entry in enumerate(_expect_list(ctx, d.get("idps"), "identity.idps")):
-        sub = f"identity.idps[{i}]"
-        idd = _expect_map(ctx, entry, sub, {"id", "kind", "segment"})
-        if "id" not in idd:
-            ctx.err("BAD_VALUE", sub, "missing id")
-            continue
-        idps.append(
-            m.IdentityProvider(
-                id=str(idd["id"]),
-                kind=_enum(ctx, m.IdpKind, idd.get("kind"), sub, m.IdpKind.CLOUD_NATIVE),
-                segment=str(idd["segment"]) if idd.get("segment") is not None else None,
-            )
-        )
-    principals = []
-    for i, entry in enumerate(_expect_list(ctx, d.get("principals"), "identity.principals")):
-        sub = f"identity.principals[{i}]"
-        pd = _expect_map(ctx, entry, sub, {"id", "kind", "idp", "groups", "device"})
-        if "id" not in pd:
-            ctx.err("BAD_VALUE", sub, "missing id")
-            continue
-        principals.append(
-            m.Principal(
-                id=str(pd["id"]),
-                kind=_enum(ctx, m.PrincipalKind, pd.get("kind"), sub, m.PrincipalKind.SERVICE_ACCOUNT),
-                idp=str(pd.get("idp", "")),
-                groups=_str_list(ctx, pd.get("groups"), sub),
-                device=_str_map(ctx, pd.get("device"), sub),
-            )
-        )
-    trust_edges = []
-    for i, entry in enumerate(_expect_list(ctx, d.get("trust_edges"), "identity.trust_edges")):
-        sub = f"identity.trust_edges[{i}]"
-        td = _expect_map(ctx, entry, sub, {"id", "from", "to", "kind", "mapping"})
-        if "id" not in td:
-            ctx.err("BAD_VALUE", sub, "missing id")
-            continue
-        trust_edges.append(
-            m.TrustEdge(
-                id=str(td["id"]),
-                src=str(td.get("from", "")),
-                dst=str(td.get("to", "")),
-                kind=_enum(ctx, m.TrustKind, td.get("kind"), sub, m.TrustKind.ONE_WAY_TRUST),
-                mapping=_str_map(ctx, td.get("mapping"), sub),
-            )
-        )
-    return idps, principals, trust_edges
-
-
-def _parse_policies(ctx: _Ctx, raw: Any) -> tuple[list, list, list]:
-    d = _expect_map(ctx, raw, "policies", {"firewall", "rbac", "org_constraints"})
-    firewall = []
-    for i, entry in enumerate(_expect_list(ctx, d.get("firewall"), "policies.firewall")):
-        sub = f"policies.firewall[{i}]"
-        fd = _expect_map(
-            ctx, entry, sub, {"id", "scope", "priority", "action", "src", "dst", "protocol", "ports"}
-        )
-        if "id" not in fd:
-            ctx.err("BAD_VALUE", sub, "missing id")
-            continue
-        scope = str(fd.get("scope", m.ORG_SCOPE))
-        if scope != m.ORG_SCOPE and scope.split(":", 1)[0] not in ("folder", "segment"):
-            ctx.err("BAD_VALUE", sub, f"scope {scope!r} must be organization, folder:<id> or segment:<id>")
-        firewall.append(
-            m.FirewallRule(
-                id=str(fd["id"]),
-                scope=scope,
-                priority=int(fd.get("priority", 1000)),
-                action=_enum(ctx, m.RuleAction, fd.get("action"), sub, m.RuleAction.DENY),
-                src=_net_tokens(ctx, fd.get("src"), sub, default=(m.ANY,)),
-                dst=_net_tokens(ctx, fd.get("dst"), sub, default=(m.ANY,)),
-                protocol=str(fd.get("protocol", "any")),
-                ports=_ports(ctx, fd.get("ports"), sub),
-            )
-        )
-    bindings = []
-    for i, entry in enumerate(_expect_list(ctx, d.get("rbac"), "policies.rbac")):
-        sub = f"policies.rbac[{i}]"
-        bd = _expect_map(ctx, entry, sub, {"id", "principal", "role", "condition"})
-        if "id" not in bd:
-            ctx.err("BAD_VALUE", sub, "missing id")
-            continue
-        role = []
-        for j, p in enumerate(_expect_list(ctx, bd.get("role"), sub)):
-            pd = _expect_map(ctx, p, f"{sub}.role[{j}]", {"service", "method"})
-            role.append(
-                m.Permission(service=str(pd.get("service", m.ANY)), method=str(pd.get("method", m.ANY)))
-            )
-        condition = None
-        if bd.get("condition") is not None:
-            cd = _expect_map(ctx, bd["condition"], f"{sub}.condition", {"key", "value"})
-            condition = m.TagCondition(key=str(cd.get("key", "")), value=_scalar_str(cd.get("value", "")))
-        bindings.append(
-            m.RBACBinding(
-                id=str(bd["id"]),
-                principal=str(bd.get("principal", "")),
-                role=tuple(role),
-                condition=condition,
-            )
-        )
-    constraints = []
-    for i, entry in enumerate(_expect_list(ctx, d.get("org_constraints"), "policies.org_constraints")):
-        sub = f"policies.org_constraints[{i}]"
-        cd = _expect_map(ctx, entry, sub, {"id", "kind", "scope", "exception_tag"})
-        if "id" not in cd:
-            ctx.err("BAD_VALUE", sub, "missing id")
-            continue
-        constraints.append(
-            m.OrgConstraint(
-                id=str(cd["id"]),
-                kind=_enum(ctx, m.ConstraintKind, cd.get("kind"), sub, m.ConstraintKind.NO_PUBLIC_IP),
-                scope=str(cd.get("scope", "")),
-                exception_tag=(
-                    _scalar_str(cd["exception_tag"]) if cd.get("exception_tag") is not None else None
-                ),
-            )
-        )
-    return firewall, bindings, constraints
-
-
-def _parse_perimeters(ctx: _Ctx, raw: Any) -> list[m.AbstractPerimeter]:
-    out = []
-    for i, entry in enumerate(_expect_list(ctx, raw, "perimeters")):
-        sub = f"perimeters[{i}]"
-        pd = _expect_map(ctx, entry, sub, {"id", "name", "members", "ingress", "egress", "mechanisms"})
-        if "id" not in pd:
-            ctx.err("BAD_VALUE", sub, "missing id")
-            continue
-        md = _expect_map(ctx, pd.get("members"), f"{sub}.members", {"folders", "projects", "tags"})
-        members = m.MemberSelector(
-            folders=_str_list(ctx, md.get("folders"), sub),
-            projects=_str_list(ctx, md.get("projects"), sub),
-            tags=tuple(_scalar_str(t) for t in _expect_list(ctx, md.get("tags"), sub)),
-        )
-        mechanisms = frozenset(
-            _enum(ctx, m.Mechanism, v, sub, m.Mechanism.NETWORK_SEGMENTATION)
-            for v in _expect_list(ctx, pd.get("mechanisms"), sub)
-        )
-        out.append(
-            m.AbstractPerimeter(
-                id=str(pd["id"]),
-                name=str(pd.get("name", pd["id"])),
-                members=members,
-                ingress=_perimeter_rules(ctx, pd.get("ingress"), f"{sub}.ingress"),
-                egress=_perimeter_rules(ctx, pd.get("egress"), f"{sub}.egress"),
-                mechanisms=mechanisms,
-            )
-        )
-    return out
-
-
-def _parse_assets(ctx: _Ctx, raw: Any) -> list[m.DataAsset]:
-    out = []
-    for i, entry in enumerate(_expect_list(ctx, raw, "assets")):
-        sub = f"assets[{i}]"
-        ad = _expect_map(ctx, entry, sub, {"id", "resource", "tags"})
-        if "id" not in ad:
-            ctx.err("BAD_VALUE", sub, "missing id")
-            continue
-        out.append(
-            m.DataAsset(
-                id=str(ad["id"]),
-                resource=str(ad.get("resource", "")),
-                tags=_tags(ctx, ad.get("tags"), sub),
-            )
-        )
-    return out
-
-
-def _check_duplicates(ctx: _Ctx, s: Scenario) -> None:
-    def dupes(items: Iterator[str], what: str) -> None:
+def _integrity_problems(s: Scenario) -> list[tuple[str, str, str]]:
+    """Duplicate ids, then references to nothing, as (code, subject, message)."""
+    out: list[tuple[str, str, str]] = []
+    namespaces: dict[str, list[str]] = {}  # noun -> ids, in table then scenario order
+    for f in _SCENARIO.fields:
+        if isinstance(f.codec, _Many):
+            namespaces.setdefault(f.codec.noun, []).extend(x.id for x in getattr(s, f.attr))
+    for noun, ids in namespaces.items():
         seen: set[str] = set()
-        for i in items:
+        for i in ids:
             if i in seen:
-                ctx.err("DUP_ID", i, f"duplicate {what} id")
+                out.append(("DUP_ID", i, f"duplicate {noun} id"))
             seen.add(i)
 
-    dupes((n.id for n in s.nodes), "node")
-    dupes((x.id for x in s.segments), "segment")
-    dupes((x.id for x in s.edges), "edge")
-    # services and endpoints share the flow-target namespace
-    dupes((x.id for x in list(s.services) + list(s.endpoints)), "service/endpoint")
-    dupes((x.id for x in s.attachments), "attachment")
-    dupes((x.id for x in s.idps), "idp")
-    dupes((x.id for x in s.principals), "principal")
-    dupes((x.id for x in s.trust_edges), "trust edge")
-    dupes((x.id for x in s.firewall_rules), "firewall rule")
-    dupes((x.id for x in s.bindings), "binding")
-    dupes((x.id for x in s.constraints), "org constraint")
-    dupes((x.id for x in s.perimeters), "perimeter")
-    dupes((x.id for x in s.assets), "asset")
-
-
-def _check_references(ctx: _Ctx, s: Scenario) -> None:
     nodes = {n.id: n for n in s.nodes}
     node_kind = {n.id: n.kind for n in s.nodes}
     seg_ids = {x.id for x in s.segments}
@@ -833,7 +773,7 @@ def _check_references(ctx: _Ctx, s: Scenario) -> None:
 
     def ref(ok: bool, subject: str, target: str, what: str) -> None:
         if not ok:
-            ctx.err("UNKNOWN_REF", subject, f"unknown {what} {target!r}")
+            out.append(("UNKNOWN_REF", subject, f"unknown {what} {target!r}"))
 
     for n in s.nodes:
         if n.parent is not None:
@@ -906,6 +846,7 @@ def _check_references(ctx: _Ctx, s: Scenario) -> None:
                     ref(t.service in svc_ids, rule.id, t.service, "service")
     for a in s.assets:
         ref(a.resource in nodes, a.id, a.resource, "resource")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -914,8 +855,12 @@ def _check_references(ctx: _Ctx, s: Scenario) -> None:
 
 
 def validate_scenario(s: Scenario) -> list[Violation]:
-    """Structural invariant check; empty list iff the scenario is well formed."""
-    out: list[Violation] = []
+    """Structural invariant check; empty list iff the scenario is well formed.
+
+    Duplicate ids and references to nothing come first, found as the parser
+    finds them, so a scenario built in code is held to the same rules.
+    """
+    out = [Violation(*problem) for problem in _integrity_problems(s)]
     nodes = {n.id: n for n in s.nodes}
 
     orgs = [n for n in s.nodes if n.kind is m.NodeKind.ORGANIZATION]
@@ -933,8 +878,7 @@ def validate_scenario(s: Scenario) -> list[Violation]:
             continue
         parent = nodes.get(n.parent)
         if parent is None:
-            out.append(Violation("UNKNOWN_REF", n.id, f"unknown parent node {n.parent!r}"))
-            continue
+            continue  # an unknown parent is reported as UNKNOWN_REF above
         allowed = {
             m.NodeKind.FOLDER: (m.NodeKind.ORGANIZATION, m.NodeKind.FOLDER),
             m.NodeKind.PROJECT: (m.NodeKind.ORGANIZATION, m.NodeKind.FOLDER),
@@ -1076,234 +1020,27 @@ def _drop_empty(d: dict) -> dict:
     return {k: v for k, v in d.items() if v not in (None, [], {}, ())}
 
 
-def _predicate_doc(p: m.AccessPredicate) -> dict:
-    return _drop_empty(
-        {
-            "id": p.id,
-            "action": p.action.value,
-            "identities": list(p.identities),
-            "cidrs": list(p.cidrs),
-            "methods": list(p.methods),
-        }
-    )
+def _write(t: _Type, entity: Any) -> dict:
+    return _drop_empty({f.key: _write_field(f, getattr(entity, f.attr)) for f in t.fields})
 
 
-def _perimeter_rule_doc(r: m.PerimeterRule) -> dict:
-    return _drop_empty(
-        {
-            "id": r.id,
-            "identities": list(r.identities),
-            "device": dict(r.device),
-            "networks": list(r.networks),
-            "targets": [
-                _drop_empty({"project": t.project, "service": t.service, "method": t.method})
-                for t in r.targets
-            ],
-        }
-    )
+def _write_field(f: _F, value: Any) -> Any:
+    codec = f.codec
+    if isinstance(codec, _Codec):
+        return codec.write(value)
+    if isinstance(codec, _One):
+        return None if value is None else _write(codec.type, value)
+    return [_write(codec.type, entry) for entry in value]
 
 
 def serialize_scenario(s: Scenario) -> str:
     """Render a scenario back to its document form (parse-stable)."""
-    doc: dict[str, Any] = {"name": s.name}
-    if s.description:
-        doc["description"] = s.description
-    if s.chain_bound != 4:
-        doc["chain_bound"] = s.chain_bound
-    doc["hierarchy"] = [
-        _drop_empty(
-            {
-                "id": n.id,
-                "kind": n.kind.value,
-                "parent": n.parent,
-                "tags": sorted(n.tags),
-                "labels": dict(n.labels),
-            }
-        )
-        for n in s.nodes
-    ]
-    doc["networks"] = _drop_empty(
-        {
-            "segments": [
-                _drop_empty(
-                    {
-                        "id": x.id,
-                        "project": x.project,
-                        "routability": x.routability.value,
-                        "cidrs": list(x.cidrs),
-                        "subnets": dict(x.subnets),
-                        "trust_mode": x.trust_mode.value,
-                    }
-                )
-                for x in s.segments
-            ],
-            "edges": [
-                _drop_empty(
-                    {
-                        "id": x.id,
-                        "kind": x.kind.value,
-                        "ends": list(x.ends),
-                        "direction": x.direction.value,
-                        "gateway_rules": [
-                            _drop_empty(
-                                {
-                                    "id": r.id,
-                                    "from": r.src_zone,
-                                    "to": r.dst_zone,
-                                    "action": r.action.value,
-                                    "new_connection": r.new_connection,
-                                    "protocol": r.protocol,
-                                    "content_class": r.content_class,
-                                }
-                            )
-                            for r in x.gateway_rules
-                        ],
-                    }
-                )
-                for x in s.edges
-            ],
-        }
-    )
-    doc["services"] = _drop_empty(
-        {
-            "specs": [
-                _drop_empty(
-                    {
-                        "id": x.id,
-                        "project": x.project,
-                        "segment": x.segment,
-                        "layer": x.layer.value,
-                        "compute": x.compute.value,
-                        "auth_mode": x.auth_mode.value,
-                        "address": x.address,
-                        "fqdn": x.fqdn,
-                        "backends": list(x.backends),
-                        "run_as": list(x.run_as),
-                        "workload": x.workload,
-                        "idp": x.idp,
-                        "reads": list(x.reads),
-                        "writes": list(x.writes),
-                        "depends_on": list(x.depends_on),
-                    }
-                )
-                for x in s.services
-            ],
-            "attachments": [
-                _drop_empty(
-                    {"id": x.id, "service": x.service, "policy": [_predicate_doc(p) for p in x.policy]}
-                )
-                for x in s.attachments
-            ],
-            "endpoints": [
-                _drop_empty(
-                    {
-                        "id": x.id,
-                        "segment": x.segment,
-                        "attachment": x.attachment,
-                        "address": x.address,
-                        "fqdn": x.fqdn,
-                        "policy": [_predicate_doc(p) for p in x.policy],
-                    }
-                )
-                for x in s.endpoints
-            ],
-        }
-    )
-    doc["identity"] = _drop_empty(
-        {
-            "idps": [
-                _drop_empty({"id": x.id, "kind": x.kind.value, "segment": x.segment}) for x in s.idps
-            ],
-            "principals": [
-                _drop_empty(
-                    {
-                        "id": x.id,
-                        "kind": x.kind.value,
-                        "idp": x.idp,
-                        "groups": list(x.groups),
-                        "device": dict(x.device),
-                    }
-                )
-                for x in s.principals
-            ],
-            "trust_edges": [
-                _drop_empty(
-                    {
-                        "id": x.id,
-                        "from": x.src,
-                        "to": x.dst,
-                        "kind": x.kind.value,
-                        "mapping": dict(x.mapping),
-                    }
-                )
-                for x in s.trust_edges
-            ],
-        }
-    )
-    doc["policies"] = _drop_empty(
-        {
-            "firewall": [
-                _drop_empty(
-                    {
-                        "id": x.id,
-                        "scope": x.scope,
-                        "priority": x.priority,
-                        "action": x.action.value,
-                        "src": list(x.src),
-                        "dst": list(x.dst),
-                        "protocol": x.protocol,
-                        "ports": [{"from": lo, "to": hi} for lo, hi in x.ports],
-                    }
-                )
-                for x in s.firewall_rules
-            ],
-            "rbac": [
-                _drop_empty(
-                    {
-                        "id": x.id,
-                        "principal": x.principal,
-                        "role": [{"service": p.service, "method": p.method} for p in x.role],
-                        "condition": (
-                            {"key": x.condition.key, "value": x.condition.value} if x.condition else None
-                        ),
-                    }
-                )
-                for x in s.bindings
-            ],
-            "org_constraints": [
-                _drop_empty(
-                    {
-                        "id": x.id,
-                        "kind": x.kind.value,
-                        "scope": x.scope,
-                        "exception_tag": x.exception_tag,
-                    }
-                )
-                for x in s.constraints
-            ],
-        }
-    )
-    doc["perimeters"] = [
-        _drop_empty(
-            {
-                "id": x.id,
-                "name": x.name,
-                "members": _drop_empty(
-                    {
-                        "folders": list(x.members.folders),
-                        "projects": list(x.members.projects),
-                        "tags": list(x.members.tags),
-                    }
-                ),
-                "mechanisms": sorted(mech.value for mech in x.mechanisms),
-                "ingress": [_perimeter_rule_doc(r) for r in x.ingress],
-                "egress": [_perimeter_rule_doc(r) for r in x.egress],
-            }
-        )
-        for x in s.perimeters
-    ]
-    doc["assets"] = [
-        _drop_empty({"id": x.id, "resource": x.resource, "tags": sorted(x.tags)}) for x in s.assets
-    ]
-    doc = {k: v for k, v in doc.items() if v not in ([], {}, None)}
+    doc: dict[str, Any] = {}
+    for f in _SCENARIO.fields:
+        value = getattr(s, f.attr)
+        if f.elide and value == f.default:
+            continue
+        section, _, key = f.key.rpartition(".")
+        (doc.setdefault(section, {}) if section else doc)[key] = _write_field(f, value)
+    doc = _drop_empty({k: _drop_empty(v) if isinstance(v, dict) else v for k, v in doc.items()})
     return yaml.safe_dump(doc, sort_keys=False, default_flow_style=False, width=100)

@@ -170,6 +170,30 @@ def test_compile_and_verify_compile(capsys):
     assert all(d["class"].startswith("EXPECTED") for d in divergences)
 
 
+@pytest.mark.parametrize("mechanism", ["hybrid", "lift-shift", "zero-trust"])
+def test_compile_records_have_one_documented_shape_per_kind(capsys, mechanism):
+    fields = {
+        "firewall": ["kind", "id", "scope", "priority", "action", "src", "dst"],
+        "gateway": ["kind", "id", "from", "to", "action"],
+        "rbac": ["kind", "id", "principal", "role"],
+        "note": ["kind", "text"],
+    }
+    code, out, _ = run(
+        capsys, "compile", "--scenario", "fig4-landing-point", "--perimeter", "yellow",
+        "--mechanism", mechanism, "--output", "records",
+    )
+    assert code == EXIT_OK
+    lines = out.strip().splitlines()
+    assert lines
+    kinds = []
+    for line in lines:
+        record = json.loads(line)
+        assert list(record) == fields[record["kind"]]
+        assert line == json.dumps(record)
+        kinds.append(record["kind"])
+    assert kinds == sorted(kinds, key=list(fields).index)  # firewall, gateway, rbac, then notes
+
+
 def test_scenarios_list_has_ten_templates(capsys):
     code, out, _ = run(capsys, "scenarios", "list")
     assert code == EXIT_OK

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from cloudperim import builtin_scenario, evaluate_flow, oracle_evaluate, parse_scenario
+from cloudperim import builtin_scenario, evaluate_flow, oracle_evaluate, parse_scenario, validate_scenario
 from cloudperim import model as m
 from cloudperim.engine import (
     _build_context,
@@ -123,6 +123,54 @@ def test_segment_in_unknown_project_fails_closed():
         evaluate_flow(ghost, request)
     with pytest.raises(UnknownNodeError):
         oracle_evaluate(ghost, request)
+
+
+def test_segment_in_unknown_project_is_reported_by_validation():
+    s = parse_scenario(HIER_DOC)
+    ghost = dataclasses.replace(
+        s, segments=tuple(dataclasses.replace(x, project="ghost") for x in s.segments)
+    )
+    violations = validate_scenario(ghost)
+    assert [(v.code, v.subject) for v in violations] == [("UNKNOWN_REF", "net")]
+    assert violations[0].message == "unknown project 'ghost'"
+
+
+ONE_ADDRESS_DOC = """
+name: one-address
+hierarchy:
+  - {id: org, kind: organization}
+  - {id: prj, kind: project, parent: org}
+networks:
+  segments:
+    - {id: a, project: prj, routability: routable, cidrs: [10.1.0.0/24]}
+    - {id: b, project: prj, routability: routable, cidrs: [10.0.0.5/32]}
+    - {id: c, project: prj, routability: routable, cidrs: [255.255.255.255/32]}
+  edges:
+    - {id: ab, kind: peering, ends: [a, b]}
+    - {id: ac, kind: peering, ends: [a, c]}
+services:
+  specs:
+    - {id: svc, project: prj, segment: a, layer: l4, address: 10.1.0.10, compute: vm, auth_mode: perimeter-trusting}
+identity:
+  idps: [{id: idp, kind: cloud-native}]
+  principals: [{id: p, kind: service-account, idp: idp}]
+policies:
+  firewall:
+    - {id: allow-next-address, scope: organization, priority: 10, action: allow, src: [10.0.0.6/32]}
+    - {id: deny-rest, scope: organization, priority: 20, action: deny}
+"""
+
+
+@pytest.mark.parametrize("source", ["b", "c"])
+def test_one_address_segment_is_its_own_source_address(source):
+    # the canonical source address of a /32 segment is its one address, not the next one
+    s = parse_scenario(ONE_ADDRESS_DOC)
+    assert validate_scenario(s) == []
+    request = flow("p", source, "svc")
+    decision, trace = evaluate_flow(s, request)
+    assert decision == oracle_evaluate(s, request)
+    assert decision.reason is m.DenyReason.HIER_FIREWALL
+    assert verdicts(trace)[m.PointKind.HIER_FIREWALL][1] == "deny-rest"
 
 
 def test_no_rules_intra_segment_trusting_defaults_allow():

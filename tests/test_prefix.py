@@ -116,7 +116,11 @@ def test_overlapping_pairs_at_interval_edges():
 def test_host_bits_read_as_the_network():
     assert prefix.network("10.0.0.5/24") == prefix.network("10.0.0.0/24")
     assert prefix.first_host("10.0.0.5/24") == "10.0.0.1"
-    assert prefix.first_host("255.255.255.255/32") is None
+    # a one-address prefix's canonical address is its one address
+    assert prefix.first_host("255.255.255.255/32") == "255.255.255.255"
+    assert prefix.first_host("10.0.0.5/32") == "10.0.0.5"
+    assert prefix.first_host("2001:db8::7/128") == "2001:db8::7"
+    assert prefix.first_host("10.0.0.4/31") == "10.0.0.5"
     assert prefix.first_host("not-a-cidr") is None
 
 

@@ -1,6 +1,7 @@
 """Scenario parsing, validation, serialization, and the built-in templates."""
 
 import dataclasses
+import typing
 
 import pytest
 
@@ -14,6 +15,7 @@ from cloudperim import (
 )
 from cloudperim import model as m
 from cloudperim.errors import ScenarioParseError, UnknownTemplateError
+from cloudperim.scenario import Scenario
 
 MINIMAL = """
 name: minimal
@@ -338,3 +340,196 @@ def test_data_plane_perimeter_of_raises_on_an_empty_perimeter_only_when_resolvin
     # without a data-plane perimeter nothing is resolved, so nothing raises
     no_dp = dataclasses.replace(s, perimeters=(empty,)).index()
     assert no_dp.data_plane_perimeter_of("prj-web-prod") is None
+
+
+# ---------------------------------------------------------------------------
+# The format table: every model field is declared, read and written
+# ---------------------------------------------------------------------------
+
+
+def _table_types():
+    """Model type -> its declaration, for every type the document table reaches."""
+    from cloudperim.scenario import _SCENARIO, _Many, _One
+
+    found, todo = {}, [_SCENARIO]
+    while todo:
+        t = todo.pop()
+        if t.model not in found:
+            found[t.model] = t
+            todo += [f.codec.type for f in t.fields if isinstance(f.codec, (_Many, _One))]
+    return found
+
+
+def _held_dataclasses(cls, found):
+    """``cls`` and every dataclass its field annotations name, recursively."""
+    if not dataclasses.is_dataclass(cls) or cls in found:
+        return found
+    found.add(cls)
+    todo = list(typing.get_type_hints(cls).values())
+    while todo:
+        hint = todo.pop()
+        todo += typing.get_args(hint)
+        _held_dataclasses(typing.get_origin(hint) or hint, found)
+    return found
+
+
+def test_every_model_field_is_declared_in_the_format_table():
+    from cloudperim.scenario import Scenario, ScenarioIndex
+
+    table = _table_types()
+    held = _held_dataclasses(Scenario, set())
+    assert set(table) == held - {ScenarioIndex}
+    assert len(table) == 22  # the document and the 21 model types it holds
+    for model, t in table.items():
+        declared = [f.attr for f in t.fields]
+        assert len(declared) == len(set(declared)), model
+        assert set(declared) == {f.name for f in dataclasses.fields(model) if f.init}, model
+
+
+def _every_field_set():
+    pred = m.AccessPredicate(
+        "a1", m.RuleAction.DENY, identities=("grp:x",), cidrs=("10.0.0.0/8",), methods=("read",)
+    )
+    rule = m.PerimeterRule(
+        "in1", identities=("grp:x",), device={"managed": "true"}, networks=(m.ONPREM,),
+        targets=(m.PerimeterTarget("prj", "svc", "read"),),
+    )
+    return Scenario(
+        name="every-field",
+        description="Every declared field holds a value other than its default.",
+        chain_bound=6,
+        nodes=(
+            m.ResourceNode("org", m.NodeKind.ORGANIZATION),
+            m.ResourceNode("f", m.NodeKind.FOLDER, parent="org", tags=frozenset({"env:prod"}),
+                           labels={"team": "payments"}),
+            m.ResourceNode("prj", m.NodeKind.PROJECT, parent="f"),
+            m.ResourceNode("res", m.NodeKind.RESOURCE, parent="prj"),
+        ),
+        segments=(
+            m.NetworkSegment("net", "prj", m.Routability.NON_ROUTABLE, ("10.0.0.0/16",),
+                             subnets={"app": "10.0.1.0/24"}, trust_mode=m.TrustMode.ZERO_TRUST),
+            m.NetworkSegment("hub", "prj", m.Routability.ROUTABLE, ("10.1.0.0/16",)),
+        ),
+        edges=(
+            m.ConnectivityEdge(
+                "gw", m.EdgeKind.GATEWAY_APPLIANCE, ("hub", m.INTERNET), m.EdgeDirection.OUTBOUND_ONLY,
+                gateway_rules=(m.GatewayRule("g1", "hub", m.INTERNET, m.RuleAction.ALLOW,
+                                             new_connection=False, protocol="udp", content_class="pci:true"),),
+            ),
+        ),
+        services=(
+            m.ServiceSpec(
+                "svc", "prj", "net", m.ServiceLayer.L7, m.ComputeKind.KUBERNETES, m.AuthMode.ZERO_TRUST,
+                address="10.0.1.10:443", fqdn="svc.example", backends=("vm-1",), run_as=("sa:svc",),
+                workload="payments", idp="idp", reads=("asset",), writes=("asset",), depends_on=("svc2",),
+            ),
+            m.ServiceSpec("svc2", "prj", "net", m.ServiceLayer.L4, m.ComputeKind.VM, m.AuthMode.PERIMETER_TRUSTING),
+        ),
+        attachments=(m.ServiceAttachment("att", "svc", policy=(pred,)),),
+        endpoints=(m.ConsumerEndpoint("ep", "hub", "att", address="10.1.0.9", fqdn="ep.example", policy=(pred,)),),
+        idps=(m.IdentityProvider("idp", m.IdpKind.DIRECTORY, segment="net"),
+              m.IdentityProvider("idp2", m.IdpKind.CLUSTER)),
+        principals=(
+            m.Principal("sa:svc", m.PrincipalKind.HUMAN, "idp", groups=("grp:x",), device={"managed": "true"}),
+            m.Principal("sa:other", m.PrincipalKind.WORKLOAD, "idp2"),
+        ),
+        trust_edges=(m.TrustEdge("t1", "idp", "idp2", m.TrustKind.WORKLOAD_FEDERATION,
+                                 mapping={"sa:svc": "sa:other"}),),
+        firewall_rules=(
+            m.FirewallRule("fw1", "folder:f", 10, m.RuleAction.ALLOW, src=("10.0.0.0/8",), dst=(m.ONPREM,),
+                           protocol="tcp", ports=((443, 443), (8000, 8080))),
+        ),
+        bindings=(m.RBACBinding("rb1", "grp:x", (m.Permission("svc", "read"),), m.TagCondition("pii", "false")),),
+        constraints=(m.OrgConstraint("oc1", m.ConstraintKind.NO_INTERNET_EGRESS, "org", exception_tag="egress:ok"),),
+        perimeters=(
+            m.AbstractPerimeter(
+                "p1", "Perimeter One", m.MemberSelector(folders=("f",), projects=("prj",), tags=("env:prod",)),
+                ingress=(rule,), egress=(dataclasses.replace(rule, id="eg1"),),
+                mechanisms=frozenset({m.Mechanism.DATA_PLANE_PERIMETER, m.Mechanism.HIERARCHICAL_FIREWALL}),
+            ),
+        ),
+        assets=(m.DataAsset("asset", "res", tags=frozenset({"pii:false"})),),
+    )
+
+
+def test_scenario_setting_every_declared_field_round_trips():
+    from cloudperim.scenario import _REQUIRED, _SCENARIO, _Many, _One
+
+    s = _every_field_set()
+    assert parse_scenario(serialize_scenario(s)) == s
+    # each declared field holds a value other than its default in some entity
+    set_somewhere: dict[tuple[str, str], bool] = {}
+
+    def visit(t, entity):
+        values = {}
+        for f in t.order:
+            value = values[f.attr] = getattr(entity, f.attr)
+            default = f.default(values) if callable(f.default) else f.default
+            key = (t.model.__name__, f.key)
+            set_somewhere[key] = set_somewhere.get(key, False) or default is _REQUIRED or value != default
+            if isinstance(f.codec, _Many):
+                for x in value:
+                    visit(f.codec.type, x)
+            elif isinstance(f.codec, _One) and value is not None:
+                visit(f.codec.type, value)
+
+    visit(_SCENARIO, s)
+    assert len(set_somewhere) == sum(len(t.fields) for t in _table_types().values())
+    assert [key for key, ok in set_somewhere.items() if not ok] == []
+
+
+# ---------------------------------------------------------------------------
+# Integer and boolean fields are type-checked, never converted
+# ---------------------------------------------------------------------------
+
+
+def _issues(doc):
+    with pytest.raises(ScenarioParseError) as exc:
+        parse_scenario(doc)
+    return [(i.code, i.subject, i.message) for i in exc.value.issues]
+
+
+def test_non_integer_priority_is_a_bad_value():
+    for value, shown in (("high", "'high'"), ("true", "True"), ('"5"', "'5'")):
+        doc = MINIMAL + f"policies:\n  firewall:\n    - {{id: r1, priority: {value}}}\n"
+        assert _issues(doc) == [("BAD_VALUE", "policies.firewall[0]", f"{shown} is not an integer")]
+
+
+def test_non_integer_port_is_a_bad_value():
+    doc = MINIMAL + "policies:\n  firewall:\n    - {id: r1, ports: [{from: a}, true, 443, {to: 80}]}\n"
+    assert _issues(doc) == [
+        ("BAD_VALUE", "policies.firewall[0]", "bad port entry {'from': 'a'}"),
+        ("BAD_VALUE", "policies.firewall[0]", "bad port entry True"),
+    ]
+    ok = parse_scenario(MINIMAL + "policies:\n  firewall:\n    - {id: r1, ports: [443, {to: 80}]}\n")
+    assert ok.firewall_rules[0].ports == ((443, 443), (0, 80))
+
+
+def test_non_integer_chain_bound_is_a_bad_value():
+    assert _issues(MINIMAL + "chain_bound: many\n") == [("BAD_VALUE", "document", "'many' is not an integer")]
+    assert parse_scenario(MINIMAL + "chain_bound: 6\n").chain_bound == 6
+
+
+def test_non_boolean_new_connection_is_a_bad_value():
+    doc = MINIMAL + """  edges:
+    - id: gw
+      kind: gateway-appliance
+      ends: [net, INTERNET]
+      gateway_rules: [{id: g1, new_connection: NEW_CONNECTION}]
+"""
+    subject = "networks.edges[0].gateway_rules[0]"
+    for value, shown in (('"no"', "'no'"), ("1", "1"), ("~", "None")):
+        assert _issues(doc.replace("NEW_CONNECTION", value)) == [
+            ("BAD_VALUE", subject, f"{shown} is not true or false")
+        ]
+    s = parse_scenario(doc.replace("NEW_CONNECTION", "false"))
+    assert s.edges[0].gateway_rules[0].new_connection is False
+
+
+def test_duplicate_ids_in_a_scenario_built_in_code_are_reported():
+    s = builtin_scenario("fig1-lift-shift")
+    twin = dataclasses.replace(s.principals[0], kind=m.PrincipalKind.HUMAN)
+    violations = validate_scenario(dataclasses.replace(s, principals=s.principals + (twin,)))
+    assert [(v.code, v.subject, v.message) for v in violations] == [
+        ("DUP_ID", twin.id, "duplicate principal id")
+    ]
