@@ -10,6 +10,12 @@ denying point; the remaining points are recorded as not-applicable, so the
 overall verdict is Allow iff every step allows and a Deny always names
 exactly one point and reason.
 
+The chain splits at the principal. The network points (ROUTE through
+GATEWAY) see only the request's network leg: its source, target, source
+address and payload tags. They are evaluated once per leg and scenario, and
+the leg, with its finished trace steps, is kept in the scenario index. The
+principal points (CONSUMER_ENDPOINT through RBAC) run per request.
+
 Defaults encode the trust split: unmatched intra-segment flows allow only in
 trusting segments, everything else crossing a boundary denies; gateways deny
 unmatched traversals; endpoint policies allow when empty.
@@ -17,7 +23,7 @@ unmatched traversals; endpoint policies allow when empty.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator
 
 from . import identity as identity_mod
@@ -30,12 +36,13 @@ from .scenario import Scenario, ScenarioIndex
 FLOW_PROTOCOL = "tcp"  # modeled flows are connection-initiating TCP requests
 
 
-@dataclass(frozen=True)
-class FlowContext:
-    """Derived facts the enforcement points share for one request."""
+@dataclass(frozen=True, slots=True)
+class NetworkLeg:
+    """The principal-independent half of a request, for one
+    (source, target, source address, payload tags) in one scenario."""
 
-    request: m.FlowRequest
-    principal: m.Principal
+    source: str
+    payload_tags: frozenset[str]
     path: route_mod.RoutePath | None
     target_service: m.ServiceSpec | None   # None when target is INTERNET
     endpoint: m.ConsumerEndpoint | None
@@ -44,6 +51,17 @@ class FlowContext:
     source_nets: tuple[prefix.Interval, ...]  # source address, then source segment CIDRs
     target_nets: tuple[prefix.Interval, ...]  # target host addresses, then its segment CIDRs
     dst_port: int | None
+    steps: m.DecisionTrace = ()  # the network points' steps; the whole trace if one denies
+    denied: tuple[m.Decision, m.DecisionTrace] | None = None  # the answer, if a network point denies
+
+
+@dataclass(frozen=True, slots=True)
+class RequestContext:
+    """What the principal points see of one request."""
+
+    request: m.FlowRequest
+    principal: m.Principal
+    leg: NetworkLeg
     index: ScenarioIndex
 
 
@@ -52,61 +70,62 @@ class FlowContext:
 # ---------------------------------------------------------------------------
 
 
-def _src_token_matches(token: str, ctx: FlowContext) -> bool:
+def _src_token_matches(token: str, leg: NetworkLeg, idx: ScenarioIndex) -> bool:
     """A CIDR token matches the source address or any CIDR of the source segment."""
     if token == m.ANY:
         return True
     if token in m.DISTINGUISHED_LOCI:
-        return ctx.request.source == token
-    return prefix.meets_any(ctx.index.network(token), ctx.source_nets)
+        return leg.source == token
+    return prefix.meets_any(idx.network(token), leg.source_nets)
 
 
-def _dst_token_matches(token: str, ctx: FlowContext) -> bool:
+def _dst_token_matches(token: str, leg: NetworkLeg, idx: ScenarioIndex) -> bool:
     """A CIDR token matches a target host address or any CIDR of the target's segment."""
     if token == m.ANY:
         return True
     if token == m.INTERNET:
-        return ctx.target_service is None
+        return leg.target_service is None
     # flows never target ONPREM
-    return token != m.ONPREM and prefix.meets_any(ctx.index.network(token), ctx.target_nets)
+    return token != m.ONPREM and prefix.meets_any(idx.network(token), leg.target_nets)
 
 
-def _firewall_rule_matches(rule: m.FirewallRule, ctx: FlowContext) -> bool:
+def _firewall_rule_matches(rule: m.FirewallRule, leg: NetworkLeg, idx: ScenarioIndex) -> bool:
     if rule.protocol not in ("any", FLOW_PROTOCOL):
         return False
-    if not any(_src_token_matches(t, ctx) for t in rule.src):
+    if not any(_src_token_matches(t, leg, idx) for t in rule.src):
         return False
-    if not any(_dst_token_matches(t, ctx) for t in rule.dst):
+    if not any(_dst_token_matches(t, leg, idx) for t in rule.dst):
         return False
     if rule.ports:
-        if ctx.dst_port is None:
+        if leg.dst_port is None:
             return False
-        if not any(lo <= ctx.dst_port <= hi for lo, hi in rule.ports):
+        if not any(lo <= leg.dst_port <= hi for lo, hi in rule.ports):
             return False
     return True
 
 
-def _predicate_matches(p: m.AccessPredicate, ctx: FlowContext) -> bool:
+def _predicate_matches(p: m.AccessPredicate, ctx: RequestContext) -> bool:
     if p.identities and not any(ctx.principal.matches_identity(t) for t in p.identities):
         return False
-    if p.cidrs and not any(_src_token_matches(t, ctx) for t in p.cidrs):
+    if p.cidrs and not any(_src_token_matches(t, ctx.leg, ctx.index) for t in p.cidrs):
         return False
     if p.methods and not any(m.method_matches(t, ctx.request.method) for t in p.methods):
         return False
     return True
 
 
-def _perimeter_rule_matches(rule: m.PerimeterRule, ctx: FlowContext) -> bool:
+def _perimeter_rule_matches(rule: m.PerimeterRule, ctx: RequestContext) -> bool:
     if rule.identities and not any(ctx.principal.matches_identity(t) for t in rule.identities):
         return False
     for k, v in rule.device.items():
         if ctx.principal.device.get(k) != v:
             return False
-    if rule.networks and not any(_src_token_matches(t, ctx) for t in rule.networks):
+    if rule.networks and not any(_src_token_matches(t, ctx.leg, ctx.index) for t in rule.networks):
         return False
     if rule.targets:
-        tgt_project = ctx.target_service.project if ctx.target_service else None
-        tgt_service = ctx.target_service.id if ctx.target_service else m.INTERNET
+        svc = ctx.leg.target_service
+        tgt_project = svc.project if svc else None
+        tgt_service = svc.id if svc else m.INTERNET
         ok = any(
             (t.project == m.ANY or t.project == tgt_project)
             and (t.service == m.ANY or t.service == tgt_service)
@@ -118,7 +137,7 @@ def _perimeter_rule_matches(rule: m.PerimeterRule, ctx: FlowContext) -> bool:
     return True
 
 
-def _gateway_rule_matches(rule: m.GatewayRule, hop: route_mod.Hop, ctx: FlowContext) -> bool:
+def _gateway_rule_matches(rule: m.GatewayRule, hop: route_mod.Hop, leg: NetworkLeg) -> bool:
     if rule.src_zone not in (m.ANY, hop.src):
         return False
     if rule.dst_zone not in (m.ANY, hop.dst):
@@ -127,7 +146,7 @@ def _gateway_rule_matches(rule: m.GatewayRule, hop: route_mod.Hop, ctx: FlowCont
         return False  # modeled flows are always new connections
     if rule.protocol not in ("any", FLOW_PROTOCOL):
         return False
-    if rule.content_class is not None and rule.content_class not in ctx.request.payload_tags:
+    if rule.content_class is not None and rule.content_class not in leg.payload_tags:
         return False
     return True
 
@@ -166,7 +185,7 @@ class PointOutcome:
 _ALLOW_NA = PointOutcome(m.Verdict.ALLOW, m.NOT_APPLICABLE)
 
 
-def _scope_chain(s: Scenario, ctx: FlowContext, idx: ScenarioIndex) -> list[tuple[str, str]]:
+def _scope_chain(s: Scenario, leg: NetworkLeg, idx: ScenarioIndex) -> list[tuple[str, str]]:
     """(scope kind, scope key) list for this flow: org, folders root->leaf, segment.
 
     Anchored at the source side for segment-borne flows and at the target side
@@ -174,9 +193,9 @@ def _scope_chain(s: Scenario, ctx: FlowContext, idx: ScenarioIndex) -> list[tupl
     the hierarchy raises ``UnknownNodeError``: skipping its folder scopes would
     bypass their rules.
     """
-    anchor_seg = ctx.source_segment
-    if anchor_seg is None and ctx.target_service is not None:
-        anchor_seg = idx.segments.get(ctx.target_service.segment)
+    anchor_seg = leg.source_segment
+    if anchor_seg is None and leg.target_service is not None:
+        anchor_seg = idx.segments.get(leg.target_service.segment)
     scopes: list[tuple[str, str]] = [("organization", m.ORG_SCOPE)]
     if anchor_seg is not None:
         for node_id in m.ancestors(anchor_seg.project, idx.nodes):
@@ -187,23 +206,23 @@ def _scope_chain(s: Scenario, ctx: FlowContext, idx: ScenarioIndex) -> list[tupl
     return scopes
 
 
-def _flow_is_intra_segment(ctx: FlowContext) -> bool:
-    if ctx.source_segment is None:
+def _flow_is_intra_segment(leg: NetworkLeg) -> bool:
+    if leg.source_segment is None:
         return False
-    if ctx.endpoint is not None:
-        return ctx.endpoint.segment == ctx.source_segment.id
-    if ctx.target_service is not None:
-        return ctx.target_service.segment == ctx.source_segment.id
+    if leg.endpoint is not None:
+        return leg.endpoint.segment == leg.source_segment.id
+    if leg.target_service is not None:
+        return leg.target_service.segment == leg.source_segment.id
     return False
 
 
 def _terminal_rule(
-    s: Scenario, ctx: FlowContext, idx: ScenarioIndex
+    s: Scenario, leg: NetworkLeg, idx: ScenarioIndex
 ) -> tuple[str, m.FirewallRule] | tuple[None, None]:
     """(scope kind, rule) of the first matching non-delegate rule, scope by scope."""
-    for scope_kind, scope_key in _scope_chain(s, ctx, idx):
+    for scope_kind, scope_key in _scope_chain(s, leg, idx):
         for rule in idx.firewall_rules_by_scope.get(scope_key, ()):
-            if _firewall_rule_matches(rule, ctx):
+            if _firewall_rule_matches(rule, leg, idx):
                 if rule.action is not m.RuleAction.DELEGATE:
                     return scope_kind, rule
                 break  # hand over to the next scope
@@ -211,11 +230,11 @@ def _terminal_rule(
 
 
 def evaluate_firewall_chain(
-    s: Scenario, ctx: FlowContext
+    s: Scenario, leg: NetworkLeg
 ) -> tuple[PointOutcome, PointOutcome]:
     """Hierarchical then segment firewall outcomes for one flow."""
     hier = PointOutcome(m.Verdict.ALLOW, m.DEFAULT_RULE)
-    scope_kind, rule = _terminal_rule(s, ctx, s.index())
+    scope_kind, rule = _terminal_rule(s, leg, s.index())
     if rule is not None:
         segment = scope_kind == "segment"
         if rule.action is m.RuleAction.ALLOW:
@@ -225,22 +244,22 @@ def evaluate_firewall_chain(
             outcome = PointOutcome(m.Verdict.DENY, rule.id, reason)
         return (hier, outcome) if segment else (outcome, _ALLOW_NA)
     if (
-        _flow_is_intra_segment(ctx)
-        and ctx.source_segment is not None
-        and ctx.source_segment.trust_mode is m.TrustMode.TRUSTING
+        _flow_is_intra_segment(leg)
+        and leg.source_segment is not None
+        and leg.source_segment.trust_mode is m.TrustMode.TRUSTING
     ):
         return hier, PointOutcome(m.Verdict.ALLOW, m.DEFAULT_RULE)
     return hier, PointOutcome(m.Verdict.DENY, m.DEFAULT_RULE, m.DenyReason.FIREWALL_DEFAULT)
 
 
-def evaluate_gateways(ctx: FlowContext, idx: ScenarioIndex) -> PointOutcome:
-    hops = ctx.path.gateway_hops() if ctx.path else []
+def evaluate_gateways(leg: NetworkLeg, idx: ScenarioIndex) -> PointOutcome:
+    hops = leg.path.gateway_hops() if leg.path else []
     if not hops:
         return _ALLOW_NA
     matched: list[str] = []
     for hop in hops:
         edge = idx.edges[hop.edge]
-        hit = next((r for r in edge.gateway_rules if _gateway_rule_matches(r, hop, ctx)), None)
+        hit = next((r for r in edge.gateway_rules if _gateway_rule_matches(r, hop, leg)), None)
         if hit is None:
             return PointOutcome(m.Verdict.DENY, m.DEFAULT_RULE, m.DenyReason.GATEWAY)
         if hit.action is m.RuleAction.DENY:
@@ -249,14 +268,15 @@ def evaluate_gateways(ctx: FlowContext, idx: ScenarioIndex) -> PointOutcome:
     return PointOutcome(m.Verdict.ALLOW, "+".join(matched))
 
 
-def evaluate_endpoint_pair(ctx: FlowContext) -> tuple[PointOutcome, PointOutcome]:
+def evaluate_endpoint_pair(ctx: RequestContext) -> tuple[PointOutcome, PointOutcome]:
     """Consumer then producer policy; either side's deny is final (AND)."""
-    if ctx.endpoint is None or ctx.attachment is None:
+    endpoint, attachment = ctx.leg.endpoint, ctx.leg.attachment
+    if endpoint is None or attachment is None:
         return _ALLOW_NA, _ALLOW_NA
     outcomes = []
     for policy, reason in (
-        (ctx.endpoint.policy, m.DenyReason.CONSUMER),
-        (ctx.attachment.policy, m.DenyReason.PRODUCER),
+        (endpoint.policy, m.DenyReason.CONSUMER),
+        (attachment.policy, m.DenyReason.PRODUCER),
     ):
         hit = next((p for p in policy if _predicate_matches(p, ctx)), None)
         if hit is None:
@@ -269,16 +289,16 @@ def evaluate_endpoint_pair(ctx: FlowContext) -> tuple[PointOutcome, PointOutcome
 
 
 def evaluate_perimeter_crossing(
-    s: Scenario, ctx: FlowContext
+    s: Scenario, ctx: RequestContext
 ) -> tuple[PointOutcome, PointOutcome]:
     """Egress from the source's perimeter, ingress into the target's.
 
     Only perimeters bound to the data-plane-perimeter mechanism restrict
     crossings; flows wholly inside one perimeter pass unrestricted.
     """
-    idx = s.index()
-    src_project = ctx.source_segment.project if ctx.source_segment else None
-    dst_project = ctx.target_service.project if ctx.target_service else None
+    idx, leg = ctx.index, ctx.leg
+    src_project = leg.source_segment.project if leg.source_segment else None
+    dst_project = leg.target_service.project if leg.target_service else None
     src_perim = idx.data_plane_perimeter_of(src_project)
     dst_perim = idx.data_plane_perimeter_of(dst_project)
 
@@ -298,12 +318,11 @@ def evaluate_perimeter_crossing(
     )
 
 
-def evaluate_authn(s: Scenario, ctx: FlowContext) -> tuple[PointOutcome, m.Principal]:
+def evaluate_authn(s: Scenario, ctx: RequestContext) -> tuple[PointOutcome, m.Principal]:
     """Resolve the asserted principal the RBAC point will see."""
-    svc = ctx.target_service
+    svc = ctx.leg.target_service
     if svc is None or svc.auth_mode is not m.AuthMode.ZERO_TRUST or svc.idp is None:
         return _ALLOW_NA, ctx.principal
-    idx = s.index()
     chain = ctx.request.presented_chain
     if chain is not None:
         if not identity_mod.chain_is_valid(s, chain, ctx.principal.id, svc.idp):
@@ -318,7 +337,7 @@ def evaluate_authn(s: Scenario, ctx: FlowContext) -> tuple[PointOutcome, m.Princ
                 PointOutcome(m.Verdict.DENY, m.DEFAULT_RULE, m.DenyReason.NO_CREDENTIAL),
                 ctx.principal,
             )
-    terminal = idx.principals.get(chain.terminal_principal, ctx.principal)
+    terminal = ctx.index.principals.get(chain.terminal_principal, ctx.principal)
     edges = "+".join(step.edge for step in chain.steps if step.edge) or "home-idp"
     return PointOutcome(m.Verdict.ALLOW, edges), terminal
 
@@ -353,12 +372,59 @@ def evaluate_rbac(
 # The chain
 # ---------------------------------------------------------------------------
 
+# ENFORCEMENT_CHAIN[:_PRINCIPAL_FROM] are the network points, the rest the
+# principal points.
+_PRINCIPAL_FROM = m.ENFORCEMENT_CHAIN.index(m.PointKind.CONSUMER_ENDPOINT)
+# The step of each point that a request does not reach, or that does not apply.
+_NOT_APPLICABLE_STEPS: m.DecisionTrace = tuple(
+    m.TraceStep(i, point, m.Verdict.ALLOW, m.NOT_APPLICABLE)
+    for i, point in enumerate(m.ENFORCEMENT_CHAIN)
+)
 
-def _build_context(s: Scenario, r: m.FlowRequest) -> FlowContext:
-    idx = s.index()
-    principal = idx.principals.get(r.principal)
-    if principal is None:
-        raise UnknownEntityError(f"principal {r.principal!r}")
+
+def _steps(
+    outcomes: Iterator[PointOutcome], first: int, stop: int
+) -> tuple[m.Decision, m.DecisionTrace]:
+    """The decision and steps ``first``..``stop - 1`` of the chain, pulling one
+    outcome per point; a deny ends the steps with the not-applicable steps of
+    every later point of the chain."""
+    steps = []
+    for i in range(first, stop):
+        outcome = next(outcomes)
+        if outcome.verdict is m.Verdict.DENY:
+            steps.append(m.TraceStep(i, m.ENFORCEMENT_CHAIN[i], outcome.verdict, outcome.rule, outcome.reason))
+            return m.deny(outcome.reason), tuple(steps) + _NOT_APPLICABLE_STEPS[i + 1:]
+        if outcome is _ALLOW_NA:
+            steps.append(_NOT_APPLICABLE_STEPS[i])
+        else:
+            steps.append(m.TraceStep(i, m.ENFORCEMENT_CHAIN[i], outcome.verdict, outcome.rule))
+    return m.ALLOW, tuple(steps)
+
+
+def _network_outcomes(s: Scenario, leg: NetworkLeg, idx: ScenarioIndex) -> Iterator[PointOutcome]:
+    """The outcome of each network point, computed as it is pulled."""
+    if leg.path is None:
+        yield PointOutcome(m.Verdict.DENY, m.DEFAULT_RULE, m.DenyReason.NO_ROUTE)
+        return
+    yield PointOutcome(m.Verdict.ALLOW, leg.path.describe())
+    yield from evaluate_firewall_chain(s, leg)
+    yield evaluate_gateways(leg, idx)
+
+
+def _principal_outcomes(s: Scenario, ctx: RequestContext) -> Iterator[PointOutcome]:
+    """The outcome of each principal point, computed as it is pulled."""
+    yield from evaluate_endpoint_pair(ctx)
+    yield from evaluate_perimeter_crossing(s, ctx)
+    authn, terminal = evaluate_authn(s, ctx)
+    yield authn
+    if ctx.leg.target_service is None:
+        yield _ALLOW_NA
+    else:
+        yield evaluate_rbac(s, ctx.leg.target_service, terminal, ctx.request.method)
+
+
+def _network_leg(s: Scenario, idx: ScenarioIndex, r: m.FlowRequest) -> NetworkLeg:
+    """The network leg of ``r``, with its network points evaluated."""
     if r.source not in idx.segments and r.source not in m.DISTINGUISHED_LOCI:
         raise UnknownEntityError(f"source locus {r.source!r}")
     target_service: m.ServiceSpec | None = None
@@ -396,9 +462,9 @@ def _build_context(s: Scenario, r: m.FlowRequest) -> FlowContext:
         dst_port = int(endpoint.address.split(":")[1])
     elif target_service is not None:
         dst_port = target_service.port
-    return FlowContext(
-        request=r,
-        principal=principal,
+    leg = NetworkLeg(
+        source=r.source,
+        payload_tags=r.payload_tags,
         path=path,
         target_service=target_service,
         endpoint=endpoint,
@@ -407,37 +473,29 @@ def _build_context(s: Scenario, r: m.FlowRequest) -> FlowContext:
         source_nets=source_nets,
         target_nets=idx.target_nets(target_service, endpoint) if target_service is not None else (),
         dst_port=dst_port,
-        index=idx,
     )
-
-
-def _point_outcomes(s: Scenario, ctx: FlowContext) -> Iterator[PointOutcome]:
-    """The outcome of each point in ``ENFORCEMENT_CHAIN`` order, computed as it
-    is pulled; a point is evaluated only if every earlier one allowed."""
-    if ctx.path is None:
-        yield PointOutcome(m.Verdict.DENY, m.DEFAULT_RULE, m.DenyReason.NO_ROUTE)
-        return
-    yield PointOutcome(m.Verdict.ALLOW, ctx.path.describe())
-    yield from evaluate_firewall_chain(s, ctx)
-    yield evaluate_gateways(ctx, ctx.index)
-    yield from evaluate_endpoint_pair(ctx)
-    yield from evaluate_perimeter_crossing(s, ctx)
-    authn, terminal = evaluate_authn(s, ctx)
-    yield authn
-    if ctx.target_service is None:
-        yield _ALLOW_NA
-    else:
-        yield evaluate_rbac(s, ctx.target_service, terminal, ctx.request.method)
+    decision, steps = _steps(_network_outcomes(s, leg, idx), 0, _PRINCIPAL_FROM)
+    return replace(leg, steps=steps, denied=None if decision.allowed else (decision, steps))
 
 
 def evaluate_flow(s: Scenario, r: m.FlowRequest) -> tuple[m.Decision, m.DecisionTrace]:
-    """Evaluate one request through every enforcement point, with full trace."""
-    outcomes = _point_outcomes(s, _build_context(s, r))
-    decision = m.ALLOW
-    steps = []
-    for i, point in enumerate(m.ENFORCEMENT_CHAIN):
-        outcome = next(outcomes) if decision.allowed else _ALLOW_NA
-        if outcome.verdict is m.Verdict.DENY:
-            decision = m.deny(outcome.reason)
-        steps.append(m.TraceStep(i, point, outcome.verdict, outcome.rule, outcome.reason))
-    return decision, tuple(steps)
+    """Evaluate one request through every enforcement point, with full trace.
+
+    The network leg comes from the index's memo, so only the principal points
+    run when another request has already crossed the same leg."""
+    idx = s.index()
+    principal = idx.principals.get(r.principal)
+    if principal is None:
+        raise UnknownEntityError(f"principal {r.principal!r}")
+    key = (r.source, r.target, r.source_address, r.payload_tags)
+    leg = idx.legs.get(key)
+    if leg is None:
+        leg = idx.legs[key] = _network_leg(s, idx, r)
+    if leg.denied is not None:
+        return leg.denied
+    decision, steps = _steps(
+        _principal_outcomes(s, RequestContext(r, principal, leg, idx)),
+        _PRINCIPAL_FROM,
+        len(m.ENFORCEMENT_CHAIN),
+    )
+    return decision, leg.steps + steps

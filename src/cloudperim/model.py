@@ -599,11 +599,15 @@ class Decision:
 ALLOW = Decision(Verdict.ALLOW)
 
 
+_DENIALS = {reason: Decision(Verdict.DENY, reason) for reason in DenyReason}
+
+
 def deny(reason: DenyReason) -> Decision:
-    return Decision(Verdict.DENY, reason)
+    """The one shared Decision that denies for ``reason``."""
+    return _DENIALS[reason]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceStep:
     index: int
     point: PointKind

@@ -27,6 +27,7 @@ from . import prefix
 from .errors import InvalidHierarchyError, ScenarioParseError, UnknownNodeError
 
 if TYPE_CHECKING:
+    from .engine import NetworkLeg
     from .route import RoutePath, Unreachable
 
 
@@ -158,6 +159,8 @@ class ScenarioIndex:
         self.route_trees: dict[tuple[str, bool], dict[str, m.ConnectivityEdge]] = {}
         self.credential_cache: dict[tuple[str, str, int], m.CredentialChain | None] = {}
         self.target_tags: dict[str, frozenset[str]] = {}
+        # (source, target, source address, payload tags) -> network leg
+        self.legs: dict[tuple[str, str, str | None, frozenset[str]], NetworkLeg] = {}
         self._networks: dict[str, prefix.Interval | None] = {}
         self._target_nets: dict[tuple[str, str | None], tuple[prefix.Interval, ...]] = {}
         self._memberships: dict[str, frozenset[str]] | None = None
@@ -373,8 +376,20 @@ def _read_ports(ctx: _Ctx, raw: Any, subject: str, default: Any) -> tuple[tuple[
     return tuple(ports)
 
 
-_TEXT = _Codec(lambda ctx, raw, subject, default: str(raw))  # names and references
-_TAG_TEXT = _Codec(lambda ctx, raw, subject, default: _scalar_str(raw))  # text compared with tags
+def _text(convert: Callable[[Any], str]) -> _Codec:
+    """Text from any scalar but a null, which is reported, not read as 'None'."""
+
+    def read(ctx: _Ctx, raw: Any, subject: str, default: Any) -> Any:
+        if raw is None:
+            ctx.err("BAD_VALUE", subject, "None is not text")
+            return default
+        return convert(raw)
+
+    return _Codec(read)
+
+
+_TEXT = _text(str)  # names and references
+_TAG_TEXT = _text(_scalar_str)  # text compared with tags
 _INT = _typed(_is_int, "an integer")
 _BOOL = _typed(lambda value: isinstance(value, bool), "true or false")
 _TEXTS = _Codec(lambda ctx, raw, subject, default: tuple(map(str, _expect_list(ctx, raw, subject))), list)
@@ -498,7 +513,6 @@ _GATEWAY_RULE = _Type(
 def _two_ends(ctx: _Ctx, subject: str, ends: tuple[str, ...]) -> tuple[str, ...]:
     if len(ends) != 2:
         ctx.err("BAD_VALUE", subject, f"ends must name exactly two loci, got {len(ends)}")
-        ends = (ends + ("?", "?"))[:2]
     return ends
 
 
@@ -676,7 +690,7 @@ def _read(ctx: _Ctx, t: _Type, d: dict, subject: str, default_id: str | None = N
     for f in t.order:
         raw = get(f.key, _ABSENT)
         default = f.default
-        if default is _REQUIRED and raw is _ABSENT:
+        if default is _REQUIRED and (raw is _ABSENT or raw is None):
             if default_id is None:
                 ctx.err("BAD_VALUE", subject, "missing id")
                 return None

@@ -17,7 +17,12 @@ from cloudperim.scenario import Scenario, validate_scenario
 METHODS = ["connect", "read", "write", "query", "admin"]
 
 
-def random_scenario(rng: random.Random) -> Scenario:
+def random_scenario(
+    rng: random.Random, *, with_edges: bool = False, with_trust_edges: bool = False
+) -> Scenario:
+    """A random scenario. ``with_edges`` and ``with_trust_edges`` guarantee at
+    least one connectivity edge and one trust edge. Left False, they draw
+    nothing from ``rng``."""
     nodes: list[m.ResourceNode] = [m.ResourceNode(id="org", kind=m.NodeKind.ORGANIZATION)]
     folders = []
     for i in range(rng.randint(0, 2)):
@@ -117,9 +122,19 @@ def random_scenario(rng: random.Random) -> Scenario:
                 )
             )
             eid += 1
+    if with_edges and not edges:
+        edges.append(
+            m.ConnectivityEdge(
+                id=f"e{eid}",
+                kind=m.EdgeKind.NAT_GATEWAY,
+                ends=(segments[0].id, m.INTERNET),
+                direction=m.EdgeDirection.OUTBOUND_ONLY,
+            )
+        )
 
     idps = [m.IdentityProvider(id="idp0", kind=m.IdpKind.CLOUD_NATIVE)]
-    for extra in range(rng.randint(0, 2)):
+    extra_idps = rng.randint(0, 2)
+    for extra in range(max(extra_idps, 1) if with_trust_edges else extra_idps):
         idps.append(
             m.IdentityProvider(
                 id=f"idp{extra + 1}",
@@ -160,6 +175,17 @@ def random_scenario(rng: random.Random) -> Scenario:
                 )
             )
             tid += 1
+    if with_trust_edges and not trust_edges:
+        # federate idp0 into another idp, mapping every principal
+        trust_edges.append(
+            m.TrustEdge(
+                id=f"t{tid}",
+                src="idp0",
+                dst=rng.choice(idps[1:]).id,
+                kind=rng.choice([m.TrustKind.WORKLOAD_FEDERATION, m.TrustKind.TWO_WAY_TRUST]),
+                mapping={p.id: rng.choice(principals).id for p in principals},
+            )
+        )
 
     assets = [
         m.DataAsset(

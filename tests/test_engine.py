@@ -10,7 +10,8 @@ import pytest
 from cloudperim import builtin_scenario, evaluate_flow, oracle_evaluate, parse_scenario, validate_scenario
 from cloudperim import model as m
 from cloudperim.engine import (
-    _build_context,
+    RequestContext,
+    _network_leg,
     evaluate_endpoint_pair,
     evaluate_firewall_chain,
     evaluate_rbac,
@@ -27,6 +28,12 @@ def flow(principal, source, target, method="connect", **kw):
 
 def verdicts(trace):
     return {step.point: (step.verdict, step.rule, step.reason) for step in trace}
+
+
+def request_context(s, r):
+    """What the principal points see of ``r``, its network leg built cold."""
+    idx = s.index()
+    return RequestContext(r, idx.principals[r.principal], _network_leg(s, idx, r), idx)
 
 
 # ---------------------------------------------------------------------------
@@ -224,14 +231,14 @@ def test_delegate_at_last_scope_falls_to_default():
     assert verdicts(trace)[m.PointKind.SEGMENT_FIREWALL][1] == m.DEFAULT_RULE
 
 
-def _naive_firewall(s, ctx):
+def _naive_firewall(s, leg):
     """Spec-order scan: org, folders root->leaf, segment; first non-delegate match."""
     from cloudperim.engine import _firewall_rule_matches, _scope_chain
 
     idx = s.index()
-    for kind, key in _scope_chain(s, ctx, idx):
+    for kind, key in _scope_chain(s, leg, idx):
         for rule in sorted((r for r in s.firewall_rules if r.scope == key), key=lambda r: r.priority):
-            if _firewall_rule_matches(rule, ctx):
+            if _firewall_rule_matches(rule, leg, idx):
                 if rule.action is m.RuleAction.DELEGATE:
                     break
                 return kind, rule
@@ -269,13 +276,18 @@ def test_firewall_chain_matches_naive_scan_on_random_rules(seed):
     for _ in range(30):
         r = random_request(rng, dense)
         try:
-            ctx = _build_context(dense, r)
+            leg = _network_leg(dense, dense.index(), r)
         except UnknownEntityError:
             continue
-        if ctx.path is None:
+        if leg.path is None:
             continue
-        hier, seg = evaluate_firewall_chain(dense, ctx)
-        kind, rule = _naive_firewall(dense, ctx)
+        hier, seg = evaluate_firewall_chain(dense, leg)
+        # the leg keeps the outcomes as its HIER_FIREWALL and SEGMENT_FIREWALL steps
+        assert [(st.verdict, st.rule) for st in leg.steps[1:3]] == [
+            (hier.verdict, hier.rule),
+            (seg.verdict, seg.rule),
+        ]
+        kind, rule = _naive_firewall(dense, leg)
         if rule is None:
             assert hier.rule == m.DEFAULT_RULE and seg.rule in (m.DEFAULT_RULE,)
         elif kind in ("organization", "folder"):
@@ -301,7 +313,7 @@ def _endpoint_ctx(consumer_action, producer_action):
         for a in s.attachments
     )
     mutated = dataclasses.replace(s, endpoints=endpoints, attachments=attachments)
-    return _build_context(mutated, flow("user:analyst", m.ONPREM, "sql-db", "query"))
+    return request_context(mutated, flow("user:analyst", m.ONPREM, "sql-db", "query"))
 
 
 @pytest.mark.parametrize(
@@ -325,7 +337,7 @@ def test_endpoint_pair_and_composition(consumer, producer, expect_allow, deny_re
 
 def test_empty_policies_default_allow():
     s = builtin_scenario("fig4-landing-point")
-    ctx = _build_context(s, flow("user:analyst", m.ONPREM, "sql-db", "query"))
+    ctx = request_context(s, flow("user:analyst", m.ONPREM, "sql-db", "query"))
     c, p = evaluate_endpoint_pair(ctx)
     assert c.verdict is m.Verdict.ALLOW and c.rule == m.DEFAULT_RULE
     assert p.verdict is m.Verdict.ALLOW and p.rule == m.DEFAULT_RULE

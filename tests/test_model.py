@@ -238,3 +238,10 @@ def test_equal_instances_hash_equal_and_mappings_compare_by_value(make):
     assert a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
     assert a != make({"k": "other"})
+
+
+def test_deny_returns_one_shared_decision_per_reason():
+    for reason in m.DenyReason:
+        assert m.deny(reason) is m.deny(reason)
+        assert m.deny(reason) == m.Decision(m.Verdict.DENY, reason)
+        assert not m.deny(reason).allowed

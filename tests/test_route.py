@@ -184,9 +184,8 @@ services:
 @pytest.mark.parametrize("seed", range(12))
 def test_removing_an_edge_never_adds_routable_pairs(seed):
     rng = random.Random(1000 + seed)
-    s = random_scenario(rng)
-    if not s.edges:
-        pytest.skip("no edges to remove")
+    s = random_scenario(rng, with_edges=True)
+    assert s.edges
     base = routable_pairs(s)
     victim = rng.choice(s.edges)
     smaller = dataclasses.replace(s, edges=tuple(e for e in s.edges if e.id != victim.id))

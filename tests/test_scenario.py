@@ -533,3 +533,61 @@ def test_duplicate_ids_in_a_scenario_built_in_code_are_reported():
     assert [(v.code, v.subject, v.message) for v in violations] == [
         ("DUP_ID", twin.id, "duplicate principal id")
     ]
+
+
+def test_null_text_field_is_a_bad_value():
+    gateway = MINIMAL + """  edges:
+    - id: gw
+      kind: gateway-appliance
+      ends: [net, INTERNET]
+      gateway_rules: [{id: g, from: ~, to: INTERNET}]
+"""
+    assert _issues(gateway) == [("BAD_VALUE", "networks.edges[0].gateway_rules[0]", "None is not text")]
+    # a reported null reads as the field's default, as if the key were absent
+    project = MINIMAL.replace("project: prj", "project: ~")
+    assert _issues(project) == [
+        ("BAD_VALUE", "networks.segments[0]", "None is not text"),
+        ("UNKNOWN_REF", "net", "unknown project ''"),
+    ]
+    condition = MINIMAL + "policies:\n  rbac:\n    - {id: b, principal: p, condition: {key: pii, value: ~}}\n"
+    assert ("BAD_VALUE", "policies.rbac[0]", "None is not text") in _issues(condition)
+
+
+def test_null_id_is_a_missing_id():
+    doc = MINIMAL + "assets:\n  - {id: ~, resource: prj}\n"
+    assert _issues(doc) == [("BAD_VALUE", "assets[0]", "missing id")]
+    # an entry with a generated id takes it, as if the id were absent
+    gateway = MINIMAL + """  edges:
+    - {id: gw, kind: gateway-appliance, ends: [net, INTERNET], gateway_rules: [{id: ~, to: INTERNET}]}
+"""
+    assert parse_scenario(gateway).edges[0].gateway_rules[0].id == "gw-r0"
+
+
+@pytest.mark.parametrize(
+    "ends,issues",
+    [
+        ("[net]", [("BAD_VALUE", "networks.edges[0]", "ends must name exactly two loci, got 1")]),
+        ("[]", [("BAD_VALUE", "networks.edges[0]", "ends must name exactly two loci, got 0")]),
+        (
+            "[net, INTERNET, ONPREM]",
+            [("BAD_VALUE", "networks.edges[0]", "ends must name exactly two loci, got 3")],
+        ),
+        (
+            "[ghost]",
+            [
+                ("BAD_VALUE", "networks.edges[0]", "ends must name exactly two loci, got 1"),
+                ("UNKNOWN_REF", "e", "unknown locus 'ghost'"),
+            ],
+        ),
+        (
+            "[net, INTERNET, ghost]",
+            [
+                ("BAD_VALUE", "networks.edges[0]", "ends must name exactly two loci, got 3"),
+                ("UNKNOWN_REF", "e", "unknown locus 'ghost'"),
+            ],
+        ),
+    ],
+)
+def test_wrong_number_of_edge_ends_reports_only_the_loci_named(ends, issues):
+    doc = MINIMAL + f"  edges:\n    - {{id: e, kind: peering, ends: {ends}}}\n"
+    assert _issues(doc) == issues
