@@ -724,11 +724,96 @@ def _read_nested(ctx: _Ctx, f: _F, raw: Any, subject: str, owner: dict) -> Any:
     return tuple(entries)
 
 
+# ---------------------------------------------------------------------------
+# YAML load
+#
+# PyYAML's pure-Python loader is the reference. libyaml, where PyYAML was
+# built with it, loads the same documents about five times faster, but it is
+# not a drop-in replacement, so it is used only inside a gate that a
+# differential corpus (tests/test_yaml_parity.py) backs.
+# ---------------------------------------------------------------------------
+
+_FAST_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else None
+
+# What SafeConstructor lets escape when a tagged scalar does not convert:
+# ``!!bool maybe`` raises KeyError and ``!!int ''`` IndexError (both
+# LookupErrors), ``!!int x`` ValueError and ``!!timestamp x`` AttributeError.
+_CONSTRUCT_ERRORS = (LookupError, ValueError, AttributeError)
+
+# libyaml composes nested collections by C recursion, and crashes the process
+# somewhere between 20,000 and 40,000 levels on an 8 MB stack; the reference
+# composes by Python recursion and runs out of it from about 490 levels. Its
+# parser keeps its own stack, so its event stream measures a document's
+# nesting depth safely, and libyaml composes only documents nested at most
+# this deep, where the reference never runs out.
+_FAST_LOAD_MAX_DEPTH = 100
+
+_NESTING_STEP = {
+    yaml.SequenceStartEvent: 1,
+    yaml.MappingStartEvent: 1,
+    yaml.SequenceEndEvent: -1,
+    yaml.MappingEndEvent: -1,
+}
+
+
+class _ScalarErrorLoader(yaml.SafeLoader):
+    """The reference loader, raising a located ConstructorError for a tagged
+    scalar that does not convert."""
+
+    def construct_object(self, node: yaml.Node, deep: bool = False) -> Any:
+        try:
+            return super().construct_object(node, deep)
+        except _CONSTRUCT_ERRORS:
+            tag = node.tag.replace("tag:yaml.org,2002:", "!!")
+            raise yaml.constructor.ConstructorError(
+                None, None, f"{node.value!r} is not a valid {tag}", node.start_mark
+            ) from None
+
+
+def _fast_loadable(document: str) -> bool:
+    """Whether libyaml loads ``document`` as the reference does; a YAMLError
+    if libyaml's parser rejects it.
+
+    libyaml accepts tabs as separators and ``?`` inside flow-context plain
+    scalars, where the reference rejects them, and reads a mid-document
+    byte-order mark differently, so it only sees ASCII documents with
+    neither, and none nested past ``_FAST_LOAD_MAX_DEPTH``.
+    """
+    if not (document.isascii() and "\t" not in document and "?" not in document):
+        return False
+    depth = 0
+    for event in yaml.parse(document, Loader=_FAST_LOADER):
+        depth += _NESTING_STEP.get(type(event), 0)
+        if depth > _FAST_LOAD_MAX_DEPTH:
+            return False
+    return True
+
+
+def _load(document: str) -> Any:
+    """The document's data, or a YAMLError worded by the reference loader.
+
+    A document libyaml rejects is loaded again by the reference, which then
+    words the error or accepts what libyaml does not (``%FOO`` directives).
+    """
+    if _FAST_LOADER is not None:
+        try:
+            if _fast_loadable(document):
+                return yaml.load(document, Loader=_FAST_LOADER)
+        except (yaml.YAMLError, *_CONSTRUCT_ERRORS):
+            pass
+    try:
+        return yaml.safe_load(document)
+    except _CONSTRUCT_ERRORS:
+        return yaml.load(document, Loader=_ScalarErrorLoader)  # raises at the scalar
+    except RecursionError:
+        raise yaml.YAMLError("nested too deeply to load") from None
+
+
 def parse_scenario(document: str) -> Scenario:
     """Parse a scenario document, raising ScenarioParseError with every issue found."""
     ctx = _Ctx()
     try:
-        raw = yaml.safe_load(document)
+        raw = _load(document)
     except yaml.YAMLError as e:
         loc = None
         mark = getattr(e, "problem_mark", None)

@@ -79,6 +79,24 @@ def test_parse_errors_exit_two(tmp_path, capsys):
     assert "UNKNOWN_REF" in err
 
 
+def test_tagged_scalar_that_does_not_construct_exits_two(tmp_path, capsys):
+    doc = tmp_path / "tagged.yaml"
+    doc.write_text("name: !!bool maybe\n")
+    code, out, err = run(capsys, "validate", "--scenario", str(doc))
+    assert code == EXIT_BAD_INPUT
+    assert out == ""
+    assert err == "error: SYNTAX: document: 'maybe' is not a valid !!bool (line 1, column 7)\n"
+
+
+def test_document_nested_too_deeply_exits_two(tmp_path, capsys):
+    doc = tmp_path / "deep.yaml"
+    doc.write_text("name: x\nhierarchy: " + "[" * 3000 + "]" * 3000 + "\n")
+    code, out, err = run(capsys, "validate", "--scenario", str(doc))
+    assert code == EXIT_BAD_INPUT
+    assert out == ""
+    assert err == "error: SYNTAX: document: nested too deeply to load\n"
+
+
 def test_matrix_human_and_records(capsys):
     code, out, _ = run(capsys, "matrix", "--scenario", "fig10-zero-trust")
     assert code == EXIT_OK and "svc-a.read" in out

@@ -14,8 +14,9 @@ from cloudperim import (
     validate_scenario,
 )
 from cloudperim import model as m
+from cloudperim import scenario as scenario_module
 from cloudperim.errors import ScenarioParseError, UnknownTemplateError
-from cloudperim.scenario import Scenario
+from cloudperim.scenario import ParseIssue, Scenario
 
 MINIMAL = """
 name: minimal
@@ -591,3 +592,30 @@ def test_null_id_is_a_missing_id():
 def test_wrong_number_of_edge_ends_reports_only_the_loci_named(ends, issues):
     doc = MINIMAL + f"  edges:\n    - {{id: e, kind: peering, ends: {ends}}}\n"
     assert _issues(doc) == issues
+
+
+# ---------------------------------------------------------------------------
+# A tagged scalar that does not convert is a SYNTAX issue at the scalar
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("loader", ["libyaml", "pure-python"])
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ("!!bool maybe", "'maybe' is not a valid !!bool"),
+        ("!!int x", "'x' is not a valid !!int"),
+        ("!!int ''", "'' is not a valid !!int"),
+        ("!!float -", "'-' is not a valid !!float"),
+        ("!!float x", "'x' is not a valid !!float"),
+        ("!!timestamp 2001-13-45", "'2001-13-45' is not a valid !!timestamp"),
+        ("!!timestamp x", "'x' is not a valid !!timestamp"),
+    ],
+)
+def test_tagged_scalar_that_does_not_construct_is_a_syntax_issue(monkeypatch, loader, value, message):
+    if loader == "pure-python":
+        monkeypatch.setattr(scenario_module, "_FAST_LOADER", None)
+    doc = MINIMAL + f"assets:\n  - {{id: a, resource: prj, tags: [{value}]}}\n"
+    with pytest.raises(ScenarioParseError) as exc:
+        parse_scenario(doc)
+    assert exc.value.issues == [ParseIssue("SYNTAX", "document", message, "line 10, column 35")]
