@@ -90,9 +90,6 @@ class ReachabilityMatrix:
     columns: tuple[tuple[str, str], ...]         # (target, method)
     cells: dict[tuple[tuple[str, str], tuple[str, str]], m.Decision]
 
-    def decision(self, principal: str, locus: str, target: str, method: str) -> m.Decision:
-        return self.cells[((principal, locus), (target, method))]
-
     def render_text(self) -> str:
         col_labels = [f"{svc}.{meth}" for svc, meth in self.columns]
         row_labels = [f"{p}@{l}" for p, l in self.rows]

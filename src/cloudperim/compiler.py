@@ -63,9 +63,6 @@ class EquivalenceReport:
     def equivalent(self) -> bool:
         return not self.divergences
 
-    def unexpected(self) -> tuple[Divergence, ...]:
-        return tuple(d for d in self.divergences if d.expected_class == "UNEXPECTED")
-
 
 def _perimeter(s: Scenario, perimeter_id: str) -> m.AbstractPerimeter:
     p = s.index().perimeters.get(perimeter_id)

@@ -70,31 +70,31 @@ class RequestContext:
 # ---------------------------------------------------------------------------
 
 
-def _src_token_matches(token: str, leg: NetworkLeg, idx: ScenarioIndex) -> bool:
+def _src_token_matches(token: str, leg: NetworkLeg) -> bool:
     """A CIDR token matches the source address or any CIDR of the source segment."""
     if token == m.ANY:
         return True
     if token in m.DISTINGUISHED_LOCI:
         return leg.source == token
-    return prefix.meets_any(idx.network(token), leg.source_nets)
+    return prefix.meets_any(prefix.network(token), leg.source_nets)
 
 
-def _dst_token_matches(token: str, leg: NetworkLeg, idx: ScenarioIndex) -> bool:
+def _dst_token_matches(token: str, leg: NetworkLeg) -> bool:
     """A CIDR token matches a target host address or any CIDR of the target's segment."""
     if token == m.ANY:
         return True
     if token == m.INTERNET:
         return leg.target_service is None
     # flows never target ONPREM
-    return token != m.ONPREM and prefix.meets_any(idx.network(token), leg.target_nets)
+    return token != m.ONPREM and prefix.meets_any(prefix.network(token), leg.target_nets)
 
 
-def _firewall_rule_matches(rule: m.FirewallRule, leg: NetworkLeg, idx: ScenarioIndex) -> bool:
+def _firewall_rule_matches(rule: m.FirewallRule, leg: NetworkLeg) -> bool:
     if rule.protocol not in ("any", FLOW_PROTOCOL):
         return False
-    if not any(_src_token_matches(t, leg, idx) for t in rule.src):
+    if not any(_src_token_matches(t, leg) for t in rule.src):
         return False
-    if not any(_dst_token_matches(t, leg, idx) for t in rule.dst):
+    if not any(_dst_token_matches(t, leg) for t in rule.dst):
         return False
     if rule.ports:
         if leg.dst_port is None:
@@ -107,7 +107,7 @@ def _firewall_rule_matches(rule: m.FirewallRule, leg: NetworkLeg, idx: ScenarioI
 def _predicate_matches(p: m.AccessPredicate, ctx: RequestContext) -> bool:
     if p.identities and not any(ctx.principal.matches_identity(t) for t in p.identities):
         return False
-    if p.cidrs and not any(_src_token_matches(t, ctx.leg, ctx.index) for t in p.cidrs):
+    if p.cidrs and not any(_src_token_matches(t, ctx.leg) for t in p.cidrs):
         return False
     if p.methods and not any(m.method_matches(t, ctx.request.method) for t in p.methods):
         return False
@@ -120,7 +120,7 @@ def _perimeter_rule_matches(rule: m.PerimeterRule, ctx: RequestContext) -> bool:
     for k, v in rule.device.items():
         if ctx.principal.device.get(k) != v:
             return False
-    if rule.networks and not any(_src_token_matches(t, ctx.leg, ctx.index) for t in rule.networks):
+    if rule.networks and not any(_src_token_matches(t, ctx.leg) for t in rule.networks):
         return False
     if rule.targets:
         svc = ctx.leg.target_service
@@ -222,7 +222,7 @@ def _terminal_rule(
     """(scope kind, rule) of the first matching non-delegate rule, scope by scope."""
     for scope_kind, scope_key in _scope_chain(s, leg, idx):
         for rule in idx.firewall_rules_by_scope.get(scope_key, ()):
-            if _firewall_rule_matches(rule, leg, idx):
+            if _firewall_rule_matches(rule, leg):
                 if rule.action is not m.RuleAction.DELEGATE:
                     return scope_kind, rule
                 break  # hand over to the next scope
@@ -457,11 +457,13 @@ def _network_leg(s: Scenario, idx: ScenarioIndex, r: m.FlowRequest) -> NetworkLe
         source_nets = idx.segment_nets.get(r.source, ())
         if address is not None:
             source_nets = (address,) + source_nets
+    target_nets: tuple[prefix.Interval, ...] = ()
     dst_port = None
-    if endpoint is not None and endpoint.address and ":" in endpoint.address:
-        dst_port = int(endpoint.address.split(":")[1])
-    elif target_service is not None:
-        dst_port = target_service.port
+    if target_service is not None:
+        # the endpoint's address, then the service's: both hosts, the first port named
+        addresses = [a for a in (endpoint and endpoint.address, target_service.address) if a]
+        target_nets = tuple(filter(None, map(prefix.host, addresses))) + idx.segment_nets.get(target_service.segment, ())
+        dst_port = next((hp[1] for hp in map(prefix.host_port, addresses) if hp and hp[1] is not None), None)
     leg = NetworkLeg(
         source=r.source,
         payload_tags=r.payload_tags,
@@ -471,7 +473,7 @@ def _network_leg(s: Scenario, idx: ScenarioIndex, r: m.FlowRequest) -> NetworkLe
         attachment=attachment,
         source_segment=idx.segments.get(r.source),
         source_nets=source_nets,
-        target_nets=idx.target_nets(target_service, endpoint) if target_service is not None else (),
+        target_nets=target_nets,
         dst_port=dst_port,
     )
     decision, steps = _steps(_network_outcomes(s, leg, idx), 0, _PRINCIPAL_FROM)

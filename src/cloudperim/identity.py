@@ -58,21 +58,18 @@ def federate(
     return m.CredentialChain(steps=chain.steps + (step,))
 
 
-def resolve_credential(
-    s: Scenario, principal: str, target_idp: str, bound: int | None = None
-) -> m.CredentialChain | None:
+def resolve_credential(s: Scenario, principal: str, target_idp: str) -> m.CredentialChain | None:
     """Shortest trust path from the principal's home idp to ``target_idp``.
 
-    Returns None when no chain exists within the bound (no trust path).
+    Returns None when no chain exists within the scenario's chain bound.
     """
     idx = s.index()
     if principal not in idx.principals:
         raise UnknownPrincipalError(principal)
     if target_idp not in idx.idps:
         raise UnknownIdpError(target_idp)
-    bound = bound if bound is not None else s.chain_bound
     cache = idx.credential_cache
-    key = (principal, target_idp, bound)
+    key = (principal, target_idp)
     if key in cache:
         return cache[key]
 
@@ -90,7 +87,7 @@ def resolve_credential(
             if chain.terminal_idp == target_idp:
                 result = chain
                 break
-            if length + 1 > bound:
+            if length + 1 > s.chain_bound:
                 continue
             for edge, nxt_idp, mapping in _traversals(s, chain.terminal_idp):
                 mapped = mapping.get(chain.terminal_principal)

@@ -343,14 +343,12 @@ def lint(s: Scenario, perimeter_threshold: int = DEFAULT_PERIMETER_THRESHOLD) ->
                 )
             )
 
-    # ZT_NO_RBAC: zero-trust service no binding ever grants
+    # ZT_NO_RBAC: zero-trust service no binding ever grants (a permission
+    # names one service; RBAC reads no wildcard service)
     for svc in sorted(s.services, key=lambda x: x.id):
         if svc.auth_mode is not m.AuthMode.ZERO_TRUST:
             continue
-        bound = any(
-            perm.service in (svc.id, m.ANY) for b in s.bindings for perm in b.role
-        )
-        if not bound:
+        if svc.id not in idx.bindings_for_service:
             findings.append(
                 _finding(
                     "ZT_NO_RBAC",

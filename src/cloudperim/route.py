@@ -5,7 +5,7 @@ Paths are shortest by hop count with lexicographic edge-id tie-break, so
 resolution is deterministic for a fixed scenario. One breadth-first search
 per source (two when the source also asks for INTERNET) yields a shortest-path
 tree over the index's per-locus adjacency; every path from that source is read
-off the tree, and trees and resolved paths are memoised in the scenario index.
+off the tree, and the trees are memoised in the scenario index.
 
 Non-routable segments are origins or destinations, never transit: a path
 may leave one only when it is the flow's source, and may enter one only
@@ -174,16 +174,6 @@ def resolve_path(s: Scenario, source: str, target: str) -> RoutePath | Unreachab
     idx = s.index()
     if source not in idx.segments and source not in m.DISTINGUISHED_LOCI:
         raise UnknownLocusError(source)
-    cache = idx.path_cache
-    if (source, target) in cache:
-        return cache[(source, target)]
-    result = _resolve_uncached(s, source, target)
-    cache[(source, target)] = result
-    return result
-
-
-def _resolve_uncached(s: Scenario, source: str, target: str) -> RoutePath | Unreachable:
-    idx = s.index()
     if target == m.INTERNET:
         hops = _locus_path(s, source, m.INTERNET)
         return RoutePath(tuple(hops)) if hops is not None else Unreachable(UnreachableReason.NO_PATH)
@@ -217,7 +207,7 @@ def _resolve_uncached(s: Scenario, source: str, target: str) -> RoutePath | Unre
         return RoutePath(tuple(lead + [traversal]))
 
     # bare address target
-    host = prefix.address(target.split(":")[0])
+    host = prefix.host(target)
     holder = next(
         (seg for seg in s.segments if prefix.meets_any(host, idx.segment_nets[seg.id])), None
     )

@@ -28,7 +28,6 @@ from .errors import InvalidHierarchyError, ScenarioParseError, UnknownNodeError
 
 if TYPE_CHECKING:
     from .engine import NetworkLeg
-    from .route import RoutePath, Unreachable
 
 
 @dataclass(frozen=True)
@@ -94,14 +93,6 @@ class Scenario:
             object.__setattr__(self, "_index", ScenarioIndex(self))
         return self._index
 
-    def entity_count(self) -> int:
-        return sum(
-            len(getattr(self, f.name))
-            for f in fields(self)
-            if f.name
-            not in ("name", "description", "chain_bound", "firewall_rules", "bindings", "constraints", "_index")
-        )
-
 
 class ScenarioIndex:
     """Facts derived once per scenario, and the memos of queries over it.
@@ -155,14 +146,11 @@ class ScenarioIndex:
             self.segment_nets[seg.id] = nets
             self.source_nets[seg.id] = nets if canonical is None else (canonical,) + nets
         # memos of route, identity and engine queries
-        self.path_cache: dict[tuple[str, str], RoutePath | Unreachable] = {}
         self.route_trees: dict[tuple[str, bool], dict[str, m.ConnectivityEdge]] = {}
-        self.credential_cache: dict[tuple[str, str, int], m.CredentialChain | None] = {}
+        self.credential_cache: dict[tuple[str, str], m.CredentialChain | None] = {}
         self.target_tags: dict[str, frozenset[str]] = {}
         # (source, target, source address, payload tags) -> network leg
         self.legs: dict[tuple[str, str, str | None, frozenset[str]], NetworkLeg] = {}
-        self._networks: dict[str, prefix.Interval | None] = {}
-        self._target_nets: dict[tuple[str, str | None], tuple[prefix.Interval, ...]] = {}
         self._memberships: dict[str, frozenset[str]] | None = None
         self._data_plane_perimeter: dict[str, m.AbstractPerimeter] | None = None
 
@@ -187,27 +175,6 @@ class ScenarioIndex:
                     by_project.setdefault(prj, p)
             self._data_plane_perimeter = by_project
         return self._data_plane_perimeter.get(project)
-
-    def network(self, token: str) -> prefix.Interval | None:
-        """A rule's CIDR token as an interval, parsed once per scenario."""
-        try:
-            return self._networks[token]
-        except KeyError:
-            net = self._networks[token] = prefix.network(token)
-            return net
-
-    def target_nets(
-        self, svc: m.ServiceSpec, endpoint: m.ConsumerEndpoint | None
-    ) -> tuple[prefix.Interval, ...]:
-        """The endpoint's and the service's host addresses and the service segment's CIDRs."""
-        key = (svc.id, endpoint.id if endpoint is not None else None)
-        nets = self._target_nets.get(key)
-        if nets is None:
-            hosts = (endpoint.address if endpoint is not None else None, svc.address)
-            points = (prefix.address(h.split(":", 1)[0]) for h in hosts if h is not None)
-            nets = tuple(p for p in points if p is not None) + self.segment_nets.get(svc.segment, ())
-            self._target_nets[key] = nets
-        return nets
 
 
 def _locus_adjacency(
@@ -345,13 +312,16 @@ def _read_tags(ctx: _Ctx, raw: Any, subject: str, default: Any) -> frozenset[str
     return frozenset(tags)
 
 
-def _read_tokens(ctx: _Ctx, raw: Any, subject: str, default: Any) -> tuple[str, ...]:
+def _cidr_tokens(ctx: _Ctx, subject: str, tokens: tuple[str, ...]) -> tuple[str, ...]:
     """CIDRs plus the ONPREM/INTERNET/* tokens used in match positions."""
-    tokens = tuple(map(str, _expect_list(ctx, raw, subject)))
     for tok in tokens:
         if tok not in (m.ONPREM, m.INTERNET, m.ANY) and prefix.network(tok) is None:
             ctx.err("BAD_VALUE", subject, f"{tok!r} is not a CIDR or ONPREM/INTERNET/*")
-    return tokens or default
+    return tokens
+
+
+def _read_tokens(ctx: _Ctx, raw: Any, subject: str, default: Any) -> tuple[str, ...]:
+    return _cidr_tokens(ctx, subject, tuple(map(str, _expect_list(ctx, raw, subject)))) or default
 
 
 def _read_address(ctx: _Ctx, raw: Any, subject: str, default: Any) -> str:
@@ -377,11 +347,11 @@ def _read_ports(ctx: _Ctx, raw: Any, subject: str, default: Any) -> tuple[tuple[
 
 
 def _text(convert: Callable[[Any], str]) -> _Codec:
-    """Text from any scalar but a null, which is reported, not read as 'None'."""
+    """Text from any scalar; a null, list or mapping is reported, not read as its ``str()``."""
 
     def read(ctx: _Ctx, raw: Any, subject: str, default: Any) -> Any:
-        if raw is None:
-            ctx.err("BAD_VALUE", subject, "None is not text")
+        if raw is None or isinstance(raw, (list, dict)):
+            ctx.err("BAD_VALUE", subject, f"{raw!r} is not text")
             return default
         return convert(raw)
 
@@ -684,7 +654,7 @@ def _read(ctx: _Ctx, t: _Type, d: dict, subject: str, default_id: str | None = N
           get: Callable[[str, Any], Any] | None = None) -> Any:
     """The entity of type ``t`` from its mapping ``d`` (its fields looked up
     by ``get``, ``d.get`` unless given); None, once reported, if it has no id
-    and none is given."""
+    that is text and none is given."""
     get = get or d.get
     values: dict[str, Any] = {}
     for f in t.order:
@@ -703,6 +673,8 @@ def _read(ctx: _Ctx, t: _Type, d: dict, subject: str, default_id: str | None = N
             value = f.codec.read(ctx, raw, subject, default)
         else:
             value = _read_nested(ctx, f, raw, subject, values)
+        if value is _REQUIRED:
+            return None  # an id that is not text, reported by its codec
         values[f.attr] = value if f.check is None else f.check(ctx, subject, value)
     return t.model(**values)
 
@@ -956,10 +928,22 @@ def _integrity_problems(s: Scenario) -> list[tuple[str, str, str]]:
 def validate_scenario(s: Scenario) -> list[Violation]:
     """Structural invariant check; empty list iff the scenario is well formed.
 
-    Duplicate ids and references to nothing come first, found as the parser
-    finds them, so a scenario built in code is held to the same rules.
+    The parser's own checks of scopes, CIDR tokens and edge ends come first,
+    then duplicate ids and references to nothing, found as the parser finds
+    them, so a scenario built in code is held to the same rules.
     """
-    out = [Violation(*problem) for problem in _integrity_problems(s)]
+    ctx = _Ctx()
+    for e in s.edges:
+        _two_ends(ctx, e.id, e.ends)
+    for fw in s.firewall_rules:
+        _scope_shape(ctx, fw.id, fw.scope)
+        _cidr_tokens(ctx, fw.id, fw.src + fw.dst)
+    for predicate in (p for holder in (*s.endpoints, *s.attachments) for p in holder.policy):
+        _cidr_tokens(ctx, predicate.id, predicate.cidrs)
+    for rule in (r for perimeter in s.perimeters for r in perimeter.ingress + perimeter.egress):
+        _cidr_tokens(ctx, rule.id, rule.networks)
+    out = [Violation(issue.code, issue.subject, issue.message) for issue in ctx]
+    out.extend(Violation(*problem) for problem in _integrity_problems(s))
     nodes = {n.id: n for n in s.nodes}
 
     orgs = [n for n in s.nodes if n.kind is m.NodeKind.ORGANIZATION]

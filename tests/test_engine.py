@@ -238,7 +238,7 @@ def _naive_firewall(s, leg):
     idx = s.index()
     for kind, key in _scope_chain(s, leg, idx):
         for rule in sorted((r for r in s.firewall_rules if r.scope == key), key=lambda r: r.priority):
-            if _firewall_rule_matches(rule, leg, idx):
+            if _firewall_rule_matches(rule, leg):
                 if rule.action is m.RuleAction.DELEGATE:
                     break
                 return kind, rule

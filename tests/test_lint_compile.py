@@ -347,6 +347,28 @@ def test_zt_no_rbac():
         constraints=admission,
     )
     assert "ZT_NO_RBAC" not in codes(lint(bound))
+    # RBAC matches a permission's service exactly, so a wildcard grants nothing
+    wildcard = _zt_base(
+        bindings=(m.RBACBinding(id="rb", principal="x", role=(m.Permission(service=m.ANY),)),),
+        constraints=admission,
+    )
+    assert "ZT_NO_RBAC" in codes(lint(wildcard))
+
+
+def test_zt_no_rbac_agrees_with_rbac_on_a_wildcard_service():
+    from cloudperim import evaluate_flow
+    from cloudperim.analysis import default_request_space
+
+    s = builtin_scenario("fig10-zero-trust")
+    wildcard = m.RBACBinding(id="rb-any", principal="sa:d", role=(m.Permission(service=m.ANY, method=m.ANY),))
+    s = dataclasses.replace(
+        s, bindings=tuple(b for b in s.bindings if all(p.service != "svc-a" for p in b.role)) + (wildcard,)
+    )
+    assert validate_scenario(s) == []
+    requests = default_request_space(s, targets=["svc-a"])
+    decisions = [evaluate_flow(s, r)[0] for r in requests]
+    assert requests and not any(d.allowed for d in decisions)
+    assert {f.subject for f in lint(s) if f.code == "ZT_NO_RBAC"} == {"svc-a"}
 
 
 def test_zt_no_admission():

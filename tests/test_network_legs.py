@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cloudperim import TEMPLATE_NAMES, builtin_scenario, engine, evaluate_flow, parse_scenario
+from cloudperim import TEMPLATE_NAMES, builtin_scenario, engine, evaluate_flow, parse_scenario, validate_scenario
 from cloudperim import model as m
+from cloudperim import prefix
 from cloudperim.analysis import (
     default_request_space,
     flow_targets,
@@ -243,3 +244,19 @@ def test_unknown_principal_is_reported_before_the_leg_warm_or_cold():
         evaluate_flow(s, m.FlowRequest("ghost", "green", "yellow-pay"))
     with pytest.raises(UnknownEntityError, match="source"):
         evaluate_flow(s, m.FlowRequest("sa:green-a", "nowhere", "nothing"))
+
+
+@pytest.mark.parametrize(
+    "address, port, violations",
+    [("10.2.9.9:8443", 8443, []), ("10.2.9.9", None, []), ("10.2.9.9:http", None, ["ENDPOINT_ADDR"])],
+)
+def test_leg_reads_the_target_host_and_port_once(address, port, violations):
+    """The endpoint's host meets dst rules and its port is the flow's. A port
+    the parser rejects (so does ``validate_scenario``) names no port; the host
+    is still read."""
+    s = builtin_scenario("fig1-lift-shift")
+    s = dataclasses.replace(s, endpoints=(dataclasses.replace(s.endpoints[0], address=address),))
+    assert [v.code for v in validate_scenario(s)] == violations
+    r = m.FlowRequest(principal="sa:yellow-pay", source="yellow", target="ep-store", method="read")
+    leg = engine._network_leg(s, s.index(), r)
+    assert leg.target_nets[0] == prefix.address("10.2.9.9") and leg.dst_port == port

@@ -5,10 +5,16 @@ import ipaddress
 from itertools import combinations
 from pathlib import Path
 
+import dataclasses
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cloudperim import TEMPLATE_NAMES, builtin_scenario, parse_scenario, template_text, validate_scenario
 from cloudperim import prefix
+from cloudperim.analysis import default_request_space
+from cloudperim.engine import evaluate_flow
 
 _BITS = {4: 32, 6: 128}
 
@@ -153,3 +159,62 @@ def test_only_prefix_and_oracle_import_ipaddress():
             if any(n.split(".")[0] == "ipaddress" for n in names):
                 importers.add(path.name)
     assert importers == {"prefix.py", "oracle.py"}
+
+
+# ---------------------------------------------------------------------------
+# The parse memo
+# ---------------------------------------------------------------------------
+
+_A = (4, 1633837924, 1633837924)  # b"abcd" read as a packed v4 address
+# (value, network, address, host_port, first_host), as parsed without a memo;
+# an exception type is what the call raises
+_NOT_STR = [
+    (["10.0.0.1"], None, None, AttributeError, None),
+    ({"10.0.0.1": 1}, None, None, AttributeError, None),
+    (5, (4, 5, 5), (4, 5, 5), AttributeError, "0.0.0.5"),
+    (True, (4, 1, 1), (4, 1, 1), AttributeError, "0.0.0.1"),
+    (1.0, None, None, AttributeError, None),  # equal to True as a key, parsed apart
+    (b"abcd", _A, _A, TypeError, "97.98.99.100"),
+    (b"10.0.0.1", None, None, TypeError, None),
+    (None, None, None, AttributeError, None),
+]
+
+
+def _outcome(parse, value):
+    try:
+        return parse(value)
+    except Exception as e:  # noqa: BLE001 - the exception type is the outcome
+        return type(e)
+
+
+@pytest.mark.filterwarnings("ignore:__int__ returned non-int:DeprecationWarning")
+@pytest.mark.parametrize("value, expected", [(row[0], list(row[1:])) for row in _NOT_STR], ids=repr)
+def test_a_value_that_is_not_str_parses_as_without_a_memo(value, expected):
+    parsers = (prefix.network, prefix.address, prefix.host_port, prefix.first_host)
+    for _ in range(2):  # the second call would come from a memo if the first had filled it
+        assert [_outcome(parse, value) for parse in parsers] == expected
+
+
+def test_memo_stays_within_its_bound_under_a_stream_of_new_addresses():
+    for i in range(20_000):
+        text = str(ipaddress.IPv4Address(0x0A000000 + i))
+        assert prefix.address(text) == (4, 0x0A000000 + i, 0x0A000000 + i)
+        assert prefix.host_port(f"{text}:{i % 65536}") == (prefix.address(text), i % 65536)
+    info = prefix._memo.cache_info()
+    assert info.maxsize == prefix.MEMO_SIZE and info.currsize <= prefix.MEMO_SIZE
+
+
+def test_a_second_index_over_the_same_texts_parses_nothing_again():
+    def setup_and_query(name):
+        s = parse_scenario(template_text(name))
+        assert validate_scenario(s) == []
+        for r in default_request_space(s)[:400]:
+            evaluate_flow(s, r)
+        return s
+
+    first = {name: setup_and_query(name) for name in TEMPLATE_NAMES}
+    misses = prefix._memo.cache_info().misses
+    for name in TEMPLATE_NAMES:
+        setup_and_query(name)
+        dataclasses.replace(first[name]).index()
+    assert prefix._memo.cache_info().misses == misses

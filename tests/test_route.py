@@ -277,7 +277,7 @@ def _assert_search_matches_reference(s, monkeypatch):
     with monkeypatch.context() as patched:
         patched.setattr(route_mod, "_locus_path", _reference_locus_path)
         expected = {
-            (src, tgt): _resolve_or_error(route_mod._resolve_uncached, s, src, tgt)
+            (src, tgt): _resolve_or_error(resolve_path, s, src, tgt)
             for src in sources
             for tgt in targets
         }

@@ -8,6 +8,7 @@ import pytest
 from cloudperim import (
     TEMPLATE_NAMES,
     builtin_scenario,
+    evaluate_flow,
     parse_scenario,
     serialize_scenario,
     template_text,
@@ -32,7 +33,6 @@ networks:
 def test_parse_minimal_document():
     s = parse_scenario(MINIMAL)
     assert s.name == "minimal"
-    assert s.entity_count() == 3
     assert validate_scenario(s) == []
 
 
@@ -619,3 +619,82 @@ def test_tagged_scalar_that_does_not_construct_is_a_syntax_issue(monkeypatch, lo
     with pytest.raises(ScenarioParseError) as exc:
         parse_scenario(doc)
     assert exc.value.issues == [ParseIssue("SYNTAX", "document", message, "line 10, column 35")]
+
+
+# ---------------------------------------------------------------------------
+# A scenario built in code is held to the parser's value checks
+# ---------------------------------------------------------------------------
+
+
+def _fig1_with_block(**changes):
+    """fig1 plus an organization rule denying green's own traffic, changed by ``changes``."""
+    s = builtin_scenario("fig1-lift-shift")
+    block = m.FirewallRule(
+        id="fw-block", scope=m.ORG_SCOPE, priority=50, action=m.RuleAction.DENY, src=("10.1.0.0/16",), dst=(m.ANY,)
+    )
+    return dataclasses.replace(s, firewall_rules=(dataclasses.replace(block, **changes),) + s.firewall_rules)
+
+
+_GREEN_CONNECT = m.FlowRequest(principal="sa:green-a", source="green", target="green-app", method="connect")
+
+
+def test_firewall_rule_built_in_code_denies_as_parsed():
+    s = _fig1_with_block()
+    assert validate_scenario(s) == []
+    decision, _ = evaluate_flow(s, _GREEN_CONNECT)
+    assert decision.reason is m.DenyReason.HIER_FIREWALL
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"scope": "organisation"}, "scope 'organisation' must be organization, folder:<id> or segment:<id>"),
+        ({"scope": "folder-x:f"}, "scope 'folder-x:f' must be organization, folder:<id> or segment:<id>"),
+        ({"src": ("10.0.0.0/99",)}, "'10.0.0.0/99' is not a CIDR or ONPREM/INTERNET/*"),
+        ({"dst": ("green-app",)}, "'green-app' is not a CIDR or ONPREM/INTERNET/*"),
+    ],
+)
+def test_firewall_rule_value_the_parser_rejects_is_a_violation(changes, message):
+    # each of these makes the rule match nothing, so the request it denies would be allowed
+    violations = validate_scenario(_fig1_with_block(**changes))
+    assert [(v.code, v.subject, v.message) for v in violations] == [("BAD_VALUE", "fw-block", message)]
+
+
+def test_policy_and_perimeter_tokens_built_in_code_are_checked():
+    s = builtin_scenario("fig1-lift-shift")
+    ep = s.endpoints[0]
+    predicate = dataclasses.replace(ep.policy[0], cidrs=("10.2.0.0/16", "yellow"))
+    wide = m.AccessPredicate(id="p", action=m.RuleAction.ALLOW, cidrs=("*", "::/200"))
+    attachment = dataclasses.replace(s.attachments[0], policy=(wide,))
+    rule = m.PerimeterRule(id="in-0", networks=("ONPREM", "10.300.0.0/16"))
+    perimeter = dataclasses.replace(s.perimeters[0], ingress=(rule,))
+    mutated = dataclasses.replace(
+        s,
+        endpoints=(dataclasses.replace(ep, policy=(predicate,) + ep.policy[1:]),) + s.endpoints[1:],
+        attachments=(attachment,) + s.attachments[1:],
+        perimeters=(perimeter,) + s.perimeters[1:],
+    )
+    assert [(v.code, v.subject, v.message) for v in validate_scenario(mutated)] == [
+        ("BAD_VALUE", predicate.id, "'yellow' is not a CIDR or ONPREM/INTERNET/*"),
+        ("BAD_VALUE", "p", "'::/200' is not a CIDR or ONPREM/INTERNET/*"),
+        ("BAD_VALUE", "in-0", "'10.300.0.0/16' is not a CIDR or ONPREM/INTERNET/*"),
+    ]
+
+
+def test_edge_with_three_ends_built_in_code_is_a_violation():
+    s = builtin_scenario("fig1-lift-shift")
+    edge = dataclasses.replace(s.edges[-1], ends=("ONPREM", "yellow", "green"))
+    violations = validate_scenario(dataclasses.replace(s, edges=s.edges[:-1] + (edge,)))
+    assert [(v.code, v.subject, v.message) for v in violations] == [
+        ("BAD_VALUE", edge.id, "ends must name exactly two loci, got 3")
+    ]
+
+
+def test_list_or_mapping_in_a_text_field_is_a_bad_value():
+    assert _issues("name: [[a]]\n") == [("BAD_VALUE", "document", "[['a']] is not text")]
+    parent = MINIMAL.replace("parent: org", "parent: {x: 1}")
+    assert _issues(parent) == [("BAD_VALUE", "hierarchy[1]", "{'x': 1} is not text")]
+    # an id that is not text is reported once, and its entity skipped
+    assert _issues(MINIMAL + "assets:\n  - {id: [a], resource: nowhere}\n") == [
+        ("BAD_VALUE", "assets[0]", "['a'] is not text")
+    ]
