@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import model as m
-from .engine import evaluate_flow
+from .engine import decision_class, evaluate_flow
 from .errors import (
     IncompatibleRequestSpaceError,
     RequestSpaceTooLargeError,
@@ -79,6 +79,16 @@ def request_key(r: m.FlowRequest) -> tuple[str, str, str, str]:
     return (r.principal, r.source, r.target, r.method)
 
 
+def _decide(s: Scenario, r: m.FlowRequest) -> m.Decision:
+    """``r``'s decision, evaluated once per decision class of the scenario."""
+    memo = s.index().decisions
+    key = decision_class(s, r)
+    decision = memo.get(key)
+    if decision is None:
+        decision = memo[key] = evaluate_flow(s, r)[0]
+    return decision
+
+
 # ---------------------------------------------------------------------------
 # Reachability matrix
 # ---------------------------------------------------------------------------
@@ -115,18 +125,14 @@ def reachability_matrix(
 ) -> ReachabilityMatrix:
     """Evaluate the full (principal, locus) x (target, method) grid."""
     requests = default_request_space(s, principals, loci, targets, methods, cap)
-    rows: list[tuple[str, str]] = []
-    cols: list[tuple[str, str]] = []
+    rows: dict[tuple[str, str], None] = {}  # insertion-ordered sets
+    cols: dict[tuple[str, str], None] = {}
     cells = {}
     for r in requests:
         row = (r.principal, r.source)
         col = (r.target, r.method)
-        if row not in rows:
-            rows.append(row)
-        if col not in cols:
-            cols.append(col)
-        decision, _ = evaluate_flow(s, r)
-        cells[(row, col)] = decision
+        rows[row] = cols[col] = None
+        cells[(row, col)] = _decide(s, r)
     return ReachabilityMatrix(rows=tuple(rows), columns=tuple(cols), cells=cells)
 
 
@@ -196,8 +202,7 @@ def exfiltration_paths(
             for principal in sorted(held):
                 for method in methods:
                     r = m.FlowRequest(principal=principal, source=locus, target=target, method=method)
-                    decision, _ = evaluate_flow(s, r)
-                    if not decision.allowed:
+                    if not _decide(s, r).allowed:
                         continue
                     if target == m.INTERNET:
                         yield r, m.INTERNET, held
@@ -224,8 +229,7 @@ def exfiltration_paths(
             for locus in source_loci(s):
                 for method in read_methods:
                     r = m.FlowRequest(principal=principal, source=locus, target=svc.id, method=method)
-                    decision, _ = evaluate_flow(s, r)
-                    if decision.allowed:
+                    if _decide(s, r).allowed:
                         extend([r], [locus], frozenset({principal}))
 
     uniq = sorted(set(chains), key=lambda c: (len(c.flows), tuple(map(request_key, c.flows))))
@@ -283,8 +287,7 @@ def blast_radius(s: Scenario, workload: str, bound: int = DEFAULT_HOP_BOUND) -> 
                         r = m.FlowRequest(
                             principal=principal, source=locus, target=target, method=method
                         )
-                        decision, _ = evaluate_flow(s, r)
-                        if not decision.allowed:
+                        if not _decide(s, r).allowed:
                             continue
                         key = (target, method)
                         if key not in report.reached:

@@ -23,7 +23,7 @@ unmatched traversals; endpoint policies allow when empty.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator
 
 from . import identity as identity_mod
@@ -53,6 +53,9 @@ class NetworkLeg:
     dst_port: int | None
     steps: m.DecisionTrace = ()  # the network points' steps; the whole trace if one denies
     denied: tuple[m.Decision, m.DecisionTrace] | None = None  # the answer, if a network point denies
+    # the data-plane perimeters of both ends, set only on a leg no network point denies
+    src_perimeter: m.AbstractPerimeter | None = None
+    dst_perimeter: m.AbstractPerimeter | None = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -296,12 +299,7 @@ def evaluate_perimeter_crossing(
     Only perimeters bound to the data-plane-perimeter mechanism restrict
     crossings; flows wholly inside one perimeter pass unrestricted.
     """
-    idx, leg = ctx.index, ctx.leg
-    src_project = leg.source_segment.project if leg.source_segment else None
-    dst_project = leg.target_service.project if leg.target_service else None
-    src_perim = idx.data_plane_perimeter_of(src_project)
-    dst_perim = idx.data_plane_perimeter_of(dst_project)
-
+    src_perim, dst_perim = ctx.leg.src_perimeter, ctx.leg.dst_perimeter
     if src_perim is not None and dst_perim is not None and src_perim.id == dst_perim.id:
         intra = PointOutcome(m.Verdict.ALLOW, "intra-perimeter")
         return intra, intra
@@ -464,20 +462,29 @@ def _network_leg(s: Scenario, idx: ScenarioIndex, r: m.FlowRequest) -> NetworkLe
         addresses = [a for a in (endpoint and endpoint.address, target_service.address) if a]
         target_nets = tuple(filter(None, map(prefix.host, addresses))) + idx.segment_nets.get(target_service.segment, ())
         dst_port = next((hp[1] for hp in map(prefix.host_port, addresses) if hp and hp[1] is not None), None)
-    leg = NetworkLeg(
+    source_segment = idx.segments.get(r.source)
+    facts = dict(
         source=r.source,
         payload_tags=r.payload_tags,
         path=path,
         target_service=target_service,
         endpoint=endpoint,
         attachment=attachment,
-        source_segment=idx.segments.get(r.source),
+        source_segment=source_segment,
         source_nets=source_nets,
         target_nets=target_nets,
         dst_port=dst_port,
     )
-    decision, steps = _steps(_network_outcomes(s, leg, idx), 0, _PRINCIPAL_FROM)
-    return replace(leg, steps=steps, denied=None if decision.allowed else (decision, steps))
+    # the finished leg is built anew from the facts: cheaper than dataclasses.replace
+    decision, steps = _steps(_network_outcomes(s, NetworkLeg(**facts), idx), 0, _PRINCIPAL_FROM)
+    if not decision.allowed:
+        return NetworkLeg(**facts, steps=steps, denied=(decision, steps))
+    return NetworkLeg(
+        **facts,
+        steps=steps,
+        src_perimeter=idx.data_plane_perimeter_of(source_segment.project if source_segment else None),
+        dst_perimeter=idx.data_plane_perimeter_of(target_service.project if target_service else None),
+    )
 
 
 def evaluate_flow(s: Scenario, r: m.FlowRequest) -> tuple[m.Decision, m.DecisionTrace]:
@@ -501,3 +508,90 @@ def evaluate_flow(s: Scenario, r: m.FlowRequest) -> tuple[m.Decision, m.Decision
         len(m.ENFORCEMENT_CHAIN),
     )
     return decision, leg.steps + steps
+
+
+# ---------------------------------------------------------------------------
+# Decision classes
+# ---------------------------------------------------------------------------
+
+
+def decision_class(s: Scenario, r: m.FlowRequest) -> tuple:
+    """The key of ``r``'s decision class: requests with one key get one
+    ``Decision`` from ``evaluate_flow`` (their traces may differ).
+
+    A request whose leg a network point denies is keyed by the leg alone.
+    Otherwise the key holds the leg's context, the principal's class and the
+    method, and, for a presented chain, the principal and the chain. This is
+    the one place that lists what the principal points read of a request.
+    """
+    idx = s.index()
+    principal = idx.principals.get(r.principal)
+    if principal is None:
+        raise UnknownEntityError(f"principal {r.principal!r}")
+    key = (r.source, r.target, r.source_address, r.payload_tags)
+    found = idx.leg_contexts.get(key)
+    if found is None:
+        leg = idx.legs.get(key)
+        if leg is None:
+            leg = idx.legs[key] = _network_leg(s, idx, r)
+        found = idx.leg_contexts[key] = None if leg.denied is not None else _leg_context(leg)
+    if found is None:
+        return key
+    context, idp = found
+    cls = idx.principal_classes.get((principal.id, idp))
+    if cls is None:
+        cls = idx.principal_classes[(principal.id, idp)] = _principal_class(s, idx, principal, idp)
+    if r.presented_chain is None:
+        return context, cls, r.method
+    return context, cls, r.method, principal.id, r.presented_chain
+
+
+def _leg_context(leg: NetworkLeg) -> tuple[tuple, str | None]:
+    """What the principal points read of a leg that no network point denies,
+    and the idp of its target when that is zero-trust.
+
+    The context is the endpoint and target service ids, the source's
+    data-plane perimeter id, and which source tokens of the endpoint's and
+    attachment's predicates and of the crossed perimeters' rules match. The
+    endpoint fixes the attachment, and the service the target's perimeter.
+    """
+    svc, src, dst = leg.target_service, leg.src_perimeter, leg.dst_perimeter
+    tokens = {t for holder in (leg.endpoint, leg.attachment) if holder for p in holder.policy for t in p.cidrs}
+    if src is None or dst is None or src.id != dst.id:
+        for rule in (src.egress if src else ()) + (dst.ingress if dst else ()):
+            tokens.update(rule.networks)
+    context = (
+        leg.endpoint.id if leg.endpoint else None,
+        svc.id if svc else None,
+        src.id if src else None,
+        frozenset(t for t in tokens if _src_token_matches(t, leg)),
+    )
+    zero_trust = svc is not None and svc.auth_mode is m.AuthMode.ZERO_TRUST
+    return context, svc.idp if zero_trust else None
+
+
+def _principal_class(s: Scenario, idx: ScenarioIndex, principal: m.Principal, idp: str | None) -> tuple:
+    """What the principal points read of ``principal``: the policy identity
+    tokens it matches, its device values on the keys perimeter rules name, and,
+    toward a zero-trust ``idp``, its credential chain's edges and the tokens of
+    the principal the chain asserts (None for no chain)."""
+    if idx.policy_identities is None:
+        rules = [r for p in s.perimeters for r in p.ingress + p.egress]
+        predicates = [p for holder in (*s.endpoints, *s.attachments) for p in holder.policy]
+        idx.policy_identities = (
+            frozenset(b.principal for b in s.bindings).union(*(x.identities for x in rules + predicates)),
+            tuple(sorted({k for r in rules for k in r.device})),
+        )
+    identities, device_keys = idx.policy_identities
+
+    def tokens(p: m.Principal) -> frozenset[str]:
+        return frozenset(t for t in (m.ANY, p.id, *p.groups) if t in identities)
+
+    cls = (tokens(principal), tuple(principal.device.get(k) for k in device_keys))
+    if idp is None:
+        return cls
+    chain = identity_mod.resolve_credential(s, principal.id, idp) if idp in idx.idps else None
+    if chain is None:
+        return cls + (None,)
+    terminal = idx.principals.get(chain.terminal_principal, principal)
+    return cls + ((tuple(step.edge for step in chain.steps), tokens(terminal)),)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from functools import partial
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 import yaml
 
@@ -151,6 +151,15 @@ class ScenarioIndex:
         self.target_tags: dict[str, frozenset[str]] = {}
         # (source, target, source address, payload tags) -> network leg
         self.legs: dict[tuple[str, str, str | None, frozenset[str]], NetworkLeg] = {}
+        # the analyses' decisions per decision class (engine.decision_class),
+        # and the memos that class keys are built from: per leg key, its
+        # context and zero-trust idp (None when a network point denies it);
+        # per (principal, zero-trust idp), its class; the policy identity
+        # tokens and the device keys perimeter rules name
+        self.decisions: dict[tuple, m.Decision] = {}
+        self.leg_contexts: dict[tuple[str, str, str | None, frozenset[str]], tuple[tuple, str | None] | None] = {}
+        self.principal_classes: dict[tuple[str, str | None], tuple] = {}
+        self.policy_identities: tuple[frozenset[str], tuple[str, ...]] | None = None
         self._memberships: dict[str, frozenset[str]] | None = None
         self._data_plane_perimeter: dict[str, m.AbstractPerimeter] | None = None
 
@@ -304,14 +313,6 @@ def _read_text_map(ctx: _Ctx, raw: Any, subject: str, default: Any) -> dict[str,
     return {str(k): _scalar_str(v) for k, v in raw.items()}
 
 
-def _read_tags(ctx: _Ctx, raw: Any, subject: str, default: Any) -> frozenset[str]:
-    tags = tuple(map(_scalar_str, _expect_list(ctx, raw, subject)))
-    for tag in tags:
-        if ":" not in tag:
-            ctx.err("BAD_VALUE", subject, f"tag {tag!r} is not key:value")
-    return frozenset(tags)
-
-
 def _cidr_tokens(ctx: _Ctx, subject: str, tokens: tuple[str, ...]) -> tuple[str, ...]:
     """CIDRs plus the ONPREM/INTERNET/* tokens used in match positions."""
     for tok in tokens:
@@ -362,10 +363,40 @@ _TEXT = _text(str)  # names and references
 _TAG_TEXT = _text(_scalar_str)  # text compared with tags
 _INT = _typed(_is_int, "an integer")
 _BOOL = _typed(lambda value: isinstance(value, bool), "true or false")
-_TEXTS = _Codec(lambda ctx, raw, subject, default: tuple(map(str, _expect_list(ctx, raw, subject))), list)
-_TAG_TEXTS = _Codec(
-    lambda ctx, raw, subject, default: tuple(map(_scalar_str, _expect_list(ctx, raw, subject))), list
-)
+
+
+def _texts(convert: Callable[[Any], str]) -> Callable[[_Ctx, Any, str, Any], tuple[str, ...]]:
+    """A list of text from scalars; a list or mapping in it is reported and left out."""
+
+    def read(ctx: _Ctx, raw: Any, subject: str, default: Any) -> tuple[str, ...]:
+        items = []
+        for value in _expect_list(ctx, raw, subject):
+            if isinstance(value, (list, dict)):
+                ctx.err("BAD_VALUE", subject, f"{value!r} is not text")
+            else:
+                items.append(convert(value))
+        return tuple(items)
+
+    return read
+
+
+_read_tag_texts = _texts(_scalar_str)
+
+
+def _key_value_tags(ctx: _Ctx, subject: str, tags: Iterable[str]) -> None:
+    for tag in tags:
+        if ":" not in tag:
+            ctx.err("BAD_VALUE", subject, f"tag {tag!r} is not key:value")
+
+
+def _read_tags(ctx: _Ctx, raw: Any, subject: str, default: Any) -> frozenset[str]:
+    tags = _read_tag_texts(ctx, raw, subject, default)
+    _key_value_tags(ctx, subject, tags)
+    return frozenset(tags)
+
+
+_TEXTS = _Codec(_texts(str), list)
+_TAG_TEXTS = _Codec(_read_tag_texts, list)
 _TEXT_MAP = _Codec(_read_text_map, dict)
 _TAGS = _Codec(_read_tags, sorted)
 _TOKENS = _Codec(_read_tokens, list)
@@ -928,9 +959,10 @@ def _integrity_problems(s: Scenario) -> list[tuple[str, str, str]]:
 def validate_scenario(s: Scenario) -> list[Violation]:
     """Structural invariant check; empty list iff the scenario is well formed.
 
-    The parser's own checks of scopes, CIDR tokens and edge ends come first,
-    then duplicate ids and references to nothing, found as the parser finds
-    them, so a scenario built in code is held to the same rules.
+    The parser's own checks of scopes, CIDR tokens, edge ends, tags and
+    subnets come first, then duplicate ids and references to nothing, found
+    as the parser finds them, so a scenario built in code is held to the same
+    rules.
     """
     ctx = _Ctx()
     for e in s.edges:
@@ -942,6 +974,10 @@ def validate_scenario(s: Scenario) -> list[Violation]:
         _cidr_tokens(ctx, predicate.id, predicate.cidrs)
     for rule in (r for perimeter in s.perimeters for r in perimeter.ingress + perimeter.egress):
         _cidr_tokens(ctx, rule.id, rule.networks)
+    for tagged in (*s.nodes, *s.assets):
+        _key_value_tags(ctx, tagged.id, sorted(tagged.tags))
+    for seg in s.segments:
+        _subnet_cidrs(ctx, seg.id, seg.subnets)
     out = [Violation(issue.code, issue.subject, issue.message) for issue in ctx]
     out.extend(Violation(*problem) for problem in _integrity_problems(s))
     nodes = {n.id: n for n in s.nodes}

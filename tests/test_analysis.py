@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from cloudperim import (
+    TEMPLATE_NAMES,
     blast_radius,
     builtin_scenario,
     default_request_space,
@@ -18,9 +19,12 @@ from cloudperim import (
     method_universe,
     oracle_evaluate,
     reachability_matrix,
+    validate_scenario,
 )
+from cloudperim import analysis
 from cloudperim import model as m
 from cloudperim.analysis import source_loci
+from cloudperim.engine import decision_class
 from cloudperim.errors import (
     IncompatibleRequestSpaceError,
     RequestSpaceTooLargeError,
@@ -346,3 +350,139 @@ def test_oracle_error_parity(seed):
         evaluate_flow(s, bad)
     with pytest.raises(UnknownEntityError):
         oracle_evaluate(s, bad)
+
+
+# ---------------------------------------------------------------------------
+# Decision classes
+# ---------------------------------------------------------------------------
+
+
+def _fig1_with_twin_endpoint():
+    """fig1 plus a second endpoint of ``att-store`` whose policy reads the
+    same CIDR with the opposite actions."""
+    s = builtin_scenario("fig1-lift-shift")
+    ep = s.index().endpoints["ep-store"]
+    flipped = {m.RuleAction.ALLOW: m.RuleAction.DENY, m.RuleAction.DENY: m.RuleAction.ALLOW}
+    twin = dataclasses.replace(
+        ep,
+        id="ep-store-twin",
+        address="10.2.9.10",
+        policy=tuple(dataclasses.replace(p, id=f"{p.id}-twin", action=flipped[p.action]) for p in ep.policy),
+    )
+    return dataclasses.replace(s, endpoints=s.endpoints + (twin,))
+
+
+def _fig10_with_federated_twins():
+    """fig10 plus two principals of a second idp, alike but for the mesh
+    principal that one trust edge maps each to."""
+    s = builtin_scenario("fig10-zero-trust")
+    home = m.IdentityProvider(id="idp-home", kind=m.IdpKind.CLOUD_NATIVE)
+    twins = tuple(m.Principal(id=f"u{i}", kind=m.PrincipalKind.HUMAN, idp=home.id) for i in (1, 2))
+    edge = m.TrustEdge(
+        id="home-to-mesh", src=home.id, dst="idp-mesh", kind=m.TrustKind.ONE_WAY_TRUST,
+        mapping={"u1": "sa:a", "u2": "sa:d"},
+    )
+    return dataclasses.replace(
+        s, idps=s.idps + (home,), principals=s.principals + twins, trust_edges=s.trust_edges + (edge,)
+    )
+
+
+_TWINS = [_fig1_with_twin_endpoint(), _fig10_with_federated_twins()]
+
+
+def _analyses(s):
+    """The matrix, every blast radius at bounds 1-3 and every exfiltration
+    report at bounds 1-2 of ``s``, as comparable values."""
+    out = [("matrix", reachability_matrix(s))]
+    for svc in sorted(x.id for x in s.services):
+        for bound in (1, 2, 3):
+            out.append(("blast", svc, bound, blast_radius(s, svc, bound=bound).entries()))
+    tags = sorted({t for a in s.assets for t in a.tags})
+    for tag in tags:
+        for perimeter in sorted(p.id for p in s.perimeters):
+            for bound in (1, 2):
+                out.append(("exfil", tag, perimeter, bound, exfiltration_paths(s, tag, perimeter, bound=bound)))
+    return out
+
+
+@pytest.mark.parametrize(
+    "s",
+    [builtin_scenario(name) for name in TEMPLATE_NAMES]
+    + [random_scenario(random.Random(seed), with_edges=True, with_trust_edges=True) for seed in range(40)]
+    + _TWINS,
+    ids=lambda s: s.name,
+)
+def test_analyses_decided_per_class_equal_per_request(s, monkeypatch):
+    memoised = _analyses(dataclasses.replace(s))
+    monkeypatch.setattr(analysis, "_decide", lambda s, r: evaluate_flow(s, r)[0])
+    reference = _analyses(dataclasses.replace(s))
+    assert memoised == reference
+
+
+def test_each_class_and_each_denied_leg_is_evaluated_once(monkeypatch):
+    s = builtin_scenario("fig11-combined")
+    asked, evaluated = [], []
+    original_class, original_flow = analysis.decision_class, analysis.evaluate_flow
+
+    def ask(s, r):
+        asked.append(r)
+        return original_class(s, r)
+
+    def evaluate(s, r):
+        evaluated.append(r)
+        return original_flow(s, r)
+
+    monkeypatch.setattr(analysis, "decision_class", ask)
+    monkeypatch.setattr(analysis, "evaluate_flow", evaluate)
+    _analyses(s)
+    legs = s.index().legs
+
+    def leg_key(r):
+        return (r.source, r.target, r.source_address, r.payload_tags)
+
+    def denied(r):
+        return legs[leg_key(r)].denied is not None
+
+    keys = [decision_class(s, r) for r in evaluated]
+    assert len(keys) == len(set(keys)) == len({decision_class(s, r) for r in asked})
+    assert sorted(map(leg_key, filter(denied, evaluated))) == sorted({leg_key(r) for r in asked if denied(r)})
+    assert 5 * len(evaluated) < len(asked)
+
+
+@pytest.mark.parametrize(
+    "s",
+    _TWINS + [builtin_scenario(name) for name in TEMPLATE_NAMES],
+    ids=lambda s: s.name,
+)
+def test_requests_of_one_class_decide_alike(s):
+    """Every request of one decision class, endpoint targets, source addresses
+    and payload tags included, gets one decision from ``evaluate_flow``."""
+    idx = s.index()
+    targets = analysis.flow_targets(s) + sorted(idx.endpoints)
+    addresses = [None] + [f"{cidr.rsplit('.', 2)[0]}.7.7" for seg in s.segments for cidr in seg.cidrs[:1]]
+    tag_sets = [frozenset()] + [frozenset({t}) for t in sorted({t for a in s.assets for t in a.tags})]
+    requests = [
+        dataclasses.replace(r, source_address=address, payload_tags=tags)
+        for r in default_request_space(s, targets=targets)
+        for address, tags in itertools.product(addresses, tag_sets)
+    ]
+    decided: dict[tuple, set[m.Decision]] = {}
+    for r in requests:
+        decided.setdefault(decision_class(s, r), set()).add(evaluate_flow(s, r)[0])
+    assert all(len(decisions) == 1 for decisions in decided.values())
+    assert len(decided) < len(requests)
+
+
+def test_federated_twins_decide_apart():
+    s = _fig10_with_federated_twins()
+    assert validate_scenario(s) == []
+    reach = reachability_matrix(s, principals=["u1", "u2"], methods=["read"])
+    rows = {p: {col for (row, col), d in reach.cells.items() if row[0] == p and d.allowed} for p in ("u1", "u2")}
+    assert rows["u1"] and rows["u2"] and not rows["u1"] & rows["u2"]
+
+
+def test_twin_endpoints_decide_apart():
+    s = _fig1_with_twin_endpoint()
+    for target, allowed in (("ep-store", True), ("ep-store-twin", False)):
+        r = m.FlowRequest(principal="sa:yellow-pay", source="yellow", target=target, method="read")
+        assert evaluate_flow(s, r)[0].allowed is allowed

@@ -698,3 +698,45 @@ def test_list_or_mapping_in_a_text_field_is_a_bad_value():
     assert _issues(MINIMAL + "assets:\n  - {id: [a], resource: nowhere}\n") == [
         ("BAD_VALUE", "assets[0]", "['a'] is not text")
     ]
+
+
+@pytest.mark.parametrize(
+    "entry, subject",
+    [
+        ("identity:\n  idps:\n    - {id: i}\n  principals:\n    - {id: p, idp: i, groups: [ok, ITEM]}\n",
+         "identity.principals[0]"),
+        ("  edges:\n    - {id: e, kind: peering, ends: [net, ITEM]}\n", "networks.edges[0]"),
+        ("services:\n  specs:\n    - {id: s, segment: net, run_as: [ITEM]}\n", "services.specs[0]"),
+        ("perimeters:\n  - {id: pe, members: {projects: [prj, ITEM]}}\n", "perimeters[0]"),
+        ("perimeters:\n  - {id: pe, members: {projects: [prj], tags: [ITEM]}}\n", "perimeters[0]"),
+        ("assets:\n  - {id: a, resource: prj, tags: ['k:v', ITEM]}\n", "assets[0]"),
+    ],
+    ids=["groups", "ends", "run_as", "member-projects", "member-tags", "asset-tags"],
+)
+@pytest.mark.parametrize(
+    "item, text", [("[a, 'b:c']", "['a', 'b:c']"), ("{k: v}", "{'k': 'v'}")], ids=["list", "mapping"]
+)
+def test_list_or_mapping_in_a_list_of_text_is_a_bad_value(entry, subject, item, text):
+    issues = _issues(MINIMAL + entry.replace("ITEM", item))
+    assert ("BAD_VALUE", subject, f"{text} is not text") in issues
+    assert not any(text in message for _, _, message in issues if not message.endswith("is not text"))
+
+
+def test_tag_that_is_not_key_value_built_in_code_is_a_violation():
+    s = builtin_scenario("fig1-lift-shift")
+    asset = dataclasses.replace(s.assets[0], tags=frozenset({"pci"}))
+    node = dataclasses.replace(s.nodes[-1], tags=frozenset({"env:prod", "gold"}))
+    mutated = dataclasses.replace(s, nodes=s.nodes[:-1] + (node,), assets=(asset,) + s.assets[1:])
+    assert [(v.code, v.subject, v.message) for v in validate_scenario(mutated)] == [
+        ("BAD_VALUE", node.id, "tag 'gold' is not key:value"),
+        ("BAD_VALUE", asset.id, "tag 'pci' is not key:value"),
+    ]
+
+
+def test_bad_subnet_cidr_built_in_code_is_a_violation():
+    s = builtin_scenario("fig1-lift-shift")
+    segment = dataclasses.replace(s.segments[0], subnets={"web": "10.1.0.0/99"})
+    violations = validate_scenario(dataclasses.replace(s, segments=(segment,) + s.segments[1:]))
+    assert [(v.code, v.subject, v.message) for v in violations] == [
+        ("BAD_VALUE", segment.id, "bad subnet CIDR '10.1.0.0/99' for 'web'")
+    ]
