@@ -10,6 +10,8 @@ the defaults ``connect`` and ``read``).
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 from . import model as m
@@ -50,6 +52,22 @@ def flow_targets(s: Scenario) -> list[str]:
     return sorted(x.id for x in s.services) + [m.INTERNET]
 
 
+def _axes(
+    s: Scenario, principals: list[str] | None, loci: list[str] | None,
+    targets: list[str] | None, methods: list[str] | None, cap: int,
+) -> tuple[list[str], list[str], list[str], list[str]]:
+    """The request space's principals, loci, targets and methods, defaulted
+    from the scenario, once their product is known to be within ``cap``."""
+    principals = sorted(x.id for x in s.principals) if principals is None else list(principals)
+    loci = source_loci(s) if loci is None else list(loci)
+    targets = flow_targets(s) if targets is None else list(targets)
+    methods = method_universe(s) if methods is None else list(methods)
+    total = len(principals) * len(loci) * len(targets) * len(methods)
+    if total > cap:
+        raise RequestSpaceTooLargeError(f"{total} requests exceed the cap of {cap}")
+    return principals, loci, targets, methods
+
+
 def default_request_space(
     s: Scenario,
     principals: list[str] | None = None,
@@ -59,19 +77,10 @@ def default_request_space(
     cap: int = DEFAULT_CELL_CAP,
 ) -> list[m.FlowRequest]:
     """Canonical finite enumeration of requests for matrices and diffs."""
-    principals = sorted(x.id for x in s.principals) if principals is None else list(principals)
-    loci = source_loci(s) if loci is None else list(loci)
-    targets = flow_targets(s) if targets is None else list(targets)
-    methods = method_universe(s) if methods is None else list(methods)
-    total = len(principals) * len(loci) * len(targets) * len(methods)
-    if total > cap:
-        raise RequestSpaceTooLargeError(f"{total} requests exceed the cap of {cap}")
+    axes = _axes(s, principals, loci, targets, methods, cap)
     return [
         m.FlowRequest(principal=p, source=l, target=t, method=meth)
-        for p in principals
-        for l in loci
-        for t in targets
-        for meth in methods
+        for p, l, t, meth in itertools.product(*axes)
     ]
 
 
@@ -87,6 +96,26 @@ def _decide(s: Scenario, r: m.FlowRequest) -> m.Decision:
     if decision is None:
         decision = memo[key] = evaluate_flow(s, r)[0]
     return decision
+
+
+def _moves(
+    s: Scenario, locus: str, held: frozenset[str], targets: list[str], methods: Sequence[str]
+) -> Iterator[tuple[m.FlowRequest, str, frozenset[str]]]:
+    """Every allowed request from ``locus`` to ``targets`` by a principal in
+    ``held``, with the position it leads to and the principals held there: a
+    service's segment, where its ``run_as`` joins ``held``, or INTERNET."""
+    services, principals = s.index().services, sorted(held)
+    for target in targets:
+        if target == m.INTERNET:
+            position, gained = m.INTERNET, held
+        else:
+            svc = services[target]
+            position, gained = svc.segment, held | frozenset(svc.run_as)
+        for principal in principals:
+            for method in methods:
+                r = m.FlowRequest(principal=principal, source=locus, target=target, method=method)
+                if _decide(s, r).allowed:
+                    yield r, position, gained
 
 
 # ---------------------------------------------------------------------------
@@ -124,16 +153,13 @@ def reachability_matrix(
     cap: int = DEFAULT_CELL_CAP,
 ) -> ReachabilityMatrix:
     """Evaluate the full (principal, locus) x (target, method) grid."""
-    requests = default_request_space(s, principals, loci, targets, methods, cap)
-    rows: dict[tuple[str, str], None] = {}  # insertion-ordered sets
-    cols: dict[tuple[str, str], None] = {}
-    cells = {}
-    for r in requests:
-        row = (r.principal, r.source)
-        col = (r.target, r.method)
-        rows[row] = cols[col] = None
-        cells[(row, col)] = _decide(s, r)
-    return ReachabilityMatrix(rows=tuple(rows), columns=tuple(cols), cells=cells)
+    principals, loci, targets, methods = _axes(s, principals, loci, targets, methods, cap)
+    rows = tuple(dict.fromkeys(itertools.product(principals, loci)))
+    columns = tuple(dict.fromkeys(itertools.product(targets, methods)))
+    if not (rows and columns):
+        return ReachabilityMatrix(rows=(), columns=(), cells={})
+    cells = {(row, col): _decide(s, m.FlowRequest(*row, *col)) for row in rows for col in columns}
+    return ReachabilityMatrix(rows=rows, columns=columns, cells=cells)
 
 
 # ---------------------------------------------------------------------------
@@ -190,25 +216,13 @@ def exfiltration_paths(
 
     tagged_assets = {a.id for a in s.assets if tag in a.tags}
     serving = [
-        svc
+        svc.id
         for svc in sorted(s.services, key=lambda x: x.id)
         if tagged_assets & set(list(svc.reads) + list(svc.writes))
     ]
+    targets = flow_targets(s)
     methods = method_universe(s)
     chains: list[ExfilChain] = []
-
-    def relay_positions(locus: str, held: frozenset[str]):
-        for target in flow_targets(s):
-            for principal in sorted(held):
-                for method in methods:
-                    r = m.FlowRequest(principal=principal, source=locus, target=target, method=method)
-                    if not _decide(s, r).allowed:
-                        continue
-                    if target == m.INTERNET:
-                        yield r, m.INTERNET, held
-                    else:
-                        svc = idx.services[target]
-                        yield r, svc.segment, held | frozenset(svc.run_as)
 
     def extend(flows: list[m.FlowRequest], trajectory: list[str], held: frozenset[str]) -> None:
         position = trajectory[-1]
@@ -219,18 +233,16 @@ def exfiltration_paths(
             return
         if len(flows) >= bound:
             return
-        for flow, nxt, nxt_held in relay_positions(position, held):
+        for flow, nxt, nxt_held in _moves(s, position, held, targets, methods):
             if nxt in trajectory:
                 continue
             extend(flows + [flow], trajectory + [nxt], nxt_held)
 
-    for svc in serving:
-        for principal in sorted(x.id for x in s.principals):
-            for locus in source_loci(s):
-                for method in read_methods:
-                    r = m.FlowRequest(principal=principal, source=locus, target=svc.id, method=method)
-                    if _decide(s, r).allowed:
-                        extend([r], [locus], frozenset({principal}))
+    for principal in sorted(x.id for x in s.principals):
+        reader = frozenset({principal})
+        for locus in source_loci(s):
+            for r, _, _ in _moves(s, locus, reader, serving, read_methods):
+                extend([r], [locus], reader)
 
     uniq = sorted(set(chains), key=lambda c: (len(c.flows), tuple(map(request_key, c.flows))))
     return ExfilReport(tag=tag, perimeter=perimeter, chains=tuple(uniq))
@@ -267,7 +279,6 @@ def blast_radius(s: Scenario, workload: str, bound: int = DEFAULT_HOP_BOUND) -> 
     ]
     if not origin:
         raise UnknownWorkloadError(workload)
-    idx = s.index()
     methods = method_universe(s)
     targets = sorted(x.id for x in s.services if x.id not in {o.id for o in origin})
 
@@ -278,25 +289,13 @@ def blast_radius(s: Scenario, workload: str, bound: int = DEFAULT_HOP_BOUND) -> 
     visited: set[tuple[str, frozenset[str]]] = set(frontier)
 
     for hop in range(1, bound + 1):
-        nxt_frontier: set[tuple[str, frozenset[str]]] = set()
+        moved: set[tuple[str, frozenset[str]]] = set()
         for locus, have in sorted(frontier, key=lambda st: (st[0], sorted(st[1]))):
-            for target in targets:
-                svc = idx.services[target]
-                for principal in sorted(have):
-                    for method in methods:
-                        r = m.FlowRequest(
-                            principal=principal, source=locus, target=target, method=method
-                        )
-                        if not _decide(s, r).allowed:
-                            continue
-                        key = (target, method)
-                        if key not in report.reached:
-                            report.reached[key] = hop
-                        state = (svc.segment, have | frozenset(svc.run_as))
-                        if state not in visited:
-                            visited.add(state)
-                            nxt_frontier.add(state)
-        frontier = nxt_frontier
+            for r, position, gained in _moves(s, locus, have, targets, methods):
+                report.reached.setdefault((r.target, r.method), hop)
+                moved.add((position, gained))
+        frontier = moved - visited
+        visited |= frontier
         if not frontier:
             break
     return report

@@ -116,9 +116,6 @@ class ScenarioIndex:
         self.endpoints_for_attachment: dict[str, list[m.ConsumerEndpoint]] = {}
         for ep in s.endpoints:
             self.endpoints_for_attachment.setdefault(ep.attachment, []).append(ep)
-        self.services_in_segment: dict[str, list[m.ServiceSpec]] = {}
-        for svc in s.services:
-            self.services_in_segment.setdefault(svc.segment, []).append(svc)
         # firewall rules per scope in evaluation order: ascending priority,
         # scenario order among equal priorities
         by_scope: dict[str, list[m.FirewallRule]] = {}
@@ -818,11 +815,17 @@ def parse_scenario(document: str) -> Scenario:
     try:
         raw = _load(document)
     except yaml.YAMLError as e:
-        loc = None
+        message = str(getattr(e, "problem", None) or e)
         mark = getattr(e, "problem_mark", None)
-        if mark is not None:
-            loc = f"line {mark.line + 1}, column {mark.column + 1}"
-        ctx.err("SYNTAX", "document", str(getattr(e, "problem", None) or e), loc)
+        if isinstance(e, yaml.reader.ReaderError):
+            # no mark, only a character offset: count lines and columns over
+            # the text before it as the reference's reader does
+            message = message.partition("\n")[0]
+            reader = yaml.reader.Reader(document[: e.position])
+            reader.forward(e.position)
+            mark = reader.get_mark()
+        loc = None if mark is None else f"line {mark.line + 1}, column {mark.column + 1}"
+        ctx.err("SYNTAX", "document", message, loc)
         raise ScenarioParseError(ctx)
     if not isinstance(raw, dict):
         ctx.err("SYNTAX", "document", "top level must be a mapping")

@@ -81,10 +81,23 @@ def test_fig4_matrix_equals_oracle_cell_by_cell():
         assert (cell.verdict, cell.reason) == (expected.verdict, expected.reason)
 
 
-def test_matrix_cap_enforced():
+def test_matrix_cap_enforced(monkeypatch):
     s = builtin_scenario("fig4-landing-point")
+    evaluated = []
+    monkeypatch.setattr(analysis, "evaluate_flow", lambda s, r: evaluated.append(r))
     with pytest.raises(RequestSpaceTooLargeError):
         reachability_matrix(s, cap=10)
+    assert evaluated == []
+
+
+def test_repeated_axis_entries_give_one_row_and_column_each():
+    s = builtin_scenario("fig1-lift-shift")
+    once = reachability_matrix(s, principals=["sa:green-a"], methods=["read"])
+    twice = reachability_matrix(s, principals=["sa:green-a", "sa:green-a"], methods=["read", "read"])
+    assert once.rows == tuple(("sa:green-a", locus) for locus in source_loci(s))
+    assert once.columns == tuple((target, "read") for target in analysis.flow_targets(s))
+    assert (twice.rows, twice.columns) == (once.rows, once.columns)
+    assert list(twice.cells.items()) == list(once.cells.items())
 
 
 def test_matrix_renders_text():
@@ -262,6 +275,46 @@ def test_blast_hop_annotation_monotone_in_bound():
     assert set(r1.reached) <= set(r3.reached)
     assert r1.reached == {("svc-b", "read"): 1}
     assert r3.reached[("svc-d", "read")] == 3
+
+
+def _exhaustive_blast(s, workload, bound):
+    """The least hop of each (service, method) that some allowed sequence of
+    at most ``bound`` flows from ``workload`` reaches, by brute force."""
+    origin = {x.id for x in s.services if workload in (x.id, x.workload) or workload in x.backends}
+    targets = [x for x in sorted(s.services, key=lambda x: x.id) if x.id not in origin]
+    methods = method_universe(s)
+    reached = {}
+
+    def explore(locus, held, hop):
+        for svc in targets:
+            for principal in sorted(held):
+                for method in methods:
+                    r = m.FlowRequest(principal=principal, source=locus, target=svc.id, method=method)
+                    if not evaluate_flow(s, r)[0].allowed:
+                        continue
+                    reached[(svc.id, method)] = min(hop, reached.get((svc.id, method), hop))
+                    if hop < bound:
+                        explore(svc.segment, held | frozenset(svc.run_as), hop + 1)
+
+    held = frozenset(p for x in s.services if x.id in origin for p in x.run_as)
+    for locus in sorted({x.segment for x in s.services if x.id in origin}):
+        explore(locus, held, 1)
+    return reached
+
+
+@pytest.mark.parametrize(
+    "s",
+    # copies, so the shared templates' decision memos stay empty
+    [dataclasses.replace(builtin_scenario(name)) for name in TEMPLATE_NAMES]
+    + [random_scenario(random.Random(seed), with_edges=True) for seed in range(20)],
+    ids=lambda s: s.name,
+)
+def test_blast_matches_exhaustive_enumeration(s):
+    """Brute-force every flow sequence up to the bound and compare least hops."""
+    workloads = sorted({x.id for x in s.services} | {x.workload for x in s.services if x.workload})
+    for workload in workloads:
+        for bound in (1, 2):
+            assert blast_radius(s, workload, bound=bound).reached == _exhaustive_blast(s, workload, bound)
 
 
 # ---------------------------------------------------------------------------

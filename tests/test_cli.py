@@ -97,6 +97,18 @@ def test_document_nested_too_deeply_exits_two(tmp_path, capsys):
     assert err == "error: SYNTAX: document: nested too deeply to load\n"
 
 
+def test_unacceptable_character_exits_two_with_one_error_line(tmp_path, capsys):
+    doc = tmp_path / "control.yaml"
+    doc.write_text("name: x\x01")
+    code, out, err = run(capsys, "validate", "--scenario", str(doc))
+    assert code == EXIT_BAD_INPUT
+    assert out == ""
+    assert err == (
+        "error: SYNTAX: document: unacceptable character #x0001: special characters are not allowed"
+        " (line 1, column 8)\n"
+    )
+
+
 def test_matrix_human_and_records(capsys):
     code, out, _ = run(capsys, "matrix", "--scenario", "fig10-zero-trust")
     assert code == EXIT_OK and "svc-a.read" in out

@@ -595,7 +595,8 @@ def test_wrong_number_of_edge_ends_reports_only_the_loci_named(ends, issues):
 
 
 # ---------------------------------------------------------------------------
-# A tagged scalar that does not convert is a SYNTAX issue at the scalar
+# A tagged scalar that does not convert, or a character YAML does not allow,
+# is one located SYNTAX issue
 # ---------------------------------------------------------------------------
 
 
@@ -619,6 +620,24 @@ def test_tagged_scalar_that_does_not_construct_is_a_syntax_issue(monkeypatch, lo
     with pytest.raises(ScenarioParseError) as exc:
         parse_scenario(doc)
     assert exc.value.issues == [ParseIssue("SYNTAX", "document", message, "line 10, column 35")]
+
+
+@pytest.mark.parametrize("loader", ["libyaml", "pure-python"])
+@pytest.mark.parametrize(
+    "document, location",
+    [
+        ("name: x\x01", "line 1, column 8"),
+        ("name: x\r\nhierarchy: []\n  \x01", "line 3, column 3"),
+    ],
+    ids=["one-line", "crlf"],
+)
+def test_unacceptable_character_is_one_located_syntax_issue(monkeypatch, loader, document, location):
+    if loader == "pure-python":
+        monkeypatch.setattr(scenario_module, "_FAST_LOADER", None)
+    with pytest.raises(ScenarioParseError) as exc:
+        parse_scenario(document)
+    message = "unacceptable character #x0001: special characters are not allowed"
+    assert exc.value.issues == [ParseIssue("SYNTAX", "document", message, location)]
 
 
 # ---------------------------------------------------------------------------
