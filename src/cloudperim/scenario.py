@@ -727,10 +727,13 @@ def _read_nested(ctx: _Ctx, f: _F, raw: Any, subject: str, owner: dict) -> Any:
 # ---------------------------------------------------------------------------
 # YAML load
 #
-# PyYAML's pure-Python loader is the reference. libyaml, where PyYAML was
-# built with it, loads the same documents about five times faster, but it is
-# not a drop-in replacement, so it is used only inside a gate that a
-# differential corpus (tests/test_yaml_parity.py) backs.
+# PyYAML's pure-Python loader is the reference. Where PyYAML was built with
+# libyaml, one walk over libyaml's parse events builds the data of the
+# documents it can be sure of: on a 200-spoke estate (2 vCPUs) it takes about
+# half the time of libyaml's own loader, which composes a node graph first,
+# and a tenth of the reference's. libyaml is not a drop-in replacement, so
+# the walk decides only inside a gate that a differential corpus
+# (tests/test_yaml_parity.py) backs, and the reference decides the rest.
 # ---------------------------------------------------------------------------
 
 _FAST_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else None
@@ -740,20 +743,25 @@ _FAST_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else None
 # LookupErrors), ``!!int x`` ValueError and ``!!timestamp x`` AttributeError.
 _CONSTRUCT_ERRORS = (LookupError, ValueError, AttributeError)
 
-# libyaml composes nested collections by C recursion, and crashes the process
-# somewhere between 20,000 and 40,000 levels on an 8 MB stack; the reference
-# composes by Python recursion and runs out of it from about 490 levels. Its
-# parser keeps its own stack, so its event stream measures a document's
-# nesting depth safely, and libyaml composes only documents nested at most
-# this deep, where the reference never runs out.
+# The one-pass load keeps its own stack and could build any depth, but the
+# reference composes by Python recursion and runs out of it from about 490
+# levels. The walk gives up past this depth, so every deeper document gets
+# the reference's outcome, and one too deep for it stays a SYNTAX issue.
 _FAST_LOAD_MAX_DEPTH = 100
 
-_NESTING_STEP = {
-    yaml.SequenceStartEvent: 1,
-    yaml.MappingStartEvent: 1,
-    yaml.SequenceEndEvent: -1,
-    yaml.MappingEndEvent: -1,
+# The reference's own tag resolution and scalar conversions, so the one-pass
+# load turns each scalar into what the reference would.
+_RESOLVE = yaml.resolver.Resolver().resolve
+_CONSTRUCTOR = yaml.constructor.SafeConstructor()
+_SCALAR_CONSTRUCTORS = {
+    f"tag:yaml.org,2002:{name}": getattr(_CONSTRUCTOR, f"construct_yaml_{name}")
+    for name in ("null", "bool", "int", "float")
 }
+_STR_TAG = "tag:yaml.org,2002:str"
+
+# What the one-pass load returns for a document it leaves to the reference.
+_UNDECIDED = object()
+_NO_KEY = object()
 
 
 class _ScalarErrorLoader(yaml.SafeLoader):
@@ -770,37 +778,89 @@ class _ScalarErrorLoader(yaml.SafeLoader):
             ) from None
 
 
-def _fast_loadable(document: str) -> bool:
-    """Whether libyaml loads ``document`` as the reference does; a YAMLError
-    if libyaml's parser rejects it.
+def _scalar(value: str, implicit: tuple[bool, bool]) -> Any:
+    """An untagged (or ``!``-tagged) scalar as SafeLoader constructs it, or
+    ``_UNDECIDED`` for a type the one-pass load leaves to the reference."""
+    tag = _RESOLVE(yaml.ScalarNode, value, implicit)
+    if tag == _STR_TAG:
+        return value
+    construct = _SCALAR_CONSTRUCTORS.get(tag)
+    if construct is None:
+        return _UNDECIDED
+    try:
+        return construct(yaml.ScalarNode(tag, value))
+    except _CONSTRUCT_ERRORS:
+        return _UNDECIDED
+
+
+def _fast_load(document: Any) -> Any:
+    """The document's data, built in one walk over libyaml's events, or
+    ``_UNDECIDED`` for a document that only the reference may decide.
 
     libyaml accepts tabs as separators and ``?`` inside flow-context plain
     scalars, where the reference rejects them, and reads a mid-document
-    byte-order mark differently, so it only sees ASCII documents with
-    neither, and none nested past ``_FAST_LOAD_MAX_DEPTH``.
+    byte-order mark differently, so the walk only sees ASCII text with
+    neither. It builds plain mappings, sequences and the scalars SafeLoader
+    resolves to str, null, bool, int or float, and leaves to the reference
+    anything else: anchors and aliases, explicit tags other than ``!``,
+    merge keys, collection keys, other scalar types, a second document,
+    nesting past ``_FAST_LOAD_MAX_DEPTH``, and every document libyaml
+    rejects.
     """
-    if not (document.isascii() and "\t" not in document and "?" not in document):
-        return False
-    depth = 0
-    for event in yaml.parse(document, Loader=_FAST_LOADER):
-        depth += _NESTING_STEP.get(type(event), 0)
-        if depth > _FAST_LOAD_MAX_DEPTH:
-            return False
-    return True
+    if not (isinstance(document, str) and document.isascii() and "\t" not in document and "?" not in document):
+        return _UNDECIDED
+    root: list = []
+    stack: list = [root]  # the open collections, innermost last, under a holder for the document
+    keys: list = [_NO_KEY]  # for each open mapping, the key awaiting its value
+    try:
+        for event in yaml.parse(document, Loader=_FAST_LOADER):
+            kind = type(event)
+            if kind is yaml.ScalarEvent or kind is yaml.MappingStartEvent or kind is yaml.SequenceStartEvent:
+                if event.anchor is not None or event.tag not in (None, "!"):
+                    return _UNDECIDED
+                if kind is yaml.ScalarEvent:
+                    value = _scalar(event.value, event.implicit)
+                    if value is _UNDECIDED:
+                        return _UNDECIDED
+                elif len(stack) > _FAST_LOAD_MAX_DEPTH:
+                    return _UNDECIDED
+                else:
+                    value = {} if kind is yaml.MappingStartEvent else []
+                top = stack[-1]
+                if type(top) is list:
+                    top.append(value)
+                elif keys[-1] is not _NO_KEY:
+                    top[keys[-1]] = value
+                    keys[-1] = _NO_KEY
+                elif kind is yaml.ScalarEvent:
+                    keys[-1] = value
+                else:
+                    return _UNDECIDED  # a collection as a key
+                if kind is not yaml.ScalarEvent:
+                    stack.append(value)
+                    keys.append(_NO_KEY)
+            elif kind is yaml.MappingEndEvent or kind is yaml.SequenceEndEvent:
+                stack.pop()
+                keys.pop()
+            elif kind is yaml.AliasEvent:
+                return _UNDECIDED
+            elif kind is yaml.DocumentStartEvent and root:
+                return _UNDECIDED  # a second document
+    except yaml.YAMLError:
+        return _UNDECIDED
+    return root[0] if root else None
 
 
-def _load(document: str) -> Any:
+def _load(document: Any) -> Any:
     """The document's data, or a YAMLError worded by the reference loader.
 
     A document libyaml rejects is loaded again by the reference, which then
     words the error or accepts what libyaml does not (``%FOO`` directives).
     """
     if _FAST_LOADER is not None:
-        try:
-            if _fast_loadable(document):
-                return yaml.load(document, Loader=_FAST_LOADER)
-        except (yaml.YAMLError, *_CONSTRUCT_ERRORS):
-            pass
+        data = _fast_load(document)
+        if data is not _UNDECIDED:
+            return data
     try:
         return yaml.safe_load(document)
     except _CONSTRUCT_ERRORS:
@@ -818,12 +878,14 @@ def parse_scenario(document: str) -> Scenario:
         message = str(getattr(e, "problem", None) or e)
         mark = getattr(e, "problem_mark", None)
         if isinstance(e, yaml.reader.ReaderError):
-            # no mark, only a character offset: count lines and columns over
-            # the text before it as the reference's reader does
             message = message.partition("\n")[0]
-            reader = yaml.reader.Reader(document[: e.position])
-            reader.forward(e.position)
-            mark = reader.get_mark()
+            if isinstance(document, str):
+                # no mark, only a character offset: count lines and columns
+                # over the text before it as the reference's reader does (a
+                # byte string or a stream has no text to count over)
+                reader = yaml.reader.Reader(document[: e.position])
+                reader.forward(e.position)
+                mark = reader.get_mark()
         loc = None if mark is None else f"line {mark.line + 1}, column {mark.column + 1}"
         ctx.err("SYNTAX", "document", message, loc)
         raise ScenarioParseError(ctx)

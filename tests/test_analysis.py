@@ -473,7 +473,9 @@ def test_analyses_decided_per_class_equal_per_request(s, monkeypatch):
 
 
 def test_each_class_and_each_denied_leg_is_evaluated_once(monkeypatch):
-    s = builtin_scenario("fig11-combined")
+    # a copy: the cached template's decision memo may already hold classes
+    # that an earlier test asked, and they would not be evaluated here
+    s = dataclasses.replace(builtin_scenario("fig11-combined"))
     asked, evaluated = [], []
     original_class, original_flow = analysis.decision_class, analysis.evaluate_flow
 
