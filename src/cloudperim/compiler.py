@@ -116,7 +116,6 @@ def compile_perimeter(
 def _compile_hybrid(
     s: Scenario, p: m.AbstractPerimeter, members: frozenset[str]
 ) -> CompiledRuleSet:
-    idx = s.index()
     # Preserve the bound mechanisms: compilation makes membership explicit and
     # carries the rules; it must not change what the perimeter enforces, which
     # is what makes hybrid verification zero-divergence by construction.
@@ -139,20 +138,9 @@ def _compile_hybrid(
             "ready to bind but the scenario's enforcement is unchanged"
         )
     if enforces_crossings and _no_internet_posture(p):
-        common: set[str] | None = None
-        ordered_chain: list[str] = []
-        for prj in sorted(members):
-            chain = [
-                nid
-                for nid in m.ancestors(prj, idx.nodes)
-                if idx.nodes[nid].kind is m.NodeKind.FOLDER
-            ]
-            if common is None:
-                common = set(chain)
-                ordered_chain = chain
-            else:
-                common &= set(chain)
-        deepest = next((nid for nid in reversed(ordered_chain) if nid in (common or set())), None)
+        chains = [s.index().folders_above(prj) for prj in sorted(members)]
+        common = set(chains[0]).intersection(*chains[1:])
+        deepest = next((f for f in reversed(chains[0]) if f in common), None)
         scope = f"folder:{deepest}" if deepest else m.ORG_SCOPE
         existing = [r.priority for r in s.firewall_rules if r.scope == scope]
         firewall.append(

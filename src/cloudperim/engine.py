@@ -160,14 +160,14 @@ def target_tags(s: Scenario, svc: m.ServiceSpec) -> frozenset[str]:
     cache = idx.target_tags
     if svc.id in cache:
         return cache[svc.id]
-    tags = set(m.effective_tags(svc.project, idx.nodes))
+    tags = set(m.inherited_tags(idx.nodes[n].tags for n in idx.ancestors(svc.project)))
     for asset_id in list(svc.reads) + list(svc.writes):
         asset = idx.assets.get(asset_id)
         if asset is None:
             continue
         tags.update(asset.tags)
         if asset.resource in idx.nodes:
-            tags.update(m.effective_tags(asset.resource, idx.nodes))
+            tags.update(m.inherited_tags(idx.nodes[n].tags for n in idx.ancestors(asset.resource)))
     result = frozenset(tags)
     cache[svc.id] = result
     return result
@@ -201,10 +201,7 @@ def _scope_chain(s: Scenario, leg: NetworkLeg, idx: ScenarioIndex) -> list[tuple
         anchor_seg = idx.segments.get(leg.target_service.segment)
     scopes: list[tuple[str, str]] = [("organization", m.ORG_SCOPE)]
     if anchor_seg is not None:
-        for node_id in m.ancestors(anchor_seg.project, idx.nodes):
-            node = idx.nodes.get(node_id)
-            if node is not None and node.kind is m.NodeKind.FOLDER:
-                scopes.append(("folder", f"folder:{node_id}"))
+        scopes.extend(("folder", f"folder:{f}") for f in idx.folders_above(anchor_seg.project))
         scopes.append(("segment", f"segment:{anchor_seg.id}"))
     return scopes
 

@@ -144,15 +144,7 @@ def lint(s: Scenario, perimeter_threshold: int = DEFAULT_PERIMETER_THRESHOLD) ->
         members = sorted(memberships[p.id])
         if len(members) < 2:
             continue
-        common: set[str] | None = None
-        for prj in members:
-            folders = {
-                nid
-                for nid in m.ancestors(prj, idx.nodes)
-                if idx.nodes[nid].kind is m.NodeKind.FOLDER
-            }
-            common = folders if common is None else common & folders
-        if not common:
+        if not set.intersection(*(set(idx.folders_above(prj)) for prj in members)):
             findings.append(
                 _finding(
                     "BP3_HIERARCHY_MISMATCH",
@@ -219,13 +211,9 @@ def lint(s: Scenario, perimeter_threshold: int = DEFAULT_PERIMETER_THRESHOLD) ->
             if fw.scope == m.ORG_SCOPE:
                 backed = True
                 break
-            if fw.scope_kind == "folder":
-                covers = all(
-                    fw.scope_id in m.ancestors(prj, idx.nodes) for prj in members
-                )
-                if covers:
-                    backed = True
-                    break
+            if fw.scope_kind == "folder" and all(fw.scope_id in idx.ancestors(prj) for prj in members):
+                backed = True
+                break
         if not backed:
             findings.append(
                 _finding(
@@ -265,17 +253,10 @@ def lint(s: Scenario, perimeter_threshold: int = DEFAULT_PERIMETER_THRESHOLD) ->
 
     # BP7: internet-exposed perimeter without the matching org constraint
     for p in s.perimeters:
-        members = memberships[p.id]
-        exposed_segments = [
-            seg
-            for prj in sorted(members)
-            for seg in seg_by_project.get(prj, [])
-            if any(m.INTERNET in e.ends and seg.id in e.ends for e in s.edges)
-        ]
-        if not exposed_segments:
-            continue
-        for seg in exposed_segments:
-            chain = m.ancestors(seg.project, idx.nodes)
+        for seg in member_segments(p.id):
+            if not any(m.INTERNET in e.ends and seg.id in e.ends for e in s.edges):
+                continue
+            chain = idx.ancestors(seg.project)
             constrained = any(
                 c.kind is m.ConstraintKind.NO_INTERNET_EGRESS and c.scope in chain
                 for c in s.constraints

@@ -220,10 +220,15 @@ def ancestors(node: str, nodes: Mapping[str, ResourceNode]) -> list[str]:
 
 def effective_tags(node: str, nodes: Mapping[str, ResourceNode]) -> frozenset[str]:
     """Union of own and inherited tags, nearest definition winning per key."""
+    return inherited_tags(nodes[nid].tags for nid in ancestors(node, nodes))
+
+
+def inherited_tags(chain: Iterable[frozenset[str]]) -> frozenset[str]:
+    """Union of a root-first chain of nodes' own tags, nearest definition winning per key."""
     resolved: dict[str, set[str]] = {}
-    for nid in ancestors(node, nodes):
+    for tags in chain:
         here: dict[str, set[str]] = {}
-        for tag in nodes[nid].tags:
+        for tag in tags:
             here.setdefault(tag_key(tag), set()).add(tag)
         # nearer definitions replace the whole key, not just one value
         resolved.update(here)

@@ -24,7 +24,7 @@ import yaml
 
 from . import model as m
 from . import prefix
-from .errors import InvalidHierarchyError, ScenarioParseError, UnknownNodeError
+from .errors import CloudPerimError, InvalidHierarchyError, ScenarioParseError, UnknownNodeError
 
 if TYPE_CHECKING:
     from .engine import NetworkLeg
@@ -98,6 +98,9 @@ class ScenarioIndex:
     """Facts derived once per scenario, and the memos of queries over it.
 
     Scenarios are frozen, so neither the facts nor the memos can go stale.
+    A hierarchy walk that fails does not fail the build: it keeps its error,
+    raised again by the query that needs it, and validation reports from the
+    same facts.
     """
 
     def __init__(self, s: Scenario) -> None:
@@ -112,6 +115,14 @@ class ScenarioIndex:
         self.principals = {x.id: x for x in s.principals}
         self.assets = {x.id: x for x in s.assets}
         self.perimeters = {x.id: x for x in s.perimeters}
+        # node id -> its root-first chain, or the error ``m.ancestors`` raises for it
+        self.chains: dict[str, tuple[str, ...] | CloudPerimError] = {
+            nid: _outcome(lambda: tuple(m.ancestors(nid, self.nodes))) for nid in self.nodes
+        }
+        # per perimeter in scenario order, its members or the error resolving them raised
+        self.perimeter_members: tuple[frozenset[str] | CloudPerimError, ...] = tuple(
+            _outcome(lambda: m.resolve_members(p, self.nodes)) for p in s.perimeters
+        )
         self.attachment_for_service = {a.service: a for a in s.attachments}
         self.endpoints_for_attachment: dict[str, list[m.ConsumerEndpoint]] = {}
         for ep in s.endpoints:
@@ -133,12 +144,14 @@ class ScenarioIndex:
             x.id for x in s.segments if x.routability is m.Routability.NON_ROUTABLE
         )
         self.adjacency = _locus_adjacency(s.edges, self.non_routable)
-        # each segment's CIDRs as intervals; a request from a segment that
+        # per segment in scenario order, each CIDR's interval or None; per
+        # segment id, its intervals, and those of its requests: a request that
         # names no source address carries the segment's canonical address
+        self.cidr_nets = tuple(tuple(map(prefix.network, seg.cidrs)) for seg in s.segments)
         self.segment_nets: dict[str, tuple[prefix.Interval, ...]] = {}
         self.source_nets: dict[str, tuple[prefix.Interval, ...]] = {}
-        for seg in s.segments:
-            nets = tuple(n for n in map(prefix.network, seg.cidrs) if n is not None)
+        for seg, cidr_nets in zip(s.segments, self.cidr_nets):
+            nets = tuple(n for n in cidr_nets if n is not None)
             canonical = prefix.address(prefix.first_host(seg.cidrs[0])) if seg.cidrs else None
             self.segment_nets[seg.id] = nets
             self.source_nets[seg.id] = nets if canonical is None else (canonical,) + nets
@@ -157,16 +170,22 @@ class ScenarioIndex:
         self.leg_contexts: dict[tuple[str, str, str | None, frozenset[str]], tuple[tuple, str | None] | None] = {}
         self.principal_classes: dict[tuple[str, str | None], tuple] = {}
         self.policy_identities: tuple[frozenset[str], tuple[str, ...]] | None = None
-        self._memberships: dict[str, frozenset[str]] | None = None
         self._data_plane_perimeter: dict[str, m.AbstractPerimeter] | None = None
 
+    def ancestors(self, node: str) -> tuple[str, ...]:
+        """Node ids from the organization root down to ``node`` inclusive;
+        raises what ``m.ancestors`` raises for it."""
+        chain = self.chains.get(node)
+        return _value(UnknownNodeError(node) if chain is None else chain)
+
+    def folders_above(self, node: str) -> tuple[str, ...]:
+        """The folders of ``node``'s ancestor chain, root first."""
+        return tuple(n for n in self.ancestors(node) if self.nodes[n].kind is m.NodeKind.FOLDER)
+
     def memberships(self) -> dict[str, frozenset[str]]:
-        """Perimeter id -> resolved member project set."""
-        if self._memberships is None:
-            self._memberships = {
-                p.id: m.resolve_members(p, self.nodes) for p in self.scenario.perimeters
-            }
-        return self._memberships
+        """Perimeter id -> resolved member project set; raises the error of the
+        first perimeter, in scenario order, that does not resolve."""
+        return {p.id: _value(x) for p, x in zip(self.scenario.perimeters, self.perimeter_members)}
 
     def data_plane_perimeter_of(self, project: str | None) -> m.AbstractPerimeter | None:
         """The first data-plane perimeter, in scenario order, holding ``project``."""
@@ -183,21 +202,38 @@ class ScenarioIndex:
         return self._data_plane_perimeter.get(project)
 
 
+def _outcome(walk: Callable[[], Any]) -> Any:
+    """What ``walk()`` returns, or the hierarchy error it raises."""
+    try:
+        return walk()
+    except CloudPerimError as e:
+        return e
+
+
+def _value(outcome: Any) -> Any:
+    """A kept outcome's value. A kept error is raised as a fresh copy, so the
+    stored one gathers no traceback."""
+    if isinstance(outcome, CloudPerimError):
+        raise type(outcome)(*outcome.args)
+    return outcome
+
+
 def _locus_adjacency(
     edges: tuple[m.ConnectivityEdge, ...], non_routable: frozenset[str]
 ) -> dict[str, tuple[tuple[m.ConnectivityEdge, str], ...]]:
     """Locus -> the (edge, next locus) pairs legal from it for any flow, by edge id.
 
-    An outbound-only edge leaves only its first end. Self-loops, NAT edges not
-    leading into INTERNET, and entries into a non-routable segment other than
-    by vpc-connector are never legal. The rules that depend on the flow
+    An outbound-only edge leaves only its first end. Self-loops, edges without
+    exactly two ends (a violation), NAT edges not leading into INTERNET, and
+    entries into a non-routable segment other than by vpc-connector are never
+    legal. The rules that depend on the flow
     (non-routable transit, NAT only toward INTERNET) are the route search's.
     """
     out: dict[str, list[tuple[m.ConnectivityEdge, str]]] = {}
     for e in edges:
-        a, b = e.ends
-        if a == b:
+        if len(e.ends) != 2 or e.ends[0] == e.ends[1]:
             continue
+        a, b = e.ends
         for at, nxt in ((a, b), (b, a)):
             if e.direction is m.EdgeDirection.OUTBOUND_ONLY and at != a:
                 continue
@@ -928,15 +964,13 @@ def _integrity_problems(s: Scenario) -> list[tuple[str, str, str]]:
                 out.append(("DUP_ID", i, f"duplicate {noun} id"))
             seen.add(i)
 
-    nodes = {n.id: n for n in s.nodes}
-    node_kind = {n.id: n.kind for n in s.nodes}
-    seg_ids = {x.id for x in s.segments}
-    loci = seg_ids | m.DISTINGUISHED_LOCI
-    svc_ids = {x.id for x in s.services}
-    att_ids = {x.id for x in s.attachments}
-    idp_ids = {x.id for x in s.idps}
-    principal_ids = {x.id for x in s.principals}
-    asset_ids = {x.id for x in s.assets}
+    idx = s.index()
+
+    def kind(node_id: str | None) -> m.NodeKind | None:
+        return idx.nodes[node_id].kind if node_id in idx.nodes else None
+
+    def is_locus(locus: str) -> bool:
+        return locus in idx.segments or locus in m.DISTINGUISHED_LOCI
 
     def ref(ok: bool, subject: str, target: str, what: str) -> None:
         if not ok:
@@ -944,75 +978,75 @@ def _integrity_problems(s: Scenario) -> list[tuple[str, str, str]]:
 
     for n in s.nodes:
         if n.parent is not None:
-            ref(n.parent in nodes, n.id, n.parent, "parent node")
+            ref(n.parent in idx.nodes, n.id, n.parent, "parent node")
     for seg in s.segments:
-        ref(node_kind.get(seg.project) is m.NodeKind.PROJECT, seg.id, seg.project, "project")
+        ref(kind(seg.project) is m.NodeKind.PROJECT, seg.id, seg.project, "project")
     for e in s.edges:
         for end in e.ends:
-            ref(end in loci, e.id, end, "locus")
+            ref(is_locus(end), e.id, end, "locus")
         for r in e.gateway_rules:
             for zone in (r.src_zone, r.dst_zone):
-                ref(zone in loci or zone == m.ANY, r.id, zone, "zone")
+                ref(is_locus(zone) or zone == m.ANY, r.id, zone, "zone")
     for svc in s.services:
-        ref(node_kind.get(svc.project) is m.NodeKind.PROJECT, svc.id, svc.project, "project")
-        ref(svc.segment in seg_ids, svc.id, svc.segment, "segment")
+        ref(kind(svc.project) is m.NodeKind.PROJECT, svc.id, svc.project, "project")
+        ref(svc.segment in idx.segments, svc.id, svc.segment, "segment")
         if svc.idp is not None:
-            ref(svc.idp in idp_ids, svc.id, svc.idp, "idp")
+            ref(svc.idp in idx.idps, svc.id, svc.idp, "idp")
         for p in svc.run_as:
-            ref(p in principal_ids, svc.id, p, "principal")
+            ref(p in idx.principals, svc.id, p, "principal")
         for a in list(svc.reads) + list(svc.writes):
-            ref(a in asset_ids, svc.id, a, "asset")
+            ref(a in idx.assets, svc.id, a, "asset")
         for d in svc.depends_on:
-            ref(d in svc_ids, svc.id, d, "service")
+            ref(d in idx.services, svc.id, d, "service")
     for att in s.attachments:
-        ref(att.service in svc_ids, att.id, att.service, "service")
+        ref(att.service in idx.services, att.id, att.service, "service")
     for ep in s.endpoints:
-        ref(ep.segment in seg_ids, ep.id, ep.segment, "segment")
-        ref(ep.attachment in att_ids, ep.id, ep.attachment, "attachment")
+        ref(ep.segment in idx.segments, ep.id, ep.segment, "segment")
+        ref(ep.attachment in idx.attachments, ep.id, ep.attachment, "attachment")
     for p in s.principals:
-        ref(p.idp in idp_ids, p.id, p.idp, "idp")
+        ref(p.idp in idx.idps, p.id, p.idp, "idp")
     for idp in s.idps:
         if idp.segment is not None:
-            ref(idp.segment in loci, idp.id, idp.segment, "segment")
+            ref(is_locus(idp.segment), idp.id, idp.segment, "segment")
     for t in s.trust_edges:
-        ref(t.src in idp_ids, t.id, t.src, "idp")
-        ref(t.dst in idp_ids, t.id, t.dst, "idp")
+        ref(t.src in idx.idps, t.id, t.src, "idp")
+        ref(t.dst in idx.idps, t.id, t.dst, "idp")
         for src_p, dst_p in t.mapping.items():
-            ref(src_p in principal_ids, t.id, src_p, "principal")
-            ref(dst_p in principal_ids, t.id, dst_p, "principal")
+            ref(src_p in idx.principals, t.id, src_p, "principal")
+            ref(dst_p in idx.principals, t.id, dst_p, "principal")
     for fw in s.firewall_rules:
         if fw.scope_kind == "folder":
-            ref(node_kind.get(fw.scope_id) is m.NodeKind.FOLDER, fw.id, fw.scope, "folder scope")
+            ref(kind(fw.scope_id) is m.NodeKind.FOLDER, fw.id, fw.scope, "folder scope")
         elif fw.scope_kind == "segment":
-            ref(fw.scope_id in seg_ids, fw.id, fw.scope, "segment scope")
+            ref(fw.scope_id in idx.segments, fw.id, fw.scope, "segment scope")
     for b in s.bindings:
         for perm in b.role:
             ref(
-                perm.service in svc_ids or perm.service in (m.ANY, m.INTERNET),
+                perm.service in idx.services or perm.service in (m.ANY, m.INTERNET),
                 b.id,
                 perm.service,
                 "service",
             )
     for c in s.constraints:
         ref(
-            node_kind.get(c.scope) in (m.NodeKind.ORGANIZATION, m.NodeKind.FOLDER),
+            kind(c.scope) in (m.NodeKind.ORGANIZATION, m.NodeKind.FOLDER),
             c.id,
             c.scope,
             "org/folder scope",
         )
     for p in s.perimeters:
         for f in p.members.folders:
-            ref(node_kind.get(f) is m.NodeKind.FOLDER, p.id, f, "folder")
+            ref(kind(f) is m.NodeKind.FOLDER, p.id, f, "folder")
         for prj in p.members.projects:
-            ref(node_kind.get(prj) is m.NodeKind.PROJECT, p.id, prj, "project")
+            ref(kind(prj) is m.NodeKind.PROJECT, p.id, prj, "project")
         for rule in list(p.ingress) + list(p.egress):
             for t in rule.targets:
                 if t.project not in (m.ANY,):
-                    ref(node_kind.get(t.project) is m.NodeKind.PROJECT, rule.id, t.project, "project")
+                    ref(kind(t.project) is m.NodeKind.PROJECT, rule.id, t.project, "project")
                 if t.service not in (m.ANY, m.INTERNET):
-                    ref(t.service in svc_ids, rule.id, t.service, "service")
+                    ref(t.service in idx.services, rule.id, t.service, "service")
     for a in s.assets:
-        ref(a.resource in nodes, a.id, a.resource, "resource")
+        ref(a.resource in idx.nodes, a.id, a.resource, "resource")
     return out
 
 
@@ -1027,7 +1061,8 @@ def validate_scenario(s: Scenario) -> list[Violation]:
     The parser's own checks of scopes, CIDR tokens, edge ends, tags and
     subnets come first, then duplicate ids and references to nothing, found
     as the parser finds them, so a scenario built in code is held to the same
-    rules.
+    rules. The hierarchy, segment intervals and perimeter members are read
+    from the scenario's index.
     """
     ctx = _Ctx()
     for e in s.edges:
@@ -1045,7 +1080,7 @@ def validate_scenario(s: Scenario) -> list[Violation]:
         _subnet_cidrs(ctx, seg.id, seg.subnets)
     out = [Violation(issue.code, issue.subject, issue.message) for issue in ctx]
     out.extend(Violation(*problem) for problem in _integrity_problems(s))
-    nodes = {n.id: n for n in s.nodes}
+    idx = s.index()
 
     orgs = [n for n in s.nodes if n.kind is m.NodeKind.ORGANIZATION]
     if len(orgs) != 1:
@@ -1060,7 +1095,7 @@ def validate_scenario(s: Scenario) -> list[Violation]:
         if n.parent is None:
             out.append(Violation("NO_PARENT", n.id, f"{n.kind.value} has no parent"))
             continue
-        parent = nodes.get(n.parent)
+        parent = idx.nodes.get(n.parent)
         if parent is None:
             continue  # an unknown parent is reported as UNKNOWN_REF above
         allowed = {
@@ -1076,25 +1111,18 @@ def validate_scenario(s: Scenario) -> list[Violation]:
                     f"{n.kind.value} cannot be parented under {parent.kind.value} {parent.id!r}",
                 )
             )
-    for n in s.nodes:
-        try:
-            m.ancestors(n.id, nodes)
-        except UnknownNodeError:
-            continue  # the node naming the unknown parent is reported above
-        except InvalidHierarchyError:
-            out.append(Violation("PARENT_CYCLE", n.id, "hierarchy contains a parent cycle"))
-            break
+    # the first node whose walk up meets a cycle; one meeting an unknown
+    # parent instead is reported as UNKNOWN_REF above
+    cycle = next((n for n in s.nodes if isinstance(idx.chains[n.id], InvalidHierarchyError)), None)
+    if cycle is not None:
+        out.append(Violation("PARENT_CYCLE", cycle.id, "hierarchy contains a parent cycle"))
 
-    nets_of: list[list[prefix.Interval]] = []
-    for seg in s.segments:
-        nets_of.append([])
-        for c in seg.cidrs:
-            net = prefix.network(c)
+    for seg, cidr_nets in zip(s.segments, idx.cidr_nets):
+        for c, net in zip(seg.cidrs, cidr_nets):
             if net is None:
                 out.append(Violation("CIDR_BAD", seg.id, f"{c!r} is not a CIDR"))
-            else:
-                nets_of[-1].append(net)
-    seg_nets = {seg.id: nets for seg, nets in zip(s.segments, nets_of)}
+    nets_of = [[net for net in cidr_nets if net is not None] for cidr_nets in idx.cidr_nets]
+    seg_nets = idx.segment_nets
     routable = [i for i, seg in enumerate(s.segments) if seg.routability is m.Routability.ROUTABLE]
     for i, j in prefix.overlapping_pairs([nets_of[k] for k in routable]):
         a, b = s.segments[routable[i]], s.segments[routable[j]]
@@ -1172,13 +1200,11 @@ def validate_scenario(s: Scenario) -> list[Violation]:
                 out.append(Violation("EDGE_NAT", e.id, "nat-gateway edges are outbound-only"))
 
     memberships: dict[str, frozenset[str]] = {}
-    for p in s.perimeters:
-        try:
-            memberships[p.id] = m.resolve_members(p, nodes)
-        except m.EmptyPerimeterError:
+    for p, members in zip(s.perimeters, idx.perimeter_members):
+        if isinstance(members, m.EmptyPerimeterError):
             out.append(Violation("EMPTY_PERIMETER", p.id, "member selector resolves to zero projects"))
-        except (UnknownNodeError, InvalidHierarchyError):
-            continue  # hierarchy problems reported above
+        elif not isinstance(members, CloudPerimError):  # hierarchy errors are reported above
+            memberships[p.id] = members
     dp = [p for p in s.perimeters if m.Mechanism.DATA_PLANE_PERIMETER in p.mechanisms]
     for i, a in enumerate(dp):
         for b in dp[i + 1 :]:
