@@ -186,10 +186,7 @@ class ExfilReport:
 
 
 def _outside(locus: str, member_projects: frozenset[str], s: Scenario) -> bool:
-    if locus in m.DISTINGUISHED_LOCI:
-        return True
-    seg = s.index().segments.get(locus)
-    return seg is None or seg.project not in member_projects
+    return locus in m.DISTINGUISHED_LOCI or s.index().segments[locus].project not in member_projects
 
 
 def exfiltration_paths(

@@ -3,7 +3,9 @@
 Subcommands: validate, eval, matrix, exfil, blast, lint, compile,
 verify-compile, scenarios. A scenario source is a file path or a built-in
 template name (``fig*`` names work directly). Exit codes: 0 success/allow,
-1 internal error, 2 bad input, 3 policy deny or findings present.
+1 internal error, 2 bad input (a scenario that does not parse, or that has
+violations, for every subcommand but validate), 3 policy deny or findings
+present.
 
 ``--output records`` emits the stable line-delimited records documented in
 the README; human output may change between versions.
@@ -20,7 +22,7 @@ from . import compiler as compiler_mod
 from . import model as m
 from .lint import error_findings
 from .lint import lint as run_lint
-from .errors import CloudPerimError, ScenarioParseError
+from .errors import CloudPerimError, InvalidScenarioError, ScenarioParseError
 from .scenario import Scenario, parse_scenario, validate_scenario
 from .templates import TEMPLATE_NAMES, builtin_scenario, template_text
 
@@ -34,13 +36,20 @@ class CliError(Exception):
     """Bad invocation or input; exits 2."""
 
 
-def _load_scenario(source: str) -> Scenario:
+def _read_scenario(source: str) -> Scenario:
     if source in TEMPLATE_NAMES:
         return builtin_scenario(source)
     path = Path(source)
     if not path.exists():
         raise CliError(f"scenario {source!r} is neither a template name nor a file")
     return parse_scenario(path.read_text("utf-8"))
+
+
+def _load_scenario(source: str) -> Scenario:
+    """The scenario, indexed: one with violations is refused before any answer."""
+    s = _read_scenario(source)
+    s.index()
+    return s
 
 
 def _resolve_locus(s: Scenario, token: str) -> str:
@@ -89,7 +98,7 @@ def _emit(lines: list[str]) -> None:
 
 
 def _cmd_validate(args) -> int:
-    s = _load_scenario(args.scenario)
+    s = _read_scenario(args.scenario)
     violations = validate_scenario(s)
     if args.output == "records":
         _emit(records.violation_records(violations))
@@ -306,9 +315,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_BAD_INPUT if e.code not in (0, None) else EXIT_OK
     try:
         return args.handler(args)
-    except ScenarioParseError as e:
-        for issue in e.issues:
-            print(f"error: {issue}", file=sys.stderr)
+    except (ScenarioParseError, InvalidScenarioError) as e:
+        for problem in e.issues if isinstance(e, ScenarioParseError) else e.violations:
+            print(f"error: {problem}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except (CliError, CloudPerimError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -168,13 +168,11 @@ def _expand_target(s: Scenario, t: m.PerimeterTarget) -> tuple[list[str], int | 
         return [m.INTERNET], None
     if t.service == m.ANY:
         return [m.ANY], None
-    svc = s.index().services.get(t.service)
-    if svc is None:
-        return [m.ANY], None
+    idx = s.index()
+    svc = idx.services[t.service]
     if svc.host is not None:
         return [f"{svc.host}/32"], svc.port
-    seg = s.index().segments.get(svc.segment)
-    return (list(seg.cidrs) if seg and seg.cidrs else [m.ANY]), svc.port
+    return list(idx.segments[svc.segment].cidrs) or [m.ANY], svc.port
 
 
 def _compile_lift_shift(
@@ -232,8 +230,7 @@ def _compile_lift_shift(
             for seg in segments:
                 zone = m.INTERNET
                 if t.service not in (m.ANY, m.INTERNET):
-                    svc = idx.services.get(t.service)
-                    zone = svc.segment if svc else m.ANY
+                    zone = idx.services[t.service].segment
                 elif t.service == m.ANY:
                     zone = m.ANY
                 gateway.append(
@@ -248,10 +245,8 @@ def _compile_lift_shift(
         src = [tok for tok in rule.networks if tok != m.ANY] or [m.ANY]
         targets = rule.targets or (m.PerimeterTarget(),)
         for j, t in enumerate(targets):
-            if t.service not in (m.ANY, m.INTERNET):
-                svc = idx.services.get(t.service)
-                if svc is not None and svc.project not in members:
-                    continue
+            if t.service not in (m.ANY, m.INTERNET) and idx.services[t.service].project not in members:
+                continue
             dst, port = _expand_target(s, t)
             if dst == [m.ANY]:
                 dst = list(member_cidrs)

@@ -160,14 +160,11 @@ def target_tags(s: Scenario, svc: m.ServiceSpec) -> frozenset[str]:
     cache = idx.target_tags
     if svc.id in cache:
         return cache[svc.id]
-    tags = set(m.inherited_tags(idx.nodes[n].tags for n in idx.ancestors(svc.project)))
+    tags = set(m.inherited_tags(idx.nodes[n].tags for n in idx.chains[svc.project]))
     for asset_id in list(svc.reads) + list(svc.writes):
-        asset = idx.assets.get(asset_id)
-        if asset is None:
-            continue
+        asset = idx.assets[asset_id]
         tags.update(asset.tags)
-        if asset.resource in idx.nodes:
-            tags.update(m.inherited_tags(idx.nodes[n].tags for n in idx.ancestors(asset.resource)))
+        tags.update(m.inherited_tags(idx.nodes[n].tags for n in idx.chains[asset.resource]))
     result = frozenset(tags)
     cache[svc.id] = result
     return result
@@ -192,13 +189,11 @@ def _scope_chain(s: Scenario, leg: NetworkLeg, idx: ScenarioIndex) -> list[tuple
     """(scope kind, scope key) list for this flow: org, folders root->leaf, segment.
 
     Anchored at the source side for segment-borne flows and at the target side
-    for flows entering from ONPREM/INTERNET. An anchor whose project is not in
-    the hierarchy raises ``UnknownNodeError``: skipping its folder scopes would
-    bypass their rules.
+    for flows entering from ONPREM/INTERNET.
     """
     anchor_seg = leg.source_segment
     if anchor_seg is None and leg.target_service is not None:
-        anchor_seg = idx.segments.get(leg.target_service.segment)
+        anchor_seg = idx.segments[leg.target_service.segment]
     scopes: list[tuple[str, str]] = [("organization", m.ORG_SCOPE)]
     if anchor_seg is not None:
         scopes.extend(("folder", f"folder:{f}") for f in idx.folders_above(anchor_seg.project))
@@ -332,7 +327,7 @@ def evaluate_authn(s: Scenario, ctx: RequestContext) -> tuple[PointOutcome, m.Pr
                 PointOutcome(m.Verdict.DENY, m.DEFAULT_RULE, m.DenyReason.NO_CREDENTIAL),
                 ctx.principal,
             )
-    terminal = ctx.index.principals.get(chain.terminal_principal, ctx.principal)
+    terminal = ctx.index.principals[chain.terminal_principal]
     edges = "+".join(step.edge for step in chain.steps if step.edge) or "home-idp"
     return PointOutcome(m.Verdict.ALLOW, edges), terminal
 
@@ -431,10 +426,8 @@ def _network_leg(s: Scenario, idx: ScenarioIndex, r: m.FlowRequest) -> NetworkLe
         target_service = idx.services[r.target]
     elif r.target in idx.endpoints:
         endpoint = idx.endpoints[r.target]
-        attachment = idx.attachments.get(endpoint.attachment)
-        target_service = idx.services.get(attachment.service) if attachment else None
-        if target_service is None:
-            raise UnknownEntityError(f"endpoint {r.target!r} resolves to no service")
+        attachment = idx.attachments[endpoint.attachment]
+        target_service = idx.services[attachment.service]
     else:
         raise UnknownEntityError(f"target {r.target!r}")
 
@@ -443,8 +436,8 @@ def _network_leg(s: Scenario, idx: ScenarioIndex, r: m.FlowRequest) -> NetworkLe
     if path is not None and endpoint is None:
         ep_hop = path.endpoint_hop
         if ep_hop is not None:
-            endpoint = idx.endpoints.get(ep_hop.edge)
-            attachment = idx.attachments.get(ep_hop.attachment)
+            endpoint = idx.endpoints[ep_hop.edge]
+            attachment = idx.attachments[ep_hop.attachment]
     if r.source_address is None:
         source_nets = idx.source_nets.get(r.source, ())
     else:
@@ -456,9 +449,9 @@ def _network_leg(s: Scenario, idx: ScenarioIndex, r: m.FlowRequest) -> NetworkLe
     dst_port = None
     if target_service is not None:
         # the endpoint's address, then the service's: both hosts, the first port named
-        addresses = [a for a in (endpoint and endpoint.address, target_service.address) if a]
-        target_nets = tuple(filter(None, map(prefix.host, addresses))) + idx.segment_nets.get(target_service.segment, ())
-        dst_port = next((hp[1] for hp in map(prefix.host_port, addresses) if hp and hp[1] is not None), None)
+        addresses = [prefix.host_port(a) for a in (endpoint and endpoint.address, target_service.address) if a]
+        target_nets = tuple(host for host, _ in addresses) + idx.segment_nets[target_service.segment]
+        dst_port = next((port for _, port in addresses if port is not None), None)
     source_segment = idx.segments.get(r.source)
     facts = dict(
         source=r.source,
@@ -479,8 +472,8 @@ def _network_leg(s: Scenario, idx: ScenarioIndex, r: m.FlowRequest) -> NetworkLe
     return NetworkLeg(
         **facts,
         steps=steps,
-        src_perimeter=idx.data_plane_perimeter_of(source_segment.project if source_segment else None),
-        dst_perimeter=idx.data_plane_perimeter_of(target_service.project if target_service else None),
+        src_perimeter=idx.data_plane_perimeter.get(source_segment.project if source_segment else None),
+        dst_perimeter=idx.data_plane_perimeter.get(target_service.project if target_service else None),
     )
 
 
@@ -587,8 +580,8 @@ def _principal_class(s: Scenario, idx: ScenarioIndex, principal: m.Principal, id
     cls = (tokens(principal), tuple(principal.device.get(k) for k in device_keys))
     if idp is None:
         return cls
-    chain = identity_mod.resolve_credential(s, principal.id, idp) if idp in idx.idps else None
+    chain = identity_mod.resolve_credential(s, principal.id, idp)
     if chain is None:
         return cls + (None,)
-    terminal = idx.principals.get(chain.terminal_principal, principal)
+    terminal = idx.principals[chain.terminal_principal]
     return cls + ((tuple(step.edge for step in chain.steps), tokens(terminal)),)

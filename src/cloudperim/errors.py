@@ -73,6 +73,17 @@ class InvalidHierarchyError(CloudPerimError):
     """Resource hierarchy contains a parent cycle."""
 
 
+class InvalidScenarioError(CloudPerimError):
+    """Scenario has structural violations, so nothing may evaluate it.
+
+    Carries the violations ``validate_scenario`` returns, in its order.
+    """
+
+    def __init__(self, violations):
+        self.violations = tuple(violations)
+        super().__init__("; ".join(str(v) for v in self.violations))
+
+
 class ScenarioParseError(CloudPerimError):
     """Document could not be parsed into a scenario.
 

@@ -157,17 +157,11 @@ def lint(s: Scenario, perimeter_threshold: int = DEFAULT_PERIMETER_THRESHOLD) ->
 
     # BP4: declared service dependency crossing perimeters without rules
     for svc in sorted(s.services, key=lambda x: x.id):
-        src_perim = idx.data_plane_perimeter_of(svc.project)
+        src_perim = idx.data_plane_perimeter.get(svc.project)
         for dep_id in svc.depends_on:
-            dep = idx.services.get(dep_id)
-            if dep is None:
-                continue
-            dst_perim = idx.data_plane_perimeter_of(dep.project)
-            if src_perim is dst_perim or (
-                src_perim is not None and dst_perim is not None and src_perim.id == dst_perim.id
-            ):
-                continue
-            if src_perim is None and dst_perim is None:
+            dep = idx.services[dep_id]
+            dst_perim = idx.data_plane_perimeter.get(dep.project)
+            if src_perim is dst_perim:  # one perimeter, or none, holds both
                 continue
 
             def mentions(rule: m.PerimeterRule) -> bool:
@@ -211,7 +205,7 @@ def lint(s: Scenario, perimeter_threshold: int = DEFAULT_PERIMETER_THRESHOLD) ->
             if fw.scope == m.ORG_SCOPE:
                 backed = True
                 break
-            if fw.scope_kind == "folder" and all(fw.scope_id in idx.ancestors(prj) for prj in members):
+            if fw.scope_kind == "folder" and all(fw.scope_id in idx.chains[prj] for prj in members):
                 backed = True
                 break
         if not backed:
@@ -256,7 +250,7 @@ def lint(s: Scenario, perimeter_threshold: int = DEFAULT_PERIMETER_THRESHOLD) ->
         for seg in member_segments(p.id):
             if not any(m.INTERNET in e.ends and seg.id in e.ends for e in s.edges):
                 continue
-            chain = idx.ancestors(seg.project)
+            chain = idx.chains[seg.project]
             constrained = any(
                 c.kind is m.ConstraintKind.NO_INTERNET_EGRESS and c.scope in chain
                 for c in s.constraints
@@ -292,10 +286,7 @@ def lint(s: Scenario, perimeter_threshold: int = DEFAULT_PERIMETER_THRESHOLD) ->
         return hops is not None and all(h.kind in _FLAT_HOPS for h in hops)
 
     for edge in s.trust_edges:
-        src_idp = idx.idps.get(edge.src)
-        dst_idp = idx.idps.get(edge.dst)
-        if src_idp is None or dst_idp is None:
-            continue
+        src_idp, dst_idp = idx.idps[edge.src], idx.idps[edge.dst]
         if src_idp.kind is m.IdpKind.DIRECTORY and dst_idp.kind is m.IdpKind.DIRECTORY:
             if src_idp.segment and dst_idp.segment and not flat(src_idp.segment, dst_idp.segment):
                 findings.append(
@@ -310,8 +301,8 @@ def lint(s: Scenario, perimeter_threshold: int = DEFAULT_PERIMETER_THRESHOLD) ->
     for svc in sorted(s.services, key=lambda x: x.id):
         if svc.idp is None:
             continue
-        idp = idx.idps.get(svc.idp)
-        if idp is None or idp.kind is not m.IdpKind.DIRECTORY or idp.segment is None:
+        idp = idx.idps[svc.idp]
+        if idp.kind is not m.IdpKind.DIRECTORY or idp.segment is None:
             continue
         if not flat(svc.segment, idp.segment):
             findings.append(

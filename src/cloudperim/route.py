@@ -183,17 +183,14 @@ def resolve_path(s: Scenario, source: str, target: str) -> RoutePath | Unreachab
         picked = _pick(_candidate_paths_to_service(s, source, svc))
         if picked is not None:
             return RoutePath(tuple(picked))
-        home = idx.segments.get(svc.segment)
-        if home is not None and home.routability is m.Routability.NON_ROUTABLE:
+        if idx.segments[svc.segment].routability is m.Routability.NON_ROUTABLE:
             return Unreachable(UnreachableReason.NON_ROUTABLE)
         return Unreachable(UnreachableReason.NO_PATH)
 
     if target in idx.endpoints:
         ep = idx.endpoints[target]
-        att = idx.attachments.get(ep.attachment)
-        svc = idx.services.get(att.service) if att else None
-        if svc is None:
-            raise UnknownTargetError(target)
+        att = idx.attachments[ep.attachment]
+        svc = idx.services[att.service]
         lead = _locus_path(s, source, ep.segment)
         if lead is None:
             return Unreachable(UnreachableReason.NO_PATH)

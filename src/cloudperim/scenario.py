@@ -24,7 +24,7 @@ import yaml
 
 from . import model as m
 from . import prefix
-from .errors import CloudPerimError, InvalidHierarchyError, ScenarioParseError, UnknownNodeError
+from .errors import CloudPerimError, InvalidHierarchyError, InvalidScenarioError, ScenarioParseError
 
 if TYPE_CHECKING:
     from .engine import NetworkLeg
@@ -81,6 +81,10 @@ class Scenario:
     _index: "ScenarioIndex | None" = field(
         default=None, init=False, compare=False, repr=False
     )
+    # the violations the index was refused for, once it has been
+    _violations: tuple[Violation, ...] | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -89,18 +93,29 @@ class Scenario:
             object.__setattr__(self, f.name, tuple(getattr(self, f.name)))
 
     def index(self) -> "ScenarioIndex":
+        """The scenario's index. A scenario with violations is refused with
+        ``InvalidScenarioError``; validation runs once per scenario."""
         if self._index is None:
-            object.__setattr__(self, "_index", ScenarioIndex(self))
+            if self._violations is None:
+                try:
+                    object.__setattr__(self, "_index", ScenarioIndex(self))
+                except InvalidScenarioError as e:
+                    object.__setattr__(self, "_violations", e.violations)
+            if self._violations is not None:
+                raise InvalidScenarioError(self._violations)
         return self._index
 
 
 class ScenarioIndex:
-    """Facts derived once per scenario, and the memos of queries over it.
+    """Facts derived once per valid scenario, and the memos of queries over it.
 
-    Scenarios are frozen, so neither the facts nor the memos can go stale.
-    A hierarchy walk that fails does not fail the build: it keeps its error,
-    raised again by the query that needs it, and validation reports from the
-    same facts.
+    Building it is the one gate for broken scenarios. The facts validation
+    reads come first: the id maps, each node's ancestor chain, each
+    perimeter's members and each segment's CIDR intervals, with the errors of
+    hierarchy walks kept as values. A scenario with any violation is refused
+    with ``InvalidScenarioError`` before anything sorts or joins on them, so
+    every query reads plain values. Scenarios are frozen, so neither the
+    facts nor the memos can go stale.
     """
 
     def __init__(self, s: Scenario) -> None:
@@ -115,7 +130,8 @@ class ScenarioIndex:
         self.principals = {x.id: x for x in s.principals}
         self.assets = {x.id: x for x in s.assets}
         self.perimeters = {x.id: x for x in s.perimeters}
-        # node id -> its root-first chain, or the error ``m.ancestors`` raises for it
+        # node id -> its root-first chain (from the organization root down to
+        # the node), or the error ``m.ancestors`` raises for it
         self.chains: dict[str, tuple[str, ...] | CloudPerimError] = {
             nid: _outcome(lambda: tuple(m.ancestors(nid, self.nodes))) for nid in self.nodes
         }
@@ -123,6 +139,21 @@ class ScenarioIndex:
         self.perimeter_members: tuple[frozenset[str] | CloudPerimError, ...] = tuple(
             _outcome(lambda: m.resolve_members(p, self.nodes)) for p in s.perimeters
         )
+        # per segment in scenario order, each CIDR's interval or None; per
+        # segment id, its intervals, and those of its requests: a request that
+        # names no source address carries the segment's canonical address
+        self.cidr_nets = tuple(tuple(map(prefix.network, seg.cidrs)) for seg in s.segments)
+        self.segment_nets: dict[str, tuple[prefix.Interval, ...]] = {}
+        self.source_nets: dict[str, tuple[prefix.Interval, ...]] = {}
+        for seg, cidr_nets in zip(s.segments, self.cidr_nets):
+            nets = tuple(n for n in cidr_nets if n is not None)
+            canonical = prefix.address(prefix.first_host(seg.cidrs[0])) if seg.cidrs else None
+            self.segment_nets[seg.id] = nets
+            self.source_nets[seg.id] = nets if canonical is None else (canonical,) + nets
+        violations = _validate(s, self)
+        if violations:
+            raise InvalidScenarioError(violations)
+
         self.attachment_for_service = {a.service: a for a in s.attachments}
         self.endpoints_for_attachment: dict[str, list[m.ConsumerEndpoint]] = {}
         for ep in s.endpoints:
@@ -144,17 +175,13 @@ class ScenarioIndex:
             x.id for x in s.segments if x.routability is m.Routability.NON_ROUTABLE
         )
         self.adjacency = _locus_adjacency(s.edges, self.non_routable)
-        # per segment in scenario order, each CIDR's interval or None; per
-        # segment id, its intervals, and those of its requests: a request that
-        # names no source address carries the segment's canonical address
-        self.cidr_nets = tuple(tuple(map(prefix.network, seg.cidrs)) for seg in s.segments)
-        self.segment_nets: dict[str, tuple[prefix.Interval, ...]] = {}
-        self.source_nets: dict[str, tuple[prefix.Interval, ...]] = {}
-        for seg, cidr_nets in zip(s.segments, self.cidr_nets):
-            nets = tuple(n for n in cidr_nets if n is not None)
-            canonical = prefix.address(prefix.first_host(seg.cidrs[0])) if seg.cidrs else None
-            self.segment_nets[seg.id] = nets
-            self.source_nets[seg.id] = nets if canonical is None else (canonical,) + nets
+        # project -> the data-plane perimeter holding it (no two overlap)
+        self.data_plane_perimeter: dict[str, m.AbstractPerimeter] = {
+            prj: p
+            for p, members in zip(s.perimeters, self.perimeter_members)
+            if m.Mechanism.DATA_PLANE_PERIMETER in p.mechanisms
+            for prj in members
+        }
         # memos of route, identity and engine queries
         self.route_trees: dict[tuple[str, bool], dict[str, m.ConnectivityEdge]] = {}
         self.credential_cache: dict[tuple[str, str], m.CredentialChain | None] = {}
@@ -170,36 +197,14 @@ class ScenarioIndex:
         self.leg_contexts: dict[tuple[str, str, str | None, frozenset[str]], tuple[tuple, str | None] | None] = {}
         self.principal_classes: dict[tuple[str, str | None], tuple] = {}
         self.policy_identities: tuple[frozenset[str], tuple[str, ...]] | None = None
-        self._data_plane_perimeter: dict[str, m.AbstractPerimeter] | None = None
-
-    def ancestors(self, node: str) -> tuple[str, ...]:
-        """Node ids from the organization root down to ``node`` inclusive;
-        raises what ``m.ancestors`` raises for it."""
-        chain = self.chains.get(node)
-        return _value(UnknownNodeError(node) if chain is None else chain)
 
     def folders_above(self, node: str) -> tuple[str, ...]:
         """The folders of ``node``'s ancestor chain, root first."""
-        return tuple(n for n in self.ancestors(node) if self.nodes[n].kind is m.NodeKind.FOLDER)
+        return tuple(n for n in self.chains[node] if self.nodes[n].kind is m.NodeKind.FOLDER)
 
     def memberships(self) -> dict[str, frozenset[str]]:
-        """Perimeter id -> resolved member project set; raises the error of the
-        first perimeter, in scenario order, that does not resolve."""
-        return {p.id: _value(x) for p, x in zip(self.scenario.perimeters, self.perimeter_members)}
-
-    def data_plane_perimeter_of(self, project: str | None) -> m.AbstractPerimeter | None:
-        """The first data-plane perimeter, in scenario order, holding ``project``."""
-        if project is None:
-            return None
-        if self._data_plane_perimeter is None:
-            dp = [p for p in self.scenario.perimeters if m.Mechanism.DATA_PLANE_PERIMETER in p.mechanisms]
-            members = self.memberships() if dp else {}
-            by_project: dict[str, m.AbstractPerimeter] = {}
-            for p in dp:
-                for prj in members[p.id]:
-                    by_project.setdefault(prj, p)
-            self._data_plane_perimeter = by_project
-        return self._data_plane_perimeter.get(project)
+        """Perimeter id -> resolved member project set."""
+        return {p.id: x for p, x in zip(self.scenario.perimeters, self.perimeter_members)}
 
 
 def _outcome(walk: Callable[[], Any]) -> Any:
@@ -210,30 +215,21 @@ def _outcome(walk: Callable[[], Any]) -> Any:
         return e
 
 
-def _value(outcome: Any) -> Any:
-    """A kept outcome's value. A kept error is raised as a fresh copy, so the
-    stored one gathers no traceback."""
-    if isinstance(outcome, CloudPerimError):
-        raise type(outcome)(*outcome.args)
-    return outcome
-
-
 def _locus_adjacency(
     edges: tuple[m.ConnectivityEdge, ...], non_routable: frozenset[str]
 ) -> dict[str, tuple[tuple[m.ConnectivityEdge, str], ...]]:
     """Locus -> the (edge, next locus) pairs legal from it for any flow, by edge id.
 
-    An outbound-only edge leaves only its first end. Self-loops, edges without
-    exactly two ends (a violation), NAT edges not leading into INTERNET, and
-    entries into a non-routable segment other than by vpc-connector are never
-    legal. The rules that depend on the flow
+    An outbound-only edge leaves only its first end. Self-loops, NAT edges
+    not leading into INTERNET, and entries into a non-routable segment other
+    than by vpc-connector are never legal. The rules that depend on the flow
     (non-routable transit, NAT only toward INTERNET) are the route search's.
     """
     out: dict[str, list[tuple[m.ConnectivityEdge, str]]] = {}
     for e in edges:
-        if len(e.ends) != 2 or e.ends[0] == e.ends[1]:
-            continue
         a, b = e.ends
+        if a == b:
+            continue
         for at, nxt in ((a, b), (b, a)):
             if e.direction is m.EdgeDirection.OUTBOUND_ONLY and at != a:
                 continue
@@ -944,15 +940,58 @@ def parse_scenario(document: str) -> Scenario:
         return sections[section].get(key, absent)
 
     s = _read(ctx, _SCENARIO, raw, "document", get=get)
-    ctx.extend(ParseIssue(*problem) for problem in _integrity_problems(s))
+    try:
+        s.index()
+    except InvalidScenarioError as e:
+        # of the refusal, the parser reports duplicate ids and references to nothing
+        ctx.extend(
+            ParseIssue(v.code, v.subject, v.message) for v in e.violations if v.code in ("DUP_ID", "UNKNOWN_REF")
+        )
     if ctx:
         raise ScenarioParseError(ctx)
     return s
 
 
-def _integrity_problems(s: Scenario) -> list[tuple[str, str, str]]:
-    """Duplicate ids, then references to nothing, as (code, subject, message)."""
-    out: list[tuple[str, str, str]] = []
+# ---------------------------------------------------------------------------
+# Validation
+# ---------------------------------------------------------------------------
+
+
+def validate_scenario(s: Scenario) -> list[Violation]:
+    """Structural invariant check; empty list iff the scenario is well formed,
+    which is when ``Scenario.index`` builds its index instead of refusing it."""
+    try:
+        s.index()
+    except InvalidScenarioError as e:
+        return list(e.violations)
+    return []
+
+
+def _validate(s: Scenario, idx: ScenarioIndex) -> list[Violation]:
+    """The violations of ``s``, read from the facts ``idx`` has derived so far.
+
+    The parser's own checks of scopes, priorities, CIDR tokens, edge ends,
+    tags and subnets come first, then ids that are not text, duplicate ids
+    and references to nothing, found as the parser finds them, so a scenario
+    built in code is held to the same rules.
+    """
+    ctx = _Ctx()
+    for e in s.edges:
+        _two_ends(ctx, e.id, e.ends)
+    for fw in s.firewall_rules:
+        _scope_shape(ctx, fw.id, fw.scope)
+        _INT.read(ctx, fw.priority, fw.id, None)
+        _cidr_tokens(ctx, fw.id, fw.src + fw.dst)
+    for predicate in (p for holder in (*s.endpoints, *s.attachments) for p in holder.policy):
+        _cidr_tokens(ctx, predicate.id, predicate.cidrs)
+    for rule in (r for perimeter in s.perimeters for r in perimeter.ingress + perimeter.egress):
+        _cidr_tokens(ctx, rule.id, rule.networks)
+    for tagged in (*s.nodes, *s.assets):
+        _key_value_tags(ctx, tagged.id, sorted(tagged.tags))
+    for seg in s.segments:
+        _subnet_cidrs(ctx, seg.id, seg.subnets)
+    out = [Violation(issue.code, issue.subject, issue.message) for issue in ctx]
+    # ids that are not text or are duplicates, then references to nothing
     namespaces: dict[str, list[str]] = {}  # noun -> ids, in table then scenario order
     for f in _SCENARIO.fields:
         if isinstance(f.codec, _Many):
@@ -960,11 +999,11 @@ def _integrity_problems(s: Scenario) -> list[tuple[str, str, str]]:
     for noun, ids in namespaces.items():
         seen: set[str] = set()
         for i in ids:
-            if i in seen:
-                out.append(("DUP_ID", i, f"duplicate {noun} id"))
+            if not isinstance(i, str):
+                out.append(Violation("BAD_VALUE", f"{noun} id", f"{i!r} is not text"))
+            elif i in seen:
+                out.append(Violation("DUP_ID", i, f"duplicate {noun} id"))
             seen.add(i)
-
-    idx = s.index()
 
     def kind(node_id: str | None) -> m.NodeKind | None:
         return idx.nodes[node_id].kind if node_id in idx.nodes else None
@@ -974,7 +1013,7 @@ def _integrity_problems(s: Scenario) -> list[tuple[str, str, str]]:
 
     def ref(ok: bool, subject: str, target: str, what: str) -> None:
         if not ok:
-            out.append(("UNKNOWN_REF", subject, f"unknown {what} {target!r}"))
+            out.append(Violation("UNKNOWN_REF", subject, f"unknown {what} {target!r}"))
 
     for n in s.nodes:
         if n.parent is not None:
@@ -1047,40 +1086,6 @@ def _integrity_problems(s: Scenario) -> list[tuple[str, str, str]]:
                     ref(t.service in idx.services, rule.id, t.service, "service")
     for a in s.assets:
         ref(a.resource in idx.nodes, a.id, a.resource, "resource")
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Validation
-# ---------------------------------------------------------------------------
-
-
-def validate_scenario(s: Scenario) -> list[Violation]:
-    """Structural invariant check; empty list iff the scenario is well formed.
-
-    The parser's own checks of scopes, CIDR tokens, edge ends, tags and
-    subnets come first, then duplicate ids and references to nothing, found
-    as the parser finds them, so a scenario built in code is held to the same
-    rules. The hierarchy, segment intervals and perimeter members are read
-    from the scenario's index.
-    """
-    ctx = _Ctx()
-    for e in s.edges:
-        _two_ends(ctx, e.id, e.ends)
-    for fw in s.firewall_rules:
-        _scope_shape(ctx, fw.id, fw.scope)
-        _cidr_tokens(ctx, fw.id, fw.src + fw.dst)
-    for predicate in (p for holder in (*s.endpoints, *s.attachments) for p in holder.policy):
-        _cidr_tokens(ctx, predicate.id, predicate.cidrs)
-    for rule in (r for perimeter in s.perimeters for r in perimeter.ingress + perimeter.egress):
-        _cidr_tokens(ctx, rule.id, rule.networks)
-    for tagged in (*s.nodes, *s.assets):
-        _key_value_tags(ctx, tagged.id, sorted(tagged.tags))
-    for seg in s.segments:
-        _subnet_cidrs(ctx, seg.id, seg.subnets)
-    out = [Violation(issue.code, issue.subject, issue.message) for issue in ctx]
-    out.extend(Violation(*problem) for problem in _integrity_problems(s))
-    idx = s.index()
 
     orgs = [n for n in s.nodes if n.kind is m.NodeKind.ORGANIZATION]
     if len(orgs) != 1:

@@ -1,9 +1,11 @@
 """End-to-end CLI coverage: every subcommand against a template."""
 
+import dataclasses
 import json
 
 import pytest
 
+from cloudperim import builtin_scenario, parse_scenario, serialize_scenario, validate_scenario
 from cloudperim.cli import EXIT_BAD_INPUT, EXIT_OK, EXIT_POLICY, main
 
 
@@ -69,6 +71,48 @@ networks:
     code, out, _ = run(capsys, "validate", "--scenario", str(doc))
     assert code == EXIT_POLICY
     assert "CIDR_OVERLAP" in out
+
+
+@pytest.fixture
+def overlapping(tmp_path):
+    """fig1 with a copy of its green segment: a file that parses, whose one
+    violation is a CIDR_OVERLAP."""
+    s = builtin_scenario("fig1-lift-shift")
+    copy = dataclasses.replace(s.segments[0], id="green-copy")
+    doc = tmp_path / "overlap.yaml"
+    doc.write_text(serialize_scenario(dataclasses.replace(s, segments=s.segments + (copy,))))
+    violations = validate_scenario(parse_scenario(doc.read_text()))
+    assert [v.code for v in violations] == ["CIDR_OVERLAP"]
+    return str(doc), violations
+
+
+def test_validate_reports_violations_and_exits_three(overlapping, capsys):
+    path, violations = overlapping
+    code, out, err = run(capsys, "validate", "--scenario", path)
+    assert code == EXIT_POLICY
+    assert out == f"{violations[0]}\n1 violation(s) in fig1-lift-shift\n"
+    assert err == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--from", "green", "--principal", "sa:green-a", "--to", "yellow-pay"],
+        ["matrix"],
+        ["lint"],
+        ["verify-compile", "--perimeter", "green", "--mechanism", "hybrid"],
+        ["exfil", "--tag", "pci:true", "--perimeter", "yellow"],
+        ["blast", "--workload", "webshop"],
+        ["compile", "--perimeter", "green", "--mechanism", "lift-shift"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_scenario_with_violations_exits_two_with_one_error_line_each(overlapping, capsys, argv):
+    path, violations = overlapping
+    code, out, err = run(capsys, argv[0], "--scenario", path, *argv[1:])
+    assert code == EXIT_BAD_INPUT
+    assert out == ""
+    assert err == "".join(f"error: {v}\n" for v in violations)
 
 
 def test_parse_errors_exit_two(tmp_path, capsys):

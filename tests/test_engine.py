@@ -16,7 +16,7 @@ from cloudperim.engine import (
     evaluate_firewall_chain,
     evaluate_rbac,
 )
-from cloudperim.errors import UnknownEntityError, UnknownNodeError
+from cloudperim.errors import InvalidScenarioError, UnknownEntityError, UnknownNodeError
 
 sys.path.insert(0, str(Path(__file__).parent))
 from genrandom import random_request, random_scenario  # noqa: E402
@@ -120,14 +120,17 @@ def test_folder_deny_beats_segment_allow():
 
 def test_segment_in_unknown_project_fails_closed():
     # A programmatic scenario skips the parser's reference checks. Skipping
-    # the folder scopes would let the segment allow bypass the folder deny.
+    # the folder scopes would let the segment allow bypass the folder deny:
+    # the engine refuses the scenario instead, and the oracle, which keeps
+    # its own walks, fails on the unknown node.
     s = parse_scenario(HIER_DOC)
     ghost = dataclasses.replace(
         s, segments=tuple(dataclasses.replace(x, project="ghost") for x in s.segments)
     )
     request = flow("p", "net", m.INTERNET)
-    with pytest.raises(UnknownNodeError):
+    with pytest.raises(InvalidScenarioError) as refused:
         evaluate_flow(ghost, request)
+    assert [(v.code, v.subject) for v in refused.value.violations] == [("UNKNOWN_REF", "net")]
     with pytest.raises(UnknownNodeError):
         oracle_evaluate(ghost, request)
 

@@ -2,7 +2,8 @@
 
 The index keeps each node's ancestor chain and each perimeter's members as
 the model's reference walks (``m.ancestors``, ``m.resolve_members``) give
-them, errors included, and building it never raises on an invalid scenario.
+them. It is built only for a scenario with no violations: on any other, the
+walks' errors show as the refusal's violations, and no index is kept.
 Validation reports from those facts, so its output must not depend on what
 queries ran on the index first.
 """
@@ -25,7 +26,7 @@ from cloudperim import (
 )
 from cloudperim import model as m
 from cloudperim.analysis import default_request_space
-from cloudperim.errors import CloudPerimError
+from cloudperim.errors import CloudPerimError, InvalidHierarchyError, InvalidScenarioError, UnknownNodeError
 
 sys.path.insert(0, str(Path(__file__).parent))
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
@@ -41,27 +42,46 @@ def _outcome(walk):
         return e
 
 
-def _same_outcome(got, expected):
-    if isinstance(expected, CloudPerimError):
-        return type(got) is type(expected) and str(got) == str(expected)
-    return got == expected
+def _walk_violations(s, chains, members):
+    """(code, subject) of the violations the reference walks' errors stand
+    for: the first node whose walk meets a cycle, each node naming an unknown
+    parent, and each perimeter that resolves to no project."""
+    out = set()
+    cycle = next((nid for nid, chain in chains.items() if isinstance(chain, InvalidHierarchyError)), None)
+    if cycle is not None:
+        out.add(("PARENT_CYCLE", cycle))
+    for chain in chains.values():
+        if isinstance(chain, UnknownNodeError):
+            out.update(("UNKNOWN_REF", n.id) for n in s.nodes if n.parent == str(chain))
+    out.update(
+        ("EMPTY_PERIMETER", p.id) for p, x in zip(s.perimeters, members) if isinstance(x, m.EmptyPerimeterError)
+    )
+    return out
 
 
 def _assert_index_matches_walks(s):
-    idx = s.index()
     nodes = {n.id: n for n in s.nodes}
-    for node in [n.id for n in s.nodes] + ["no-such-node"]:
-        expected = _outcome(lambda: tuple(m.ancestors(node, nodes)))
-        assert _same_outcome(_outcome(lambda: idx.ancestors(node)), expected), node
-    expected_members = [_outcome(lambda: m.resolve_members(p, nodes)) for p in s.perimeters]
-    for p, got, expected in zip(s.perimeters, idx.perimeter_members, expected_members):
-        assert _same_outcome(got, expected), p.id
-    first_error = next((e for e in expected_members if isinstance(e, CloudPerimError)), None)
-    memberships = _outcome(idx.memberships)
-    if first_error is None:
-        assert memberships == {p.id: x for p, x in zip(s.perimeters, expected_members)}
-    else:
-        assert _same_outcome(memberships, first_error)
+    chains = {n.id: _outcome(lambda: tuple(m.ancestors(n.id, nodes))) for n in s.nodes}
+    members = [_outcome(lambda: m.resolve_members(p, nodes)) for p in s.perimeters]
+    violations = validate_scenario(s)
+    reported = {
+        (v.code, v.subject)
+        for v in violations
+        if v.code in ("PARENT_CYCLE", "EMPTY_PERIMETER") or v.message.startswith("unknown parent node")
+    }
+    assert reported == _walk_violations(s, chains, members)
+    if violations:
+        with pytest.raises(InvalidScenarioError) as refused:
+            s.index()
+        assert list(refused.value.violations) == violations
+        assert s._index is None
+        return
+    idx = s.index()
+    for node, expected in chains.items():
+        assert idx.chains[node] == expected, node
+    assert "no-such-node" not in idx.chains
+    assert list(idx.perimeter_members) == members
+    assert idx.memberships() == {p.id: x for p, x in zip(s.perimeters, members)}
 
 
 def _broken_hierarchies(s):
@@ -139,11 +159,10 @@ def test_edge_without_two_ends_is_reported_and_joins_nothing(ends):
     edge = next(e for e in s.edges if e.id == "ic-green")
     others = tuple(e for e in s.edges if e is not edge)
     malformed = dataclasses.replace(s, edges=others + (dataclasses.replace(edge, ends=ends),))
-    without = dataclasses.replace(s, edges=others)
-    malformed.index()  # builds without raising
-    assert [(v.code, v.subject) for v in validate_scenario(malformed)] == [("BAD_VALUE", edge.id)]
-    requests = default_request_space(s)
-    # the well-formed edge carries requests that nothing else allows
-    assert any(evaluate_flow(s, r)[0].allowed and not evaluate_flow(without, r)[0].allowed for r in requests)
-    for r in requests:
-        assert evaluate_flow(malformed, r) == evaluate_flow(without, r), r
+    violations = validate_scenario(malformed)
+    assert [(v.code, v.subject) for v in violations] == [("BAD_VALUE", edge.id)]
+    for r in default_request_space(s):
+        with pytest.raises(InvalidScenarioError) as refused:
+            evaluate_flow(malformed, r)
+        assert list(refused.value.violations) == violations
+    assert malformed._index is None

@@ -21,7 +21,7 @@ from cloudperim.analysis import (
     reachability_matrix,
     source_loci,
 )
-from cloudperim.errors import UnknownEntityError, UnknownNodeError
+from cloudperim.errors import InvalidScenarioError, UnknownEntityError
 from cloudperim.identity import resolve_credential
 from cloudperim.route import RoutePath, resolve_path
 
@@ -224,15 +224,18 @@ identity:
   principals: [{id: p, kind: service-account, idp: idp}]
 """
     s = parse_scenario(doc)
+    # a scenario with a violation is refused before any leg is built, every time
     ghost = dataclasses.replace(s, segments=tuple(dataclasses.replace(x, project="ghost") for x in s.segments))
     request = m.FlowRequest("p", "net", m.INTERNET)
     for _ in range(2):
-        with pytest.raises(UnknownNodeError):
+        with pytest.raises(InvalidScenarioError):
             evaluate_flow(ghost, request)
+    assert ghost._index is None
+    # a request naming what the scenario lacks raises, and leaves no leg behind
     for bad in (m.FlowRequest("p", "nowhere", m.INTERNET), m.FlowRequest("p", "net", "nothing")):
         with pytest.raises(UnknownEntityError):
-            evaluate_flow(ghost, bad)
-    assert ghost.index().legs == {}
+            evaluate_flow(s, bad)
+    assert s.index().legs == {}
 
 
 def test_unknown_principal_is_reported_before_the_leg_warm_or_cold():
@@ -252,11 +255,15 @@ def test_unknown_principal_is_reported_before_the_leg_warm_or_cold():
 )
 def test_leg_reads_the_target_host_and_port_once(address, port, violations):
     """The endpoint's host meets dst rules and its port is the flow's. A port
-    the parser rejects (so does ``validate_scenario``) names no port; the host
-    is still read."""
+    the parser rejects (so does ``validate_scenario``) refuses the scenario
+    before any leg is read."""
     s = builtin_scenario("fig1-lift-shift")
     s = dataclasses.replace(s, endpoints=(dataclasses.replace(s.endpoints[0], address=address),))
     assert [v.code for v in validate_scenario(s)] == violations
     r = m.FlowRequest(principal="sa:yellow-pay", source="yellow", target="ep-store", method="read")
+    if violations:
+        with pytest.raises(InvalidScenarioError):
+            evaluate_flow(s, r)
+        return
     leg = engine._network_leg(s, s.index(), r)
     assert leg.target_nets[0] == prefix.address("10.2.9.9") and leg.dst_port == port

@@ -8,11 +8,18 @@ from pathlib import Path
 
 import pytest
 
-from cloudperim import TEMPLATE_NAMES, builtin_scenario, parse_scenario, resolve_path, routable_pairs
+from cloudperim import (
+    TEMPLATE_NAMES,
+    builtin_scenario,
+    parse_scenario,
+    resolve_path,
+    routable_pairs,
+    validate_scenario,
+)
 from cloudperim import prefix
 from cloudperim import route as route_mod
 from cloudperim import model as m
-from cloudperim.errors import UnknownLocusError, UnknownTargetError
+from cloudperim.errors import InvalidScenarioError, UnknownLocusError, UnknownTargetError
 from cloudperim.oracle import _all_simple_paths
 from cloudperim.route import HopKind, RoutePath, Unreachable, UnreachableReason
 
@@ -291,20 +298,25 @@ def test_search_matches_reference_on_templates(name, monkeypatch):
     _assert_search_matches_reference(builtin_scenario(name), monkeypatch)
 
 
+def _random_edge(rng, loci, edge_id):
+    """An edge of any kind between random loci (self-loops included), in a
+    direction validation accepts for its kind: a NAT edge is outbound-only
+    with an INTERNET end at either position, a peering edge bidirectional."""
+    kind = rng.choice(list(m.EdgeKind))
+    ends = (rng.choice(loci), rng.choice(loci))
+    direction = rng.choice(list(m.EdgeDirection))
+    if kind is m.EdgeKind.NAT_GATEWAY:
+        ends = rng.choice([(ends[0], m.INTERNET), (m.INTERNET, ends[1])])
+        direction = m.EdgeDirection.OUTBOUND_ONLY
+    elif kind is m.EdgeKind.PEERING:
+        direction = m.EdgeDirection.BIDIRECTIONAL
+    return m.ConnectivityEdge(id=edge_id, kind=kind, ends=ends, direction=direction)
+
+
 def _with_random_edges(rng, s, count):
-    """``s`` plus ``count`` edges of every kind and direction between random
-    loci (self-loops included), so paths run long and hop-count ties are common."""
+    """``s`` plus ``count`` random edges, so paths run long and hop-count ties are common."""
     loci = [x.id for x in s.segments] + [m.ONPREM, m.INTERNET]
-    ids = rng.sample(range(1000), count)
-    extra = tuple(
-        m.ConnectivityEdge(
-            id=f"x{i}",
-            kind=rng.choice(list(m.EdgeKind)),
-            ends=(rng.choice(loci), rng.choice(loci)),
-            direction=rng.choice(list(m.EdgeDirection)),
-        )
-        for i in ids
-    )
+    extra = tuple(_random_edge(rng, loci, f"x{i}") for i in rng.sample(range(1000), count))
     return dataclasses.replace(s, edges=s.edges + extra)
 
 
@@ -313,4 +325,27 @@ def test_search_matches_reference_on_random_scenarios(seed, monkeypatch):
     rng = random.Random(9000 + seed)
     s = random_scenario(rng)
     _assert_search_matches_reference(s, monkeypatch)
-    _assert_search_matches_reference(_with_random_edges(rng, s, 2 * len(s.segments)), monkeypatch)
+    with_edges = _with_random_edges(rng, s, 2 * len(s.segments))
+    assert validate_scenario(with_edges) == []
+    _assert_search_matches_reference(with_edges, monkeypatch)
+
+
+@pytest.mark.parametrize(
+    "kind, ends, direction, message",
+    [
+        ("nat-gateway", ("green", "INTERNET"), "bidirectional", "nat-gateway edges are outbound-only"),
+        ("nat-gateway", ("INTERNET", "green"), "bidirectional", "nat-gateway edges are outbound-only"),
+        ("nat-gateway", ("green", "ONPREM"), "outbound-only", "nat-gateway must have an INTERNET end"),
+        ("peering", ("green", "ONPREM"), "outbound-only", "peering edges are bidirectional"),
+    ],
+)
+def test_nat_and_peering_edges_validation_rejects_are_refused(kind, ends, direction, message):
+    s = builtin_scenario("fig1-lift-shift")
+    edge = m.ConnectivityEdge(id="x1", kind=m.EdgeKind(kind), ends=ends, direction=m.EdgeDirection(direction))
+    broken = dataclasses.replace(s, edges=s.edges + (edge,))
+    violations = validate_scenario(broken)
+    assert [(v.subject, v.message) for v in violations] == [("x1", message)]
+    with pytest.raises(InvalidScenarioError) as refused:
+        resolve_path(broken, "green", m.INTERNET)
+    assert list(refused.value.violations) == violations
+    assert broken._index is None

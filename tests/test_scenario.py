@@ -16,8 +16,8 @@ from cloudperim import (
 )
 from cloudperim import model as m
 from cloudperim import scenario as scenario_module
-from cloudperim.errors import ScenarioParseError, UnknownTemplateError
-from cloudperim.scenario import ParseIssue, Scenario
+from cloudperim.errors import InvalidScenarioError, ScenarioParseError, UnknownTemplateError
+from cloudperim.scenario import ParseIssue, Scenario, Violation
 
 MINIMAL = """
 name: minimal
@@ -313,34 +313,36 @@ def test_parent_cycle_still_reported():
     assert "PARENT_CYCLE" in [v.code for v in validate_scenario(s)]
 
 
-def test_data_plane_perimeter_of_first_perimeter_in_scenario_order_wins():
+def test_overlapping_data_plane_perimeters_are_refused_in_either_order():
     s = builtin_scenario("fig3-hierarchy")
     wide = m.AbstractPerimeter(
         id="prod", name="prod", members=m.MemberSelector(folders=("f-prod",)),
         mechanisms=frozenset({m.Mechanism.DATA_PLANE_PERIMETER}),
     )
-    after = dataclasses.replace(s, perimeters=s.perimeters + (wide,)).index()
-    before = dataclasses.replace(s, perimeters=(wide,) + s.perimeters).index()
-    assert after.data_plane_perimeter_of("prj-web-prod").id == "green-prod"
-    assert before.data_plane_perimeter_of("prj-web-prod").id == "prod"
-    assert after.data_plane_perimeter_of("prj-web-dev").id == "green-dev"
-    assert after.data_plane_perimeter_of(None) is None
-    assert after.data_plane_perimeter_of("no-such-project") is None
+    for perimeters in (s.perimeters + (wide,), (wide,) + s.perimeters):
+        overlapping = dataclasses.replace(s, perimeters=perimeters)
+        with pytest.raises(InvalidScenarioError) as refused:
+            overlapping.index()
+        assert "PERIM_OVERLAP" in [v.code for v in refused.value.violations]
+        assert overlapping._index is None
+    # on a valid scenario each project is in at most one data-plane perimeter
+    by_project = s.index().data_plane_perimeter
+    assert by_project["prj-web-prod"].id == "green-prod"
+    assert by_project["prj-web-dev"].id == "green-dev"
+    assert by_project.get(None) is None and by_project.get("no-such-project") is None
 
 
-def test_data_plane_perimeter_of_raises_on_an_empty_perimeter_only_when_resolving():
-    from cloudperim.errors import EmptyPerimeterError
-
+def test_an_empty_perimeter_is_refused_with_or_without_the_data_plane_mechanism():
     s = builtin_scenario("fig3-hierarchy")
     empty = m.AbstractPerimeter(id="empty", name="empty", members=m.MemberSelector(projects=("gone",)))
-    with_dp = dataclasses.replace(s, perimeters=s.perimeters + (empty,)).index()
-    assert with_dp.data_plane_perimeter_of(None) is None
-    for _ in range(2):
-        with pytest.raises(EmptyPerimeterError):
-            with_dp.data_plane_perimeter_of("prj-web-prod")
-    # without a data-plane perimeter nothing is resolved, so nothing raises
-    no_dp = dataclasses.replace(s, perimeters=(empty,)).index()
-    assert no_dp.data_plane_perimeter_of("prj-web-prod") is None
+    for perimeters in (s.perimeters + (empty,), (empty,)):
+        with_empty = dataclasses.replace(s, perimeters=perimeters)
+        for _ in range(2):
+            with pytest.raises(InvalidScenarioError) as refused:
+                with_empty.index()
+            assert [(v.code, v.subject) for v in refused.value.violations] == [
+                ("UNKNOWN_REF", "empty"), ("EMPTY_PERIMETER", "empty")
+            ]
 
 
 # ---------------------------------------------------------------------------
@@ -375,11 +377,11 @@ def _held_dataclasses(cls, found):
 
 
 def test_every_model_field_is_declared_in_the_format_table():
-    from cloudperim.scenario import Scenario, ScenarioIndex
+    from cloudperim.scenario import Scenario, ScenarioIndex, Violation
 
     table = _table_types()
     held = _held_dataclasses(Scenario, set())
-    assert set(table) == held - {ScenarioIndex}
+    assert set(table) == held - {ScenarioIndex, Violation}
     assert len(table) == 22  # the document and the 21 model types it holds
     for model, t in table.items():
         declared = [f.attr for f in t.fields]
@@ -759,3 +761,37 @@ def test_bad_subnet_cidr_built_in_code_is_a_violation():
     assert [(v.code, v.subject, v.message) for v in violations] == [
         ("BAD_VALUE", segment.id, "bad subnet CIDR '10.1.0.0/99' for 'web'")
     ]
+
+
+def _with_second_rule(s, rule):
+    """``s`` with its first firewall rule replaced by ``rule``, and an integer
+    priority alongside it in the same scope, which a sort by priority compares."""
+    second = dataclasses.replace(s.firewall_rules[0], id="fw-second", priority=200)
+    return dataclasses.replace(s, firewall_rules=(rule,) + s.firewall_rules[1:] + (second,))
+
+
+@pytest.mark.parametrize("priority", [None, "5", True], ids=["none", "text", "bool"])
+def test_a_priority_that_is_not_an_integer_is_a_bad_value(priority):
+    s = builtin_scenario("fig1-lift-shift")
+    rule = dataclasses.replace(s.firewall_rules[0], priority=priority)
+    broken = _with_second_rule(s, rule)
+    violations = validate_scenario(broken)
+    assert Violation("BAD_VALUE", rule.id, f"{priority!r} is not an integer") in violations
+    for _ in range(2):
+        with pytest.raises(InvalidScenarioError) as refused:
+            broken.index()
+        assert list(refused.value.violations) == violations
+    with pytest.raises(InvalidScenarioError):
+        evaluate_flow(broken, m.FlowRequest("sa:green-a", "green", "yellow-pay"))
+
+
+def test_an_id_that_is_not_text_is_a_bad_value():
+    s = builtin_scenario("fig1-lift-shift")
+    broken = dataclasses.replace(s, edges=(dataclasses.replace(s.edges[0], id=7),) + s.edges[1:])
+    violations = validate_scenario(broken)
+    assert violations == [Violation("BAD_VALUE", "edge id", "7 is not text")]
+    with pytest.raises(InvalidScenarioError) as refused:
+        broken.index()
+    assert list(refused.value.violations) == violations
+    with pytest.raises(InvalidScenarioError):
+        evaluate_flow(broken, m.FlowRequest("sa:green-a", "green", "yellow-pay"))
