@@ -28,7 +28,7 @@ from .compiler import (
     verify_compilation,
 )
 from .engine import evaluate_flow
-from .identity import federate, resolve_credential
+from .identity import resolve_credential
 from .lint import Finding, LINT_CODES, lint
 from .model import (
     ANY,
@@ -119,7 +119,6 @@ __all__ = [
     "effective_tags",
     "evaluate_flow",
     "exfiltration_paths",
-    "federate",
     "lint",
     "method_universe",
     "oracle_evaluate",

@@ -153,6 +153,7 @@ def reachability_matrix(
     cap: int = DEFAULT_CELL_CAP,
 ) -> ReachabilityMatrix:
     """Evaluate the full (principal, locus) x (target, method) grid."""
+    s.index()  # refuses a broken scenario, even when the grid is empty
     principals, loci, targets, methods = _axes(s, principals, loci, targets, methods, cap)
     rows = tuple(dict.fromkeys(itertools.product(principals, loci)))
     columns = tuple(dict.fromkeys(itertools.product(targets, methods)))
@@ -194,7 +195,6 @@ def exfiltration_paths(
     tag: str,
     perimeter: str,
     bound: int = DEFAULT_HOP_BOUND,
-    read_methods: tuple[str, ...] = DEFAULT_READ_METHODS,
 ) -> ExfilReport:
     """Read-then-relay chains that move tagged data outside the perimeter.
 
@@ -238,7 +238,7 @@ def exfiltration_paths(
     for principal in sorted(x.id for x in s.principals):
         reader = frozenset({principal})
         for locus in source_loci(s):
-            for r, _, _ in _moves(s, locus, reader, serving, read_methods):
+            for r, _, _ in _moves(s, locus, reader, serving, DEFAULT_READ_METHODS):
                 extend([r], [locus], reader)
 
     uniq = sorted(set(chains), key=lambda c: (len(c.flows), tuple(map(request_key, c.flows))))
@@ -269,6 +269,7 @@ def blast_radius(s: Scenario, workload: str, bound: int = DEFAULT_HOP_BOUND) -> 
     The attacker starts with the workload's principals and network loci; each
     newly reached service contributes its own principals and locus.
     """
+    s.index()  # refuses a broken scenario, even when nothing is evaluated
     origin = [
         svc
         for svc in s.services
@@ -325,6 +326,8 @@ def diff_decisions(
     s_before: Scenario, s_after: Scenario, requests: list[m.FlowRequest]
 ) -> tuple[DecisionDiff, ...]:
     """Requests whose verdicts differ between two scenarios, with both traces."""
+    s_before.index()  # refuses a broken scenario, even with no requests
+    s_after.index()
     diffs = []
     for r in sorted(requests, key=request_key):
         if not _entities_known(s_before, r) or not _entities_known(s_after, r):

@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 from . import model as m
+from . import prefix
 from .analysis import default_request_space, diff_decisions
 from .errors import UnknownPerimeterError, UnresolvableMemberError
 from .scenario import Scenario
@@ -170,9 +171,10 @@ def _expand_target(s: Scenario, t: m.PerimeterTarget) -> tuple[list[str], int | 
         return [m.ANY], None
     idx = s.index()
     svc = idx.services[t.service]
-    if svc.host is not None:
-        return [f"{svc.host}/32"], svc.port
-    return list(idx.segments[svc.segment].cidrs) or [m.ANY], svc.port
+    if svc.address is not None:
+        host, port = prefix.host_prefix(svc.address)
+        return [host], port
+    return list(idx.segments[svc.segment].cidrs) or [m.ANY], None
 
 
 def _compile_lift_shift(

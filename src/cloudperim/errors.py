@@ -49,14 +49,6 @@ class EmptyPerimeterError(CloudPerimError):
     """Perimeter member selector resolved to zero projects."""
 
 
-class NoMappingError(CloudPerimError):
-    """Trust edge mapping has no entry for the chain's terminal principal."""
-
-
-class ChainTooLongError(CloudPerimError):
-    """Extending the credential chain would exceed the configured bound."""
-
-
 class IncompatibleRequestSpaceError(CloudPerimError):
     """A request in the shared space references entities missing from one scenario."""
 

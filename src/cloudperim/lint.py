@@ -53,7 +53,7 @@ def _finding(code: str, severity: str, subject: str, message: str) -> Finding:
     return Finding(code=code, severity=severity, subject=subject, message=message, citation=CITATIONS[code])
 
 
-def lint(s: Scenario, perimeter_threshold: int = DEFAULT_PERIMETER_THRESHOLD) -> list[Finding]:
+def lint(s: Scenario) -> list[Finding]:
     """Run every lint check; returns findings sorted by (code, subject)."""
     idx = s.index()
     findings: list[Finding] = []
@@ -267,14 +267,14 @@ def lint(s: Scenario, perimeter_threshold: int = DEFAULT_PERIMETER_THRESHOLD) ->
                 )
 
     # P_MICROSEG: more perimeters than the sizing guidance recommends
-    if len(s.perimeters) > perimeter_threshold:
+    if len(s.perimeters) > DEFAULT_PERIMETER_THRESHOLD:
         findings.append(
             _finding(
                 "P_MICROSEG",
                 "info",
                 s.name,
                 f"{len(s.perimeters)} perimeters exceed the threshold of "
-                f"{perimeter_threshold}; prefer fewer, larger perimeters",
+                f"{DEFAULT_PERIMETER_THRESHOLD}; prefer fewer, larger perimeters",
             )
         )
 

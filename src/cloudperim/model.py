@@ -311,18 +311,6 @@ class ServiceSpec:
         for f in ("backends", "run_as", "reads", "writes", "depends_on"):
             object.__setattr__(self, f, tuple(getattr(self, f)))
 
-    @property
-    def host(self) -> str | None:
-        if self.address is None:
-            return None
-        return self.address.split(":", 1)[0]
-
-    @property
-    def port(self) -> int | None:
-        if self.address is None or ":" not in self.address:
-            return None
-        return int(self.address.split(":", 1)[1])
-
 
 @dataclass(frozen=True)
 class AccessPredicate:

@@ -278,8 +278,8 @@ def oracle_evaluate(s: Scenario, r: m.FlowRequest) -> m.Decision:
         addrs = []
         if endpoint is not None and endpoint.address is not None:
             addrs.append(endpoint.address.split(":")[0])
-        if svc.host is not None:
-            addrs.append(svc.host)
+        if svc.address is not None:
+            addrs.append(svc.address.split(":")[0])
         if any(_addr_in(a, token) for a in addrs):
             return True
         home = segs.get(svc.segment)
@@ -288,8 +288,8 @@ def oracle_evaluate(s: Scenario, r: m.FlowRequest) -> m.Decision:
     dst_port: int | None = None
     if endpoint is not None and endpoint.address and ":" in endpoint.address:
         dst_port = int(endpoint.address.split(":")[1])
-    elif svc is not None:
-        dst_port = svc.port
+    elif svc is not None and svc.address and ":" in svc.address:
+        dst_port = int(svc.address.split(":")[1])
 
     # --- firewall: org scope, then folders root to leaf, then segment scope
     anchor = src_seg

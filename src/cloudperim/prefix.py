@@ -84,6 +84,11 @@ def host_port(text: str) -> tuple[Interval, int | None] | None:
     return (net, number) if 0 <= number <= 65535 else None
 
 
+def host_prefix(text: str) -> tuple[str, int | None]:
+    """The one-address prefix of the host of an address ``host_port`` reads, and its port."""
+    return str(ipaddress.ip_network(text.partition(":")[0])), host_port(text)[1]
+
+
 @_memoised
 def first_host(text: str) -> str | None:
     """The address after a CIDR's network address, or the one address of a

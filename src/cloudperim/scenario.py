@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from functools import partial
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 import yaml
 
@@ -109,17 +109,21 @@ class Scenario:
 class ScenarioIndex:
     """Facts derived once per valid scenario, and the memos of queries over it.
 
-    Building it is the one gate for broken scenarios. The facts validation
-    reads come first: the id maps, each node's ancestor chain, each
-    perimeter's members and each segment's CIDR intervals, with the errors of
-    hierarchy walks kept as values. A scenario with any violation is refused
-    with ``InvalidScenarioError`` before anything sorts or joins on them, so
-    every query reads plain values. Scenarios are frozen, so neither the
-    facts nor the memos can go stale.
+    Building it is the one gate for broken scenarios. A scenario holding a
+    text that is not a ``str`` is refused first, before anything hashes, sorts
+    or splits it. The facts validation reads come next: the id maps, each
+    node's ancestor chain, each perimeter's members and each segment's CIDR
+    intervals, with the errors of hierarchy walks kept as values. A scenario
+    with any violation is refused with ``InvalidScenarioError`` before
+    anything sorts or joins on them, so every query reads plain values.
+    Scenarios are frozen, so neither the facts nor the memos can go stale.
     """
 
     def __init__(self, s: Scenario) -> None:
         self.scenario = s
+        untyped = _untyped(s)
+        if untyped:
+            raise InvalidScenarioError(untyped)
         self.nodes = {n.id: n for n in s.nodes}
         self.segments = {x.id: x for x in s.segments}
         self.edges = {x.id: x for x in s.edges}
@@ -175,6 +179,15 @@ class ScenarioIndex:
             x.id for x in s.segments if x.routability is m.Routability.NON_ROUTABLE
         )
         self.adjacency = _locus_adjacency(s.edges, self.non_routable)
+        # idp -> the (edge, next idp, mapping) moves of credential chains from it, by edge id; a two-way
+        # edge also moves from its ``to`` end, after its forward move, inverted to the smallest source
+        self.trust_edges = {e.id: e for e in s.trust_edges}
+        self.trust_moves: dict[str, list[tuple[m.TrustEdge, str, Mapping[str, str]]]] = {}
+        for e in sorted(s.trust_edges, key=lambda e: e.id):
+            self.trust_moves.setdefault(e.src, []).append((e, e.dst, e.mapping))
+            if e.kind is m.TrustKind.TWO_WAY_TRUST:
+                inverted = {dst_p: src_p for src_p, dst_p in sorted(e.mapping.items(), reverse=True)}
+                self.trust_moves.setdefault(e.dst, []).append((e, e.src, inverted))
         # project -> the data-plane perimeter holding it (no two overlap)
         self.data_plane_perimeter: dict[str, m.AbstractPerimeter] = {
             prj: p
@@ -184,7 +197,7 @@ class ScenarioIndex:
         }
         # memos of route, identity and engine queries
         self.route_trees: dict[tuple[str, bool], dict[str, m.ConnectivityEdge]] = {}
-        self.credential_cache: dict[tuple[str, str], m.CredentialChain | None] = {}
+        self.credential_chains: dict[str, dict[str, m.CredentialChain]] = {}
         self.target_tags: dict[str, frozenset[str]] = {}
         # (source, target, source address, payload tags) -> network leg
         self.legs: dict[tuple[str, str, str | None, frozenset[str]], NetworkLeg] = {}
@@ -432,6 +445,13 @@ _TOKENS = _Codec(_read_tokens, list)
 _ADDRESS = _Codec(_read_address)
 _PORTS = _Codec(_read_ports, lambda ports: [{"from": lo, "to": hi} for lo, hi in ports])
 
+# codec -> the texts a value it reads holds, or None when the value is one text
+_HELD_TEXTS: dict[_Codec, Callable[[Any], Iterable[Any]] | None] = {
+    **dict.fromkeys((_TEXT, _TAG_TEXT, _ADDRESS)),
+    **dict.fromkeys((_TEXTS, _TAG_TEXTS, _TAGS, _TOKENS), tuple),
+    _TEXT_MAP: lambda mapping: (*mapping, *mapping.values()),
+}
+
 
 @dataclass(frozen=True)
 class _Many:
@@ -489,6 +509,9 @@ class _Type:
         self.model, self.fields, self.ids = model, fields, ids
         self.keys = {f.key for f in fields}
         self.order = sorted(fields, key=lambda f: (f.key != "id", f.key not in first))
+        # the text fields with the texts their values hold; the fields of nested entities, and if a list
+        self.texts = [(f, _HELD_TEXTS[f.codec]) for f in fields if f.codec in _HELD_TEXTS]
+        self.nested = [(f, isinstance(f.codec, _Many)) for f in fields if isinstance(f.codec, (_Many, _One))]
 
 
 _ID = _F("id", _TEXT, _REQUIRED)
@@ -957,6 +980,50 @@ def parse_scenario(document: str) -> Scenario:
 # ---------------------------------------------------------------------------
 
 
+# the last scenario's entity lists found all text, by id (each held, so no other list takes it)
+_ALL_TEXT: dict[int, tuple] = {}
+
+
+def _untyped(s: Scenario) -> list[Violation]:
+    """A ``BAD_VALUE`` for each text in ``s`` that is not a ``str`` (a None only
+    where its field's default is not None, as the parser reads it): a top-level
+    entity's id under ``<noun> id``, any other under its entity's or owner's id."""
+    out: list[Violation] = []
+
+    def walk(t: _Type, entities: Sequence, owners: Sequence, id_subject: str | None) -> None:
+        """Each field of ``t`` over all ``entities`` at once; ``owners[j]`` is the subject of ``entities[j]``."""
+        for f, held in t.texts:
+            none_ok = held is None and f.default is None
+            values = [getattr(e, f.attr) for e in entities]
+            texts = values if held is None else (x for v in values for x in held(v))
+            if set(map(type, texts)) <= ({str, type(None)} if none_ok else {str}):
+                continue
+            for v, owner in zip(values, owners):
+                subject = id_subject if f is _ID and id_subject else owner
+                for x in sorted((v,) if held is None else held(v), key=repr):
+                    if not (isinstance(x, str) or x is None and none_ok):
+                        out.append(Violation("BAD_VALUE", subject, f"{x!r} is not text"))
+        for f, many in t.nested:
+            groups = [getattr(e, f.attr) if many else (getattr(e, f.attr),) for e in entities]
+            nested = [x for xs in groups for x in xs if x is not None]
+            nested_owners = [getattr(x, "id", o) for xs, o in zip(groups, owners) for x in xs if x is not None]
+            if nested:
+                walk(f.codec.type, nested, nested_owners, None)
+
+    out += [Violation("BAD_VALUE", "document", f"{getattr(s, f.attr)!r} is not text")
+            for f, _ in _SCENARIO.texts if not isinstance(getattr(s, f.attr), str)]
+    lists = {}
+    for f, _ in _SCENARIO.nested:
+        value = getattr(s, f.attr)
+        lists[id(value)] = value
+        if id(value) not in _ALL_TEXT:
+            walk(f.codec.type, value, [x.id for x in value], f"{f.codec.noun} id")
+    if not out:  # a version made with ``dataclasses.replace`` shares all lists but the replaced
+        _ALL_TEXT.clear()
+        _ALL_TEXT.update(lists)
+    return out
+
+
 def validate_scenario(s: Scenario) -> list[Violation]:
     """Structural invariant check; empty list iff the scenario is well formed,
     which is when ``Scenario.index`` builds its index instead of refusing it."""
@@ -971,9 +1038,9 @@ def _validate(s: Scenario, idx: ScenarioIndex) -> list[Violation]:
     """The violations of ``s``, read from the facts ``idx`` has derived so far.
 
     The parser's own checks of scopes, priorities, CIDR tokens, edge ends,
-    tags and subnets come first, then ids that are not text, duplicate ids
-    and references to nothing, found as the parser finds them, so a scenario
-    built in code is held to the same rules.
+    tags and subnets come first, then duplicate ids and references to
+    nothing, found as the parser finds them, so a scenario built in code is
+    held to the same rules.
     """
     ctx = _Ctx()
     for e in s.edges:
@@ -991,7 +1058,7 @@ def _validate(s: Scenario, idx: ScenarioIndex) -> list[Violation]:
     for seg in s.segments:
         _subnet_cidrs(ctx, seg.id, seg.subnets)
     out = [Violation(issue.code, issue.subject, issue.message) for issue in ctx]
-    # ids that are not text or are duplicates, then references to nothing
+    # duplicate ids, then references to nothing
     namespaces: dict[str, list[str]] = {}  # noun -> ids, in table then scenario order
     for f in _SCENARIO.fields:
         if isinstance(f.codec, _Many):
@@ -999,9 +1066,7 @@ def _validate(s: Scenario, idx: ScenarioIndex) -> list[Violation]:
     for noun, ids in namespaces.items():
         seen: set[str] = set()
         for i in ids:
-            if not isinstance(i, str):
-                out.append(Violation("BAD_VALUE", f"{noun} id", f"{i!r} is not text"))
-            elif i in seen:
+            if i in seen:
                 out.append(Violation("DUP_ID", i, f"duplicate {noun} id"))
             seen.add(i)
 

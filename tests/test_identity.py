@@ -8,14 +8,18 @@ from pathlib import Path
 
 import pytest
 
-from cloudperim import builtin_scenario, federate, parse_scenario, resolve_credential
-from cloudperim import model as m
-from cloudperim.errors import (
-    ChainTooLongError,
-    NoMappingError,
-    UnknownIdpError,
-    UnknownPrincipalError,
+from cloudperim import (
+    TEMPLATE_NAMES,
+    builtin_scenario,
+    evaluate_flow,
+    oracle,
+    oracle_evaluate,
+    parse_scenario,
+    resolve_credential,
 )
+from cloudperim import model as m
+from cloudperim.analysis import source_loci
+from cloudperim.errors import UnknownIdpError, UnknownPrincipalError
 
 sys.path.insert(0, str(Path(__file__).parent))
 from genrandom import random_scenario  # noqa: E402
@@ -99,39 +103,6 @@ def test_unknown_principal_and_idp(ad):
         resolve_credential(ad, "user:dev", "idp-ghost")
 
 
-def test_federate_applies_mapping(ad):
-    edge = next(e for e in ad.trust_edges if e.id == "fed-wif")
-    chain = m.CredentialChain(steps=(m.ChainStep(idp="ad-cloud", principal="ad:svc1", edge=None),))
-    extended = federate(chain, edge)
-    assert extended.terminal_principal == "sa:gcp1"
-    assert extended.steps[-1].edge == "fed-wif"
-
-
-def test_federate_missing_mapping_raises(ad):
-    edge = next(e for e in ad.trust_edges if e.id == "trust-onprem")
-    chain = m.CredentialChain(
-        steps=(m.ChainStep(idp="ad-onprem", principal="user:unknown", edge=None),)
-    )
-    with pytest.raises(NoMappingError):
-        federate(chain, edge)
-
-
-def test_federate_wrong_source_idp_raises(ad):
-    edge = next(e for e in ad.trust_edges if e.id == "fed-wif")
-    chain = m.CredentialChain(steps=(m.ChainStep(idp="ad-onprem", principal="user:dev", edge=None),))
-    with pytest.raises(NoMappingError):
-        federate(chain, edge)
-
-
-def test_federate_chain_bound(ad):
-    edge = next(e for e in ad.trust_edges if e.id == "fed-wif")
-    steps = tuple(
-        m.ChainStep(idp="ad-cloud", principal="ad:svc1", edge=None) for _ in range(4)
-    )
-    with pytest.raises(ChainTooLongError):
-        federate(m.CredentialChain(steps=steps), edge, bound=4)
-
-
 def test_chain_bound_limits_resolution(ad):
     bounded = dataclasses.replace(ad, chain_bound=2)
     assert resolve_credential(bounded, "user:dev", "idp-cloud") is None  # needs 3 steps
@@ -143,6 +114,69 @@ def test_two_way_trust_traverses_in_reverse():
     s = parse_scenario(doc)
     chain = resolve_credential(s, "user:dev-cloud", "ad-onprem")
     assert chain is not None
+    assert chain.terminal_principal == "user:dev"
+
+
+# Four idps; a@A reaches D by two chains of three steps, e1+e2 through C and
+# e3+e4 through B, asserting different principals. The edges are declared in
+# reverse id order, so only the edge-id tie-break picks e1+e2.
+TIE_DOC = """
+name: tie-break
+hierarchy:
+  - {id: org, kind: organization}
+identity:
+  idps: [{id: A}, {id: B}, {id: C}, {id: D}]
+  principals:
+    - {id: a, idp: A}
+    - {id: b, idp: B}
+    - {id: c, idp: C}
+    - {id: d-via-c, idp: D}
+    - {id: d-via-b, idp: D}
+  trust_edges:
+    - {id: e4, from: B, to: D, mapping: {b: d-via-b}}
+    - {id: e3, from: A, to: B, mapping: {a: b}}
+    - {id: e2, from: C, to: D, mapping: {c: d-via-c}}
+    - {id: e1, from: A, to: C, mapping: {a: c}}
+"""
+
+
+def test_equal_length_chains_tie_break_on_edge_ids_not_declaration_order():
+    s = parse_scenario(TIE_DOC)
+    chain = resolve_credential(s, "a", "D")
+    assert [step.edge for step in chain.steps] == [None, "e1", "e2"]
+    assert chain.terminal_principal == "d-via-c"
+    declared = dataclasses.replace(s, trust_edges=tuple(reversed(s.trust_edges)))
+    assert resolve_credential(declared, "a", "D") == chain
+
+
+def test_forward_move_comes_before_reverse_move_on_one_edge():
+    # the two-way self-loop e takes a to x forward and to y in reverse, both
+    # one step over the same edge id; f then maps each on to B
+    s = parse_scenario("""
+name: self-loop
+hierarchy:
+  - {id: org, kind: organization}
+identity:
+  idps: [{id: A}, {id: B}]
+  principals: [{id: a, idp: A}, {id: x, idp: A}, {id: y, idp: A}, {id: bx, idp: B}, {id: by, idp: B}]
+  trust_edges:
+    - {id: e, from: A, to: A, kind: two-way-trust, mapping: {a: x, y: a}}
+    - {id: f, from: A, to: B, mapping: {x: bx, y: by}}
+""")
+    chain = resolve_credential(s, "a", "B")
+    assert [step.principal for step in chain.steps] == ["a", "x", "bx"]
+
+
+def test_reverse_step_asserts_the_smallest_source_principal(ad):
+    # user:zed and user:dev both map to user:dev-cloud, the larger one first
+    zed = m.Principal(id="user:zed", kind=m.PrincipalKind.HUMAN, idp="ad-onprem")
+    trust = dataclasses.replace(
+        ad.trust_edges[0],
+        kind=m.TrustKind.TWO_WAY_TRUST,
+        mapping={"user:zed": "user:dev-cloud", "user:dev": "user:dev-cloud"},
+    )
+    s = dataclasses.replace(ad, principals=ad.principals + (zed,), trust_edges=(trust,) + ad.trust_edges[1:])
+    chain = resolve_credential(s, "user:dev-cloud", "ad-onprem")
     assert chain.terminal_principal == "user:dev"
 
 
@@ -210,3 +244,89 @@ def test_removing_trust_edge_never_creates_chain(seed):
         after = resolve_credential(smaller, principal.id, idp.id)
         if before is None:
             assert after is None
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_resolution_ignores_declaration_order_and_matches_oracle(seed):
+    s = random_scenario(random.Random(seed), with_trust_edges=True)
+    edges = list(s.trust_edges)
+    random.Random(seed).shuffle(edges)
+    shuffled = dataclasses.replace(s, trust_edges=tuple(edges))
+    for principal, idp in itertools.product(s.principals, s.idps):
+        chain = resolve_credential(s, principal.id, idp.id)
+        assert resolve_credential(shuffled, principal.id, idp.id) == chain
+        terminal = None if chain is None else chain.terminal_principal
+        assert terminal == oracle._oracle_resolve_terminal(s, principal, idp.id)
+
+
+def _presented_chains(s, p, target_idp):
+    """Chains ``p`` may present toward ``target_idp`` in ``s``: the resolved
+    one (the home step alone when there is none); that chain with a wrong home
+    idp, a wrong mapped principal and an unknown edge id; and one reverse step
+    over each trust edge into ``p``'s home idp through each source principal
+    mapped to ``p``, which is forged on a one-way edge and valid on a two-way
+    one."""
+    home = m.ChainStep(idp=p.idp, principal=p.id, edge=None)
+    resolved = resolve_credential(s, p.id, target_idp)
+    base = resolved.steps if resolved is not None else (home,)
+    other_idp = next(x.id for x in s.idps if x.id != p.idp)
+    other_principal = next(x.id for x in s.principals if x.id != base[-1].principal)
+    ghost = dataclasses.replace(base[-1], edge="ghost") if len(base) > 1 else m.ChainStep(target_idp, p.id, "ghost")
+    chains = [
+        base,
+        (dataclasses.replace(home, idp=other_idp),) + base[1:],
+        base[:-1] + (dataclasses.replace(base[-1], principal=other_principal),),
+        base[:-1] + (ghost,) if len(base) > 1 else base + (ghost,),
+    ]
+    for e in s.trust_edges:
+        if e.dst == p.idp:
+            chains += [(home, m.ChainStep(e.src, src_p, e.id)) for src_p, dst_p in e.mapping.items() if dst_p == p.id]
+    return [m.CredentialChain(steps=c) for c in chains]
+
+
+def _with_trust_edges():
+    """(scenario, the scenario its presented chains are resolved in) for the
+    templates with trust edges and ``genrandom`` seeds 0-49 with trust edges.
+    Each is also opened (its firewall one allow-all rule, its perimeters gone)
+    so that more requests reach the AUTHN point, and each of these is also
+    given a chain bound of 2, under which every resolved chain of three or
+    more steps is presented over the bound."""
+    scenarios = [builtin_scenario(name) for name in TEMPLATE_NAMES]
+    scenarios += [random_scenario(random.Random(seed), with_trust_edges=True) for seed in range(50)]
+    allow_all = m.FirewallRule("allow-all", m.ORG_SCOPE, 0, m.RuleAction.ALLOW)
+    for s in scenarios:
+        if s.trust_edges:
+            for x in (s, dataclasses.replace(s, firewall_rules=(allow_all,), perimeters=())):
+                yield x, x
+                yield dataclasses.replace(x, chain_bound=2), x
+
+
+def _non_smallest_reverse_step(s, p, chain):
+    """True if ``chain`` is ``p``'s home step and one reverse step over a
+    two-way edge through a source principal other than the smallest."""
+    if len(chain) != 2:
+        return False
+    step = chain.steps[1]
+    for e in s.trust_edges:
+        if e.id == step.edge and e.kind is m.TrustKind.TWO_WAY_TRUST and (e.dst, e.src) == (p.idp, step.idp):
+            return step.principal != min(k for k, v in e.mapping.items() if v == p.id)
+    return False
+
+
+def test_engine_matches_oracle_on_presented_chains():
+    """Every request to a zero-trust service from every source locus, with
+    each of ``_presented_chains``, decides alike in the engine and the oracle."""
+    authn_decided = accepted_reverse = over_bound = 0
+    for s, resolved_in in _with_trust_edges():
+        zero_trust = [x for x in s.services if x.auth_mode is m.AuthMode.ZERO_TRUST and x.idp is not None]
+        for svc, p, locus in itertools.product(zero_trust, s.principals, source_loci(s)):
+            for chain in _presented_chains(resolved_in, p, svc.idp):
+                r = m.FlowRequest(p.id, locus, svc.id, "read", presented_chain=chain)
+                decision, trace = evaluate_flow(s, r)
+                assert decision == oracle_evaluate(s, r), (s.name, r)
+                authn = next(x for x in trace if x.point is m.PointKind.AUTHN)
+                if authn.rule != "not-applicable":
+                    authn_decided += 1
+                    accepted_reverse += authn.verdict is m.Verdict.ALLOW and _non_smallest_reverse_step(s, p, chain)
+                    over_bound += len(chain) > s.chain_bound and chain == resolve_credential(resolved_in, p.id, svc.idp)
+    assert authn_decided > 2000 and accepted_reverse > 0 and over_bound > 0

@@ -86,10 +86,14 @@ def entry_points(base):
         ("evaluate_flow", lambda s: engine.evaluate_flow(s, r)),
         ("decision_class", lambda s: engine.decision_class(s, r)),
         ("reachability_matrix", lambda s: analysis.reachability_matrix(s)),
+        ("reachability_matrix no principals", lambda s: analysis.reachability_matrix(s, principals=[])),
         ("blast_radius", lambda s: analysis.blast_radius(s, base.services[0].id)),
+        ("blast_radius bound 0", lambda s: analysis.blast_radius(s, base.services[0].id, bound=0)),
         ("exfiltration_paths", lambda s: analysis.exfiltration_paths(s, tag, perimeter)),
         ("diff_decisions before", lambda s: analysis.diff_decisions(s, base, [r])),
         ("diff_decisions after", lambda s: analysis.diff_decisions(base, s, [r])),
+        ("diff_decisions before, no requests", lambda s: analysis.diff_decisions(s, base, [])),
+        ("diff_decisions after, no requests", lambda s: analysis.diff_decisions(base, s, [])),
         ("lint", lambda s: lint(s)),
         ("compile_perimeter", lambda s: compiler.compile_perimeter(s, perimeter, "lift-shift")),
         ("verify_compilation", lambda s: compiler.verify_compilation(s, compiled, [r])),

@@ -795,3 +795,51 @@ def test_an_id_that_is_not_text_is_a_bad_value():
     assert list(refused.value.violations) == violations
     with pytest.raises(InvalidScenarioError):
         evaluate_flow(broken, m.FlowRequest("sa:green-a", "green", "yellow-pay"))
+
+
+def _first_retyped(s, field, **changes):
+    items = getattr(s, field)
+    return dataclasses.replace(s, **{field: (dataclasses.replace(items[0], **changes),) + items[1:]})
+
+
+def _second_attachment(s):
+    """fig1 with a second attachment whose service is 5, which ATTACH_DUP's sort would compare."""
+    return dataclasses.replace(s, attachments=s.attachments + (m.ServiceAttachment("att-int", 5),))
+
+
+def _gateway_content_class(s):
+    edge = s.edges[0]
+    rule = dataclasses.replace(edge.gateway_rules[0], content_class=5)
+    return _first_retyped(s, "edges", gateway_rules=(rule,) + edge.gateway_rules[1:])
+
+
+@pytest.mark.parametrize(
+    "retype, subject, shown",
+    [
+        (lambda s: _first_retyped(s, "edges", id=["e"]), "edge id", "['e']"),
+        (lambda s: _first_retyped(s, "assets", tags=frozenset({"pci:true", 5})), "carddata", "5"),
+        (lambda s: _first_retyped(s, "firewall_rules", scope=5), "fw-allow-internal", "5"),
+        (_second_attachment, "att-int", "5"),
+        (lambda s: _first_retyped(s, "services", address=5), "green-app", "5"),
+        (lambda s: _first_retyped(s, "services", run_as=("sa:green-a", None)), "green-app", "None"),
+        (lambda s: _first_retyped(s, "segments", project=None), "green", "None"),
+        (lambda s: _first_retyped(s, "segments", subnets={"web": 5}), "green", "5"),
+        (lambda s: _first_retyped(s, "firewall_rules", src=(5,)), "fw-allow-internal", "5"),
+        (_gateway_content_class, "gw-gy-allow", "5"),
+        (lambda s: dataclasses.replace(s, name=5), "document", "5"),
+    ],
+    ids=[
+        "list-id", "asset-tag", "scope", "attachment-service", "address",
+        "run-as", "project", "subnet", "token", "nested", "name",
+    ],
+)
+def test_a_text_that_is_not_a_str_is_a_bad_value(retype, subject, shown):
+    """Every text field of the format table is checked before anything
+    hashes, sorts or splits its value; a None only where the parser would
+    report a null."""
+    broken = retype(builtin_scenario("fig1-lift-shift"))
+    violations = validate_scenario(broken)
+    assert violations == [Violation("BAD_VALUE", subject, f"{shown} is not text")]
+    with pytest.raises(InvalidScenarioError) as refused:
+        broken.index()
+    assert list(refused.value.violations) == violations
