@@ -4,9 +4,8 @@ A credential is modeled as an asserted principal identity, not token bytes:
 policy decisions depend only on who the chain terminates as. Chains follow
 trust edges from the principal's home idp, applying each edge's principal
 mapping; a federation step asserts exactly the mapped principal, never a
-superset. As with routes, one breadth-first pass per principal over the
-index's trust moves yields its shortest chain to every idp, with edge-id
-tie-break, and the chains are memoised in the scenario index.
+superset. As with routes, one breadth-first pass per principal yields its
+shortest chain to every idp, memoised in the scenario index.
 """
 
 from __future__ import annotations
@@ -18,27 +17,27 @@ from .scenario import Scenario, ScenarioIndex
 
 def _chains(idx: ScenarioIndex, p: m.Principal, bound: int) -> dict[str, m.CredentialChain]:
     """Idp -> ``p``'s chain to it, for every idp reachable in at most ``bound``
-    steps. Each level of (idp, asserted principal) states is kept in the order
-    of its chains' edge-id sequences, and moves are sorted by edge id, so the
-    first chain to reach a state or an idp is minimal by (step count, edge ids)."""
+    steps. Each level is stably sorted by its chains' edge-id sequences (a
+    forward move stays before a reverse one) before the first chain to reach
+    a state keeps it, so the first to reach an idp is minimal by (steps, edge ids)."""
     home = m.CredentialChain(steps=(m.ChainStep(idp=p.idp, principal=p.id, edge=None),))
-    chains = {p.idp: home}
-    seen = {(p.idp, p.id)}
-    level = [home]
+    chains, seen, level = {p.idp: home}, {(p.idp, p.id)}, [home]
     for _ in range(bound - 1):
         reached = []
         for chain in level:
-            last = chain.steps[-1]
-            for edge, nxt_idp, mapping in idx.trust_moves.get(last.idp, ()):
-                mapped = mapping.get(last.principal)
-                if mapped is None or (nxt_idp, mapped) in seen:
-                    continue
-                seen.add((nxt_idp, mapped))
-                step = m.ChainStep(idp=nxt_idp, principal=mapped, edge=edge.id)
-                nxt = m.CredentialChain(steps=chain.steps + (step,))
-                chains.setdefault(nxt_idp, nxt)
-                reached.append(nxt)
-        level = reached
+            for edge, nxt_idp, mapping in idx.trust_moves.get(chain.terminal_idp, ()):
+                mapped = mapping.get(chain.terminal_principal)
+                if mapped is not None and (nxt_idp, mapped) not in seen:
+                    step = m.ChainStep(idp=nxt_idp, principal=mapped, edge=edge.id)
+                    reached.append(m.CredentialChain(steps=chain.steps + (step,)))
+        reached.sort(key=lambda c: [step.edge for step in c.steps[1:]])
+        level = []
+        for chain in reached:
+            state = (chain.terminal_idp, chain.terminal_principal)
+            if state not in seen:
+                seen.add(state)
+                chains.setdefault(state[0], chain)
+                level.append(chain)
     return chains
 
 
@@ -65,10 +64,7 @@ def chain_is_valid(s: Scenario, chain: m.CredentialChain, principal: str, target
     one, not only the smallest, which resolution asserts."""
     idx = s.index()
     p = idx.principals.get(principal)
-    if p is None or not chain.steps or len(chain) > s.chain_bound:
-        return False
-    first = chain.steps[0]
-    if first.idp != p.idp or first.principal != p.id or first.edge is not None:
+    if p is None or len(chain) > s.chain_bound or chain.steps[:1] != (m.ChainStep(p.idp, p.id, None),):
         return False
     for prev, step in zip(chain.steps, chain.steps[1:]):
         edge = idx.trust_edges.get(step.edge or "")

@@ -86,7 +86,8 @@ def host_port(text: str) -> tuple[Interval, int | None] | None:
 
 def host_prefix(text: str) -> tuple[str, int | None]:
     """The one-address prefix of the host of an address ``host_port`` reads, and its port."""
-    return str(ipaddress.ip_network(text.partition(":")[0])), host_port(text)[1]
+    (version, first, _), port = host_port(text)
+    return str((ipaddress.IPv4Network if version == 4 else ipaddress.IPv6Network)(first)), port
 
 
 @_memoised

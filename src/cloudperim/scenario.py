@@ -179,11 +179,11 @@ class ScenarioIndex:
             x.id for x in s.segments if x.routability is m.Routability.NON_ROUTABLE
         )
         self.adjacency = _locus_adjacency(s.edges, self.non_routable)
-        # idp -> the (edge, next idp, mapping) moves of credential chains from it, by edge id; a two-way
-        # edge also moves from its ``to`` end, after its forward move, inverted to the smallest source
+        # idp -> the (edge, next idp, mapping) moves of credential chains from it; a two-way edge
+        # also moves from its ``to`` end, after its forward move, inverted to the smallest source
         self.trust_edges = {e.id: e for e in s.trust_edges}
         self.trust_moves: dict[str, list[tuple[m.TrustEdge, str, Mapping[str, str]]]] = {}
-        for e in sorted(s.trust_edges, key=lambda e: e.id):
+        for e in s.trust_edges:
             self.trust_moves.setdefault(e.src, []).append((e, e.dst, e.mapping))
             if e.kind is m.TrustKind.TWO_WAY_TRUST:
                 inverted = {dst_p: src_p for src_p, dst_p in sorted(e.mapping.items(), reverse=True)}
@@ -980,7 +980,9 @@ def parse_scenario(document: str) -> Scenario:
 # ---------------------------------------------------------------------------
 
 
-# the last scenario's entity lists found all text, by id (each held, so no other list takes it)
+# the last scenario's entity lists found all text, by id (each held, so no other list takes its id);
+# a version made with ``dataclasses.replace`` shares them, as ``Scenario.__post_init__`` keeps a tuple
+# it is given (``tuple(t) is t``)
 _ALL_TEXT: dict[int, tuple] = {}
 
 

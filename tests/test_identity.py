@@ -167,6 +167,71 @@ identity:
     assert [step.principal for step in chain.steps] == ["a", "x", "bx"]
 
 
+def test_self_loop_tie_orders_the_next_level_by_edge_ids():
+    # s takes a to x forward and to y in reverse, one edge-id sequence; of the
+    # next steps, c (from y) sorts before f (from x), so s then c wins
+    s = parse_scenario("""
+name: self-loop-then-two-edges
+hierarchy:
+  - {id: org, kind: organization}
+identity:
+  idps: [{id: A}, {id: B}]
+  principals: [{id: a, idp: A}, {id: x, idp: A}, {id: y, idp: A}, {id: bx, idp: B}, {id: by, idp: B}]
+  trust_edges:
+    - {id: s, from: A, to: A, kind: two-way-trust, mapping: {a: x, y: a}}
+    - {id: c, from: A, to: B, mapping: {y: by}}
+    - {id: f, from: A, to: B, mapping: {x: bx}}
+""")
+    chain = resolve_credential(s, "a", "B")
+    assert [(step.edge, step.principal) for step in chain.steps] == [(None, "a"), ("s", "y"), ("c", "by")]
+    assert oracle._oracle_resolve_terminal(s, s.principals[0], "B") == "by"
+
+
+def _trust_graph(seed):
+    """A small random trust document: two or three idps, three to six
+    principals, and three to six trust edges declared in random id order, the
+    first a two-way self-loop, the rest one- or two-way between any idps."""
+    r = random.Random(seed)
+    idps = [f"I{i}" for i in range(r.randint(2, 3))]
+    home = {f"p{i}": r.choice(idps) for i in range(r.randint(3, 6))}
+    names = sorted(home)
+    ids = [f"e{i}" for i in range(r.randint(3, 6))]
+    r.shuffle(ids)
+    loop = r.choice(idps)
+    edges = []
+    for j, eid in enumerate(ids):
+        src, dst = (loop, loop) if j == 0 else (r.choice(idps), r.choice(idps))
+        kind = "two-way-trust" if j == 0 else r.choice(["one-way-trust", "two-way-trust"])
+        mapping = ", ".join(f"{k}: {r.choice(names)}" for k in r.sample(names, r.randint(1, len(names))))
+        edges.append(f"    - {{id: {eid}, from: {src}, to: {dst}, kind: {kind}, mapping: {{{mapping}}}}}")
+    return "\n".join([
+        "name: trust-graph",
+        "hierarchy: [{id: org, kind: organization}]",
+        "identity:",
+        "  idps: [" + ", ".join(f"{{id: {i}}}" for i in idps) + "]",
+        "  principals: [" + ", ".join(f"{{id: {p}, idp: {i}}}" for p, i in home.items()) + "]",
+        "  trust_edges:",
+        *edges,
+        "",
+    ])
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_resolved_chain_is_the_oracle_minimal_walk_through_self_loops(seed):
+    """The whole resolved chain, not only its terminal principal, is the
+    oracle's first walk minimal by (steps, edge ids), at chain bounds 1-5."""
+    drawn = parse_scenario(_trust_graph(seed))
+    for bound in range(1, 6):
+        s = dataclasses.replace(drawn, chain_bound=bound)
+        for p, idp in itertools.product(s.principals, s.idps):
+            chain = resolve_credential(s, p.id, idp.id)
+            got = None if chain is None else [(x.edge, x.idp, x.principal) for x in chain.steps[1:]]
+            # walks of at most ``bound - 1`` edges, so at most ``bound`` steps
+            walks = oracle._all_chains(s, p, idp.id, bound - 1)
+            best = min(walks, key=lambda w: (len(w), [x[0] for x in w])) if walks else None
+            assert got == (None if best is None else [tuple(x) for x in best]), (bound, p.id, idp.id)
+
+
 def test_reverse_step_asserts_the_smallest_source_principal(ad):
     # user:zed and user:dev both map to user:dev-cloud, the larger one first
     zed = m.Principal(id="user:zed", kind=m.PrincipalKind.HUMAN, idp="ad-onprem")
