@@ -15,10 +15,11 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 from . import model as m
-from .engine import decision_class, evaluate_flow
+from .engine import evaluate_flow, leg_context, principal_class
 from .errors import (
     IncompatibleRequestSpaceError,
     RequestSpaceTooLargeError,
+    UnknownEntityError,
     UnknownPerimeterError,
     UnknownTagError,
     UnknownWorkloadError,
@@ -28,6 +29,7 @@ from .scenario import Scenario
 DEFAULT_CELL_CAP = 10**6
 DEFAULT_READ_METHODS = ("read",)
 DEFAULT_HOP_BOUND = 3
+_NO_TAGS: frozenset[str] = frozenset()
 
 
 def method_universe(s: Scenario) -> list[str]:
@@ -88,13 +90,12 @@ def request_key(r: m.FlowRequest) -> tuple[str, str, str, str]:
     return (r.principal, r.source, r.target, r.method)
 
 
-def _decide(s: Scenario, r: m.FlowRequest) -> m.Decision:
-    """``r``'s decision, evaluated once per decision class of the scenario."""
-    memo = s.index().decisions
-    key = decision_class(s, r)
-    decision = memo.get(key)
-    if decision is None:
-        decision = memo[key] = evaluate_flow(s, r)[0]
+def _evaluated(s: Scenario, key: tuple, principal: str, locus: str, target: str, method: str) -> m.Decision:
+    """The decision of the request of ``principal`` from ``locus`` to
+    ``target`` by ``method``, the first of its class ``key``
+    (``engine.decision_class``), kept as the class's decision."""
+    r = m.FlowRequest(principal=principal, source=locus, target=target, method=method)
+    decision = s.index().decisions[key] = evaluate_flow(s, r)[0]
     return decision
 
 
@@ -103,19 +104,34 @@ def _moves(
 ) -> Iterator[tuple[m.FlowRequest, str, frozenset[str]]]:
     """Every allowed request from ``locus`` to ``targets`` by a principal in
     ``held``, with the position it leads to and the principals held there: a
-    service's segment, where its ``run_as`` joins ``held``, or INTERNET."""
-    services, principals = s.index().services, sorted(held)
+    service's segment, where its ``run_as`` joins ``held``, or INTERNET.
+
+    Each target's leg is resolved once, and a leg a network point denies
+    allows no move. The held principals are decided once per class and method."""
+    idx = s.index()
+    memo, services, principals = idx.decisions, idx.services, sorted(held)
     for target in targets:
+        found = leg_context(s, (locus, target, None, _NO_TAGS))
+        if found is None:
+            continue
+        context, idp = found
         if target == m.INTERNET:
             position, gained = m.INTERNET, held
         else:
             svc = services[target]
             position, gained = svc.segment, held | frozenset(svc.run_as)
+        allowed: dict[tuple, list[str]] = {}  # class -> its allowed methods
         for principal in principals:
-            for method in methods:
-                r = m.FlowRequest(principal=principal, source=locus, target=target, method=method)
-                if _decide(s, r).allowed:
-                    yield r, position, gained
+            cls = principal_class(s, principal, idp)
+            ok = allowed.get(cls)
+            if ok is None:
+                ok = allowed[cls] = []
+                for method in methods:
+                    key = (context, cls, method)
+                    if (memo.get(key) or _evaluated(s, key, principal, locus, target, method)).allowed:
+                        ok.append(method)
+            for method in ok:
+                yield m.FlowRequest(principal=principal, source=locus, target=target, method=method), position, gained
 
 
 # ---------------------------------------------------------------------------
@@ -153,13 +169,42 @@ def reachability_matrix(
     cap: int = DEFAULT_CELL_CAP,
 ) -> ReachabilityMatrix:
     """Evaluate the full (principal, locus) x (target, method) grid."""
-    s.index()  # refuses a broken scenario, even when the grid is empty
+    idx = s.index()  # refuses a broken scenario, even when the grid is empty
     principals, loci, targets, methods = _axes(s, principals, loci, targets, methods, cap)
     rows = tuple(dict.fromkeys(itertools.product(principals, loci)))
     columns = tuple(dict.fromkeys(itertools.product(targets, methods)))
     if not (rows and columns):
         return ReachabilityMatrix(rows=(), columns=(), cells={})
-    cells = {(row, col): _decide(s, m.FlowRequest(*row, *col)) for row in rows for col in columns}
+    # each (locus, target) leg is resolved once: a leg a network point denies
+    # to its decision, any other to its context and zero-trust idp; and each
+    # principal once per idp. A cell of a leg not denied is one lookup of
+    # its class.
+    memo = idx.decisions
+    legs: dict[str, dict[str, m.Decision | tuple[tuple, str | None]]] = {}  # locus -> target -> leg
+    cells = {}
+    for row in rows:
+        principal, locus = row
+        if principal not in idx.principals:
+            raise UnknownEntityError(f"principal {principal!r}")
+        at, classes = legs.setdefault(locus, {}), {}
+        for col in columns:
+            target, method = col
+            leg = at.get(target)
+            if leg is None:
+                key = (locus, target, None, _NO_TAGS)
+                leg = leg_context(s, key)
+                if leg is None:
+                    leg = memo.get(key) or _evaluated(s, key, principal, locus, target, method)
+                at[target] = leg
+            if isinstance(leg, m.Decision):
+                cells[(row, col)] = leg
+                continue
+            context, idp = leg
+            cls = classes.get(idp)
+            if cls is None:
+                cls = classes[idp] = principal_class(s, principal, idp)
+            key = (context, cls, method)
+            cells[(row, col)] = memo.get(key) or _evaluated(s, key, principal, locus, target, method)
     return ReachabilityMatrix(rows=rows, columns=columns, cells=cells)
 
 

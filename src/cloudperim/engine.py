@@ -34,6 +34,8 @@ from .errors import UnknownEntityError
 from .scenario import Scenario, ScenarioIndex
 
 FLOW_PROTOCOL = "tcp"  # modeled flows are connection-initiating TCP requests
+# (source, target, source address, payload tags): what the network points read of a request
+LegKey = tuple[str, str, str | None, frozenset[str]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -413,36 +415,37 @@ def _principal_outcomes(s: Scenario, ctx: RequestContext) -> Iterator[PointOutco
         yield evaluate_rbac(s, ctx.leg.target_service, terminal, ctx.request.method)
 
 
-def _network_leg(s: Scenario, idx: ScenarioIndex, r: m.FlowRequest) -> NetworkLeg:
-    """The network leg of ``r``, with its network points evaluated."""
-    if r.source not in idx.segments and r.source not in m.DISTINGUISHED_LOCI:
-        raise UnknownEntityError(f"source locus {r.source!r}")
+def _network_leg(s: Scenario, idx: ScenarioIndex, key: LegKey) -> NetworkLeg:
+    """The network leg ``key``, with its network points evaluated."""
+    source, target, source_address, payload_tags = key
+    if source not in idx.segments and source not in m.DISTINGUISHED_LOCI:
+        raise UnknownEntityError(f"source locus {source!r}")
     target_service: m.ServiceSpec | None = None
     endpoint: m.ConsumerEndpoint | None = None
     attachment: m.ServiceAttachment | None = None
-    if r.target == m.INTERNET:
+    if target == m.INTERNET:
         pass
-    elif r.target in idx.services:
-        target_service = idx.services[r.target]
-    elif r.target in idx.endpoints:
-        endpoint = idx.endpoints[r.target]
+    elif target in idx.services:
+        target_service = idx.services[target]
+    elif target in idx.endpoints:
+        endpoint = idx.endpoints[target]
         attachment = idx.attachments[endpoint.attachment]
         target_service = idx.services[attachment.service]
     else:
-        raise UnknownEntityError(f"target {r.target!r}")
+        raise UnknownEntityError(f"target {target!r}")
 
-    result = route_mod.resolve_path(s, r.source, r.target)
+    result = route_mod.resolve_path(s, source, target)
     path = result if isinstance(result, route_mod.RoutePath) else None
     if path is not None and endpoint is None:
         ep_hop = path.endpoint_hop
         if ep_hop is not None:
             endpoint = idx.endpoints[ep_hop.edge]
             attachment = idx.attachments[ep_hop.attachment]
-    if r.source_address is None:
-        source_nets = idx.source_nets.get(r.source, ())
+    if source_address is None:
+        source_nets = idx.source_nets.get(source, ())
     else:
-        address = prefix.address(r.source_address)
-        source_nets = idx.segment_nets.get(r.source, ())
+        address = prefix.address(source_address)
+        source_nets = idx.segment_nets.get(source, ())
         if address is not None:
             source_nets = (address,) + source_nets
     target_nets: tuple[prefix.Interval, ...] = ()
@@ -452,10 +455,10 @@ def _network_leg(s: Scenario, idx: ScenarioIndex, r: m.FlowRequest) -> NetworkLe
         addresses = [prefix.host_port(a) for a in (endpoint and endpoint.address, target_service.address) if a]
         target_nets = tuple(host for host, _ in addresses) + idx.segment_nets[target_service.segment]
         dst_port = next((port for _, port in addresses if port is not None), None)
-    source_segment = idx.segments.get(r.source)
+    source_segment = idx.segments.get(source)
     facts = dict(
-        source=r.source,
-        payload_tags=r.payload_tags,
+        source=source,
+        payload_tags=payload_tags,
         path=path,
         target_service=target_service,
         endpoint=endpoint,
@@ -489,7 +492,7 @@ def evaluate_flow(s: Scenario, r: m.FlowRequest) -> tuple[m.Decision, m.Decision
     key = (r.source, r.target, r.source_address, r.payload_tags)
     leg = idx.legs.get(key)
     if leg is None:
-        leg = idx.legs[key] = _network_leg(s, idx, r)
+        leg = idx.legs[key] = _network_leg(s, idx, key)
     if leg.denied is not None:
         return leg.denied
     decision, steps = _steps(
@@ -505,6 +508,36 @@ def evaluate_flow(s: Scenario, r: m.FlowRequest) -> tuple[m.Decision, m.Decision
 # ---------------------------------------------------------------------------
 
 
+def leg_context(s: Scenario, key: LegKey) -> tuple[tuple, str | None] | None:
+    """The leg half of a decision class: for the leg ``key``, its context and
+    the idp of its target when that is zero-trust (see ``_leg_context``), or
+    None when a network point denies the leg. The leg is built and kept as
+    ``evaluate_flow`` keeps it; an unknown source is reported before an
+    unknown target."""
+    idx = s.index()
+    found = idx.leg_contexts.get(key, False)
+    if found is False:
+        leg = idx.legs.get(key)
+        if leg is None:
+            leg = idx.legs[key] = _network_leg(s, idx, key)
+        found = idx.leg_contexts[key] = None if leg.denied is not None else _leg_context(leg)
+    return found
+
+
+def principal_class(s: Scenario, principal: str, idp: str | None) -> tuple:
+    """The principal half of a decision class: ``principal``'s class toward
+    the zero-trust ``idp``, or toward a target that is not zero-trust for None
+    (see ``_principal_class``)."""
+    idx = s.index()
+    cls = idx.principal_classes.get((principal, idp))
+    if cls is None:
+        known = idx.principals.get(principal)
+        if known is None:
+            raise UnknownEntityError(f"principal {principal!r}")
+        cls = idx.principal_classes[(principal, idp)] = _principal_class(s, idx, known, idp)
+    return cls
+
+
 def decision_class(s: Scenario, r: m.FlowRequest) -> tuple:
     """The key of ``r``'s decision class: requests with one key get one
     ``Decision`` from ``evaluate_flow`` (their traces may differ).
@@ -514,26 +547,17 @@ def decision_class(s: Scenario, r: m.FlowRequest) -> tuple:
     method, and, for a presented chain, the principal and the chain. This is
     the one place that lists what the principal points read of a request.
     """
-    idx = s.index()
-    principal = idx.principals.get(r.principal)
-    if principal is None:
+    if r.principal not in s.index().principals:
         raise UnknownEntityError(f"principal {r.principal!r}")
     key = (r.source, r.target, r.source_address, r.payload_tags)
-    found = idx.leg_contexts.get(key)
-    if found is None:
-        leg = idx.legs.get(key)
-        if leg is None:
-            leg = idx.legs[key] = _network_leg(s, idx, r)
-        found = idx.leg_contexts[key] = None if leg.denied is not None else _leg_context(leg)
+    found = leg_context(s, key)
     if found is None:
         return key
     context, idp = found
-    cls = idx.principal_classes.get((principal.id, idp))
-    if cls is None:
-        cls = idx.principal_classes[(principal.id, idp)] = _principal_class(s, idx, principal, idp)
+    cls = principal_class(s, r.principal, idp)
     if r.presented_chain is None:
         return context, cls, r.method
-    return context, cls, r.method, principal.id, r.presented_chain
+    return context, cls, r.method, r.principal, r.presented_chain
 
 
 def _leg_context(leg: NetworkLeg) -> tuple[tuple, str | None]:

@@ -150,7 +150,8 @@ def _oracle_route(s: Scenario, source: str, target: str):
 
 
 def _all_chains(s: Scenario, principal: m.Principal, target_idp: str, bound: int) -> list[list]:
-    """All trust walks (edge id, idp, principal) from home idp to target idp."""
+    """All trust walks (edge id, idp, principal) from home idp to target idp
+    whose chains, the home step included, have at most ``bound`` steps."""
     found: list[list] = []
 
     def traversals(at_idp: str, current: str):
@@ -168,7 +169,7 @@ def _all_chains(s: Scenario, principal: m.Principal, target_idp: str, bound: int
         if at_idp == target_idp:
             found.append(list(acc))
             return
-        if len(acc) + 1 >= bound + 1:
+        if len(acc) + 1 >= bound:  # the chain so far: the home step and one per edge
             return
         for eid, nxt_idp, nxt_principal in traversals(at_idp, current):
             state = (nxt_idp, nxt_principal)

@@ -1039,12 +1039,15 @@ def validate_scenario(s: Scenario) -> list[Violation]:
 def _validate(s: Scenario, idx: ScenarioIndex) -> list[Violation]:
     """The violations of ``s``, read from the facts ``idx`` has derived so far.
 
-    The parser's own checks of scopes, priorities, CIDR tokens, edge ends,
-    tags and subnets come first, then duplicate ids and references to
-    nothing, found as the parser finds them, so a scenario built in code is
-    held to the same rules.
+    The chain bound (an integer of at least 1) and the parser's own checks
+    of scopes, priorities, CIDR tokens, edge ends, tags and subnets come
+    first, then duplicate ids and references to nothing, found as the parser
+    finds them, so a scenario built in code is held to the same rules.
     """
     ctx = _Ctx()
+    bound = _INT.read(ctx, s.chain_bound, "document", None)
+    if bound is not None and bound < 1:
+        ctx.err("BAD_VALUE", "document", f"chain_bound {bound} is below 1")
     for e in s.edges:
         _two_ends(ctx, e.id, e.ends)
     for fw in s.firewall_rules:

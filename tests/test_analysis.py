@@ -18,6 +18,7 @@ from cloudperim import (
     exfiltration_paths,
     method_universe,
     oracle_evaluate,
+    parse_scenario,
     reachability_matrix,
     validate_scenario,
 )
@@ -28,13 +29,16 @@ from cloudperim.engine import decision_class
 from cloudperim.errors import (
     IncompatibleRequestSpaceError,
     RequestSpaceTooLargeError,
+    UnknownEntityError,
     UnknownPerimeterError,
     UnknownTagError,
     UnknownWorkloadError,
 )
 
 sys.path.insert(0, str(Path(__file__).parent))
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from genrandom import random_scenario  # noqa: E402
+from perfbench import gen  # noqa: E402  (read-only: the benchmark's estate generator)
 
 GOLDEN_FIG1_FIG11_DIFF = [
     # the combined architecture funnels on-prem through the CLP: direct legacy
@@ -59,6 +63,29 @@ def test_empty_principal_set_gives_empty_matrix():
     s = builtin_scenario("fig1-lift-shift")
     matrix = reachability_matrix(s, principals=[])
     assert matrix.rows == () and matrix.cells == {}
+
+
+@pytest.mark.parametrize(
+    "axes, message",
+    [
+        (dict(principals=["ghost"]), "principal 'ghost'"),
+        (dict(loci=["nowhere"]), "source locus 'nowhere'"),
+        (dict(targets=["nothing"]), "target 'nothing'"),
+        (dict(principals=["ghost"], loci=["nowhere"], targets=["nothing"]), "principal 'ghost'"),
+        (dict(principals=["sa:green-a"], loci=["nowhere"], targets=["nothing"]), "source locus 'nowhere'"),
+        # the first row is answered in full before the next row's principal or locus is read
+        (dict(principals=["sa:green-a", "ghost"], loci=["green", "nowhere"]), "source locus 'nowhere'"),
+        (dict(principals=["sa:green-a", "ghost"], targets=["green-app", "nothing"]), "target 'nothing'"),
+        (dict(principals=["sa:green-a", "ghost"], loci=["green"]), "principal 'ghost'"),
+    ],
+)
+def test_matrix_reports_the_first_unknown_entity_of_the_grid(axes, message):
+    """Cell by cell in grid order, an unknown principal, then source, then
+    target: the error ``evaluate_flow`` raises for the first cell that names one."""
+    s = dataclasses.replace(builtin_scenario("fig1-lift-shift"))
+    with pytest.raises(UnknownEntityError) as raised:
+        reachability_matrix(s, **axes)
+    assert type(raised.value) is UnknownEntityError and str(raised.value) == message
 
 
 def test_fig1_yellow_row_denies_internet_and_green():
@@ -441,12 +468,19 @@ def _fig10_with_federated_twins():
 
 
 _TWINS = [_fig1_with_twin_endpoint(), _fig10_with_federated_twins()]
+# two small generated estates, named for their seeds
+_ESTATES = [
+    dataclasses.replace(parse_scenario(gen.hub_and_spoke(4, seed).text()), name=f"spokes4-seed{seed}")
+    for seed in (0, 1)
+]
 
 
-def _analyses(s):
+def _analyses(s, matrix=reachability_matrix):
     """The matrix, every blast radius at bounds 1-3 and every exfiltration
-    report at bounds 1-2 of ``s``, as comparable values."""
-    out = [("matrix", reachability_matrix(s))]
+    report at bounds 1-2 of ``s``, as comparable values, the matrix's cells
+    in their order."""
+    grid = matrix(s)
+    out = [("matrix", grid.rows, grid.columns, list(grid.cells.items()))]
     for svc in sorted(x.id for x in s.services):
         for bound in (1, 2, 3):
             out.append(("blast", svc, bound, blast_radius(s, svc, bound=bound).entries()))
@@ -458,36 +492,78 @@ def _analyses(s):
     return out
 
 
+def _matrix_per_request(s):
+    """``reachability_matrix(s)`` with every cell's request evaluated."""
+    cells = {
+        ((r.principal, r.source), (r.target, r.method)): evaluate_flow(s, r)[0]
+        for r in default_request_space(s)
+    }
+    rows = tuple(dict.fromkeys(row for row, _ in cells))
+    columns = tuple(dict.fromkeys(col for _, col in cells))
+    return analysis.ReachabilityMatrix(rows=rows, columns=columns, cells=cells)
+
+
+def _moves_per_request(called):
+    """``analysis._moves`` with every (target, principal, method) request
+    evaluated; each call's locus is appended to ``called``."""
+
+    def moves(s, locus, held, targets, methods):
+        called.append(locus)
+        services = s.index().services
+        for target in targets:
+            if target == m.INTERNET:
+                position, gained = m.INTERNET, held
+            else:
+                position, gained = services[target].segment, held | frozenset(services[target].run_as)
+            for principal in sorted(held):
+                for method in methods:
+                    r = m.FlowRequest(principal=principal, source=locus, target=target, method=method)
+                    if evaluate_flow(s, r)[0].allowed:
+                        yield r, position, gained
+
+    return moves
+
+
 @pytest.mark.parametrize(
     "s",
     [builtin_scenario(name) for name in TEMPLATE_NAMES]
     + [random_scenario(random.Random(seed), with_edges=True, with_trust_edges=True) for seed in range(40)]
-    + _TWINS,
+    + _TWINS
+    + _ESTATES,
     ids=lambda s: s.name,
 )
 def test_analyses_decided_per_class_equal_per_request(s, monkeypatch):
-    memoised = _analyses(dataclasses.replace(s))
-    monkeypatch.setattr(analysis, "_decide", lambda s, r: evaluate_flow(s, r)[0])
-    reference = _analyses(dataclasses.replace(s))
-    assert memoised == reference
+    joined = _analyses(dataclasses.replace(s))
+    called = []
+    monkeypatch.setattr(analysis, "_moves", _moves_per_request(called))
+    reference = _analyses(dataclasses.replace(s), matrix=_matrix_per_request)
+    assert joined == reference
+    assert bool(called) == bool(s.services)  # every blast radius moved through the reference
+
+
+class _AskedMemo(dict):
+    """A decision memo that records the class key of every lookup."""
+
+    def __init__(self):
+        super().__init__()
+        self.asked = []
+
+    def get(self, key, default=None):
+        self.asked.append(key)
+        return super().get(key, default)
 
 
 def test_each_class_and_each_denied_leg_is_evaluated_once(monkeypatch):
     # a copy: the cached template's decision memo may already hold classes
     # that an earlier test asked, and they would not be evaluated here
     s = dataclasses.replace(builtin_scenario("fig11-combined"))
-    asked, evaluated = [], []
-    original_class, original_flow = analysis.decision_class, analysis.evaluate_flow
-
-    def ask(s, r):
-        asked.append(r)
-        return original_class(s, r)
+    memo = s.index().decisions = _AskedMemo()
+    evaluated, original_flow = [], analysis.evaluate_flow
 
     def evaluate(s, r):
         evaluated.append(r)
         return original_flow(s, r)
 
-    monkeypatch.setattr(analysis, "decision_class", ask)
     monkeypatch.setattr(analysis, "evaluate_flow", evaluate)
     _analyses(s)
     legs = s.index().legs
@@ -495,13 +571,13 @@ def test_each_class_and_each_denied_leg_is_evaluated_once(monkeypatch):
     def leg_key(r):
         return (r.source, r.target, r.source_address, r.payload_tags)
 
-    def denied(r):
-        return legs[leg_key(r)].denied is not None
-
     keys = [decision_class(s, r) for r in evaluated]
-    assert len(keys) == len(set(keys)) == len({decision_class(s, r) for r in asked})
-    assert sorted(map(leg_key, filter(denied, evaluated))) == sorted({leg_key(r) for r in asked if denied(r)})
-    assert 5 * len(evaluated) < len(asked)
+    assert len(keys) == len(set(keys))
+    assert set(keys) == set(memo.asked) == set(memo)
+    denied_asked = {key for key in memo.asked if key in legs and legs[key].denied is not None}
+    assert sorted(leg_key(r) for r in evaluated if legs[leg_key(r)].denied is not None) == sorted(denied_asked)
+    # the memo answers most lookups
+    assert denied_asked and 2 * len(evaluated) < len(memo.asked)
 
 
 @pytest.mark.parametrize(

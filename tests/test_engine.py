@@ -19,7 +19,9 @@ from cloudperim.engine import (
 from cloudperim.errors import InvalidScenarioError, UnknownEntityError, UnknownNodeError
 
 sys.path.insert(0, str(Path(__file__).parent))
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from genrandom import random_request, random_scenario  # noqa: E402
+from perfbench import gen  # noqa: E402  (read-only: the benchmark's estate generator)
 
 
 def flow(principal, source, target, method="connect", **kw):
@@ -30,10 +32,14 @@ def verdicts(trace):
     return {step.point: (step.verdict, step.rule, step.reason) for step in trace}
 
 
+def leg_key(r):
+    return (r.source, r.target, r.source_address, r.payload_tags)
+
+
 def request_context(s, r):
     """What the principal points see of ``r``, its network leg built cold."""
     idx = s.index()
-    return RequestContext(r, idx.principals[r.principal], _network_leg(s, idx, r), idx)
+    return RequestContext(r, idx.principals[r.principal], _network_leg(s, idx, leg_key(r)), idx)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +285,7 @@ def test_firewall_chain_matches_naive_scan_on_random_rules(seed):
     for _ in range(30):
         r = random_request(rng, dense)
         try:
-            leg = _network_leg(dense, dense.index(), r)
+            leg = _network_leg(dense, dense.index(), leg_key(r))
         except UnknownEntityError:
             continue
         if leg.path is None:
@@ -704,3 +710,19 @@ def test_engine_matches_oracle_with_source_addresses(name):
             moved += decision != plain
     if name in ("fig1-lift-shift", "fig11-combined"):
         assert moved  # the templates with CIDR-scoped rules see the address
+
+
+@pytest.mark.parametrize("spokes, seed", [(10, 0), (10, 1), (10, 2), (50, 0)])
+def test_engine_matches_oracle_on_a_generated_estate(spokes, seed):
+    """A ``gen.flow_requests`` stream over a hub-and-spoke estate (every
+    request field drawn, presented chains and source addresses included)
+    decides alike in the engine and the oracle, and every point decides some
+    request."""
+    estate = gen.hub_and_spoke(spokes, seed)
+    s = parse_scenario(estate.text())
+    deciding = set()
+    for r in gen.flow_requests(estate, random.Random(seed), 500):
+        decision, trace = evaluate_flow(s, r)
+        assert decision == oracle_evaluate(s, r), r
+        deciding.add(next((st.point for st in trace if st.verdict is m.Verdict.DENY), None))
+    assert deciding == {None, *m.ENFORCEMENT_CHAIN}

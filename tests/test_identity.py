@@ -226,8 +226,7 @@ def test_resolved_chain_is_the_oracle_minimal_walk_through_self_loops(seed):
         for p, idp in itertools.product(s.principals, s.idps):
             chain = resolve_credential(s, p.id, idp.id)
             got = None if chain is None else [(x.edge, x.idp, x.principal) for x in chain.steps[1:]]
-            # walks of at most ``bound - 1`` edges, so at most ``bound`` steps
-            walks = oracle._all_chains(s, p, idp.id, bound - 1)
+            walks = oracle._all_chains(s, p, idp.id, bound)
             best = min(walks, key=lambda w: (len(w), [x[0] for x in w])) if walks else None
             assert got == (None if best is None else [tuple(x) for x in best]), (bound, p.id, idp.id)
 
@@ -309,6 +308,31 @@ def test_removing_trust_edge_never_creates_chain(seed):
         after = resolve_credential(smaller, principal.id, idp.id)
         if before is None:
             assert after is None
+
+
+def test_terminal_principal_matches_oracle_at_chain_bounds_1_to_4():
+    """At every chain bound 1-4, each principal's resolved terminal principal
+    toward each idp is the oracle's, on AD_DOC and on ``genrandom`` trust
+    graphs; some chains exist at one bound and not at the one below it."""
+    drawn = [parse_scenario(AD_DOC)]
+    drawn += [random_scenario(random.Random(seed), with_trust_edges=True) for seed in range(50)]
+    cut_by_bound = 0
+    for base in drawn:
+        terminals = []
+        for bound in range(1, 5):
+            s = dataclasses.replace(base, chain_bound=bound)
+            terminals.append({})
+            for p, idp in itertools.product(s.principals, s.idps):
+                chain = resolve_credential(s, p.id, idp.id)
+                terminal = None if chain is None else chain.terminal_principal
+                assert terminal == oracle._oracle_resolve_terminal(s, p, idp.id), (base.name, bound, p.id, idp.id)
+                terminals[-1][(p.id, idp.id)] = terminal
+        cut_by_bound += sum(
+            below[pair] is None and terminal is not None
+            for below, above in zip(terminals, terminals[1:])
+            for pair, terminal in above.items()
+        )
+    assert cut_by_bound > 20
 
 
 @pytest.mark.parametrize("seed", range(50))

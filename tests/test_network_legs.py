@@ -265,5 +265,5 @@ def test_leg_reads_the_target_host_and_port_once(address, port, violations):
         with pytest.raises(InvalidScenarioError):
             evaluate_flow(s, r)
         return
-    leg = engine._network_leg(s, s.index(), r)
+    leg = engine._network_leg(s, s.index(), (r.source, r.target, None, frozenset()))
     assert leg.target_nets[0] == prefix.address("10.2.9.9") and leg.dst_port == port

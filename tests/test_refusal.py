@@ -41,7 +41,8 @@ def broken_variants(s):
     onto itself, onto an unknown node and onto a child; a two-node parent
     cycle; a duplicate node; each perimeter's selector emptied three ways;
     each edge with 3, 1 and 0 ends; each segment with a bad CIDR; a
-    duplicate segment id; a firewall priority that is not an integer."""
+    duplicate segment id; a firewall priority that is not an integer; a
+    chain bound that is not an integer or is below 1."""
     for i, n in enumerate(s.nodes):
         if n.kind is m.NodeKind.ORGANIZATION:
             continue
@@ -68,6 +69,8 @@ def broken_variants(s):
     for priority in (None, "5", True):
         rule = m.FirewallRule("not-an-integer", m.ORG_SCOPE, priority, m.RuleAction.DENY)
         yield dataclasses.replace(s, firewall_rules=s.firewall_rules + (rule,))
+    for bound in ("4", True, 0):
+        yield dataclasses.replace(s, chain_bound=bound)
 
 
 def entry_points(base):

@@ -797,6 +797,32 @@ def test_an_id_that_is_not_text_is_a_bad_value():
         evaluate_flow(broken, m.FlowRequest("sa:green-a", "green", "yellow-pay"))
 
 
+@pytest.mark.parametrize(
+    "bound, message",
+    [
+        ("4", "'4' is not an integer"),
+        (True, "True is not an integer"),
+        (None, "None is not an integer"),
+        (0, "chain_bound 0 is below 1"),
+        (-1, "chain_bound -1 is below 1"),
+    ],
+    ids=["text", "bool", "none", "zero", "negative"],
+)
+def test_a_chain_bound_that_is_not_a_positive_integer_is_a_bad_value(bound, message):
+    broken = dataclasses.replace(builtin_scenario("fig5-vm"), chain_bound=bound)
+    violations = validate_scenario(broken)
+    assert violations == [Violation("BAD_VALUE", "document", message)]
+    with pytest.raises(InvalidScenarioError) as refused:
+        broken.index()
+    assert list(refused.value.violations) == violations
+
+
+def test_a_document_chain_bound_below_1_is_a_violation():
+    s = parse_scenario(MINIMAL + "chain_bound: 0\n")
+    assert validate_scenario(s) == [Violation("BAD_VALUE", "document", "chain_bound 0 is below 1")]
+    assert validate_scenario(parse_scenario(MINIMAL + "chain_bound: 1\n")) == []
+
+
 def _first_retyped(s, field, **changes):
     items = getattr(s, field)
     return dataclasses.replace(s, **{field: (dataclasses.replace(items[0], **changes),) + items[1:]})
