@@ -15,7 +15,7 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 from . import model as m
-from .engine import evaluate_flow, leg_context, principal_class
+from .engine import NetworkLeg, evaluate_flow, network_leg, principal_class
 from .errors import (
     IncompatibleRequestSpaceError,
     RequestSpaceTooLargeError,
@@ -92,8 +92,8 @@ def request_key(r: m.FlowRequest) -> tuple[str, str, str, str]:
 
 def _evaluated(s: Scenario, key: tuple, principal: str, locus: str, target: str, method: str) -> m.Decision:
     """The decision of the request of ``principal`` from ``locus`` to
-    ``target`` by ``method``, the first of its class ``key``
-    (``engine.decision_class``), kept as the class's decision."""
+    ``target`` by ``method``, the first of its decision class ``key``, kept
+    as the class's decision."""
     r = m.FlowRequest(principal=principal, source=locus, target=target, method=method)
     decision = s.index().decisions[key] = evaluate_flow(s, r)[0]
     return decision
@@ -111,10 +111,9 @@ def _moves(
     idx = s.index()
     memo, services, principals = idx.decisions, idx.services, sorted(held)
     for target in targets:
-        found = leg_context(s, (locus, target, None, _NO_TAGS))
-        if found is None:
+        leg = network_leg(s, (locus, target, None, _NO_TAGS))
+        if leg.denied is not None:
             continue
-        context, idp = found
         if target == m.INTERNET:
             position, gained = m.INTERNET, held
         else:
@@ -122,12 +121,12 @@ def _moves(
             position, gained = svc.segment, held | frozenset(svc.run_as)
         allowed: dict[tuple, list[str]] = {}  # class -> its allowed methods
         for principal in principals:
-            cls = principal_class(s, principal, idp)
+            cls = principal_class(s, principal, leg.idp)
             ok = allowed.get(cls)
             if ok is None:
                 ok = allowed[cls] = []
                 for method in methods:
-                    key = (context, cls, method)
+                    key = (leg.context, cls, method)
                     if (memo.get(key) or _evaluated(s, key, principal, locus, target, method)).allowed:
                         ok.append(method)
             for method in ok:
@@ -175,12 +174,11 @@ def reachability_matrix(
     columns = tuple(dict.fromkeys(itertools.product(targets, methods)))
     if not (rows and columns):
         return ReachabilityMatrix(rows=(), columns=(), cells={})
-    # each (locus, target) leg is resolved once: a leg a network point denies
-    # to its decision, any other to its context and zero-trust idp; and each
-    # principal once per idp. A cell of a leg not denied is one lookup of
-    # its class.
+    # each (locus, target) leg is resolved once, and each principal once per
+    # idp. A cell of a denied leg takes the leg's decision; any other cell is
+    # one lookup of its class.
     memo = idx.decisions
-    legs: dict[str, dict[str, m.Decision | tuple[tuple, str | None]]] = {}  # locus -> target -> leg
+    legs: dict[str, dict[str, NetworkLeg]] = {}  # locus -> target -> leg
     cells = {}
     for row in rows:
         principal, locus = row
@@ -191,19 +189,14 @@ def reachability_matrix(
             target, method = col
             leg = at.get(target)
             if leg is None:
-                key = (locus, target, None, _NO_TAGS)
-                leg = leg_context(s, key)
-                if leg is None:
-                    leg = memo.get(key) or _evaluated(s, key, principal, locus, target, method)
-                at[target] = leg
-            if isinstance(leg, m.Decision):
-                cells[(row, col)] = leg
+                leg = at[target] = network_leg(s, (locus, target, None, _NO_TAGS))
+            if leg.denied is not None:
+                cells[(row, col)] = leg.denied[0]
                 continue
-            context, idp = leg
-            cls = classes.get(idp)
+            cls = classes.get(leg.idp)
             if cls is None:
-                cls = classes[idp] = principal_class(s, principal, idp)
-            key = (context, cls, method)
+                cls = classes[leg.idp] = principal_class(s, principal, leg.idp)
+            key = (leg.context, cls, method)
             cells[(row, col)] = memo.get(key) or _evaluated(s, key, principal, locus, target, method)
     return ReachabilityMatrix(rows=rows, columns=columns, cells=cells)
 

@@ -13,8 +13,9 @@ exactly one point and reason.
 The chain splits at the principal. The network points (ROUTE through
 GATEWAY) see only the request's network leg: its source, target, source
 address and payload tags. They are evaluated once per leg and scenario, and
-the leg, with its finished trace steps, is kept in the scenario index. The
-principal points (CONSUMER_ENDPOINT through RBAC) run per request.
+the leg, with its finished trace steps and what the principal points read of
+it, is kept in the scenario index. The principal points (CONSUMER_ENDPOINT
+through RBAC) run per request.
 
 Defaults encode the trust split: unmatched intra-segment flows allow only in
 trusting segments, everything else crossing a boundary denies; gateways deny
@@ -55,9 +56,15 @@ class NetworkLeg:
     dst_port: int | None
     steps: m.DecisionTrace = ()  # the network points' steps; the whole trace if one denies
     denied: tuple[m.Decision, m.DecisionTrace] | None = None  # the answer, if a network point denies
-    # the data-plane perimeters of both ends, set only on a leg no network point denies
+    # set only on a leg no network point denies: the data-plane perimeters of
+    # both ends; the source tokens of the principal points' rules that match
+    # the leg; what the principal points read of the leg (its decision-class
+    # context); and the idp of its target when that is zero-trust
     src_perimeter: m.AbstractPerimeter | None = None
     dst_perimeter: m.AbstractPerimeter | None = None
+    source_tokens: frozenset[str] = frozenset()
+    context: tuple | None = None
+    idp: str | None = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -112,7 +119,7 @@ def _firewall_rule_matches(rule: m.FirewallRule, leg: NetworkLeg) -> bool:
 def _predicate_matches(p: m.AccessPredicate, ctx: RequestContext) -> bool:
     if p.identities and not any(ctx.principal.matches_identity(t) for t in p.identities):
         return False
-    if p.cidrs and not any(_src_token_matches(t, ctx.leg) for t in p.cidrs):
+    if p.cidrs and ctx.leg.source_tokens.isdisjoint(p.cidrs):
         return False
     if p.methods and not any(m.method_matches(t, ctx.request.method) for t in p.methods):
         return False
@@ -125,7 +132,7 @@ def _perimeter_rule_matches(rule: m.PerimeterRule, ctx: RequestContext) -> bool:
     for k, v in rule.device.items():
         if ctx.principal.device.get(k) != v:
             return False
-    if rule.networks and not any(_src_token_matches(t, ctx.leg) for t in rule.networks):
+    if rule.networks and ctx.leg.source_tokens.isdisjoint(rule.networks):
         return False
     if rule.targets:
         svc = ctx.leg.target_service
@@ -416,7 +423,8 @@ def _principal_outcomes(s: Scenario, ctx: RequestContext) -> Iterator[PointOutco
 
 
 def _network_leg(s: Scenario, idx: ScenarioIndex, key: LegKey) -> NetworkLeg:
-    """The network leg ``key``, with its network points evaluated."""
+    """The network leg ``key``, with its network points evaluated, kept in the
+    index's leg memo (a leg whose evaluation raises is not kept)."""
     source, target, source_address, payload_tags = key
     if source not in idx.segments and source not in m.DISTINGUISHED_LOCI:
         raise UnknownEntityError(f"source locus {source!r}")
@@ -469,15 +477,46 @@ def _network_leg(s: Scenario, idx: ScenarioIndex, key: LegKey) -> NetworkLeg:
         dst_port=dst_port,
     )
     # the finished leg is built anew from the facts: cheaper than dataclasses.replace
-    decision, steps = _steps(_network_outcomes(s, NetworkLeg(**facts), idx), 0, _PRINCIPAL_FROM)
+    bare = NetworkLeg(**facts)
+    decision, steps = _steps(_network_outcomes(s, bare, idx), 0, _PRINCIPAL_FROM)
     if not decision.allowed:
-        return NetworkLeg(**facts, steps=steps, denied=(decision, steps))
-    return NetworkLeg(
+        leg = idx.legs[key] = NetworkLeg(**facts, steps=steps, denied=(decision, steps))
+        return leg
+    src = idx.data_plane_perimeter.get(source_segment.project if source_segment else None)
+    dst = idx.data_plane_perimeter.get(target_service.project if target_service else None)
+    # the source tokens the principal points test: the endpoint's and
+    # attachment's predicates', and the crossed perimeters' rules'
+    tokens = {t for holder in (endpoint, attachment) if holder for p in holder.policy for t in p.cidrs}
+    if src is None or dst is None or src.id != dst.id:
+        for rule in (src.egress if src else ()) + (dst.ingress if dst else ()):
+            tokens.update(rule.networks)
+    source_tokens = frozenset(t for t in tokens if _src_token_matches(t, bare))
+    # the endpoint fixes the attachment, and the target service its perimeter
+    context = (
+        endpoint.id if endpoint else None,
+        target_service.id if target_service else None,
+        src.id if src else None,
+        source_tokens,
+    )
+    zero_trust = target_service is not None and target_service.auth_mode is m.AuthMode.ZERO_TRUST
+    leg = idx.legs[key] = NetworkLeg(
         **facts,
         steps=steps,
-        src_perimeter=idx.data_plane_perimeter.get(source_segment.project if source_segment else None),
-        dst_perimeter=idx.data_plane_perimeter.get(target_service.project if target_service else None),
+        src_perimeter=src,
+        dst_perimeter=dst,
+        source_tokens=source_tokens,
+        context=context,
+        idp=target_service.idp if zero_trust else None,
     )
+    return leg
+
+
+def network_leg(s: Scenario, key: LegKey) -> NetworkLeg:
+    """The network leg ``key`` from the index's memo, built on first use as
+    ``evaluate_flow`` builds it; an unknown source is reported before an
+    unknown target."""
+    idx = s.index()
+    return idx.legs.get(key) or _network_leg(s, idx, key)
 
 
 def evaluate_flow(s: Scenario, r: m.FlowRequest) -> tuple[m.Decision, m.DecisionTrace]:
@@ -490,9 +529,7 @@ def evaluate_flow(s: Scenario, r: m.FlowRequest) -> tuple[m.Decision, m.Decision
     if principal is None:
         raise UnknownEntityError(f"principal {r.principal!r}")
     key = (r.source, r.target, r.source_address, r.payload_tags)
-    leg = idx.legs.get(key)
-    if leg is None:
-        leg = idx.legs[key] = _network_leg(s, idx, key)
+    leg = idx.legs.get(key) or _network_leg(s, idx, key)
     if leg.denied is not None:
         return leg.denied
     decision, steps = _steps(
@@ -505,29 +542,20 @@ def evaluate_flow(s: Scenario, r: m.FlowRequest) -> tuple[m.Decision, m.Decision
 
 # ---------------------------------------------------------------------------
 # Decision classes
+#
+# Requests of one decision class get one ``Decision`` from ``evaluate_flow``
+# (their traces may differ). A request whose leg a network point denies is
+# keyed by its leg key; any other without a presented chain by its leg's
+# ``context``, its principal's class toward the leg's ``idp`` and its method.
 # ---------------------------------------------------------------------------
 
 
-def leg_context(s: Scenario, key: LegKey) -> tuple[tuple, str | None] | None:
-    """The leg half of a decision class: for the leg ``key``, its context and
-    the idp of its target when that is zero-trust (see ``_leg_context``), or
-    None when a network point denies the leg. The leg is built and kept as
-    ``evaluate_flow`` keeps it; an unknown source is reported before an
-    unknown target."""
-    idx = s.index()
-    found = idx.leg_contexts.get(key, False)
-    if found is False:
-        leg = idx.legs.get(key)
-        if leg is None:
-            leg = idx.legs[key] = _network_leg(s, idx, key)
-        found = idx.leg_contexts[key] = None if leg.denied is not None else _leg_context(leg)
-    return found
-
-
 def principal_class(s: Scenario, principal: str, idp: str | None) -> tuple:
-    """The principal half of a decision class: ``principal``'s class toward
-    the zero-trust ``idp``, or toward a target that is not zero-trust for None
-    (see ``_principal_class``)."""
+    """``principal``'s class toward the zero-trust ``idp``, or toward a target
+    that is not zero-trust for None: the policy identity tokens it matches,
+    its device values on the keys perimeter rules name, and, toward a
+    zero-trust ``idp``, its credential chain's edges and the tokens of the
+    principal the chain asserts (None for no chain)."""
     idx = s.index()
     cls = idx.principal_classes.get((principal, idp))
     if cls is None:
@@ -538,70 +566,13 @@ def principal_class(s: Scenario, principal: str, idp: str | None) -> tuple:
     return cls
 
 
-def decision_class(s: Scenario, r: m.FlowRequest) -> tuple:
-    """The key of ``r``'s decision class: requests with one key get one
-    ``Decision`` from ``evaluate_flow`` (their traces may differ).
-
-    A request whose leg a network point denies is keyed by the leg alone.
-    Otherwise the key holds the leg's context, the principal's class and the
-    method, and, for a presented chain, the principal and the chain. This is
-    the one place that lists what the principal points read of a request.
-    """
-    if r.principal not in s.index().principals:
-        raise UnknownEntityError(f"principal {r.principal!r}")
-    key = (r.source, r.target, r.source_address, r.payload_tags)
-    found = leg_context(s, key)
-    if found is None:
-        return key
-    context, idp = found
-    cls = principal_class(s, r.principal, idp)
-    if r.presented_chain is None:
-        return context, cls, r.method
-    return context, cls, r.method, r.principal, r.presented_chain
-
-
-def _leg_context(leg: NetworkLeg) -> tuple[tuple, str | None]:
-    """What the principal points read of a leg that no network point denies,
-    and the idp of its target when that is zero-trust.
-
-    The context is the endpoint and target service ids, the source's
-    data-plane perimeter id, and which source tokens of the endpoint's and
-    attachment's predicates and of the crossed perimeters' rules match. The
-    endpoint fixes the attachment, and the service the target's perimeter.
-    """
-    svc, src, dst = leg.target_service, leg.src_perimeter, leg.dst_perimeter
-    tokens = {t for holder in (leg.endpoint, leg.attachment) if holder for p in holder.policy for t in p.cidrs}
-    if src is None or dst is None or src.id != dst.id:
-        for rule in (src.egress if src else ()) + (dst.ingress if dst else ()):
-            tokens.update(rule.networks)
-    context = (
-        leg.endpoint.id if leg.endpoint else None,
-        svc.id if svc else None,
-        src.id if src else None,
-        frozenset(t for t in tokens if _src_token_matches(t, leg)),
-    )
-    zero_trust = svc is not None and svc.auth_mode is m.AuthMode.ZERO_TRUST
-    return context, svc.idp if zero_trust else None
-
-
 def _principal_class(s: Scenario, idx: ScenarioIndex, principal: m.Principal, idp: str | None) -> tuple:
-    """What the principal points read of ``principal``: the policy identity
-    tokens it matches, its device values on the keys perimeter rules name, and,
-    toward a zero-trust ``idp``, its credential chain's edges and the tokens of
-    the principal the chain asserts (None for no chain)."""
-    if idx.policy_identities is None:
-        rules = [r for p in s.perimeters for r in p.ingress + p.egress]
-        predicates = [p for holder in (*s.endpoints, *s.attachments) for p in holder.policy]
-        idx.policy_identities = (
-            frozenset(b.principal for b in s.bindings).union(*(x.identities for x in rules + predicates)),
-            tuple(sorted({k for r in rules for k in r.device})),
-        )
-    identities, device_keys = idx.policy_identities
+    identities = idx.policy_identities
 
     def tokens(p: m.Principal) -> frozenset[str]:
         return frozenset(t for t in (m.ANY, p.id, *p.groups) if t in identities)
 
-    cls = (tokens(principal), tuple(principal.device.get(k) for k in device_keys))
+    cls = (tokens(principal), tuple(principal.device.get(k) for k in idx.device_keys))
     if idp is None:
         return cls
     chain = identity_mod.resolve_credential(s, principal.id, idp)

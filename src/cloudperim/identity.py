@@ -61,7 +61,8 @@ def chain_is_valid(s: Scenario, chain: m.CredentialChain, principal: str, target
     """Check a presented chain: starts at the principal's home idp, follows
     existing edges with their mappings, and terminates at the target idp. A
     reverse two-way step may assert any source principal mapped to the previous
-    one, not only the smallest, which resolution asserts."""
+    one, not only the smallest, which resolution asserts; a step over a
+    two-way self-loop holds if either reading does."""
     idx = s.index()
     p = idx.principals.get(principal)
     if p is None or len(chain) > s.chain_bound or chain.steps[:1] != (m.ChainStep(p.idp, p.id, None),):
@@ -70,12 +71,12 @@ def chain_is_valid(s: Scenario, chain: m.CredentialChain, principal: str, target
         edge = idx.trust_edges.get(step.edge or "")
         if edge is None:
             return False
-        if (edge.src, edge.dst) == (prev.idp, step.idp):
-            src_p, dst_p = prev.principal, step.principal
-        elif edge.kind is m.TrustKind.TWO_WAY_TRUST and (edge.dst, edge.src) == (prev.idp, step.idp):
-            src_p, dst_p = step.principal, prev.principal
-        else:
-            return False
-        if edge.mapping.get(src_p) != dst_p:
+        forward = (edge.src, edge.dst) == (prev.idp, step.idp) and edge.mapping.get(prev.principal) == step.principal
+        reverse = (
+            edge.kind is m.TrustKind.TWO_WAY_TRUST
+            and (edge.dst, edge.src) == (prev.idp, step.idp)
+            and edge.mapping.get(step.principal) == prev.principal
+        )
+        if not (forward or reverse):
             return False
     return chain.terminal_idp == target_idp

@@ -202,13 +202,14 @@ def _oracle_chain_ok(s: Scenario, chain: m.CredentialChain, p: m.Principal, targ
         e = edges.get(step.edge or "")
         if e is None:
             return False
-        if e.src == prev.idp and e.dst == step.idp:
-            if e.mapping.get(prev.principal) != step.principal:
-                return False
-        elif e.kind is m.TrustKind.TWO_WAY_TRUST and e.dst == prev.idp and e.src == step.idp:
-            if e.mapping.get(step.principal) != prev.principal:
-                return False
-        else:
+        forward_ok = e.src == prev.idp and e.dst == step.idp and e.mapping.get(prev.principal) == step.principal
+        reverse_ok = (
+            e.kind is m.TrustKind.TWO_WAY_TRUST
+            and e.dst == prev.idp
+            and e.src == step.idp
+            and e.mapping.get(step.principal) == prev.principal
+        )
+        if not forward_ok and not reverse_ok:  # a two-way self-loop may be read either way
             return False
     return chain.terminal_idp == target_idp
 

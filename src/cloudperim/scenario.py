@@ -175,6 +175,14 @@ class ScenarioIndex:
         for b in s.bindings:
             for svc_id in dict.fromkeys(p.service for p in b.role):
                 self.bindings_for_service.setdefault(svc_id, []).append(b)
+        # what principal classes read: the identity tokens that bindings,
+        # predicates and perimeter rules name, and the device keys of the rules
+        rules = [r for p in s.perimeters for r in p.ingress + p.egress]
+        predicates = [p for holder in (*s.endpoints, *s.attachments) for p in holder.policy]
+        self.policy_identities = frozenset(b.principal for b in s.bindings).union(
+            *(x.identities for x in rules + predicates)
+        )
+        self.device_keys = tuple(sorted({k for r in rules for k in r.device}))
         self.non_routable = frozenset(
             x.id for x in s.segments if x.routability is m.Routability.NON_ROUTABLE
         )
@@ -201,15 +209,10 @@ class ScenarioIndex:
         self.target_tags: dict[str, frozenset[str]] = {}
         # (source, target, source address, payload tags) -> network leg
         self.legs: dict[tuple[str, str, str | None, frozenset[str]], NetworkLeg] = {}
-        # the analyses' decisions per decision class (engine.decision_class),
-        # and the memos that class keys are built from: per leg key, its
-        # context and zero-trust idp (None when a network point denies it);
-        # per (principal, zero-trust idp), its class; the policy identity
-        # tokens and the device keys perimeter rules name
+        # the analyses' decisions per decision class (see engine.principal_class),
+        # and each (principal, zero-trust idp)'s class
         self.decisions: dict[tuple, m.Decision] = {}
-        self.leg_contexts: dict[tuple[str, str, str | None, frozenset[str]], tuple[tuple, str | None] | None] = {}
         self.principal_classes: dict[tuple[str, str | None], tuple] = {}
-        self.policy_identities: tuple[frozenset[str], tuple[str, ...]] | None = None
 
     def folders_above(self, node: str) -> tuple[str, ...]:
         """The folders of ``node``'s ancestor chain, root first."""
@@ -311,13 +314,15 @@ class _Codec:
     write: Callable[[Any], Any] = lambda value: value
 
 
-def _typed(accepts: Callable[[Any], bool], what: str) -> _Codec:
-    """A value taken as it is if ``accepts`` it, never converted; else reported as not ``what``."""
+def _typed(accepts: Callable[[Any], bool], what: str, name: str = "") -> _Codec:
+    """A value taken as it is if ``accepts`` it, never converted; else reported
+    as not ``what``, after the field ``name`` if one is given."""
+    label = f"{name} " if name else ""
 
     def read(ctx: _Ctx, raw: Any, subject: str, default: Any) -> Any:
         if accepts(raw):
             return raw
-        ctx.err("BAD_VALUE", subject, f"{raw!r} is not {what}")
+        ctx.err("BAD_VALUE", subject, f"{label}{raw!r} is not {what}")
         return default
 
     return _Codec(read)
@@ -404,6 +409,7 @@ def _text(convert: Callable[[Any], str]) -> _Codec:
 _TEXT = _text(str)  # names and references
 _TAG_TEXT = _text(_scalar_str)  # text compared with tags
 _INT = _typed(_is_int, "an integer")
+_CHAIN_BOUND = _typed(_is_int, "an integer", "chain_bound")  # its subject is the whole document
 _BOOL = _typed(lambda value: isinstance(value, bool), "true or false")
 
 
@@ -712,7 +718,7 @@ _SCENARIO = _Type(
     Scenario,
     _F("name", _TEXT, "unnamed"),
     _F("description", _TEXT, "", check=lambda ctx, subject, text: text.strip(), elide=True),
-    _F("chain_bound", _INT, 4, elide=True),
+    _F("chain_bound", _CHAIN_BOUND, 4, elide=True),
     _F("hierarchy", _Many(_NODE, "node"), (), attr="nodes"),
     _F("networks.segments", _Many(_SEGMENT, "segment"), ()),
     _F("networks.edges", _Many(_EDGE, "edge"), ()),
@@ -1045,7 +1051,7 @@ def _validate(s: Scenario, idx: ScenarioIndex) -> list[Violation]:
     finds them, so a scenario built in code is held to the same rules.
     """
     ctx = _Ctx()
-    bound = _INT.read(ctx, s.chain_bound, "document", None)
+    bound = _CHAIN_BOUND.read(ctx, s.chain_bound, "document", None)
     if bound is not None and bound < 1:
         ctx.err("BAD_VALUE", "document", f"chain_bound {bound} is below 1")
     for e in s.edges:

@@ -187,6 +187,41 @@ identity:
     assert oracle._oracle_resolve_terminal(s, s.principals[0], "B") == "by"
 
 
+def test_a_resolved_chain_that_takes_a_self_loop_in_reverse_is_valid_when_presented():
+    # the chain a -s-> y -c-> by reads the two-way self-loop s in reverse
+    # (s maps y to a); its ends are both A, so its forward reading (a to x)
+    # must not be the only one tried
+    s = parse_scenario("""
+name: self-loop-presented
+hierarchy:
+  - {id: org, kind: organization}
+  - {id: prj, kind: project, parent: org}
+networks:
+  segments:
+    - {id: net, project: prj, routability: routable, cidrs: [10.0.0.0/16], trust_mode: trusting}
+services:
+  specs:
+    - {id: svc, project: prj, segment: net, auth_mode: zero-trust, idp: B}
+identity:
+  idps: [{id: A}, {id: B}]
+  principals: [{id: a, idp: A}, {id: x, idp: A}, {id: y, idp: A}, {id: bx, idp: B}, {id: by, idp: B}]
+  trust_edges:
+    - {id: s, from: A, to: A, kind: two-way-trust, mapping: {a: x, y: a}}
+    - {id: c, from: A, to: B, mapping: {y: by}}
+    - {id: f, from: A, to: B, mapping: {x: bx}}
+policies:
+  rbac:
+    - {id: rb-by, principal: by, role: [{service: svc, method: read}]}
+""")
+    chain = resolve_credential(s, "a", "B")
+    assert [(step.edge, step.principal) for step in chain.steps] == [(None, "a"), ("s", "y"), ("c", "by")]
+    r = m.FlowRequest("a", "net", "svc", "read", presented_chain=chain)
+    decision, trace = evaluate_flow(s, r)
+    assert decision.allowed
+    assert next(x for x in trace if x.point is m.PointKind.AUTHN).rule == "s+c"
+    assert oracle_evaluate(s, r).allowed
+
+
 def _trust_graph(seed):
     """A small random trust document: two or three idps, three to six
     principals, and three to six trust edges declared in random id order, the

@@ -267,3 +267,26 @@ def test_leg_reads_the_target_host_and_port_once(address, port, violations):
         return
     leg = engine._network_leg(s, s.index(), (r.source, r.target, None, frozenset()))
     assert leg.target_nets[0] == prefix.address("10.2.9.9") and leg.dst_port == port
+
+
+def test_a_perimeter_rule_reaches_the_source_tokens_only_of_legs_crossing_its_perimeter():
+    """The source tokens are those of the rules the principal points read: a
+    leg inside one perimeter reads none of its rules, so a rule whose network
+    matches the source neither adds a token nor splits the leg's class; once
+    the source's project leaves the perimeter, the leg crosses it and the
+    network is a token."""
+    s = builtin_scenario("fig10-zero-trust")
+    rule = m.PerimeterRule(id="from-mesh", networks=("10.10.0.0/16", "192.168.0.0/16"))
+    key = ("zt-net", "svc-b", None, frozenset())
+
+    def leg(members):
+        perimeters = tuple(dataclasses.replace(p, members=members, ingress=(rule,), egress=(rule,)) for p in s.perimeters)
+        return engine.network_leg(dataclasses.replace(s, perimeters=perimeters), key)
+
+    inside = leg(s.perimeters[0].members)
+    assert inside.denied is None and inside.src_perimeter == inside.dst_perimeter
+    assert inside.source_tokens == frozenset()
+    assert inside.context == engine.network_leg(dataclasses.replace(s), key).context
+    crossing = leg(m.MemberSelector(projects=("prj-a", "prj-b", "prj-c", "prj-d")))
+    assert crossing.src_perimeter is None and crossing.dst_perimeter is not None
+    assert crossing.source_tokens == frozenset({"10.10.0.0/16"})

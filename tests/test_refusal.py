@@ -87,7 +87,7 @@ def entry_points(base):
     idp = base.idps[0].id
     return [
         ("evaluate_flow", lambda s: engine.evaluate_flow(s, r)),
-        ("decision_class", lambda s: engine.decision_class(s, r)),
+        ("network_leg", lambda s: engine.network_leg(s, (r.source, r.target, None, frozenset()))),
         ("reachability_matrix", lambda s: analysis.reachability_matrix(s)),
         ("reachability_matrix no principals", lambda s: analysis.reachability_matrix(s, principals=[])),
         ("blast_radius", lambda s: analysis.blast_radius(s, base.services[0].id)),

@@ -509,7 +509,7 @@ def test_non_integer_port_is_a_bad_value():
 
 
 def test_non_integer_chain_bound_is_a_bad_value():
-    assert _issues(MINIMAL + "chain_bound: many\n") == [("BAD_VALUE", "document", "'many' is not an integer")]
+    assert _issues(MINIMAL + "chain_bound: many\n") == [("BAD_VALUE", "document", "chain_bound 'many' is not an integer")]
     assert parse_scenario(MINIMAL + "chain_bound: 6\n").chain_bound == 6
 
 
@@ -800,9 +800,9 @@ def test_an_id_that_is_not_text_is_a_bad_value():
 @pytest.mark.parametrize(
     "bound, message",
     [
-        ("4", "'4' is not an integer"),
-        (True, "True is not an integer"),
-        (None, "None is not an integer"),
+        ("4", "chain_bound '4' is not an integer"),
+        (True, "chain_bound True is not an integer"),
+        (None, "chain_bound None is not an integer"),
         (0, "chain_bound 0 is below 1"),
         (-1, "chain_bound -1 is below 1"),
     ],
