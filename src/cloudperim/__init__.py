@@ -57,7 +57,7 @@ from .model import (
     effective_tags,
     resolve_members,
 )
-from .oracle import oracle_evaluate
+from .oracle import oracle_decide, oracle_evaluate
 from .route import RoutePath, Unreachable, resolve_path, routable_pairs
 from .scenario import (
     ParseIssue,
@@ -121,6 +121,7 @@ __all__ = [
     "exfiltration_paths",
     "lint",
     "method_universe",
+    "oracle_decide",
     "oracle_evaluate",
     "parse_scenario",
     "reachability_matrix",

@@ -18,6 +18,7 @@ ones a backend cannot avoid (ephemeral addressing, 5-tuple fidelity).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -200,9 +201,8 @@ def _compile_lift_shift(
             f"perimeter {p.id!r} members own no addressable segments"
         )
 
-    existing = [r.priority for r in s.firewall_rules if r.scope == m.ORG_SCOPE]
-    base = (min(existing) if existing else 1000) - 1000
-    prio = iter(range(base, base + 900))
+    # each rule's priority is its offset in the block until the block's size is known
+    prio = itertools.count()
     firewall: list[m.FirewallRule] = [
         m.FirewallRule(
             id=f"{p.id}-ls-intra",
@@ -293,6 +293,10 @@ def _compile_lift_shift(
             dst=tuple(member_cidrs),
         )
     )
+    # one block of distinct priorities, all below the lowest at organization scope
+    existing = [r.priority for r in s.firewall_rules if r.scope == m.ORG_SCOPE]
+    base = (min(existing) if existing else 1000) - max(1000, len(firewall))
+    firewall = [replace(r, priority=base + r.priority) for r in firewall]
 
     notes = [
         "members and targets are enforced as network addresses; controls outside this "

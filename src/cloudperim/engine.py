@@ -5,8 +5,11 @@ Every request produces one trace step per point, in the fixed order
     ROUTE, HIER_FIREWALL, SEGMENT_FIREWALL, GATEWAY, CONSUMER_ENDPOINT,
     PRODUCER_ATTACHMENT, PERIMETER_EGRESS, PERIMETER_INGRESS, AUTHN, RBAC
 
-mirroring the physical path of a request. Evaluation stops at the first
-denying point; the remaining points are recorded as not-applicable, so the
+mirroring the physical path of a request. Each point's function returns
+its own step (a pair for the paired points), whose index is the point's
+position in that order; an answer that never varies, such as a point that
+does not apply, is one shared step. Evaluation collects the steps up to the
+first deny; the remaining points are recorded as not-applicable, so the
 overall verdict is Allow iff every step allows and a Deny always names
 exactly one point and reason.
 
@@ -37,6 +40,8 @@ from .scenario import Scenario, ScenarioIndex
 FLOW_PROTOCOL = "tcp"  # modeled flows are connection-initiating TCP requests
 # (source, target, source address, payload tags): what the network points read of a request
 LegKey = tuple[str, str, str | None, frozenset[str]]
+# the source tokens of every leg that matches none: most allowed legs
+_NO_TOKENS: frozenset[str] = frozenset()
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,7 +67,7 @@ class NetworkLeg:
     # context); and the idp of its target when that is zero-trust
     src_perimeter: m.AbstractPerimeter | None = None
     dst_perimeter: m.AbstractPerimeter | None = None
-    source_tokens: frozenset[str] = frozenset()
+    source_tokens: frozenset[str] = _NO_TOKENS
     context: tuple | None = None
     idp: str | None = None
 
@@ -184,17 +189,30 @@ def target_tags(s: Scenario, svc: m.ServiceSpec) -> frozenset[str]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PointOutcome:
-    verdict: m.Verdict
-    rule: str
-    reason: m.DenyReason | None = None
+# The position of each point in the chain, which is its steps' index.
+_POSITION = {point: i for i, point in enumerate(m.ENFORCEMENT_CHAIN)}
 
 
-_ALLOW_NA = PointOutcome(m.Verdict.ALLOW, m.NOT_APPLICABLE)
+def _step(point: m.PointKind, rule: str, reason: m.DenyReason | None = None) -> m.TraceStep:
+    """``point``'s step: a deny for ``reason`` when one is given, else an allow."""
+    verdict = m.Verdict.ALLOW if reason is None else m.Verdict.DENY
+    return m.TraceStep(_POSITION[point], point, verdict, rule, reason)
 
 
-def _scope_chain(s: Scenario, leg: NetworkLeg, idx: ScenarioIndex) -> list[tuple[str, str]]:
+# The step of each point that a request does not reach, or that does not apply.
+_NOT_APPLICABLE_STEPS: m.DecisionTrace = tuple(_step(point, m.NOT_APPLICABLE) for point in m.ENFORCEMENT_CHAIN)
+_NOT_APPLICABLE = dict(zip(m.ENFORCEMENT_CHAIN, _NOT_APPLICABLE_STEPS))
+# The answers that never vary, shared by every request that gets them.
+_NO_ROUTE = _step(m.PointKind.ROUTE, m.DEFAULT_RULE, m.DenyReason.NO_ROUTE)
+_HIER_DEFAULT = _step(m.PointKind.HIER_FIREWALL, m.DEFAULT_RULE)
+_INTRA_PERIMETER = (
+    _step(m.PointKind.PERIMETER_EGRESS, "intra-perimeter"),
+    _step(m.PointKind.PERIMETER_INGRESS, "intra-perimeter"),
+)
+_NO_CREDENTIAL = _step(m.PointKind.AUTHN, m.DEFAULT_RULE, m.DenyReason.NO_CREDENTIAL)
+
+
+def _scope_chain(leg: NetworkLeg, idx: ScenarioIndex) -> list[tuple[str, str]]:
     """(scope kind, scope key) list for this flow: org, folders root->leaf, segment.
 
     Anchored at the source side for segment-borne flows and at the target side
@@ -220,11 +238,9 @@ def _flow_is_intra_segment(leg: NetworkLeg) -> bool:
     return False
 
 
-def _terminal_rule(
-    s: Scenario, leg: NetworkLeg, idx: ScenarioIndex
-) -> tuple[str, m.FirewallRule] | tuple[None, None]:
+def _terminal_rule(leg: NetworkLeg, idx: ScenarioIndex) -> tuple[str, m.FirewallRule] | tuple[None, None]:
     """(scope kind, rule) of the first matching non-delegate rule, scope by scope."""
-    for scope_kind, scope_key in _scope_chain(s, leg, idx):
+    for scope_kind, scope_key in _scope_chain(leg, idx):
         for rule in idx.firewall_rules_by_scope.get(scope_key, ()):
             if _firewall_rule_matches(rule, leg):
                 if rule.action is not m.RuleAction.DELEGATE:
@@ -233,68 +249,63 @@ def _terminal_rule(
     return None, None
 
 
-def evaluate_firewall_chain(
-    s: Scenario, leg: NetworkLeg
-) -> tuple[PointOutcome, PointOutcome]:
-    """Hierarchical then segment firewall outcomes for one flow."""
-    hier = PointOutcome(m.Verdict.ALLOW, m.DEFAULT_RULE)
-    scope_kind, rule = _terminal_rule(s, leg, s.index())
+def evaluate_firewall_chain(s: Scenario, leg: NetworkLeg) -> tuple[m.TraceStep, m.TraceStep]:
+    """Hierarchical then segment firewall steps for one flow."""
+    scope_kind, rule = _terminal_rule(leg, s.index())
     if rule is not None:
-        segment = scope_kind == "segment"
-        if rule.action is m.RuleAction.ALLOW:
-            outcome = PointOutcome(m.Verdict.ALLOW, rule.id)
-        else:
-            reason = m.DenyReason.SEGMENT_FIREWALL if segment else m.DenyReason.HIER_FIREWALL
-            outcome = PointOutcome(m.Verdict.DENY, rule.id, reason)
-        return (hier, outcome) if segment else (outcome, _ALLOW_NA)
+        deny = rule.action is m.RuleAction.DENY
+        if scope_kind == "segment":
+            return _HIER_DEFAULT, _step(
+                m.PointKind.SEGMENT_FIREWALL, rule.id, m.DenyReason.SEGMENT_FIREWALL if deny else None
+            )
+        return (
+            _step(m.PointKind.HIER_FIREWALL, rule.id, m.DenyReason.HIER_FIREWALL if deny else None),
+            _NOT_APPLICABLE[m.PointKind.SEGMENT_FIREWALL],
+        )
     if (
         _flow_is_intra_segment(leg)
         and leg.source_segment is not None
         and leg.source_segment.trust_mode is m.TrustMode.TRUSTING
     ):
-        return hier, PointOutcome(m.Verdict.ALLOW, m.DEFAULT_RULE)
-    return hier, PointOutcome(m.Verdict.DENY, m.DEFAULT_RULE, m.DenyReason.FIREWALL_DEFAULT)
+        return _HIER_DEFAULT, _step(m.PointKind.SEGMENT_FIREWALL, m.DEFAULT_RULE)
+    return _HIER_DEFAULT, _step(m.PointKind.SEGMENT_FIREWALL, m.DEFAULT_RULE, m.DenyReason.FIREWALL_DEFAULT)
 
 
-def evaluate_gateways(leg: NetworkLeg, idx: ScenarioIndex) -> PointOutcome:
+def evaluate_gateways(leg: NetworkLeg, idx: ScenarioIndex) -> m.TraceStep:
     hops = leg.path.gateway_hops() if leg.path else []
     if not hops:
-        return _ALLOW_NA
+        return _NOT_APPLICABLE[m.PointKind.GATEWAY]
     matched: list[str] = []
     for hop in hops:
         edge = idx.edges[hop.edge]
         hit = next((r for r in edge.gateway_rules if _gateway_rule_matches(r, hop, leg)), None)
         if hit is None:
-            return PointOutcome(m.Verdict.DENY, m.DEFAULT_RULE, m.DenyReason.GATEWAY)
+            return _step(m.PointKind.GATEWAY, m.DEFAULT_RULE, m.DenyReason.GATEWAY)
         if hit.action is m.RuleAction.DENY:
-            return PointOutcome(m.Verdict.DENY, hit.id, m.DenyReason.GATEWAY)
+            return _step(m.PointKind.GATEWAY, hit.id, m.DenyReason.GATEWAY)
         matched.append(hit.id)
-    return PointOutcome(m.Verdict.ALLOW, "+".join(matched))
+    return _step(m.PointKind.GATEWAY, "+".join(matched))
 
 
-def evaluate_endpoint_pair(ctx: RequestContext) -> tuple[PointOutcome, PointOutcome]:
+def evaluate_endpoint_pair(ctx: RequestContext) -> tuple[m.TraceStep, m.TraceStep]:
     """Consumer then producer policy; either side's deny is final (AND)."""
     endpoint, attachment = ctx.leg.endpoint, ctx.leg.attachment
     if endpoint is None or attachment is None:
-        return _ALLOW_NA, _ALLOW_NA
-    outcomes = []
-    for policy, reason in (
-        (endpoint.policy, m.DenyReason.CONSUMER),
-        (attachment.policy, m.DenyReason.PRODUCER),
-    ):
+        return _NOT_APPLICABLE[m.PointKind.CONSUMER_ENDPOINT], _NOT_APPLICABLE[m.PointKind.PRODUCER_ATTACHMENT]
+
+    def policy_step(policy: tuple[m.AccessPredicate, ...], point: m.PointKind, reason: m.DenyReason) -> m.TraceStep:
         hit = next((p for p in policy if _predicate_matches(p, ctx)), None)
         if hit is None:
-            outcomes.append(PointOutcome(m.Verdict.ALLOW, m.DEFAULT_RULE))
-        elif hit.action is m.RuleAction.DENY:
-            outcomes.append(PointOutcome(m.Verdict.DENY, hit.id, reason))
-        else:
-            outcomes.append(PointOutcome(m.Verdict.ALLOW, hit.id))
-    return outcomes[0], outcomes[1]
+            return _step(point, m.DEFAULT_RULE)
+        return _step(point, hit.id, reason if hit.action is m.RuleAction.DENY else None)
+
+    return (
+        policy_step(endpoint.policy, m.PointKind.CONSUMER_ENDPOINT, m.DenyReason.CONSUMER),
+        policy_step(attachment.policy, m.PointKind.PRODUCER_ATTACHMENT, m.DenyReason.PRODUCER),
+    )
 
 
-def evaluate_perimeter_crossing(
-    s: Scenario, ctx: RequestContext
-) -> tuple[PointOutcome, PointOutcome]:
+def evaluate_perimeter_crossing(ctx: RequestContext) -> tuple[m.TraceStep, m.TraceStep]:
     """Egress from the source's perimeter, ingress into the target's.
 
     Only perimeters bound to the data-plane-perimeter mechanism restrict
@@ -302,48 +313,42 @@ def evaluate_perimeter_crossing(
     """
     src_perim, dst_perim = ctx.leg.src_perimeter, ctx.leg.dst_perimeter
     if src_perim is not None and dst_perim is not None and src_perim.id == dst_perim.id:
-        intra = PointOutcome(m.Verdict.ALLOW, "intra-perimeter")
-        return intra, intra
+        return _INTRA_PERIMETER
 
-    def crossing(rules: tuple[m.PerimeterRule, ...], reason: m.DenyReason) -> PointOutcome:
+    def crossing(rules: tuple[m.PerimeterRule, ...], point: m.PointKind, reason: m.DenyReason) -> m.TraceStep:
         hit = next((r for r in rules if _perimeter_rule_matches(r, ctx)), None)
-        if hit is None:
-            return PointOutcome(m.Verdict.DENY, m.DEFAULT_RULE, reason)
-        return PointOutcome(m.Verdict.ALLOW, hit.id)
+        return _step(point, m.DEFAULT_RULE, reason) if hit is None else _step(point, hit.id)
 
+    egress, ingress = m.PointKind.PERIMETER_EGRESS, m.PointKind.PERIMETER_INGRESS
     return (
-        _ALLOW_NA if src_perim is None else crossing(src_perim.egress, m.DenyReason.PERIMETER_EGRESS),
-        _ALLOW_NA if dst_perim is None else crossing(dst_perim.ingress, m.DenyReason.PERIMETER_INGRESS),
+        _NOT_APPLICABLE[egress] if src_perim is None
+        else crossing(src_perim.egress, egress, m.DenyReason.PERIMETER_EGRESS),
+        _NOT_APPLICABLE[ingress] if dst_perim is None
+        else crossing(dst_perim.ingress, ingress, m.DenyReason.PERIMETER_INGRESS),
     )
 
 
-def evaluate_authn(s: Scenario, ctx: RequestContext) -> tuple[PointOutcome, m.Principal]:
+def evaluate_authn(s: Scenario, ctx: RequestContext) -> tuple[m.TraceStep, m.Principal]:
     """Resolve the asserted principal the RBAC point will see."""
     svc = ctx.leg.target_service
     if svc is None or svc.auth_mode is not m.AuthMode.ZERO_TRUST or svc.idp is None:
-        return _ALLOW_NA, ctx.principal
+        return _NOT_APPLICABLE[m.PointKind.AUTHN], ctx.principal
     chain = ctx.request.presented_chain
     if chain is not None:
         if not identity_mod.chain_is_valid(s, chain, ctx.principal.id, svc.idp):
-            return (
-                PointOutcome(m.Verdict.DENY, m.DEFAULT_RULE, m.DenyReason.NO_CREDENTIAL),
-                ctx.principal,
-            )
+            return _NO_CREDENTIAL, ctx.principal
     else:
         chain = identity_mod.resolve_credential(s, ctx.principal.id, svc.idp)
         if chain is None:
-            return (
-                PointOutcome(m.Verdict.DENY, m.DEFAULT_RULE, m.DenyReason.NO_CREDENTIAL),
-                ctx.principal,
-            )
+            return _NO_CREDENTIAL, ctx.principal
     terminal = ctx.index.principals[chain.terminal_principal]
     edges = "+".join(step.edge for step in chain.steps if step.edge) or "home-idp"
-    return PointOutcome(m.Verdict.ALLOW, edges), terminal
+    return _step(m.PointKind.AUTHN, edges), terminal
 
 
 def evaluate_rbac(
     s: Scenario, svc: m.ServiceSpec, principal: m.Principal, method: str
-) -> PointOutcome:
+) -> m.TraceStep:
     """Per-service RBAC: grants for zero-trust, tag conditions for trusting."""
     tags = target_tags(s, svc)
     applicable = [
@@ -356,68 +361,51 @@ def evaluate_rbac(
     )
     if svc.auth_mode is m.AuthMode.ZERO_TRUST:
         if satisfied is not None:
-            return PointOutcome(m.Verdict.ALLOW, satisfied.id)
-        return PointOutcome(m.Verdict.DENY, m.DEFAULT_RULE, m.DenyReason.RBAC_DEFAULT_DENY)
+            return _step(m.PointKind.RBAC, satisfied.id)
+        return _step(m.PointKind.RBAC, m.DEFAULT_RULE, m.DenyReason.RBAC_DEFAULT_DENY)
     # perimeter-trusting: absence of bindings denies nothing; a governing
     # grant makes its tag condition binding
     if not applicable:
-        return PointOutcome(m.Verdict.ALLOW, m.DEFAULT_RULE)
+        return _step(m.PointKind.RBAC, m.DEFAULT_RULE)
     if satisfied is not None:
-        return PointOutcome(m.Verdict.ALLOW, satisfied.id)
-    return PointOutcome(m.Verdict.DENY, applicable[0].id, m.DenyReason.RBAC_CONDITION)
+        return _step(m.PointKind.RBAC, satisfied.id)
+    return _step(m.PointKind.RBAC, applicable[0].id, m.DenyReason.RBAC_CONDITION)
 
 
 # ---------------------------------------------------------------------------
 # The chain
 # ---------------------------------------------------------------------------
 
-# ENFORCEMENT_CHAIN[:_PRINCIPAL_FROM] are the network points, the rest the
-# principal points.
-_PRINCIPAL_FROM = m.ENFORCEMENT_CHAIN.index(m.PointKind.CONSUMER_ENDPOINT)
-# The step of each point that a request does not reach, or that does not apply.
-_NOT_APPLICABLE_STEPS: m.DecisionTrace = tuple(
-    m.TraceStep(i, point, m.Verdict.ALLOW, m.NOT_APPLICABLE)
-    for i, point in enumerate(m.ENFORCEMENT_CHAIN)
-)
+
+def _steps(steps: Iterator[m.TraceStep]) -> tuple[m.Decision, m.DecisionTrace]:
+    """The decision and the steps pulled up to the first deny, which ends
+    them with the not-applicable steps of every later point of the chain."""
+    taken = []
+    for step in steps:
+        taken.append(step)
+        if step.verdict is m.Verdict.DENY:
+            return m.deny(step.reason), tuple(taken) + _NOT_APPLICABLE_STEPS[step.index + 1:]
+    return m.ALLOW, tuple(taken)
 
 
-def _steps(
-    outcomes: Iterator[PointOutcome], first: int, stop: int
-) -> tuple[m.Decision, m.DecisionTrace]:
-    """The decision and steps ``first``..``stop - 1`` of the chain, pulling one
-    outcome per point; a deny ends the steps with the not-applicable steps of
-    every later point of the chain."""
-    steps = []
-    for i in range(first, stop):
-        outcome = next(outcomes)
-        if outcome.verdict is m.Verdict.DENY:
-            steps.append(m.TraceStep(i, m.ENFORCEMENT_CHAIN[i], outcome.verdict, outcome.rule, outcome.reason))
-            return m.deny(outcome.reason), tuple(steps) + _NOT_APPLICABLE_STEPS[i + 1:]
-        if outcome is _ALLOW_NA:
-            steps.append(_NOT_APPLICABLE_STEPS[i])
-        else:
-            steps.append(m.TraceStep(i, m.ENFORCEMENT_CHAIN[i], outcome.verdict, outcome.rule))
-    return m.ALLOW, tuple(steps)
-
-
-def _network_outcomes(s: Scenario, leg: NetworkLeg, idx: ScenarioIndex) -> Iterator[PointOutcome]:
-    """The outcome of each network point, computed as it is pulled."""
+def _network_steps(s: Scenario, leg: NetworkLeg, idx: ScenarioIndex) -> Iterator[m.TraceStep]:
+    """The step of each network point, computed as it is pulled."""
     if leg.path is None:
-        yield PointOutcome(m.Verdict.DENY, m.DEFAULT_RULE, m.DenyReason.NO_ROUTE)
+        yield _NO_ROUTE
         return
-    yield PointOutcome(m.Verdict.ALLOW, leg.path.describe())
+    yield _step(m.PointKind.ROUTE, leg.path.describe())
     yield from evaluate_firewall_chain(s, leg)
     yield evaluate_gateways(leg, idx)
 
 
-def _principal_outcomes(s: Scenario, ctx: RequestContext) -> Iterator[PointOutcome]:
-    """The outcome of each principal point, computed as it is pulled."""
+def _principal_steps(s: Scenario, ctx: RequestContext) -> Iterator[m.TraceStep]:
+    """The step of each principal point, computed as it is pulled."""
     yield from evaluate_endpoint_pair(ctx)
-    yield from evaluate_perimeter_crossing(s, ctx)
+    yield from evaluate_perimeter_crossing(ctx)
     authn, terminal = evaluate_authn(s, ctx)
     yield authn
     if ctx.leg.target_service is None:
-        yield _ALLOW_NA
+        yield _NOT_APPLICABLE[m.PointKind.RBAC]
     else:
         yield evaluate_rbac(s, ctx.leg.target_service, terminal, ctx.request.method)
 
@@ -478,7 +466,7 @@ def _network_leg(s: Scenario, idx: ScenarioIndex, key: LegKey) -> NetworkLeg:
     )
     # the finished leg is built anew from the facts: cheaper than dataclasses.replace
     bare = NetworkLeg(**facts)
-    decision, steps = _steps(_network_outcomes(s, bare, idx), 0, _PRINCIPAL_FROM)
+    decision, steps = _steps(_network_steps(s, bare, idx))
     if not decision.allowed:
         leg = idx.legs[key] = NetworkLeg(**facts, steps=steps, denied=(decision, steps))
         return leg
@@ -490,7 +478,7 @@ def _network_leg(s: Scenario, idx: ScenarioIndex, key: LegKey) -> NetworkLeg:
     if src is None or dst is None or src.id != dst.id:
         for rule in (src.egress if src else ()) + (dst.ingress if dst else ()):
             tokens.update(rule.networks)
-    source_tokens = frozenset(t for t in tokens if _src_token_matches(t, bare))
+    source_tokens = frozenset(t for t in tokens if _src_token_matches(t, bare)) or _NO_TOKENS
     # the endpoint fixes the attachment, and the target service its perimeter
     context = (
         endpoint.id if endpoint else None,
@@ -532,11 +520,7 @@ def evaluate_flow(s: Scenario, r: m.FlowRequest) -> tuple[m.Decision, m.Decision
     leg = idx.legs.get(key) or _network_leg(s, idx, key)
     if leg.denied is not None:
         return leg.denied
-    decision, steps = _steps(
-        _principal_outcomes(s, RequestContext(r, principal, leg, idx)),
-        _PRINCIPAL_FROM,
-        len(m.ENFORCEMENT_CHAIN),
-    )
+    decision, steps = _steps(_principal_steps(s, RequestContext(r, principal, leg, idx)))
     return decision, leg.steps + steps
 
 

@@ -221,6 +221,11 @@ def _oracle_chain_ok(s: Scenario, chain: m.CredentialChain, p: m.Principal, targ
 
 def oracle_evaluate(s: Scenario, r: m.FlowRequest) -> m.Decision:
     """Same contract as evaluate_flow, by direct application of every rule."""
+    return oracle_decide(s, r)[0]
+
+
+def oracle_decide(s: Scenario, r: m.FlowRequest) -> tuple[m.Decision, m.PointKind | None]:
+    """The decision and the point that denies, None when the request is allowed."""
     nodes = {n.id: n for n in s.nodes}
     segs = {x.id: x for x in s.segments}
     services = {x.id: x for x in s.services}
@@ -251,7 +256,7 @@ def oracle_evaluate(s: Scenario, r: m.FlowRequest) -> m.Decision:
 
     routed = _oracle_route(s, r.source, r.target)
     if routed is None:
-        return m.deny(m.DenyReason.NO_ROUTE)
+        return m.deny(m.DenyReason.NO_ROUTE), m.PointKind.ROUTE
     gateway_steps, endpoint_id = routed
     endpoint = declared_endpoint if declared_endpoint is not None else endpoints.get(endpoint_id or "")
     attachment = attachments.get(endpoint.attachment) if endpoint is not None else None
@@ -329,13 +334,13 @@ def oracle_evaluate(s: Scenario, r: m.FlowRequest) -> m.Decision:
         scope_key, rule = fw_terminal
         if rule.action is m.RuleAction.DENY:
             if scope_key.startswith("segment:"):
-                return m.deny(m.DenyReason.SEGMENT_FIREWALL)
-            return m.deny(m.DenyReason.HIER_FIREWALL)
+                return m.deny(m.DenyReason.SEGMENT_FIREWALL), m.PointKind.SEGMENT_FIREWALL
+            return m.deny(m.DenyReason.HIER_FIREWALL), m.PointKind.HIER_FIREWALL
     else:
         addressed_seg = endpoint.segment if endpoint is not None else (svc.segment if svc else None)
         intra = src_seg is not None and addressed_seg == src_seg.id
         if not (intra and src_seg.trust_mode is m.TrustMode.TRUSTING):
-            return m.deny(m.DenyReason.FIREWALL_DEFAULT)
+            return m.deny(m.DenyReason.FIREWALL_DEFAULT), m.PointKind.SEGMENT_FIREWALL
 
     # --- gateways, in traversal order
     for edge, hop_src, hop_dst in gateway_steps:
@@ -350,7 +355,7 @@ def oracle_evaluate(s: Scenario, r: m.FlowRequest) -> m.Decision:
             hit_rule = rule
             break
         if hit_rule is None or hit_rule.action is m.RuleAction.DENY:
-            return m.deny(m.DenyReason.GATEWAY)
+            return m.deny(m.DenyReason.GATEWAY), m.PointKind.GATEWAY
 
     # --- consumer endpoint, then producer attachment
     def predicate_hit(policy):
@@ -367,10 +372,10 @@ def oracle_evaluate(s: Scenario, r: m.FlowRequest) -> m.Decision:
     if endpoint is not None and attachment is not None:
         hit = predicate_hit(endpoint.policy)
         if hit is not None and hit.action is m.RuleAction.DENY:
-            return m.deny(m.DenyReason.CONSUMER)
+            return m.deny(m.DenyReason.CONSUMER), m.PointKind.CONSUMER_ENDPOINT
         hit = predicate_hit(attachment.policy)
         if hit is not None and hit.action is m.RuleAction.DENY:
-            return m.deny(m.DenyReason.PRODUCER)
+            return m.deny(m.DenyReason.PRODUCER), m.PointKind.PRODUCER_ATTACHMENT
 
     # --- perimeter crossing
     dp_membership: dict[str, frozenset[str]] = {}
@@ -413,21 +418,21 @@ def oracle_evaluate(s: Scenario, r: m.FlowRequest) -> m.Decision:
     same = src_perim is not None and dst_perim is not None and src_perim.id == dst_perim.id
     if not same:
         if src_perim is not None and not perim_rule_hit(src_perim.egress):
-            return m.deny(m.DenyReason.PERIMETER_EGRESS)
+            return m.deny(m.DenyReason.PERIMETER_EGRESS), m.PointKind.PERIMETER_EGRESS
         if dst_perim is not None and not perim_rule_hit(dst_perim.ingress):
-            return m.deny(m.DenyReason.PERIMETER_INGRESS)
+            return m.deny(m.DenyReason.PERIMETER_INGRESS), m.PointKind.PERIMETER_INGRESS
 
     # --- authn
     terminal = principal
     if svc is not None and svc.auth_mode is m.AuthMode.ZERO_TRUST and svc.idp is not None:
         if r.presented_chain is not None:
             if not _oracle_chain_ok(s, r.presented_chain, principal, svc.idp):
-                return m.deny(m.DenyReason.NO_CREDENTIAL)
+                return m.deny(m.DenyReason.NO_CREDENTIAL), m.PointKind.AUTHN
             terminal = principals.get(r.presented_chain.terminal_principal, principal)
         else:
             terminal_id = _oracle_resolve_terminal(s, principal, svc.idp)
             if terminal_id is None:
-                return m.deny(m.DenyReason.NO_CREDENTIAL)
+                return m.deny(m.DenyReason.NO_CREDENTIAL), m.PointKind.AUTHN
             terminal = principals.get(terminal_id, principal)
 
     # --- rbac
@@ -449,9 +454,9 @@ def oracle_evaluate(s: Scenario, r: m.FlowRequest) -> m.Decision:
         satisfied = any(b.condition is None or b.condition.holds(tags) for b in applicable)
         if svc.auth_mode is m.AuthMode.ZERO_TRUST:
             if not satisfied:
-                return m.deny(m.DenyReason.RBAC_DEFAULT_DENY)
+                return m.deny(m.DenyReason.RBAC_DEFAULT_DENY), m.PointKind.RBAC
         else:
             if applicable and not satisfied:
-                return m.deny(m.DenyReason.RBAC_CONDITION)
+                return m.deny(m.DenyReason.RBAC_CONDITION), m.PointKind.RBAC
 
-    return m.ALLOW
+    return m.ALLOW, None

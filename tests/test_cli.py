@@ -5,8 +5,16 @@ import json
 
 import pytest
 
-from cloudperim import builtin_scenario, parse_scenario, serialize_scenario, validate_scenario
-from cloudperim.cli import EXIT_BAD_INPUT, EXIT_OK, EXIT_POLICY, main
+from cloudperim import (
+    build_compiled_scenario,
+    builtin_scenario,
+    compile_perimeter,
+    parse_scenario,
+    serialize_scenario,
+    validate_scenario,
+)
+from cloudperim import model as m
+from cloudperim.cli import EXIT_BAD_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_POLICY, main
 
 
 def run(capsys, *argv):
@@ -242,6 +250,34 @@ def test_compile_and_verify_compile(capsys):
     assert code == EXIT_POLICY
     divergences = [json.loads(line) for line in out.strip().splitlines()]
     assert all(d["class"].startswith("EXPECTED") for d in divergences)
+
+
+@pytest.mark.parametrize("egress_rules", [897, 1000])
+def test_lift_shift_of_a_large_perimeter_keeps_priorities_distinct(tmp_path, capsys, egress_rules):
+    """However many rules a lift-shift perimeter emits, their priorities are
+    distinct and below every organization-scope rule, and the CLI compiles
+    and verifies it."""
+    s = builtin_scenario("fig4-landing-point")
+    egress = tuple(
+        m.PerimeterRule(id=f"eg-{i}", targets=(m.PerimeterTarget(service=m.INTERNET),))
+        for i in range(egress_rules)
+    )
+    s = dataclasses.replace(
+        s, perimeters=tuple(dataclasses.replace(p, egress=egress) if p.id == "yellow" else p for p in s.perimeters)
+    )
+    compiled = compile_perimeter(s, "yellow", "lift-shift")
+    priorities = [r.priority for r in compiled.firewall_rules]
+    assert len(priorities) == egress_rules + 4  # intra, egress, one ingress, two denies
+    assert len(set(priorities)) == len(priorities)
+    assert max(priorities) < min(r.priority for r in s.firewall_rules if r.scope == m.ORG_SCOPE)
+    assert validate_scenario(build_compiled_scenario(s, compiled)) == []
+    doc = tmp_path / "large.yaml"
+    doc.write_text(serialize_scenario(s))
+    for command in ("compile", "verify-compile"):
+        code, _, err = run(
+            capsys, command, "--scenario", str(doc), "--perimeter", "yellow", "--mechanism", "lift-shift"
+        )
+        assert code != EXIT_INTERNAL and not err
 
 
 @pytest.mark.parametrize("mechanism", ["hybrid", "lift-shift", "zero-trust"])

@@ -7,7 +7,14 @@ from pathlib import Path
 
 import pytest
 
-from cloudperim import builtin_scenario, evaluate_flow, oracle_evaluate, parse_scenario, validate_scenario
+from cloudperim import (
+    builtin_scenario,
+    evaluate_flow,
+    oracle_decide,
+    oracle_evaluate,
+    parse_scenario,
+    validate_scenario,
+)
 from cloudperim import model as m
 from cloudperim.engine import (
     RequestContext,
@@ -30,6 +37,17 @@ def flow(principal, source, target, method="connect", **kw):
 
 def verdicts(trace):
     return {step.point: (step.verdict, step.rule, step.reason) for step in trace}
+
+
+def decide_as_oracle(s, r):
+    """``evaluate_flow``'s decision on ``r`` and the point of its first deny
+    (None if it allows), having checked that both are the oracle's and that
+    each step's index is its position in the trace."""
+    decision, trace = evaluate_flow(s, r)
+    point = next((st.point for st in trace if st.verdict is m.Verdict.DENY), None)
+    assert (decision, point) == oracle_decide(s, r), r
+    assert [st.index for st in trace] == list(range(len(m.ENFORCEMENT_CHAIN))), r
+    return decision, point
 
 
 def leg_key(r):
@@ -245,7 +263,7 @@ def _naive_firewall(s, leg):
     from cloudperim.engine import _firewall_rule_matches, _scope_chain
 
     idx = s.index()
-    for kind, key in _scope_chain(s, leg, idx):
+    for kind, key in _scope_chain(leg, idx):
         for rule in sorted((r for r in s.firewall_rules if r.scope == key), key=lambda r: r.priority):
             if _firewall_rule_matches(rule, leg):
                 if rule.action is m.RuleAction.DELEGATE:
@@ -705,8 +723,7 @@ def test_engine_matches_oracle_with_source_addresses(name):
         plain, _ = evaluate_flow(s, r)
         for address in _source_addresses(s, r.source):
             addressed = dataclasses.replace(r, source_address=address)
-            decision, _ = evaluate_flow(s, addressed)
-            assert decision == oracle_evaluate(s, addressed), addressed
+            decision, _ = decide_as_oracle(s, addressed)
             moved += decision != plain
     if name in ("fig1-lift-shift", "fig11-combined"):
         assert moved  # the templates with CIDR-scoped rules see the address
@@ -716,13 +733,11 @@ def test_engine_matches_oracle_with_source_addresses(name):
 def test_engine_matches_oracle_on_a_generated_estate(spokes, seed):
     """A ``gen.flow_requests`` stream over a hub-and-spoke estate (every
     request field drawn, presented chains and source addresses included)
-    decides alike in the engine and the oracle, and every point decides some
-    request."""
+    decides alike, at the same deciding point, in the engine and the oracle,
+    and every point decides some request."""
     estate = gen.hub_and_spoke(spokes, seed)
     s = parse_scenario(estate.text())
     deciding = set()
     for r in gen.flow_requests(estate, random.Random(seed), 500):
-        decision, trace = evaluate_flow(s, r)
-        assert decision == oracle_evaluate(s, r), r
-        deciding.add(next((st.point for st in trace if st.verdict is m.Verdict.DENY), None))
+        deciding.add(decide_as_oracle(s, r)[1])
     assert deciding == {None, *m.ENFORCEMENT_CHAIN}

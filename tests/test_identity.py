@@ -437,9 +437,14 @@ def _non_smallest_reverse_step(s, p, chain):
     return False
 
 
+def _deciding_point(trace):
+    return next((x.point for x in trace if x.verdict is m.Verdict.DENY), None)
+
+
 def test_engine_matches_oracle_on_presented_chains():
     """Every request to a zero-trust service from every source locus, with
-    each of ``_presented_chains``, decides alike in the engine and the oracle."""
+    each of ``_presented_chains``, decides alike, at the same deciding point,
+    in the engine and the oracle."""
     authn_decided = accepted_reverse = over_bound = 0
     for s, resolved_in in _with_trust_edges():
         zero_trust = [x for x in s.services if x.auth_mode is m.AuthMode.ZERO_TRUST and x.idp is not None]
@@ -447,7 +452,8 @@ def test_engine_matches_oracle_on_presented_chains():
             for chain in _presented_chains(resolved_in, p, svc.idp):
                 r = m.FlowRequest(p.id, locus, svc.id, "read", presented_chain=chain)
                 decision, trace = evaluate_flow(s, r)
-                assert decision == oracle_evaluate(s, r), (s.name, r)
+                assert (decision, _deciding_point(trace)) == oracle.oracle_decide(s, r), (s.name, r)
+                assert [x.index for x in trace] == list(range(len(m.ENFORCEMENT_CHAIN)))
                 authn = next(x for x in trace if x.point is m.PointKind.AUTHN)
                 if authn.rule != "not-applicable":
                     authn_decided += 1
