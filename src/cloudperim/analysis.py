@@ -101,10 +101,11 @@ def _evaluated(s: Scenario, key: tuple, principal: str, locus: str, target: str,
 
 def _moves(
     s: Scenario, locus: str, held: frozenset[str], targets: list[str], methods: Sequence[str]
-) -> Iterator[tuple[m.FlowRequest, str, frozenset[str]]]:
+) -> Iterator[tuple[str, str, str, str, frozenset[str]]]:
     """Every allowed request from ``locus`` to ``targets`` by a principal in
-    ``held``, with the position it leads to and the principals held there: a
-    service's segment, where its ``run_as`` joins ``held``, or INTERNET.
+    ``held``, as its (principal, target, method), with the position it leads
+    to and the principals held there: a service's segment, where its
+    ``run_as`` joins ``held``, or INTERNET. No request is built.
 
     Each target's leg is resolved once, and a leg a network point denies
     allows no move. The held principals are decided once per class and method."""
@@ -130,7 +131,7 @@ def _moves(
                     if (memo.get(key) or _evaluated(s, key, principal, locus, target, method)).allowed:
                         ok.append(method)
             for method in ok:
-                yield m.FlowRequest(principal=principal, source=locus, target=target, method=method), position, gained
+                yield principal, target, method, position, gained
 
 
 # ---------------------------------------------------------------------------
@@ -259,25 +260,25 @@ def exfiltration_paths(
     methods = method_universe(s)
     chains: list[ExfilChain] = []
 
-    def extend(flows: list[m.FlowRequest], trajectory: list[str], held: frozenset[str]) -> None:
+    def extend(flows: list[tuple[str, str, str, str]], trajectory: list[str], held: frozenset[str]) -> None:
+        """Chains on from ``flows``, each a request's (principal, source, target, method)."""
         position = trajectory[-1]
         if _outside(position, members, s):
-            chains.append(
-                ExfilChain(flows=tuple(flows), trajectory=tuple(trajectory), escape_locus=position)
-            )
+            requests = tuple(m.FlowRequest(*flow) for flow in flows)
+            chains.append(ExfilChain(flows=requests, trajectory=tuple(trajectory), escape_locus=position))
             return
         if len(flows) >= bound:
             return
-        for flow, nxt, nxt_held in _moves(s, position, held, targets, methods):
+        for principal, target, method, nxt, nxt_held in _moves(s, position, held, targets, methods):
             if nxt in trajectory:
                 continue
-            extend(flows + [flow], trajectory + [nxt], nxt_held)
+            extend(flows + [(principal, position, target, method)], trajectory + [nxt], nxt_held)
 
     for principal in sorted(x.id for x in s.principals):
         reader = frozenset({principal})
         for locus in source_loci(s):
-            for r, _, _ in _moves(s, locus, reader, serving, DEFAULT_READ_METHODS):
-                extend([r], [locus], reader)
+            for _, target, method, _, _ in _moves(s, locus, reader, serving, DEFAULT_READ_METHODS):
+                extend([(principal, locus, target, method)], [locus], reader)
 
     uniq = sorted(set(chains), key=lambda c: (len(c.flows), tuple(map(request_key, c.flows))))
     return ExfilReport(tag=tag, perimeter=perimeter, chains=tuple(uniq))
@@ -327,8 +328,8 @@ def blast_radius(s: Scenario, workload: str, bound: int = DEFAULT_HOP_BOUND) -> 
     for hop in range(1, bound + 1):
         moved: set[tuple[str, frozenset[str]]] = set()
         for locus, have in sorted(frontier, key=lambda st: (st[0], sorted(st[1]))):
-            for r, position, gained in _moves(s, locus, have, targets, methods):
-                report.reached.setdefault((r.target, r.method), hop)
+            for _, target, method, position, gained in _moves(s, locus, have, targets, methods):
+                report.reached.setdefault((target, method), hop)
                 moved.add((position, gained))
         frontier = moved - visited
         visited |= frontier

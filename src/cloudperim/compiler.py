@@ -124,7 +124,7 @@ def _compile_hybrid(
     compiled_perimeter = m.AbstractPerimeter(
         id=p.id,
         name=p.name,
-        members=m.MemberSelector(projects=tuple(sorted(members))),
+        members=m.MemberSelector(projects=sorted(members)),
         ingress=p.ingress,
         egress=p.egress,
         mechanisms=p.mechanisms,
@@ -209,8 +209,8 @@ def _compile_lift_shift(
             scope=m.ORG_SCOPE,
             priority=next(prio),
             action=m.RuleAction.ALLOW,
-            src=tuple(member_cidrs),
-            dst=tuple(member_cidrs),
+            src=member_cidrs,
+            dst=member_cidrs,
         )
     ]
     gateway: list[m.GatewayRule] = []
@@ -224,8 +224,8 @@ def _compile_lift_shift(
                     scope=m.ORG_SCOPE,
                     priority=next(prio),
                     action=m.RuleAction.ALLOW,
-                    src=tuple(member_cidrs),
-                    dst=tuple(dst),
+                    src=member_cidrs,
+                    dst=dst,
                     ports=((port, port),) if port is not None else (),
                 )
             )
@@ -258,8 +258,8 @@ def _compile_lift_shift(
                     scope=m.ORG_SCOPE,
                     priority=next(prio),
                     action=m.RuleAction.ALLOW,
-                    src=tuple(src),
-                    dst=tuple(dst),
+                    src=src,
+                    dst=dst,
                     ports=((port, port),) if port is not None else (),
                 )
             )
@@ -279,7 +279,7 @@ def _compile_lift_shift(
             scope=m.ORG_SCOPE,
             priority=next(prio),
             action=m.RuleAction.DENY,
-            src=tuple(member_cidrs),
+            src=member_cidrs,
             dst=(m.ANY,),
         )
     )
@@ -290,7 +290,7 @@ def _compile_lift_shift(
             priority=next(prio),
             action=m.RuleAction.DENY,
             src=(m.ANY,),
-            dst=tuple(member_cidrs),
+            dst=member_cidrs,
         )
     )
     # one block of distinct priorities, all below the lowest at organization scope
@@ -381,8 +381,8 @@ def build_compiled_scenario(s: Scenario, compiled: CompiledRuleSet) -> Scenario:
             stripped = (p.mechanisms - {m.Mechanism.DATA_PLANE_PERIMETER}) | {
                 m.Mechanism.NETWORK_SEGMENTATION
             }
-            perimeters.append(replace(p, ingress=(), egress=(), mechanisms=frozenset(stripped)))
-    edges = list(s.edges)
+            perimeters.append(replace(p, ingress=(), egress=(), mechanisms=stripped))
+    edges = s.edges
     if compiled.gateway_rules:
         edges = []
         for e in s.edges:
@@ -397,10 +397,10 @@ def build_compiled_scenario(s: Scenario, compiled: CompiledRuleSet) -> Scenario:
             edges.append(replace(e, gateway_rules=extra + e.gateway_rules) if extra else e)
     return replace(
         s,
-        perimeters=tuple(perimeters),
-        edges=tuple(edges),
-        firewall_rules=tuple(s.firewall_rules) + compiled.firewall_rules,
-        bindings=tuple(s.bindings) + compiled.bindings,
+        perimeters=perimeters,
+        edges=edges,
+        firewall_rules=s.firewall_rules + compiled.firewall_rules,
+        bindings=s.bindings + compiled.bindings,
     )
 
 

@@ -10,10 +10,12 @@ nearest-definition-wins down the hierarchy.
 
 from __future__ import annotations
 
+import collections.abc
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
-from types import MappingProxyType
-from typing import Iterable, Mapping
+from types import MappingProxyType, UnionType
+from typing import Any, Callable, Iterable, Mapping, Union, get_args, get_origin
 
 from .errors import EmptyPerimeterError, InvalidHierarchyError, UnknownNodeError
 
@@ -25,10 +27,69 @@ DISTINGUISHED_LOCI = frozenset({ONPREM, INTERNET})
 ANY = "*"
 
 
-def _freeze(obj: object, name: str) -> None:
-    """Hold a mapping field read-only; mapping fields compare by value and
-    stay out of the hash (``field(hash=False)``)."""
-    object.__setattr__(obj, name, MappingProxyType(dict(getattr(obj, name))))
+def _holder(tp: Any, where: str) -> Callable[[Any], Any] | None:
+    """How a field annotated ``tp`` holds the value given for it, or None where
+    it holds the value as given. Errors name the field ``where``."""
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is tuple or origin is frozenset:
+        element = _holder(args[0], where) if len(set(args) - {Ellipsis}) == 1 else None
+
+        def hold(value: Any) -> Any:
+            if isinstance(value, str):
+                raise TypeError(f"{where} takes a {origin.__name__}, not the text {value!r}")
+            if element is not None:
+                return origin(map(element, value))
+            return value if type(value) is origin else origin(value)
+
+        return hold
+    if origin is collections.abc.Mapping:
+        return lambda value: MappingProxyType(dict(value))
+    if origin is Union or origin is UnionType:
+        inner = [a for a in args if a is not type(None)]
+        hold = _holder(inner[0], where) if len(inner) == 1 else None
+        return hold and (lambda value: None if value is None else hold(value))
+    if isinstance(tp, type) and issubclass(tp, Enum):
+
+        def member(value: Any) -> Enum:
+            try:
+                return tp(value)
+            except ValueError:
+                choices = ", ".join(e.value for e in tp)
+                raise ValueError(f"{where} takes one of: {choices}; not {value!r}") from None
+
+        return member
+    return None
+
+
+def value_type(cls: type) -> type:
+    """``dataclass(frozen=True)`` whose public fields hold what their annotations declare.
+
+    A ``tuple[...]`` or ``frozenset[...]`` field holds that collection, its
+    elements held the same way, and refuses a bare ``str`` with ``TypeError``.
+    A ``Mapping[...]`` field holds a read-only view of a copy; keep it out of
+    the hash (``field(hash=False)``). An ``Enum`` field, or ``Enum | None``,
+    holds the member and refuses a value the enum lacks with ``ValueError``.
+    Any other field holds the value as given. The conversions are derived once
+    per class; a class needing none gets no ``__post_init__``.
+    """
+    namespace = vars(sys.modules[cls.__module__])
+    holders = []
+    for name, tp in cls.__dict__.get("__annotations__", {}).items():
+        if not name.startswith("_"):  # a private field's annotation may name a later class
+            hold = _holder(eval(tp, namespace) if isinstance(tp, str) else tp, f"{cls.__name__}.{name}")
+            if hold is not None:
+                holders.append((name, hold))
+    if holders:
+
+        def __post_init__(self: Any) -> None:
+            for name, hold in holders:
+                value = getattr(self, name)
+                held = hold(value)
+                if held is not value:
+                    object.__setattr__(self, name, held)
+
+        cls.__post_init__ = __post_init__
+    return dataclass(frozen=True)(cls)
 
 
 class NodeKind(str, Enum):
@@ -171,7 +232,7 @@ DEFAULT_RULE = "default"
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@value_type
 class ResourceNode:
     """One element of the org/folder/project/resource tree."""
 
@@ -180,9 +241,6 @@ class ResourceNode:
     parent: str | None = None
     tags: frozenset[str] = frozenset()
     labels: Mapping[str, str] = field(default_factory=dict, hash=False)
-
-    def __post_init__(self) -> None:
-        _freeze(self, "labels")
 
 
 def tag_key(tag: str) -> str:
@@ -240,7 +298,7 @@ def inherited_tags(chain: Iterable[frozenset[str]]) -> frozenset[str]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@value_type
 class NetworkSegment:
     id: str
     project: str
@@ -249,12 +307,8 @@ class NetworkSegment:
     subnets: Mapping[str, str] = field(default_factory=dict, hash=False)
     trust_mode: TrustMode = TrustMode.TRUSTING
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "cidrs", tuple(self.cidrs))
-        _freeze(self, "subnets")
 
-
-@dataclass(frozen=True)
+@value_type
 class GatewayRule:
     """Directional rule on a gateway-appliance edge; first match wins."""
 
@@ -267,17 +321,13 @@ class GatewayRule:
     content_class: str | None = None
 
 
-@dataclass(frozen=True)
+@value_type
 class ConnectivityEdge:
     id: str
     kind: EdgeKind
     ends: tuple[str, str]
     direction: EdgeDirection = EdgeDirection.BIDIRECTIONAL
     gateway_rules: tuple[GatewayRule, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "ends", tuple(self.ends))
-        object.__setattr__(self, "gateway_rules", tuple(self.gateway_rules))
 
     def other_end(self, locus: str) -> str:
         a, b = self.ends
@@ -289,7 +339,7 @@ class ConnectivityEdge:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@value_type
 class ServiceSpec:
     id: str
     project: str
@@ -307,12 +357,8 @@ class ServiceSpec:
     writes: tuple[str, ...] = ()
     depends_on: tuple[str, ...] = ()
 
-    def __post_init__(self) -> None:
-        for f in ("backends", "run_as", "reads", "writes", "depends_on"):
-            object.__setattr__(self, f, tuple(getattr(self, f)))
 
-
-@dataclass(frozen=True)
+@value_type
 class AccessPredicate:
     """One entry of a consumer/producer endpoint policy; first match decides."""
 
@@ -322,23 +368,15 @@ class AccessPredicate:
     cidrs: tuple[str, ...] = ()       # source CIDRs; empty = any
     methods: tuple[str, ...] = ()     # empty = any
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "identities", tuple(self.identities))
-        object.__setattr__(self, "cidrs", tuple(self.cidrs))
-        object.__setattr__(self, "methods", tuple(self.methods))
 
-
-@dataclass(frozen=True)
+@value_type
 class ServiceAttachment:
     id: str
     service: str
     policy: tuple[AccessPredicate, ...] = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "policy", tuple(self.policy))
 
-
-@dataclass(frozen=True)
+@value_type
 class ConsumerEndpoint:
     id: str
     segment: str
@@ -346,9 +384,6 @@ class ConsumerEndpoint:
     address: str | None = None
     fqdn: str | None = None
     policy: tuple[AccessPredicate, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "policy", tuple(self.policy))
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +393,7 @@ class ConsumerEndpoint:
 ORG_SCOPE = "organization"
 
 
-@dataclass(frozen=True)
+@value_type
 class FirewallRule:
     """5-tuple-style rule at organization, folder, or segment scope.
 
@@ -375,11 +410,6 @@ class FirewallRule:
     protocol: str = "any"
     ports: tuple[tuple[int, int], ...] = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "src", tuple(self.src))
-        object.__setattr__(self, "dst", tuple(self.dst))
-        object.__setattr__(self, "ports", tuple(tuple(p) for p in self.ports))
-
     @property
     def scope_kind(self) -> str:
         return self.scope.split(":", 1)[0]
@@ -389,7 +419,7 @@ class FirewallRule:
         return self.scope.split(":", 1)[1] if ":" in self.scope else None
 
 
-@dataclass(frozen=True)
+@value_type
 class PerimeterTarget:
     """One (project, service, method) entry of a perimeter rule's target set."""
 
@@ -398,7 +428,7 @@ class PerimeterTarget:
     method: str = ANY
 
 
-@dataclass(frozen=True)
+@value_type
 class PerimeterRule:
     """Allow-only ingress/egress rule for data-plane perimeter crossings."""
 
@@ -408,26 +438,15 @@ class PerimeterRule:
     networks: tuple[str, ...] = ()            # CIDRs or ONPREM/INTERNET; empty = any
     targets: tuple[PerimeterTarget, ...] = ()  # empty = any target
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "identities", tuple(self.identities))
-        _freeze(self, "device")
-        object.__setattr__(self, "networks", tuple(self.networks))
-        object.__setattr__(self, "targets", tuple(self.targets))
 
-
-@dataclass(frozen=True)
+@value_type
 class MemberSelector:
     folders: tuple[str, ...] = ()
     projects: tuple[str, ...] = ()
     tags: tuple[str, ...] = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "folders", tuple(self.folders))
-        object.__setattr__(self, "projects", tuple(self.projects))
-        object.__setattr__(self, "tags", tuple(self.tags))
 
-
-@dataclass(frozen=True)
+@value_type
 class AbstractPerimeter:
     id: str
     name: str
@@ -436,13 +455,8 @@ class AbstractPerimeter:
     egress: tuple[PerimeterRule, ...] = ()
     mechanisms: frozenset[Mechanism] = frozenset()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "ingress", tuple(self.ingress))
-        object.__setattr__(self, "egress", tuple(self.egress))
-        object.__setattr__(self, "mechanisms", frozenset(self.mechanisms))
 
-
-@dataclass(frozen=True)
+@value_type
 class TagCondition:
     key: str
     value: str
@@ -456,21 +470,18 @@ class TagCondition:
         return not any(t != want and tag_key(t) == self.key for t in tags)
 
 
-@dataclass(frozen=True)
+@value_type
 class Permission:
     service: str
     method: str = ANY
 
 
-@dataclass(frozen=True)
+@value_type
 class RBACBinding:
     id: str
     principal: str                      # principal id or group name
     role: tuple[Permission, ...]
     condition: TagCondition | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "role", tuple(self.role))
 
     def grants(self, service: str, method: str) -> bool:
         return any(
@@ -479,7 +490,7 @@ class RBACBinding:
         )
 
 
-@dataclass(frozen=True)
+@value_type
 class OrgConstraint:
     id: str
     kind: ConstraintKind
@@ -492,14 +503,14 @@ class OrgConstraint:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@value_type
 class IdentityProvider:
     id: str
     kind: IdpKind
     segment: str | None = None          # where the idp's servers live (directory idps)
 
 
-@dataclass(frozen=True)
+@value_type
 class Principal:
     id: str
     kind: PrincipalKind
@@ -507,16 +518,12 @@ class Principal:
     groups: tuple[str, ...] = ()
     device: Mapping[str, str] = field(default_factory=dict, hash=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "groups", tuple(self.groups))
-        _freeze(self, "device")
-
     def matches_identity(self, token: str) -> bool:
         """True if ``token`` names this principal, one of its groups, or any."""
         return token == ANY or token == self.id or token in self.groups
 
 
-@dataclass(frozen=True)
+@value_type
 class TrustEdge:
     id: str
     src: str
@@ -524,23 +531,17 @@ class TrustEdge:
     kind: TrustKind
     mapping: Mapping[str, str] = field(default_factory=dict, hash=False)
 
-    def __post_init__(self) -> None:
-        _freeze(self, "mapping")
 
-
-@dataclass(frozen=True)
+@value_type
 class ChainStep:
     idp: str
     principal: str
     edge: str | None                    # None for the home-idp first step
 
 
-@dataclass(frozen=True)
+@value_type
 class CredentialChain:
     steps: tuple[ChainStep, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "steps", tuple(self.steps))
 
     @property
     def terminal_principal(self) -> str:
@@ -559,14 +560,14 @@ class CredentialChain:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@value_type
 class DataAsset:
     id: str
     resource: str
     tags: frozenset[str] = frozenset()
 
 
-@dataclass(frozen=True)
+@value_type
 class FlowRequest:
     """A candidate flow: who, from where, to what, doing what."""
 
@@ -579,7 +580,7 @@ class FlowRequest:
     presented_chain: CredentialChain | None = None
 
 
-@dataclass(frozen=True)
+@value_type
 class Decision:
     verdict: Verdict
     reason: DenyReason | None = None

@@ -57,12 +57,9 @@ class Hop:
         return f"{self.kind.value}({self.edge})" if self.edge else self.kind.value
 
 
-@dataclass(frozen=True)
+@m.value_type
 class RoutePath:
     hops: tuple[Hop, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "hops", tuple(self.hops))
 
     @property
     def endpoint_hop(self) -> Hop | None:
@@ -176,13 +173,13 @@ def resolve_path(s: Scenario, source: str, target: str) -> RoutePath | Unreachab
         raise UnknownLocusError(source)
     if target == m.INTERNET:
         hops = _locus_path(s, source, m.INTERNET)
-        return RoutePath(tuple(hops)) if hops is not None else Unreachable(UnreachableReason.NO_PATH)
+        return RoutePath(hops) if hops is not None else Unreachable(UnreachableReason.NO_PATH)
 
     if target in idx.services:
         svc = idx.services[target]
         picked = _pick(_candidate_paths_to_service(s, source, svc))
         if picked is not None:
-            return RoutePath(tuple(picked))
+            return RoutePath(picked)
         if idx.segments[svc.segment].routability is m.Routability.NON_ROUTABLE:
             return Unreachable(UnreachableReason.NON_ROUTABLE)
         return Unreachable(UnreachableReason.NO_PATH)
@@ -201,7 +198,7 @@ def resolve_path(s: Scenario, source: str, target: str) -> RoutePath | Unreachab
             edge=ep.id,
             attachment=att.id,
         )
-        return RoutePath(tuple(lead + [traversal]))
+        return RoutePath(lead + [traversal])
 
     # bare address target
     host = prefix.host(target)
@@ -215,7 +212,7 @@ def resolve_path(s: Scenario, source: str, target: str) -> RoutePath | Unreachab
     if holder.routability is m.Routability.NON_ROUTABLE:
         return Unreachable(UnreachableReason.NON_ROUTABLE)
     hops = _locus_path(s, source, holder.id)
-    return RoutePath(tuple(hops)) if hops is not None else Unreachable(UnreachableReason.NO_PATH)
+    return RoutePath(hops) if hops is not None else Unreachable(UnreachableReason.NO_PATH)
 
 
 def routable_pairs(s: Scenario) -> set[tuple[str, str]]:

@@ -16,7 +16,7 @@ single run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
@@ -52,7 +52,7 @@ class Violation:
         return f"{self.code}: {self.subject}: {self.message}"
 
 
-@dataclass(frozen=True)
+@m.value_type
 class Scenario:
     """Immutable container for one modeled architecture.
 
@@ -85,12 +85,6 @@ class Scenario:
     _violations: tuple[Violation, ...] | None = field(
         default=None, init=False, compare=False, repr=False
     )
-
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            if f.name.startswith("_") or f.name in ("name", "description", "chain_bound"):
-                continue
-            object.__setattr__(self, f.name, tuple(getattr(self, f.name)))
 
     def index(self) -> "ScenarioIndex":
         """The scenario's index. A scenario with violations is refused with
@@ -987,8 +981,8 @@ def parse_scenario(document: str) -> Scenario:
 
 
 # the last scenario's entity lists found all text, by id (each held, so no other list takes its id);
-# a version made with ``dataclasses.replace`` shares them, as ``Scenario.__post_init__`` keeps a tuple
-# it is given (``tuple(t) is t``)
+# a version made with ``dataclasses.replace`` shares them, as a ``Scenario`` keeps a tuple it is given
+# (``m.value_type``)
 _ALL_TEXT: dict[int, tuple] = {}
 
 

@@ -504,7 +504,8 @@ def _matrix_per_request(s):
 
 def _moves_per_request(called):
     """``analysis._moves`` with every (target, principal, method) request
-    evaluated; each call's locus is appended to ``called``."""
+    decided by ``evaluate_flow``, yielding what ``_moves`` yields; each call's
+    locus is appended to ``called``."""
 
     def moves(s, locus, held, targets, methods):
         called.append(locus)
@@ -518,7 +519,7 @@ def _moves_per_request(called):
                 for method in methods:
                     r = m.FlowRequest(principal=principal, source=locus, target=target, method=method)
                     if evaluate_flow(s, r)[0].allowed:
-                        yield r, position, gained
+                        yield principal, target, method, position, gained
 
     return moves
 
