@@ -207,7 +207,7 @@ def reachability_matrix(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@m.value_type
 class ExfilChain:
     flows: tuple[m.FlowRequest, ...]
     trajectory: tuple[str, ...]    # data positions, reader locus first
@@ -264,8 +264,8 @@ def exfiltration_paths(
         """Chains on from ``flows``, each a request's (principal, source, target, method)."""
         position = trajectory[-1]
         if _outside(position, members, s):
-            requests = tuple(m.FlowRequest(*flow) for flow in flows)
-            chains.append(ExfilChain(flows=requests, trajectory=tuple(trajectory), escape_locus=position))
+            requests = [m.FlowRequest(*flow) for flow in flows]
+            chains.append(ExfilChain(flows=requests, trajectory=trajectory, escape_locus=position))
             return
         if len(flows) >= bound:
             return
@@ -343,22 +343,13 @@ def blast_radius(s: Scenario, workload: str, bound: int = DEFAULT_HOP_BOUND) -> 
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@m.value_type
 class DecisionDiff:
     request: m.FlowRequest
     before: m.Decision
     after: m.Decision
     trace_before: m.DecisionTrace
     trace_after: m.DecisionTrace
-
-
-def _entities_known(s: Scenario, r: m.FlowRequest) -> bool:
-    idx = s.index()
-    if r.principal not in idx.principals:
-        return False
-    if r.source not in idx.segments and r.source not in m.DISTINGUISHED_LOCI:
-        return False
-    return r.target == m.INTERNET or r.target in idx.services or r.target in idx.endpoints
 
 
 def diff_decisions(
@@ -369,12 +360,13 @@ def diff_decisions(
     s_after.index()
     diffs = []
     for r in sorted(requests, key=request_key):
-        if not _entities_known(s_before, r) or not _entities_known(s_after, r):
+        try:
+            before, trace_before = evaluate_flow(s_before, r)
+            after, trace_after = evaluate_flow(s_after, r)
+        except UnknownEntityError as e:
             raise IncompatibleRequestSpaceError(
                 f"request {request_key(r)} references entities missing from one scenario"
-            )
-        before, trace_before = evaluate_flow(s_before, r)
-        after, trace_after = evaluate_flow(s_after, r)
+            ) from e
         if before.verdict != after.verdict:
             diffs.append(
                 DecisionDiff(

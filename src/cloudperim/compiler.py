@@ -19,7 +19,7 @@ ones a backend cannot avoid (ephemeral addressing, 5-tuple fidelity).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from enum import Enum
 
 from . import model as m
@@ -35,7 +35,7 @@ class CompileMechanism(str, Enum):
     ZERO_TRUST = "zero-trust"
 
 
-@dataclass(frozen=True)
+@m.value_type
 class CompiledRuleSet:
     perimeter_id: str
     mechanism: CompileMechanism
@@ -46,7 +46,7 @@ class CompiledRuleSet:
     divergence_notes: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@m.value_type
 class Divergence:
     request: m.FlowRequest
     abstract: m.Decision
@@ -54,7 +54,7 @@ class Divergence:
     expected_class: str      # EXPECTED_EPHEMERAL | EXPECTED_FIDELITY | UNEXPECTED
 
 
-@dataclass(frozen=True)
+@m.value_type
 class EquivalenceReport:
     perimeter_id: str
     mechanism: CompileMechanism
@@ -158,9 +158,9 @@ def _compile_hybrid(
     return CompiledRuleSet(
         perimeter_id=p.id,
         mechanism=CompileMechanism.HYBRID,
-        firewall_rules=tuple(firewall),
+        firewall_rules=firewall,
         perimeter=compiled_perimeter,
-        divergence_notes=tuple(notes),
+        divergence_notes=notes,
     )
 
 
@@ -323,9 +323,9 @@ def _compile_lift_shift(
     return CompiledRuleSet(
         perimeter_id=p.id,
         mechanism=CompileMechanism.LIFT_SHIFT,
-        firewall_rules=tuple(firewall),
-        gateway_rules=tuple(gateway),
-        divergence_notes=tuple(notes),
+        firewall_rules=firewall,
+        gateway_rules=gateway,
+        divergence_notes=notes,
     )
 
 
@@ -358,8 +358,8 @@ def _compile_zero_trust(
     return CompiledRuleSet(
         perimeter_id=p.id,
         mechanism=CompileMechanism.ZERO_TRUST,
-        bindings=tuple(bindings),
-        divergence_notes=tuple(notes),
+        bindings=bindings,
+        divergence_notes=notes,
     )
 
 
@@ -436,5 +436,5 @@ def verify_compilation(
         perimeter_id=compiled.perimeter_id,
         mechanism=compiled.mechanism,
         total_requests=len(requests),
-        divergences=tuple(divergences),
+        divergences=divergences,
     )

@@ -10,8 +10,6 @@ order-canonical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import model as m
 from . import route as route_mod
 from .scenario import Scenario
@@ -40,7 +38,7 @@ CITATIONS = {
 LINT_CODES = tuple(sorted(CITATIONS))
 
 
-@dataclass(frozen=True)
+@m.value_type
 class Finding:
     code: str
     severity: str          # error | warn | info

@@ -80,7 +80,7 @@ class UnreachableReason(str, Enum):
     NON_ROUTABLE = "NON_ROUTABLE"
 
 
-@dataclass(frozen=True)
+@m.value_type
 class Unreachable:
     reason: UnreachableReason
 

@@ -30,9 +30,12 @@ if TYPE_CHECKING:
     from .engine import NetworkLeg
 
 
-@dataclass(frozen=True)
-class ParseIssue:
-    code: str                 # SYNTAX | DUP_ID | UNKNOWN_REF | BAD_VALUE
+@m.value_type
+class Violation:
+    """One problem with a scenario, found by the parser or by validation; a
+    syntax error names its ``location`` in the document."""
+
+    code: str                 # SYNTAX | DUP_ID | UNKNOWN_REF | BAD_VALUE | ...
     subject: str
     message: str
     location: str | None = None
@@ -42,14 +45,7 @@ class ParseIssue:
         return f"{self.code}: {self.subject}: {self.message}{loc}"
 
 
-@dataclass(frozen=True)
-class Violation:
-    code: str
-    subject: str
-    message: str
-
-    def __str__(self) -> str:
-        return f"{self.code}: {self.subject}: {self.message}"
+ParseIssue = Violation  # the name the parser's issues go by: the same type
 
 
 @m.value_type
@@ -260,7 +256,7 @@ class _Ctx(list):
     """The issues found so far."""
 
     def err(self, code: str, subject: str, message: str, location: str | None = None) -> None:
-        self.append(ParseIssue(code, subject, message, location))
+        self.append(Violation(code, subject, message, location))
 
 
 def _expect_map(ctx: _Ctx, value: Any, subject: str, allowed: set[str]) -> dict:
@@ -967,9 +963,7 @@ def parse_scenario(document: str) -> Scenario:
         s.index()
     except InvalidScenarioError as e:
         # of the refusal, the parser reports duplicate ids and references to nothing
-        ctx.extend(
-            ParseIssue(v.code, v.subject, v.message) for v in e.violations if v.code in ("DUP_ID", "UNKNOWN_REF")
-        )
+        ctx.extend(v for v in e.violations if v.code in ("DUP_ID", "UNKNOWN_REF"))
     if ctx:
         raise ScenarioParseError(ctx)
     return s
@@ -1040,9 +1034,10 @@ def _validate(s: Scenario, idx: ScenarioIndex) -> list[Violation]:
     """The violations of ``s``, read from the facts ``idx`` has derived so far.
 
     The chain bound (an integer of at least 1) and the parser's own checks
-    of scopes, priorities, CIDR tokens, edge ends, tags and subnets come
-    first, then duplicate ids and references to nothing, found as the parser
-    finds them, so a scenario built in code is held to the same rules.
+    of scopes, priorities, ports, CIDR tokens, edge ends, gateway rules'
+    ``new_connection``, tags and subnets come first, then duplicate ids and
+    references to nothing, found as the parser finds them, so a scenario
+    built in code is held to the same rules.
     """
     ctx = _Ctx()
     bound = _CHAIN_BOUND.read(ctx, s.chain_bound, "document", None)
@@ -1053,7 +1048,12 @@ def _validate(s: Scenario, idx: ScenarioIndex) -> list[Violation]:
     for fw in s.firewall_rules:
         _scope_shape(ctx, fw.id, fw.scope)
         _INT.read(ctx, fw.priority, fw.id, None)
+        for span in fw.ports:
+            if len(span) != 2 or not all(map(_is_int, span)):
+                ctx.err("BAD_VALUE", fw.id, f"bad port entry {span!r}")
         _cidr_tokens(ctx, fw.id, fw.src + fw.dst)
+    for gw in (r for e in s.edges for r in e.gateway_rules):
+        _BOOL.read(ctx, gw.new_connection, gw.id, None)
     for predicate in (p for holder in (*s.endpoints, *s.attachments) for p in holder.policy):
         _cidr_tokens(ctx, predicate.id, predicate.cidrs)
     for rule in (r for perimeter in s.perimeters for r in perimeter.ingress + perimeter.egress):
@@ -1062,7 +1062,7 @@ def _validate(s: Scenario, idx: ScenarioIndex) -> list[Violation]:
         _key_value_tags(ctx, tagged.id, sorted(tagged.tags))
     for seg in s.segments:
         _subnet_cidrs(ctx, seg.id, seg.subnets)
-    out = [Violation(issue.code, issue.subject, issue.message) for issue in ctx]
+    out = list(ctx)
     # duplicate ids, then references to nothing
     namespaces: dict[str, list[str]] = {}  # noun -> ids, in table then scenario order
     for f in _SCENARIO.fields:

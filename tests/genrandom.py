@@ -18,17 +18,26 @@ METHODS = ["connect", "read", "write", "query", "admin"]
 
 
 def random_scenario(
-    rng: random.Random, *, with_edges: bool = False, with_trust_edges: bool = False
+    rng: random.Random, *, with_edges: bool = False, with_trust_edges: bool = False,
+    deep_folders: bool = False,
 ) -> Scenario:
     """A random scenario. ``with_edges`` and ``with_trust_edges`` guarantee at
-    least one connectivity edge and one trust edge. Left False, they draw
-    nothing from ``rng``."""
+    least one connectivity edge and one trust edge. ``deep_folders`` adds
+    three to six folders, each under the folder made before it, and one
+    firewall rule in each folder, so projects and folder-scoped rules sit
+    several levels down. Left False, they draw nothing from ``rng``."""
     nodes: list[m.ResourceNode] = [m.ResourceNode(id="org", kind=m.NodeKind.ORGANIZATION)]
     folders = []
     for i in range(rng.randint(0, 2)):
         fid = f"f{i}"
         folders.append(fid)
         nodes.append(m.ResourceNode(id=fid, kind=m.NodeKind.FOLDER, parent="org"))
+    if deep_folders:
+        for i in range(len(folders), len(folders) + rng.randint(3, 6)):
+            fid = f"f{i}"
+            parent = folders[-1] if folders else "org"
+            folders.append(fid)
+            nodes.append(m.ResourceNode(id=fid, kind=m.NodeKind.FOLDER, parent=parent))
     projects = []
     for i in range(rng.randint(2, 4)):
         pid = f"prj{i}"
@@ -251,8 +260,11 @@ def random_scenario(
     used: dict[str, set[int]] = {}
     scopes = [m.ORG_SCOPE] + [f"folder:{f}" for f in folders] + [f"segment:{x.id}" for x in segments]
     cidr_pool = [c for seg in segments for c in seg.cidrs] + ["10.0.0.0/8", m.ONPREM, m.INTERNET, m.ANY]
-    for i in range(rng.randint(0, 5)):
-        scope = rng.choice(scopes)
+    drawn = rng.randint(0, 5)
+    # with deep folders, one more rule in each folder, so that rules at several levels of one chain meet
+    deep = [f"folder:{f}" for f in folders] if deep_folders else []
+    for i in range(drawn + len(deep)):
+        scope = rng.choice(scopes) if i < drawn else deep[i - drawn]
         prio = rng.randint(1, 2000)
         while prio in used.setdefault(scope, set()):
             prio += 1

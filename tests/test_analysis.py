@@ -24,7 +24,7 @@ from cloudperim import (
 )
 from cloudperim import analysis, engine
 from cloudperim import model as m
-from cloudperim.analysis import source_loci
+from cloudperim.analysis import request_key, source_loci
 from cloudperim.errors import (
     IncompatibleRequestSpaceError,
     RequestSpaceTooLargeError,
@@ -371,11 +371,36 @@ def test_added_deny_only_flips_allow_to_deny():
         assert d.trace_before and d.trace_after
 
 
+def _with_extra(s):
+    """``s`` with one more principal, segment and service, each a copy of its first."""
+    return dataclasses.replace(
+        s,
+        principals=s.principals + (dataclasses.replace(s.principals[0], id="sa:extra"),),
+        segments=s.segments + (dataclasses.replace(s.segments[0], id="extra-net", cidrs=("10.250.0.0/16",)),),
+        services=s.services + (dataclasses.replace(s.services[0], id="extra-app"),),
+    )
+
+
 def test_incompatible_request_space():
     s1 = builtin_scenario("fig1-lift-shift")
     s10 = builtin_scenario("fig10-zero-trust")
     with pytest.raises(IncompatibleRequestSpaceError):
         diff_decisions(s1, s10, default_request_space(s1))
+    # a principal, a source and a target each missing from one scenario, then from the other
+    extra = _with_extra(s1)
+    assert validate_scenario(extra) == []
+    known = m.FlowRequest("sa:green-a", "green", "yellow-pay", "read")
+    assert diff_decisions(s1, extra, [known]) == ()
+    cases = [
+        (dataclasses.replace(known, principal="sa:extra"), "principal 'sa:extra'"),
+        (dataclasses.replace(known, source="extra-net"), "source locus 'extra-net'"),
+        (dataclasses.replace(known, target="extra-app"), "target 'extra-app'"),
+    ]
+    for (r, missing), pair in itertools.product(cases, [(extra, s1), (s1, extra)]):
+        with pytest.raises(IncompatibleRequestSpaceError) as refused:
+            diff_decisions(*pair, [r])
+        assert str(refused.value) == f"request {request_key(r)} references entities missing from one scenario"
+        assert type(refused.value.__cause__) is UnknownEntityError and str(refused.value.__cause__) == missing
 
 
 def test_fig1_vs_fig11_matches_golden_diff():

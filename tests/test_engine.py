@@ -741,3 +741,17 @@ def test_engine_matches_oracle_on_a_generated_estate(spokes, seed):
     for r in gen.flow_requests(estate, random.Random(seed), 500):
         deciding.add(decide_as_oracle(s, r)[1])
     assert deciding == {None, *m.ENFORCEMENT_CHAIN}
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_engine_matches_oracle_on_deep_folder_trees(seed):
+    """Over the default request space of a scenario whose folders nest
+    several levels deep, the engine decides as the oracle does, at the same
+    point; so the hierarchical firewall's scopes are walked root first."""
+    from cloudperim.analysis import default_request_space
+
+    s = random_scenario(random.Random(seed), deep_folders=True)
+    idx = s.index()
+    assert max(len(idx.folders_above(n.id)) for n in s.nodes) >= 3
+    for r in default_request_space(s):
+        decide_as_oracle(s, r)

@@ -4,6 +4,7 @@ import dataclasses
 import typing
 
 import pytest
+import yaml
 
 from cloudperim import (
     TEMPLATE_NAMES,
@@ -783,6 +784,67 @@ def test_a_priority_that_is_not_an_integer_is_a_bad_value(priority):
         assert list(refused.value.violations) == violations
     with pytest.raises(InvalidScenarioError):
         evaluate_flow(broken, m.FlowRequest("sa:green-a", "green", "yellow-pay"))
+
+
+def _parser_messages(s, edit):
+    """The messages of the parser's issues with ``s`` written out, ``edit``ed
+    as a document and read back."""
+    document = yaml.safe_load(serialize_scenario(s))
+    edit(document)
+    with pytest.raises(ScenarioParseError) as refused:
+        parse_scenario(yaml.safe_dump(document))
+    return [issue.message for issue in refused.value.issues]
+
+
+@pytest.mark.parametrize(
+    "span", [("80", "90"), (None, 90), (1, 2, 3), (True, 90)], ids=["text", "none", "three", "bool"]
+)
+def test_a_port_entry_that_is_not_two_integers_is_a_bad_value(span):
+    s = builtin_scenario("fig1-lift-shift")
+    rules = tuple(
+        dataclasses.replace(r, ports=((443, 443), span)) if r.id == "fw-allow-internal" else r
+        for r in s.firewall_rules
+    )
+    broken = dataclasses.replace(s, firewall_rules=rules)
+    message = f"bad port entry {span!r}"
+    assert validate_scenario(broken) == [Violation("BAD_VALUE", "fw-allow-internal", message)]
+    with pytest.raises(InvalidScenarioError):
+        evaluate_flow(broken, m.FlowRequest("sa:green-a", "green", "yellow-pay"))
+
+    def edit(document):
+        document["policies"]["firewall"][0]["ports"] = [443, list(span)]
+
+    assert _parser_messages(s, edit) == [f"bad port entry {list(span)!r}"]
+
+
+@pytest.mark.parametrize("value", ["no", None, 1], ids=["text", "none", "int"])
+def test_a_new_connection_that_is_not_true_or_false_is_a_bad_value(value):
+    s = builtin_scenario("fig1-lift-shift")
+    edges = tuple(
+        dataclasses.replace(e, gateway_rules=(dataclasses.replace(e.gateway_rules[0], new_connection=value),)
+                            + e.gateway_rules[1:]) if e.id == "gw-green-yellow" else e
+        for e in s.edges
+    )
+    broken = dataclasses.replace(s, edges=edges)
+    message = f"{value!r} is not true or false"
+    assert validate_scenario(broken) == [Violation("BAD_VALUE", "gw-gy-allow", message)]
+    with pytest.raises(InvalidScenarioError):
+        evaluate_flow(broken, m.FlowRequest("sa:green-a", "green", "yellow-pay"))
+
+    def edit(document):
+        edge = next(e for e in document["networks"]["edges"] if e["id"] == "gw-green-yellow")
+        edge["gateway_rules"][0]["new_connection"] = value
+
+    assert _parser_messages(s, edit) == [message]
+
+
+def test_a_parse_issue_is_a_violation():
+    assert ParseIssue is Violation
+    assert str(Violation("SYNTAX", "document", "bad", "line 1, column 2")) == "SYNTAX: document: bad (line 1, column 2)"
+    document = MINIMAL + "assets:\n  - {id: a, resource: prj}\n  - {id: a, resource: prj}\n"
+    with pytest.raises(ScenarioParseError) as refused:
+        parse_scenario(document)
+    assert refused.value.issues == [Violation("DUP_ID", "a", "duplicate asset id")]
 
 
 def test_an_id_that_is_not_text_is_a_bad_value():

@@ -1,13 +1,18 @@
-"""Model values hold what their annotations declare (``model.value_type``).
+"""Frozen values hold what their annotations declare (``model.value_type``).
 
 A collection field given a list, set or dict holds an immutable copy, a
 bare string given for one is refused, and an enum field holds its member.
 Such misuses used to pass validation, then decide a request the wrong way
-or crash the engine.
+or crash the engine or the compiler.
 """
 
+import collections.abc
 import dataclasses
+import importlib
+import inspect
+import pkgutil
 import sys
+import typing
 from dataclasses import replace
 from enum import Enum
 from pathlib import Path
@@ -15,20 +20,33 @@ from types import MappingProxyType
 
 import pytest
 
-from cloudperim import TEMPLATE_NAMES, builtin_scenario, evaluate_flow, parse_scenario
+import cloudperim
+from cloudperim import TEMPLATE_NAMES, analysis, builtin_scenario, compiler, engine, evaluate_flow
 from cloudperim import model as m
-from cloudperim.route import RoutePath, resolve_path
+from cloudperim import parse_scenario, records, route, scenario
+from cloudperim.lint import Finding, lint
+from cloudperim.route import resolve_path
 from cloudperim.scenario import Scenario
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from perfbench import gen  # noqa: E402  (read-only: the benchmark's estate generator)
 
-DECORATED = [
-    c for c in vars(m).values()
-    if isinstance(c, type) and dataclasses.is_dataclass(c) and c.__module__ == m.__name__ and c is not m.TraceStep
-] + [RoutePath, Scenario]
+_MODULES = [importlib.import_module(f"cloudperim.{info.name}") for info in pkgutil.iter_modules(cloudperim.__path__)]
+FROZEN = list(dict.fromkeys(
+    c for mod in _MODULES for c in vars(mod).values()
+    if isinstance(c, type) and dataclasses.is_dataclass(c) and c.__module__ == mod.__name__
+    and c.__dataclass_params__.frozen
+))
+# built by one module on a hot path, or private to the document format's table
+PLAIN = {m.TraceStep, engine.NetworkLeg, engine.RequestContext, route.Hop,
+         scenario._Codec, scenario._Many, scenario._One}
+DECORATED = [c for c in FROZEN if c not in PLAIN]
 
-_COLLECTIONS = ("tuple[", "frozenset[", "Mapping[")
+
+def _collection(cls, name):
+    """The collection type a field's annotation declares, or None."""
+    origin = typing.get_origin(typing.get_type_hints(cls)[name])
+    return origin if origin in (tuple, frozenset, collections.abc.Mapping) else None
 
 
 def _samples():
@@ -36,8 +54,18 @@ def _samples():
     per type, an instance."""
     out, of_type = {}, {}
     stack = [builtin_scenario(name) for name in TEMPLATE_NAMES]
+    fig1, fig4, fig5, fig11 = map(builtin_scenario, ("fig1-lift-shift", "fig4-landing-point", "fig5-vm",
+                                                      "fig11-combined"))
+    lift_shift = compiler.compile_perimeter(fig4, "green", "lift-shift")
     stack += [
         resolve_path(stack[0], stack[0].segments[0].id, m.INTERNET),
+        lift_shift, compiler.verify_compilation(fig4, lift_shift),
+        compiler.compile_perimeter(fig5, "green", "zero-trust"),
+        *analysis.exfiltration_paths(fig1, "pci:true", "green").chains,
+        *analysis.diff_decisions(fig1, fig11, analysis.default_request_space(fig1))[:1],
+        *lint(fig1)[:1],
+        route.Unreachable(route.UnreachableReason.NO_PATH),
+        scenario.Violation("BAD_VALUE", "document", "message", "line 1, column 1"),
         m.FlowRequest("p", "ONPREM", "svc", payload_tags=frozenset({"pii:true"})),
         m.CredentialChain((m.ChainStep("idp", "p", None),)),
         m.FirewallRule(id="fw", scope=m.ORG_SCOPE, priority=1, action=m.RuleAction.DENY, ports=((80, 81),)),
@@ -59,7 +87,7 @@ def _samples():
         of_type.setdefault(type(x), x)
         for f in dataclasses.fields(x):
             value = getattr(x, f.name)
-            if f.init and f.type.startswith(_COLLECTIONS) and value:
+            if f.init and value and _collection(type(x), f.name):
                 out.setdefault((type(x), f.name), x)
             held = value.values() if isinstance(value, MappingProxyType) else value
             held = held if isinstance(held, (tuple, frozenset)) else (held,)
@@ -72,19 +100,19 @@ _FIELDS = [
     (cls, f.name)
     for cls in DECORATED
     for f in dataclasses.fields(cls)
-    if f.init and not f.name.startswith("_") and f.type.startswith(_COLLECTIONS)
+    if f.init and not f.name.startswith("_") and _collection(cls, f.name)
 ]
 # each collection field with each mutable form of input it takes
 _INPUTS = [
     (cls, name, form)
     for cls, name in _FIELDS
-    for form in ((dict,) if cls.__annotations__[name].startswith("Mapping[") else (list, set))
+    for form in ((dict,) if _collection(cls, name) is collections.abc.Mapping else (list, set))
 ]
 _ENUM_FIELDS = [
     (cls, f.name, enum)
     for cls in DECORATED
     for f in dataclasses.fields(cls)
-    for enum in vars(m).values()
+    for enum in vars(sys.modules[cls.__module__]).values()
     if isinstance(enum, type) and issubclass(enum, Enum) and f.type in (enum.__name__, f"{enum.__name__} | None")
 ]
 
@@ -93,13 +121,22 @@ def _id(param):
     return param.__name__ if isinstance(param, type) else str(param)
 
 
+def test_every_frozen_dataclass_is_a_value_type():
+    assert PLAIN <= set(FROZEN)
+    assert {analysis.ExfilChain, analysis.DecisionDiff, compiler.CompiledRuleSet, compiler.Divergence,
+            compiler.EquivalenceReport, Finding, route.Unreachable, scenario.Violation} <= set(DECORATED)
+    made_otherwise = [c for c in DECORATED if not inspect.getsource(c).startswith(("@value_type\n", "@m.value_type\n"))]
+    assert made_otherwise == []
+
+
 def test_every_field_has_a_sample():
     assert len(_FIELDS) > 40
     assert [key for key in _FIELDS if key not in _SAMPLES] == []
     assert {(c.__name__, n) for c, n, _ in _ENUM_FIELDS} >= {
         ("FirewallRule", "action"), ("Decision", "reason"), ("ResourceNode", "kind"), ("GatewayRule", "action"),
+        ("CompiledRuleSet", "mechanism"), ("EquivalenceReport", "mechanism"), ("Unreachable", "reason"),
     }
-    assert [cls for cls, _, _ in _ENUM_FIELDS if cls not in _OF_TYPE] == []
+    assert [cls for cls in DECORATED if cls not in _OF_TYPE] == []
 
 
 @pytest.mark.parametrize("cls, name, form", _INPUTS, ids=_id)
@@ -210,3 +247,29 @@ def test_text_entity_list_is_refused():
     s = builtin_scenario("fig1-lift-shift")
     with pytest.raises(TypeError, match="Scenario.principals"):
         replace(s, principals="alice")
+
+
+@pytest.mark.parametrize("mechanism", list(compiler.CompileMechanism), ids=lambda x: x.value)
+def test_text_mechanism_verifies_as_its_member(mechanism):
+    s = builtin_scenario("fig4-landing-point")
+    compiled = compiler.compile_perimeter(s, "green", mechanism)
+    expected = compiler.verify_compilation(s, compiled)
+    report = compiler.verify_compilation(s, replace(compiled, mechanism=mechanism.value))
+    assert report.mechanism is mechanism
+    assert report == expected and report.equivalent is (mechanism is compiler.CompileMechanism.HYBRID)
+    assert records.divergence_records(report) == records.divergence_records(expected)
+
+
+@pytest.mark.parametrize("name, perimeter, mechanism, field", [
+    ("fig4-landing-point", "green", "lift-shift", "firewall_rules"),
+    ("fig4-landing-point", "green", "hybrid", "firewall_rules"),
+    ("fig5-vm", "green", "zero-trust", "bindings"),
+])
+def test_rule_lists_verify_as_tuples(name, perimeter, mechanism, field):
+    s = builtin_scenario(name)
+    compiled = compiler.compile_perimeter(s, perimeter, mechanism)
+    expected = compiler.verify_compilation(s, compiled)
+    assert expected.divergences or mechanism == "hybrid"
+    listed = replace(compiled, **{field: list(getattr(compiled, field))})
+    assert listed == compiled
+    assert compiler.verify_compilation(s, listed) == expected
