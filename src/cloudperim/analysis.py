@@ -355,9 +355,14 @@ class DecisionDiff:
 def diff_decisions(
     s_before: Scenario, s_after: Scenario, requests: list[m.FlowRequest]
 ) -> tuple[DecisionDiff, ...]:
-    """Requests whose verdicts differ between two scenarios, with both traces."""
-    s_before.index()  # refuses a broken scenario, even with no requests
-    s_after.index()
+    """Requests whose verdicts differ between two scenarios, with both traces.
+
+    ``s_after`` takes the route trees, credential chains, target tags and
+    network legs ``s_before`` has resolved, each kind where the fields it
+    reads are the same objects in both (``ScenarioIndex.take_queries``).
+    """
+    before = s_before.index()  # refuses a broken scenario, even with no requests
+    s_after.index().take_queries(before)
     diffs = []
     for r in sorted(requests, key=request_key):
         try:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import yaml
 
@@ -107,92 +107,78 @@ class ScenarioIndex:
     with any violation is refused with ``InvalidScenarioError`` before
     anything sorts or joins on them, so every query reads plain values.
     Scenarios are frozen, so neither the facts nor the memos can go stale.
+
+    A version made with ``dataclasses.replace`` shares every field it does not
+    replace, so it derives again only what its edit touched. ``_READS`` names
+    the top-level fields that each fact, each text check and each check family
+    of validation reads. A fact whose fields are all the objects the last
+    version that built clean held is taken from that version as it is, and
+    such a check is skipped, since it found nothing there; the facts of a
+    perimeter also keep its members while the hierarchy is the same. The
+    query memos (``legs``, ``route_trees``, ``credential_chains``,
+    ``target_tags``, ``decisions``, ``principal_classes``) always start
+    empty. Only ``analysis.diff_decisions``, which holds both versions, fills
+    the route, credential, tag and leg memos of the later one from the
+    earlier one's (``take_queries``), each where the fields it reads are the
+    same objects.
     """
 
+    nodes: dict[str, m.ResourceNode]
+    segments: dict[str, m.NetworkSegment]
+    edges: dict[str, m.ConnectivityEdge]
+    services: dict[str, m.ServiceSpec]
+    attachments: dict[str, m.ServiceAttachment]
+    endpoints: dict[str, m.ConsumerEndpoint]
+    idps: dict[str, m.IdentityProvider]
+    principals: dict[str, m.Principal]
+    assets: dict[str, m.DataAsset]
+    perimeters: dict[str, m.AbstractPerimeter]
+    # node id -> its root-first chain (from the organization root down to
+    # the node), or the error ``m.ancestors`` raises for it
+    chains: dict[str, tuple[str, ...] | CloudPerimError]
+    # per perimeter in scenario order, its members or the error resolving them raised
+    perimeter_members: tuple[frozenset[str] | CloudPerimError, ...]
+    # per segment in scenario order, each CIDR's interval or None; per
+    # segment id, its intervals, and those of its requests: a request that
+    # names no source address carries the segment's canonical address
+    cidr_nets: tuple[tuple[prefix.Interval | None, ...], ...]
+    segment_nets: dict[str, tuple[prefix.Interval, ...]]
+    source_nets: dict[str, tuple[prefix.Interval, ...]]
+    # derived once the scenario is valid
+    attachment_for_service: dict[str, m.ServiceAttachment]
+    endpoints_for_attachment: dict[str, list[m.ConsumerEndpoint]]
+    # firewall rules per scope in evaluation order: ascending priority,
+    # scenario order among equal priorities
+    firewall_rules_by_scope: dict[str, tuple[m.FirewallRule, ...]]
+    # bindings with a permission naming the service, in scenario order
+    bindings_for_service: dict[str, list[m.RBACBinding]]
+    # what principal classes read: the identity tokens that bindings,
+    # predicates and perimeter rules name, and the device keys of the rules
+    policy_identities: frozenset[str]
+    device_keys: tuple[str, ...]
+    non_routable: frozenset[str]
+    adjacency: dict[str, tuple[tuple[m.ConnectivityEdge, str], ...]]
+    trust_edges: dict[str, m.TrustEdge]
+    # idp -> the (edge, next idp, mapping) moves of credential chains from it
+    trust_moves: dict[str, list[tuple[m.TrustEdge, str, Mapping[str, str]]]]
+    # project -> the data-plane perimeter holding it (no two overlap)
+    data_plane_perimeter: dict[str, m.AbstractPerimeter]
+
     def __init__(self, s: Scenario) -> None:
+        global _last_clean
         self.scenario = s
-        untyped = _untyped(s)
+        last = _last_clean
+        same = {f for f, held in last.fields.items() if getattr(s, f) is held}
+        # the facts, text checks and check families whose fields are all the last clean version's
+        self._kept = frozenset(name for name, fields in _READS.items() if last.fields and same.issuperset(fields))
+        untyped = _untyped(s, self._kept)
         if untyped:
             raise InvalidScenarioError(untyped)
-        self.nodes = {n.id: n for n in s.nodes}
-        self.segments = {x.id: x for x in s.segments}
-        self.edges = {x.id: x for x in s.edges}
-        self.services = {x.id: x for x in s.services}
-        self.attachments = {x.id: x for x in s.attachments}
-        self.endpoints = {x.id: x for x in s.endpoints}
-        self.idps = {x.id: x for x in s.idps}
-        self.principals = {x.id: x for x in s.principals}
-        self.assets = {x.id: x for x in s.assets}
-        self.perimeters = {x.id: x for x in s.perimeters}
-        # node id -> its root-first chain (from the organization root down to
-        # the node), or the error ``m.ancestors`` raises for it
-        self.chains: dict[str, tuple[str, ...] | CloudPerimError] = {
-            nid: _outcome(lambda: tuple(m.ancestors(nid, self.nodes))) for nid in self.nodes
-        }
-        # per perimeter in scenario order, its members or the error resolving them raised
-        self.perimeter_members: tuple[frozenset[str] | CloudPerimError, ...] = tuple(
-            _outcome(lambda: m.resolve_members(p, self.nodes)) for p in s.perimeters
-        )
-        # per segment in scenario order, each CIDR's interval or None; per
-        # segment id, its intervals, and those of its requests: a request that
-        # names no source address carries the segment's canonical address
-        self.cidr_nets = tuple(tuple(map(prefix.network, seg.cidrs)) for seg in s.segments)
-        self.segment_nets: dict[str, tuple[prefix.Interval, ...]] = {}
-        self.source_nets: dict[str, tuple[prefix.Interval, ...]] = {}
-        for seg, cidr_nets in zip(s.segments, self.cidr_nets):
-            nets = tuple(n for n in cidr_nets if n is not None)
-            canonical = prefix.address(prefix.first_host(seg.cidrs[0])) if seg.cidrs else None
-            self.segment_nets[seg.id] = nets
-            self.source_nets[seg.id] = nets if canonical is None else (canonical,) + nets
+        self._derive(_CHECKED_FACTS, last)
         violations = _validate(s, self)
         if violations:
             raise InvalidScenarioError(violations)
-
-        self.attachment_for_service = {a.service: a for a in s.attachments}
-        self.endpoints_for_attachment: dict[str, list[m.ConsumerEndpoint]] = {}
-        for ep in s.endpoints:
-            self.endpoints_for_attachment.setdefault(ep.attachment, []).append(ep)
-        # firewall rules per scope in evaluation order: ascending priority,
-        # scenario order among equal priorities
-        by_scope: dict[str, list[m.FirewallRule]] = {}
-        for r in s.firewall_rules:
-            by_scope.setdefault(r.scope, []).append(r)
-        self.firewall_rules_by_scope: dict[str, tuple[m.FirewallRule, ...]] = {
-            scope: tuple(sorted(rules, key=lambda r: r.priority)) for scope, rules in by_scope.items()
-        }
-        # bindings with a permission naming the service, in scenario order
-        self.bindings_for_service: dict[str, list[m.RBACBinding]] = {}
-        for b in s.bindings:
-            for svc_id in dict.fromkeys(p.service for p in b.role):
-                self.bindings_for_service.setdefault(svc_id, []).append(b)
-        # what principal classes read: the identity tokens that bindings,
-        # predicates and perimeter rules name, and the device keys of the rules
-        rules = [r for p in s.perimeters for r in p.ingress + p.egress]
-        predicates = [p for holder in (*s.endpoints, *s.attachments) for p in holder.policy]
-        self.policy_identities = frozenset(b.principal for b in s.bindings).union(
-            *(x.identities for x in rules + predicates)
-        )
-        self.device_keys = tuple(sorted({k for r in rules for k in r.device}))
-        self.non_routable = frozenset(
-            x.id for x in s.segments if x.routability is m.Routability.NON_ROUTABLE
-        )
-        self.adjacency = _locus_adjacency(s.edges, self.non_routable)
-        # idp -> the (edge, next idp, mapping) moves of credential chains from it; a two-way edge
-        # also moves from its ``to`` end, after its forward move, inverted to the smallest source
-        self.trust_edges = {e.id: e for e in s.trust_edges}
-        self.trust_moves: dict[str, list[tuple[m.TrustEdge, str, Mapping[str, str]]]] = {}
-        for e in s.trust_edges:
-            self.trust_moves.setdefault(e.src, []).append((e, e.dst, e.mapping))
-            if e.kind is m.TrustKind.TWO_WAY_TRUST:
-                inverted = {dst_p: src_p for src_p, dst_p in sorted(e.mapping.items(), reverse=True)}
-                self.trust_moves.setdefault(e.dst, []).append((e, e.src, inverted))
-        # project -> the data-plane perimeter holding it (no two overlap)
-        self.data_plane_perimeter: dict[str, m.AbstractPerimeter] = {
-            prj: p
-            for p, members in zip(s.perimeters, self.perimeter_members)
-            if m.Mechanism.DATA_PLANE_PERIMETER in p.mechanisms
-            for prj in members
-        }
+        self._derive(_FACTS, last)
         # memos of route, identity and engine queries
         self.route_trees: dict[tuple[str, bool], dict[str, m.ConnectivityEdge]] = {}
         self.credential_chains: dict[str, dict[str, m.CredentialChain]] = {}
@@ -203,6 +189,23 @@ class ScenarioIndex:
         # and each (principal, zero-trust idp)'s class
         self.decisions: dict[tuple, m.Decision] = {}
         self.principal_classes: dict[tuple[str, str | None], tuple] = {}
+        _last_clean = _Clean(
+            {f: getattr(s, f) for f in _FIELDS},
+            {name: getattr(self, name) for name in (*_CHECKED_FACTS, *_FACTS)},
+        )
+
+    def _derive(self, facts: Mapping[str, Callable[[Scenario, "ScenarioIndex"], Any]], last: "_Clean") -> None:
+        """Each of ``facts`` in order: the last clean version's where it is kept, else derived."""
+        for name, derive in facts.items():
+            setattr(self, name, last.facts[name] if name in self._kept else derive(self.scenario, self))
+
+    def take_queries(self, earlier: "ScenarioIndex") -> None:
+        """Fill the route, credential, tag and leg memos with ``earlier``'s
+        entries, each memo only where every field it reads is the same object
+        in both scenarios (entries this index has are kept)."""
+        for memo in _TAKEN_QUERIES:
+            if all(getattr(self.scenario, f) is getattr(earlier.scenario, f) for f in _READS[memo]):
+                setattr(self, memo, {**getattr(earlier, memo), **getattr(self, memo)})
 
     def folders_above(self, node: str) -> tuple[str, ...]:
         """The folders of ``node``'s ancestor chain, root first."""
@@ -370,6 +373,11 @@ def _read_address(ctx: _Ctx, raw: Any, subject: str, default: Any) -> str:
     return text
 
 
+def _is_port_span(lo: Any, hi: Any) -> bool:
+    """Two integer ports with ``0 <= lo <= hi <= 65535``."""
+    return _is_int(lo) and _is_int(hi) and 0 <= lo <= hi <= 65535
+
+
 def _read_ports(ctx: _Ctx, raw: Any, subject: str, default: Any) -> tuple[tuple[int, int], ...]:
     """Ports as ``p`` or ``{from: lo, to: hi}`` (each end defaulting to 0 and 65535)."""
     ports = []
@@ -377,7 +385,7 @@ def _read_ports(ctx: _Ctx, raw: Any, subject: str, default: Any) -> tuple[tuple[
         span = (p, p)
         if isinstance(p, dict) and set(p) <= {"from", "to"}:
             span = (p.get("from", 0), p.get("to", 65535))
-        if _is_int(span[0]) and _is_int(span[1]):
+        if _is_port_span(*span):
             ports.append(span)
         else:
             ctx.err("BAD_VALUE", subject, f"bad port entry {p!r}")
@@ -974,16 +982,11 @@ def parse_scenario(document: str) -> Scenario:
 # ---------------------------------------------------------------------------
 
 
-# the last scenario's entity lists found all text, by id (each held, so no other list takes its id);
-# a version made with ``dataclasses.replace`` shares them, as a ``Scenario`` keeps a tuple it is given
-# (``m.value_type``)
-_ALL_TEXT: dict[int, tuple] = {}
-
-
-def _untyped(s: Scenario) -> list[Violation]:
+def _untyped(s: Scenario, kept: frozenset[str]) -> list[Violation]:
     """A ``BAD_VALUE`` for each text in ``s`` that is not a ``str`` (a None only
     where its field's default is not None, as the parser reads it): a top-level
-    entity's id under ``<noun> id``, any other under its entity's or owner's id."""
+    entity's id under ``<noun> id``, any other under its entity's or owner's id.
+    An entity list whose text check is ``kept`` is not walked."""
     out: list[Violation] = []
 
     def walk(t: _Type, entities: Sequence, owners: Sequence, id_subject: str | None) -> None:
@@ -1008,15 +1011,10 @@ def _untyped(s: Scenario) -> list[Violation]:
 
     out += [Violation("BAD_VALUE", "document", f"{getattr(s, f.attr)!r} is not text")
             for f, _ in _SCENARIO.texts if not isinstance(getattr(s, f.attr), str)]
-    lists = {}
     for f, _ in _SCENARIO.nested:
-        value = getattr(s, f.attr)
-        lists[id(value)] = value
-        if id(value) not in _ALL_TEXT:
+        if f"text {f.attr}" not in kept:
+            value = getattr(s, f.attr)
             walk(f.codec.type, value, [x.id for x in value], f"{f.codec.noun} id")
-    if not out:  # a version made with ``dataclasses.replace`` shares all lists but the replaced
-        _ALL_TEXT.clear()
-        _ALL_TEXT.update(lists)
     return out
 
 
@@ -1033,251 +1031,326 @@ def validate_scenario(s: Scenario) -> list[Violation]:
 def _validate(s: Scenario, idx: ScenarioIndex) -> list[Violation]:
     """The violations of ``s``, read from the facts ``idx`` has derived so far.
 
-    The chain bound (an integer of at least 1) and the parser's own checks
-    of scopes, priorities, ports, CIDR tokens, edge ends, gateway rules'
-    ``new_connection``, tags and subnets come first, then duplicate ids and
-    references to nothing, found as the parser finds them, so a scenario
-    built in code is held to the same rules.
+    The check families of ``_CHECKS`` run in order, each but those ``idx``
+    keeps: the chain bound (an integer of at least 1) and the parser's own
+    checks of scopes, priorities, ports, CIDR tokens, edge ends, gateway
+    rules' ``new_connection``, tags and subnets come first, then duplicate
+    ids and references to nothing, found as the parser finds them, so a
+    scenario built in code is held to the same rules.
     """
-    ctx = _Ctx()
-    bound = _CHAIN_BOUND.read(ctx, s.chain_bound, "document", None)
+    out = _Ctx()
+    for name, check in _CHECKS.items():
+        if name not in idx._kept:
+            check(s, idx, out)
+    return list(out)
+
+
+def _check_chain_bound(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
+    bound = _CHAIN_BOUND.read(out, s.chain_bound, "document", None)
     if bound is not None and bound < 1:
-        ctx.err("BAD_VALUE", "document", f"chain_bound {bound} is below 1")
+        out.err("BAD_VALUE", "document", f"chain_bound {bound} is below 1")
+
+
+def _check_edge_ends(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
     for e in s.edges:
-        _two_ends(ctx, e.id, e.ends)
+        _two_ends(out, e.id, e.ends)
+
+
+def _check_firewall_values(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
     for fw in s.firewall_rules:
-        _scope_shape(ctx, fw.id, fw.scope)
-        _INT.read(ctx, fw.priority, fw.id, None)
+        _scope_shape(out, fw.id, fw.scope)
+        _INT.read(out, fw.priority, fw.id, None)
         for span in fw.ports:
-            if len(span) != 2 or not all(map(_is_int, span)):
-                ctx.err("BAD_VALUE", fw.id, f"bad port entry {span!r}")
-        _cidr_tokens(ctx, fw.id, fw.src + fw.dst)
+            if len(span) != 2 or not _is_port_span(*span):
+                out.err("BAD_VALUE", fw.id, f"bad port entry {span!r}")
+        _cidr_tokens(out, fw.id, fw.src + fw.dst)
+
+
+def _check_gateway_values(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
     for gw in (r for e in s.edges for r in e.gateway_rules):
-        _BOOL.read(ctx, gw.new_connection, gw.id, None)
+        _BOOL.read(out, gw.new_connection, gw.id, None)
+
+
+def _check_predicate_tokens(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
     for predicate in (p for holder in (*s.endpoints, *s.attachments) for p in holder.policy):
-        _cidr_tokens(ctx, predicate.id, predicate.cidrs)
+        _cidr_tokens(out, predicate.id, predicate.cidrs)
+
+
+def _check_perimeter_rule_tokens(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
     for rule in (r for perimeter in s.perimeters for r in perimeter.ingress + perimeter.egress):
-        _cidr_tokens(ctx, rule.id, rule.networks)
+        _cidr_tokens(out, rule.id, rule.networks)
+
+
+def _check_tags(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
     for tagged in (*s.nodes, *s.assets):
-        _key_value_tags(ctx, tagged.id, sorted(tagged.tags))
+        _key_value_tags(out, tagged.id, sorted(tagged.tags))
+
+
+def _check_subnets(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
     for seg in s.segments:
-        _subnet_cidrs(ctx, seg.id, seg.subnets)
-    out = list(ctx)
-    # duplicate ids, then references to nothing
-    namespaces: dict[str, list[str]] = {}  # noun -> ids, in table then scenario order
-    for f in _SCENARIO.fields:
-        if isinstance(f.codec, _Many):
-            namespaces.setdefault(f.codec.noun, []).extend(x.id for x in getattr(s, f.attr))
-    for noun, ids in namespaces.items():
+        _subnet_cidrs(out, seg.id, seg.subnets)
+
+
+def _duplicate_ids(noun: str, attrs: tuple[str, ...]) -> Callable[[Scenario, ScenarioIndex, _Ctx], None]:
+    """The check of the ids of the entity lists ``attrs``, which share ``noun``'s namespace."""
+
+    def check(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
         seen: set[str] = set()
-        for i in ids:
+        for i in (x.id for attr in attrs for x in getattr(s, attr)):
             if i in seen:
-                out.append(Violation("DUP_ID", i, f"duplicate {noun} id"))
+                out.err("DUP_ID", i, f"duplicate {noun} id")
             seen.add(i)
 
-    def kind(node_id: str | None) -> m.NodeKind | None:
-        return idx.nodes[node_id].kind if node_id in idx.nodes else None
+    return check
 
-    def is_locus(locus: str) -> bool:
-        return locus in idx.segments or locus in m.DISTINGUISHED_LOCI
 
-    def ref(ok: bool, subject: str, target: str, what: str) -> None:
-        if not ok:
-            out.append(Violation("UNKNOWN_REF", subject, f"unknown {what} {target!r}"))
+def _kind(idx: ScenarioIndex, node_id: str | None) -> m.NodeKind | None:
+    return idx.nodes[node_id].kind if node_id in idx.nodes else None
 
+
+def _is_locus(idx: ScenarioIndex, locus: str) -> bool:
+    return locus in idx.segments or locus in m.DISTINGUISHED_LOCI
+
+
+def _ref(out: _Ctx, ok: bool, subject: str, target: str, what: str) -> None:
+    if not ok:
+        out.err("UNKNOWN_REF", subject, f"unknown {what} {target!r}")
+
+
+def _refs_of_nodes(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
     for n in s.nodes:
         if n.parent is not None:
-            ref(n.parent in idx.nodes, n.id, n.parent, "parent node")
+            _ref(out, n.parent in idx.nodes, n.id, n.parent, "parent node")
+
+
+def _refs_of_segments(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
     for seg in s.segments:
-        ref(kind(seg.project) is m.NodeKind.PROJECT, seg.id, seg.project, "project")
+        _ref(out, _kind(idx, seg.project) is m.NodeKind.PROJECT, seg.id, seg.project, "project")
+
+
+def _refs_of_edges(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
     for e in s.edges:
         for end in e.ends:
-            ref(is_locus(end), e.id, end, "locus")
+            _ref(out, _is_locus(idx, end), e.id, end, "locus")
         for r in e.gateway_rules:
             for zone in (r.src_zone, r.dst_zone):
-                ref(is_locus(zone) or zone == m.ANY, r.id, zone, "zone")
+                _ref(out, _is_locus(idx, zone) or zone == m.ANY, r.id, zone, "zone")
+
+
+def _refs_of_services(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
     for svc in s.services:
-        ref(kind(svc.project) is m.NodeKind.PROJECT, svc.id, svc.project, "project")
-        ref(svc.segment in idx.segments, svc.id, svc.segment, "segment")
+        _ref(out, _kind(idx, svc.project) is m.NodeKind.PROJECT, svc.id, svc.project, "project")
+        _ref(out, svc.segment in idx.segments, svc.id, svc.segment, "segment")
         if svc.idp is not None:
-            ref(svc.idp in idx.idps, svc.id, svc.idp, "idp")
+            _ref(out, svc.idp in idx.idps, svc.id, svc.idp, "idp")
         for p in svc.run_as:
-            ref(p in idx.principals, svc.id, p, "principal")
+            _ref(out, p in idx.principals, svc.id, p, "principal")
         for a in list(svc.reads) + list(svc.writes):
-            ref(a in idx.assets, svc.id, a, "asset")
+            _ref(out, a in idx.assets, svc.id, a, "asset")
         for d in svc.depends_on:
-            ref(d in idx.services, svc.id, d, "service")
+            _ref(out, d in idx.services, svc.id, d, "service")
+
+
+def _refs_of_attachments(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
     for att in s.attachments:
-        ref(att.service in idx.services, att.id, att.service, "service")
+        _ref(out, att.service in idx.services, att.id, att.service, "service")
+
+
+def _refs_of_endpoints(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
     for ep in s.endpoints:
-        ref(ep.segment in idx.segments, ep.id, ep.segment, "segment")
-        ref(ep.attachment in idx.attachments, ep.id, ep.attachment, "attachment")
+        _ref(out, ep.segment in idx.segments, ep.id, ep.segment, "segment")
+        _ref(out, ep.attachment in idx.attachments, ep.id, ep.attachment, "attachment")
+
+
+def _refs_of_principals(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
     for p in s.principals:
-        ref(p.idp in idx.idps, p.id, p.idp, "idp")
+        _ref(out, p.idp in idx.idps, p.id, p.idp, "idp")
+
+
+def _refs_of_idps(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
     for idp in s.idps:
         if idp.segment is not None:
-            ref(is_locus(idp.segment), idp.id, idp.segment, "segment")
+            _ref(out, _is_locus(idx, idp.segment), idp.id, idp.segment, "segment")
+
+
+def _refs_of_trust_edges(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
     for t in s.trust_edges:
-        ref(t.src in idx.idps, t.id, t.src, "idp")
-        ref(t.dst in idx.idps, t.id, t.dst, "idp")
+        _ref(out, t.src in idx.idps, t.id, t.src, "idp")
+        _ref(out, t.dst in idx.idps, t.id, t.dst, "idp")
         for src_p, dst_p in t.mapping.items():
-            ref(src_p in idx.principals, t.id, src_p, "principal")
-            ref(dst_p in idx.principals, t.id, dst_p, "principal")
+            _ref(out, src_p in idx.principals, t.id, src_p, "principal")
+            _ref(out, dst_p in idx.principals, t.id, dst_p, "principal")
+
+
+def _refs_of_firewall_rules(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
     for fw in s.firewall_rules:
         if fw.scope_kind == "folder":
-            ref(kind(fw.scope_id) is m.NodeKind.FOLDER, fw.id, fw.scope, "folder scope")
+            _ref(out, _kind(idx, fw.scope_id) is m.NodeKind.FOLDER, fw.id, fw.scope, "folder scope")
         elif fw.scope_kind == "segment":
-            ref(fw.scope_id in idx.segments, fw.id, fw.scope, "segment scope")
+            _ref(out, fw.scope_id in idx.segments, fw.id, fw.scope, "segment scope")
+
+
+def _refs_of_bindings(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
     for b in s.bindings:
         for perm in b.role:
-            ref(
-                perm.service in idx.services or perm.service in (m.ANY, m.INTERNET),
-                b.id,
-                perm.service,
-                "service",
-            )
+            known = perm.service in idx.services or perm.service in (m.ANY, m.INTERNET)
+            _ref(out, known, b.id, perm.service, "service")
+
+
+def _refs_of_constraints(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
     for c in s.constraints:
-        ref(
-            kind(c.scope) in (m.NodeKind.ORGANIZATION, m.NodeKind.FOLDER),
-            c.id,
-            c.scope,
-            "org/folder scope",
-        )
+        scope = _kind(idx, c.scope) in (m.NodeKind.ORGANIZATION, m.NodeKind.FOLDER)
+        _ref(out, scope, c.id, c.scope, "org/folder scope")
+
+
+def _refs_of_perimeters(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
     for p in s.perimeters:
         for f in p.members.folders:
-            ref(kind(f) is m.NodeKind.FOLDER, p.id, f, "folder")
+            _ref(out, _kind(idx, f) is m.NodeKind.FOLDER, p.id, f, "folder")
         for prj in p.members.projects:
-            ref(kind(prj) is m.NodeKind.PROJECT, p.id, prj, "project")
+            _ref(out, _kind(idx, prj) is m.NodeKind.PROJECT, p.id, prj, "project")
         for rule in list(p.ingress) + list(p.egress):
             for t in rule.targets:
                 if t.project not in (m.ANY,):
-                    ref(kind(t.project) is m.NodeKind.PROJECT, rule.id, t.project, "project")
+                    _ref(out, _kind(idx, t.project) is m.NodeKind.PROJECT, rule.id, t.project, "project")
                 if t.service not in (m.ANY, m.INTERNET):
-                    ref(t.service in idx.services, rule.id, t.service, "service")
-    for a in s.assets:
-        ref(a.resource in idx.nodes, a.id, a.resource, "resource")
+                    _ref(out, t.service in idx.services, rule.id, t.service, "service")
 
+
+def _refs_of_assets(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
+    for a in s.assets:
+        _ref(out, a.resource in idx.nodes, a.id, a.resource, "resource")
+
+
+_PARENT_KINDS = {
+    m.NodeKind.FOLDER: (m.NodeKind.ORGANIZATION, m.NodeKind.FOLDER),
+    m.NodeKind.PROJECT: (m.NodeKind.ORGANIZATION, m.NodeKind.FOLDER),
+    m.NodeKind.RESOURCE: (m.NodeKind.PROJECT,),
+}
+
+
+def _check_hierarchy(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
     orgs = [n for n in s.nodes if n.kind is m.NodeKind.ORGANIZATION]
     if len(orgs) != 1:
-        out.append(
-            Violation("ORG_COUNT", s.name, f"expected exactly one organization, found {len(orgs)}")
-        )
+        out.err("ORG_COUNT", s.name, f"expected exactly one organization, found {len(orgs)}")
     for n in s.nodes:
         if n.kind is m.NodeKind.ORGANIZATION:
             if n.parent is not None:
-                out.append(Violation("ORG_PARENT", n.id, "organization must not have a parent"))
+                out.err("ORG_PARENT", n.id, "organization must not have a parent")
             continue
         if n.parent is None:
-            out.append(Violation("NO_PARENT", n.id, f"{n.kind.value} has no parent"))
+            out.err("NO_PARENT", n.id, f"{n.kind.value} has no parent")
             continue
         parent = idx.nodes.get(n.parent)
         if parent is None:
-            continue  # an unknown parent is reported as UNKNOWN_REF above
-        allowed = {
-            m.NodeKind.FOLDER: (m.NodeKind.ORGANIZATION, m.NodeKind.FOLDER),
-            m.NodeKind.PROJECT: (m.NodeKind.ORGANIZATION, m.NodeKind.FOLDER),
-            m.NodeKind.RESOURCE: (m.NodeKind.PROJECT,),
-        }[n.kind]
-        if parent.kind not in allowed:
-            out.append(
-                Violation(
-                    "BAD_PARENT_KIND",
-                    n.id,
-                    f"{n.kind.value} cannot be parented under {parent.kind.value} {parent.id!r}",
-                )
-            )
+            continue  # an unknown parent is reported as UNKNOWN_REF
+        if parent.kind not in _PARENT_KINDS[n.kind]:
+            out.err("BAD_PARENT_KIND", n.id, f"{n.kind.value} cannot be parented under {parent.kind.value} {parent.id!r}")
     # the first node whose walk up meets a cycle; one meeting an unknown
-    # parent instead is reported as UNKNOWN_REF above
+    # parent instead is reported as UNKNOWN_REF
     cycle = next((n for n in s.nodes if isinstance(idx.chains[n.id], InvalidHierarchyError)), None)
     if cycle is not None:
-        out.append(Violation("PARENT_CYCLE", cycle.id, "hierarchy contains a parent cycle"))
+        out.err("PARENT_CYCLE", cycle.id, "hierarchy contains a parent cycle")
 
+
+def _check_segment_cidrs(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
     for seg, cidr_nets in zip(s.segments, idx.cidr_nets):
         for c, net in zip(seg.cidrs, cidr_nets):
             if net is None:
-                out.append(Violation("CIDR_BAD", seg.id, f"{c!r} is not a CIDR"))
+                out.err("CIDR_BAD", seg.id, f"{c!r} is not a CIDR")
     nets_of = [[net for net in cidr_nets if net is not None] for cidr_nets in idx.cidr_nets]
-    seg_nets = idx.segment_nets
     routable = [i for i, seg in enumerate(s.segments) if seg.routability is m.Routability.ROUTABLE]
     for i, j in prefix.overlapping_pairs([nets_of[k] for k in routable]):
         a, b = s.segments[routable[i]], s.segments[routable[j]]
-        out.append(Violation("CIDR_OVERLAP", a.id, f"routable segments {a.id!r} and {b.id!r} overlap"))
+        out.err("CIDR_OVERLAP", a.id, f"routable segments {a.id!r} and {b.id!r} overlap")
     for seg, nets in zip(s.segments, nets_of):
         if prefix.overlapping_pairs([[net] for net in nets]):
-            out.append(Violation("CIDR_INTERNAL", seg.id, "segment reuses address space internally"))
+            out.err("CIDR_INTERNAL", seg.id, "segment reuses address space internally")
 
+
+def _check_priorities(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
     scope_priorities: dict[str, set[int]] = {}
     for fw in s.firewall_rules:
         seen = scope_priorities.setdefault(fw.scope, set())
         if fw.priority in seen:
-            out.append(
-                Violation("PRIORITY_DUP", fw.id, f"duplicate priority {fw.priority} in scope {fw.scope}")
-            )
+            out.err("PRIORITY_DUP", fw.id, f"duplicate priority {fw.priority} in scope {fw.scope}")
         seen.add(fw.priority)
 
+
+def _check_attachments_per_service(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
     attach_count: dict[str, int] = {}
     for att in s.attachments:
         attach_count[att.service] = attach_count.get(att.service, 0) + 1
     for svc_id, count in sorted(attach_count.items()):
         if count > 1:
-            out.append(Violation("ATTACH_DUP", svc_id, f"service has {count} attachments; at most one"))
+            out.err("ATTACH_DUP", svc_id, f"service has {count} attachments; at most one")
 
-    def host(thing: m.ServiceSpec | m.ConsumerEndpoint, code: str) -> prefix.Interval | None:
-        """The host of ``thing``'s address; an address that is not ip or ip:port is reported."""
-        if thing.address is None:
-            return None
-        parsed = prefix.host_port(thing.address)
-        if parsed is None:
-            out.append(Violation(code, thing.id, f"address {thing.address!r} is not ip or ip:port"))
-            return None
-        return parsed[0]
 
+def _host(out: _Ctx, thing: m.ServiceSpec | m.ConsumerEndpoint, code: str) -> prefix.Interval | None:
+    """The host of ``thing``'s address; an address that is not ip or ip:port is reported."""
+    if thing.address is None:
+        return None
+    parsed = prefix.host_port(thing.address)
+    if parsed is None:
+        out.err(code, thing.id, f"address {thing.address!r} is not ip or ip:port")
+        return None
+    return parsed[0]
+
+
+def _check_endpoint_addresses(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
+    seg_nets = idx.segment_nets
     for ep in s.endpoints:
-        addr = host(ep, "ENDPOINT_ADDR")
+        addr = _host(out, ep, "ENDPOINT_ADDR")
         if addr is not None and ep.segment in seg_nets and not prefix.meets_any(addr, seg_nets[ep.segment]):
-            out.append(
-                Violation("ENDPOINT_ADDR", ep.id, f"address {ep.address} outside segment {ep.segment} CIDRs")
-            )
+            out.err("ENDPOINT_ADDR", ep.id, f"address {ep.address} outside segment {ep.segment} CIDRs")
         if ep.address is None and ep.fqdn is None:
-            out.append(Violation("ENDPOINT_ADDR", ep.id, "endpoint needs an address or fqdn"))
+            out.err("ENDPOINT_ADDR", ep.id, "endpoint needs an address or fqdn")
+
+
+def _check_fqdns(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
     fqdns: dict[str, str] = {}
     for thing in list(s.endpoints) + list(s.services):
         if thing.fqdn is not None:
             if thing.fqdn in fqdns:
-                out.append(
-                    Violation("FQDN_DUP", thing.id, f"fqdn {thing.fqdn!r} already used by {fqdns[thing.fqdn]!r}")
-                )
+                out.err("FQDN_DUP", thing.id, f"fqdn {thing.fqdn!r} already used by {fqdns[thing.fqdn]!r}")
             fqdns[thing.fqdn] = thing.id
 
+
+def _check_service_addresses(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
+    seg_nets = idx.segment_nets
     for svc in s.services:
         if svc.layer is m.ServiceLayer.L7 and svc.fqdn is None:
-            out.append(Violation("SERVICE_FQDN", svc.id, "L7 service must expose an fqdn"))
-        addr = host(svc, "SERVICE_ADDR")
+            out.err("SERVICE_FQDN", svc.id, "L7 service must expose an fqdn")
+        addr = _host(out, svc, "SERVICE_ADDR")
         if addr is not None and seg_nets.get(svc.segment) and not prefix.meets_any(addr, seg_nets[svc.segment]):
-            out.append(Violation("SERVICE_ADDR", svc.id, f"address {svc.address} outside home segment CIDRs"))
+            out.err("SERVICE_ADDR", svc.id, f"address {svc.address} outside home segment CIDRs")
 
+
+def _check_backends(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
     backend_segment: dict[str, str] = {}
     for svc in s.services:
         for b in svc.backends:
             prev = backend_segment.setdefault(b, svc.segment)
             if prev != svc.segment:
-                out.append(
-                    Violation("BACKEND_SPLIT", b, f"backend appears in segments {prev!r} and {svc.segment!r}")
-                )
+                out.err("BACKEND_SPLIT", b, f"backend appears in segments {prev!r} and {svc.segment!r}")
 
+
+def _check_edge_kinds(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
     for e in s.edges:
         if e.kind is m.EdgeKind.PEERING and e.direction is not m.EdgeDirection.BIDIRECTIONAL:
-            out.append(Violation("EDGE_PEERING", e.id, "peering edges are bidirectional"))
+            out.err("EDGE_PEERING", e.id, "peering edges are bidirectional")
         if e.kind is m.EdgeKind.NAT_GATEWAY:
             if m.INTERNET not in e.ends:
-                out.append(Violation("EDGE_NAT", e.id, "nat-gateway must have an INTERNET end"))
+                out.err("EDGE_NAT", e.id, "nat-gateway must have an INTERNET end")
             if e.direction is not m.EdgeDirection.OUTBOUND_ONLY:
-                out.append(Violation("EDGE_NAT", e.id, "nat-gateway edges are outbound-only"))
+                out.err("EDGE_NAT", e.id, "nat-gateway edges are outbound-only")
 
+
+def _check_perimeter_members(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
     memberships: dict[str, frozenset[str]] = {}
     for p, members in zip(s.perimeters, idx.perimeter_members):
         if isinstance(members, m.EmptyPerimeterError):
-            out.append(Violation("EMPTY_PERIMETER", p.id, "member selector resolves to zero projects"))
+            out.err("EMPTY_PERIMETER", p.id, "member selector resolves to zero projects")
         elif not isinstance(members, CloudPerimError):  # hierarchy errors are reported above
             memberships[p.id] = members
     dp = [p for p in s.perimeters if m.Mechanism.DATA_PLANE_PERIMETER in p.mechanisms]
@@ -1285,15 +1358,238 @@ def _validate(s: Scenario, idx: ScenarioIndex) -> list[Violation]:
         for b in dp[i + 1 :]:
             shared = memberships.get(a.id, frozenset()) & memberships.get(b.id, frozenset())
             if shared:
-                out.append(
-                    Violation(
-                        "PERIM_OVERLAP",
-                        a.id,
-                        f"projects {sorted(shared)} are in data-plane perimeters {a.id!r} and {b.id!r}",
-                    )
+                out.err(
+                    "PERIM_OVERLAP", a.id, f"projects {sorted(shared)} are in data-plane perimeters {a.id!r} and {b.id!r}"
                 )
 
+
+# ---------------------------------------------------------------------------
+# Incremental builds: what each fact and check reads
+# ---------------------------------------------------------------------------
+
+# the entity lists the index maps by id before validation (trust edges are mapped after it)
+_ID_MAPS = ("nodes", "segments", "edges", "services", "attachments", "endpoints", "idps", "principals", "assets",
+            "perimeters")
+# id noun -> the entity lists sharing its namespace, in table order
+_NAMESPACES: dict[str, tuple[str, ...]] = {}
+for _f, _ in _SCENARIO.nested:
+    _NAMESPACES[_f.codec.noun] = _NAMESPACES.get(_f.codec.noun, ()) + (_f.attr,)
+
+# The one table of what the index derives and checks, by name: each fact, the
+# text check of each entity list (``_untyped``), each check family of
+# ``_validate`` and each query memo that ``ScenarioIndex.take_queries`` fills,
+# with the top-level ``Scenario`` fields it reads. A fact, text check or check
+# family whose fields are all the objects the last clean version held is
+# kept from it; a query memo is taken where its fields are the same objects.
+_READS: dict[str, tuple[str, ...]] = {
+    **{f"text {f.attr}": (f.attr,) for f, _ in _SCENARIO.nested},
+    # the facts validation reads, in the order they are derived
+    **{attr: (attr,) for attr in _ID_MAPS},
+    "chains": ("nodes",),
+    "perimeter_members": ("nodes", "perimeters"),
+    "cidr_nets": ("segments",),
+    "segment_nets": ("segments",),
+    "source_nets": ("segments",),
+    # the check families, in the order they run
+    "chain bound": ("chain_bound",),
+    "edge ends": ("edges",),
+    "firewall values": ("firewall_rules",),
+    "gateway values": ("edges",),
+    "predicate tokens": ("endpoints", "attachments"),
+    "perimeter rule tokens": ("perimeters",),
+    "tags": ("nodes", "assets"),
+    "subnets": ("segments",),
+    **{f"ids of {noun}": attrs for noun, attrs in _NAMESPACES.items()},
+    "refs of nodes": ("nodes",),
+    "refs of segments": ("segments", "nodes"),
+    "refs of edges": ("edges", "segments"),
+    "refs of services": ("services", "nodes", "segments", "idps", "principals", "assets"),
+    "refs of attachments": ("attachments", "services"),
+    "refs of endpoints": ("endpoints", "segments", "attachments"),
+    "refs of principals": ("principals", "idps"),
+    "refs of idps": ("idps", "segments"),
+    "refs of trust edges": ("trust_edges", "idps", "principals"),
+    "refs of firewall rules": ("firewall_rules", "nodes", "segments"),
+    "refs of bindings": ("bindings", "services"),
+    "refs of constraints": ("constraints", "nodes"),
+    "refs of perimeters": ("perimeters", "nodes", "services"),
+    "refs of assets": ("assets", "nodes"),
+    "hierarchy": ("nodes",),
+    "segment cidrs": ("segments",),
+    "priorities": ("firewall_rules",),
+    "attachments per service": ("attachments",),
+    "endpoint addresses": ("endpoints", "segments"),
+    "fqdns": ("endpoints", "services"),
+    "service addresses": ("services", "segments"),
+    "backends": ("services",),
+    "edge kinds": ("edges",),
+    "perimeter members": ("nodes", "perimeters"),
+    # the facts of a valid scenario, in the order they are derived
+    "attachment_for_service": ("attachments",),
+    "endpoints_for_attachment": ("endpoints",),
+    "firewall_rules_by_scope": ("firewall_rules",),
+    "bindings_for_service": ("bindings",),
+    "policy_identities": ("bindings", "perimeters", "endpoints", "attachments"),
+    "device_keys": ("perimeters",),
+    "non_routable": ("segments",),
+    "adjacency": ("edges", "segments"),
+    "trust_edges": ("trust_edges",),
+    "trust_moves": ("trust_edges",),
+    "data_plane_perimeter": ("nodes", "perimeters"),
+    # the query memos that a later version may take
+    "route_trees": ("edges", "segments"),
+    "credential_chains": ("principals", "trust_edges", "chain_bound"),
+    "target_tags": ("nodes", "services", "assets"),
+    "legs": ("nodes", "segments", "edges", "services", "attachments", "endpoints", "firewall_rules", "perimeters"),
+}
+_FIELDS = tuple(dict.fromkeys(f for fields in _READS.values() for f in fields))
+_TAKEN_QUERIES = ("route_trees", "credential_chains", "target_tags", "legs")
+
+
+class _Clean(NamedTuple):
+    """The last version that built clean: its fields, and its index's facts, by name."""
+
+    fields: dict[str, Any]
+    facts: dict[str, Any]
+
+
+# Held, so no other object takes the id of a field it holds; replaced whole by
+# each clean build, so a build that reads it once sees one version.
+_last_clean = _Clean({}, {})
+
+
+def _ids(attr: str) -> Callable[[Scenario, ScenarioIndex], dict[str, Any]]:
+    return lambda s, idx: {x.id: x for x in getattr(s, attr)}
+
+
+def _perimeter_members(s: Scenario, idx: ScenarioIndex) -> tuple[frozenset[str] | CloudPerimError, ...]:
+    """Each perimeter's members; one the last clean version held keeps them
+    while the hierarchy is the same (its id map is kept only then)."""
+    last = _last_clean
+    kept = {}
+    if idx.nodes is last.facts.get("nodes"):
+        kept = {id(p): x for p, x in zip(last.fields["perimeters"], last.facts["perimeter_members"])}
+    return tuple(
+        kept[id(p)] if id(p) in kept else _outcome(lambda: m.resolve_members(p, idx.nodes)) for p in s.perimeters
+    )
+
+
+def _source_nets(s: Scenario, idx: ScenarioIndex) -> dict[str, tuple[prefix.Interval, ...]]:
+    out = {}
+    for seg in s.segments:
+        nets = idx.segment_nets[seg.id]
+        canonical = prefix.address(prefix.first_host(seg.cidrs[0])) if seg.cidrs else None
+        out[seg.id] = nets if canonical is None else (canonical,) + nets
     return out
+
+
+def _by_scope(s: Scenario, idx: ScenarioIndex) -> dict[str, tuple[m.FirewallRule, ...]]:
+    by_scope: dict[str, list[m.FirewallRule]] = {}
+    for r in s.firewall_rules:
+        by_scope.setdefault(r.scope, []).append(r)
+    return {scope: tuple(sorted(rules, key=lambda r: r.priority)) for scope, rules in by_scope.items()}
+
+
+def _grouped(pairs: Iterable[tuple[str, Any]]) -> dict[str, list[Any]]:
+    out: dict[str, list[Any]] = {}
+    for key, value in pairs:
+        out.setdefault(key, []).append(value)
+    return out
+
+
+def _perimeter_rules(s: Scenario) -> list[m.PerimeterRule]:
+    return [r for p in s.perimeters for r in p.ingress + p.egress]
+
+
+def _policy_identities(s: Scenario, idx: ScenarioIndex) -> frozenset[str]:
+    predicates = [p for holder in (*s.endpoints, *s.attachments) for p in holder.policy]
+    return frozenset(b.principal for b in s.bindings).union(
+        *(x.identities for x in _perimeter_rules(s) + predicates)
+    )
+
+
+def _trust_moves(s: Scenario, idx: ScenarioIndex) -> dict[str, list[tuple[m.TrustEdge, str, Mapping[str, str]]]]:
+    """A two-way edge also moves from its ``to`` end, after its forward move,
+    inverted to the smallest source."""
+    moves: dict[str, list[tuple[m.TrustEdge, str, Mapping[str, str]]]] = {}
+    for e in s.trust_edges:
+        moves.setdefault(e.src, []).append((e, e.dst, e.mapping))
+        if e.kind is m.TrustKind.TWO_WAY_TRUST:
+            inverted = {dst_p: src_p for src_p, dst_p in sorted(e.mapping.items(), reverse=True)}
+            moves.setdefault(e.dst, []).append((e, e.src, inverted))
+    return moves
+
+
+# Each fact's derivation from the scenario and the facts derived before it:
+# those validation reads, then those of a valid scenario.
+_CHECKED_FACTS: dict[str, Callable[[Scenario, ScenarioIndex], Any]] = {
+    **{attr: _ids(attr) for attr in _ID_MAPS},
+    "chains": lambda s, idx: {nid: _outcome(lambda: tuple(m.ancestors(nid, idx.nodes))) for nid in idx.nodes},
+    "perimeter_members": _perimeter_members,
+    "cidr_nets": lambda s, idx: tuple(tuple(map(prefix.network, seg.cidrs)) for seg in s.segments),
+    "segment_nets": lambda s, idx: {
+        seg.id: tuple(n for n in nets if n is not None) for seg, nets in zip(s.segments, idx.cidr_nets)
+    },
+    "source_nets": _source_nets,
+}
+_FACTS: dict[str, Callable[[Scenario, ScenarioIndex], Any]] = {
+    "attachment_for_service": lambda s, idx: {a.service: a for a in s.attachments},
+    "endpoints_for_attachment": lambda s, idx: _grouped((ep.attachment, ep) for ep in s.endpoints),
+    "firewall_rules_by_scope": _by_scope,
+    "bindings_for_service": lambda s, idx: _grouped(
+        (svc_id, b) for b in s.bindings for svc_id in dict.fromkeys(p.service for p in b.role)
+    ),
+    "policy_identities": _policy_identities,
+    "device_keys": lambda s, idx: tuple(sorted({k for r in _perimeter_rules(s) for k in r.device})),
+    "non_routable": lambda s, idx: frozenset(
+        x.id for x in s.segments if x.routability is m.Routability.NON_ROUTABLE
+    ),
+    "adjacency": lambda s, idx: _locus_adjacency(s.edges, idx.non_routable),
+    "trust_edges": _ids("trust_edges"),
+    "trust_moves": _trust_moves,
+    "data_plane_perimeter": lambda s, idx: {
+        prj: p
+        for p, members in zip(s.perimeters, idx.perimeter_members)
+        if m.Mechanism.DATA_PLANE_PERIMETER in p.mechanisms
+        for prj in members
+    },
+}
+# Each check family of ``_validate``, in the order it runs.
+_CHECKS: dict[str, Callable[[Scenario, ScenarioIndex, _Ctx], None]] = {
+    "chain bound": _check_chain_bound,
+    "edge ends": _check_edge_ends,
+    "firewall values": _check_firewall_values,
+    "gateway values": _check_gateway_values,
+    "predicate tokens": _check_predicate_tokens,
+    "perimeter rule tokens": _check_perimeter_rule_tokens,
+    "tags": _check_tags,
+    "subnets": _check_subnets,
+    **{f"ids of {noun}": _duplicate_ids(noun, attrs) for noun, attrs in _NAMESPACES.items()},
+    "refs of nodes": _refs_of_nodes,
+    "refs of segments": _refs_of_segments,
+    "refs of edges": _refs_of_edges,
+    "refs of services": _refs_of_services,
+    "refs of attachments": _refs_of_attachments,
+    "refs of endpoints": _refs_of_endpoints,
+    "refs of principals": _refs_of_principals,
+    "refs of idps": _refs_of_idps,
+    "refs of trust edges": _refs_of_trust_edges,
+    "refs of firewall rules": _refs_of_firewall_rules,
+    "refs of bindings": _refs_of_bindings,
+    "refs of constraints": _refs_of_constraints,
+    "refs of perimeters": _refs_of_perimeters,
+    "refs of assets": _refs_of_assets,
+    "hierarchy": _check_hierarchy,
+    "segment cidrs": _check_segment_cidrs,
+    "priorities": _check_priorities,
+    "attachments per service": _check_attachments_per_service,
+    "endpoint addresses": _check_endpoint_addresses,
+    "fqdns": _check_fqdns,
+    "service addresses": _check_service_addresses,
+    "backends": _check_backends,
+    "edge kinds": _check_edge_kinds,
+    "perimeter members": _check_perimeter_members,
+}
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,343 @@
+"""An edited scenario re-derives only what its edit touched, and never reads a stale fact.
+
+A version made with ``dataclasses.replace`` keeps the facts, text checks and
+check families (``scenario._READS``) whose fields are all the objects of the
+last version that built clean, and ``diff_decisions`` hands its after-side
+the route trees, credential chains, target tags and network legs whose fields
+both versions share. Each version here is built twice: incrementally, right
+after its parent built clean, and from scratch with that memo cleared. Its
+violations (text and order), every fact, the diff against its parent and every
+entry of the taken query memos must be the same both ways.
+"""
+
+import contextlib
+import dataclasses
+import random
+import sys
+import typing
+from enum import Enum
+from pathlib import Path
+from typing import Mapping
+
+import pytest
+
+from cloudperim import analysis, builtin_scenario, engine, identity, parse_scenario, route, scenario
+from cloudperim import model as m
+from cloudperim.analysis import default_request_space, diff_decisions
+from cloudperim.errors import CloudPerimError
+from cloudperim.scenario import validate_scenario
+
+sys.path.insert(0, str(Path(__file__).parent))
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import genrandom  # noqa: E402
+import workloads  # noqa: E402  (read-only: the benchmark's edits and their replay)
+
+FACTS = (*scenario._CHECKED_FACTS, *scenario._FACTS)
+QUERY_MEMOS = ("legs", "route_trees", "credential_chains", "target_tags", "decisions", "principal_classes")
+EDIT_SEEDS = range(5)
+
+
+@contextlib.contextmanager
+def _cleared():
+    """Builds inside derive every fact and run every check, as the first build of a process does."""
+    saved = scenario._last_clean
+    scenario._last_clean = scenario._Clean({}, {})
+    try:
+        yield
+    finally:
+        scenario._last_clean = saved
+
+
+def _outcome(call):
+    """What ``call()`` returns, or the class and text of the error it raises."""
+    try:
+        return call()
+    except CloudPerimError as e:
+        return type(e), str(e), getattr(e, "violations", None)
+
+
+def _scratch_entry(s, memo, key):
+    """The entry ``key`` of ``s``'s query memo ``memo``, derived anew."""
+    idx = s.index()
+    if memo == "legs":
+        return engine._network_leg(s, idx, key)
+    if memo == "route_trees":
+        return route._search(idx, *key)
+    if memo == "credential_chains":
+        return identity._chains(idx, idx.principals[key], s.chain_bound)
+    return engine.target_tags(s, idx.services[key])
+
+
+def _assert_incremental_equals_scratch(before, after, requests, label=""):
+    """``after`` built right after ``before`` (valid, evaluated on ``requests``)
+    built clean gives what a build from scratch gives."""
+    dataclasses.replace(before).index()  # the memo now holds ``before``'s fields
+    for r in requests:
+        _outcome(lambda: engine.evaluate_flow(before, r))
+    violations = validate_scenario(after)
+    with _cleared():
+        scratch = dataclasses.replace(after)
+        expected = validate_scenario(scratch)
+    assert [str(v) for v in violations] == [str(v) for v in expected], label
+    assert violations == expected, label
+    if not violations:
+        idx, scratch_idx = after.index(), scratch.index()
+        for name in FACTS:
+            assert getattr(idx, name) == getattr(scratch_idx, name), (label, name)
+    diffs = _outcome(lambda: diff_decisions(before, after, requests))
+    with _cleared():
+        assert diffs == _outcome(lambda: diff_decisions(dataclasses.replace(before), scratch, requests)), label
+    if not violations:
+        for memo in scenario._TAKEN_QUERIES:
+            for key, entry in getattr(after.index(), memo).items():
+                assert entry == _scratch_entry(scratch, memo, key), (label, memo, key)
+
+
+def _sample(s, count=40, seed=0):
+    requests = default_request_space(s)
+    return random.Random(seed).sample(requests, min(count, len(requests)))
+
+
+# ---------------------------------------------------------------------------
+# One-field edits: every version differs from its parent in one top-level field
+# ---------------------------------------------------------------------------
+
+
+def _alternatives(value, pool):
+    """Other values for a field holding ``value``: up to three that fields of
+    its name hold elsewhere in the scenario (``pool``), and a few that break
+    or widen it, each of the field's own type where it has one."""
+    borrowed = []
+    for v in pool:
+        if v != value and v not in borrowed and len(borrowed) < 3:
+            borrowed.append(v)
+    if isinstance(value, Enum):
+        return [next(x for x in type(value) if x is not value)]
+    if isinstance(value, bool):
+        return [not value, "no"]
+    if isinstance(value, int):
+        return borrowed + ["5"]
+    if isinstance(value, str):  # a scope or tag keeps its shape, naming what is not there
+        return borrowed + ["ghost", 5] + [f"{value.partition(':')[0]}:ghost"] * (":" in value)
+    if value is None:
+        return [v for v in borrowed if v is not None]
+    if isinstance(value, frozenset):
+        if value and isinstance(next(iter(value)), Enum):
+            return borrowed + [frozenset()]
+        return borrowed + [value | {"bad"}, value | {"ghost:ghost"}]
+    if isinstance(value, Mapping):
+        return borrowed + [{}, {**value, "ghost": "ghost"}]
+    if isinstance(value, tuple):
+        if value and isinstance(value[0], tuple):
+            return borrowed + [value + ((90, 80),)]
+        return borrowed + [(), value + ("ghost",)]
+    return []
+
+
+def _holds_entities(cls, name):
+    """Whether field ``name`` of ``cls`` is a tuple of model entities."""
+    hint = typing.get_type_hints(cls)[name]
+    return typing.get_origin(hint) is tuple and dataclasses.is_dataclass(typing.get_args(hint)[0])
+
+
+def _pool(entities, pool):
+    """Add the value of each field of ``entities``, and of the entities they hold, to ``pool`` by field name."""
+    for entity in entities:
+        for f in dataclasses.fields(entity):
+            value = getattr(entity, f.name)
+            if _holds_entities(type(entity), f.name):
+                _pool(value, pool)
+            elif dataclasses.is_dataclass(value):
+                _pool((value,), pool)
+            else:
+                pool.setdefault(f.name, []).append(value)
+    return pool
+
+
+def _entity_edits(entity, pool):
+    """``entity`` with one of its fields, or one field of an entity it holds, changed."""
+    for f in dataclasses.fields(entity):
+        value = getattr(entity, f.name)
+        if _holds_entities(type(entity), f.name):
+            for j, nested in enumerate(value):
+                yield dataclasses.replace(entity, **{f.name: value[:j] + value[j + 1:]})
+                for changed in _entity_edits(nested, pool):
+                    yield dataclasses.replace(entity, **{f.name: value[:j] + (changed,) + value[j + 1:]})
+            continue
+        if dataclasses.is_dataclass(value):
+            for changed in _entity_edits(value, pool):
+                yield dataclasses.replace(entity, **{f.name: changed})
+            continue
+        for alternative in _alternatives(value, pool.get(f.name, ())):
+            try:
+                yield dataclasses.replace(entity, **{f.name: alternative})
+            except (TypeError, ValueError):
+                continue  # a value the model type refuses to hold
+
+
+def one_field_edits(s):
+    """(label, version) of ``s`` with one entity list changed: an entity
+    dropped, one duplicated, or one field of one entity changed; and ``s``
+    with each of a few chain bounds."""
+    pool = _pool([x for f, _ in scenario._SCENARIO.nested for x in getattr(s, f.attr)], {})
+    for f, _ in scenario._SCENARIO.nested:
+        entities = getattr(s, f.attr)
+        for j, entity in enumerate(entities):
+            yield f"{f.attr}[{j}] dropped", dataclasses.replace(s, **{f.attr: entities[:j] + entities[j + 1:]})
+            for changed in _entity_edits(entity, pool):
+                changed_list = entities[:j] + (changed,) + entities[j + 1:]
+                yield f"{f.attr}[{j}] changed", dataclasses.replace(s, **{f.attr: changed_list})
+        if entities:
+            yield f"{f.attr}[0] duplicated", dataclasses.replace(s, **{f.attr: entities + entities[:1]})
+    for bound in (1, 2, 0, "4"):
+        yield f"chain_bound {bound!r}", dataclasses.replace(s, chain_bound=bound)
+
+
+ONE_FIELD_BASES = {
+    **{name: lambda name=name: builtin_scenario(name) for name in ("fig11-combined", "fig5-vm", "fig6-k8s")},
+    "random deep": lambda: genrandom.random_scenario(
+        random.Random(7), with_edges=True, with_trust_edges=True, deep_folders=True
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ONE_FIELD_BASES)
+def test_every_one_field_edit_equals_a_build_from_scratch(name):
+    base = dataclasses.replace(ONE_FIELD_BASES[name]())
+    assert validate_scenario(base) == []
+    analysis.reachability_matrix(base)  # every leg, route tree, credential chain and target tag
+    requests = _sample(base)
+    count = 0
+    for label, version in one_field_edits(base):
+        _assert_incremental_equals_scratch(base, version, requests, label)
+        count += 1
+    assert count > 200
+
+
+# ---------------------------------------------------------------------------
+# The benchmark's restriction edits, and the random restriction mutators
+# ---------------------------------------------------------------------------
+
+
+def replay_policy_edits(seed):
+    """Each edit of policy-edits seed ``seed``, checked against a build from scratch."""
+    w = workloads.WORKLOADS["policy-edits"](seed)
+    w.prepare()
+    prev = parse_scenario(w.text)
+    for edit in w.edits:
+        nxt = workloads.apply_edit(prev, edit)
+        _assert_incremental_equals_scratch(prev, nxt, w.sample, f"seed {seed} edit {edit}")
+        prev = nxt
+    return len(w.edits)
+
+
+@pytest.mark.parametrize("seed", EDIT_SEEDS)
+def test_policy_edits_equal_builds_from_scratch(seed):
+    assert replay_policy_edits(seed) == 60
+
+
+def test_random_mutations_equal_builds_from_scratch():
+    applied = set()
+    for seed in range(12):
+        rng = random.Random(seed)
+        s = genrandom.random_scenario(
+            rng, with_edges=True, with_trust_edges=seed % 2 == 0, deep_folders=seed % 3 == 0
+        )
+        assert validate_scenario(s) == []
+        requests = [genrandom.random_request(rng, s) for _ in range(30)]
+        for mutation in genrandom.MUTATIONS:
+            mutated = mutation(random.Random(f"{seed}:{mutation.__name__}"), s)
+            if mutated is not None:
+                _assert_incremental_equals_scratch(s, mutated, requests, mutation.__name__)
+                applied.add(mutation.__name__)
+    assert applied == {mutation.__name__ for mutation in genrandom.MUTATIONS}
+
+
+# ---------------------------------------------------------------------------
+# What a version reuses, and what it never inherits
+# ---------------------------------------------------------------------------
+
+
+def test_a_copy_starts_with_every_query_memo_empty():
+    s = dataclasses.replace(builtin_scenario("fig11-combined"))
+    analysis.reachability_matrix(s)
+    for r in default_request_space(s):
+        engine.evaluate_flow(s, r)
+    assert all(getattr(s.index(), memo) for memo in QUERY_MEMOS)
+    copy = dataclasses.replace(s).index()
+    assert {memo: getattr(copy, memo) for memo in QUERY_MEMOS} == dict.fromkeys(QUERY_MEMOS, {})
+
+
+def _kinds_of_edit(seed=0):
+    """One edit of each kind of the policy-edits workload, each applied to the estate."""
+    w = workloads.WORKLOADS["policy-edits"](seed)
+    w.prepare()
+    base = parse_scenario(w.text)
+    kinds = {}
+    for edit in w.edits:
+        kinds.setdefault(edit["kind"], workloads.apply_edit(base, edit))
+    return base, w.sample, kinds
+
+
+def test_an_edit_rederives_only_the_facts_that_read_its_field():
+    base, _, kinds = _kinds_of_edit()
+    for kind, version in kinds.items():
+        before = dataclasses.replace(base).index()
+        after = version.index()
+        (edited,) = [f for f in scenario._FIELDS if getattr(version, f) is not getattr(base, f)]
+        kept = {name for name in FACTS if getattr(after, name) is getattr(before, name)}
+        # a fact that reads the field is derived again (though an empty one may be the same object)
+        assert kept >= {name for name in FACTS if edited not in scenario._READS[name]}, kind
+        if kind == "add_perimeter":
+            # each perimeter the estate held keeps its members; only the new one resolves its own
+            assert all(a is b for a, b in zip(after.perimeter_members, before.perimeter_members))
+            assert len(after.perimeter_members) == len(before.perimeter_members) + 1
+
+
+def test_a_check_family_runs_only_when_a_field_it_reads_changed(monkeypatch):
+    base, _, kinds = _kinds_of_edit()
+    ran = []
+    for name, check in scenario._CHECKS.items():
+        monkeypatch.setitem(scenario._CHECKS, name, lambda s, idx, out, name=name, check=check: (
+            ran.append(name), check(s, idx, out)))
+    for kind, version in kinds.items():
+        dataclasses.replace(base).index()
+        ran.clear()
+        version.index()
+        (edited,) = [f for f in scenario._FIELDS if getattr(version, f) is not getattr(base, f)]
+        assert ran == [name for name in scenario._CHECKS if edited in scenario._READS[name]], kind
+
+
+def test_diff_decisions_takes_only_the_queries_an_edit_cannot_change():
+    base, sample, kinds = _kinds_of_edit()
+    for kind, version in kinds.items():
+        before = dataclasses.replace(base)
+        for r in sample:
+            engine.evaluate_flow(before, r)
+        diff_decisions(before, version, sample)
+        (edited,) = [f for f in scenario._FIELDS if getattr(version, f) is not getattr(base, f)]
+        for memo in scenario._TAKEN_QUERIES:
+            theirs, ours = getattr(before.index(), memo), getattr(version.index(), memo)
+            shared = {key for key in theirs if key in ours and ours[key] is theirs[key]}
+            taken = edited not in scenario._READS[memo]
+            assert shared == (set(theirs) if taken else set()), (kind, memo)
+
+
+def test_diff_decisions_still_evaluates_every_request_on_both_sides(monkeypatch):
+    base, sample, kinds = _kinds_of_edit()
+    calls = []
+    original = analysis.evaluate_flow
+    monkeypatch.setattr(analysis, "evaluate_flow", lambda s, r: calls.append(s) or original(s, r))
+    before = dataclasses.replace(base)
+    for version in kinds.values():
+        calls.clear()
+        diff_decisions(before, version, sample)
+        assert calls == [before, version] * len(sample)
+
+
+def test_the_read_table_names_every_fact_check_and_taken_memo_once():
+    texts = {f"text {f.attr}" for f, _ in scenario._SCENARIO.nested}
+    named = [*texts, *FACTS, *scenario._CHECKS, *scenario._TAKEN_QUERIES]
+    assert sorted(scenario._READS) == sorted(named)
+    fields = {f.name for f in dataclasses.fields(scenario.Scenario)}
+    assert all(set(reads) <= fields and reads for reads in scenario._READS.values())

@@ -817,6 +817,35 @@ def test_a_port_entry_that_is_not_two_integers_is_a_bad_value(span):
     assert _parser_messages(s, edit) == [f"bad port entry {list(span)!r}"]
 
 
+@pytest.mark.parametrize(
+    "span, entry",
+    [((90, 80), {"from": 90, "to": 80}), ((-1, 80), {"from": -1, "to": 80}), ((0, 65536), {"to": 65536}),
+     ((70000, 70000), 70000)],
+    ids=["reversed", "below-0", "above-65535", "single-above-65535"],
+)
+def test_a_port_span_reversed_or_outside_0_65535_is_a_bad_value(span, entry):
+    s = builtin_scenario("fig1-lift-shift")
+    rules = tuple(
+        dataclasses.replace(r, ports=((443, 443), span)) if r.id == "fw-allow-internal" else r
+        for r in s.firewall_rules
+    )
+    broken = dataclasses.replace(s, firewall_rules=rules)
+    assert validate_scenario(broken) == [Violation("BAD_VALUE", "fw-allow-internal", f"bad port entry {span!r}")]
+
+    def edit(document):
+        document["policies"]["firewall"][0]["ports"] = [443, entry]
+
+    assert _parser_messages(s, edit) == [f"bad port entry {entry!r}"]
+
+
+def test_a_port_span_at_the_ends_of_0_65535_is_accepted():
+    s = parse_scenario(MINIMAL + "policies:\n  firewall:\n    - {id: r1, ports: [0, 65535, {from: 80, to: 80}]}\n")
+    assert s.firewall_rules[0].ports == ((0, 0), (65535, 65535), (80, 80))
+    assert validate_scenario(dataclasses.replace(s, firewall_rules=(
+        dataclasses.replace(s.firewall_rules[0], ports=((0, 65535),)),
+    ))) == []
+
+
 @pytest.mark.parametrize("value", ["no", None, 1], ids=["text", "none", "int"])
 def test_a_new_connection_that_is_not_true_or_false_is_a_bad_value(value):
     s = builtin_scenario("fig1-lift-shift")
