@@ -15,7 +15,7 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 from . import model as m
-from .engine import NetworkLeg, evaluate_flow, network_leg, principal_class
+from .engine import NetworkLeg, evaluate_flow, leg_check, network_leg, principal_class
 from .errors import (
     IncompatibleRequestSpaceError,
     RequestSpaceTooLargeError,
@@ -357,16 +357,23 @@ def diff_decisions(
 ) -> tuple[DecisionDiff, ...]:
     """Requests whose verdicts differ between two scenarios, with both traces.
 
-    ``s_after`` takes the route trees, credential chains, target tags and
-    network legs ``s_before`` has resolved, each kind where the fields it
-    reads are the same objects in both (``ScenarioIndex.take_queries``).
+    ``s_after`` takes the route trees, credential chains and target tags
+    ``s_before`` has resolved that its edit cannot change
+    (``ScenarioIndex.take_queries``), and each request's network leg, once
+    ``s_before`` has evaluated it, where ``engine.leg_check`` accepts it.
     """
-    before = s_before.index()  # refuses a broken scenario, even with no requests
-    s_after.index().take_queries(before)
+    earlier = s_before.index()  # refuses a broken scenario, even with no requests
+    later = s_after.index()
+    later.take_queries(earlier)
+    holds = leg_check(earlier, later)
     diffs = []
     for r in sorted(requests, key=request_key):
         try:
             before, trace_before = evaluate_flow(s_before, r)
+            key = (r.source, r.target, r.source_address, r.payload_tags)
+            leg = earlier.legs.get(key)
+            if leg is not None and key not in later.legs and holds(leg):
+                later.legs[key] = leg
             after, trace_after = evaluate_flow(s_after, r)
         except UnknownEntityError as e:
             raise IncompatibleRequestSpaceError(

@@ -17,8 +17,9 @@ The chain splits at the principal. The network points (ROUTE through
 GATEWAY) see only the request's network leg: its source, target, source
 address and payload tags. They are evaluated once per leg and scenario, and
 the leg, with its finished trace steps and what the principal points read of
-it, is kept in the scenario index. The principal points (CONSUMER_ENDPOINT
-through RBAC) run per request.
+it, is kept in the scenario index. A later version of the scenario takes an
+earlier one's leg where ``leg_check`` finds that nothing the leg reads has
+changed. The principal points (CONSUMER_ENDPOINT through RBAC) run per request.
 
 Defaults encode the trust split: unmatched intra-segment flows allow only in
 trusting segments, everything else crossing a boundary denies; gateways deny
@@ -28,14 +29,14 @@ unmatched traversals; endpoint policies allow when empty.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 from . import identity as identity_mod
 from . import model as m
 from . import prefix
 from . import route as route_mod
 from .errors import UnknownEntityError
-from .scenario import Scenario, ScenarioIndex
+from .scenario import Scenario, ScenarioIndex, same_topology
 
 FLOW_PROTOCOL = "tcp"  # modeled flows are connection-initiating TCP requests
 # (source, target, source address, payload tags): what the network points read of a request
@@ -497,6 +498,84 @@ def _network_leg(s: Scenario, idx: ScenarioIndex, key: LegKey) -> NetworkLeg:
         idp=target_service.idp if zero_trust else None,
     )
     return leg
+
+
+def _never(leg: NetworkLeg) -> bool:
+    return False
+
+
+def _matching(rules: tuple[m.FirewallRule, ...], leg: NetworkLeg) -> list[m.FirewallRule]:
+    return [rule for rule in rules if _firewall_rule_matches(rule, leg)]
+
+
+def _rules_hold(earlier: ScenarioIndex, idx: ScenarioIndex) -> Callable[[NetworkLeg], bool]:
+    """In each scope of the leg's chain, the rules that match it are the same, in order."""
+    before, after = earlier.firewall_rules_by_scope, idx.firewall_rules_by_scope
+    changed = {key for key in before.keys() | after.keys() if before.get(key, ()) != after.get(key, ())}
+
+    def holds(leg: NetworkLeg) -> bool:
+        return all(
+            key not in changed or _matching(before.get(key, ()), leg) == _matching(after.get(key, ()), leg)
+            for _, key in _scope_chain(leg, idx)
+        )
+
+    return holds
+
+
+def _edges_hold(earlier: ScenarioIndex, idx: ScenarioIndex) -> Callable[[NetworkLeg], bool]:
+    """The routing topology is the same, and so is the edge of each gateway hop of the leg's path."""
+    if not same_topology(earlier.scenario, idx.scenario):
+        return _never
+    return lambda leg: leg.path is None or all(
+        idx.edges[hop.edge] is earlier.edges[hop.edge] for hop in leg.path.gateway_hops()
+    )
+
+
+def _perimeters_hold(earlier: ScenarioIndex, idx: ScenarioIndex) -> Callable[[NetworkLeg], bool]:
+    """The data-plane perimeters of the source segment's project and of the target service's are the same."""
+    before, after = earlier.data_plane_perimeter, idx.data_plane_perimeter
+
+    def holds(leg: NetworkLeg) -> bool:
+        src = leg.source_segment.project if leg.source_segment else None
+        dst = leg.target_service.project if leg.target_service else None
+        return before.get(src) is after.get(src) and before.get(dst) is after.get(dst)
+
+    return holds
+
+
+def _endpoint_places(idx: ScenarioIndex) -> list[tuple[str, str, str]]:
+    return [(ep.id, ep.segment, ep.attachment) for ep in idx.scenario.endpoints]
+
+
+def _endpoints_hold(earlier: ScenarioIndex, idx: ScenarioIndex) -> Callable[[NetworkLeg], bool]:
+    """Each endpoint keeps its id, segment and attachment, and the leg's own endpoint is the same."""
+    if _endpoint_places(earlier) != _endpoint_places(idx):
+        return _never
+    return lambda leg: leg.endpoint is None or idx.endpoints[leg.endpoint.id] is leg.endpoint
+
+
+# What a leg reads of each field of ``scenario._READS["legs"]`` that may change
+# under it, the cheapest first; a change to any other of those fields holds no leg.
+_LEG_CLAUSES: dict[str, Callable[[ScenarioIndex, ScenarioIndex], Callable[[NetworkLeg], bool]]] = {
+    "endpoints": _endpoints_hold,
+    "perimeters": _perimeters_hold,
+    "edges": _edges_hold,
+    "firewall_rules": _rules_hold,
+}
+
+
+def leg_check(earlier: ScenarioIndex, idx: ScenarioIndex) -> Callable[[NetworkLeg], bool]:
+    """The check of whether a leg that ``earlier`` built still holds in
+    ``idx``: whether ``_network_leg`` would build the same leg for its key there.
+
+    Of each field that ``_network_leg`` reads and that is not the same object
+    in both scenarios, the check compares what the leg reads of it
+    (``_LEG_CLAUSES``). So every leg holds when no such field changed."""
+    changed = idx.changed_fields(earlier, "legs")
+    if not changed <= _LEG_CLAUSES.keys():
+        return _never
+    checks = [clause(earlier, idx) for field, clause in _LEG_CLAUSES.items() if field in changed]
+    return lambda leg: all(check(leg) for check in checks)
 
 
 def network_leg(s: Scenario, key: LegKey) -> NetworkLeg:

@@ -21,7 +21,7 @@ from enum import Enum
 from . import model as m
 from . import prefix
 from .errors import UnknownLocusError, UnknownTargetError
-from .scenario import Scenario, ScenarioIndex
+from .scenario import LastHop, Scenario, ScenarioIndex
 
 
 class HopKind(str, Enum):
@@ -85,16 +85,18 @@ class Unreachable:
     reason: UnreachableReason
 
 
-def _search(idx: ScenarioIndex, source: str, to_internet: bool) -> dict[str, m.ConnectivityEdge]:
-    """Shortest-path tree from ``source``: locus -> the edge its path enters by.
+def _search(idx: ScenarioIndex, source: str, to_internet: bool) -> dict[str, LastHop]:
+    """Shortest-path tree from ``source``: locus -> the last hop of its path.
 
     Breadth-first, so loci are reached in hop-count order. Each level is kept
     in the order of its loci's edge-id sequences and adjacency lists are
     sorted by edge id, so the first edge to reach a locus ends its path that
     is minimal by (hop count, edge ids). NAT edges are usable only when the
     goal is INTERNET; a non-routable segment is left only when it is the source.
+    Like the adjacency it reads, the tree depends on the routing topology
+    (``scenario.same_topology``) and the non-routable segments alone.
     """
-    tree: dict[str, m.ConnectivityEdge] = {}
+    tree: dict[str, LastHop] = {}
     seen = {source}
     level = [source]
     while level:
@@ -102,11 +104,11 @@ def _search(idx: ScenarioIndex, source: str, to_internet: bool) -> dict[str, m.C
         for at in level:
             if at in idx.non_routable and at != source:
                 continue
-            for edge, nxt in idx.adjacency.get(at, ()):
-                if nxt in seen or (edge.kind is m.EdgeKind.NAT_GATEWAY and not to_internet):
+            for nxt, hop in idx.adjacency.get(at, ()):
+                if nxt in seen or (hop[2] is m.EdgeKind.NAT_GATEWAY and not to_internet):
                     continue
                 seen.add(nxt)
-                tree[nxt] = edge
+                tree[nxt] = hop
                 reached.append(nxt)
         level = reached
     return tree
@@ -124,11 +126,11 @@ def _locus_path(s: Scenario, source: str, goal: str) -> list[Hop] | None:
     hops: list[Hop] = []
     at = goal
     while at != source:
-        edge = tree.get(at)
-        if edge is None:
+        last = tree.get(at)
+        if last is None:
             return None
-        prev = edge.other_end(at)
-        hops.append(Hop(kind=_EDGE_HOP[edge.kind], src=prev, dst=at, edge=edge.id))
+        prev, edge, kind = last
+        hops.append(Hop(kind=_EDGE_HOP[kind], src=prev, dst=at, edge=edge))
         at = prev
     hops.reverse()
     return hops

@@ -30,6 +30,10 @@ if TYPE_CHECKING:
     from .engine import NetworkLeg
 
 
+# (the locus a hop leaves, the id and kind of the edge it crosses)
+LastHop = tuple[str, str, m.EdgeKind]
+
+
 @m.value_type
 class Violation:
     """One problem with a scenario, found by the parser or by validation; a
@@ -119,8 +123,10 @@ class ScenarioIndex:
     ``target_tags``, ``decisions``, ``principal_classes``) always start
     empty. Only ``analysis.diff_decisions``, which holds both versions, fills
     the route, credential, tag and leg memos of the later one from the
-    earlier one's (``take_queries``), each where the fields it reads are the
-    same objects.
+    earlier one's: credential chains and target tags where the fields they
+    read are the same objects, route trees where the routing topology is
+    equal (``take_queries``), and legs one at a time, each that the engine's
+    leg check accepts.
     """
 
     nodes: dict[str, m.ResourceNode]
@@ -157,7 +163,8 @@ class ScenarioIndex:
     policy_identities: frozenset[str]
     device_keys: tuple[str, ...]
     non_routable: frozenset[str]
-    adjacency: dict[str, tuple[tuple[m.ConnectivityEdge, str], ...]]
+    # the routing graph, which holds no edge, so no gateway rule (see _locus_adjacency)
+    adjacency: dict[str, tuple[tuple[str, LastHop], ...]]
     trust_edges: dict[str, m.TrustEdge]
     # idp -> the (edge, next idp, mapping) moves of credential chains from it
     trust_moves: dict[str, list[tuple[m.TrustEdge, str, Mapping[str, str]]]]
@@ -180,7 +187,8 @@ class ScenarioIndex:
             raise InvalidScenarioError(violations)
         self._derive(_FACTS, last)
         # memos of route, identity and engine queries
-        self.route_trees: dict[tuple[str, bool], dict[str, m.ConnectivityEdge]] = {}
+        # (source, toward INTERNET) -> locus -> the last hop of its path
+        self.route_trees: dict[tuple[str, bool], dict[str, LastHop]] = {}
         self.credential_chains: dict[str, dict[str, m.CredentialChain]] = {}
         self.target_tags: dict[str, frozenset[str]] = {}
         # (source, target, source address, payload tags) -> network leg
@@ -199,13 +207,23 @@ class ScenarioIndex:
         for name, derive in facts.items():
             setattr(self, name, last.facts[name] if name in self._kept else derive(self.scenario, self))
 
+    def changed_fields(self, earlier: "ScenarioIndex", name: str) -> frozenset[str]:
+        """The fields that ``name`` reads (``_READS``) which are not the same
+        objects in ``earlier``'s scenario and this one's."""
+        return frozenset(f for f in _READS[name] if getattr(self.scenario, f) is not getattr(earlier.scenario, f))
+
     def take_queries(self, earlier: "ScenarioIndex") -> None:
-        """Fill the route, credential, tag and leg memos with ``earlier``'s
-        entries, each memo only where every field it reads is the same object
-        in both scenarios (entries this index has are kept)."""
-        for memo in _TAKEN_QUERIES:
-            if all(getattr(self.scenario, f) is getattr(earlier.scenario, f) for f in _READS[memo]):
-                setattr(self, memo, {**getattr(earlier, memo), **getattr(self, memo)})
+        """Fill the route, credential and tag memos with ``earlier``'s entries
+        (entries this index has are kept): credential chains and target tags
+        where every field they read is the same object in both scenarios,
+        route trees where the routing topology and the non-routable segments
+        are equal. Legs are taken one at a time (``engine.leg_check``)."""
+        takes = {memo: getattr(earlier, memo) for memo in ("credential_chains", "target_tags")
+                 if not self.changed_fields(earlier, memo)}
+        if self.non_routable == earlier.non_routable and same_topology(self.scenario, earlier.scenario):
+            takes["route_trees"] = earlier.route_trees
+        for memo, entries in takes.items():
+            setattr(self, memo, {**entries, **getattr(self, memo)})
 
     def folders_above(self, node: str) -> tuple[str, ...]:
         """The folders of ``node``'s ancestor chain, root first."""
@@ -224,17 +242,26 @@ def _outcome(walk: Callable[[], Any]) -> Any:
         return e
 
 
+def same_topology(a: Scenario, b: Scenario) -> bool:
+    """Whether two scenarios' edges have the same ids, kinds, ends and
+    directions in the same order: all that routing reads of them."""
+    return a.edges is b.edges or [(e.id, e.kind, e.ends, e.direction) for e in a.edges] == [
+        (e.id, e.kind, e.ends, e.direction) for e in b.edges
+    ]
+
+
 def _locus_adjacency(
     edges: tuple[m.ConnectivityEdge, ...], non_routable: frozenset[str]
-) -> dict[str, tuple[tuple[m.ConnectivityEdge, str], ...]]:
-    """Locus -> the (edge, next locus) pairs legal from it for any flow, by edge id.
+) -> dict[str, tuple[tuple[str, LastHop], ...]]:
+    """Locus -> the (next locus, the hop into it) pairs legal from it for any
+    flow, by edge id; a hop is (the locus it leaves, its edge's id and kind).
 
     An outbound-only edge leaves only its first end. Self-loops, NAT edges
     not leading into INTERNET, and entries into a non-routable segment other
     than by vpc-connector are never legal. The rules that depend on the flow
     (non-routable transit, NAT only toward INTERNET) are the route search's.
     """
-    out: dict[str, list[tuple[m.ConnectivityEdge, str]]] = {}
+    out: dict[str, list[tuple[str, LastHop]]] = {}
     for e in edges:
         a, b = e.ends
         if a == b:
@@ -246,8 +273,8 @@ def _locus_adjacency(
                 continue
             if nxt in non_routable and e.kind is not m.EdgeKind.VPC_CONNECTOR:
                 continue
-            out.setdefault(at, []).append((e, nxt))
-    return {at: tuple(sorted(pairs, key=lambda p: p[0].id)) for at, pairs in out.items()}
+            out.setdefault(at, []).append((nxt, (at, e.id, e.kind)))
+    return {at: tuple(sorted(pairs, key=lambda p: p[1][1])) for at, pairs in out.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -986,8 +1013,25 @@ def _untyped(s: Scenario, kept: frozenset[str]) -> list[Violation]:
     """A ``BAD_VALUE`` for each text in ``s`` that is not a ``str`` (a None only
     where its field's default is not None, as the parser reads it): a top-level
     entity's id under ``<noun> id``, any other under its entity's or owner's id.
-    An entity list whose text check is ``kept`` is not walked."""
+    An element of an entity list, or a nested entity, that is not its model
+    type is one ``BAD_VALUE`` (a top-level one under its document path) and is
+    not walked, so nothing reads a field it lacks. An entity list whose text
+    check is ``kept`` is not walked."""
     out: list[Violation] = []
+
+    def typed(t: _Type, values: Sequence, subject_of: Callable[[int], str], none_ok: bool = False) -> list[int] | None:
+        """None if all ``values`` are ``t``'s entities, else the positions of
+        those that are; each other value (but a None if ``none_ok``) is a
+        ``BAD_VALUE`` under ``subject_of(j)``."""
+        if set(map(type, values)) <= {t.model}:
+            return None
+        positions = []
+        for j, x in enumerate(values):
+            if isinstance(x, t.model):
+                positions.append(j)
+            elif not (x is None and none_ok):
+                out.append(Violation("BAD_VALUE", subject_of(j), f"{x!r} is not a {t.model.__name__}"))
+        return positions
 
     def walk(t: _Type, entities: Sequence, owners: Sequence, id_subject: str | None) -> None:
         """Each field of ``t`` over all ``entities`` at once; ``owners[j]`` is the subject of ``entities[j]``."""
@@ -1004,17 +1048,22 @@ def _untyped(s: Scenario, kept: frozenset[str]) -> list[Violation]:
                         out.append(Violation("BAD_VALUE", subject, f"{x!r} is not text"))
         for f, many in t.nested:
             groups = [getattr(e, f.attr) if many else (getattr(e, f.attr),) for e in entities]
-            nested = [x for xs in groups for x in xs if x is not None]
-            nested_owners = [getattr(x, "id", o) for xs, o in zip(groups, owners) for x in xs if x is not None]
+            nested = [x for xs in groups for x in xs]
+            nested_owners = [o for xs, o in zip(groups, owners) for _ in xs]
+            at = typed(f.codec.type, nested, nested_owners.__getitem__, none_ok=not many and f.default is None)
+            if at is not None:
+                nested, nested_owners = [nested[j] for j in at], [nested_owners[j] for j in at]
             if nested:
-                walk(f.codec.type, nested, nested_owners, None)
+                walk(f.codec.type, nested, [getattr(x, "id", o) for x, o in zip(nested, nested_owners)], None)
 
     out += [Violation("BAD_VALUE", "document", f"{getattr(s, f.attr)!r} is not text")
             for f, _ in _SCENARIO.texts if not isinstance(getattr(s, f.attr), str)]
     for f, _ in _SCENARIO.nested:
         if f"text {f.attr}" not in kept:
             value = getattr(s, f.attr)
-            walk(f.codec.type, value, [x.id for x in value], f"{f.codec.noun} id")
+            at = typed(f.codec.type, value, lambda j: f"{f.key}[{j}]")
+            entities = value if at is None else [value[j] for j in at]
+            walk(f.codec.type, entities, [x.id for x in entities], f"{f.codec.noun} id")
     return out
 
 
@@ -1377,10 +1426,12 @@ for _f, _ in _SCENARIO.nested:
 
 # The one table of what the index derives and checks, by name: each fact, the
 # text check of each entity list (``_untyped``), each check family of
-# ``_validate`` and each query memo that ``ScenarioIndex.take_queries`` fills,
+# ``_validate`` and each query memo that ``analysis.diff_decisions`` fills,
 # with the top-level ``Scenario`` fields it reads. A fact, text check or check
 # family whose fields are all the objects the last clean version held is
-# kept from it; a query memo is taken where its fields are the same objects.
+# kept from it. A query memo is taken whole where its fields are the same
+# objects; route trees also where only what routing reads of ``edges`` and
+# ``segments`` is equal, and legs one at a time (``engine.leg_check``).
 _READS: dict[str, tuple[str, ...]] = {
     **{f"text {f.attr}": (f.attr,) for f, _ in _SCENARIO.nested},
     # the facts validation reads, in the order they are derived
@@ -1443,6 +1494,7 @@ _READS: dict[str, tuple[str, ...]] = {
     "legs": ("nodes", "segments", "edges", "services", "attachments", "endpoints", "firewall_rules", "perimeters"),
 }
 _FIELDS = tuple(dict.fromkeys(f for fields in _READS.values() for f in fields))
+# the query memos that ``analysis.diff_decisions`` fills from an earlier version's
 _TAKEN_QUERIES = ("route_trees", "credential_chains", "target_tags", "legs")
 
 

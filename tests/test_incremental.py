@@ -3,11 +3,13 @@
 A version made with ``dataclasses.replace`` keeps the facts, text checks and
 check families (``scenario._READS``) whose fields are all the objects of the
 last version that built clean, and ``diff_decisions`` hands its after-side
-the route trees, credential chains, target tags and network legs whose fields
-both versions share. Each version here is built twice: incrementally, right
-after its parent built clean, and from scratch with that memo cleared. Its
-violations (text and order), every fact, the diff against its parent and every
-entry of the taken query memos must be the same both ways.
+the credential chains and target tags whose fields both versions share, the
+route trees while the routing topology holds, and each network leg that
+``engine.leg_check`` accepts. Each version here is built twice: incrementally,
+right after its parent built clean, and from scratch with that memo cleared.
+Its violations (text and order), every fact, the diff against its parent and
+every entry of the taken query memos must be the same both ways, and an
+earlier leg is taken exactly when the leg check accepts it.
 """
 
 import contextlib
@@ -88,8 +90,13 @@ def _assert_incremental_equals_scratch(before, after, requests, label=""):
     with _cleared():
         assert diffs == _outcome(lambda: diff_decisions(dataclasses.replace(before), scratch, requests)), label
     if not violations:
+        # each request's leg is the earlier one exactly when the leg check accepts that
+        earlier, later = before.index(), after.index()
+        holds = engine.leg_check(earlier, later)
+        for key, leg in later.legs.items():
+            assert (leg is earlier.legs.get(key)) == (key in earlier.legs and holds(earlier.legs[key])), (label, key)
         for memo in scenario._TAKEN_QUERIES:
-            for key, entry in getattr(after.index(), memo).items():
+            for key, entry in getattr(later, memo).items():
                 assert entry == _scratch_entry(scratch, memo, key), (label, memo, key)
 
 
@@ -309,6 +316,9 @@ def test_a_check_family_runs_only_when_a_field_it_reads_changed(monkeypatch):
 
 
 def test_diff_decisions_takes_only_the_queries_an_edit_cannot_change():
+    """Credential chains and target tags are taken whole where the fields
+    they read are the same objects, route trees where the routing topology
+    is equal (no policy edit changes it), and legs one at a time."""
     base, sample, kinds = _kinds_of_edit()
     for kind, version in kinds.items():
         before = dataclasses.replace(base)
@@ -316,11 +326,20 @@ def test_diff_decisions_takes_only_the_queries_an_edit_cannot_change():
             engine.evaluate_flow(before, r)
         diff_decisions(before, version, sample)
         (edited,) = [f for f in scenario._FIELDS if getattr(version, f) is not getattr(base, f)]
+        earlier, later = before.index(), version.index()
         for memo in scenario._TAKEN_QUERIES:
-            theirs, ours = getattr(before.index(), memo), getattr(version.index(), memo)
+            theirs, ours = getattr(earlier, memo), getattr(later, memo)
             shared = {key for key in theirs if key in ours and ours[key] is theirs[key]}
-            taken = edited not in scenario._READS[memo]
-            assert shared == (set(theirs) if taken else set()), (kind, memo)
+            if memo == "legs":
+                holds = engine.leg_check(earlier, later)
+                assert shared == {key for key, leg in theirs.items() if holds(leg)}, kind
+                if kind == "drop_binding":  # no leg reads the bindings
+                    assert shared == set(theirs)
+                else:  # each other edit reaches a few of the sample's legs at most
+                    assert len(shared) > len(theirs) / 2, kind
+            else:
+                taken = memo == "route_trees" or edited not in scenario._READS[memo]
+                assert shared == (set(theirs) if taken else set()), (kind, memo)
 
 
 def test_diff_decisions_still_evaluates_every_request_on_both_sides(monkeypatch):
@@ -341,3 +360,170 @@ def test_the_read_table_names_every_fact_check_and_taken_memo_once():
     assert sorted(scenario._READS) == sorted(named)
     fields = {f.name for f in dataclasses.fields(scenario.Scenario)}
     assert all(set(reads) <= fields and reads for reads in scenario._READS.values())
+
+
+# ---------------------------------------------------------------------------
+# Legs taken one at a time, and route trees taken on the topology
+# ---------------------------------------------------------------------------
+
+NO_TAGS = frozenset()
+# legs of fig11, keyed as its reachability matrix keys them
+GREEN_TO_PAY = ("green", "yellow-pay", None, NO_TAGS)
+GREEN_TO_APP = ("green", "green-app", None, NO_TAGS)
+YELLOW_TO_INTERNET = ("yellow", "INTERNET", None, NO_TAGS)
+YELLOW_TO_STORE = ("yellow", "yellow-store", None, NO_TAGS)
+YELLOW_TO_PAY = ("yellow", "yellow-pay", None, NO_TAGS)
+YELLOW_TO_APP = ("yellow", "green-app", None, NO_TAGS)
+
+
+def _fig11():
+    return dataclasses.replace(builtin_scenario("fig11-combined"))
+
+
+def _replaced(entities, entity_id, **changes):
+    return tuple(dataclasses.replace(x, **changes) if x.id == entity_id else x for x in entities)
+
+
+def _legs_taken(before, after):
+    """The keys of ``before``'s legs, one for each (locus, target) of its
+    reachability matrix, that ``diff_decisions`` over a request on each hands
+    to ``after``, and all of ``before``'s legs by key; each taken leg is the
+    leg a build from scratch gives."""
+    before = dataclasses.replace(before)
+    analysis.reachability_matrix(before)
+    assert validate_scenario(after) == []
+    principal = before.principals[0].id
+    diff_decisions(before, after, [m.FlowRequest(principal, key[0], key[1]) for key in before.index().legs])
+    theirs, ours = before.index().legs, after.index().legs
+    taken = {key for key in theirs if ours.get(key) is theirs[key]}
+    assert set(ours) == set(theirs)
+    with _cleared():
+        scratch = dataclasses.replace(after)
+        for key in taken:
+            assert ours[key] == engine._network_leg(scratch, scratch.index(), key), key
+    assert GREEN_TO_PAY in theirs and YELLOW_TO_STORE in theirs
+    return taken, theirs
+
+
+def _firewall_rule(rule_id, dst, priority=50, scope=m.ORG_SCOPE, action=m.RuleAction.DENY):
+    return m.FirewallRule(id=rule_id, scope=scope, priority=priority, action=action, src=(m.ANY,), dst=(dst,))
+
+
+def _crossing(legs, edge):
+    """The keys of the ``legs`` whose path crosses ``edge``."""
+    return {key for key, leg in legs.items() if leg.path and any(hop.edge == edge for hop in leg.path.hops)}
+
+
+def test_an_equal_copy_of_a_field_the_check_compares_takes_every_leg():
+    s = _fig11()
+    for field in engine._LEG_CLAUSES:
+        taken, legs = _legs_taken(s, dataclasses.replace(s, **{field: tuple(list(getattr(s, field)))}))
+        assert taken == set(legs), field
+
+
+def test_any_other_field_the_legs_read_takes_no_leg():
+    s = _fig11()
+    others = set(scenario._READS["legs"]) - set(engine._LEG_CLAUSES)
+    assert others == {"nodes", "segments", "services", "attachments"}
+    for field in others:
+        taken, _ = _legs_taken(s, dataclasses.replace(s, **{field: tuple(list(getattr(s, field)))}))
+        assert taken == set(), field
+
+
+def test_a_firewall_rule_keeps_the_legs_it_does_not_match():
+    s = _fig11()
+    # yellow-pay's host: the legs toward it match, the legs toward green do not
+    after = dataclasses.replace(s, firewall_rules=s.firewall_rules + (_firewall_rule("deny-pay", "10.2.1.10/32"),))
+    taken, legs = _legs_taken(s, after)
+    assert GREEN_TO_PAY not in taken and YELLOW_TO_PAY not in taken
+    assert GREEN_TO_APP in taken and YELLOW_TO_APP in taken
+    # a rule that matches no leg keeps them all
+    nothing = _firewall_rule("deny-nothing", "192.0.2.0/24")
+    assert _legs_taken(s, dataclasses.replace(s, firewall_rules=s.firewall_rules + (nothing,)))[0] == set(legs)
+
+
+def test_a_firewall_rule_keeps_the_legs_outside_its_scope():
+    s = _fig11()
+    everything = _firewall_rule("deny-green", m.ANY, scope="segment:green")
+    taken, legs = _legs_taken(s, dataclasses.replace(s, firewall_rules=s.firewall_rules + (everything,)))
+    # a leg's scopes are its source segment's, or its target's when it enters from ONPREM or INTERNET
+    in_green = {key for key in legs if key[0] == "green" or key[0] in m.DISTINGUISHED_LOCI and key[1] == "green-app"}
+    assert taken == set(legs) - in_green
+    assert GREEN_TO_APP not in taken and YELLOW_TO_APP in taken
+
+
+def test_matching_rules_swapped_in_order_rebuild_the_leg():
+    """Two rules in one scope that a leg matches, their priorities swapped.
+    (Equal priorities in one scope are a PRIORITY_DUP, so the order of the
+    rules a leg matches changes only with their priorities.)"""
+    s = _fig11()
+    deny, allow = _firewall_rule("deny-yellow", "10.2.0.0/16", 40), _firewall_rule(
+        "allow-yellow", "10.2.0.0/16", 50, action=m.RuleAction.ALLOW
+    )
+    before = dataclasses.replace(s, firewall_rules=s.firewall_rules + (deny, allow))
+    swapped = (dataclasses.replace(deny, priority=50), dataclasses.replace(allow, priority=40))
+    after = dataclasses.replace(s, firewall_rules=s.firewall_rules + swapped)
+    taken, _ = _legs_taken(before, after)
+    assert GREEN_TO_PAY not in taken and YELLOW_TO_PAY not in taken
+    assert GREEN_TO_APP in taken
+    request = m.FlowRequest("sa:green-a", "green", "yellow-pay")
+    assert engine.evaluate_flow(before, request)[0] != engine.evaluate_flow(after, request)[0]
+
+
+def test_a_gateway_rule_keeps_the_legs_whose_path_does_not_cross_its_edge():
+    s = _fig11()
+    for edge, key in (("gw-yellow-inet", YELLOW_TO_INTERNET), ("gw-green-yellow", GREEN_TO_PAY)):
+        taken, legs = _legs_taken(s, dataclasses.replace(s, edges=_replaced(s.edges, edge, gateway_rules=())))
+        crossing = _crossing(legs, edge)
+        assert key in crossing and taken == set(legs) - crossing, edge
+
+
+def _one_way(s):
+    return dataclasses.replace(s, edges=_replaced(s.edges, "gw-green-yellow", direction=m.EdgeDirection.OUTBOUND_ONLY))
+
+
+def test_a_changed_topology_takes_no_leg():
+    s = _fig11()
+    assert _legs_taken(s, _one_way(s))[0] == set()
+
+
+def test_route_trees_are_taken_while_the_topology_and_non_routable_segments_hold():
+    s = _fig11()
+    rules_only = dataclasses.replace(s, edges=_replaced(s.edges, "gw-green-yellow", gateway_rules=()))
+    trusted = dataclasses.replace(s, segments=_replaced(s.segments, "green", trust_mode=m.TrustMode.ZERO_TRUST))
+    routable = dataclasses.replace(s, segments=_replaced(s.segments, "g2-net", routability=m.Routability.ROUTABLE))
+    for after, taken in ((rules_only, True), (trusted, True), (routable, False), (_one_way(s), False)):
+        before = dataclasses.replace(s)
+        analysis.reachability_matrix(before)
+        assert validate_scenario(after) == []
+        diff_decisions(before, after, [])
+        theirs, ours = before.index().route_trees, after.index().route_trees
+        assert theirs and ours == (theirs if taken else {})
+        for key, tree in ours.items():
+            assert tree == route._search(after.index(), *key)
+
+
+def test_a_perimeter_rebuilds_the_legs_from_and_to_its_projects():
+    s = _fig11()
+    perimeter = m.AbstractPerimeter(
+        id="green-dp", name="green-dp", members=m.MemberSelector(projects=("prj-green",)),
+        mechanisms=frozenset({m.Mechanism.DATA_PLANE_PERIMETER}),
+    )
+    taken, legs = _legs_taken(s, dataclasses.replace(s, perimeters=s.perimeters + (perimeter,)))
+    assert GREEN_TO_PAY not in taken and YELLOW_TO_APP not in taken  # its source's, then its target's
+    assert taken == {key for key in legs if key[0] != "green" and key[1] != "green-app"}
+
+
+def test_an_endpoint_policy_rebuilds_only_the_legs_through_it():
+    s = _fig11()
+    (endpoint,) = [ep for ep in s.endpoints if ep.id == "ep-store"]
+    after = dataclasses.replace(s, endpoints=_replaced(s.endpoints, endpoint.id, policy=endpoint.policy[1:]))
+    taken, legs = _legs_taken(s, after)
+    through = {key for key, leg in legs.items() if leg.endpoint is endpoint}
+    assert YELLOW_TO_STORE in through and taken == set(legs) - through
+
+
+def test_an_endpoint_moved_to_another_segment_takes_no_leg():
+    s = _fig11()
+    moved = dataclasses.replace(s, endpoints=_replaced(s.endpoints, "ep-g2", segment="yellow", address="10.2.5.11"))
+    assert _legs_taken(s, moved)[0] == set()

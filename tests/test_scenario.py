@@ -960,3 +960,58 @@ def test_a_text_that_is_not_a_str_is_a_bad_value(retype, subject, shown):
     with pytest.raises(InvalidScenarioError) as refused:
         broken.index()
     assert list(refused.value.violations) == violations
+
+
+def _ghosts(t, entity):
+    """(path, ``entity`` with the text "ghost" in place of one nested entity
+    list or entity, the subject it is reported under, the model type it is
+    not) for each nested field of ``t``, at every depth ``entity`` holds."""
+    for f, many in t.nested:
+        ghost = ("ghost",) if many else "ghost"
+        yield f.attr, dataclasses.replace(entity, **{f.attr: ghost}), entity.id, f.codec.type
+        held = getattr(entity, f.attr)
+        for j, x in enumerate(held if many else (held,)):
+            for path, changed, subject, model in _ghosts(f.codec.type, x) if x is not None else ():
+                value = held[:j] + (changed,) + held[j + 1:] if many else changed
+                yield f"{f.attr}[{j}].{path}", dataclasses.replace(entity, **{f.attr: value}), subject, model
+
+
+def _ghost_cases(s):
+    """(path, ``s`` with one element of an entity list, or one nested entity, that is the text "ghost",
+    its subject, the model type it is not)."""
+    for f, _ in scenario_module._SCENARIO.nested:
+        entities = getattr(s, f.attr)
+        yield f.attr, dataclasses.replace(s, **{f.attr: entities + ("ghost",)}), f"{f.key}[{len(entities)}]", f.codec.type
+        for j, entity in enumerate(entities):
+            for path, changed, subject, t in _ghosts(f.codec.type, entity):
+                changed_list = entities[:j] + (changed,) + entities[j + 1:]
+                yield f"{f.attr}[{j}].{path}", dataclasses.replace(s, **{f.attr: changed_list}), subject, t
+
+
+def _nested_fields(t):
+    """The names of ``t``'s fields that hold entities, at every depth."""
+    return {name for f, _ in t.nested for name in (f.attr, *_nested_fields(f.codec.type))}
+
+
+def test_an_element_that_is_not_its_entity_type_is_a_bad_value():
+    """A text in place of an entity of any entity list, or of a nested rule
+    list or entity at any depth, is one violation, found before anything reads
+    a field it lacks, and the scenario is refused."""
+    s = builtin_scenario("fig11-combined")
+    covered = set()
+    for path, broken, subject, t in _ghost_cases(s):
+        violations = validate_scenario(broken)
+        assert violations == [Violation("BAD_VALUE", subject, f"'ghost' is not a {t.model.__name__}")], path
+        with pytest.raises(InvalidScenarioError) as refused:
+            broken.index()
+        assert list(refused.value.violations) == violations
+        covered.add(path.rpartition(".")[2].partition("[")[0])
+    # fig11 holds an owner of every nested field of the format table
+    assert covered == _nested_fields(scenario_module._SCENARIO)
+
+
+def test_a_missing_nested_entity_is_a_bad_value_only_where_its_default_is_not_none():
+    s = builtin_scenario("fig11-combined")
+    broken = dataclasses.replace(s, perimeters=(dataclasses.replace(s.perimeters[0], members=None),) + s.perimeters[1:])
+    assert validate_scenario(broken) == [Violation("BAD_VALUE", "green", "None is not a MemberSelector")]
+    assert s.bindings[0].condition is None and validate_scenario(s) == []
