@@ -17,8 +17,9 @@ The chain splits at the principal. The network points (ROUTE through
 GATEWAY) see only the request's network leg: its source, target, source
 address and payload tags. They are evaluated once per leg and scenario, and
 the leg, with its finished trace steps and what the principal points read of
-it, is kept in the scenario index. A later version of the scenario takes an
-earlier one's leg where ``leg_check`` finds that nothing the leg reads has
+it, is kept in the scenario index. ``_LEG_CLAUSES`` names every scenario field
+a leg reads, with what it reads of it; a later version of the scenario takes
+an earlier one's leg where ``leg_check`` finds that nothing the leg reads has
 changed. The principal points (CONSUMER_ENDPOINT through RBAC) run per request.
 
 Defaults encode the trust split: unmatched intra-segment flows allow only in
@@ -36,7 +37,7 @@ from . import model as m
 from . import prefix
 from . import route as route_mod
 from .errors import UnknownEntityError
-from .scenario import Scenario, ScenarioIndex, same_topology
+from .scenario import Scenario, ScenarioIndex
 
 FLOW_PROTOCOL = "tcp"  # modeled flows are connection-initiating TCP requests
 # (source, target, source address, payload tags): what the network points read of a request
@@ -523,8 +524,9 @@ def _rules_hold(earlier: ScenarioIndex, idx: ScenarioIndex) -> Callable[[Network
 
 
 def _edges_hold(earlier: ScenarioIndex, idx: ScenarioIndex) -> Callable[[NetworkLeg], bool]:
-    """The routing topology is the same, and so is the edge of each gateway hop of the leg's path."""
-    if not same_topology(earlier.scenario, idx.scenario):
+    """The route trees are the same (``ScenarioIndex.same_routes``), and so
+    is the edge of each gateway hop of the leg's path."""
+    if not idx.same_routes(earlier):
         return _never
     return lambda leg: leg.path is None or all(
         idx.edges[hop.edge] is earlier.edges[hop.edge] for hop in leg.path.gateway_hops()
@@ -554,9 +556,14 @@ def _endpoints_hold(earlier: ScenarioIndex, idx: ScenarioIndex) -> Callable[[Net
     return lambda leg: leg.endpoint is None or idx.endpoints[leg.endpoint.id] is leg.endpoint
 
 
-# What a leg reads of each field of ``scenario._READS["legs"]`` that may change
-# under it, the cheapest first; a change to any other of those fields holds no leg.
-_LEG_CLAUSES: dict[str, Callable[[ScenarioIndex, ScenarioIndex], Callable[[NetworkLeg], bool]]] = {
+# Each top-level ``Scenario`` field that ``_network_leg`` reads, and the
+# clause comparing what a leg reads of it, the cheapest first; None for a
+# field whose change holds no leg.
+_LEG_CLAUSES: dict[str, Callable[[ScenarioIndex, ScenarioIndex], Callable[[NetworkLeg], bool]] | None] = {
+    "nodes": None,
+    "segments": None,
+    "services": None,
+    "attachments": None,
     "endpoints": _endpoints_hold,
     "perimeters": _perimeters_hold,
     "edges": _edges_hold,
@@ -568,13 +575,14 @@ def leg_check(earlier: ScenarioIndex, idx: ScenarioIndex) -> Callable[[NetworkLe
     """The check of whether a leg that ``earlier`` built still holds in
     ``idx``: whether ``_network_leg`` would build the same leg for its key there.
 
-    Of each field that ``_network_leg`` reads and that is not the same object
-    in both scenarios, the check compares what the leg reads of it
-    (``_LEG_CLAUSES``). So every leg holds when no such field changed."""
-    changed = idx.changed_fields(earlier, "legs")
-    if not changed <= _LEG_CLAUSES.keys():
+    Of each field of ``_LEG_CLAUSES`` that is not the same object in both
+    scenarios, the check compares what the leg reads of it. So every leg
+    holds when no such field changed, and none when one without a clause did."""
+    clauses = [clause for f, clause in _LEG_CLAUSES.items()
+               if getattr(idx.scenario, f) is not getattr(earlier.scenario, f)]
+    if None in clauses:
         return _never
-    checks = [clause(earlier, idx) for field, clause in _LEG_CLAUSES.items() if field in changed]
+    checks = [clause(earlier, idx) for clause in clauses]
     return lambda leg: all(check(leg) for check in checks)
 
 

@@ -93,8 +93,9 @@ def _search(idx: ScenarioIndex, source: str, to_internet: bool) -> dict[str, Las
     sorted by edge id, so the first edge to reach a locus ends its path that
     is minimal by (hop count, edge ids). NAT edges are usable only when the
     goal is INTERNET; a non-routable segment is left only when it is the source.
-    Like the adjacency it reads, the tree depends on the routing topology
-    (``scenario.same_topology``) and the non-routable segments alone.
+    The tree reads the index's ``adjacency`` and ``non_routable`` facts
+    alone, so it holds in every version where they are equal
+    (``ScenarioIndex.same_routes``).
     """
     tree: dict[str, LastHop] = {}
     seen = {source}
@@ -136,6 +137,11 @@ def _locus_path(s: Scenario, source: str, goal: str) -> list[Hop] | None:
     return hops
 
 
+def _traversal(ep: m.ConsumerEndpoint, svc: m.ServiceSpec) -> Hop:
+    """The endpoint-traversal hop through ``ep`` into the segment of ``svc``, the service behind it."""
+    return Hop(kind=HopKind.ENDPOINT_TRAVERSAL, src=ep.segment, dst=svc.segment, edge=ep.id, attachment=ep.attachment)
+
+
 def _candidate_paths_to_service(s: Scenario, source: str, svc: m.ServiceSpec) -> list[list[Hop]]:
     idx = s.index()
     candidates: list[list[Hop]] = []
@@ -149,16 +155,8 @@ def _candidate_paths_to_service(s: Scenario, source: str, svc: m.ServiceSpec) ->
     if att is not None:
         for ep in idx.endpoints_for_attachment.get(att.id, ()):
             lead = _locus_path(s, source, ep.segment)
-            if lead is None:
-                continue
-            traversal = Hop(
-                kind=HopKind.ENDPOINT_TRAVERSAL,
-                src=ep.segment,
-                dst=svc.segment,
-                edge=ep.id,
-                attachment=att.id,
-            )
-            candidates.append(lead + [traversal])
+            if lead is not None:
+                candidates.append(lead + [_traversal(ep, svc)])
     return candidates
 
 
@@ -188,19 +186,10 @@ def resolve_path(s: Scenario, source: str, target: str) -> RoutePath | Unreachab
 
     if target in idx.endpoints:
         ep = idx.endpoints[target]
-        att = idx.attachments[ep.attachment]
-        svc = idx.services[att.service]
         lead = _locus_path(s, source, ep.segment)
         if lead is None:
             return Unreachable(UnreachableReason.NO_PATH)
-        traversal = Hop(
-            kind=HopKind.ENDPOINT_TRAVERSAL,
-            src=ep.segment,
-            dst=svc.segment,
-            edge=ep.id,
-            attachment=att.id,
-        )
-        return RoutePath(lead + [traversal])
+        return RoutePath(lead + [_traversal(ep, idx.services[idx.attachments[ep.attachment].service])])
 
     # bare address target
     host = prefix.host(target)

@@ -113,20 +113,22 @@ class ScenarioIndex:
     Scenarios are frozen, so neither the facts nor the memos can go stale.
 
     A version made with ``dataclasses.replace`` shares every field it does not
-    replace, so it derives again only what its edit touched. ``_READS`` names
-    the top-level fields that each fact, each text check and each check family
-    of validation reads. A fact whose fields are all the objects the last
-    version that built clean held is taken from that version as it is, and
-    such a check is skipped, since it found nothing there; the facts of a
-    perimeter also keep its members while the hierarchy is the same. The
-    query memos (``legs``, ``route_trees``, ``credential_chains``,
-    ``target_tags``, ``decisions``, ``principal_classes``) always start
-    empty. Only ``analysis.diff_decisions``, which holds both versions, fills
-    the route, credential, tag and leg memos of the later one from the
-    earlier one's: credential chains and target tags where the fields they
-    read are the same objects, route trees where the routing topology is
-    equal (``take_queries``), and legs one at a time, each that the engine's
-    leg check accepts.
+    replace, so it derives again only what its edit touched. Each fact and
+    each check family of validation is declared once, with the top-level
+    fields it reads (``_CHECKED_FACTS``, ``_FACTS``, ``_CHECKS``; ``_READS``
+    gathers them, and the text check of each entity list). A fact whose
+    fields are all the objects the last version that built clean held is
+    taken from that version as it is, and such a check is skipped, since it
+    found nothing there; the facts of a perimeter also keep its members while
+    the hierarchy is the same. The query memos (``legs``, ``route_trees``,
+    ``credential_chains``, ``target_tags``, ``decisions``,
+    ``principal_classes``) always start empty. Only
+    ``analysis.diff_decisions``, which holds both versions, fills the route,
+    credential, tag and leg memos of the later one from the earlier one's
+    (``take_queries``): credential chains and target tags where the fields
+    they read are the same objects, route trees where the facts the route
+    search reads are equal (``same_routes``), and legs one at a time, each
+    that ``engine.leg_check`` accepts.
     """
 
     nodes: dict[str, m.ResourceNode]
@@ -153,8 +155,8 @@ class ScenarioIndex:
     # derived once the scenario is valid
     attachment_for_service: dict[str, m.ServiceAttachment]
     endpoints_for_attachment: dict[str, list[m.ConsumerEndpoint]]
-    # firewall rules per scope in evaluation order: ascending priority,
-    # scenario order among equal priorities
+    # firewall rules per scope in evaluation order: ascending priority, which
+    # is unique in a scope of a valid scenario (PRIORITY_DUP)
     firewall_rules_by_scope: dict[str, tuple[m.FirewallRule, ...]]
     # bindings with a permission naming the service, in scenario order
     bindings_for_service: dict[str, list[m.RBACBinding]]
@@ -202,28 +204,28 @@ class ScenarioIndex:
             {name: getattr(self, name) for name in (*_CHECKED_FACTS, *_FACTS)},
         )
 
-    def _derive(self, facts: Mapping[str, Callable[[Scenario, "ScenarioIndex"], Any]], last: "_Clean") -> None:
+    def _derive(self, facts: Mapping[str, "_Fact"], last: "_Clean") -> None:
         """Each of ``facts`` in order: the last clean version's where it is kept, else derived."""
-        for name, derive in facts.items():
+        for name, (_, derive) in facts.items():
             setattr(self, name, last.facts[name] if name in self._kept else derive(self.scenario, self))
-
-    def changed_fields(self, earlier: "ScenarioIndex", name: str) -> frozenset[str]:
-        """The fields that ``name`` reads (``_READS``) which are not the same
-        objects in ``earlier``'s scenario and this one's."""
-        return frozenset(f for f in _READS[name] if getattr(self.scenario, f) is not getattr(earlier.scenario, f))
 
     def take_queries(self, earlier: "ScenarioIndex") -> None:
         """Fill the route, credential and tag memos with ``earlier``'s entries
-        (entries this index has are kept): credential chains and target tags
-        where every field they read is the same object in both scenarios,
-        route trees where the routing topology and the non-routable segments
-        are equal. Legs are taken one at a time (``engine.leg_check``)."""
-        takes = {memo: getattr(earlier, memo) for memo in ("credential_chains", "target_tags")
-                 if not self.changed_fields(earlier, memo)}
-        if self.non_routable == earlier.non_routable and same_topology(self.scenario, earlier.scenario):
+        (entries this index has are kept): each memo of ``_TAKEN_QUERIES``
+        where every field it reads is the same object in both scenarios, and
+        the route trees where ``same_routes``. Legs are taken one at a time
+        (``engine.leg_check``)."""
+        takes = {memo: getattr(earlier, memo) for memo, reads in _TAKEN_QUERIES.items()
+                 if all(getattr(self.scenario, f) is getattr(earlier.scenario, f) for f in reads)}
+        if self.same_routes(earlier):
             takes["route_trees"] = earlier.route_trees
         for memo, entries in takes.items():
             setattr(self, memo, {**entries, **getattr(self, memo)})
+
+    def same_routes(self, other: "ScenarioIndex") -> bool:
+        """Whether ``other``'s route trees are this index's: the facts that
+        ``route._search`` reads, ``adjacency`` and ``non_routable``, are equal."""
+        return self.adjacency == other.adjacency and self.non_routable == other.non_routable
 
     def folders_above(self, node: str) -> tuple[str, ...]:
         """The folders of ``node``'s ancestor chain, root first."""
@@ -240,14 +242,6 @@ def _outcome(walk: Callable[[], Any]) -> Any:
         return walk()
     except CloudPerimError as e:
         return e
-
-
-def same_topology(a: Scenario, b: Scenario) -> bool:
-    """Whether two scenarios' edges have the same ids, kinds, ends and
-    directions in the same order: all that routing reads of them."""
-    return a.edges is b.edges or [(e.id, e.kind, e.ends, e.direction) for e in a.edges] == [
-        (e.id, e.kind, e.ends, e.direction) for e in b.edges
-    ]
 
 
 def _locus_adjacency(
@@ -1080,31 +1074,50 @@ def validate_scenario(s: Scenario) -> list[Violation]:
 def _validate(s: Scenario, idx: ScenarioIndex) -> list[Violation]:
     """The violations of ``s``, read from the facts ``idx`` has derived so far.
 
-    The check families of ``_CHECKS`` run in order, each but those ``idx``
-    keeps: the chain bound (an integer of at least 1) and the parser's own
-    checks of scopes, priorities, ports, CIDR tokens, edge ends, gateway
-    rules' ``new_connection``, tags and subnets come first, then duplicate
-    ids and references to nothing, found as the parser finds them, so a
-    scenario built in code is held to the same rules.
+    The check families of ``_CHECKS`` run in the order they are declared,
+    each but those ``idx`` keeps: the chain bound (an integer of at least 1)
+    and the parser's own checks of scopes, priorities, ports, CIDR tokens,
+    edge ends, gateway rules' ``new_connection``, tags and subnets come
+    first, then duplicate ids and references to nothing, found as the parser
+    finds them, so a scenario built in code is held to the same rules.
     """
     out = _Ctx()
-    for name, check in _CHECKS.items():
+    for name, (_, check) in _CHECKS.items():
         if name not in idx._kept:
             check(s, idx, out)
     return list(out)
 
 
+_Check = Callable[[Scenario, ScenarioIndex, _Ctx], None]
+# Each check family of ``_validate`` by name, in the order it runs: the
+# top-level fields it reads, and its check.
+_CHECKS: dict[str, tuple[tuple[str, ...], _Check]] = {}
+
+
+def _check(name: str, *reads: str) -> Callable[[_Check], _Check]:
+    """Declare the decorated function the check family ``name``, reading the fields ``reads``."""
+
+    def declare(check: _Check) -> _Check:
+        _CHECKS[name] = (reads, check)
+        return check
+
+    return declare
+
+
+@_check("chain bound", "chain_bound")
 def _check_chain_bound(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
     bound = _CHAIN_BOUND.read(out, s.chain_bound, "document", None)
     if bound is not None and bound < 1:
         out.err("BAD_VALUE", "document", f"chain_bound {bound} is below 1")
 
 
+@_check("edge ends", "edges")
 def _check_edge_ends(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
     for e in s.edges:
         _two_ends(out, e.id, e.ends)
 
 
+@_check("firewall values", "firewall_rules")
 def _check_firewall_values(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
     for fw in s.firewall_rules:
         _scope_shape(out, fw.id, fw.scope)
@@ -1115,32 +1128,37 @@ def _check_firewall_values(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
         _cidr_tokens(out, fw.id, fw.src + fw.dst)
 
 
+@_check("gateway values", "edges")
 def _check_gateway_values(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
     for gw in (r for e in s.edges for r in e.gateway_rules):
         _BOOL.read(out, gw.new_connection, gw.id, None)
 
 
+@_check("predicate tokens", "endpoints", "attachments")
 def _check_predicate_tokens(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
     for predicate in (p for holder in (*s.endpoints, *s.attachments) for p in holder.policy):
         _cidr_tokens(out, predicate.id, predicate.cidrs)
 
 
+@_check("perimeter rule tokens", "perimeters")
 def _check_perimeter_rule_tokens(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
     for rule in (r for perimeter in s.perimeters for r in perimeter.ingress + perimeter.egress):
         _cidr_tokens(out, rule.id, rule.networks)
 
 
+@_check("tags", "nodes", "assets")
 def _check_tags(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
     for tagged in (*s.nodes, *s.assets):
         _key_value_tags(out, tagged.id, sorted(tagged.tags))
 
 
+@_check("subnets", "segments")
 def _check_subnets(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
     for seg in s.segments:
         _subnet_cidrs(out, seg.id, seg.subnets)
 
 
-def _duplicate_ids(noun: str, attrs: tuple[str, ...]) -> Callable[[Scenario, ScenarioIndex, _Ctx], None]:
+def _duplicate_ids(noun: str, attrs: tuple[str, ...]) -> _Check:
     """The check of the ids of the entity lists ``attrs``, which share ``noun``'s namespace."""
 
     def check(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
@@ -1151,6 +1169,14 @@ def _duplicate_ids(noun: str, attrs: tuple[str, ...]) -> Callable[[Scenario, Sce
             seen.add(i)
 
     return check
+
+
+# id noun -> the entity lists sharing its namespace, in table order
+_NAMESPACES: dict[str, tuple[str, ...]] = {}
+for _f, _ in _SCENARIO.nested:
+    _NAMESPACES[_f.codec.noun] = _NAMESPACES.get(_f.codec.noun, ()) + (_f.attr,)
+for _noun, _attrs in _NAMESPACES.items():
+    _check(f"ids of {_noun}", *_attrs)(_duplicate_ids(_noun, _attrs))
 
 
 def _kind(idx: ScenarioIndex, node_id: str | None) -> m.NodeKind | None:
@@ -1166,17 +1192,20 @@ def _ref(out: _Ctx, ok: bool, subject: str, target: str, what: str) -> None:
         out.err("UNKNOWN_REF", subject, f"unknown {what} {target!r}")
 
 
+@_check("refs of nodes", "nodes")
 def _refs_of_nodes(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
     for n in s.nodes:
         if n.parent is not None:
             _ref(out, n.parent in idx.nodes, n.id, n.parent, "parent node")
 
 
+@_check("refs of segments", "segments", "nodes")
 def _refs_of_segments(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
     for seg in s.segments:
         _ref(out, _kind(idx, seg.project) is m.NodeKind.PROJECT, seg.id, seg.project, "project")
 
 
+@_check("refs of edges", "edges", "segments")
 def _refs_of_edges(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
     for e in s.edges:
         for end in e.ends:
@@ -1186,6 +1215,7 @@ def _refs_of_edges(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
                 _ref(out, _is_locus(idx, zone) or zone == m.ANY, r.id, zone, "zone")
 
 
+@_check("refs of services", "services", "nodes", "segments", "idps", "principals", "assets")
 def _refs_of_services(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
     for svc in s.services:
         _ref(out, _kind(idx, svc.project) is m.NodeKind.PROJECT, svc.id, svc.project, "project")
@@ -1200,28 +1230,33 @@ def _refs_of_services(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
             _ref(out, d in idx.services, svc.id, d, "service")
 
 
+@_check("refs of attachments", "attachments", "services")
 def _refs_of_attachments(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
     for att in s.attachments:
         _ref(out, att.service in idx.services, att.id, att.service, "service")
 
 
+@_check("refs of endpoints", "endpoints", "segments", "attachments")
 def _refs_of_endpoints(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
     for ep in s.endpoints:
         _ref(out, ep.segment in idx.segments, ep.id, ep.segment, "segment")
         _ref(out, ep.attachment in idx.attachments, ep.id, ep.attachment, "attachment")
 
 
+@_check("refs of principals", "principals", "idps")
 def _refs_of_principals(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
     for p in s.principals:
         _ref(out, p.idp in idx.idps, p.id, p.idp, "idp")
 
 
+@_check("refs of idps", "idps", "segments")
 def _refs_of_idps(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
     for idp in s.idps:
         if idp.segment is not None:
             _ref(out, _is_locus(idx, idp.segment), idp.id, idp.segment, "segment")
 
 
+@_check("refs of trust edges", "trust_edges", "idps", "principals")
 def _refs_of_trust_edges(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
     for t in s.trust_edges:
         _ref(out, t.src in idx.idps, t.id, t.src, "idp")
@@ -1231,6 +1266,7 @@ def _refs_of_trust_edges(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
             _ref(out, dst_p in idx.principals, t.id, dst_p, "principal")
 
 
+@_check("refs of firewall rules", "firewall_rules", "nodes", "segments")
 def _refs_of_firewall_rules(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
     for fw in s.firewall_rules:
         if fw.scope_kind == "folder":
@@ -1239,6 +1275,7 @@ def _refs_of_firewall_rules(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
             _ref(out, fw.scope_id in idx.segments, fw.id, fw.scope, "segment scope")
 
 
+@_check("refs of bindings", "bindings", "services")
 def _refs_of_bindings(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
     for b in s.bindings:
         for perm in b.role:
@@ -1246,12 +1283,14 @@ def _refs_of_bindings(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
             _ref(out, known, b.id, perm.service, "service")
 
 
+@_check("refs of constraints", "constraints", "nodes")
 def _refs_of_constraints(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
     for c in s.constraints:
         scope = _kind(idx, c.scope) in (m.NodeKind.ORGANIZATION, m.NodeKind.FOLDER)
         _ref(out, scope, c.id, c.scope, "org/folder scope")
 
 
+@_check("refs of perimeters", "perimeters", "nodes", "services")
 def _refs_of_perimeters(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
     for p in s.perimeters:
         for f in p.members.folders:
@@ -1266,6 +1305,7 @@ def _refs_of_perimeters(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
                     _ref(out, t.service in idx.services, rule.id, t.service, "service")
 
 
+@_check("refs of assets", "assets", "nodes")
 def _refs_of_assets(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
     for a in s.assets:
         _ref(out, a.resource in idx.nodes, a.id, a.resource, "resource")
@@ -1278,6 +1318,7 @@ _PARENT_KINDS = {
 }
 
 
+@_check("hierarchy", "nodes")
 def _check_hierarchy(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
     orgs = [n for n in s.nodes if n.kind is m.NodeKind.ORGANIZATION]
     if len(orgs) != 1:
@@ -1302,6 +1343,7 @@ def _check_hierarchy(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
         out.err("PARENT_CYCLE", cycle.id, "hierarchy contains a parent cycle")
 
 
+@_check("segment cidrs", "segments")
 def _check_segment_cidrs(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
     for seg, cidr_nets in zip(s.segments, idx.cidr_nets):
         for c, net in zip(seg.cidrs, cidr_nets):
@@ -1317,6 +1359,7 @@ def _check_segment_cidrs(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
             out.err("CIDR_INTERNAL", seg.id, "segment reuses address space internally")
 
 
+@_check("priorities", "firewall_rules")
 def _check_priorities(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
     scope_priorities: dict[str, set[int]] = {}
     for fw in s.firewall_rules:
@@ -1326,6 +1369,7 @@ def _check_priorities(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
         seen.add(fw.priority)
 
 
+@_check("attachments per service", "attachments")
 def _check_attachments_per_service(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
     attach_count: dict[str, int] = {}
     for att in s.attachments:
@@ -1346,6 +1390,7 @@ def _host(out: _Ctx, thing: m.ServiceSpec | m.ConsumerEndpoint, code: str) -> pr
     return parsed[0]
 
 
+@_check("endpoint addresses", "endpoints", "segments")
 def _check_endpoint_addresses(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
     seg_nets = idx.segment_nets
     for ep in s.endpoints:
@@ -1356,6 +1401,7 @@ def _check_endpoint_addresses(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> Non
             out.err("ENDPOINT_ADDR", ep.id, "endpoint needs an address or fqdn")
 
 
+@_check("fqdns", "endpoints", "services")
 def _check_fqdns(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
     fqdns: dict[str, str] = {}
     for thing in list(s.endpoints) + list(s.services):
@@ -1365,6 +1411,7 @@ def _check_fqdns(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
             fqdns[thing.fqdn] = thing.id
 
 
+@_check("service addresses", "services", "segments")
 def _check_service_addresses(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
     seg_nets = idx.segment_nets
     for svc in s.services:
@@ -1375,6 +1422,7 @@ def _check_service_addresses(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None
             out.err("SERVICE_ADDR", svc.id, f"address {svc.address} outside home segment CIDRs")
 
 
+@_check("backends", "services")
 def _check_backends(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
     backend_segment: dict[str, str] = {}
     for svc in s.services:
@@ -1384,6 +1432,7 @@ def _check_backends(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
                 out.err("BACKEND_SPLIT", b, f"backend appears in segments {prev!r} and {svc.segment!r}")
 
 
+@_check("edge kinds", "edges")
 def _check_edge_kinds(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
     for e in s.edges:
         if e.kind is m.EdgeKind.PEERING and e.direction is not m.EdgeDirection.BIDIRECTIONAL:
@@ -1395,6 +1444,7 @@ def _check_edge_kinds(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
                 out.err("EDGE_NAT", e.id, "nat-gateway edges are outbound-only")
 
 
+@_check("perimeter members", "nodes", "perimeters")
 def _check_perimeter_members(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
     memberships: dict[str, frozenset[str]] = {}
     for p, members in zip(s.perimeters, idx.perimeter_members):
@@ -1413,89 +1463,12 @@ def _check_perimeter_members(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None
 
 
 # ---------------------------------------------------------------------------
-# Incremental builds: what each fact and check reads
+# The facts, and what each fact, check and memo taken whole reads
 # ---------------------------------------------------------------------------
 
 # the entity lists the index maps by id before validation (trust edges are mapped after it)
 _ID_MAPS = ("nodes", "segments", "edges", "services", "attachments", "endpoints", "idps", "principals", "assets",
             "perimeters")
-# id noun -> the entity lists sharing its namespace, in table order
-_NAMESPACES: dict[str, tuple[str, ...]] = {}
-for _f, _ in _SCENARIO.nested:
-    _NAMESPACES[_f.codec.noun] = _NAMESPACES.get(_f.codec.noun, ()) + (_f.attr,)
-
-# The one table of what the index derives and checks, by name: each fact, the
-# text check of each entity list (``_untyped``), each check family of
-# ``_validate`` and each query memo that ``analysis.diff_decisions`` fills,
-# with the top-level ``Scenario`` fields it reads. A fact, text check or check
-# family whose fields are all the objects the last clean version held is
-# kept from it. A query memo is taken whole where its fields are the same
-# objects; route trees also where only what routing reads of ``edges`` and
-# ``segments`` is equal, and legs one at a time (``engine.leg_check``).
-_READS: dict[str, tuple[str, ...]] = {
-    **{f"text {f.attr}": (f.attr,) for f, _ in _SCENARIO.nested},
-    # the facts validation reads, in the order they are derived
-    **{attr: (attr,) for attr in _ID_MAPS},
-    "chains": ("nodes",),
-    "perimeter_members": ("nodes", "perimeters"),
-    "cidr_nets": ("segments",),
-    "segment_nets": ("segments",),
-    "source_nets": ("segments",),
-    # the check families, in the order they run
-    "chain bound": ("chain_bound",),
-    "edge ends": ("edges",),
-    "firewall values": ("firewall_rules",),
-    "gateway values": ("edges",),
-    "predicate tokens": ("endpoints", "attachments"),
-    "perimeter rule tokens": ("perimeters",),
-    "tags": ("nodes", "assets"),
-    "subnets": ("segments",),
-    **{f"ids of {noun}": attrs for noun, attrs in _NAMESPACES.items()},
-    "refs of nodes": ("nodes",),
-    "refs of segments": ("segments", "nodes"),
-    "refs of edges": ("edges", "segments"),
-    "refs of services": ("services", "nodes", "segments", "idps", "principals", "assets"),
-    "refs of attachments": ("attachments", "services"),
-    "refs of endpoints": ("endpoints", "segments", "attachments"),
-    "refs of principals": ("principals", "idps"),
-    "refs of idps": ("idps", "segments"),
-    "refs of trust edges": ("trust_edges", "idps", "principals"),
-    "refs of firewall rules": ("firewall_rules", "nodes", "segments"),
-    "refs of bindings": ("bindings", "services"),
-    "refs of constraints": ("constraints", "nodes"),
-    "refs of perimeters": ("perimeters", "nodes", "services"),
-    "refs of assets": ("assets", "nodes"),
-    "hierarchy": ("nodes",),
-    "segment cidrs": ("segments",),
-    "priorities": ("firewall_rules",),
-    "attachments per service": ("attachments",),
-    "endpoint addresses": ("endpoints", "segments"),
-    "fqdns": ("endpoints", "services"),
-    "service addresses": ("services", "segments"),
-    "backends": ("services",),
-    "edge kinds": ("edges",),
-    "perimeter members": ("nodes", "perimeters"),
-    # the facts of a valid scenario, in the order they are derived
-    "attachment_for_service": ("attachments",),
-    "endpoints_for_attachment": ("endpoints",),
-    "firewall_rules_by_scope": ("firewall_rules",),
-    "bindings_for_service": ("bindings",),
-    "policy_identities": ("bindings", "perimeters", "endpoints", "attachments"),
-    "device_keys": ("perimeters",),
-    "non_routable": ("segments",),
-    "adjacency": ("edges", "segments"),
-    "trust_edges": ("trust_edges",),
-    "trust_moves": ("trust_edges",),
-    "data_plane_perimeter": ("nodes", "perimeters"),
-    # the query memos that a later version may take
-    "route_trees": ("edges", "segments"),
-    "credential_chains": ("principals", "trust_edges", "chain_bound"),
-    "target_tags": ("nodes", "services", "assets"),
-    "legs": ("nodes", "segments", "edges", "services", "attachments", "endpoints", "firewall_rules", "perimeters"),
-}
-_FIELDS = tuple(dict.fromkeys(f for fields in _READS.values() for f in fields))
-# the query memos that ``analysis.diff_decisions`` fills from an earlier version's
-_TAKEN_QUERIES = ("route_trees", "credential_chains", "target_tags", "legs")
 
 
 class _Clean(NamedTuple):
@@ -1572,76 +1545,59 @@ def _trust_moves(s: Scenario, idx: ScenarioIndex) -> dict[str, list[tuple[m.Trus
     return moves
 
 
-# Each fact's derivation from the scenario and the facts derived before it:
-# those validation reads, then those of a valid scenario.
-_CHECKED_FACTS: dict[str, Callable[[Scenario, ScenarioIndex], Any]] = {
-    **{attr: _ids(attr) for attr in _ID_MAPS},
-    "chains": lambda s, idx: {nid: _outcome(lambda: tuple(m.ancestors(nid, idx.nodes))) for nid in idx.nodes},
-    "perimeter_members": _perimeter_members,
-    "cidr_nets": lambda s, idx: tuple(tuple(map(prefix.network, seg.cidrs)) for seg in s.segments),
-    "segment_nets": lambda s, idx: {
+_Fact = tuple[tuple[str, ...], Callable[[Scenario, ScenarioIndex], Any]]
+# Each fact by name, in the order it is derived: the top-level fields it
+# reads, and its derivation from the scenario and the facts derived before it.
+# First the facts validation reads, then those of a valid scenario.
+_CHECKED_FACTS: dict[str, _Fact] = {
+    **{attr: ((attr,), _ids(attr)) for attr in _ID_MAPS},
+    "chains": (("nodes",), lambda s, idx: {
+        nid: _outcome(lambda: tuple(m.ancestors(nid, idx.nodes))) for nid in idx.nodes
+    }),
+    "perimeter_members": (("nodes", "perimeters"), _perimeter_members),
+    "cidr_nets": (("segments",), lambda s, idx: tuple(tuple(map(prefix.network, seg.cidrs)) for seg in s.segments)),
+    "segment_nets": (("segments",), lambda s, idx: {
         seg.id: tuple(n for n in nets if n is not None) for seg, nets in zip(s.segments, idx.cidr_nets)
-    },
-    "source_nets": _source_nets,
+    }),
+    "source_nets": (("segments",), _source_nets),
 }
-_FACTS: dict[str, Callable[[Scenario, ScenarioIndex], Any]] = {
-    "attachment_for_service": lambda s, idx: {a.service: a for a in s.attachments},
-    "endpoints_for_attachment": lambda s, idx: _grouped((ep.attachment, ep) for ep in s.endpoints),
-    "firewall_rules_by_scope": _by_scope,
-    "bindings_for_service": lambda s, idx: _grouped(
+_FACTS: dict[str, _Fact] = {
+    "attachment_for_service": (("attachments",), lambda s, idx: {a.service: a for a in s.attachments}),
+    "endpoints_for_attachment": (("endpoints",), lambda s, idx: _grouped((ep.attachment, ep) for ep in s.endpoints)),
+    "firewall_rules_by_scope": (("firewall_rules",), _by_scope),
+    "bindings_for_service": (("bindings",), lambda s, idx: _grouped(
         (svc_id, b) for b in s.bindings for svc_id in dict.fromkeys(p.service for p in b.role)
-    ),
-    "policy_identities": _policy_identities,
-    "device_keys": lambda s, idx: tuple(sorted({k for r in _perimeter_rules(s) for k in r.device})),
-    "non_routable": lambda s, idx: frozenset(
+    )),
+    "policy_identities": (("bindings", "perimeters", "endpoints", "attachments"), _policy_identities),
+    "device_keys": (("perimeters",), lambda s, idx: tuple(sorted({k for r in _perimeter_rules(s) for k in r.device}))),
+    "non_routable": (("segments",), lambda s, idx: frozenset(
         x.id for x in s.segments if x.routability is m.Routability.NON_ROUTABLE
-    ),
-    "adjacency": lambda s, idx: _locus_adjacency(s.edges, idx.non_routable),
-    "trust_edges": _ids("trust_edges"),
-    "trust_moves": _trust_moves,
-    "data_plane_perimeter": lambda s, idx: {
+    )),
+    "adjacency": (("edges", "segments"), lambda s, idx: _locus_adjacency(s.edges, idx.non_routable)),
+    "trust_edges": (("trust_edges",), _ids("trust_edges")),
+    "trust_moves": (("trust_edges",), _trust_moves),
+    "data_plane_perimeter": (("nodes", "perimeters"), lambda s, idx: {
         prj: p
         for p, members in zip(s.perimeters, idx.perimeter_members)
         if m.Mechanism.DATA_PLANE_PERIMETER in p.mechanisms
         for prj in members
-    },
+    }),
 }
-# Each check family of ``_validate``, in the order it runs.
-_CHECKS: dict[str, Callable[[Scenario, ScenarioIndex, _Ctx], None]] = {
-    "chain bound": _check_chain_bound,
-    "edge ends": _check_edge_ends,
-    "firewall values": _check_firewall_values,
-    "gateway values": _check_gateway_values,
-    "predicate tokens": _check_predicate_tokens,
-    "perimeter rule tokens": _check_perimeter_rule_tokens,
-    "tags": _check_tags,
-    "subnets": _check_subnets,
-    **{f"ids of {noun}": _duplicate_ids(noun, attrs) for noun, attrs in _NAMESPACES.items()},
-    "refs of nodes": _refs_of_nodes,
-    "refs of segments": _refs_of_segments,
-    "refs of edges": _refs_of_edges,
-    "refs of services": _refs_of_services,
-    "refs of attachments": _refs_of_attachments,
-    "refs of endpoints": _refs_of_endpoints,
-    "refs of principals": _refs_of_principals,
-    "refs of idps": _refs_of_idps,
-    "refs of trust edges": _refs_of_trust_edges,
-    "refs of firewall rules": _refs_of_firewall_rules,
-    "refs of bindings": _refs_of_bindings,
-    "refs of constraints": _refs_of_constraints,
-    "refs of perimeters": _refs_of_perimeters,
-    "refs of assets": _refs_of_assets,
-    "hierarchy": _check_hierarchy,
-    "segment cidrs": _check_segment_cidrs,
-    "priorities": _check_priorities,
-    "attachments per service": _check_attachments_per_service,
-    "endpoint addresses": _check_endpoint_addresses,
-    "fqdns": _check_fqdns,
-    "service addresses": _check_service_addresses,
-    "backends": _check_backends,
-    "edge kinds": _check_edge_kinds,
-    "perimeter members": _check_perimeter_members,
+# The query memos that ``ScenarioIndex.take_queries`` takes whole from an
+# earlier version where the top-level fields they read are the same objects.
+_TAKEN_QUERIES: dict[str, tuple[str, ...]] = {
+    "credential_chains": ("principals", "trust_edges", "chain_bound"),
+    "target_tags": ("nodes", "services", "assets"),
 }
+# What each text check, fact, check family and memo taken whole reads, by
+# name; a fact, text check or check family whose fields are all the objects
+# the last clean version held is kept from it. No name is in two tables.
+_READS: dict[str, tuple[str, ...]] = {
+    **{f"text {f.attr}": (f.attr,) for f, _ in _SCENARIO.nested},
+    **{name: reads for table in (_CHECKED_FACTS, _FACTS, _CHECKS) for name, (reads, _) in table.items()},
+    **_TAKEN_QUERIES,
+}
+_FIELDS = tuple(dict.fromkeys(f for fields in _READS.values() for f in fields))
 
 
 # ---------------------------------------------------------------------------

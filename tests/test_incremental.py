@@ -4,12 +4,12 @@ A version made with ``dataclasses.replace`` keeps the facts, text checks and
 check families (``scenario._READS``) whose fields are all the objects of the
 last version that built clean, and ``diff_decisions`` hands its after-side
 the credential chains and target tags whose fields both versions share, the
-route trees while the routing topology holds, and each network leg that
-``engine.leg_check`` accepts. Each version here is built twice: incrementally,
-right after its parent built clean, and from scratch with that memo cleared.
-Its violations (text and order), every fact, the diff against its parent and
-every entry of the taken query memos must be the same both ways, and an
-earlier leg is taken exactly when the leg check accepts it.
+route trees while the facts the route search reads are equal, and each
+network leg that ``engine.leg_check`` accepts. Each version here is built
+twice: incrementally, right after its parent built clean, and from scratch
+with that memo cleared. Its violations (text and order), every fact, the diff
+against its parent and every entry of the taken query memos must be the same
+both ways, and an earlier leg is taken exactly when the leg check accepts it.
 """
 
 import contextlib
@@ -36,6 +36,8 @@ import workloads  # noqa: E402  (read-only: the benchmark's edits and their repl
 
 FACTS = (*scenario._CHECKED_FACTS, *scenario._FACTS)
 QUERY_MEMOS = ("legs", "route_trees", "credential_chains", "target_tags", "decisions", "principal_classes")
+# the query memos ``diff_decisions`` fills from the earlier version's
+TAKEN_MEMOS = (*scenario._TAKEN_QUERIES, "route_trees", "legs")
 EDIT_SEEDS = range(5)
 
 
@@ -95,7 +97,7 @@ def _assert_incremental_equals_scratch(before, after, requests, label=""):
         holds = engine.leg_check(earlier, later)
         for key, leg in later.legs.items():
             assert (leg is earlier.legs.get(key)) == (key in earlier.legs and holds(earlier.legs[key])), (label, key)
-        for memo in scenario._TAKEN_QUERIES:
+        for memo in TAKEN_MEMOS:
             for key, entry in getattr(later, memo).items():
                 assert entry == _scratch_entry(scratch, memo, key), (label, memo, key)
 
@@ -304,15 +306,15 @@ def test_an_edit_rederives_only_the_facts_that_read_its_field():
 def test_a_check_family_runs_only_when_a_field_it_reads_changed(monkeypatch):
     base, _, kinds = _kinds_of_edit()
     ran = []
-    for name, check in scenario._CHECKS.items():
-        monkeypatch.setitem(scenario._CHECKS, name, lambda s, idx, out, name=name, check=check: (
-            ran.append(name), check(s, idx, out)))
+    for name, (reads, check) in scenario._CHECKS.items():
+        monkeypatch.setitem(scenario._CHECKS, name, (reads, lambda s, idx, out, name=name, check=check: (
+            ran.append(name), check(s, idx, out))))
     for kind, version in kinds.items():
         dataclasses.replace(base).index()
         ran.clear()
         version.index()
         (edited,) = [f for f in scenario._FIELDS if getattr(version, f) is not getattr(base, f)]
-        assert ran == [name for name in scenario._CHECKS if edited in scenario._READS[name]], kind
+        assert ran == [name for name, (reads, _) in scenario._CHECKS.items() if edited in reads], kind
 
 
 def test_diff_decisions_takes_only_the_queries_an_edit_cannot_change():
@@ -327,7 +329,7 @@ def test_diff_decisions_takes_only_the_queries_an_edit_cannot_change():
         diff_decisions(before, version, sample)
         (edited,) = [f for f in scenario._FIELDS if getattr(version, f) is not getattr(base, f)]
         earlier, later = before.index(), version.index()
-        for memo in scenario._TAKEN_QUERIES:
+        for memo in TAKEN_MEMOS:
             theirs, ours = getattr(earlier, memo), getattr(later, memo)
             shared = {key for key in theirs if key in ours and ours[key] is theirs[key]}
             if memo == "legs":
@@ -338,7 +340,7 @@ def test_diff_decisions_takes_only_the_queries_an_edit_cannot_change():
                 else:  # each other edit reaches a few of the sample's legs at most
                     assert len(shared) > len(theirs) / 2, kind
             else:
-                taken = memo == "route_trees" or edited not in scenario._READS[memo]
+                taken = memo == "route_trees" or edited not in scenario._TAKEN_QUERIES[memo]
                 assert shared == (set(theirs) if taken else set()), (kind, memo)
 
 
@@ -355,11 +357,13 @@ def test_diff_decisions_still_evaluates_every_request_on_both_sides(monkeypatch)
 
 
 def test_the_read_table_names_every_fact_check_and_taken_memo_once():
-    texts = {f"text {f.attr}" for f, _ in scenario._SCENARIO.nested}
+    texts = [f"text {f.attr}" for f, _ in scenario._SCENARIO.nested]
     named = [*texts, *FACTS, *scenario._CHECKS, *scenario._TAKEN_QUERIES]
-    assert sorted(scenario._READS) == sorted(named)
+    # the read table merges these tables, so a name in two of them would lose one's reads
+    assert len(set(named)) == len(named) == len(scenario._READS)
     fields = {f.name for f in dataclasses.fields(scenario.Scenario)}
-    assert all(set(reads) <= fields and reads for reads in scenario._READS.values())
+    assert all(reads and set(reads) <= fields for reads in scenario._READS.values())
+    assert set(engine._LEG_CLAUSES) <= fields
 
 
 # ---------------------------------------------------------------------------
@@ -416,14 +420,14 @@ def _crossing(legs, edge):
 
 def test_an_equal_copy_of_a_field_the_check_compares_takes_every_leg():
     s = _fig11()
-    for field in engine._LEG_CLAUSES:
+    for field in (f for f, clause in engine._LEG_CLAUSES.items() if clause is not None):
         taken, legs = _legs_taken(s, dataclasses.replace(s, **{field: tuple(list(getattr(s, field)))}))
         assert taken == set(legs), field
 
 
 def test_any_other_field_the_legs_read_takes_no_leg():
     s = _fig11()
-    others = set(scenario._READS["legs"]) - set(engine._LEG_CLAUSES)
+    others = {f for f, clause in engine._LEG_CLAUSES.items() if clause is None}
     assert others == {"nodes", "segments", "services", "attachments"}
     for field in others:
         taken, _ = _legs_taken(s, dataclasses.replace(s, **{field: tuple(list(getattr(s, field)))}))
@@ -485,6 +489,25 @@ def _one_way(s):
 def test_a_changed_topology_takes_no_leg():
     s = _fig11()
     assert _legs_taken(s, _one_way(s))[0] == set()
+
+
+def test_reversed_edges_take_every_route_tree_and_every_leg():
+    """Route trees and legs read the edges through the adjacency, which sorts
+    the hops from each locus by edge id, so the order of the edges is
+    nothing they read."""
+    s = _fig11()
+    before, after = dataclasses.replace(s), dataclasses.replace(s, edges=s.edges[::-1])
+    analysis.reachability_matrix(before)
+    earlier = before.index()
+    diff_decisions(before, after, [m.FlowRequest(s.principals[0].id, key[0], key[1]) for key in earlier.legs])
+    later = after.index()
+    with _cleared():
+        scratch = dataclasses.replace(after)
+        for memo, count in (("route_trees", 15), ("legs", 48)):
+            theirs, ours = getattr(earlier, memo), getattr(later, memo)
+            assert len(theirs) == count and ours.keys() == theirs.keys(), memo
+            for key, entry in ours.items():
+                assert entry is theirs[key] and entry == _scratch_entry(scratch, memo, key), (memo, key)
 
 
 def test_route_trees_are_taken_while_the_topology_and_non_routable_segments_hold():
