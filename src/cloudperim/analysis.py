@@ -15,7 +15,7 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 from . import model as m
-from .engine import NetworkLeg, evaluate_flow, leg_check, network_leg, principal_class
+from .engine import NetworkLeg, answer_check, evaluate_flow, leg_check, network_leg, principal_class
 from .errors import (
     IncompatibleRequestSpaceError,
     RequestSpaceTooLargeError,
@@ -90,13 +90,11 @@ def request_key(r: m.FlowRequest) -> tuple[str, str, str, str]:
     return (r.principal, r.source, r.target, r.method)
 
 
-def _evaluated(s: Scenario, key: tuple, principal: str, locus: str, target: str, method: str) -> m.Decision:
-    """The decision of the request of ``principal`` from ``locus`` to
-    ``target`` by ``method``, the first of its decision class ``key``, kept
-    as the class's decision."""
-    r = m.FlowRequest(principal=principal, source=locus, target=target, method=method)
-    decision = s.index().decisions[key] = evaluate_flow(s, r)[0]
-    return decision
+def _evaluated(s: Scenario, principal: str, locus: str, target: str, method: str) -> tuple[m.Decision, m.DecisionTrace]:
+    """The answer to the request of ``principal`` from ``locus`` to ``target``
+    by ``method``, the first of its decision class: ``evaluate_flow`` keeps
+    its principal points' answer in the index's class memo."""
+    return evaluate_flow(s, m.FlowRequest(principal=principal, source=locus, target=target, method=method))
 
 
 def _moves(
@@ -110,7 +108,7 @@ def _moves(
     Each target's leg is resolved once, and a leg a network point denies
     allows no move. The held principals are decided once per class and method."""
     idx = s.index()
-    memo, services, principals = idx.decisions, idx.services, sorted(held)
+    memo, services, principals = idx.answers, idx.services, sorted(held)
     for target in targets:
         leg = network_leg(s, (locus, target, None, _NO_TAGS))
         if leg.denied is not None:
@@ -128,7 +126,7 @@ def _moves(
                 ok = allowed[cls] = []
                 for method in methods:
                     key = (leg.context, cls, method)
-                    if (memo.get(key) or _evaluated(s, key, principal, locus, target, method)).allowed:
+                    if (memo.get(key) or _evaluated(s, principal, locus, target, method))[0].allowed:
                         ok.append(method)
             for method in ok:
                 yield principal, target, method, position, gained
@@ -178,7 +176,7 @@ def reachability_matrix(
     # each (locus, target) leg is resolved once, and each principal once per
     # idp. A cell of a denied leg takes the leg's decision; any other cell is
     # one lookup of its class.
-    memo = idx.decisions
+    memo = idx.answers
     legs: dict[str, dict[str, NetworkLeg]] = {}  # locus -> target -> leg
     cells = {}
     for row in rows:
@@ -198,7 +196,7 @@ def reachability_matrix(
             if cls is None:
                 cls = classes[leg.idp] = principal_class(s, principal, leg.idp)
             key = (leg.context, cls, method)
-            cells[(row, col)] = memo.get(key) or _evaluated(s, key, principal, locus, target, method)
+            cells[(row, col)] = (memo.get(key) or _evaluated(s, principal, locus, target, method))[0]
     return ReachabilityMatrix(rows=rows, columns=columns, cells=cells)
 
 
@@ -357,23 +355,30 @@ def diff_decisions(
 ) -> tuple[DecisionDiff, ...]:
     """Requests whose verdicts differ between two scenarios, with both traces.
 
-    ``s_after`` takes the route trees, credential chains and target tags
-    ``s_before`` has resolved that its edit cannot change
-    (``ScenarioIndex.take_queries``), and each request's network leg, once
-    ``s_before`` has evaluated it, where ``engine.leg_check`` accepts it.
+    ``s_after`` takes the route trees, credential chains, target tags and
+    principal classes ``s_before`` has resolved that its edit cannot change
+    (``ScenarioIndex.take_queries``). Once ``s_before`` has evaluated a
+    request, ``s_after`` takes the request's network leg where
+    ``engine.leg_check`` accepts it, and the principal points' answer for
+    its decision class where ``engine.answer_check`` accepts that. Every
+    request still goes through ``evaluate_flow`` on both sides.
     """
     earlier = s_before.index()  # refuses a broken scenario, even with no requests
     later = s_after.index()
     later.take_queries(earlier)
-    holds = leg_check(earlier, later)
+    legs_hold, answers_hold = leg_check(earlier, later), answer_check(earlier, later)
     diffs = []
     for r in sorted(requests, key=request_key):
         try:
             before, trace_before = evaluate_flow(s_before, r)
             key = (r.source, r.target, r.source_address, r.payload_tags)
-            leg = earlier.legs.get(key)
-            if leg is not None and key not in later.legs and holds(leg):
+            leg = earlier.legs[key]
+            if key not in later.legs and legs_hold(leg):
                 later.legs[key] = leg
+            if leg.denied is None and r.presented_chain is None:
+                answer = (leg.context, earlier.principal_classes[(r.principal, leg.idp)], r.method)
+                if answers_hold(answer):
+                    later.answers[answer] = earlier.answers[answer]
             after, trace_after = evaluate_flow(s_after, r)
         except UnknownEntityError as e:
             raise IncompatibleRequestSpaceError(

@@ -20,7 +20,13 @@ the leg, with its finished trace steps and what the principal points read of
 it, is kept in the scenario index. ``_LEG_CLAUSES`` names every scenario field
 a leg reads, with what it reads of it; a later version of the scenario takes
 an earlier one's leg where ``leg_check`` finds that nothing the leg reads has
-changed. The principal points (CONSUMER_ENDPOINT through RBAC) run per request.
+changed. The principal points (CONSUMER_ENDPOINT through RBAC) run once per
+decision class (see ``principal_class``) and scenario: their answer, the
+decision and their steps, is kept in the index's class memo, and every other
+request of the class reuses it. A request that presents a credential chain
+runs them itself. ``_ANSWER_CLAUSES`` names every scenario field an answer
+reads, and a later version takes an earlier one's answer where
+``answer_check`` accepts it.
 
 Defaults encode the trust split: unmatched intra-segment flows allow only in
 trusting segments, everything else crossing a boundary denies; gateways deny
@@ -212,6 +218,20 @@ _INTRA_PERIMETER = (
     _step(m.PointKind.PERIMETER_INGRESS, "intra-perimeter"),
 )
 _NO_CREDENTIAL = _step(m.PointKind.AUTHN, m.DEFAULT_RULE, m.DenyReason.NO_CREDENTIAL)
+_HOME_IDP = _step(m.PointKind.AUTHN, "home-idp")
+# The default-rule steps of the principal points that no rule matched.
+_DEFAULT_ALLOW = {
+    point: _step(point, m.DEFAULT_RULE)
+    for point in (m.PointKind.CONSUMER_ENDPOINT, m.PointKind.PRODUCER_ATTACHMENT, m.PointKind.RBAC)
+}
+_DEFAULT_DENY = {
+    point: _step(point, m.DEFAULT_RULE, reason)
+    for point, reason in (
+        (m.PointKind.PERIMETER_EGRESS, m.DenyReason.PERIMETER_EGRESS),
+        (m.PointKind.PERIMETER_INGRESS, m.DenyReason.PERIMETER_INGRESS),
+        (m.PointKind.RBAC, m.DenyReason.RBAC_DEFAULT_DENY),
+    )
+}
 
 
 def _scope_chain(leg: NetworkLeg, idx: ScenarioIndex) -> list[tuple[str, str]]:
@@ -298,7 +318,7 @@ def evaluate_endpoint_pair(ctx: RequestContext) -> tuple[m.TraceStep, m.TraceSte
     def policy_step(policy: tuple[m.AccessPredicate, ...], point: m.PointKind, reason: m.DenyReason) -> m.TraceStep:
         hit = next((p for p in policy if _predicate_matches(p, ctx)), None)
         if hit is None:
-            return _step(point, m.DEFAULT_RULE)
+            return _DEFAULT_ALLOW[point]
         return _step(point, hit.id, reason if hit.action is m.RuleAction.DENY else None)
 
     return (
@@ -317,16 +337,14 @@ def evaluate_perimeter_crossing(ctx: RequestContext) -> tuple[m.TraceStep, m.Tra
     if src_perim is not None and dst_perim is not None and src_perim.id == dst_perim.id:
         return _INTRA_PERIMETER
 
-    def crossing(rules: tuple[m.PerimeterRule, ...], point: m.PointKind, reason: m.DenyReason) -> m.TraceStep:
+    def crossing(rules: tuple[m.PerimeterRule, ...], point: m.PointKind) -> m.TraceStep:
         hit = next((r for r in rules if _perimeter_rule_matches(r, ctx)), None)
-        return _step(point, m.DEFAULT_RULE, reason) if hit is None else _step(point, hit.id)
+        return _DEFAULT_DENY[point] if hit is None else _step(point, hit.id)
 
     egress, ingress = m.PointKind.PERIMETER_EGRESS, m.PointKind.PERIMETER_INGRESS
     return (
-        _NOT_APPLICABLE[egress] if src_perim is None
-        else crossing(src_perim.egress, egress, m.DenyReason.PERIMETER_EGRESS),
-        _NOT_APPLICABLE[ingress] if dst_perim is None
-        else crossing(dst_perim.ingress, ingress, m.DenyReason.PERIMETER_INGRESS),
+        _NOT_APPLICABLE[egress] if src_perim is None else crossing(src_perim.egress, egress),
+        _NOT_APPLICABLE[ingress] if dst_perim is None else crossing(dst_perim.ingress, ingress),
     )
 
 
@@ -344,8 +362,8 @@ def evaluate_authn(s: Scenario, ctx: RequestContext) -> tuple[m.TraceStep, m.Pri
         if chain is None:
             return _NO_CREDENTIAL, ctx.principal
     terminal = ctx.index.principals[chain.terminal_principal]
-    edges = "+".join(step.edge for step in chain.steps if step.edge) or "home-idp"
-    return _step(m.PointKind.AUTHN, edges), terminal
+    edges = "+".join(step.edge for step in chain.steps if step.edge)
+    return (_step(m.PointKind.AUTHN, edges) if edges else _HOME_IDP), terminal
 
 
 def evaluate_rbac(
@@ -364,11 +382,11 @@ def evaluate_rbac(
     if svc.auth_mode is m.AuthMode.ZERO_TRUST:
         if satisfied is not None:
             return _step(m.PointKind.RBAC, satisfied.id)
-        return _step(m.PointKind.RBAC, m.DEFAULT_RULE, m.DenyReason.RBAC_DEFAULT_DENY)
+        return _DEFAULT_DENY[m.PointKind.RBAC]
     # perimeter-trusting: absence of bindings denies nothing; a governing
     # grant makes its tag condition binding
     if not applicable:
-        return _step(m.PointKind.RBAC, m.DEFAULT_RULE)
+        return _DEFAULT_ALLOW[m.PointKind.RBAC]
     if satisfied is not None:
         return _step(m.PointKind.RBAC, satisfied.id)
     return _step(m.PointKind.RBAC, applicable[0].id, m.DenyReason.RBAC_CONDITION)
@@ -501,7 +519,7 @@ def _network_leg(s: Scenario, idx: ScenarioIndex, key: LegKey) -> NetworkLeg:
     return leg
 
 
-def _never(leg: NetworkLeg) -> bool:
+def _never(_: object) -> bool:
     return False
 
 
@@ -571,19 +589,25 @@ _LEG_CLAUSES: dict[str, Callable[[ScenarioIndex, ScenarioIndex], Callable[[Netwo
 }
 
 
+def _check(clauses: dict[str, Callable[[ScenarioIndex, ScenarioIndex], Callable] | None],
+           earlier: ScenarioIndex, idx: ScenarioIndex) -> Callable[[object], bool]:
+    """The check of each field of ``clauses`` that is not the same object in
+    both scenarios, all of which must hold: every entry holds when no such
+    field changed, and none when one without a clause did."""
+    changed = [clause for f, clause in clauses.items()
+               if getattr(idx.scenario, f) is not getattr(earlier.scenario, f)]
+    if None in changed:
+        return _never
+    checks = [clause(earlier, idx) for clause in changed]
+    return lambda entry: all(check(entry) for check in checks)
+
+
 def leg_check(earlier: ScenarioIndex, idx: ScenarioIndex) -> Callable[[NetworkLeg], bool]:
     """The check of whether a leg that ``earlier`` built still holds in
-    ``idx``: whether ``_network_leg`` would build the same leg for its key there.
-
-    Of each field of ``_LEG_CLAUSES`` that is not the same object in both
-    scenarios, the check compares what the leg reads of it. So every leg
-    holds when no such field changed, and none when one without a clause did."""
-    clauses = [clause for f, clause in _LEG_CLAUSES.items()
-               if getattr(idx.scenario, f) is not getattr(earlier.scenario, f)]
-    if None in clauses:
-        return _never
-    checks = [clause(earlier, idx) for clause in clauses]
-    return lambda leg: all(check(leg) for check in checks)
+    ``idx``: whether ``_network_leg`` would build the same leg for its key
+    there. Of each field of ``_LEG_CLAUSES`` that changed, it compares what
+    the leg reads."""
+    return _check(_LEG_CLAUSES, earlier, idx)
 
 
 def network_leg(s: Scenario, key: LegKey) -> NetworkLeg:
@@ -597,8 +621,11 @@ def network_leg(s: Scenario, key: LegKey) -> NetworkLeg:
 def evaluate_flow(s: Scenario, r: m.FlowRequest) -> tuple[m.Decision, m.DecisionTrace]:
     """Evaluate one request through every enforcement point, with full trace.
 
-    The network leg comes from the index's memo, so only the principal points
-    run when another request has already crossed the same leg."""
+    The network leg comes from the index's leg memo, and the principal
+    points' answer from its class memo, keyed by the request's decision
+    class; so no point runs when other requests have already crossed the
+    same leg and asked as the same class. A presented chain is checked per
+    request."""
     idx = s.index()
     principal = idx.principals.get(r.principal)
     if principal is None:
@@ -607,16 +634,25 @@ def evaluate_flow(s: Scenario, r: m.FlowRequest) -> tuple[m.Decision, m.Decision
     leg = idx.legs.get(key) or _network_leg(s, idx, key)
     if leg.denied is not None:
         return leg.denied
-    decision, steps = _steps(_principal_steps(s, RequestContext(r, principal, leg, idx)))
+    if r.presented_chain is not None:
+        decision, steps = _steps(_principal_steps(s, RequestContext(r, principal, leg, idx)))
+        return decision, leg.steps + steps
+    cls = idx.principal_classes.get((r.principal, leg.idp)) or principal_class(s, r.principal, leg.idp)
+    answer_key = (leg.context, cls, r.method)
+    answer = idx.answers.get(answer_key)
+    if answer is None:
+        answer = idx.answers[answer_key] = _steps(_principal_steps(s, RequestContext(r, principal, leg, idx)))
+    decision, steps = answer
     return decision, leg.steps + steps
 
 
 # ---------------------------------------------------------------------------
 # Decision classes
 #
-# Requests of one decision class get one ``Decision`` from ``evaluate_flow``
-# (their traces may differ). A request whose leg a network point denies is
-# keyed by its leg key; any other without a presented chain by its leg's
+# Requests of one decision class get one decision from ``evaluate_flow``, and
+# one answer from the principal points: their traces differ only in their
+# legs' steps. A request whose leg a network point denies is keyed by its leg
+# key; any other without a presented chain by its answer key: its leg's
 # ``context``, its principal's class toward the leg's ``idp`` and its method.
 # ---------------------------------------------------------------------------
 
@@ -626,7 +662,10 @@ def principal_class(s: Scenario, principal: str, idp: str | None) -> tuple:
     that is not zero-trust for None: the policy identity tokens it matches,
     its device values on the keys perimeter rules name, and, toward a
     zero-trust ``idp``, its credential chain's edges and the tokens of the
-    principal the chain asserts (None for no chain)."""
+    principal the chain asserts (None for no chain). It is a value, not an
+    id: two principals of one class are told apart by no rule, so the class
+    memo keeps one answer for both, and a later version whose rules for an
+    answer key are the same may take that answer (``answer_check``)."""
     idx = s.index()
     cls = idx.principal_classes.get((principal, idp))
     if cls is None:
@@ -641,9 +680,9 @@ def _principal_class(s: Scenario, idx: ScenarioIndex, principal: m.Principal, id
     identities = idx.policy_identities
 
     def tokens(p: m.Principal) -> frozenset[str]:
-        return frozenset(t for t in (m.ANY, p.id, *p.groups) if t in identities)
+        return identities.intersection((m.ANY, p.id, *p.groups))
 
-    cls = (tokens(principal), tuple(principal.device.get(k) for k in idx.device_keys))
+    cls = (tokens(principal), tuple(map(principal.device.get, idx.device_keys)))
     if idp is None:
         return cls
     chain = identity_mod.resolve_credential(s, principal.id, idp)
@@ -651,3 +690,73 @@ def _principal_class(s: Scenario, idx: ScenarioIndex, principal: m.Principal, id
         return cls + (None,)
     terminal = idx.principals[chain.terminal_principal]
     return cls + ((tuple(step.edge for step in chain.steps), tokens(terminal)),)
+
+
+# ---------------------------------------------------------------------------
+# Answers across versions
+# ---------------------------------------------------------------------------
+
+
+def _endpoint_answers_hold(earlier: ScenarioIndex, idx: ScenarioIndex) -> Callable[[tuple], bool]:
+    """The key's endpoint is the same."""
+    before, after = earlier.endpoints, idx.endpoints
+
+    def holds(key: tuple) -> bool:
+        endpoint = key[0][0]
+        return endpoint is None or after.get(endpoint) is before[endpoint]
+
+    return holds
+
+
+def _bindings_answers_hold(earlier: ScenarioIndex, idx: ScenarioIndex) -> Callable[[tuple], bool]:
+    """The bindings of the key's target service are the same, in order."""
+    before, after = earlier.bindings_for_service, idx.bindings_for_service
+
+    def holds(key: tuple) -> bool:
+        service = key[0][1]
+        theirs, ours = before.get(service, ()), after.get(service, ())
+        return len(theirs) == len(ours) and all(a is b for a, b in zip(theirs, ours))
+
+    return holds
+
+
+def _perimeter_answers_hold(earlier: ScenarioIndex, idx: ScenarioIndex) -> Callable[[tuple], bool]:
+    """The device keys, which place the device values of a principal class,
+    are equal; the key's source perimeter is the same, and so is the
+    data-plane perimeter of its target service's project."""
+    if earlier.device_keys != idx.device_keys:
+        return _never
+    before, after = earlier.data_plane_perimeter, idx.data_plane_perimeter
+
+    def holds(key: tuple) -> bool:
+        _, service, source, _ = key[0]
+        if source is not None and idx.perimeters.get(source) is not earlier.perimeters[source]:
+            return False
+        project = idx.services[service].project if service is not None else None
+        return before.get(project) is after.get(project)
+
+    return holds
+
+
+# Each top-level ``Scenario`` field that the principal points read for an
+# answer key, beyond the key's principal class, which each version computes
+# itself, and the clause comparing what they read of it, the cheapest first;
+# None for a field whose change holds no answer (target tags, the target's
+# idp and auth mode, attachment policies, data-plane membership).
+_ANSWER_CLAUSES: dict[str, Callable[[ScenarioIndex, ScenarioIndex], Callable[[tuple], bool]] | None] = {
+    "nodes": None,
+    "services": None,
+    "assets": None,
+    "attachments": None,
+    "endpoints": _endpoint_answers_hold,
+    "bindings": _bindings_answers_hold,
+    "perimeters": _perimeter_answers_hold,
+}
+
+
+def answer_check(earlier: ScenarioIndex, idx: ScenarioIndex) -> Callable[[tuple], bool]:
+    """The check of whether the answer that ``earlier``'s class memo holds for
+    an answer key still holds in ``idx``: whether the principal points would
+    answer the same there for a request of that class. Of each field of
+    ``_ANSWER_CLAUSES`` that changed, it compares what they read."""
+    return _check(_ANSWER_CLAUSES, earlier, idx)

@@ -120,16 +120,19 @@ class ScenarioIndex:
     fields are all the objects the last version that built clean held is
     taken from that version as it is, and such a check is skipped, since it
     found nothing there; the facts of a perimeter also keep its members while
-    the hierarchy is the same. The query memos (``legs``, ``route_trees``,
-    ``credential_chains``, ``target_tags``, ``decisions``,
-    ``principal_classes``) always start empty. Only
-    ``analysis.diff_decisions``, which holds both versions, fills the route,
-    credential, tag and leg memos of the later one from the earlier one's
-    (``take_queries``): credential chains and target tags where the fields
-    they read are the same objects, route trees where the facts the route
-    search reads are equal (``same_routes``), and legs one at a time, each
-    that ``engine.leg_check`` accepts.
+    the hierarchy is the same. The query memos (``QUERY_MEMOS``) always start
+    empty. Only ``analysis.diff_decisions``, which holds both versions, fills
+    the later one's memos from the earlier one's (``take_queries``):
+    credential chains, target tags and principal classes where the fields
+    they read are the same objects and the facts they read of other fields
+    are equal (``_TAKEN_QUERIES``), route trees where the facts the route
+    search reads are equal (``same_routes``), and legs and class answers one
+    request at a time, each that ``engine.leg_check`` or
+    ``engine.answer_check`` accepts.
     """
+
+    # the memos of queries over the scenario, each empty in a new index
+    QUERY_MEMOS = ("route_trees", "credential_chains", "target_tags", "legs", "answers", "principal_classes")
 
     nodes: dict[str, m.ResourceNode]
     segments: dict[str, m.NetworkSegment]
@@ -172,6 +175,17 @@ class ScenarioIndex:
     trust_moves: dict[str, list[tuple[m.TrustEdge, str, Mapping[str, str]]]]
     # project -> the data-plane perimeter holding it (no two overlap)
     data_plane_perimeter: dict[str, m.AbstractPerimeter]
+    # the query memos: (source, toward INTERNET) -> locus -> the last hop of
+    # its path; principal -> idp -> its credential chain; service -> its
+    # target tags; (source, target, source address, payload tags) -> network
+    # leg; answer key (see engine.principal_class) -> the principal points'
+    # decision and steps; (principal, zero-trust idp or None) -> its class
+    route_trees: dict[tuple[str, bool], dict[str, LastHop]]
+    credential_chains: dict[str, dict[str, m.CredentialChain]]
+    target_tags: dict[str, frozenset[str]]
+    legs: dict[tuple[str, str, str | None, frozenset[str]], NetworkLeg]
+    answers: dict[tuple, tuple[m.Decision, m.DecisionTrace]]
+    principal_classes: dict[tuple[str, str | None], tuple]
 
     def __init__(self, s: Scenario) -> None:
         global _last_clean
@@ -188,17 +202,8 @@ class ScenarioIndex:
         if violations:
             raise InvalidScenarioError(violations)
         self._derive(_FACTS, last)
-        # memos of route, identity and engine queries
-        # (source, toward INTERNET) -> locus -> the last hop of its path
-        self.route_trees: dict[tuple[str, bool], dict[str, LastHop]] = {}
-        self.credential_chains: dict[str, dict[str, m.CredentialChain]] = {}
-        self.target_tags: dict[str, frozenset[str]] = {}
-        # (source, target, source address, payload tags) -> network leg
-        self.legs: dict[tuple[str, str, str | None, frozenset[str]], NetworkLeg] = {}
-        # the analyses' decisions per decision class (see engine.principal_class),
-        # and each (principal, zero-trust idp)'s class
-        self.decisions: dict[tuple, m.Decision] = {}
-        self.principal_classes: dict[tuple[str, str | None], tuple] = {}
+        for memo in self.QUERY_MEMOS:
+            setattr(self, memo, {})
         _last_clean = _Clean(
             {f: getattr(s, f) for f in _FIELDS},
             {name: getattr(self, name) for name in (*_CHECKED_FACTS, *_FACTS)},
@@ -210,13 +215,15 @@ class ScenarioIndex:
             setattr(self, name, last.facts[name] if name in self._kept else derive(self.scenario, self))
 
     def take_queries(self, earlier: "ScenarioIndex") -> None:
-        """Fill the route, credential and tag memos with ``earlier``'s entries
-        (entries this index has are kept): each memo of ``_TAKEN_QUERIES``
-        where every field it reads is the same object in both scenarios, and
-        the route trees where ``same_routes``. Legs are taken one at a time
-        (``engine.leg_check``)."""
-        takes = {memo: getattr(earlier, memo) for memo, reads in _TAKEN_QUERIES.items()
-                 if all(getattr(self.scenario, f) is getattr(earlier.scenario, f) for f in reads)}
+        """Fill the memos taken whole with ``earlier``'s entries (entries this
+        index has are kept): each memo of ``_TAKEN_QUERIES`` where every field
+        it reads is the same object in both scenarios and every fact it
+        compares is equal, and the route trees where ``same_routes``. Legs and
+        class answers are taken one at a time (``engine.leg_check``,
+        ``engine.answer_check``)."""
+        takes = {memo: getattr(earlier, memo) for memo, (reads, facts) in _TAKEN_QUERIES.items()
+                 if all(getattr(self.scenario, f) is getattr(earlier.scenario, f) for f in reads)
+                 and all(getattr(self, fact) == getattr(earlier, fact) for fact in facts)}
         if self.same_routes(earlier):
             takes["route_trees"] = earlier.route_trees
         for memo, entries in takes.items():
@@ -1584,18 +1591,24 @@ _FACTS: dict[str, _Fact] = {
     }),
 }
 # The query memos that ``ScenarioIndex.take_queries`` takes whole from an
-# earlier version where the top-level fields they read are the same objects.
-_TAKEN_QUERIES: dict[str, tuple[str, ...]] = {
-    "credential_chains": ("principals", "trust_edges", "chain_bound"),
-    "target_tags": ("nodes", "services", "assets"),
+# earlier version: the top-level fields each reads, which must be the same
+# objects, and the facts it reads of other fields, which must be equal. A
+# principal class reads the policy identities and the device keys, not the
+# rules that name them.
+_TAKEN_QUERIES: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
+    "credential_chains": (("principals", "trust_edges", "chain_bound"), ()),
+    "target_tags": (("nodes", "services", "assets"), ()),
+    "principal_classes": (
+        ("principals", "idps", "trust_edges", "chain_bound"), ("policy_identities", "device_keys")
+    ),
 }
 # What each text check, fact, check family and memo taken whole reads, by
 # name; a fact, text check or check family whose fields are all the objects
 # the last clean version held is kept from it. No name is in two tables.
 _READS: dict[str, tuple[str, ...]] = {
     **{f"text {f.attr}": (f.attr,) for f, _ in _SCENARIO.nested},
-    **{name: reads for table in (_CHECKED_FACTS, _FACTS, _CHECKS) for name, (reads, _) in table.items()},
-    **_TAKEN_QUERIES,
+    **{name: reads for table in (_CHECKED_FACTS, _FACTS, _CHECKS, _TAKEN_QUERIES)
+       for name, (reads, _) in table.items()},
 }
 _FIELDS = tuple(dict.fromkeys(f for fields in _READS.values() for f in fields))
 

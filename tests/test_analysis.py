@@ -516,10 +516,24 @@ def _analyses(s, matrix=reachability_matrix):
     return out
 
 
+def _principal_answer(s, r, leg):
+    """The principal points' answer to ``r`` over its allowed ``leg``, run
+    for ``r`` itself, not looked up in the index's class memo."""
+    idx = s.index()
+    return engine._steps(engine._principal_steps(s, engine.RequestContext(r, idx.principals[r.principal], leg, idx)))
+
+
+def _decided_alone(s, r):
+    """``r``'s decision: its leg's when a network point denies the leg, else
+    the principal points' answer to ``r`` itself."""
+    leg = engine.network_leg(s, leg_key(r))
+    return leg.denied[0] if leg.denied is not None else _principal_answer(s, r, leg)[0]
+
+
 def _matrix_per_request(s):
-    """``reachability_matrix(s)`` with every cell's request evaluated."""
+    """``reachability_matrix(s)`` with every cell's request decided alone."""
     cells = {
-        ((r.principal, r.source), (r.target, r.method)): evaluate_flow(s, r)[0]
+        ((r.principal, r.source), (r.target, r.method)): _decided_alone(s, r)
         for r in default_request_space(s)
     }
     rows = tuple(dict.fromkeys(row for row, _ in cells))
@@ -529,8 +543,8 @@ def _matrix_per_request(s):
 
 def _moves_per_request(called):
     """``analysis._moves`` with every (target, principal, method) request
-    decided by ``evaluate_flow``, yielding what ``_moves`` yields; each call's
-    locus is appended to ``called``."""
+    decided alone, yielding what ``_moves`` yields; each call's locus is
+    appended to ``called``."""
 
     def moves(s, locus, held, targets, methods):
         called.append(locus)
@@ -543,7 +557,7 @@ def _moves_per_request(called):
             for principal in sorted(held):
                 for method in methods:
                     r = m.FlowRequest(principal=principal, source=locus, target=target, method=method)
-                    if evaluate_flow(s, r)[0].allowed:
+                    if _decided_alone(s, r).allowed:
                         yield principal, target, method, position, gained
 
     return moves
@@ -567,7 +581,7 @@ def test_analyses_decided_per_class_equal_per_request(s, monkeypatch):
 
 
 class _AskedMemo(dict):
-    """A decision memo that records the class key of every lookup."""
+    """A class memo that records the class key of every lookup."""
 
     def __init__(self):
         super().__init__()
@@ -595,10 +609,10 @@ def class_key(s, r):
 def test_each_class_and_each_denied_leg_is_evaluated_once(monkeypatch):
     """Each class is evaluated once, and no request whose leg a network point
     denies is evaluated at all: its decision is the leg's."""
-    # a copy: the cached template's decision memo may already hold classes
+    # a copy: the cached template's class memo may already hold classes
     # that an earlier test asked, and they would not be evaluated here
     s = dataclasses.replace(builtin_scenario("fig11-combined"))
-    memo = s.index().decisions = _AskedMemo()
+    memo = s.index().answers = _AskedMemo()
     evaluated, original_flow = [], analysis.evaluate_flow
 
     def evaluate(s, r):
@@ -619,12 +633,18 @@ def test_each_class_and_each_denied_leg_is_evaluated_once(monkeypatch):
 
 @pytest.mark.parametrize(
     "s",
-    _TWINS + [builtin_scenario(name) for name in TEMPLATE_NAMES],
+    _TWINS
+    + [builtin_scenario(name) for name in TEMPLATE_NAMES]
+    + [random_scenario(random.Random(seed), with_edges=True, with_trust_edges=True) for seed in (3, 8)],
     ids=lambda s: s.name,
 )
 def test_requests_of_one_class_decide_alike(s):
     """Every request of one decision class, endpoint targets, source addresses
-    and payload tags included, gets one decision from ``evaluate_flow``."""
+    and payload tags included, gets one answer from the principal points, run
+    anew for each request: one decision and one list of principal steps. So
+    the class memo may keep one answer per class, and ``evaluate_flow``
+    gives each request its leg's steps and then that answer's."""
+    s = dataclasses.replace(s)
     idx = s.index()
     targets = analysis.flow_targets(s) + sorted(idx.endpoints)
     addresses = [None] + [f"{cidr.rsplit('.', 2)[0]}.7.7" for seg in s.segments for cidr in seg.cidrs[:1]]
@@ -634,11 +654,17 @@ def test_requests_of_one_class_decide_alike(s):
         for r in default_request_space(s, targets=targets)
         for address, tags in itertools.product(addresses, tag_sets)
     ]
-    decided: dict[tuple, set[m.Decision]] = {}
+    answered: dict[tuple, set[tuple]] = {}
     for r in requests:
-        decided.setdefault(class_key(s, r), set()).add(evaluate_flow(s, r)[0])
-    assert all(len(decisions) == 1 for decisions in decided.values())
-    assert len(decided) < len(requests)
+        leg = engine.network_leg(s, leg_key(r))
+        if leg.denied is not None:
+            assert evaluate_flow(s, r) == leg.denied
+            continue
+        decision, steps = _principal_answer(s, r, leg)
+        assert evaluate_flow(s, r) == (decision, leg.steps + steps)
+        answered.setdefault(class_key(s, r), set()).add((decision, steps))
+    assert all(len(answers) == 1 for answers in answered.values())
+    assert answered and len(answered) < len(requests)
 
 
 def test_federated_twins_decide_apart():

@@ -3,13 +3,15 @@
 A version made with ``dataclasses.replace`` keeps the facts, text checks and
 check families (``scenario._READS``) whose fields are all the objects of the
 last version that built clean, and ``diff_decisions`` hands its after-side
-the credential chains and target tags whose fields both versions share, the
-route trees while the facts the route search reads are equal, and each
-network leg that ``engine.leg_check`` accepts. Each version here is built
-twice: incrementally, right after its parent built clean, and from scratch
-with that memo cleared. Its violations (text and order), every fact, the diff
-against its parent and every entry of the taken query memos must be the same
-both ways, and an earlier leg is taken exactly when the leg check accepts it.
+the credential chains, target tags and principal classes whose fields both
+versions share (and whose compared facts are equal), the route trees while
+the facts the route search reads are equal, and each network leg and class
+answer that ``engine.leg_check`` and ``engine.answer_check`` accept. Each
+version here is built twice: incrementally, right after its parent built
+clean, and from scratch with that memo cleared. Its violations (text and
+order), every fact, the diff against its parent and every entry of the taken
+query memos must be the same both ways, and an earlier leg or answer is taken
+exactly when its check accepts it.
 """
 
 import contextlib
@@ -35,9 +37,9 @@ import genrandom  # noqa: E402
 import workloads  # noqa: E402  (read-only: the benchmark's edits and their replay)
 
 FACTS = (*scenario._CHECKED_FACTS, *scenario._FACTS)
-QUERY_MEMOS = ("legs", "route_trees", "credential_chains", "target_tags", "decisions", "principal_classes")
+QUERY_MEMOS = scenario.ScenarioIndex.QUERY_MEMOS
 # the query memos ``diff_decisions`` fills from the earlier version's
-TAKEN_MEMOS = (*scenario._TAKEN_QUERIES, "route_trees", "legs")
+TAKEN_MEMOS = (*scenario._TAKEN_QUERIES, "route_trees", "legs", "answers")
 EDIT_SEEDS = range(5)
 
 
@@ -60,16 +62,63 @@ def _outcome(call):
         return type(e), str(e), getattr(e, "violations", None)
 
 
+def _answer_witness(s, key):
+    """The principal points' answer for the answer ``key``, run anew in ``s``
+    for a request of that class whose leg ``s``'s leg memo holds; None when
+    no such request is found there."""
+    idx = s.index()
+    context, cls, method = key
+    for (source, target, address, tags), leg in list(idx.legs.items()):
+        if leg.context != context:
+            continue
+        for principal in idx.principals.values():
+            if engine.principal_class(s, principal.id, leg.idp) == cls:
+                r = m.FlowRequest(principal.id, source, target, method, source_address=address, payload_tags=tags)
+                return engine._steps(engine._principal_steps(s, engine.RequestContext(r, principal, leg, idx)))
+    return None
+
+
 def _scratch_entry(s, memo, key):
-    """The entry ``key`` of ``s``'s query memo ``memo``, derived anew."""
+    """The entry ``key`` of ``s``'s query memo ``memo``, derived anew (None
+    for an answer that no request of ``s``'s leg memo witnesses)."""
     idx = s.index()
     if memo == "legs":
         return engine._network_leg(s, idx, key)
+    if memo == "answers":
+        return _answer_witness(s, key)
+    if memo == "principal_classes":
+        return engine._principal_class(s, idx, idx.principals[key[0]], key[1])
     if memo == "route_trees":
         return route._search(idx, *key)
     if memo == "credential_chains":
         return identity._chains(idx, idx.principals[key], s.chain_bound)
     return engine.target_tags(s, idx.services[key])
+
+
+def _answer_key(s, r):
+    """The answer key under which ``evaluate_flow`` kept ``r``'s answer in
+    ``s``, or None for a request whose leg a network point denies or that
+    presents a chain."""
+    idx = s.index()
+    leg = idx.legs[(r.source, r.target, r.source_address, r.payload_tags)]
+    if leg.denied is not None or r.presented_chain is not None:
+        return None
+    return leg.context, idx.principal_classes[(r.principal, leg.idp)], r.method
+
+
+def _handed_on(before, after, requests):
+    """The answer key in ``before`` of each request that ``diff_decisions``
+    handed on: each in its order, up to the first that one side cannot
+    evaluate, where the diff stops."""
+    keys = set()
+    for r in sorted(requests, key=analysis.request_key):
+        try:
+            engine.evaluate_flow(before, r)
+            keys.add(_answer_key(before, r))
+            engine.evaluate_flow(after, r)
+        except CloudPerimError:
+            break
+    return keys - {None}
 
 
 def _assert_incremental_equals_scratch(before, after, requests, label=""):
@@ -97,9 +146,14 @@ def _assert_incremental_equals_scratch(before, after, requests, label=""):
         holds = engine.leg_check(earlier, later)
         for key, leg in later.legs.items():
             assert (leg is earlier.legs.get(key)) == (key in earlier.legs and holds(earlier.legs[key])), (label, key)
+        # each request's answer is handed on exactly when the answer check accepts it
+        accepts = engine.answer_check(earlier, later)
+        taken = {key for key, entry in later.answers.items() if entry is earlier.answers.get(key)}
+        assert taken == {key for key in _handed_on(before, after, requests) if accepts(key)}, label
         for memo in TAKEN_MEMOS:
             for key, entry in getattr(later, memo).items():
-                assert entry == _scratch_entry(scratch, memo, key), (label, memo, key)
+                expected = _scratch_entry(scratch, memo, key)
+                assert entry == expected or memo == "answers" and expected is None, (label, memo, key)
 
 
 def _sample(s, count=40, seed=0):
@@ -318,9 +372,10 @@ def test_a_check_family_runs_only_when_a_field_it_reads_changed(monkeypatch):
 
 
 def test_diff_decisions_takes_only_the_queries_an_edit_cannot_change():
-    """Credential chains and target tags are taken whole where the fields
-    they read are the same objects, route trees where the routing topology
-    is equal (no policy edit changes it), and legs one at a time."""
+    """Credential chains, target tags and principal classes are taken whole
+    where the fields they read are the same objects and the facts they
+    compare are equal, route trees where the routing topology is equal (no
+    policy edit changes it), and legs and class answers one at a time."""
     base, sample, kinds = _kinds_of_edit()
     for kind, version in kinds.items():
         before = dataclasses.replace(base)
@@ -339,8 +394,16 @@ def test_diff_decisions_takes_only_the_queries_an_edit_cannot_change():
                     assert shared == set(theirs)
                 else:  # each other edit reaches a few of the sample's legs at most
                     assert len(shared) > len(theirs) / 2, kind
+            elif memo == "answers":
+                holds = engine.answer_check(earlier, later)
+                assert shared == {key for key in theirs if holds(key)}, kind
+                if kind in ("deny_rule", "drop_gateway_allow"):  # no answer reads firewall rules or edges
+                    assert shared == set(theirs)
+                else:  # each other edit reaches a few of the sample's classes at most
+                    assert len(shared) > len(theirs) / 2, kind
             else:
-                taken = memo == "route_trees" or edited not in scenario._TAKEN_QUERIES[memo]
+                reads, facts = scenario._TAKEN_QUERIES.get(memo, ((), ()))  # route trees: taken on the topology
+                taken = edited not in reads and all(getattr(earlier, f) == getattr(later, f) for f in facts)
                 assert shared == (set(theirs) if taken else set()), (kind, memo)
 
 
@@ -364,6 +427,7 @@ def test_the_read_table_names_every_fact_check_and_taken_memo_once():
     fields = {f.name for f in dataclasses.fields(scenario.Scenario)}
     assert all(reads and set(reads) <= fields for reads in scenario._READS.values())
     assert set(engine._LEG_CLAUSES) <= fields
+    assert set(engine._ANSWER_CLAUSES) <= fields
 
 
 # ---------------------------------------------------------------------------
@@ -550,3 +614,139 @@ def test_an_endpoint_moved_to_another_segment_takes_no_leg():
     s = _fig11()
     moved = dataclasses.replace(s, endpoints=_replaced(s.endpoints, "ep-g2", segment="yellow", address="10.2.5.11"))
     assert _legs_taken(s, moved)[0] == set()
+
+
+# ---------------------------------------------------------------------------
+# Class answers taken one at a time
+# ---------------------------------------------------------------------------
+
+
+def _answers_taken(before, after):
+    """The answer keys of ``before``'s class memo, one for each class of its
+    default request space, that ``diff_decisions`` over one request of each
+    hands to ``after``, and all of them; each taken answer is the answer the
+    principal points give a request of its class in a build from scratch,
+    where the edit left such a request."""
+    before = dataclasses.replace(before)
+    assert validate_scenario(after) == []
+    firsts = {}
+    for r in default_request_space(before):
+        engine.evaluate_flow(before, r)
+        firsts.setdefault(_answer_key(before, r), r)
+    firsts.pop(None, None)  # the requests of denied legs
+    diff_decisions(before, after, list(firsts.values()))
+    theirs, ours = before.index().answers, after.index().answers
+    assert set(theirs) == set(firsts)
+    taken = {key for key in theirs if ours.get(key) is theirs[key]}
+    with _cleared():
+        scratch = dataclasses.replace(after)
+        analysis.reachability_matrix(scratch)  # the leg of each (locus, target), to witness a class
+        for key in taken:
+            witness = _answer_witness(scratch, key)
+            assert witness is None or ours[key] == witness, key
+    return taken, set(theirs)
+
+
+def test_an_equal_copy_of_a_field_the_answer_check_compares_takes_every_answer():
+    s = _fig11()
+    for field in (f for f, clause in engine._ANSWER_CLAUSES.items() if clause is not None):
+        taken, answers = _answers_taken(s, dataclasses.replace(s, **{field: tuple(list(getattr(s, field)))}))
+        assert taken == answers, field
+
+
+def test_any_other_field_the_answers_read_takes_no_answer():
+    s = _fig11()
+    others = {f for f, clause in engine._ANSWER_CLAUSES.items() if clause is None}
+    assert others == {"nodes", "services", "assets", "attachments"}
+    for field in others:
+        taken, _ = _answers_taken(s, dataclasses.replace(s, **{field: tuple(list(getattr(s, field)))}))
+        assert taken == set(), field
+
+
+def test_an_endpoint_policy_keeps_the_answers_of_every_other_endpoint():
+    s = _fig11()
+    (endpoint,) = [ep for ep in s.endpoints if ep.id == "ep-store"]
+    taken, answers = _answers_taken(s, dataclasses.replace(
+        s, endpoints=_replaced(s.endpoints, endpoint.id, policy=endpoint.policy[1:])
+    ))
+    through = {key for key in answers if key[0][0] == endpoint.id}
+    assert through and taken == answers - through
+
+
+def test_a_dropped_binding_keeps_the_answers_of_every_other_service():
+    s = _fig11()
+    (binding,) = [b for b in s.bindings if b.id == "rb-staff-g2"]
+    without = dataclasses.replace(s, bindings=tuple(b for b in s.bindings if b is not binding))
+    taken, answers = _answers_taken(s, without)
+    toward = {key for key in answers if key[0][1] == "svc-g2"}
+    assert toward and taken == answers - toward
+
+
+def test_an_added_perimeter_keeps_the_answers_outside_its_projects():
+    s = _fig11()
+    perimeter = m.AbstractPerimeter(
+        id="green-dp", name="green-dp", members=m.MemberSelector(projects=("prj-green",)),
+        mechanisms=frozenset({m.Mechanism.DATA_PLANE_PERIMETER}),
+    )
+    taken, answers = _answers_taken(s, dataclasses.replace(s, perimeters=s.perimeters + (perimeter,)))
+    services = s.index().services
+    inside = {key for key in answers if key[0][1] is not None and services[key[0][1]].project == "prj-green"}
+    assert inside and taken == answers - inside
+
+
+def test_a_firewall_or_gateway_edit_keeps_every_answer():
+    s = _fig11()
+    for after in (
+        dataclasses.replace(s, firewall_rules=s.firewall_rules + (_firewall_rule("deny-pay", "10.2.1.10/32"),)),
+        dataclasses.replace(s, edges=_replaced(s.edges, "gw-green-yellow", gateway_rules=())),
+    ):
+        taken, answers = _answers_taken(s, after)
+        assert answers and taken == answers
+
+
+def test_moved_device_keys_take_no_answer():
+    """A principal class holds its device values in the order of the device
+    keys. Here an edit of a perimeter that the request does not cross moves
+    the keys ``a, b`` to ``b, c``, so the class of ``p2`` after the edit
+    equals that of ``p1`` before it, while the rule the request meets reads
+    ``b``, which the two principals hold apart. No answer is taken."""
+    s = _fig11()
+    principals = (
+        m.Principal(id="user:p1", kind=m.PrincipalKind.HUMAN, idp="idp-mesh", device={"a": "1", "b": "2"}),
+        m.Principal(id="user:p2", kind=m.PrincipalKind.HUMAN, idp="idp-mesh", device={"b": "1", "c": "2"}),
+    )
+    (yellow2,) = [p for p in s.perimeters if p.id == "yellow2"]
+    perimeters = _replaced(s.perimeters, "yellow2", ingress=yellow2.ingress + (
+        m.PerimeterRule(id="in-b", device={"b": "2"}),
+    ))
+
+    def reading(key):  # the perimeter ``green``, which the request does not cross, reads ``key``
+        return dataclasses.replace(s, principals=s.principals + principals, perimeters=_replaced(
+            perimeters, "green", egress=(m.PerimeterRule(id="out-dev", device={key: "1"}),)
+        ))
+
+    before, after = reading("a"), reading("c")
+    requests = [m.FlowRequest(p.id, "clp", "svc-y2", "read") for p in principals]
+    _assert_incremental_equals_scratch(before, after, requests)
+    assert (before.index().device_keys, after.index().device_keys) == (("a", "b"), ("b", "c"))
+    assert [engine.evaluate_flow(after, r)[0].reason for r in requests] == [
+        m.DenyReason.RBAC_DEFAULT_DENY, m.DenyReason.PERIMETER_INGRESS
+    ]
+    assert engine.principal_class(after, "user:p2", "idp-mesh") == engine.principal_class(before, "user:p1", "idp-mesh")
+    assert not engine.answer_check(before.index(), after.index())(_answer_key(before, requests[0]))
+
+
+def test_an_asset_or_attachment_edit_takes_no_answer():
+    """No clause compares target tags or attachment policies, so an edit of
+    either takes no answer; each edit here changes a decision."""
+    fig8 = dataclasses.replace(builtin_scenario("fig8-direct-clp"))
+    fig11 = _fig11()
+    for s, after in (
+        (fig8, dataclasses.replace(fig8, assets=_replaced(fig8.assets, "sales-table", tags=frozenset({"pii:true"})))),
+        (fig11, dataclasses.replace(fig11, attachments=_replaced(
+            fig11.attachments, "att-store", policy=(m.AccessPredicate(id="deny-all", action=m.RuleAction.DENY),)
+        ))),
+    ):
+        taken, answers = _answers_taken(s, after)
+        assert answers and taken == set()
+        assert diff_decisions(dataclasses.replace(s), dataclasses.replace(after), default_request_space(s))
