@@ -15,7 +15,7 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 from . import model as m
-from .engine import NetworkLeg, answer_check, evaluate_flow, leg_check, network_leg, principal_class
+from .engine import NetworkLeg, evaluate_flow, hand_on, network_leg, principal_class
 from .errors import (
     IncompatibleRequestSpaceError,
     RequestSpaceTooLargeError,
@@ -355,30 +355,19 @@ def diff_decisions(
 ) -> tuple[DecisionDiff, ...]:
     """Requests whose verdicts differ between two scenarios, with both traces.
 
-    ``s_after`` takes the route trees, credential chains, target tags and
-    principal classes ``s_before`` has resolved that its edit cannot change
-    (``ScenarioIndex.take_queries``). Once ``s_before`` has evaluated a
-    request, ``s_after`` takes the request's network leg where
-    ``engine.leg_check`` accepts it, and the principal points' answer for
-    its decision class where ``engine.answer_check`` accepts that. Every
-    request still goes through ``evaluate_flow`` on both sides.
+    ``s_after`` takes what still holds of the query memos of ``s_before``
+    (``engine.hand_on``): each memo that nothing its entries read has
+    changed, and, once ``s_before`` has evaluated a request, that request's
+    leg and its class's answer where their checks accept them. Every request
+    still goes through ``evaluate_flow`` on both sides.
     """
     earlier = s_before.index()  # refuses a broken scenario, even with no requests
-    later = s_after.index()
-    later.take_queries(earlier)
-    legs_hold, answers_hold = leg_check(earlier, later), answer_check(earlier, later)
+    hand = hand_on(earlier, s_after.index())
     diffs = []
     for r in sorted(requests, key=request_key):
         try:
             before, trace_before = evaluate_flow(s_before, r)
-            key = (r.source, r.target, r.source_address, r.payload_tags)
-            leg = earlier.legs[key]
-            if key not in later.legs and legs_hold(leg):
-                later.legs[key] = leg
-            if leg.denied is None and r.presented_chain is None:
-                answer = (leg.context, earlier.principal_classes[(r.principal, leg.idp)], r.method)
-                if answers_hold(answer):
-                    later.answers[answer] = earlier.answers[answer]
+            hand(r)
             after, trace_after = evaluate_flow(s_after, r)
         except UnknownEntityError as e:
             raise IncompatibleRequestSpaceError(

@@ -17,16 +17,14 @@ The chain splits at the principal. The network points (ROUTE through
 GATEWAY) see only the request's network leg: its source, target, source
 address and payload tags. They are evaluated once per leg and scenario, and
 the leg, with its finished trace steps and what the principal points read of
-it, is kept in the scenario index. ``_LEG_CLAUSES`` names every scenario field
-a leg reads, with what it reads of it; a later version of the scenario takes
-an earlier one's leg where ``leg_check`` finds that nothing the leg reads has
-changed. The principal points (CONSUMER_ENDPOINT through RBAC) run once per
-decision class (see ``principal_class``) and scenario: their answer, the
-decision and their steps, is kept in the index's class memo, and every other
-request of the class reuses it. A request that presents a credential chain
-runs them itself. ``_ANSWER_CLAUSES`` names every scenario field an answer
-reads, and a later version takes an earlier one's answer where
-``answer_check`` accepts it.
+it, is kept in the scenario index. The principal points (CONSUMER_ENDPOINT
+through RBAC) run once per decision class (see ``principal_class``) and
+scenario: their answer, the decision and their steps, is kept in the index's
+class memo, and every other request of the class reuses it. A request that
+presents a credential chain runs them itself. ``_MEMO_READS`` names, for
+each query memo, every scenario field its entries read and what they read
+of it; ``hand_on`` hands a later version of the scenario the entries that
+still hold there.
 
 Defaults encode the trust split: unmatched intra-segment flows allow only in
 trusting segments, everything else crossing a boundary denies; gateways deny
@@ -519,97 +517,6 @@ def _network_leg(s: Scenario, idx: ScenarioIndex, key: LegKey) -> NetworkLeg:
     return leg
 
 
-def _never(_: object) -> bool:
-    return False
-
-
-def _matching(rules: tuple[m.FirewallRule, ...], leg: NetworkLeg) -> list[m.FirewallRule]:
-    return [rule for rule in rules if _firewall_rule_matches(rule, leg)]
-
-
-def _rules_hold(earlier: ScenarioIndex, idx: ScenarioIndex) -> Callable[[NetworkLeg], bool]:
-    """In each scope of the leg's chain, the rules that match it are the same, in order."""
-    before, after = earlier.firewall_rules_by_scope, idx.firewall_rules_by_scope
-    changed = {key for key in before.keys() | after.keys() if before.get(key, ()) != after.get(key, ())}
-
-    def holds(leg: NetworkLeg) -> bool:
-        return all(
-            key not in changed or _matching(before.get(key, ()), leg) == _matching(after.get(key, ()), leg)
-            for _, key in _scope_chain(leg, idx)
-        )
-
-    return holds
-
-
-def _edges_hold(earlier: ScenarioIndex, idx: ScenarioIndex) -> Callable[[NetworkLeg], bool]:
-    """The route trees are the same (``ScenarioIndex.same_routes``), and so
-    is the edge of each gateway hop of the leg's path."""
-    if not idx.same_routes(earlier):
-        return _never
-    return lambda leg: leg.path is None or all(
-        idx.edges[hop.edge] is earlier.edges[hop.edge] for hop in leg.path.gateway_hops()
-    )
-
-
-def _perimeters_hold(earlier: ScenarioIndex, idx: ScenarioIndex) -> Callable[[NetworkLeg], bool]:
-    """The data-plane perimeters of the source segment's project and of the target service's are the same."""
-    before, after = earlier.data_plane_perimeter, idx.data_plane_perimeter
-
-    def holds(leg: NetworkLeg) -> bool:
-        src = leg.source_segment.project if leg.source_segment else None
-        dst = leg.target_service.project if leg.target_service else None
-        return before.get(src) is after.get(src) and before.get(dst) is after.get(dst)
-
-    return holds
-
-
-def _endpoint_places(idx: ScenarioIndex) -> list[tuple[str, str, str]]:
-    return [(ep.id, ep.segment, ep.attachment) for ep in idx.scenario.endpoints]
-
-
-def _endpoints_hold(earlier: ScenarioIndex, idx: ScenarioIndex) -> Callable[[NetworkLeg], bool]:
-    """Each endpoint keeps its id, segment and attachment, and the leg's own endpoint is the same."""
-    if _endpoint_places(earlier) != _endpoint_places(idx):
-        return _never
-    return lambda leg: leg.endpoint is None or idx.endpoints[leg.endpoint.id] is leg.endpoint
-
-
-# Each top-level ``Scenario`` field that ``_network_leg`` reads, and the
-# clause comparing what a leg reads of it, the cheapest first; None for a
-# field whose change holds no leg.
-_LEG_CLAUSES: dict[str, Callable[[ScenarioIndex, ScenarioIndex], Callable[[NetworkLeg], bool]] | None] = {
-    "nodes": None,
-    "segments": None,
-    "services": None,
-    "attachments": None,
-    "endpoints": _endpoints_hold,
-    "perimeters": _perimeters_hold,
-    "edges": _edges_hold,
-    "firewall_rules": _rules_hold,
-}
-
-
-def _check(clauses: dict[str, Callable[[ScenarioIndex, ScenarioIndex], Callable] | None],
-           earlier: ScenarioIndex, idx: ScenarioIndex) -> Callable[[object], bool]:
-    """The check of each field of ``clauses`` that is not the same object in
-    both scenarios, all of which must hold: every entry holds when no such
-    field changed, and none when one without a clause did."""
-    changed = [clause for f, clause in clauses.items()
-               if getattr(idx.scenario, f) is not getattr(earlier.scenario, f)]
-    if None in changed:
-        return _never
-    checks = [clause(earlier, idx) for clause in changed]
-    return lambda entry: all(check(entry) for check in checks)
-
-
-def leg_check(earlier: ScenarioIndex, idx: ScenarioIndex) -> Callable[[NetworkLeg], bool]:
-    """The check of whether a leg that ``earlier`` built still holds in
-    ``idx``: whether ``_network_leg`` would build the same leg for its key
-    there. Of each field of ``_LEG_CLAUSES`` that changed, it compares what
-    the leg reads."""
-    return _check(_LEG_CLAUSES, earlier, idx)
-
-
 def network_leg(s: Scenario, key: LegKey) -> NetworkLeg:
     """The network leg ``key`` from the index's memo, built on first use as
     ``evaluate_flow`` builds it; an unknown source is reported before an
@@ -665,7 +572,7 @@ def principal_class(s: Scenario, principal: str, idp: str | None) -> tuple:
     principal the chain asserts (None for no chain). It is a value, not an
     id: two principals of one class are told apart by no rule, so the class
     memo keeps one answer for both, and a later version whose rules for an
-    answer key are the same may take that answer (``answer_check``)."""
+    answer key are the same may take that answer (``hand_on``)."""
     idx = s.index()
     cls = idx.principal_classes.get((principal, idp))
     if cls is None:
@@ -693,70 +600,168 @@ def _principal_class(s: Scenario, idx: ScenarioIndex, principal: m.Principal, id
 
 
 # ---------------------------------------------------------------------------
-# Answers across versions
+# Query memos across versions
 # ---------------------------------------------------------------------------
 
+_Clause = Callable[[ScenarioIndex, ScenarioIndex], Callable[[NetworkLeg], bool]]
 
-def _endpoint_answers_hold(earlier: ScenarioIndex, idx: ScenarioIndex) -> Callable[[tuple], bool]:
-    """The key's endpoint is the same."""
-    before, after = earlier.endpoints, idx.endpoints
 
-    def holds(key: tuple) -> bool:
-        endpoint = key[0][0]
-        return endpoint is None or after.get(endpoint) is before[endpoint]
+def _always(_: object) -> bool:
+    return True
+
+
+def _never(_: object) -> bool:
+    return False
+
+
+def _facts_equal(*facts: str) -> _Clause:
+    """The clause of entries that read only the index facts ``facts`` of the field: they are equal."""
+    return lambda earlier, idx: _always if all(getattr(earlier, f) == getattr(idx, f) for f in facts) else _never
+
+
+# what ``route._search`` reads; what a principal class reads of the policy, and of the perimeter rules
+_routes_hold = _facts_equal("adjacency", "non_routable")
+_identities_hold = _facts_equal("policy_identities")
+_class_keys_hold = _facts_equal("policy_identities", "device_keys")
+
+
+def _matching(rules: tuple[m.FirewallRule, ...], leg: NetworkLeg) -> list[m.FirewallRule]:
+    return [rule for rule in rules if _firewall_rule_matches(rule, leg)]
+
+
+def _rules_hold(earlier: ScenarioIndex, idx: ScenarioIndex) -> Callable[[NetworkLeg], bool]:
+    """In each scope of the leg's chain, the rules that match it are the same, in order."""
+    before, after = earlier.firewall_rules_by_scope, idx.firewall_rules_by_scope
+    changed = {key for key in before.keys() | after.keys() if before.get(key, ()) != after.get(key, ())}
+
+    def holds(leg: NetworkLeg) -> bool:
+        return all(
+            key not in changed or _matching(before.get(key, ()), leg) == _matching(after.get(key, ()), leg)
+            for _, key in _scope_chain(leg, idx)
+        )
 
     return holds
 
 
-def _bindings_answers_hold(earlier: ScenarioIndex, idx: ScenarioIndex) -> Callable[[tuple], bool]:
-    """The bindings of the key's target service are the same, in order."""
+def _edges_hold(earlier: ScenarioIndex, idx: ScenarioIndex) -> Callable[[NetworkLeg], bool]:
+    """The route trees hold, and so does the edge of each gateway hop of the leg's path."""
+    if _routes_hold(earlier, idx) is _never:
+        return _never
+    return lambda leg: leg.path is None or all(
+        idx.edges[hop.edge] is earlier.edges[hop.edge] for hop in leg.path.gateway_hops()
+    )
+
+
+def _perimeters_hold(earlier: ScenarioIndex, idx: ScenarioIndex) -> Callable[[NetworkLeg], bool]:
+    """The data-plane perimeters of the source segment's project and of the target service's are the same."""
+    before, after = earlier.data_plane_perimeter, idx.data_plane_perimeter
+
+    def holds(leg: NetworkLeg) -> bool:
+        src = leg.source_segment.project if leg.source_segment else None
+        dst = leg.target_service.project if leg.target_service else None
+        return before.get(src) is after.get(src) and before.get(dst) is after.get(dst)
+
+    return holds
+
+
+def _crossings_hold(earlier: ScenarioIndex, idx: ScenarioIndex) -> Callable[[NetworkLeg], bool]:
+    """The device keys, which place the device values of a principal class,
+    are equal, and the leg's perimeters hold."""
+    return _perimeters_hold(earlier, idx) if earlier.device_keys == idx.device_keys else _never
+
+
+def _endpoint_places(idx: ScenarioIndex) -> list[tuple[str, str, str]]:
+    return [(ep.id, ep.segment, ep.attachment) for ep in idx.scenario.endpoints]
+
+
+def _endpoints_hold(earlier: ScenarioIndex, idx: ScenarioIndex) -> Callable[[NetworkLeg], bool]:
+    """Each endpoint keeps its id, segment and attachment, and the leg's own endpoint is the same."""
+    if _endpoint_places(earlier) != _endpoint_places(idx):
+        return _never
+    return lambda leg: leg.endpoint is None or idx.endpoints[leg.endpoint.id] is leg.endpoint
+
+
+def _bindings_hold(earlier: ScenarioIndex, idx: ScenarioIndex) -> Callable[[NetworkLeg], bool]:
+    """The bindings of the leg's target service are the same, in order."""
     before, after = earlier.bindings_for_service, idx.bindings_for_service
 
-    def holds(key: tuple) -> bool:
-        service = key[0][1]
+    def holds(leg: NetworkLeg) -> bool:
+        service = leg.target_service.id if leg.target_service else None
         theirs, ours = before.get(service, ()), after.get(service, ())
         return len(theirs) == len(ours) and all(a is b for a, b in zip(theirs, ours))
 
     return holds
 
 
-def _perimeter_answers_hold(earlier: ScenarioIndex, idx: ScenarioIndex) -> Callable[[tuple], bool]:
-    """The device keys, which place the device values of a principal class,
-    are equal; the key's source perimeter is the same, and so is the
-    data-plane perimeter of its target service's project."""
-    if earlier.device_keys != idx.device_keys:
-        return _never
-    before, after = earlier.data_plane_perimeter, idx.data_plane_perimeter
-
-    def holds(key: tuple) -> bool:
-        _, service, source, _ = key[0]
-        if source is not None and idx.perimeters.get(source) is not earlier.perimeters[source]:
-            return False
-        project = idx.services[service].project if service is not None else None
-        return before.get(project) is after.get(project)
-
-    return holds
-
-
-# Each top-level ``Scenario`` field that the principal points read for an
-# answer key, beyond the key's principal class, which each version computes
-# itself, and the clause comparing what they read of it, the cheapest first;
-# None for a field whose change holds no answer (target tags, the target's
-# idp and auth mode, attachment policies, data-plane membership).
-_ANSWER_CLAUSES: dict[str, Callable[[ScenarioIndex, ScenarioIndex], Callable[[tuple], bool]] | None] = {
-    "nodes": None,
-    "services": None,
-    "assets": None,
-    "attachments": None,
-    "endpoints": _endpoint_answers_hold,
-    "bindings": _bindings_answers_hold,
-    "perimeters": _perimeter_answers_hold,
+# Each query memo of the index (``ScenarioIndex.QUERY_MEMOS``): each top-level
+# ``Scenario`` field its entries read, and the clause comparing what they read
+# of it in an earlier version and a later one, which gives the check of one
+# entry by its leg (an answer's is the leg of the request handing it on); None
+# for a field whose change holds no entry. A clause of facts alone gives
+# ``_always`` or ``_never``.
+_MEMO_READS: dict[str, dict[str, _Clause | None]] = {
+    "route_trees": {"edges": _routes_hold, "segments": _routes_hold},
+    "credential_chains": dict.fromkeys(("principals", "trust_edges", "chain_bound")),
+    "target_tags": dict.fromkeys(("nodes", "services", "assets")),
+    "legs": {
+        **dict.fromkeys(("nodes", "segments", "services", "attachments")),
+        "endpoints": _endpoints_hold,
+        "perimeters": _perimeters_hold,
+        "edges": _edges_hold,
+        "firewall_rules": _rules_hold,
+    },
+    "answers": {
+        **dict.fromkeys(("nodes", "services", "assets", "attachments")),
+        "endpoints": _endpoints_hold,
+        "bindings": _bindings_hold,
+        "perimeters": _crossings_hold,
+    },
+    "principal_classes": {
+        **dict.fromkeys(("principals", "idps", "trust_edges", "chain_bound")),
+        **dict.fromkeys(("bindings", "endpoints", "attachments"), _identities_hold),
+        "perimeters": _class_keys_hold,
+    },
 }
 
 
-def answer_check(earlier: ScenarioIndex, idx: ScenarioIndex) -> Callable[[tuple], bool]:
-    """The check of whether the answer that ``earlier``'s class memo holds for
-    an answer key still holds in ``idx``: whether the principal points would
-    answer the same there for a request of that class. Of each field of
-    ``_ANSWER_CLAUSES`` that changed, it compares what they read."""
-    return _check(_ANSWER_CLAUSES, earlier, idx)
+def _check(memo: str, earlier: ScenarioIndex, idx: ScenarioIndex) -> Callable[[NetworkLeg], bool]:
+    """The check of whether an entry of ``earlier``'s memo ``memo`` holds in
+    ``idx``: whether ``idx`` would derive the same entry for its key. Every
+    clause of a field that is not the same object in both scenarios must
+    hold; ``_never`` where a field without a clause changed or a clause
+    rejects every entry, ``_always`` where none is left to check."""
+    changed = [clause for f, clause in _MEMO_READS[memo].items()
+               if getattr(idx.scenario, f) is not getattr(earlier.scenario, f)]
+    if None in changed:
+        return _never
+    checks = [check for check in (clause(earlier, idx) for clause in dict.fromkeys(changed)) if check is not _always]
+    if _never in checks:
+        return _never
+    if len(checks) <= 1:
+        return checks[0] if checks else _always
+    return lambda leg: all(check(leg) for check in checks)
+
+
+def hand_on(earlier: ScenarioIndex, idx: ScenarioIndex) -> Callable[[m.FlowRequest], None]:
+    """Hand ``idx`` what still holds of ``earlier``'s query memos: now, each
+    memo whose check accepts every entry (entries ``idx`` has are kept); and
+    through the step returned, once ``earlier`` has evaluated a request, the
+    request's leg and its class's answer, each where its check accepts the
+    request's leg."""
+    checks = {memo: _check(memo, earlier, idx) for memo in _MEMO_READS}
+    for memo, check in checks.items():
+        if check is _always:
+            setattr(idx, memo, {**getattr(earlier, memo), **getattr(idx, memo)})
+    # a memo taken whole has nothing left to hand on
+    legs_hold, answers_hold = (_never if checks[memo] is _always else checks[memo] for memo in ("legs", "answers"))
+
+    def hand(r: m.FlowRequest) -> None:
+        key = (r.source, r.target, r.source_address, r.payload_tags)
+        leg = earlier.legs[key]
+        if key not in idx.legs and legs_hold(leg):
+            idx.legs[key] = leg
+        if leg.denied is None and r.presented_chain is None and answers_hold(leg):
+            answer = (leg.context, earlier.principal_classes[(r.principal, leg.idp)], r.method)
+            idx.answers[answer] = earlier.answers[answer]
+
+    return hand

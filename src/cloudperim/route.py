@@ -95,7 +95,7 @@ def _search(idx: ScenarioIndex, source: str, to_internet: bool) -> dict[str, Las
     goal is INTERNET; a non-routable segment is left only when it is the source.
     The tree reads the index's ``adjacency`` and ``non_routable`` facts
     alone, so it holds in every version where they are equal
-    (``ScenarioIndex.same_routes``).
+    (``engine._MEMO_READS``).
     """
     tree: dict[str, LastHop] = {}
     seen = {source}

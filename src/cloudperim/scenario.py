@@ -122,13 +122,8 @@ class ScenarioIndex:
     found nothing there; the facts of a perimeter also keep its members while
     the hierarchy is the same. The query memos (``QUERY_MEMOS``) always start
     empty. Only ``analysis.diff_decisions``, which holds both versions, fills
-    the later one's memos from the earlier one's (``take_queries``):
-    credential chains, target tags and principal classes where the fields
-    they read are the same objects and the facts they read of other fields
-    are equal (``_TAKEN_QUERIES``), route trees where the facts the route
-    search reads are equal (``same_routes``), and legs and class answers one
-    request at a time, each that ``engine.leg_check`` or
-    ``engine.answer_check`` accepts.
+    the later one's memos from the earlier one's, with ``engine.hand_on``:
+    ``engine._MEMO_READS`` names the fields each memo's entries read.
     """
 
     # the memos of queries over the scenario, each empty in a new index
@@ -213,26 +208,6 @@ class ScenarioIndex:
         """Each of ``facts`` in order: the last clean version's where it is kept, else derived."""
         for name, (_, derive) in facts.items():
             setattr(self, name, last.facts[name] if name in self._kept else derive(self.scenario, self))
-
-    def take_queries(self, earlier: "ScenarioIndex") -> None:
-        """Fill the memos taken whole with ``earlier``'s entries (entries this
-        index has are kept): each memo of ``_TAKEN_QUERIES`` where every field
-        it reads is the same object in both scenarios and every fact it
-        compares is equal, and the route trees where ``same_routes``. Legs and
-        class answers are taken one at a time (``engine.leg_check``,
-        ``engine.answer_check``)."""
-        takes = {memo: getattr(earlier, memo) for memo, (reads, facts) in _TAKEN_QUERIES.items()
-                 if all(getattr(self.scenario, f) is getattr(earlier.scenario, f) for f in reads)
-                 and all(getattr(self, fact) == getattr(earlier, fact) for fact in facts)}
-        if self.same_routes(earlier):
-            takes["route_trees"] = earlier.route_trees
-        for memo, entries in takes.items():
-            setattr(self, memo, {**entries, **getattr(self, memo)})
-
-    def same_routes(self, other: "ScenarioIndex") -> bool:
-        """Whether ``other``'s route trees are this index's: the facts that
-        ``route._search`` reads, ``adjacency`` and ``non_routable``, are equal."""
-        return self.adjacency == other.adjacency and self.non_routable == other.non_routable
 
     def folders_above(self, node: str) -> tuple[str, ...]:
         """The folders of ``node``'s ancestor chain, root first."""
@@ -1590,24 +1565,12 @@ _FACTS: dict[str, _Fact] = {
         for prj in members
     }),
 }
-# The query memos that ``ScenarioIndex.take_queries`` takes whole from an
-# earlier version: the top-level fields each reads, which must be the same
-# objects, and the facts it reads of other fields, which must be equal. A
-# principal class reads the policy identities and the device keys, not the
-# rules that name them.
-_TAKEN_QUERIES: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
-    "credential_chains": (("principals", "trust_edges", "chain_bound"), ()),
-    "target_tags": (("nodes", "services", "assets"), ()),
-    "principal_classes": (
-        ("principals", "idps", "trust_edges", "chain_bound"), ("policy_identities", "device_keys")
-    ),
-}
-# What each text check, fact, check family and memo taken whole reads, by
-# name; a fact, text check or check family whose fields are all the objects
-# the last clean version held is kept from it. No name is in two tables.
+# What each text check, fact and check family reads, by name; one whose
+# fields are all the objects the last clean version held is kept from it. No
+# name is in two tables.
 _READS: dict[str, tuple[str, ...]] = {
     **{f"text {f.attr}": (f.attr,) for f, _ in _SCENARIO.nested},
-    **{name: reads for table in (_CHECKED_FACTS, _FACTS, _CHECKS, _TAKEN_QUERIES)
+    **{name: reads for table in (_CHECKED_FACTS, _FACTS, _CHECKS)
        for name, (reads, _) in table.items()},
 }
 _FIELDS = tuple(dict.fromkeys(f for fields in _READS.values() for f in fields))

@@ -3,15 +3,15 @@
 A version made with ``dataclasses.replace`` keeps the facts, text checks and
 check families (``scenario._READS``) whose fields are all the objects of the
 last version that built clean, and ``diff_decisions`` hands its after-side
-the credential chains, target tags and principal classes whose fields both
-versions share (and whose compared facts are equal), the route trees while
-the facts the route search reads are equal, and each network leg and class
-answer that ``engine.leg_check`` and ``engine.answer_check`` accept. Each
-version here is built twice: incrementally, right after its parent built
-clean, and from scratch with that memo cleared. Its violations (text and
-order), every fact, the diff against its parent and every entry of the taken
-query memos must be the same both ways, and an earlier leg or answer is taken
-exactly when its check accepts it.
+what still holds of its before-side's query memos (``engine.hand_on``): each
+memo whose check (``engine._check``, built from the clauses of
+``engine._MEMO_READS``) accepts every entry, and otherwise each request's leg
+and class answer where the check accepts the request's leg. Each version
+here is built twice: incrementally, right after its parent built clean, and
+from scratch with that memo cleared. Its violations (text and order), every
+fact, the diff against its parent and every entry of its query memos must be
+the same both ways, and an earlier leg or answer is taken exactly when its
+check accepts it.
 """
 
 import contextlib
@@ -25,7 +25,7 @@ from typing import Mapping
 
 import pytest
 
-from cloudperim import analysis, builtin_scenario, engine, identity, parse_scenario, route, scenario
+from cloudperim import analysis, builtin_scenario, engine, identity, parse_scenario, prefix, route, scenario
 from cloudperim import model as m
 from cloudperim.analysis import default_request_space, diff_decisions
 from cloudperim.errors import CloudPerimError
@@ -38,8 +38,6 @@ import workloads  # noqa: E402  (read-only: the benchmark's edits and their repl
 
 FACTS = (*scenario._CHECKED_FACTS, *scenario._FACTS)
 QUERY_MEMOS = scenario.ScenarioIndex.QUERY_MEMOS
-# the query memos ``diff_decisions`` fills from the earlier version's
-TAKEN_MEMOS = (*scenario._TAKEN_QUERIES, "route_trees", "legs", "answers")
 EDIT_SEEDS = range(5)
 
 
@@ -95,30 +93,45 @@ def _scratch_entry(s, memo, key):
     return engine.target_tags(s, idx.services[key])
 
 
+def _leg(s, r):
+    return s.index().legs[(r.source, r.target, r.source_address, r.payload_tags)]
+
+
 def _answer_key(s, r):
     """The answer key under which ``evaluate_flow`` kept ``r``'s answer in
     ``s``, or None for a request whose leg a network point denies or that
     presents a chain."""
-    idx = s.index()
-    leg = idx.legs[(r.source, r.target, r.source_address, r.payload_tags)]
+    leg = _leg(s, r)
     if leg.denied is not None or r.presented_chain is not None:
         return None
-    return leg.context, idx.principal_classes[(r.principal, leg.idp)], r.method
+    return leg.context, s.index().principal_classes[(r.principal, leg.idp)], r.method
 
 
 def _handed_on(before, after, requests):
-    """The answer key in ``before`` of each request that ``diff_decisions``
-    handed on: each in its order, up to the first that one side cannot
-    evaluate, where the diff stops."""
-    keys = set()
+    """(answer key, leg) in ``before`` of each request that ``diff_decisions``
+    handed on an answer for: each in its order, up to the first that one side
+    cannot evaluate, where the diff stops."""
+    handed = []
     for r in sorted(requests, key=analysis.request_key):
         try:
             engine.evaluate_flow(before, r)
-            keys.add(_answer_key(before, r))
+            key = _answer_key(before, r)
+            if key is not None:
+                handed.append((key, _leg(before, r)))
             engine.evaluate_flow(after, r)
         except CloudPerimError:
             break
-    return keys - {None}
+    return handed
+
+
+def _answers_expected(earlier, later, handed):
+    """The keys of the answers ``later`` takes from ``earlier``: all of them
+    where the check accepts every entry, else each that the check accepts on
+    the leg of a request that handed it on."""
+    accepts = engine._check("answers", earlier, later)
+    if accepts is engine._always:
+        return set(earlier.answers)
+    return {key for key, leg in handed if accepts(leg)}
 
 
 def _assert_incremental_equals_scratch(before, after, requests, label=""):
@@ -143,22 +156,43 @@ def _assert_incremental_equals_scratch(before, after, requests, label=""):
     if not violations:
         # each request's leg is the earlier one exactly when the leg check accepts that
         earlier, later = before.index(), after.index()
-        holds = engine.leg_check(earlier, later)
+        holds = engine._check("legs", earlier, later)
         for key, leg in later.legs.items():
             assert (leg is earlier.legs.get(key)) == (key in earlier.legs and holds(earlier.legs[key])), (label, key)
-        # each request's answer is handed on exactly when the answer check accepts it
-        accepts = engine.answer_check(earlier, later)
+        # each request's answer is handed on exactly when the answer check accepts its leg
         taken = {key for key, entry in later.answers.items() if entry is earlier.answers.get(key)}
-        assert taken == {key for key in _handed_on(before, after, requests) if accepts(key)}, label
-        for memo in TAKEN_MEMOS:
+        assert taken == _answers_expected(earlier, later, _handed_on(before, after, requests)), label
+        for memo in QUERY_MEMOS:
             for key, entry in getattr(later, memo).items():
                 expected = _scratch_entry(scratch, memo, key)
                 assert entry == expected or memo == "answers" and expected is None, (label, memo, key)
 
 
+def _widened(s, requests, rng):
+    """Each of ``requests`` again from a source address: a host of some
+    segment or one outside them all; and, toward a zero-trust target, again
+    presenting the credential chain its principal resolves there."""
+    idx = s.index()
+    addresses = [prefix.first_host(cidr) for seg in s.segments for cidr in seg.cidrs] + ["198.51.100.7"]
+    out = []
+    for r in requests:
+        out.append(dataclasses.replace(r, source_address=rng.choice(addresses)))
+        svc = idx.services.get(r.target)
+        if r.target in idx.endpoints:
+            svc = idx.services[idx.attachments[idx.endpoints[r.target].attachment].service]
+        if svc and svc.auth_mode is m.AuthMode.ZERO_TRUST and svc.idp:
+            chain = identity.resolve_credential(s, r.principal, svc.idp)
+            if chain:
+                out.append(dataclasses.replace(r, presented_chain=chain))
+    return out
+
+
 def _sample(s, count=40, seed=0):
+    """``count`` requests of ``s``'s default request space, widened."""
+    rng = random.Random(seed)
     requests = default_request_space(s)
-    return random.Random(seed).sample(requests, min(count, len(requests)))
+    drawn = rng.sample(requests, min(count, len(requests)))
+    return drawn + _widened(s, drawn, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -308,12 +342,35 @@ def test_random_mutations_equal_builds_from_scratch():
         )
         assert validate_scenario(s) == []
         requests = [genrandom.random_request(rng, s) for _ in range(30)]
+        requests += _widened(s, requests, rng)
         for mutation in genrandom.MUTATIONS:
             mutated = mutation(random.Random(f"{seed}:{mutation.__name__}"), s)
             if mutated is not None:
                 _assert_incremental_equals_scratch(s, mutated, requests, mutation.__name__)
                 applied.add(mutation.__name__)
     assert applied == {mutation.__name__ for mutation in genrandom.MUTATIONS}
+
+
+@pytest.mark.parametrize("names", [
+    ("fig1-lift-shift", "fig11-combined"), ("fig11-combined", "fig1-lift-shift"), ("fig5-vm", "fig6-k8s"),
+])
+def test_unrelated_versions_equal_builds_from_scratch(names):
+    """Templates parsed apart share no field that a memo reads, so every
+    check rejects every entry, and the diff takes nothing. Copies, so that no
+    cached template's memos are written into."""
+    before, after = (dataclasses.replace(builtin_scenario(name)) for name in names)
+    analysis.reachability_matrix(before)
+    # the requests both can evaluate, so that the diff runs past the first
+    probe = dataclasses.replace(after)
+    requests = [r for r in _sample(before, 200)
+                if isinstance(_outcome(lambda: engine.evaluate_flow(probe, r))[0], m.Decision)]
+    _assert_incremental_equals_scratch(before, after, requests)
+    earlier, later = before.index(), after.index()
+    assert all(engine._check(memo, earlier, later) is engine._never for memo in QUERY_MEMOS)
+    assert later.legs and later.answers
+    for memo in ("route_trees", "legs", "answers"):
+        theirs = getattr(earlier, memo)
+        assert not any(theirs.get(key) is entry for key, entry in getattr(later, memo).items()), memo
 
 
 # ---------------------------------------------------------------------------
@@ -372,39 +429,39 @@ def test_a_check_family_runs_only_when_a_field_it_reads_changed(monkeypatch):
 
 
 def test_diff_decisions_takes_only_the_queries_an_edit_cannot_change():
-    """Credential chains, target tags and principal classes are taken whole
-    where the fields they read are the same objects and the facts they
-    compare are equal, route trees where the routing topology is equal (no
-    policy edit changes it), and legs and class answers one at a time."""
+    """No policy edit touches what route trees, credential chains or target
+    tags read, so they are taken whole; principal classes are taken whole
+    where the policy identities and device keys are equal. Legs and class
+    answers are taken whole where the edit reads nothing of them, and one at
+    a time otherwise."""
     base, sample, kinds = _kinds_of_edit()
     for kind, version in kinds.items():
         before = dataclasses.replace(base)
         for r in sample:
             engine.evaluate_flow(before, r)
         diff_decisions(before, version, sample)
-        (edited,) = [f for f in scenario._FIELDS if getattr(version, f) is not getattr(base, f)]
         earlier, later = before.index(), version.index()
-        for memo in TAKEN_MEMOS:
+        whole = {"route_trees", "credential_chains", "target_tags"}
+        if (earlier.policy_identities, earlier.device_keys) == (later.policy_identities, later.device_keys):
+            whole.add("principal_classes")
+        # no leg reads the bindings, and no answer the firewall rules or edges
+        whole |= {"drop_binding": {"legs"}, "deny_rule": {"answers"}, "drop_gateway_allow": {"answers"}}.get(
+            kind, set())
+        for memo in QUERY_MEMOS:
             theirs, ours = getattr(earlier, memo), getattr(later, memo)
             shared = {key for key in theirs if key in ours and ours[key] is theirs[key]}
-            if memo == "legs":
-                holds = engine.leg_check(earlier, later)
-                assert shared == {key for key, leg in theirs.items() if holds(leg)}, kind
-                if kind == "drop_binding":  # no leg reads the bindings
-                    assert shared == set(theirs)
-                else:  # each other edit reaches a few of the sample's legs at most
-                    assert len(shared) > len(theirs) / 2, kind
+            check = engine._check(memo, earlier, later)
+            assert (check is engine._always) == (memo in whole), (kind, memo)
+            if memo in whole:
+                assert shared == set(theirs), (kind, memo)
+            elif memo == "legs":
+                assert shared == {key for key, leg in theirs.items() if check(leg)}, kind
+                assert len(shared) > len(theirs) / 2, kind  # each edit reaches a few of the sample's legs at most
             elif memo == "answers":
-                holds = engine.answer_check(earlier, later)
-                assert shared == {key for key in theirs if holds(key)}, kind
-                if kind in ("deny_rule", "drop_gateway_allow"):  # no answer reads firewall rules or edges
-                    assert shared == set(theirs)
-                else:  # each other edit reaches a few of the sample's classes at most
-                    assert len(shared) > len(theirs) / 2, kind
+                assert shared == _answers_expected(earlier, later, _handed_on(before, version, sample)), kind
+                assert len(shared) > len(theirs) / 2, kind  # and a few of its classes
             else:
-                reads, facts = scenario._TAKEN_QUERIES.get(memo, ((), ()))  # route trees: taken on the topology
-                taken = edited not in reads and all(getattr(earlier, f) == getattr(later, f) for f in facts)
-                assert shared == (set(theirs) if taken else set()), (kind, memo)
+                assert check is engine._never and shared == set(), (kind, memo)
 
 
 def test_diff_decisions_still_evaluates_every_request_on_both_sides(monkeypatch):
@@ -421,13 +478,13 @@ def test_diff_decisions_still_evaluates_every_request_on_both_sides(monkeypatch)
 
 def test_the_read_table_names_every_fact_check_and_taken_memo_once():
     texts = [f"text {f.attr}" for f, _ in scenario._SCENARIO.nested]
-    named = [*texts, *FACTS, *scenario._CHECKS, *scenario._TAKEN_QUERIES]
+    named = [*texts, *FACTS, *scenario._CHECKS]
     # the read table merges these tables, so a name in two of them would lose one's reads
     assert len(set(named)) == len(named) == len(scenario._READS)
     fields = {f.name for f in dataclasses.fields(scenario.Scenario)}
     assert all(reads and set(reads) <= fields for reads in scenario._READS.values())
-    assert set(engine._LEG_CLAUSES) <= fields
-    assert set(engine._ANSWER_CLAUSES) <= fields
+    assert set(engine._MEMO_READS) == set(QUERY_MEMOS)
+    assert all(reads and set(reads) <= fields for reads in engine._MEMO_READS.values())
 
 
 # ---------------------------------------------------------------------------
@@ -484,14 +541,14 @@ def _crossing(legs, edge):
 
 def test_an_equal_copy_of_a_field_the_check_compares_takes_every_leg():
     s = _fig11()
-    for field in (f for f, clause in engine._LEG_CLAUSES.items() if clause is not None):
+    for field in (f for f, clause in engine._MEMO_READS["legs"].items() if clause is not None):
         taken, legs = _legs_taken(s, dataclasses.replace(s, **{field: tuple(list(getattr(s, field)))}))
         assert taken == set(legs), field
 
 
 def test_any_other_field_the_legs_read_takes_no_leg():
     s = _fig11()
-    others = {f for f, clause in engine._LEG_CLAUSES.items() if clause is None}
+    others = {f for f, clause in engine._MEMO_READS["legs"].items() if clause is None}
     assert others == {"nodes", "segments", "services", "attachments"}
     for field in others:
         taken, _ = _legs_taken(s, dataclasses.replace(s, **{field: tuple(list(getattr(s, field)))}))
@@ -624,9 +681,9 @@ def test_an_endpoint_moved_to_another_segment_takes_no_leg():
 def _answers_taken(before, after):
     """The answer keys of ``before``'s class memo, one for each class of its
     default request space, that ``diff_decisions`` over one request of each
-    hands to ``after``, and all of them; each taken answer is the answer the
-    principal points give a request of its class in a build from scratch,
-    where the edit left such a request."""
+    hands to ``after``, and the leg of that request by key; each taken answer
+    is the answer the principal points give a request of its class in a build
+    from scratch, where the edit left such a request."""
     before = dataclasses.replace(before)
     assert validate_scenario(after) == []
     firsts = {}
@@ -644,19 +701,19 @@ def _answers_taken(before, after):
         for key in taken:
             witness = _answer_witness(scratch, key)
             assert witness is None or ours[key] == witness, key
-    return taken, set(theirs)
+    return taken, {key: _leg(before, r) for key, r in firsts.items()}
 
 
 def test_an_equal_copy_of_a_field_the_answer_check_compares_takes_every_answer():
     s = _fig11()
-    for field in (f for f, clause in engine._ANSWER_CLAUSES.items() if clause is not None):
+    for field in (f for f, clause in engine._MEMO_READS["answers"].items() if clause is not None):
         taken, answers = _answers_taken(s, dataclasses.replace(s, **{field: tuple(list(getattr(s, field)))}))
-        assert taken == answers, field
+        assert taken == answers.keys(), field
 
 
 def test_any_other_field_the_answers_read_takes_no_answer():
     s = _fig11()
-    others = {f for f, clause in engine._ANSWER_CLAUSES.items() if clause is None}
+    others = {f for f, clause in engine._MEMO_READS["answers"].items() if clause is None}
     assert others == {"nodes", "services", "assets", "attachments"}
     for field in others:
         taken, _ = _answers_taken(s, dataclasses.replace(s, **{field: tuple(list(getattr(s, field)))}))
@@ -670,7 +727,7 @@ def test_an_endpoint_policy_keeps_the_answers_of_every_other_endpoint():
         s, endpoints=_replaced(s.endpoints, endpoint.id, policy=endpoint.policy[1:])
     ))
     through = {key for key in answers if key[0][0] == endpoint.id}
-    assert through and taken == answers - through
+    assert through and taken == answers.keys() - through
 
 
 def test_a_dropped_binding_keeps_the_answers_of_every_other_service():
@@ -679,7 +736,7 @@ def test_a_dropped_binding_keeps_the_answers_of_every_other_service():
     without = dataclasses.replace(s, bindings=tuple(b for b in s.bindings if b is not binding))
     taken, answers = _answers_taken(s, without)
     toward = {key for key in answers if key[0][1] == "svc-g2"}
-    assert toward and taken == answers - toward
+    assert toward and taken == answers.keys() - toward
 
 
 def test_an_added_perimeter_keeps_the_answers_outside_its_projects():
@@ -689,9 +746,11 @@ def test_an_added_perimeter_keeps_the_answers_outside_its_projects():
         mechanisms=frozenset({m.Mechanism.DATA_PLANE_PERIMETER}),
     )
     taken, answers = _answers_taken(s, dataclasses.replace(s, perimeters=s.perimeters + (perimeter,)))
-    services = s.index().services
-    inside = {key for key in answers if key[0][1] is not None and services[key[0][1]].project == "prj-green"}
-    assert inside and taken == answers - inside
+    # the answers handed on by a leg that starts or ends in the perimeter's project
+    inside = {key for key, leg in answers.items() if "prj-green" in (
+        leg.source_segment and leg.source_segment.project, leg.target_service and leg.target_service.project
+    )}
+    assert inside and taken == answers.keys() - inside
 
 
 def test_a_firewall_or_gateway_edit_keeps_every_answer():
@@ -701,7 +760,7 @@ def test_a_firewall_or_gateway_edit_keeps_every_answer():
         dataclasses.replace(s, edges=_replaced(s.edges, "gw-green-yellow", gateway_rules=())),
     ):
         taken, answers = _answers_taken(s, after)
-        assert answers and taken == answers
+        assert answers and taken == answers.keys()
 
 
 def test_moved_device_keys_take_no_answer():
@@ -733,7 +792,7 @@ def test_moved_device_keys_take_no_answer():
         m.DenyReason.RBAC_DEFAULT_DENY, m.DenyReason.PERIMETER_INGRESS
     ]
     assert engine.principal_class(after, "user:p2", "idp-mesh") == engine.principal_class(before, "user:p1", "idp-mesh")
-    assert not engine.answer_check(before.index(), after.index())(_answer_key(before, requests[0]))
+    assert not engine._check("answers", before.index(), after.index())(_leg(before, requests[0]))
 
 
 def test_an_asset_or_attachment_edit_takes_no_answer():
