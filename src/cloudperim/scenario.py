@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import takewhile
+from operator import is_, truth
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import yaml
@@ -119,11 +121,19 @@ class ScenarioIndex:
     gathers them, and the text check of each entity list). A fact whose
     fields are all the objects the last version that built clean held is
     taken from that version as it is, and such a check is skipped, since it
-    found nothing there; the facts of a perimeter also keep its members while
-    the hierarchy is the same. The query memos (``QUERY_MEMOS``) always start
-    empty. Only ``analysis.diff_decisions``, which holds both versions, fills
-    the later one's memos from the earlier one's, with ``engine.hand_on``:
-    ``engine._MEMO_READS`` names the fields each memo's entries read.
+    found nothing there. Within a list that changed, an entity that is the
+    same object as one of that version's is held (``_Delta``): the text walk,
+    and each family that checks one entity at a time while every other field
+    it reads is held, check only the entities not held (another document
+    parsed shares no entity list, and is checked whole). Firewall priorities
+    are checked, and the rules by scope derived again, only in the scopes
+    that gained or lost a rule; a perimeter keeps its members while the
+    hierarchy is the same, and the routing graph is kept while what it reads
+    of the edges and segments is equal. The query memos (``QUERY_MEMOS``)
+    always start empty. Only ``analysis.diff_decisions``, which holds both
+    versions, fills the later one's memos from the earlier one's, with
+    ``engine.hand_on``: ``engine._MEMO_READS`` names the fields each memo's
+    entries read.
     """
 
     # the memos of queries over the scenario, each empty in a new index
@@ -154,7 +164,8 @@ class ScenarioIndex:
     attachment_for_service: dict[str, m.ServiceAttachment]
     endpoints_for_attachment: dict[str, list[m.ConsumerEndpoint]]
     # firewall rules per scope in evaluation order: ascending priority, which
-    # is unique in a scope of a valid scenario (PRIORITY_DUP)
+    # is unique in a scope of a valid scenario (PRIORITY_DUP); the scopes are
+    # in no order that an edit keeps
     firewall_rules_by_scope: dict[str, tuple[m.FirewallRule, ...]]
     # bindings with a permission naming the service, in scenario order
     bindings_for_service: dict[str, list[m.RBACBinding]]
@@ -185,18 +196,17 @@ class ScenarioIndex:
     def __init__(self, s: Scenario) -> None:
         global _last_clean
         self.scenario = s
-        last = _last_clean
-        same = {f for f, held in last.fields.items() if getattr(s, f) is held}
-        # the facts, text checks and check families whose fields are all the last clean version's
-        self._kept = frozenset(name for name, fields in _READS.items() if last.fields and same.issuperset(fields))
-        untyped = _untyped(s, self._kept)
+        # what ``s`` holds that the last clean version did not, read while building only
+        self._delta = _Delta(s, _last_clean)
+        untyped = _untyped(s, self._delta)
         if untyped:
             raise InvalidScenarioError(untyped)
-        self._derive(_CHECKED_FACTS, last)
+        self._derive(_CHECKED_FACTS)
         violations = _validate(s, self)
         if violations:
             raise InvalidScenarioError(violations)
-        self._derive(_FACTS, last)
+        self._derive(_FACTS)
+        del self._delta  # it holds the entities that version held and ``s`` does not
         for memo in self.QUERY_MEMOS:
             setattr(self, memo, {})
         _last_clean = _Clean(
@@ -204,10 +214,11 @@ class ScenarioIndex:
             {name: getattr(self, name) for name in (*_CHECKED_FACTS, *_FACTS)},
         )
 
-    def _derive(self, facts: Mapping[str, "_Fact"], last: "_Clean") -> None:
+    def _derive(self, facts: Mapping[str, "_Fact"]) -> None:
         """Each of ``facts`` in order: the last clean version's where it is kept, else derived."""
+        delta = self._delta
         for name, (_, derive) in facts.items():
-            setattr(self, name, last.facts[name] if name in self._kept else derive(self.scenario, self))
+            setattr(self, name, delta.last.facts[name] if name in delta.kept else derive(self.scenario, self))
 
     def folders_above(self, node: str) -> tuple[str, ...]:
         """The folders of ``node``'s ancestor chain, root first."""
@@ -985,62 +996,74 @@ def parse_scenario(document: str) -> Scenario:
 # ---------------------------------------------------------------------------
 
 
-def _untyped(s: Scenario, kept: frozenset[str]) -> list[Violation]:
+def _untyped(s: Scenario, delta: "_Delta") -> list[Violation]:
     """A ``BAD_VALUE`` for each text in ``s`` that is not a ``str`` (a None only
     where its field's default is not None, as the parser reads it): a top-level
     entity's id under ``<noun> id``, any other under its entity's or owner's id.
     An element of an entity list, or a nested entity, that is not its model
     type is one ``BAD_VALUE`` (a top-level one under its document path) and is
-    not walked, so nothing reads a field it lacks. An entity list whose text
-    check is ``kept`` is not walked."""
-    out: list[Violation] = []
+    not walked, so nothing reads a field it lacks.
 
-    def typed(t: _Type, values: Sequence, subject_of: Callable[[int], str], none_ok: bool = False) -> list[int] | None:
-        """None if all ``values`` are ``t``'s entities, else the positions of
-        those that are; each other value (but a None if ``none_ok``) is a
-        ``BAD_VALUE`` under ``subject_of(j)``."""
-        if set(map(type, values)) <= {t.model}:
-            return None
-        positions = []
-        for j, x in enumerate(values):
-            if isinstance(x, t.model):
-                positions.append(j)
-            elif not (x is None and none_ok):
-                out.append(Violation("BAD_VALUE", subject_of(j), f"{x!r} is not a {t.model.__name__}"))
-        return positions
-
-    def walk(t: _Type, entities: Sequence, owners: Sequence, id_subject: str | None) -> None:
-        """Each field of ``t`` over all ``entities`` at once; ``owners[j]`` is the subject of ``entities[j]``."""
-        for f, held in t.texts:
-            none_ok = held is None and f.default is None
-            values = [getattr(e, f.attr) for e in entities]
-            texts = values if held is None else (x for v in values for x in held(v))
-            if set(map(type, texts)) <= ({str, type(None)} if none_ok else {str}):
-                continue
-            for v, owner in zip(values, owners):
-                subject = id_subject if f is _ID and id_subject else owner
-                for x in sorted((v,) if held is None else held(v), key=repr):
-                    if not (isinstance(x, str) or x is None and none_ok):
-                        out.append(Violation("BAD_VALUE", subject, f"{x!r} is not text"))
-        for f, many in t.nested:
-            groups = [getattr(e, f.attr) if many else (getattr(e, f.attr),) for e in entities]
-            nested = [x for xs in groups for x in xs]
-            nested_owners = [o for xs, o in zip(groups, owners) for _ in xs]
-            at = typed(f.codec.type, nested, nested_owners.__getitem__, none_ok=not many and f.default is None)
-            if at is not None:
-                nested, nested_owners = [nested[j] for j in at], [nested_owners[j] for j in at]
-            if nested:
-                walk(f.codec.type, nested, [getattr(x, "id", o) for x, o in zip(nested, nested_owners)], None)
-
-    out += [Violation("BAD_VALUE", "document", f"{getattr(s, f.attr)!r} is not text")
-            for f, _ in _SCENARIO.texts if not isinstance(getattr(s, f.attr), str)]
+    An entity list whose text check ``delta`` keeps is not walked, and of one
+    that changed since the last clean version only the elements not held are
+    (``delta.fresh``): a held entity was walked there, and a walk reads
+    nothing outside its entity, so the violations and their order are those
+    of a walk over the whole list."""
+    out = [Violation("BAD_VALUE", "document", f"{getattr(s, f.attr)!r} is not text")
+           for f, _ in _SCENARIO.texts if not isinstance(getattr(s, f.attr), str)]
     for f, _ in _SCENARIO.nested:
-        if f"text {f.attr}" not in kept:
-            value = getattr(s, f.attr)
-            at = typed(f.codec.type, value, lambda j: f"{f.key}[{j}]")
-            entities = value if at is None else [value[j] for j in at]
-            walk(f.codec.type, entities, [x.id for x in entities], f"{f.codec.noun} id")
+        if f"text {f.attr}" in delta.kept:
+            continue
+        value = getattr(s, f.attr)
+        at = delta.fresh.get(f.attr)  # None: every element
+        if at is not None:
+            value = [value[j] for j in at]
+        typed = _of_type(out, f.codec.type, value, lambda k: f"{f.key}[{k if at is None else at[k]}]")
+        entities = value if typed is None else [value[k] for k in typed]
+        _walk_texts(out, f.codec.type, entities, [x.id for x in entities], f"{f.codec.noun} id")
     return out
+
+
+def _of_type(out: list[Violation], t: _Type, values: Sequence, subject_of: Callable[[int], str],
+             none_ok: bool = False) -> list[int] | None:
+    """None if all ``values`` are ``t``'s entities, else the positions of
+    those that are; each other value (but a None if ``none_ok``) is a
+    ``BAD_VALUE`` under ``subject_of(j)``."""
+    if set(map(type, values)) <= {t.model}:
+        return None
+    positions = []
+    for j, x in enumerate(values):
+        if isinstance(x, t.model):
+            positions.append(j)
+        elif not (x is None and none_ok):
+            out.append(Violation("BAD_VALUE", subject_of(j), f"{x!r} is not a {t.model.__name__}"))
+    return positions
+
+
+def _walk_texts(out: list[Violation], t: _Type, entities: Sequence, owners: Sequence, id_subject: str | None) -> None:
+    """Each text field of ``t`` over all ``entities`` at once, then the
+    entities they hold; ``owners[j]`` is the subject of ``entities[j]``, and
+    ``id_subject``, if given, that of an id."""
+    for f, held in t.texts:
+        none_ok = held is None and f.default is None
+        values = [getattr(e, f.attr) for e in entities]
+        texts = values if held is None else (x for v in values for x in held(v))
+        if set(map(type, texts)) <= ({str, type(None)} if none_ok else {str}):
+            continue
+        for v, owner in zip(values, owners):
+            subject = id_subject if f is _ID and id_subject else owner
+            for x in sorted((v,) if held is None else held(v), key=repr):
+                if not (isinstance(x, str) or x is None and none_ok):
+                    out.append(Violation("BAD_VALUE", subject, f"{x!r} is not text"))
+    for f, many in t.nested:
+        groups = [getattr(e, f.attr) if many else (getattr(e, f.attr),) for e in entities]
+        nested = [x for xs in groups for x in xs]
+        nested_owners = [o for xs, o in zip(groups, owners) for _ in xs]
+        at = _of_type(out, f.codec.type, nested, nested_owners.__getitem__, none_ok=not many and f.default is None)
+        if at is not None:
+            nested, nested_owners = [nested[j] for j in at], [nested_owners[j] for j in at]
+        if nested:
+            _walk_texts(out, f.codec.type, nested, [getattr(x, "id", o) for x, o in zip(nested, nested_owners)], None)
 
 
 def validate_scenario(s: Scenario) -> list[Violation]:
@@ -1057,30 +1080,62 @@ def _validate(s: Scenario, idx: ScenarioIndex) -> list[Violation]:
     """The violations of ``s``, read from the facts ``idx`` has derived so far.
 
     The check families of ``_CHECKS`` run in the order they are declared,
-    each but those ``idx`` keeps: the chain bound (an integer of at least 1)
-    and the parser's own checks of scopes, priorities, ports, CIDR tokens,
-    edge ends, gateway rules' ``new_connection``, tags and subnets come
-    first, then duplicate ids and references to nothing, found as the parser
-    finds them, so a scenario built in code is held to the same rules.
+    each but those the build keeps (``_Delta.kept``): the chain bound (an
+    integer of at least 1) and the parser's own checks of scopes,
+    priorities, ports, CIDR tokens, edge ends, gateway rules'
+    ``new_connection``, tags and subnets come first, then duplicate ids and
+    references to nothing, found as the parser finds them, so a scenario
+    built in code is held to the same rules.
+
+    A family declared with ``each`` checks the entities of that list it is
+    given, each on its own: the entities not held by the last clean version
+    where every other field it reads is that version's (each held entity
+    passed it there, with the same facts), else all of them. One declared
+    with ``by`` as well is given every entity sharing its ``by`` value with
+    one not held or one dropped. Either way its violations, and their order,
+    are those of a check of the whole list. A family that looks an entity's
+    references up in its own list (``refs of nodes``, ``refs of services``)
+    checks the whole list, since dropping one entity can break a held one.
     """
+    delta = idx._delta
     out = _Ctx()
-    for name, (_, check) in _CHECKS.items():
-        if name not in idx._kept:
+    for name, (reads, check, each, by) in _CHECKS.items():
+        if name in delta.kept:
+            continue
+        if each is None:
             check(s, idx, out)
+        elif each in delta.fresh and all(f == each or f in delta.same for f in reads):
+            check(delta.reached(s, each, by), idx, out)
+        else:
+            check(getattr(s, each), idx, out)
     return list(out)
 
 
-_Check = Callable[[Scenario, ScenarioIndex, _Ctx], None]
-# Each check family of ``_validate`` by name, in the order it runs: the
-# top-level fields it reads, and its check.
-_CHECKS: dict[str, tuple[tuple[str, ...], _Check]] = {}
+_Check = Callable[[Scenario, ScenarioIndex, _Ctx], None]  # a check of the whole scenario
 
 
-def _check(name: str, *reads: str) -> Callable[[_Check], _Check]:
-    """Declare the decorated function the check family ``name``, reading the fields ``reads``."""
+class _Family(NamedTuple):
+    """A check family: the top-level fields it reads, and its check, of the
+    whole scenario or, with ``each``, of the entities of that list it is
+    given (see ``_validate``)."""
 
-    def declare(check: _Check) -> _Check:
-        _CHECKS[name] = (reads, check)
+    reads: tuple[str, ...]
+    check: Callable[[Any, ScenarioIndex, _Ctx], None]
+    each: str | None = None
+    by: str | None = None
+
+
+# Each check family of ``_validate`` by name, in the order it runs.
+_CHECKS: dict[str, _Family] = {}
+
+
+def _check(name: str, *reads: str, each: str | None = None, by: str | None = None) -> Callable[[Callable], Callable]:
+    """Declare the decorated function the check family ``name``, reading the
+    fields ``reads``, of the entities of the list ``each`` if given, grouped
+    by their attribute ``by`` if given."""
+
+    def declare(check: Callable) -> Callable:
+        _CHECKS[name] = _Family(reads, check, each, by)
         return check
 
     return declare
@@ -1093,15 +1148,15 @@ def _check_chain_bound(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
         out.err("BAD_VALUE", "document", f"chain_bound {bound} is below 1")
 
 
-@_check("edge ends", "edges")
-def _check_edge_ends(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
-    for e in s.edges:
+@_check("edge ends", "edges", each="edges")
+def _check_edge_ends(edges: Sequence[m.ConnectivityEdge], idx: ScenarioIndex, out: _Ctx) -> None:
+    for e in edges:
         _two_ends(out, e.id, e.ends)
 
 
-@_check("firewall values", "firewall_rules")
-def _check_firewall_values(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
-    for fw in s.firewall_rules:
+@_check("firewall values", "firewall_rules", each="firewall_rules")
+def _check_firewall_values(rules: Sequence[m.FirewallRule], idx: ScenarioIndex, out: _Ctx) -> None:
+    for fw in rules:
         _scope_shape(out, fw.id, fw.scope)
         _INT.read(out, fw.priority, fw.id, None)
         for span in fw.ports:
@@ -1110,33 +1165,40 @@ def _check_firewall_values(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
         _cidr_tokens(out, fw.id, fw.src + fw.dst)
 
 
-@_check("gateway values", "edges")
-def _check_gateway_values(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
-    for gw in (r for e in s.edges for r in e.gateway_rules):
+@_check("gateway values", "edges", each="edges")
+def _check_gateway_values(edges: Sequence[m.ConnectivityEdge], idx: ScenarioIndex, out: _Ctx) -> None:
+    for gw in (r for e in edges for r in e.gateway_rules):
         _BOOL.read(out, gw.new_connection, gw.id, None)
 
 
-@_check("predicate tokens", "endpoints", "attachments")
-def _check_predicate_tokens(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
-    for predicate in (p for holder in (*s.endpoints, *s.attachments) for p in holder.policy):
+def _check_predicate_tokens(holders: Sequence[m.ConsumerEndpoint | m.ServiceAttachment], idx: ScenarioIndex,
+                            out: _Ctx) -> None:
+    for predicate in (p for holder in holders for p in holder.policy):
         _cidr_tokens(out, predicate.id, predicate.cidrs)
 
 
-@_check("perimeter rule tokens", "perimeters")
-def _check_perimeter_rule_tokens(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
-    for rule in (r for perimeter in s.perimeters for r in perimeter.ingress + perimeter.egress):
+for _attr in ("endpoints", "attachments"):
+    _check(f"predicate tokens of {_attr}", _attr, each=_attr)(_check_predicate_tokens)
+
+
+@_check("perimeter rule tokens", "perimeters", each="perimeters")
+def _check_perimeter_rule_tokens(perimeters: Sequence[m.AbstractPerimeter], idx: ScenarioIndex, out: _Ctx) -> None:
+    for rule in (r for perimeter in perimeters for r in perimeter.ingress + perimeter.egress):
         _cidr_tokens(out, rule.id, rule.networks)
 
 
-@_check("tags", "nodes", "assets")
-def _check_tags(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
-    for tagged in (*s.nodes, *s.assets):
-        _key_value_tags(out, tagged.id, sorted(tagged.tags))
+def _check_tags(tagged: Sequence[m.ResourceNode | m.DataAsset], idx: ScenarioIndex, out: _Ctx) -> None:
+    for x in tagged:
+        _key_value_tags(out, x.id, sorted(x.tags))
 
 
-@_check("subnets", "segments")
-def _check_subnets(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
-    for seg in s.segments:
+for _attr in ("nodes", "assets"):
+    _check(f"tags of {_attr}", _attr, each=_attr)(_check_tags)
+
+
+@_check("subnets", "segments", each="segments")
+def _check_subnets(segments: Sequence[m.NetworkSegment], idx: ScenarioIndex, out: _Ctx) -> None:
+    for seg in segments:
         _subnet_cidrs(out, seg.id, seg.subnets)
 
 
@@ -1181,15 +1243,15 @@ def _refs_of_nodes(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
             _ref(out, n.parent in idx.nodes, n.id, n.parent, "parent node")
 
 
-@_check("refs of segments", "segments", "nodes")
-def _refs_of_segments(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
-    for seg in s.segments:
+@_check("refs of segments", "segments", "nodes", each="segments")
+def _refs_of_segments(segments: Sequence[m.NetworkSegment], idx: ScenarioIndex, out: _Ctx) -> None:
+    for seg in segments:
         _ref(out, _kind(idx, seg.project) is m.NodeKind.PROJECT, seg.id, seg.project, "project")
 
 
-@_check("refs of edges", "edges", "segments")
-def _refs_of_edges(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
-    for e in s.edges:
+@_check("refs of edges", "edges", "segments", each="edges")
+def _refs_of_edges(edges: Sequence[m.ConnectivityEdge], idx: ScenarioIndex, out: _Ctx) -> None:
+    for e in edges:
         for end in e.ends:
             _ref(out, _is_locus(idx, end), e.id, end, "locus")
         for r in e.gateway_rules:
@@ -1212,35 +1274,35 @@ def _refs_of_services(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
             _ref(out, d in idx.services, svc.id, d, "service")
 
 
-@_check("refs of attachments", "attachments", "services")
-def _refs_of_attachments(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
-    for att in s.attachments:
+@_check("refs of attachments", "attachments", "services", each="attachments")
+def _refs_of_attachments(attachments: Sequence[m.ServiceAttachment], idx: ScenarioIndex, out: _Ctx) -> None:
+    for att in attachments:
         _ref(out, att.service in idx.services, att.id, att.service, "service")
 
 
-@_check("refs of endpoints", "endpoints", "segments", "attachments")
-def _refs_of_endpoints(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
-    for ep in s.endpoints:
+@_check("refs of endpoints", "endpoints", "segments", "attachments", each="endpoints")
+def _refs_of_endpoints(endpoints: Sequence[m.ConsumerEndpoint], idx: ScenarioIndex, out: _Ctx) -> None:
+    for ep in endpoints:
         _ref(out, ep.segment in idx.segments, ep.id, ep.segment, "segment")
         _ref(out, ep.attachment in idx.attachments, ep.id, ep.attachment, "attachment")
 
 
-@_check("refs of principals", "principals", "idps")
-def _refs_of_principals(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
-    for p in s.principals:
+@_check("refs of principals", "principals", "idps", each="principals")
+def _refs_of_principals(principals: Sequence[m.Principal], idx: ScenarioIndex, out: _Ctx) -> None:
+    for p in principals:
         _ref(out, p.idp in idx.idps, p.id, p.idp, "idp")
 
 
-@_check("refs of idps", "idps", "segments")
-def _refs_of_idps(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
-    for idp in s.idps:
+@_check("refs of idps", "idps", "segments", each="idps")
+def _refs_of_idps(idps: Sequence[m.IdentityProvider], idx: ScenarioIndex, out: _Ctx) -> None:
+    for idp in idps:
         if idp.segment is not None:
             _ref(out, _is_locus(idx, idp.segment), idp.id, idp.segment, "segment")
 
 
-@_check("refs of trust edges", "trust_edges", "idps", "principals")
-def _refs_of_trust_edges(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
-    for t in s.trust_edges:
+@_check("refs of trust edges", "trust_edges", "idps", "principals", each="trust_edges")
+def _refs_of_trust_edges(trust_edges: Sequence[m.TrustEdge], idx: ScenarioIndex, out: _Ctx) -> None:
+    for t in trust_edges:
         _ref(out, t.src in idx.idps, t.id, t.src, "idp")
         _ref(out, t.dst in idx.idps, t.id, t.dst, "idp")
         for src_p, dst_p in t.mapping.items():
@@ -1248,33 +1310,33 @@ def _refs_of_trust_edges(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
             _ref(out, dst_p in idx.principals, t.id, dst_p, "principal")
 
 
-@_check("refs of firewall rules", "firewall_rules", "nodes", "segments")
-def _refs_of_firewall_rules(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
-    for fw in s.firewall_rules:
+@_check("refs of firewall rules", "firewall_rules", "nodes", "segments", each="firewall_rules")
+def _refs_of_firewall_rules(rules: Sequence[m.FirewallRule], idx: ScenarioIndex, out: _Ctx) -> None:
+    for fw in rules:
         if fw.scope_kind == "folder":
             _ref(out, _kind(idx, fw.scope_id) is m.NodeKind.FOLDER, fw.id, fw.scope, "folder scope")
         elif fw.scope_kind == "segment":
             _ref(out, fw.scope_id in idx.segments, fw.id, fw.scope, "segment scope")
 
 
-@_check("refs of bindings", "bindings", "services")
-def _refs_of_bindings(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
-    for b in s.bindings:
+@_check("refs of bindings", "bindings", "services", each="bindings")
+def _refs_of_bindings(bindings: Sequence[m.RBACBinding], idx: ScenarioIndex, out: _Ctx) -> None:
+    for b in bindings:
         for perm in b.role:
             known = perm.service in idx.services or perm.service in (m.ANY, m.INTERNET)
             _ref(out, known, b.id, perm.service, "service")
 
 
-@_check("refs of constraints", "constraints", "nodes")
-def _refs_of_constraints(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
-    for c in s.constraints:
+@_check("refs of constraints", "constraints", "nodes", each="constraints")
+def _refs_of_constraints(constraints: Sequence[m.OrgConstraint], idx: ScenarioIndex, out: _Ctx) -> None:
+    for c in constraints:
         scope = _kind(idx, c.scope) in (m.NodeKind.ORGANIZATION, m.NodeKind.FOLDER)
         _ref(out, scope, c.id, c.scope, "org/folder scope")
 
 
-@_check("refs of perimeters", "perimeters", "nodes", "services")
-def _refs_of_perimeters(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
-    for p in s.perimeters:
+@_check("refs of perimeters", "perimeters", "nodes", "services", each="perimeters")
+def _refs_of_perimeters(perimeters: Sequence[m.AbstractPerimeter], idx: ScenarioIndex, out: _Ctx) -> None:
+    for p in perimeters:
         for f in p.members.folders:
             _ref(out, _kind(idx, f) is m.NodeKind.FOLDER, p.id, f, "folder")
         for prj in p.members.projects:
@@ -1287,9 +1349,9 @@ def _refs_of_perimeters(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
                     _ref(out, t.service in idx.services, rule.id, t.service, "service")
 
 
-@_check("refs of assets", "assets", "nodes")
-def _refs_of_assets(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
-    for a in s.assets:
+@_check("refs of assets", "assets", "nodes", each="assets")
+def _refs_of_assets(assets: Sequence[m.DataAsset], idx: ScenarioIndex, out: _Ctx) -> None:
+    for a in assets:
         _ref(out, a.resource in idx.nodes, a.id, a.resource, "resource")
 
 
@@ -1341,10 +1403,12 @@ def _check_segment_cidrs(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
             out.err("CIDR_INTERNAL", seg.id, "segment reuses address space internally")
 
 
-@_check("priorities", "firewall_rules")
-def _check_priorities(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
+@_check("priorities", "firewall_rules", each="firewall_rules", by="scope")
+def _check_priorities(rules: Sequence[m.FirewallRule], idx: ScenarioIndex, out: _Ctx) -> None:
     scope_priorities: dict[str, set[int]] = {}
-    for fw in s.firewall_rules:
+    for fw in rules:
+        if not _is_int(fw.priority):
+            continue  # a ``firewall values`` BAD_VALUE; True and 1.0 would equal 1 here
         seen = scope_priorities.setdefault(fw.scope, set())
         if fw.priority in seen:
             out.err("PRIORITY_DUP", fw.id, f"duplicate priority {fw.priority} in scope {fw.scope}")
@@ -1372,10 +1436,10 @@ def _host(out: _Ctx, thing: m.ServiceSpec | m.ConsumerEndpoint, code: str) -> pr
     return parsed[0]
 
 
-@_check("endpoint addresses", "endpoints", "segments")
-def _check_endpoint_addresses(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
+@_check("endpoint addresses", "endpoints", "segments", each="endpoints")
+def _check_endpoint_addresses(endpoints: Sequence[m.ConsumerEndpoint], idx: ScenarioIndex, out: _Ctx) -> None:
     seg_nets = idx.segment_nets
-    for ep in s.endpoints:
+    for ep in endpoints:
         addr = _host(out, ep, "ENDPOINT_ADDR")
         if addr is not None and ep.segment in seg_nets and not prefix.meets_any(addr, seg_nets[ep.segment]):
             out.err("ENDPOINT_ADDR", ep.id, f"address {ep.address} outside segment {ep.segment} CIDRs")
@@ -1393,10 +1457,10 @@ def _check_fqdns(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
             fqdns[thing.fqdn] = thing.id
 
 
-@_check("service addresses", "services", "segments")
-def _check_service_addresses(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
+@_check("service addresses", "services", "segments", each="services")
+def _check_service_addresses(services: Sequence[m.ServiceSpec], idx: ScenarioIndex, out: _Ctx) -> None:
     seg_nets = idx.segment_nets
-    for svc in s.services:
+    for svc in services:
         if svc.layer is m.ServiceLayer.L7 and svc.fqdn is None:
             out.err("SERVICE_FQDN", svc.id, "L7 service must expose an fqdn")
         addr = _host(out, svc, "SERVICE_ADDR")
@@ -1414,9 +1478,9 @@ def _check_backends(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
                 out.err("BACKEND_SPLIT", b, f"backend appears in segments {prev!r} and {svc.segment!r}")
 
 
-@_check("edge kinds", "edges")
-def _check_edge_kinds(s: Scenario, idx: ScenarioIndex, out: _Ctx) -> None:
-    for e in s.edges:
+@_check("edge kinds", "edges", each="edges")
+def _check_edge_kinds(edges: Sequence[m.ConnectivityEdge], idx: ScenarioIndex, out: _Ctx) -> None:
+    for e in edges:
         if e.kind is m.EdgeKind.PEERING and e.direction is not m.EdgeDirection.BIDIRECTIONAL:
             out.err("EDGE_PEERING", e.id, "peering edges are bidirectional")
         if e.kind is m.EdgeKind.NAT_GATEWAY:
@@ -1460,9 +1524,81 @@ class _Clean(NamedTuple):
     facts: dict[str, Any]
 
 
-# Held, so no other object takes the id of a field it holds; replaced whole by
-# each clean build, so a build that reads it once sees one version.
+# Held, so no other object takes the id of a field it holds, or of an entity
+# in one; replaced whole by each clean build, so a build that reads it once
+# sees one version.
 _last_clean = _Clean({}, {})
+
+
+class _Delta:
+    """What a scenario holds that ``last``, the last clean version, did not.
+
+    ``same`` is the fields that are ``last``'s objects, and ``kept`` the names
+    of ``_READS`` whose fields all are. An element of an entity list is held
+    when it is one of ``last``'s entities there, which ``last`` keeps alive;
+    each holds one element at most, so a repeat is not held. For each entity
+    list that is not ``last``'s but holds some of its entities, ``fresh`` has
+    the positions of its elements not held, and ``lost`` the entities of
+    ``last``'s list that it holds no more. Both are empty for a scenario that
+    shares no entity list with ``last``, such as another document parsed.
+    """
+
+    def __init__(self, s: Scenario, last: _Clean) -> None:
+        self.last = last
+        self.same = {f for f, held in last.fields.items() if getattr(s, f) is held}
+        self.kept: set[str] = set()
+        self.fresh: dict[str, list[int]] = {}
+        self.lost: dict[str, list[Any]] = {}
+        if not last.fields:
+            return
+        changed = [f for f in _FIELDS if f not in self.same]
+        self.kept = _READS.keys() - set().union(*map(_READERS.get, changed))
+        if not any(getattr(s, f) for f in _ENTITY_LISTS if f in self.same):
+            return  # it shares no entity list with ``last``: another document, checked whole
+        for f in changed:
+            unheld = _unheld(getattr(s, f), last.fields[f]) if f in _ENTITY_LISTS else None
+            if unheld is not None:
+                self.fresh[f], self.lost[f] = unheld
+
+    def reached(self, s: Scenario, each: str, by: str | None) -> list[Any]:
+        """The entities of ``s``'s list ``each`` (which is in ``fresh``) not
+        held; with ``by``, every entity whose attribute ``by`` is that of one
+        not held or one lost, in order."""
+        entities = getattr(s, each)
+        fresh = [entities[j] for j in self.fresh[each]]
+        if by is None:
+            return fresh
+        keys = {getattr(x, by) for x in (*fresh, *self.lost[each])}
+        return [x for x in entities if getattr(x, by) in keys]
+
+
+def _unheld(now: Sequence, then: Sequence) -> tuple[list[int], list[Any]] | None:
+    """The positions of the elements of ``now`` that ``then`` does not hold,
+    and the elements of ``then`` that hold none of ``now``; None when
+    ``then`` holds none of ``now``. Each element of ``then`` (distinct
+    objects) holds at most one element of ``now``, one that is the same
+    object. The runs that both start, and then both end, with the same
+    objects are matched at C speed, and only the rest one by one."""
+    head = tail = 0
+    if now and then and (now[0] is then[0] or now[-1] is then[-1]):
+        head = _same_run(now, then)
+        tail = _same_run(reversed(now[head:]), reversed(then[head:]))
+    middle = then[head:len(then) - tail]
+    unmatched = set(map(id, middle))
+    if not head and not tail and unmatched.isdisjoint(map(id, now)):
+        return None
+    fresh = []
+    for j in range(head, len(now) - tail):
+        if id(now[j]) in unmatched:
+            unmatched.remove(id(now[j]))
+        else:
+            fresh.append(j)
+    return fresh, [x for x in middle if id(x) in unmatched]
+
+
+def _same_run(a: Iterable, b: Iterable) -> int:
+    """How many elements ``a`` and ``b`` start with that are the same objects."""
+    return len(list(takewhile(truth, map(is_, a, b))))
 
 
 def _ids(attr: str) -> Callable[[Scenario, ScenarioIndex], dict[str, Any]]:
@@ -1472,7 +1608,7 @@ def _ids(attr: str) -> Callable[[Scenario, ScenarioIndex], dict[str, Any]]:
 def _perimeter_members(s: Scenario, idx: ScenarioIndex) -> tuple[frozenset[str] | CloudPerimError, ...]:
     """Each perimeter's members; one the last clean version held keeps them
     while the hierarchy is the same (its id map is kept only then)."""
-    last = _last_clean
+    last = idx._delta.last
     kept = {}
     if idx.nodes is last.facts.get("nodes"):
         kept = {id(p): x for p, x in zip(last.fields["perimeters"], last.facts["perimeter_members"])}
@@ -1491,10 +1627,30 @@ def _source_nets(s: Scenario, idx: ScenarioIndex) -> dict[str, tuple[prefix.Inte
 
 
 def _by_scope(s: Scenario, idx: ScenarioIndex) -> dict[str, tuple[m.FirewallRule, ...]]:
+    """Firewall rules per scope; after the last clean version, only the scopes
+    that gained or lost a rule are derived again, and the rest are its own."""
+    delta, rules, kept = idx._delta, s.firewall_rules, {}
+    if "firewall_rules" in delta.fresh:
+        rules = delta.reached(s, "firewall_rules", "scope")
+        scopes = {r.scope for r in (*rules, *delta.lost["firewall_rules"])}
+        kept = {scope: x for scope, x in delta.last.facts["firewall_rules_by_scope"].items() if scope not in scopes}
     by_scope: dict[str, list[m.FirewallRule]] = {}
-    for r in s.firewall_rules:
+    for r in rules:
         by_scope.setdefault(r.scope, []).append(r)
-    return {scope: tuple(sorted(rules, key=lambda r: r.priority)) for scope, rules in by_scope.items()}
+    return {**kept, **{scope: tuple(sorted(group, key=lambda r: r.priority)) for scope, group in by_scope.items()}}
+
+
+def _adjacency(s: Scenario, idx: ScenarioIndex) -> dict[str, tuple[tuple[str, LastHop], ...]]:
+    """The routing graph: the last clean version's while the non-routable
+    segments and each edge's id, ends, kind and direction, in order, are
+    equal, which is all ``_locus_adjacency`` reads (an edit of a gateway rule
+    replaces its edge but changes none of them)."""
+    last = idx._delta.last
+    if last.fields and idx.non_routable == last.facts["non_routable"] and len(s.edges) == len(last.fields["edges"]):
+        if all(a is b or (a.id, a.ends, a.kind, a.direction) == (b.id, b.ends, b.kind, b.direction)
+               for a, b in zip(s.edges, last.fields["edges"])):
+            return last.facts["adjacency"]
+    return _locus_adjacency(s.edges, idx.non_routable)
 
 
 def _grouped(pairs: Iterable[tuple[str, Any]]) -> dict[str, list[Any]]:
@@ -1555,7 +1711,7 @@ _FACTS: dict[str, _Fact] = {
     "non_routable": (("segments",), lambda s, idx: frozenset(
         x.id for x in s.segments if x.routability is m.Routability.NON_ROUTABLE
     )),
-    "adjacency": (("edges", "segments"), lambda s, idx: _locus_adjacency(s.edges, idx.non_routable)),
+    "adjacency": (("edges", "segments"), _adjacency),
     "trust_edges": (("trust_edges",), _ids("trust_edges")),
     "trust_moves": (("trust_edges",), _trust_moves),
     "data_plane_perimeter": (("nodes", "perimeters"), lambda s, idx: {
@@ -1570,10 +1726,11 @@ _FACTS: dict[str, _Fact] = {
 # name is in two tables.
 _READS: dict[str, tuple[str, ...]] = {
     **{f"text {f.attr}": (f.attr,) for f, _ in _SCENARIO.nested},
-    **{name: reads for table in (_CHECKED_FACTS, _FACTS, _CHECKS)
-       for name, (reads, _) in table.items()},
+    **{name: entry[0] for table in (_CHECKED_FACTS, _FACTS, _CHECKS) for name, entry in table.items()},
 }
 _FIELDS = tuple(dict.fromkeys(f for fields in _READS.values() for f in fields))
+_ENTITY_LISTS = tuple(f.attr for f, _ in _SCENARIO.nested)
+_READERS = {f: {name for name, reads in _READS.items() if f in reads} for f in _FIELDS}  # field -> what reads it
 
 
 # ---------------------------------------------------------------------------

@@ -417,15 +417,208 @@ def test_an_edit_rederives_only_the_facts_that_read_its_field():
 def test_a_check_family_runs_only_when_a_field_it_reads_changed(monkeypatch):
     base, _, kinds = _kinds_of_edit()
     ran = []
-    for name, (reads, check) in scenario._CHECKS.items():
-        monkeypatch.setitem(scenario._CHECKS, name, (reads, lambda s, idx, out, name=name, check=check: (
-            ran.append(name), check(s, idx, out))))
+    for name, family in scenario._CHECKS.items():
+        monkeypatch.setitem(scenario._CHECKS, name, family._replace(
+            check=lambda of, idx, out, name=name, check=family.check: (ran.append(name), check(of, idx, out))
+        ))
     for kind, version in kinds.items():
         dataclasses.replace(base).index()
         ran.clear()
         version.index()
         (edited,) = [f for f in scenario._FIELDS if getattr(version, f) is not getattr(base, f)]
-        assert ran == [name for name, (reads, _) in scenario._CHECKS.items() if edited in reads], kind
+        assert ran == [name for name, family in scenario._CHECKS.items() if edited in family.reads], kind
+
+
+# ---------------------------------------------------------------------------
+# Validation per entity: an edit checks the entities it did not hold, and the
+# firewall scopes it reached
+# ---------------------------------------------------------------------------
+
+
+def _estate():
+    """The policy-edits estate: every entity list holds at least three entities."""
+    w = workloads.WORKLOADS["policy-edits"](0)
+    w.prepare()
+    return parse_scenario(w.text)
+
+
+def _placed(entities, broken):
+    """(where, ``entities`` with ``broken`` there): at the front, in place of the middle entity, and at the end."""
+    mid = len(entities) // 2
+    yield "front", (broken,) + entities
+    yield "middle", entities[:mid] + (broken,) + entities[mid + 1:]
+    yield "end", entities + (broken,)
+
+
+def _violations_placed(s, attr, broken, code, label):
+    """For each placement of ``broken`` in ``s``'s list ``attr``: its
+    violations equal a build from scratch's, and one of them is a ``code``."""
+    for where, entities in _placed(getattr(s, attr), broken):
+        version = dataclasses.replace(s, **{attr: entities})
+        _assert_incremental_equals_scratch(s, version, [], f"{label} ({where})")
+        assert code in {v.code for v in validate_scenario(version)}, (label, where)
+
+
+def _broken_entities(s):
+    """Family name -> (the list it checks, an entity of that list that it
+    finds a violation in, the code of that violation), for each family that
+    checks one entity at a time."""
+    x = dataclasses.replace
+    edge, rule, seg, ep, att = s.edges[0], s.firewall_rules[0], s.segments[0], s.endpoints[0], s.attachments[0]
+    gateway = next(e for e in s.edges if e.gateway_rules)
+    perimeter, node = s.perimeters[0], s.nodes[1]
+    bad_predicate = m.AccessPredicate(id="x-predicate", action=m.RuleAction.DENY, cidrs=("not-a-cidr",))
+    return {
+        "edge ends": ("edges", x(edge, id="x-edge", ends=edge.ends + (m.INTERNET,)), "BAD_VALUE"),
+        "firewall values": ("firewall_rules", x(rule, id="x-rule", priority=7, ports=((90, 80),)), "BAD_VALUE"),
+        "gateway values": ("edges", x(gateway, id="x-edge", gateway_rules=(
+            x(gateway.gateway_rules[0], id="x-gateway-rule", new_connection="no"),
+        )), "BAD_VALUE"),
+        "predicate tokens of endpoints": ("endpoints", x(ep, id="x-ep", policy=(bad_predicate,)), "BAD_VALUE"),
+        "predicate tokens of attachments": ("attachments", x(att, id="x-att", policy=(bad_predicate,)), "BAD_VALUE"),
+        "perimeter rule tokens": ("perimeters", x(perimeter, id="x-perimeter", mechanisms=frozenset(), ingress=(
+            m.PerimeterRule(id="x-in", networks=("not-a-cidr",)),
+        )), "BAD_VALUE"),
+        "tags of nodes": ("nodes", x(node, id="x-node", tags=frozenset({"untagged"})), "BAD_VALUE"),
+        "tags of assets": ("assets", x(s.assets[0], id="x-asset", tags=frozenset({"untagged"})), "BAD_VALUE"),
+        "subnets": ("segments", x(seg, id="x-seg", cidrs=(), subnets={"web": "10.1.0.0/99"}), "BAD_VALUE"),
+        "refs of segments": ("segments", x(seg, id="x-seg", cidrs=(), project="ghost"), "UNKNOWN_REF"),
+        "refs of edges": ("edges", x(edge, id="x-edge", ends=(edge.ends[0], "ghost")), "UNKNOWN_REF"),
+        "refs of attachments": ("attachments", x(att, id="x-att", service="ghost"), "UNKNOWN_REF"),
+        "refs of endpoints": ("endpoints", x(ep, id="x-ep", attachment="ghost"), "UNKNOWN_REF"),
+        "refs of principals": ("principals", x(s.principals[0], id="x-principal", idp="ghost"), "UNKNOWN_REF"),
+        "refs of idps": ("idps", x(s.idps[0], id="x-idp", segment="ghost"), "UNKNOWN_REF"),
+        "refs of trust edges": ("trust_edges", x(s.trust_edges[0], id="x-trust", src="ghost"), "UNKNOWN_REF"),
+        "refs of firewall rules": ("firewall_rules", x(rule, id="x-rule", priority=7, scope="segment:ghost"),
+                                   "UNKNOWN_REF"),
+        "refs of bindings": ("bindings", x(s.bindings[0], id="x-binding", role=(m.Permission(service="ghost"),)),
+                             "UNKNOWN_REF"),
+        "refs of constraints": ("constraints", x(s.constraints[0], id="x-constraint", scope="ghost"), "UNKNOWN_REF"),
+        "refs of perimeters": ("perimeters", x(perimeter, id="x-perimeter", members=m.MemberSelector(
+            projects=("ghost",)
+        )), "UNKNOWN_REF"),
+        "refs of assets": ("assets", x(s.assets[0], id="x-asset", resource="ghost"), "UNKNOWN_REF"),
+        "endpoint addresses": ("endpoints", x(ep, id="x-ep", address="192.0.2.1"), "ENDPOINT_ADDR"),
+        "service addresses": ("services", x(s.services[0], id="x-svc", address="192.0.2.1"), "SERVICE_ADDR"),
+        "edge kinds": ("edges", x(edge, id="x-edge", kind=m.EdgeKind.PEERING,
+                                  direction=m.EdgeDirection.OUTBOUND_ONLY), "EDGE_PEERING"),
+        # a new rule reusing an unchanged rule's priority in its scope
+        "priorities": ("firewall_rules", x(rule, id="x-rule"), "PRIORITY_DUP"),
+    }
+
+
+def test_a_broken_entity_gives_the_violations_of_a_build_from_scratch_wherever_it_is_placed():
+    s = _estate()
+    assert validate_scenario(s) == []
+    cases = _broken_entities(s)
+    assert set(cases) == {name for name, family in scenario._CHECKS.items() if family.each}
+    for name, (attr, broken, code) in cases.items():
+        _violations_placed(s, attr, broken, code, name)
+    # an id that is not text, in each entity list
+    for f, _ in scenario._SCENARIO.nested:
+        _violations_placed(s, f.attr, dataclasses.replace(getattr(s, f.attr)[0], id=5), "BAD_VALUE", f.attr)
+
+
+def test_a_new_entity_meeting_an_unchanged_one_gives_the_violations_of_a_build_from_scratch():
+    s = _estate()
+    seg = next(x for x in s.segments if x.routability is m.Routability.ROUTABLE and x.cidrs)
+    for attr, broken, code in (
+        ("segments", dataclasses.replace(seg, id="x-seg"), "CIDR_OVERLAP"),
+        ("bindings", dataclasses.replace(s.bindings[0], principal="sa:hub-dns"), "DUP_ID"),
+        # services and endpoints share their ids
+        ("endpoints", dataclasses.replace(s.endpoints[0], id=s.services[0].id), "DUP_ID"),
+    ):
+        _violations_placed(s, attr, broken, code, f"{attr} {code}")
+
+
+def _dropped(s, attr, entity_id):
+    return dataclasses.replace(s, **{attr: tuple(x for x in getattr(s, attr) if x.id != entity_id)})
+
+
+def _unknown_refs(s, before):
+    """The subjects of ``s``'s UNKNOWN_REFs, built right after ``before``, which equal a build from scratch's."""
+    _assert_incremental_equals_scratch(before, s, [])
+    return {v.subject for v in validate_scenario(s) if v.code == "UNKNOWN_REF"}
+
+
+def test_a_dropped_node_is_an_unknown_parent_of_the_unchanged_nodes_under_it():
+    s = dataclasses.replace(builtin_scenario("fig5-vm"))
+    for parent in {n.parent for n in s.nodes if n.parent}:
+        children = {n.id for n in s.nodes if n.parent == parent}
+        assert _unknown_refs(_dropped(s, "nodes", parent), s) >= children, parent
+
+
+def test_a_dropped_service_is_an_unknown_dependency_of_the_unchanged_services_naming_it():
+    s = dataclasses.replace(builtin_scenario("fig5-vm"))
+    (txn,) = [svc for svc in s.services if svc.depends_on]
+    for dependency in txn.depends_on:
+        assert txn.id in _unknown_refs(_dropped(s, "services", dependency), s), dependency
+
+
+@pytest.mark.parametrize("segment", ["ordering-net", "ad-net"])
+def test_a_dropped_segment_is_an_unknown_ref_of_the_unchanged_entities_naming_it(segment):
+    s = dataclasses.replace(builtin_scenario("fig5-vm"))
+    naming = {e.id for e in s.edges if segment in e.ends} | {
+        x.id for x in (*s.endpoints, *s.services, *s.idps) if x.segment == segment
+    }
+    # between them, the two segments are named by edges, endpoints, services and idps
+    assert len(naming) >= 3
+    assert _unknown_refs(_dropped(s, "segments", segment), s) >= naming
+
+
+def _received(monkeypatch):
+    """What each top-level text walk (by the subject of its ids) and each
+    family checking one entity at a time receives in the builds that follow."""
+    got = {}
+    walk = scenario._walk_texts
+
+    def recording_walk(out, t, entities, owners, id_subject):
+        if id_subject is not None:
+            got.setdefault(id_subject, []).extend(entities)
+        walk(out, t, entities, owners, id_subject)
+
+    monkeypatch.setattr(scenario, "_walk_texts", recording_walk)
+    for name, family in scenario._CHECKS.items():
+        if family.each:
+            monkeypatch.setitem(scenario._CHECKS, name, family._replace(
+                check=lambda entities, idx, out, name=name, check=family.check: (
+                    got.setdefault(name, []).extend(entities), check(entities, idx, out))
+            ))
+    return got
+
+
+def test_an_edit_walks_and_checks_only_the_entities_it_did_not_hold(monkeypatch):
+    base, _, kinds = _kinds_of_edit()
+    got = _received(monkeypatch)
+
+    def build(version):
+        before = dataclasses.replace(base).index()
+        got.clear()
+        return before, version.index()
+
+    # one firewall rule appended: it alone is walked and checked, and its scope's rules for priorities
+    version = kinds["deny_rule"]
+    before, after = build(version)
+    (rule,) = version.firewall_rules[len(base.firewall_rules):]
+    in_scope = [r for r in version.firewall_rules if r.scope == rule.scope]
+    assert got == {"firewall rule id": [rule], "firewall values": [rule], "refs of firewall rules": [rule],
+                   "priorities": in_scope}
+    assert len(in_scope) < len(version.firewall_rules) / 4
+    # and only its scope's rules are sorted again
+    assert after.firewall_rules_by_scope[rule.scope] == tuple(sorted(in_scope, key=lambda r: r.priority))
+    assert all(rules is before.firewall_rules_by_scope[scope]
+               for scope, rules in after.firewall_rules_by_scope.items() if scope != rule.scope)
+
+    # a binding dropped: no binding is walked or checked
+    build(kinds["drop_binding"])
+    assert got == {"binding id": [], "refs of bindings": []}
+
+    # a gateway rule dropped: its edge alone is walked and checked, and the routing graph is kept
+    version = kinds["drop_gateway_allow"]
+    before, after = build(version)
+    (edge,) = [e for e, was in zip(version.edges, base.edges) if e is not was]
+    assert got == dict.fromkeys(("edge id", "edge ends", "gateway values", "refs of edges", "edge kinds"), [edge])
+    assert after.adjacency is before.adjacency
 
 
 def test_diff_decisions_takes_only_the_queries_an_edit_cannot_change():

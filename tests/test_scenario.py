@@ -771,7 +771,7 @@ def _with_second_rule(s, rule):
     return dataclasses.replace(s, firewall_rules=(rule,) + s.firewall_rules[1:] + (second,))
 
 
-@pytest.mark.parametrize("priority", [None, "5", True], ids=["none", "text", "bool"])
+@pytest.mark.parametrize("priority", [None, "5", True, [5]], ids=["none", "text", "bool", "list"])
 def test_a_priority_that_is_not_an_integer_is_a_bad_value(priority):
     s = builtin_scenario("fig1-lift-shift")
     rule = dataclasses.replace(s.firewall_rules[0], priority=priority)
@@ -784,6 +784,17 @@ def test_a_priority_that_is_not_an_integer_is_a_bad_value(priority):
         assert list(refused.value.violations) == violations
     with pytest.raises(InvalidScenarioError):
         evaluate_flow(broken, m.FlowRequest("sa:green-a", "green", "yellow-pay"))
+
+
+@pytest.mark.parametrize("priority", [True, 1.0], ids=["bool", "float"])
+def test_a_priority_that_is_not_an_integer_is_no_duplicate_of_the_integer_it_equals(priority):
+    s = builtin_scenario("fig1-lift-shift")
+    rules = tuple(
+        m.FirewallRule(id=rule_id, scope=m.ORG_SCOPE, priority=p, action=m.RuleAction.DENY, src=(m.ANY,), dst=(m.ANY,))
+        for rule_id, p in (("x-one", 1), ("x-other", priority))
+    )
+    violations = validate_scenario(dataclasses.replace(s, firewall_rules=s.firewall_rules + rules))
+    assert violations == [Violation("BAD_VALUE", "x-other", f"{priority!r} is not an integer")]
 
 
 def _parser_messages(s, edit):
