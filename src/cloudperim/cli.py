@@ -14,10 +14,11 @@ the README; human output may change between versions.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
-from . import analysis, engine, records
+from . import analysis, engine, prefix, records
 from . import compiler as compiler_mod
 from . import model as m
 from .lint import error_findings
@@ -40,9 +41,13 @@ def _read_scenario(source: str) -> Scenario:
     if source in TEMPLATE_NAMES:
         return builtin_scenario(source)
     path = Path(source)
-    if not path.exists():
-        raise CliError(f"scenario {source!r} is neither a template name nor a file")
-    return parse_scenario(path.read_text("utf-8"))
+    try:
+        if not path.exists():
+            raise CliError(f"scenario {source!r} is neither a template name nor a file")
+        text = path.read_text("utf-8")
+    except OSError as e:
+        raise CliError(f"cannot read scenario {source!r}: {e.strerror}") from e
+    return parse_scenario(text)
 
 
 def _load_scenario(source: str) -> Scenario:
@@ -88,8 +93,8 @@ def _split_csv(value: str | None) -> list[str] | None:
 
 
 def _emit(lines: list[str]) -> None:
-    for line in lines:
-        print(line)
+    if lines:
+        sys.stdout.write("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +115,10 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    # the engine reads an address it cannot parse as none given, which may allow
+    # what the address would deny, so the command line refuses it
+    if args.source_address is not None and prefix.address(args.source_address) is None:
+        raise CliError(f"--source-address {args.source_address!r} is not an IP address")
     s = _load_scenario(args.scenario)
     request = m.FlowRequest(
         principal=args.principal,
@@ -307,10 +316,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on first use and kept for the process.
+
+    Parsing leaves no state on a parser: each parse makes a new namespace, reads
+    the subcommands' defaults again, and prints usage and help to the
+    ``sys.stdout``/``sys.stderr`` of the moment. So one call of ``main`` cannot
+    change what a later one parses.
+    """
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return EXIT_BAD_INPUT if e.code not in (0, None) else EXIT_OK
     try:

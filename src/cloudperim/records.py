@@ -31,7 +31,7 @@ from .scenario import Violation
 
 
 def _line(obj: dict[str, Any]) -> str:
-    return json.dumps(obj, sort_keys=False, separators=(", ", ": "))
+    return json.dumps(obj)
 
 
 def trace_records(trace: m.DecisionTrace) -> list[str]:

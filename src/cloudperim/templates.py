@@ -32,14 +32,14 @@ _cache: dict[str, Scenario] = {}
 def template_text(name: str) -> str:
     """The raw scenario document for a template."""
     if name not in TEMPLATE_NAMES:
-        raise UnknownTemplateError(name)
+        raise UnknownTemplateError(f"unknown template {name!r}")
     return resources.files("cloudperim.data").joinpath(f"{name}.yaml").read_text("utf-8")
 
 
 def builtin_scenario(name: str) -> Scenario:
     """Parse (and cache) one of the built-in templates."""
     if name not in TEMPLATE_NAMES:
-        raise UnknownTemplateError(name)
+        raise UnknownTemplateError(f"unknown template {name!r}")
     if name not in _cache:
         _cache[name] = parse_scenario(template_text(name))
     return _cache[name]

@@ -1,5 +1,6 @@
 """End-to-end CLI coverage: every subcommand against a template."""
 
+import argparse
 import dataclasses
 import json
 
@@ -9,12 +10,14 @@ from cloudperim import (
     build_compiled_scenario,
     builtin_scenario,
     compile_perimeter,
+    evaluate_flow,
     parse_scenario,
+    records,
     serialize_scenario,
     validate_scenario,
 )
 from cloudperim import model as m
-from cloudperim.cli import EXIT_BAD_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_POLICY, main
+from cloudperim.cli import EXIT_BAD_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_POLICY, build_parser, main
 
 
 def run(capsys, *argv):
@@ -331,6 +334,40 @@ def test_unknown_template_exits_two(capsys):
     assert "error:" in err
 
 
+def test_unknown_template_to_show_exits_two_naming_it(capsys):
+    assert run(capsys, "scenarios", "show", "fig99") == (EXIT_BAD_INPUT, "", "error: unknown template 'fig99'\n")
+
+
+def test_scenario_path_that_cannot_be_read_exits_two_with_one_line(tmp_path, capsys):
+    assert run(capsys, "validate", "--scenario", str(tmp_path)) == (
+        EXIT_BAD_INPUT, "", f"error: cannot read scenario {str(tmp_path)!r}: Is a directory\n"
+    )
+
+
+FIG1_EVAL = ["eval", "--scenario", "fig1-lift-shift", "--from", "green", "--principal", "sa:green-a",
+             "--to", "yellow-pay"]
+
+
+@pytest.mark.parametrize("address", ["not-an-ip", "10.0.0.300", "10.0.0.0/8"])
+def test_source_address_that_is_not_an_address_exits_two(capsys, address):
+    # the engine reads it as no address given, which could turn a deny into an allow
+    assert run(capsys, *FIG1_EVAL, "--source-address", address) == (
+        EXIT_BAD_INPUT, "", f"error: --source-address {address!r} is not an IP address\n"
+    )
+
+
+@pytest.mark.parametrize("address", ["10.1.0.5", "2001:db8::7"])
+def test_source_address_v4_or_v6_is_evaluated(capsys, address):
+    decision, trace = evaluate_flow(
+        builtin_scenario("fig1-lift-shift"),
+        m.FlowRequest(principal="sa:green-a", source="green", target="yellow-pay", source_address=address),
+    )
+    expected = "".join(line + "\n" for line in records.trace_records(trace))
+    assert run(capsys, *FIG1_EVAL, "--source-address", address, "--output", "records") == (
+        EXIT_OK if decision.allowed else EXIT_POLICY, expected, ""
+    )
+
+
 def test_unknown_flow_entity_exits_two(capsys):
     code, _, err = run(
         capsys, "eval", "--scenario", "fig1-lift-shift", "--from", "green",
@@ -364,3 +401,68 @@ perimeters:
     )
     assert code == EXIT_BAD_INPUT
     assert "vpc-connector" in err
+
+
+@pytest.fixture
+def content_gated(tmp_path):
+    """fig1 with a gateway rule that denies green to yellow for pci:true
+    payloads only, so ``eval`` answers differently with and without
+    ``--payload-tags``."""
+    s = builtin_scenario("fig1-lift-shift")
+    deny = m.GatewayRule(id="no-pci", src_zone="green", dst_zone="yellow", action=m.RuleAction.DENY,
+                         content_class="pci:true")
+    edges = tuple(
+        dataclasses.replace(e, gateway_rules=(deny,) + e.gateway_rules) if e.id == "gw-green-yellow" else e
+        for e in s.edges
+    )
+    doc = tmp_path / "gated.yaml"
+    doc.write_text(serialize_scenario(dataclasses.replace(s, edges=edges)))
+    return str(doc)
+
+
+def test_a_call_does_not_depend_on_earlier_calls_in_the_process(content_gated, capsys):
+    """main keeps one parser for the process: options, defaults, errors and
+    help of one call leave nothing that a later call parses or prints."""
+    flow = ["eval", "--scenario", content_gated, "--from", "vm:green-a", "--principal", "sa:green-a",
+            "--to", "svc:yellow-pay"]
+    exfil = ["exfil", "--scenario", "fig5-vm", "--tag", "pii:false", "--perimeter", "green"]
+    matrix = ["matrix", "--scenario", "fig10-zero-trust"]
+    argvs = [
+        ["lint", "--scenario", "fig1-lift-shift", "--sideways"],
+        ["--help"],
+        [*exfil, "--bound", "1"],
+        exfil,
+        [*matrix, "--principals", "sa:a"],
+        matrix,
+        [*flow, "--payload-tags", "pci:true"],
+        flow,
+        ["eval", "--scenario", "fig1-lift-shift", "--from", "green", "--principal", "ghost", "--to", "yellow-pay"],
+        ["eval", "--help"],
+    ]
+    first = [run(capsys, *argv) for argv in argvs]
+    codes = [code for code, _, _ in first]
+    assert codes == [EXIT_BAD_INPUT, EXIT_OK, EXIT_OK, EXIT_POLICY, EXIT_OK, EXIT_OK, EXIT_POLICY, EXIT_OK,
+                     EXIT_BAD_INPUT, EXIT_OK]
+    assert first[4] != first[5] and first[6] != first[7]
+    backward = list(reversed(range(len(argvs))))
+    interleaved = [i for pair in zip(backward, range(len(argvs))) for i in pair]
+    for i in backward + interleaved:
+        assert run(capsys, *argvs[i]) == first[i], argvs[i]
+
+
+def test_main_builds_its_parser_once_per_process(monkeypatch, capsys):
+    constructed = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        constructed.append(self)
+        init(self, *args, **kwargs)
+
+    run(capsys, "scenarios", "list")
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for _ in range(10):
+        run(capsys, "scenarios", "list")
+        run(capsys, "lint", "--scenario", "fig1-lift-shift", "--sideways")
+    assert constructed == []
+    # a caller that extends build_parser's parser does not change what main parses
+    assert build_parser() is not build_parser()
