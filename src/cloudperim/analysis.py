@@ -243,9 +243,9 @@ def exfiltration_paths(
         raise ValueError(f"hop bound must be >= 1, got {bound}")
     idx = s.index()
     if perimeter not in idx.perimeters:
-        raise UnknownPerimeterError(perimeter)
+        raise UnknownPerimeterError(f"unknown perimeter {perimeter!r}")
     if not any(tag in a.tags for a in s.assets):
-        raise UnknownTagError(tag)
+        raise UnknownTagError(f"unknown tag {tag!r}")
     members = idx.memberships()[perimeter]
 
     tagged_assets = {a.id for a in s.assets if tag in a.tags}
@@ -307,13 +307,15 @@ def blast_radius(s: Scenario, workload: str, bound: int = DEFAULT_HOP_BOUND) -> 
     newly reached service contributes its own principals and locus.
     """
     s.index()  # refuses a broken scenario, even when nothing is evaluated
+    if bound < 1:
+        raise ValueError(f"hop bound must be >= 1, got {bound}")
     origin = [
         svc
         for svc in s.services
         if svc.id == workload or svc.workload == workload or workload in svc.backends
     ]
     if not origin:
-        raise UnknownWorkloadError(workload)
+        raise UnknownWorkloadError(f"unknown workload {workload!r}")
     methods = method_universe(s)
     targets = sorted(x.id for x in s.services if x.id not in {o.id for o in origin})
 

@@ -69,7 +69,7 @@ class EquivalenceReport:
 def _perimeter(s: Scenario, perimeter_id: str) -> m.AbstractPerimeter:
     p = s.index().perimeters.get(perimeter_id)
     if p is None:
-        raise UnknownPerimeterError(perimeter_id)
+        raise UnknownPerimeterError(f"unknown perimeter {perimeter_id!r}")
     return p
 
 

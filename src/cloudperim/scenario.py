@@ -16,6 +16,7 @@ single run.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import takewhile
@@ -115,25 +116,26 @@ class ScenarioIndex:
     Scenarios are frozen, so neither the facts nor the memos can go stale.
 
     A version made with ``dataclasses.replace`` shares every field it does not
-    replace, so it derives again only what its edit touched. Each fact and
-    each check family of validation is declared once, with the top-level
-    fields it reads (``_CHECKED_FACTS``, ``_FACTS``, ``_CHECKS``; ``_READS``
-    gathers them, and the text check of each entity list). A fact whose
-    fields are all the objects the last version that built clean held is
-    taken from that version as it is, and such a check is skipped, since it
-    found nothing there. Within a list that changed, an entity that is the
-    same object as one of that version's is held (``_Delta``): the text walk,
-    and each family that checks one entity at a time while every other field
-    it reads is held, check only the entities not held (another document
-    parsed shares no entity list, and is checked whole). Firewall priorities
-    are checked, and the rules by scope derived again, only in the scopes
-    that gained or lost a rule; a perimeter keeps its members while the
-    hierarchy is the same, and the routing graph is kept while what it reads
-    of the edges and segments is equal. The query memos (``QUERY_MEMOS``)
-    always start empty. Only ``analysis.diff_decisions``, which holds both
-    versions, fills the later one's memos from the earlier one's, with
-    ``engine.hand_on``: ``engine._MEMO_READS`` names the fields each memo's
-    entries read.
+    replace, so it derives again only what its edit touched, on a base
+    (``_Delta``): of the live indexes that last built clean on one of its
+    entity lists, the one whose scenario shares the most top-level fields with
+    it. Each fact and each check family of validation is declared once, with
+    the top-level fields it reads (``_CHECKED_FACTS``, ``_FACTS``,
+    ``_CHECKS``; ``_READS`` gathers them, and the text check of each entity
+    list). A fact whose fields are all the base's objects is taken from it as
+    it is, and such a check is skipped, since it found nothing there. Within a
+    list that changed, an entity that is the same object as one of the base's
+    is held (``_Delta``): the text walk, and each family that checks one
+    entity at a time while every other field it reads is held, check only the
+    entities not held (another document parsed has no base, and is checked
+    whole). Firewall priorities are checked, and the rules by scope derived
+    again, only in the scopes that gained or lost a rule; a perimeter keeps
+    its members while the hierarchy is the same, and the routing graph is kept
+    while what it reads of the edges and segments is equal. The query memos
+    (``QUERY_MEMOS``) always start empty. Only ``analysis.diff_decisions``,
+    which holds both versions, fills the later one's memos from the earlier
+    one's, with ``engine.hand_on``: ``engine._MEMO_READS`` names the fields
+    each memo's entries read.
     """
 
     # the memos of queries over the scenario, each empty in a new index
@@ -194,10 +196,9 @@ class ScenarioIndex:
     principal_classes: dict[tuple[str, str | None], tuple]
 
     def __init__(self, s: Scenario) -> None:
-        global _last_clean
         self.scenario = s
-        # what ``s`` holds that the last clean version did not, read while building only
-        self._delta = _Delta(s, _last_clean)
+        # what ``s`` holds that its base did not, read while building only
+        self._delta = _Delta(s)
         untyped = _untyped(s, self._delta)
         if untyped:
             raise InvalidScenarioError(untyped)
@@ -206,19 +207,17 @@ class ScenarioIndex:
         if violations:
             raise InvalidScenarioError(violations)
         self._derive(_FACTS)
-        del self._delta  # it holds the entities that version held and ``s`` does not
+        del self._delta  # it holds the base, which this index must not keep alive
         for memo in self.QUERY_MEMOS:
             setattr(self, memo, {})
-        _last_clean = _Clean(
-            {f: getattr(s, f) for f in _FIELDS},
-            {name: getattr(self, name) for name in (*_CHECKED_FACTS, *_FACTS)},
-        )
+        ids = [id(x) for f in _ENTITY_LISTS if (x := getattr(s, f))]
+        _holders.update(dict.fromkeys(ids, weakref.ref(self, partial(_forget, _holders, ids))))
 
     def _derive(self, facts: Mapping[str, "_Fact"]) -> None:
-        """Each of ``facts`` in order: the last clean version's where it is kept, else derived."""
+        """Each of ``facts`` in order: the base's where it is kept, else derived."""
         delta = self._delta
         for name, (_, derive) in facts.items():
-            setattr(self, name, delta.last.facts[name] if name in delta.kept else derive(self.scenario, self))
+            setattr(self, name, getattr(delta.base, name) if name in delta.kept else derive(self.scenario, self))
 
     def folders_above(self, node: str) -> tuple[str, ...]:
         """The folders of ``node``'s ancestor chain, root first."""
@@ -1005,7 +1004,7 @@ def _untyped(s: Scenario, delta: "_Delta") -> list[Violation]:
     not walked, so nothing reads a field it lacks.
 
     An entity list whose text check ``delta`` keeps is not walked, and of one
-    that changed since the last clean version only the elements not held are
+    that changed since the base only the elements not held are
     (``delta.fresh``): a held entity was walked there, and a walk reads
     nothing outside its entity, so the violations and their order are those
     of a walk over the whole list."""
@@ -1088,8 +1087,8 @@ def _validate(s: Scenario, idx: ScenarioIndex) -> list[Violation]:
     built in code is held to the same rules.
 
     A family declared with ``each`` checks the entities of that list it is
-    given, each on its own: the entities not held by the last clean version
-    where every other field it reads is that version's (each held entity
+    given, each on its own: the entities not held by the base where every
+    other field it reads is the base's (each held entity
     passed it there, with the same facts), else all of them. One declared
     with ``by`` as well is given every entity sharing its ``by`` value with
     one not held or one dropped. Either way its violations, and their order,
@@ -1517,48 +1516,48 @@ _ID_MAPS = ("nodes", "segments", "edges", "services", "attachments", "endpoints"
             "perimeters")
 
 
-class _Clean(NamedTuple):
-    """The last version that built clean: its fields, and its index's facts, by name."""
+# The id of each non-empty entity list of a clean index's scenario -> a weak
+# reference to the last clean index built on it, whose callback drops its own
+# entries as it dies: an index holds its lists, so no other object takes an id.
+_holders: dict[int, weakref.ref] = {}
 
-    fields: dict[str, Any]
-    facts: dict[str, Any]
 
-
-# Held, so no other object takes the id of a field it holds, or of an entity
-# in one; replaced whole by each clean build, so a build that reads it once
-# sees one version.
-_last_clean = _Clean({}, {})
+def _forget(holders: dict[int, weakref.ref], ids: list[int], ref: weakref.ref) -> None:
+    """Drops ``ref``'s entries from ``holders`` (bound, as the module's names may be gone at exit)."""
+    for i in ids:
+        if holders.get(i) is ref:
+            del holders[i]
 
 
 class _Delta:
-    """What a scenario holds that ``last``, the last clean version, did not.
+    """What a scenario holds that ``base``, the index it builds on, did not.
 
-    ``same`` is the fields that are ``last``'s objects, and ``kept`` the names
-    of ``_READS`` whose fields all are. An element of an entity list is held
-    when it is one of ``last``'s entities there, which ``last`` keeps alive;
-    each holds one element at most, so a repeat is not held. For each entity
-    list that is not ``last``'s but holds some of its entities, ``fresh`` has
-    the positions of its elements not held, and ``lost`` the entities of
-    ``last``'s list that it holds no more. Both are empty for a scenario that
-    shares no entity list with ``last``, such as another document parsed.
+    ``base`` is the live index, of those that last built clean on one of the
+    scenario's entity lists (``_holders``), whose scenario shares the most
+    top-level fields with it by identity (the first found on a tie), or None.
+    ``same`` is those fields, and ``kept`` the names of ``_READS`` whose
+    fields all are. An element of an entity list is held when it is one of
+    ``base``'s entities there, which ``base`` keeps alive; each holds one
+    element at most, so a repeat is not held. For each entity list that is not
+    ``base``'s, ``fresh`` has the positions of its elements not held, and
+    ``lost`` the entities of ``base``'s list that it holds no more. Without a
+    base (another document parsed), all are empty: the scenario is checked
+    whole.
     """
 
-    def __init__(self, s: Scenario, last: _Clean) -> None:
-        self.last = last
-        self.same = {f for f, held in last.fields.items() if getattr(s, f) is held}
-        self.kept: set[str] = set()
+    def __init__(self, s: Scenario) -> None:
+        found = dict.fromkeys(ref() for f in _ENTITY_LISTS if (ref := _holders.get(id(getattr(s, f)))))
+        # each index found (but None, one dying as it is looked up) -> the fields it shares with ``s``
+        shared = {idx: {f for f in _FIELDS if getattr(s, f) is getattr(idx.scenario, f)} for idx in found if idx}
+        self.base = max(shared, key=lambda idx: len(shared[idx]), default=None)
+        self.same = shared.get(self.base, set())
+        changed = [f for f in _FIELDS if f not in self.same]
+        self.kept = _READS.keys() - set().union(*map(_READERS.get, changed))  # each name reads some field
         self.fresh: dict[str, list[int]] = {}
         self.lost: dict[str, list[Any]] = {}
-        if not last.fields:
-            return
-        changed = [f for f in _FIELDS if f not in self.same]
-        self.kept = _READS.keys() - set().union(*map(_READERS.get, changed))
-        if not any(getattr(s, f) for f in _ENTITY_LISTS if f in self.same):
-            return  # it shares no entity list with ``last``: another document, checked whole
-        for f in changed:
-            unheld = _unheld(getattr(s, f), last.fields[f]) if f in _ENTITY_LISTS else None
-            if unheld is not None:
-                self.fresh[f], self.lost[f] = unheld
+        for f in changed if self.base is not None else ():
+            if f in _ENTITY_LISTS:
+                self.fresh[f], self.lost[f] = _unheld(getattr(s, f), getattr(self.base.scenario, f))
 
     def reached(self, s: Scenario, each: str, by: str | None) -> list[Any]:
         """The entities of ``s``'s list ``each`` (which is in ``fresh``) not
@@ -1572,21 +1571,19 @@ class _Delta:
         return [x for x in entities if getattr(x, by) in keys]
 
 
-def _unheld(now: Sequence, then: Sequence) -> tuple[list[int], list[Any]] | None:
+def _unheld(now: Sequence, then: Sequence) -> tuple[list[int], list[Any]]:
     """The positions of the elements of ``now`` that ``then`` does not hold,
-    and the elements of ``then`` that hold none of ``now``; None when
-    ``then`` holds none of ``now``. Each element of ``then`` (distinct
-    objects) holds at most one element of ``now``, one that is the same
-    object. The runs that both start, and then both end, with the same
-    objects are matched at C speed, and only the rest one by one."""
+    and the elements of ``then`` that hold none of ``now``. Each element of
+    ``then`` (distinct objects) holds at most one element of ``now``, one
+    that is the same object. The runs that both start, and then both end,
+    with the same objects are matched at C speed, and only the rest one by
+    one."""
     head = tail = 0
     if now and then and (now[0] is then[0] or now[-1] is then[-1]):
         head = _same_run(now, then)
         tail = _same_run(reversed(now[head:]), reversed(then[head:]))
     middle = then[head:len(then) - tail]
     unmatched = set(map(id, middle))
-    if not head and not tail and unmatched.isdisjoint(map(id, now)):
-        return None
     fresh = []
     for j in range(head, len(now) - tail):
         if id(now[j]) in unmatched:
@@ -1606,12 +1603,12 @@ def _ids(attr: str) -> Callable[[Scenario, ScenarioIndex], dict[str, Any]]:
 
 
 def _perimeter_members(s: Scenario, idx: ScenarioIndex) -> tuple[frozenset[str] | CloudPerimError, ...]:
-    """Each perimeter's members; one the last clean version held keeps them
-    while the hierarchy is the same (its id map is kept only then)."""
-    last = idx._delta.last
+    """Each perimeter's members; one the base held keeps them while the
+    hierarchy is the same (its id map is kept only then)."""
+    base = idx._delta.base
     kept = {}
-    if idx.nodes is last.facts.get("nodes"):
-        kept = {id(p): x for p, x in zip(last.fields["perimeters"], last.facts["perimeter_members"])}
+    if base is not None and idx.nodes is base.nodes:
+        kept = {id(p): x for p, x in zip(base.scenario.perimeters, base.perimeter_members)}
     return tuple(
         kept[id(p)] if id(p) in kept else _outcome(lambda: m.resolve_members(p, idx.nodes)) for p in s.perimeters
     )
@@ -1627,13 +1624,13 @@ def _source_nets(s: Scenario, idx: ScenarioIndex) -> dict[str, tuple[prefix.Inte
 
 
 def _by_scope(s: Scenario, idx: ScenarioIndex) -> dict[str, tuple[m.FirewallRule, ...]]:
-    """Firewall rules per scope; after the last clean version, only the scopes
-    that gained or lost a rule are derived again, and the rest are its own."""
+    """Firewall rules per scope; on a base, only the scopes that gained or
+    lost a rule are derived again, and the rest are the base's."""
     delta, rules, kept = idx._delta, s.firewall_rules, {}
     if "firewall_rules" in delta.fresh:
         rules = delta.reached(s, "firewall_rules", "scope")
         scopes = {r.scope for r in (*rules, *delta.lost["firewall_rules"])}
-        kept = {scope: x for scope, x in delta.last.facts["firewall_rules_by_scope"].items() if scope not in scopes}
+        kept = {scope: x for scope, x in delta.base.firewall_rules_by_scope.items() if scope not in scopes}
     by_scope: dict[str, list[m.FirewallRule]] = {}
     for r in rules:
         by_scope.setdefault(r.scope, []).append(r)
@@ -1641,15 +1638,15 @@ def _by_scope(s: Scenario, idx: ScenarioIndex) -> dict[str, tuple[m.FirewallRule
 
 
 def _adjacency(s: Scenario, idx: ScenarioIndex) -> dict[str, tuple[tuple[str, LastHop], ...]]:
-    """The routing graph: the last clean version's while the non-routable
-    segments and each edge's id, ends, kind and direction, in order, are
-    equal, which is all ``_locus_adjacency`` reads (an edit of a gateway rule
-    replaces its edge but changes none of them)."""
-    last = idx._delta.last
-    if last.fields and idx.non_routable == last.facts["non_routable"] and len(s.edges) == len(last.fields["edges"]):
+    """The routing graph: the base's while the non-routable segments and
+    each edge's id, ends, kind and direction, in order, are equal, which is
+    all ``_locus_adjacency`` reads (an edit of a gateway rule replaces its
+    edge but changes none of them)."""
+    base = idx._delta.base
+    if base is not None and idx.non_routable == base.non_routable and len(s.edges) == len(base.scenario.edges):
         if all(a is b or (a.id, a.ends, a.kind, a.direction) == (b.id, b.ends, b.kind, b.direction)
-               for a, b in zip(s.edges, last.fields["edges"])):
-            return last.facts["adjacency"]
+               for a, b in zip(s.edges, base.scenario.edges)):
+            return base.adjacency
     return _locus_adjacency(s.edges, idx.non_routable)
 
 
@@ -1722,7 +1719,7 @@ _FACTS: dict[str, _Fact] = {
     }),
 }
 # What each text check, fact and check family reads, by name; one whose
-# fields are all the objects the last clean version held is kept from it. No
+# fields are all the objects the base's scenario holds is kept from it. No
 # name is in two tables.
 _READS: dict[str, tuple[str, ...]] = {
     **{f"text {f.attr}": (f.attr,) for f, _ in _SCENARIO.nested},

@@ -176,9 +176,9 @@ def test_exfil_bound_zero_is_an_error():
 
 def test_exfil_unknown_perimeter_and_tag():
     s = builtin_scenario("fig1-lift-shift")
-    with pytest.raises(UnknownPerimeterError):
+    with pytest.raises(UnknownPerimeterError, match=r"^unknown perimeter 'purple'$"):
         exfiltration_paths(s, "pci:true", "purple")
-    with pytest.raises(UnknownTagError):
+    with pytest.raises(UnknownTagError, match=r"^unknown tag 'alien:true'$"):
         exfiltration_paths(s, "alien:true", "yellow")
 
 
@@ -266,8 +266,14 @@ def test_isolated_workload_has_empty_radius():
 
 
 def test_unknown_workload():
-    with pytest.raises(UnknownWorkloadError):
+    with pytest.raises(UnknownWorkloadError, match=r"^unknown workload 'nonesuch'$"):
         blast_radius(builtin_scenario("fig10-zero-trust"), "nonesuch")
+
+
+@pytest.mark.parametrize("bound", [0, -1])
+def test_blast_bound_below_one_is_an_error(bound):
+    with pytest.raises(ValueError, match=rf"^hop bound must be >= 1, got {bound}$"):
+        blast_radius(builtin_scenario("fig10-zero-trust"), "app-a", bound=bound)
 
 
 def test_fig10_rbac_strips_to_full_reach():

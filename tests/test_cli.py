@@ -344,6 +344,24 @@ def test_scenario_path_that_cannot_be_read_exits_two_with_one_line(tmp_path, cap
     )
 
 
+@pytest.mark.parametrize("bound", ["0", "-1"])
+def test_blast_bound_below_one_exits_two(capsys, bound):
+    # as exfil's does: a mistyped bound must not read as "reaches nothing"
+    assert run(capsys, "blast", "--scenario", "fig10-zero-trust", "--workload", "app-a", "--bound", bound) == (
+        EXIT_BAD_INPUT, "", f"error: hop bound must be >= 1, got {bound}\n"
+    )
+
+
+@pytest.mark.parametrize("argv, unknown", [
+    (["blast", "--scenario", "fig10-zero-trust", "--workload", "ghost"], "workload"),
+    (["exfil", "--scenario", "fig1-lift-shift", "--tag", "pci:true", "--perimeter", "ghost"], "perimeter"),
+    (["exfil", "--scenario", "fig1-lift-shift", "--tag", "ghost", "--perimeter", "yellow"], "tag"),
+    (["compile", "--scenario", "fig4-landing-point", "--perimeter", "ghost", "--mechanism", "hybrid"], "perimeter"),
+], ids=["blast-workload", "exfil-perimeter", "exfil-tag", "compile-perimeter"])
+def test_an_unknown_id_exits_two_saying_what_is_unknown(capsys, argv, unknown):
+    assert run(capsys, *argv) == (EXIT_BAD_INPUT, "", f"error: unknown {unknown} 'ghost'\n")
+
+
 FIG1_EVAL = ["eval", "--scenario", "fig1-lift-shift", "--from", "green", "--principal", "sa:green-a",
              "--to", "yellow-pay"]
 

@@ -1,31 +1,38 @@
 """An edited scenario re-derives only what its edit touched, and never reads a stale fact.
 
-A version made with ``dataclasses.replace`` keeps the facts, text checks and
-check families (``scenario._READS``) whose fields are all the objects of the
-last version that built clean, and ``diff_decisions`` hands its after-side
-what still holds of its before-side's query memos (``engine.hand_on``): each
-memo whose check (``engine._check``, built from the clauses of
-``engine._MEMO_READS``) accepts every entry, and otherwise each request's leg
-and class answer where the check accepts the request's leg. Each version
-here is built twice: incrementally, right after its parent built clean, and
-from scratch with that memo cleared. Its violations (text and order), every
-fact, the diff against its parent and every entry of its query memos must be
-the same both ways, and an earlier leg or answer is taken exactly when its
-check accepts it.
+A version made with ``dataclasses.replace`` builds on a base: of the live
+indexes that last built clean on one of its entity lists, the one whose
+scenario shares the most top-level fields with it (``scenario._Delta``). It
+keeps the base's facts, text checks and check families
+(``scenario._READS``) whose fields are all the base's objects, and
+``diff_decisions`` hands its after-side what still holds of its
+before-side's query memos (``engine.hand_on``): each memo whose check
+(``engine._check``, built from the clauses of ``engine._MEMO_READS``)
+accepts every entry, and otherwise each request's leg and class answer
+where the check accepts the request's leg. Each version here is built
+twice: incrementally, on a copy of its parent built just before it, and
+from scratch, as a copy whose every entity is a new object, which shares
+no list with any index and so has no base. Its violations (text and
+order), every fact, the diff against its parent and every entry of its
+query memos must be the same both ways, and an earlier leg or answer is
+taken exactly when its check accepts it. What else the process built, or
+has yet to collect, may change a version's base but never what it builds.
 """
 
-import contextlib
+import copy
 import dataclasses
+import gc
 import random
 import sys
 import typing
+import weakref
 from enum import Enum
 from pathlib import Path
 from typing import Mapping
 
 import pytest
 
-from cloudperim import analysis, builtin_scenario, engine, identity, parse_scenario, prefix, route, scenario
+from cloudperim import analysis, builtin_scenario, engine, identity, parse_scenario, prefix, route, scenario, template_text
 from cloudperim import model as m
 from cloudperim.analysis import default_request_space, diff_decisions
 from cloudperim.errors import CloudPerimError
@@ -41,15 +48,11 @@ QUERY_MEMOS = scenario.ScenarioIndex.QUERY_MEMOS
 EDIT_SEEDS = range(5)
 
 
-@contextlib.contextmanager
-def _cleared():
-    """Builds inside derive every fact and run every check, as the first build of a process does."""
-    saved = scenario._last_clean
-    scenario._last_clean = scenario._Clean({}, {})
-    try:
-        yield
-    finally:
-        scenario._last_clean = saved
+def _scratch(s):
+    """An equal copy of ``s`` whose every entity is a new object: it shares no
+    entity list with any live index, so its build derives every fact and runs
+    every check, as the first build of a process does."""
+    return dataclasses.replace(s, **{f: tuple(map(copy.copy, getattr(s, f))) for f in scenario._ENTITY_LISTS})
 
 
 def _outcome(call):
@@ -137,13 +140,12 @@ def _answers_expected(earlier, later, handed):
 def _assert_incremental_equals_scratch(before, after, requests, label=""):
     """``after`` built right after ``before`` (valid, evaluated on ``requests``)
     built clean gives what a build from scratch gives."""
-    dataclasses.replace(before).index()  # the memo now holds ``before``'s fields
+    base = dataclasses.replace(before).index()  # the last to build clean on ``before``'s lists: ``after``'s base
     for r in requests:
         _outcome(lambda: engine.evaluate_flow(before, r))
     violations = validate_scenario(after)
-    with _cleared():
-        scratch = dataclasses.replace(after)
-        expected = validate_scenario(scratch)
+    scratch = _scratch(after)
+    expected = validate_scenario(scratch)
     assert [str(v) for v in violations] == [str(v) for v in expected], label
     assert violations == expected, label
     if not violations:
@@ -151,8 +153,7 @@ def _assert_incremental_equals_scratch(before, after, requests, label=""):
         for name in FACTS:
             assert getattr(idx, name) == getattr(scratch_idx, name), (label, name)
     diffs = _outcome(lambda: diff_decisions(before, after, requests))
-    with _cleared():
-        assert diffs == _outcome(lambda: diff_decisions(dataclasses.replace(before), scratch, requests)), label
+    assert diffs == _outcome(lambda: diff_decisions(_scratch(before), scratch, requests)), label
     if not violations:
         # each request's leg is the earlier one exactly when the leg check accepts that
         earlier, later = before.index(), after.index()
@@ -587,12 +588,20 @@ def _received(monkeypatch):
     return got
 
 
-def test_an_edit_walks_and_checks_only_the_entities_it_did_not_hold(monkeypatch):
+def _unrelated_builds():
+    """A template's copy built and another template parsed: indexes that share no entity list with the estate."""
+    dataclasses.replace(builtin_scenario("fig1-lift-shift")).index()
+    parse_scenario(template_text("fig3-hierarchy")).index()
+
+
+@pytest.mark.parametrize("between", [lambda: None, _unrelated_builds], ids=["in-turn", "unrelated-builds-between"])
+def test_an_edit_walks_and_checks_only_the_entities_it_did_not_hold(monkeypatch, between):
     base, _, kinds = _kinds_of_edit()
     got = _received(monkeypatch)
 
     def build(version):
         before = dataclasses.replace(base).index()
+        between()
         got.clear()
         return before, version.index()
 
@@ -619,6 +628,49 @@ def test_an_edit_walks_and_checks_only_the_entities_it_did_not_hold(monkeypatch)
     (edge,) = [e for e, was in zip(version.edges, base.edges) if e is not was]
     assert got == dict.fromkeys(("edge id", "edge ends", "gateway values", "refs of edges", "edge kinds"), [edge])
     assert after.adjacency is before.adjacency
+
+
+def test_an_edit_builds_on_the_live_index_sharing_the_most_fields_with_it(monkeypatch):
+    base, _, kinds = _kinds_of_edit()
+    got = _received(monkeypatch)
+    # ``ruled`` shares every list but the firewall rules with the estate, and
+    # ``pruned`` every list but the bindings and edges; each list is entered
+    # under the last index to build on it, so each of the two is found
+    ruled = kinds["deny_rule"]
+    pruned = dataclasses.replace(kinds["drop_binding"], edges=kinds["drop_gateway_allow"].edges)
+    ruled.index(), pruned.index()
+    got.clear()
+    kinds["add_perimeter"].index()
+    # on ``ruled``, the firewall rules are walked (none is new) and no binding or edge is
+    assert got["firewall rule id"] == [] and "binding id" not in got and "edge id" not in got
+
+
+def test_an_index_that_dies_drops_only_its_own_entries():
+    base, _, _ = _kinds_of_edit()
+    gc.collect()
+    entries = dict(scenario._holders)
+    first = _scratch(base)
+    first.index()
+    # the last to build on every list of ``first`` but its bindings, whose entry ``first`` keeps
+    later = dataclasses.replace(first, bindings=first.bindings[1:])
+    later.index()
+    assert len(scenario._holders) > len(entries)
+    del first
+    gc.collect()
+    # ``later``'s entries stand, so an edit of it builds on it and keeps its routing graph
+    assert dataclasses.replace(later, bindings=later.bindings[1:]).index().adjacency is later.index().adjacency
+    del later
+    gc.collect()
+    assert scenario._holders == entries
+
+
+def test_a_dropped_version_keeps_none_of_its_entities_alive():
+    s = _scratch(builtin_scenario("fig1-lift-shift"))
+    s.index()
+    rule = weakref.ref(s.firewall_rules[0])
+    del s
+    gc.collect()
+    assert rule() is None
 
 
 def test_diff_decisions_takes_only_the_queries_an_edit_cannot_change():
@@ -715,10 +767,9 @@ def _legs_taken(before, after):
     theirs, ours = before.index().legs, after.index().legs
     taken = {key for key in theirs if ours.get(key) is theirs[key]}
     assert set(ours) == set(theirs)
-    with _cleared():
-        scratch = dataclasses.replace(after)
-        for key in taken:
-            assert ours[key] == engine._network_leg(scratch, scratch.index(), key), key
+    scratch = _scratch(after)
+    for key in taken:
+        assert ours[key] == engine._network_leg(scratch, scratch.index(), key), key
     assert GREEN_TO_PAY in theirs and YELLOW_TO_STORE in theirs
     return taken, theirs
 
@@ -815,13 +866,12 @@ def test_reversed_edges_take_every_route_tree_and_every_leg():
     earlier = before.index()
     diff_decisions(before, after, [m.FlowRequest(s.principals[0].id, key[0], key[1]) for key in earlier.legs])
     later = after.index()
-    with _cleared():
-        scratch = dataclasses.replace(after)
-        for memo, count in (("route_trees", 15), ("legs", 48)):
-            theirs, ours = getattr(earlier, memo), getattr(later, memo)
-            assert len(theirs) == count and ours.keys() == theirs.keys(), memo
-            for key, entry in ours.items():
-                assert entry is theirs[key] and entry == _scratch_entry(scratch, memo, key), (memo, key)
+    scratch = _scratch(after)
+    for memo, count in (("route_trees", 15), ("legs", 48)):
+        theirs, ours = getattr(earlier, memo), getattr(later, memo)
+        assert len(theirs) == count and ours.keys() == theirs.keys(), memo
+        for key, entry in ours.items():
+            assert entry is theirs[key] and entry == _scratch_entry(scratch, memo, key), (memo, key)
 
 
 def test_route_trees_are_taken_while_the_topology_and_non_routable_segments_hold():
@@ -888,12 +938,11 @@ def _answers_taken(before, after):
     theirs, ours = before.index().answers, after.index().answers
     assert set(theirs) == set(firsts)
     taken = {key for key in theirs if ours.get(key) is theirs[key]}
-    with _cleared():
-        scratch = dataclasses.replace(after)
-        analysis.reachability_matrix(scratch)  # the leg of each (locus, target), to witness a class
-        for key in taken:
-            witness = _answer_witness(scratch, key)
-            assert witness is None or ours[key] == witness, key
+    scratch = _scratch(after)
+    analysis.reachability_matrix(scratch)  # the leg of each (locus, target), to witness a class
+    for key in taken:
+        witness = _answer_witness(scratch, key)
+        assert witness is None or ours[key] == witness, key
     return taken, {key: _leg(before, r) for key, r in firsts.items()}
 
 

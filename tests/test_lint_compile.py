@@ -413,7 +413,7 @@ def test_twelve_single_service_perimeters_fire_microseg():
 
 
 def test_unknown_perimeter():
-    with pytest.raises(UnknownPerimeterError):
+    with pytest.raises(UnknownPerimeterError, match=r"^unknown perimeter 'purple'$"):
         compile_perimeter(builtin_scenario("fig4-landing-point"), "purple", "hybrid")
 
 
