@@ -182,7 +182,7 @@ def reachability_matrix(
     for row in rows:
         principal, locus = row
         if principal not in idx.principals:
-            raise UnknownEntityError(f"principal {principal!r}")
+            raise UnknownEntityError(f"unknown principal {principal!r}")
         at, classes = legs.setdefault(locus, {}), {}
         for col in columns:
             target, method = col
@@ -363,8 +363,7 @@ def diff_decisions(
     leg and its class's answer where their checks accept them. Every request
     still goes through ``evaluate_flow`` on both sides.
     """
-    earlier = s_before.index()  # refuses a broken scenario, even with no requests
-    hand = hand_on(earlier, s_after.index())
+    hand = hand_on(s_before, s_after)  # refuses a broken scenario, even with no requests
     diffs = []
     for r in sorted(requests, key=request_key):
         try:

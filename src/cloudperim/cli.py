@@ -141,14 +141,11 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_matrix(args) -> int:
+    axes = {flag: _split_csv(getattr(args, flag)) for flag in ("principals", "loci", "targets", "methods")}
+    if empty := [flag for flag, ids in axes.items() if ids == []]:  # the matrix would answer nothing
+        raise CliError(f"--{empty[0]} names nothing")
     s = _load_scenario(args.scenario)
-    matrix = analysis.reachability_matrix(
-        s,
-        principals=_split_csv(args.principals),
-        loci=_split_csv(args.loci),
-        targets=_split_csv(args.targets),
-        methods=_split_csv(args.methods),
-    )
+    matrix = analysis.reachability_matrix(s, **axes)
     if args.output == "records":
         _emit(records.matrix_records(matrix))
     else:

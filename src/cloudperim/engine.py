@@ -433,7 +433,7 @@ def _network_leg(s: Scenario, idx: ScenarioIndex, key: LegKey) -> NetworkLeg:
     index's leg memo (a leg whose evaluation raises is not kept)."""
     source, target, source_address, payload_tags = key
     if source not in idx.segments and source not in m.DISTINGUISHED_LOCI:
-        raise UnknownEntityError(f"source locus {source!r}")
+        raise UnknownEntityError(f"unknown source locus {source!r}")
     target_service: m.ServiceSpec | None = None
     endpoint: m.ConsumerEndpoint | None = None
     attachment: m.ServiceAttachment | None = None
@@ -446,7 +446,7 @@ def _network_leg(s: Scenario, idx: ScenarioIndex, key: LegKey) -> NetworkLeg:
         attachment = idx.attachments[endpoint.attachment]
         target_service = idx.services[attachment.service]
     else:
-        raise UnknownEntityError(f"target {target!r}")
+        raise UnknownEntityError(f"unknown target {target!r}")
 
     result = route_mod.resolve_path(s, source, target)
     path = result if isinstance(result, route_mod.RoutePath) else None
@@ -536,7 +536,7 @@ def evaluate_flow(s: Scenario, r: m.FlowRequest) -> tuple[m.Decision, m.Decision
     idx = s.index()
     principal = idx.principals.get(r.principal)
     if principal is None:
-        raise UnknownEntityError(f"principal {r.principal!r}")
+        raise UnknownEntityError(f"unknown principal {r.principal!r}")
     key = (r.source, r.target, r.source_address, r.payload_tags)
     leg = idx.legs.get(key) or _network_leg(s, idx, key)
     if leg.denied is not None:
@@ -578,7 +578,7 @@ def principal_class(s: Scenario, principal: str, idp: str | None) -> tuple:
     if cls is None:
         known = idx.principals.get(principal)
         if known is None:
-            raise UnknownEntityError(f"principal {principal!r}")
+            raise UnknownEntityError(f"unknown principal {principal!r}")
         cls = idx.principal_classes[(principal, idp)] = _principal_class(s, idx, known, idp)
     return cls
 
@@ -671,7 +671,7 @@ def _crossings_hold(earlier: ScenarioIndex, idx: ScenarioIndex) -> Callable[[Net
 
 
 def _endpoint_places(idx: ScenarioIndex) -> list[tuple[str, str, str]]:
-    return [(ep.id, ep.segment, ep.attachment) for ep in idx.scenario.endpoints]
+    return [(ep.id, ep.segment, ep.attachment) for ep in idx.endpoints.values()]
 
 
 def _endpoints_hold(earlier: ScenarioIndex, idx: ScenarioIndex) -> Callable[[NetworkLeg], bool]:
@@ -724,16 +724,16 @@ _MEMO_READS: dict[str, dict[str, _Clause | None]] = {
 }
 
 
-def _check(memo: str, earlier: ScenarioIndex, idx: ScenarioIndex) -> Callable[[NetworkLeg], bool]:
-    """The check of whether an entry of ``earlier``'s memo ``memo`` holds in
-    ``idx``: whether ``idx`` would derive the same entry for its key. Every
-    clause of a field that is not the same object in both scenarios must
-    hold; ``_never`` where a field without a clause changed or a clause
+def _check(memo: str, before: Scenario, after: Scenario) -> Callable[[NetworkLeg], bool]:
+    """The check of whether an entry of ``before``'s memo ``memo`` holds in
+    ``after``: whether ``after`` would derive the same entry for its key. The
+    clause, given both indexes, of each field not the same object in both
+    must hold; ``_never`` where a field without a clause changed or a clause
     rejects every entry, ``_always`` where none is left to check."""
-    changed = [clause for f, clause in _MEMO_READS[memo].items()
-               if getattr(idx.scenario, f) is not getattr(earlier.scenario, f)]
+    changed = [clause for f, clause in _MEMO_READS[memo].items() if getattr(after, f) is not getattr(before, f)]
     if None in changed:
         return _never
+    earlier, idx = before.index(), after.index()
     checks = [check for check in (clause(earlier, idx) for clause in dict.fromkeys(changed)) if check is not _always]
     if _never in checks:
         return _never
@@ -742,13 +742,14 @@ def _check(memo: str, earlier: ScenarioIndex, idx: ScenarioIndex) -> Callable[[N
     return lambda leg: all(check(leg) for check in checks)
 
 
-def hand_on(earlier: ScenarioIndex, idx: ScenarioIndex) -> Callable[[m.FlowRequest], None]:
-    """Hand ``idx`` what still holds of ``earlier``'s query memos: now, each
-    memo whose check accepts every entry (entries ``idx`` has are kept); and
-    through the step returned, once ``earlier`` has evaluated a request, the
-    request's leg and its class's answer, each where its check accepts the
-    request's leg."""
-    checks = {memo: _check(memo, earlier, idx) for memo in _MEMO_READS}
+def hand_on(before: Scenario, after: Scenario) -> Callable[[m.FlowRequest], None]:
+    """Hand ``after`` what still holds of ``before``'s query memos (``before``
+    is indexed, and refused, first): now, each memo whose check accepts every
+    entry (entries ``after`` has are kept); and through the step returned, once
+    ``before`` has evaluated a request, the request's leg and its class's
+    answer, each where its check accepts the request's leg."""
+    earlier, idx = before.index(), after.index()
+    checks = {memo: _check(memo, before, after) for memo in _MEMO_READS}
     for memo, check in checks.items():
         if check is _always:
             setattr(idx, memo, {**getattr(earlier, memo), **getattr(idx, memo)})

@@ -98,6 +98,10 @@ class Scenario:
                     object.__setattr__(self, "_index", ScenarioIndex(self))
                 except InvalidScenarioError as e:
                     object.__setattr__(self, "_violations", e.violations)
+                else:  # a base is read through its index, so it is entered once that is stored
+                    for f in _ENTITY_LISTS:  # a loop: a comprehension here would make ``self`` a cell in every call
+                        if x := getattr(self, f):
+                            _holders[id(x)] = self
             if self._violations is not None:
                 raise InvalidScenarioError(self._violations)
         return self._index
@@ -117,25 +121,27 @@ class ScenarioIndex:
 
     A version made with ``dataclasses.replace`` shares every field it does not
     replace, so it derives again only what its edit touched, on a base
-    (``_Delta``): of the live indexes that last built clean on one of its
-    entity lists, the one whose scenario shares the most top-level fields with
-    it. Each fact and each check family of validation is declared once, with
-    the top-level fields it reads (``_CHECKED_FACTS``, ``_FACTS``,
-    ``_CHECKS``; ``_READS`` gathers them, and the text check of each entity
-    list). A fact whose fields are all the base's objects is taken from it as
-    it is, and such a check is skipped, since it found nothing there. Within a
-    list that changed, an entity that is the same object as one of the base's
-    is held (``_Delta``): the text walk, and each family that checks one
-    entity at a time while every other field it reads is held, check only the
-    entities not held (another document parsed has no base, and is checked
-    whole). Firewall priorities are checked, and the rules by scope derived
-    again, only in the scopes that gained or lost a rule; a perimeter keeps
-    its members while the hierarchy is the same, and the routing graph is kept
-    while what it reads of the edges and segments is equal. The query memos
-    (``QUERY_MEMOS``) always start empty. Only ``analysis.diff_decisions``,
-    which holds both versions, fills the later one's memos from the earlier
-    one's, with ``engine.hand_on``: ``engine._MEMO_READS`` names the fields
-    each memo's entries read.
+    (``_Delta``): of the live scenarios that last built clean on one of its
+    entity lists, the one that shares the most top-level fields with it. A
+    scenario owns its index, which holds no scenario, so a version is freed,
+    and is a base no longer, once nothing holds its scenario. Each fact and
+    each check family of validation is declared once, with the top-level
+    fields it reads (``_CHECKED_FACTS``, ``_FACTS``, ``_CHECKS``; ``_READS``
+    gathers them, and the text check of each entity list). A fact whose fields
+    are all the base's objects is taken from it as it is, and such a check is
+    skipped, since it found nothing there. Within a list that changed, an
+    entity that is the same object as one of the base's is held (``_Delta``):
+    the text walk, and each family that checks one entity at a time while
+    every other field it reads is held, check only the entities not held
+    (another document parsed has no base, and is checked whole). Firewall
+    priorities are checked, and the rules by scope derived again, only in the
+    scopes that gained or lost a rule; a perimeter keeps its members while the
+    hierarchy is the same, and the routing graph is kept while what it reads
+    of the edges and segments is equal. The query memos (``QUERY_MEMOS``)
+    always start empty. Only ``analysis.diff_decisions``, which holds both
+    versions, fills the later one's memos from the earlier one's, with
+    ``engine.hand_on``: ``engine._MEMO_READS`` names the fields each memo's
+    entries read.
     """
 
     # the memos of queries over the scenario, each empty in a new index
@@ -196,28 +202,25 @@ class ScenarioIndex:
     principal_classes: dict[tuple[str, str | None], tuple]
 
     def __init__(self, s: Scenario) -> None:
-        self.scenario = s
         # what ``s`` holds that its base did not, read while building only
         self._delta = _Delta(s)
         untyped = _untyped(s, self._delta)
         if untyped:
             raise InvalidScenarioError(untyped)
-        self._derive(_CHECKED_FACTS)
+        self._derive(s, _CHECKED_FACTS)
         violations = _validate(s, self)
         if violations:
             raise InvalidScenarioError(violations)
-        self._derive(_FACTS)
+        self._derive(s, _FACTS)
         del self._delta  # it holds the base, which this index must not keep alive
         for memo in self.QUERY_MEMOS:
             setattr(self, memo, {})
-        ids = [id(x) for f in _ENTITY_LISTS if (x := getattr(s, f))]
-        _holders.update(dict.fromkeys(ids, weakref.ref(self, partial(_forget, _holders, ids))))
 
-    def _derive(self, facts: Mapping[str, "_Fact"]) -> None:
-        """Each of ``facts`` in order: the base's where it is kept, else derived."""
+    def _derive(self, s: Scenario, facts: Mapping[str, "_Fact"]) -> None:
+        """Each of ``facts`` of ``s`` in order: the base's where it is kept, else derived."""
         delta = self._delta
         for name, (_, derive) in facts.items():
-            setattr(self, name, getattr(delta.base, name) if name in delta.kept else derive(self.scenario, self))
+            setattr(self, name, getattr(delta.base._index, name) if name in delta.kept else derive(s, self))
 
     def folders_above(self, node: str) -> tuple[str, ...]:
         """The folders of ``node``'s ancestor chain, root first."""
@@ -225,7 +228,7 @@ class ScenarioIndex:
 
     def memberships(self) -> dict[str, frozenset[str]]:
         """Perimeter id -> resolved member project set."""
-        return {p.id: x for p, x in zip(self.scenario.perimeters, self.perimeter_members)}
+        return dict(zip(self.perimeters, self.perimeter_members))  # the ids are unique, in scenario order
 
 
 def _outcome(walk: Callable[[], Any]) -> Any:
@@ -1516,48 +1519,41 @@ _ID_MAPS = ("nodes", "segments", "edges", "services", "attachments", "endpoints"
             "perimeters")
 
 
-# The id of each non-empty entity list of a clean index's scenario -> a weak
-# reference to the last clean index built on it, whose callback drops its own
-# entries as it dies: an index holds its lists, so no other object takes an id.
-_holders: dict[int, weakref.ref] = {}
-
-
-def _forget(holders: dict[int, weakref.ref], ids: list[int], ref: weakref.ref) -> None:
-    """Drops ``ref``'s entries from ``holders`` (bound, as the module's names may be gone at exit)."""
-    for i in ids:
-        if holders.get(i) is ref:
-            del holders[i]
+# The id of each non-empty entity list of a scenario built clean -> the last
+# such scenario holding it, held weakly: an entry goes when its scenario does
+# (taken over from an earlier one or not), and while that lives, it holds the
+# list, so no other object takes the id.
+_holders: weakref.WeakValueDictionary[int, Scenario] = weakref.WeakValueDictionary()
 
 
 class _Delta:
-    """What a scenario holds that ``base``, the index it builds on, did not.
+    """What a scenario holds that ``base``, the scenario it builds on, did not.
 
-    ``base`` is the live index, of those that last built clean on one of the
-    scenario's entity lists (``_holders``), whose scenario shares the most
-    top-level fields with it by identity (the first found on a tie), or None.
-    ``same`` is those fields, and ``kept`` the names of ``_READS`` whose
-    fields all are. An element of an entity list is held when it is one of
-    ``base``'s entities there, which ``base`` keeps alive; each holds one
-    element at most, so a repeat is not held. For each entity list that is not
-    ``base``'s, ``fresh`` has the positions of its elements not held, and
-    ``lost`` the entities of ``base``'s list that it holds no more. Without a
-    base (another document parsed), all are empty: the scenario is checked
-    whole.
+    ``base`` is the live scenario, of those that last built clean on one of
+    the scenario's entity lists (``_holders``), that shares the most top-level
+    fields with it by identity (the first found on a tie), or None; its facts
+    are those of its ``_index``. ``same`` is those fields, and ``kept`` the
+    names of ``_READS`` whose fields all are. An element of an entity list is
+    held when it is one of ``base``'s entities there, which ``base`` keeps
+    alive; each holds one element at most, so a repeat is not held. For each
+    entity list that is not ``base``'s, ``fresh`` has the positions of its
+    elements not held, and ``lost`` the entities of ``base``'s list that it
+    holds no more. Without a base (another document parsed), all are empty:
+    the scenario is checked whole.
     """
 
     def __init__(self, s: Scenario) -> None:
-        found = dict.fromkeys(ref() for f in _ENTITY_LISTS if (ref := _holders.get(id(getattr(s, f)))))
-        # each index found (but None, one dying as it is looked up) -> the fields it shares with ``s``
-        shared = {idx: {f for f in _FIELDS if getattr(s, f) is getattr(idx.scenario, f)} for idx in found if idx}
-        self.base = max(shared, key=lambda idx: len(shared[idx]), default=None)
-        self.same = shared.get(self.base, set())
+        # each scenario found, once, by id (hashing one walks its entities), and the fields it shares with ``s``
+        found = {id(b): b for f in _ENTITY_LISTS if (b := _holders.get(id(getattr(s, f)))) is not None}
+        shared = [(b, {f for f in _FIELDS if getattr(s, f) is getattr(b, f)}) for b in found.values()]
+        self.base, self.same = max(shared, key=lambda pair: len(pair[1]), default=(None, set()))
         changed = [f for f in _FIELDS if f not in self.same]
         self.kept = _READS.keys() - set().union(*map(_READERS.get, changed))  # each name reads some field
         self.fresh: dict[str, list[int]] = {}
         self.lost: dict[str, list[Any]] = {}
         for f in changed if self.base is not None else ():
             if f in _ENTITY_LISTS:
-                self.fresh[f], self.lost[f] = _unheld(getattr(s, f), getattr(self.base.scenario, f))
+                self.fresh[f], self.lost[f] = _unheld(getattr(s, f), getattr(self.base, f))
 
     def reached(self, s: Scenario, each: str, by: str | None) -> list[Any]:
         """The entities of ``s``'s list ``each`` (which is in ``fresh``) not
@@ -1607,8 +1603,8 @@ def _perimeter_members(s: Scenario, idx: ScenarioIndex) -> tuple[frozenset[str] 
     hierarchy is the same (its id map is kept only then)."""
     base = idx._delta.base
     kept = {}
-    if base is not None and idx.nodes is base.nodes:
-        kept = {id(p): x for p, x in zip(base.scenario.perimeters, base.perimeter_members)}
+    if base is not None and idx.nodes is base._index.nodes:
+        kept = {id(p): x for p, x in zip(base.perimeters, base._index.perimeter_members)}
     return tuple(
         kept[id(p)] if id(p) in kept else _outcome(lambda: m.resolve_members(p, idx.nodes)) for p in s.perimeters
     )
@@ -1630,7 +1626,7 @@ def _by_scope(s: Scenario, idx: ScenarioIndex) -> dict[str, tuple[m.FirewallRule
     if "firewall_rules" in delta.fresh:
         rules = delta.reached(s, "firewall_rules", "scope")
         scopes = {r.scope for r in (*rules, *delta.lost["firewall_rules"])}
-        kept = {scope: x for scope, x in delta.base.firewall_rules_by_scope.items() if scope not in scopes}
+        kept = {scope: x for scope, x in delta.base._index.firewall_rules_by_scope.items() if scope not in scopes}
     by_scope: dict[str, list[m.FirewallRule]] = {}
     for r in rules:
         by_scope.setdefault(r.scope, []).append(r)
@@ -1643,10 +1639,10 @@ def _adjacency(s: Scenario, idx: ScenarioIndex) -> dict[str, tuple[tuple[str, La
     all ``_locus_adjacency`` reads (an edit of a gateway rule replaces its
     edge but changes none of them)."""
     base = idx._delta.base
-    if base is not None and idx.non_routable == base.non_routable and len(s.edges) == len(base.scenario.edges):
+    if base is not None and idx.non_routable == base._index.non_routable and len(s.edges) == len(base.edges):
         if all(a is b or (a.id, a.ends, a.kind, a.direction) == (b.id, b.ends, b.kind, b.direction)
-               for a, b in zip(s.edges, base.scenario.edges)):
-            return base.adjacency
+               for a, b in zip(s.edges, base.edges)):
+            return base._index.adjacency
     return _locus_adjacency(s.edges, idx.non_routable)
 
 

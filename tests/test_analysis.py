@@ -84,7 +84,7 @@ def test_matrix_reports_the_first_unknown_entity_of_the_grid(axes, message):
     s = dataclasses.replace(builtin_scenario("fig1-lift-shift"))
     with pytest.raises(UnknownEntityError) as raised:
         reachability_matrix(s, **axes)
-    assert type(raised.value) is UnknownEntityError and str(raised.value) == message
+    assert type(raised.value) is UnknownEntityError and str(raised.value) == f"unknown {message}"
 
 
 def test_fig1_yellow_row_denies_internet_and_green():
@@ -398,9 +398,9 @@ def test_incompatible_request_space():
     known = m.FlowRequest("sa:green-a", "green", "yellow-pay", "read")
     assert diff_decisions(s1, extra, [known]) == ()
     cases = [
-        (dataclasses.replace(known, principal="sa:extra"), "principal 'sa:extra'"),
-        (dataclasses.replace(known, source="extra-net"), "source locus 'extra-net'"),
-        (dataclasses.replace(known, target="extra-app"), "target 'extra-app'"),
+        (dataclasses.replace(known, principal="sa:extra"), "unknown principal 'sa:extra'"),
+        (dataclasses.replace(known, source="extra-net"), "unknown source locus 'extra-net'"),
+        (dataclasses.replace(known, target="extra-app"), "unknown target 'extra-app'"),
     ]
     for (r, missing), pair in itertools.product(cases, [(extra, s1), (s1, extra)]):
         with pytest.raises(IncompatibleRequestSpaceError) as refused:

@@ -387,12 +387,20 @@ def test_source_address_v4_or_v6_is_evaluated(capsys, address):
 
 
 def test_unknown_flow_entity_exits_two(capsys):
-    code, _, err = run(
+    assert run(
         capsys, "eval", "--scenario", "fig1-lift-shift", "--from", "green",
         "--principal", "ghost", "--to", "yellow-pay",
+    ) == (EXIT_BAD_INPUT, "", "error: unknown principal 'ghost'\n")
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--principals", ""), ("--loci", ","), ("--targets", " "), ("--methods", ""),
+])
+def test_a_matrix_axis_flag_naming_nothing_exits_two(capsys, flag, value):
+    # an axis given but empty would answer nothing and exit 0, as if nothing were reachable
+    assert run(capsys, "matrix", "--scenario", "fig10-zero-trust", flag, value) == (
+        EXIT_BAD_INPUT, "", f"error: {flag} names nothing\n"
     )
-    assert code == EXIT_BAD_INPUT
-    assert "error:" in err
 
 
 @pytest.mark.parametrize("serverless_missing_connector", [True])

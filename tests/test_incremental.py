@@ -1,8 +1,8 @@
 """An edited scenario re-derives only what its edit touched, and never reads a stale fact.
 
 A version made with ``dataclasses.replace`` builds on a base: of the live
-indexes that last built clean on one of its entity lists, the one whose
-scenario shares the most top-level fields with it (``scenario._Delta``). It
+scenarios built clean on one of its entity lists, the one that shares the
+most top-level fields with it (``scenario._Delta``). It
 keeps the base's facts, text checks and check families
 (``scenario._READS``) whose fields are all the base's objects, and
 ``diff_decisions`` hands its after-side what still holds of its
@@ -15,8 +15,11 @@ from scratch, as a copy whose every entity is a new object, which shares
 no list with any index and so has no base. Its violations (text and
 order), every fact, the diff against its parent and every entry of its
 query memos must be the same both ways, and an earlier leg or answer is
-taken exactly when its check accepts it. What else the process built, or
-has yet to collect, may change a version's base but never what it builds.
+taken exactly when its check accepts it. A scenario owns its index, which
+holds no scenario, so a version dropped is freed at once and is no base
+after that: a test that wants a base holds its scenario. What else the
+process built and holds may change a version's base but never what it
+builds.
 """
 
 import copy
@@ -127,20 +130,21 @@ def _handed_on(before, after, requests):
     return handed
 
 
-def _answers_expected(earlier, later, handed):
-    """The keys of the answers ``later`` takes from ``earlier``: all of them
+def _answers_expected(before, after, handed):
+    """The keys of the answers ``after`` takes from ``before``: all of them
     where the check accepts every entry, else each that the check accepts on
     the leg of a request that handed it on."""
-    accepts = engine._check("answers", earlier, later)
+    accepts = engine._check("answers", before, after)
     if accepts is engine._always:
-        return set(earlier.answers)
+        return set(before.index().answers)
     return {key for key, leg in handed if accepts(leg)}
 
 
 def _assert_incremental_equals_scratch(before, after, requests, label=""):
     """``after`` built right after ``before`` (valid, evaluated on ``requests``)
     built clean gives what a build from scratch gives."""
-    base = dataclasses.replace(before).index()  # the last to build clean on ``before``'s lists: ``after``'s base
+    base = dataclasses.replace(before)  # a live scenario built clean on ``before``'s lists: ``after``'s base
+    base.index()
     for r in requests:
         _outcome(lambda: engine.evaluate_flow(before, r))
     violations = validate_scenario(after)
@@ -157,12 +161,12 @@ def _assert_incremental_equals_scratch(before, after, requests, label=""):
     if not violations:
         # each request's leg is the earlier one exactly when the leg check accepts that
         earlier, later = before.index(), after.index()
-        holds = engine._check("legs", earlier, later)
+        holds = engine._check("legs", before, after)
         for key, leg in later.legs.items():
             assert (leg is earlier.legs.get(key)) == (key in earlier.legs and holds(earlier.legs[key])), (label, key)
         # each request's answer is handed on exactly when the answer check accepts its leg
         taken = {key for key, entry in later.answers.items() if entry is earlier.answers.get(key)}
-        assert taken == _answers_expected(earlier, later, _handed_on(before, after, requests)), label
+        assert taken == _answers_expected(before, after, _handed_on(before, after, requests)), label
         for memo in QUERY_MEMOS:
             for key, entry in getattr(later, memo).items():
                 expected = _scratch_entry(scratch, memo, key)
@@ -367,7 +371,7 @@ def test_unrelated_versions_equal_builds_from_scratch(names):
                 if isinstance(_outcome(lambda: engine.evaluate_flow(probe, r))[0], m.Decision)]
     _assert_incremental_equals_scratch(before, after, requests)
     earlier, later = before.index(), after.index()
-    assert all(engine._check(memo, earlier, later) is engine._never for memo in QUERY_MEMOS)
+    assert all(engine._check(memo, before, after) is engine._never for memo in QUERY_MEMOS)
     assert later.legs and later.answers
     for memo in ("route_trees", "legs", "answers"):
         theirs = getattr(earlier, memo)
@@ -403,8 +407,8 @@ def _kinds_of_edit(seed=0):
 def test_an_edit_rederives_only_the_facts_that_read_its_field():
     base, _, kinds = _kinds_of_edit()
     for kind, version in kinds.items():
-        before = dataclasses.replace(base).index()
-        after = version.index()
+        held = dataclasses.replace(base)  # a base lives as long as its scenario
+        before, after = held.index(), version.index()
         (edited,) = [f for f in scenario._FIELDS if getattr(version, f) is not getattr(base, f)]
         kept = {name for name in FACTS if getattr(after, name) is getattr(before, name)}
         # a fact that reads the field is derived again (though an empty one may be the same object)
@@ -423,7 +427,8 @@ def test_a_check_family_runs_only_when_a_field_it_reads_changed(monkeypatch):
             check=lambda of, idx, out, name=name, check=family.check: (ran.append(name), check(of, idx, out))
         ))
     for kind, version in kinds.items():
-        dataclasses.replace(base).index()
+        held = dataclasses.replace(base)  # a base lives as long as its scenario
+        held.index()
         ran.clear()
         version.index()
         (edited,) = [f for f in scenario._FIELDS if getattr(version, f) is not getattr(base, f)]
@@ -600,7 +605,8 @@ def test_an_edit_walks_and_checks_only_the_entities_it_did_not_hold(monkeypatch,
     got = _received(monkeypatch)
 
     def build(version):
-        before = dataclasses.replace(base).index()
+        held = dataclasses.replace(base)  # a base lives as long as its scenario
+        before = held.index()
         between()
         got.clear()
         return before, version.index()
@@ -635,7 +641,7 @@ def test_an_edit_builds_on_the_live_index_sharing_the_most_fields_with_it(monkey
     got = _received(monkeypatch)
     # ``ruled`` shares every list but the firewall rules with the estate, and
     # ``pruned`` every list but the bindings and edges; each list is entered
-    # under the last index to build on it, so each of the two is found
+    # under the last scenario to build on it, so each of the two is found
     ruled = kinds["deny_rule"]
     pruned = dataclasses.replace(kinds["drop_binding"], edges=kinds["drop_gateway_allow"].edges)
     ruled.index(), pruned.index()
@@ -648,7 +654,8 @@ def test_an_edit_builds_on_the_live_index_sharing_the_most_fields_with_it(monkey
 def test_an_index_that_dies_drops_only_its_own_entries():
     base, _, _ = _kinds_of_edit()
     gc.collect()
-    entries = dict(scenario._holders)
+    # the keys alone: a copy of the weak table's items would keep their scenarios alive
+    entries = set(scenario._holders)
     first = _scratch(base)
     first.index()
     # the last to build on every list of ``first`` but its bindings, whose entry ``first`` keeps
@@ -661,7 +668,7 @@ def test_an_index_that_dies_drops_only_its_own_entries():
     assert dataclasses.replace(later, bindings=later.bindings[1:]).index().adjacency is later.index().adjacency
     del later
     gc.collect()
-    assert scenario._holders == entries
+    assert set(scenario._holders) == entries
 
 
 def test_a_dropped_version_keeps_none_of_its_entities_alive():
@@ -671,6 +678,28 @@ def test_a_dropped_version_keeps_none_of_its_entities_alive():
     del s
     gc.collect()
     assert rule() is None
+
+
+def test_a_dropped_version_is_freed_at_once_without_the_cyclic_gc():
+    """A scenario owns its index, which holds no scenario, and the base table
+    holds scenarios weakly: nothing forms a cycle, so reference counting frees
+    a version, with its facts and query memos, as soon as it is dropped."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        before = _scratch(builtin_scenario("fig1-lift-shift"))
+        before.index()
+        for r in default_request_space(before):
+            engine.evaluate_flow(before, r)
+        analysis.reachability_matrix(before)
+        after = dataclasses.replace(before, firewall_rules=before.firewall_rules[1:])
+        diff_decisions(before, after, default_request_space(before))
+        alive = [weakref.ref(x) for x in (before, after, before.index(), after.index())]
+        del before, after
+        assert [ref() is None for ref in alive] == [True] * 4
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_diff_decisions_takes_only_the_queries_an_edit_cannot_change():
@@ -695,7 +724,7 @@ def test_diff_decisions_takes_only_the_queries_an_edit_cannot_change():
         for memo in QUERY_MEMOS:
             theirs, ours = getattr(earlier, memo), getattr(later, memo)
             shared = {key for key in theirs if key in ours and ours[key] is theirs[key]}
-            check = engine._check(memo, earlier, later)
+            check = engine._check(memo, before, version)
             assert (check is engine._always) == (memo in whole), (kind, memo)
             if memo in whole:
                 assert shared == set(theirs), (kind, memo)
@@ -703,7 +732,7 @@ def test_diff_decisions_takes_only_the_queries_an_edit_cannot_change():
                 assert shared == {key for key, leg in theirs.items() if check(leg)}, kind
                 assert len(shared) > len(theirs) / 2, kind  # each edit reaches a few of the sample's legs at most
             elif memo == "answers":
-                assert shared == _answers_expected(earlier, later, _handed_on(before, version, sample)), kind
+                assert shared == _answers_expected(before, version, _handed_on(before, version, sample)), kind
                 assert len(shared) > len(theirs) / 2, kind  # and a few of its classes
             else:
                 assert check is engine._never and shared == set(), (kind, memo)
@@ -1034,7 +1063,7 @@ def test_moved_device_keys_take_no_answer():
         m.DenyReason.RBAC_DEFAULT_DENY, m.DenyReason.PERIMETER_INGRESS
     ]
     assert engine.principal_class(after, "user:p2", "idp-mesh") == engine.principal_class(before, "user:p1", "idp-mesh")
-    assert not engine._check("answers", before.index(), after.index())(_leg(before, requests[0]))
+    assert not engine._check("answers", before, after)(_leg(before, requests[0]))
 
 
 def test_an_asset_or_attachment_edit_takes_no_answer():
