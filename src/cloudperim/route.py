@@ -93,9 +93,10 @@ def _search(idx: ScenarioIndex, source: str, to_internet: bool) -> dict[str, Las
     sorted by edge id, so the first edge to reach a locus ends its path that
     is minimal by (hop count, edge ids). NAT edges are usable only when the
     goal is INTERNET; a non-routable segment is left only when it is the source.
-    The tree reads the index's ``adjacency`` and ``non_routable`` facts
-    alone, so it holds in every version where they are equal
-    (``engine._MEMO_READS``).
+    Only that goal reads a tree toward INTERNET, so its search stops once
+    INTERNET is reached. The tree reads the index's ``adjacency`` and
+    ``non_routable`` facts alone, so it holds in every version where they are
+    equal (``engine._MEMO_READS``).
     """
     tree: dict[str, LastHop] = {}
     seen = {source}
@@ -110,6 +111,8 @@ def _search(idx: ScenarioIndex, source: str, to_internet: bool) -> dict[str, Las
                     continue
                 seen.add(nxt)
                 tree[nxt] = hop
+                if to_internet and nxt == m.INTERNET:
+                    return tree
                 reached.append(nxt)
         level = reached
     return tree

@@ -16,6 +16,7 @@ single run.
 
 from __future__ import annotations
 
+import re
 import weakref
 from dataclasses import dataclass, field
 from functools import partial
@@ -824,15 +825,24 @@ _CONSTRUCT_ERRORS = (LookupError, ValueError, AttributeError)
 # the reference's outcome, and one too deep for it stays a SYNTAX issue.
 _FAST_LOAD_MAX_DEPTH = 100
 
-# The reference's own tag resolution and scalar conversions, so the one-pass
-# load turns each scalar into what the reference would.
-_RESOLVE = yaml.resolver.Resolver().resolve
+# The reference's implicit resolvers (``Resolver.resolve``) by a plain
+# scalar's first character ('' for the empty one), in the order it tries
+# them: each regexp's match, and the SafeConstructor conversion of its tag,
+# or None for a type left to the reference. A plain scalar whose first
+# character has none is text, as is a quoted one unless tagged ``!``.
 _CONSTRUCTOR = yaml.constructor.SafeConstructor()
 _SCALAR_CONSTRUCTORS = {
     f"tag:yaml.org,2002:{name}": getattr(_CONSTRUCTOR, f"construct_yaml_{name}")
     for name in ("null", "bool", "int", "float")
 }
-_STR_TAG = "tag:yaml.org,2002:str"
+_RESOLVERS = {
+    first: tuple((regexp.match, _SCALAR_CONSTRUCTORS.get(tag)) for tag, regexp in resolvers)
+    for first, resolvers in yaml.resolver.Resolver.yaml_implicit_resolvers.items()
+}
+
+# A comment right after a block scalar's indicator and its header's
+# indentation and chomping, from the position after the indicator.
+_HEADER_COMMENT = re.compile(r"[-+0-9]*#").match
 
 # What the one-pass load returns for a document it leaves to the reference.
 _UNDECIDED = object()
@@ -853,54 +863,77 @@ class _ScalarErrorLoader(yaml.SafeLoader):
             ) from None
 
 
-def _scalar(value: str, implicit: tuple[bool, bool]) -> Any:
-    """An untagged (or ``!``-tagged) scalar as SafeLoader constructs it, or
-    ``_UNDECIDED`` for a type the one-pass load leaves to the reference."""
-    tag = _RESOLVE(yaml.ScalarNode, value, implicit)
-    if tag == _STR_TAG:
-        return value
-    construct = _SCALAR_CONSTRUCTORS.get(tag)
-    if construct is None:
-        return _UNDECIDED
-    try:
-        return construct(yaml.ScalarNode(tag, value))
-    except _CONSTRUCT_ERRORS:
-        return _UNDECIDED
+def _resolved(value: str, resolvers: tuple) -> Any:
+    """A scalar the reference resolves, as SafeLoader constructs it, given the
+    resolvers of its first character, or ``_UNDECIDED`` for a type left to
+    the reference."""
+    for match, construct in resolvers:
+        if match(value):
+            if construct is None:
+                return _UNDECIDED
+            try:
+                return construct(yaml.ScalarNode(None, value))
+            except _CONSTRUCT_ERRORS:
+                return _UNDECIDED
+    return value
 
 
 def _fast_load(document: Any) -> Any:
     """The document's data, built in one walk over libyaml's events, or
     ``_UNDECIDED`` for a document that only the reference may decide.
 
-    libyaml accepts tabs as separators and ``?`` inside flow-context plain
-    scalars, where the reference rejects them, and reads a mid-document
-    byte-order mark differently, so the walk only sees ASCII text with
-    neither. It builds plain mappings, sequences and the scalars SafeLoader
-    resolves to str, null, bool, int or float, and leaves to the reference
-    anything else: anchors and aliases, explicit tags other than ``!``,
-    merge keys, collection keys, other scalar types, a second document,
-    nesting past ``_FAST_LOAD_MAX_DEPTH``, and every document libyaml
-    rejects.
+    The walk never sees a document holding a character that libyaml reads
+    otherwise wherever it stands: a tab (a separator to libyaml), U+FEFF,
+    NEL, LS or PS, or a lone surrogate (which libyaml cannot take in). It
+    gives up where they differ in place: inside a flow collection, at a
+    plain scalar holding ``?`` (the reference ends the scalar there) or a
+    scalar tagged ``!`` (libyaml ends the tag at ``,``); and at a block
+    scalar whose header a comment follows with no space, or a tagged one.
+
+    It builds plain mappings, sequences and the scalars SafeLoader resolves
+    to str, null, bool, int or float, and leaves to the reference anything
+    else: anchors and aliases, explicit tags other than ``!``, merge keys,
+    collection keys, other scalar types, a second document, nesting past
+    ``_FAST_LOAD_MAX_DEPTH``, and every document libyaml rejects.
     """
-    if not (isinstance(document, str) and document.isascii() and "\t" not in document and "?" not in document):
+    if not isinstance(document, str) or "\t" in document:
+        return _UNDECIDED
+    if not document.isascii() and any(map(document.__contains__, "\ufeff\x85\u2028\u2029")):
+        return _UNDECIDED
+    try:
+        parser = _FAST_LOADER(document)
+    except UnicodeEncodeError:  # a lone surrogate has no UTF-8 form for libyaml
         return _UNDECIDED
     root: list = []
     stack: list = [root]  # the open collections, innermost last, under a holder for the document
     keys: list = [_NO_KEY]  # for each open mapping, the key awaiting its value
+    flow = 0  # how many open collections are flow ones; a flow one holds no block one
     try:
-        for event in yaml.parse(document, Loader=_FAST_LOADER):
-            kind = type(event)
+        while (kind := type(event := parser.get_event())) is not yaml.StreamEndEvent:
             if kind is yaml.ScalarEvent or kind is yaml.MappingStartEvent or kind is yaml.SequenceStartEvent:
-                if event.anchor is not None or event.tag not in (None, "!"):
+                tag = event.tag
+                if event.anchor is not None or tag not in (None, "!"):
                     return _UNDECIDED
                 if kind is yaml.ScalarEvent:
-                    value = _scalar(event.value, event.implicit)
-                    if value is _UNDECIDED:
+                    value, style = event.value, event.style
+                    if style == "|" or style == ">":
+                        if tag is not None or _HEADER_COMMENT(document, event.start_mark.index + 1):
+                            return _UNDECIDED
+                    elif flow and (tag is not None or style == "" and "?" in value):
                         return _UNDECIDED
+                    # the reference resolves every ``!``-tagged scalar; libyaml
+                    # marks an empty one as not to be resolved
+                    if event.implicit[0] or tag is not None:
+                        resolvers = _RESOLVERS.get(value[:1])
+                        if resolvers is not None:
+                            value = _resolved(value, resolvers)
+                            if value is _UNDECIDED:
+                                return _UNDECIDED
                 elif len(stack) > _FAST_LOAD_MAX_DEPTH:
                     return _UNDECIDED
                 else:
                     value = {} if kind is yaml.MappingStartEvent else []
+                    flow += event.flow_style is True
                 top = stack[-1]
                 if type(top) is list:
                     top.append(value)
@@ -917,12 +950,15 @@ def _fast_load(document: Any) -> Any:
             elif kind is yaml.MappingEndEvent or kind is yaml.SequenceEndEvent:
                 stack.pop()
                 keys.pop()
+                flow -= flow > 0
             elif kind is yaml.AliasEvent:
                 return _UNDECIDED
             elif kind is yaml.DocumentStartEvent and root:
                 return _UNDECIDED  # a second document
     except yaml.YAMLError:
         return _UNDECIDED
+    finally:
+        parser.dispose()
     return root[0] if root else None
 
 
@@ -1605,9 +1641,28 @@ def _perimeter_members(s: Scenario, idx: ScenarioIndex) -> tuple[frozenset[str] 
     kept = {}
     if base is not None and idx.nodes is base._index.nodes:
         kept = {id(p): x for p, x in zip(base.perimeters, base._index.perimeter_members)}
-    return tuple(
-        kept[id(p)] if id(p) in kept else _outcome(lambda: m.resolve_members(p, idx.nodes)) for p in s.perimeters
-    )
+    return tuple(kept[id(p)] if id(p) in kept else _members(p, idx) for p in s.perimeters)
+
+
+def _members(p: m.AbstractPerimeter, idx: ScenarioIndex) -> frozenset[str] | CloudPerimError:
+    """What ``m.resolve_members(p, idx.nodes)`` returns or raises, read off the
+    ancestor chains: of several projects whose chain is an error, the first in
+    node order gives it."""
+    folders, tags = frozenset(p.members.folders), frozenset(p.members.tags)
+    selected = set()
+    for nid, node in idx.nodes.items():
+        if node.kind is not m.NodeKind.PROJECT:
+            continue
+        chain = idx.chains[nid]
+        if isinstance(chain, CloudPerimError):
+            return chain
+        if (
+            nid in p.members.projects
+            or not folders.isdisjoint(chain)
+            or tags and not tags.isdisjoint(m.inherited_tags(idx.nodes[n].tags for n in chain))
+        ):
+            selected.add(nid)
+    return frozenset(selected) if selected else m.EmptyPerimeterError(p.id)
 
 
 def _source_nets(s: Scenario, idx: ScenarioIndex) -> dict[str, tuple[prefix.Interval, ...]]:

@@ -24,7 +24,9 @@ from cloudperim.oracle import _all_simple_paths
 from cloudperim.route import HopKind, RoutePath, Unreachable, UnreachableReason
 
 sys.path.insert(0, str(Path(__file__).parent))
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from genrandom import random_scenario  # noqa: E402
+from perfbench import gen  # noqa: E402  (read-only: the benchmark's estate generator)
 
 
 def test_fig4_onprem_to_sql_via_interconnect_and_endpoint():
@@ -296,6 +298,22 @@ def _assert_search_matches_reference(s, monkeypatch):
 @pytest.mark.parametrize("name", TEMPLATE_NAMES)
 def test_search_matches_reference_on_templates(name, monkeypatch):
     _assert_search_matches_reference(builtin_scenario(name), monkeypatch)
+
+
+def test_a_search_toward_internet_stops_at_internet_with_its_path():
+    """Only the INTERNET goal reads a tree toward INTERNET, so the search ends
+    with INTERNET reached: each source's path is still the reference's."""
+    scenarios = [builtin_scenario(name) for name in TEMPLATE_NAMES]
+    scenarios.append(parse_scenario(gen.hub_and_spoke(40, seed=0).text()))
+    reached = 0
+    for s in scenarios:
+        for src in [x.id for x in s.segments] + [m.ONPREM]:
+            want = _reference_locus_path(s, src, m.INTERNET)
+            assert route_mod._locus_path(s, src, m.INTERNET) == want, (s.name, src)
+            tree = s.index().route_trees[(src, True)]
+            assert (list(tree)[-1:] == [m.INTERNET]) == (want is not None), (s.name, src)
+            reached += want is not None
+    assert reached > 40
 
 
 def _random_edge(rng, loci, edge_id):
