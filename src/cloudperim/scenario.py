@@ -841,7 +841,9 @@ _RESOLVERS = {
 }
 
 # A comment right after a block scalar's indicator and its header's
-# indentation and chomping, from the position after the indicator.
+# indentation and chomping, from the position after the indicator. The walk
+# sees ASCII text alone, so libyaml's mark index is that position whether it
+# counts characters or bytes.
 _HEADER_COMMENT = re.compile(r"[-+0-9]*#").match
 
 # What the one-pass load returns for a document it leaves to the reference.
@@ -882,13 +884,13 @@ def _fast_load(document: Any) -> Any:
     """The document's data, built in one walk over libyaml's events, or
     ``_UNDECIDED`` for a document that only the reference may decide.
 
-    The walk never sees a document holding a character that libyaml reads
-    otherwise wherever it stands: a tab (a separator to libyaml), U+FEFF,
-    NEL, LS or PS, or a lone surrogate (which libyaml cannot take in). It
-    gives up where they differ in place: inside a flow collection, at a
-    plain scalar holding ``?`` (the reference ends the scalar there) or a
-    scalar tagged ``!`` (libyaml ends the tag at ``,``); and at a block
-    scalar whose header a comment follows with no space, or a tagged one.
+    libyaml accepts tabs as separators and ``?`` inside flow-context plain
+    scalars, where the reference rejects them, and reads a mid-document
+    byte-order mark differently, so the walk only sees ASCII text with
+    neither. It also gives up where the two differ in place: at a scalar
+    tagged ``!`` inside a flow collection (libyaml ends the tag at ``,``),
+    and at a block scalar whose header a comment follows with no space, or
+    a tagged one.
 
     It builds plain mappings, sequences and the scalars SafeLoader resolves
     to str, null, bool, int or float, and leaves to the reference anything
@@ -896,14 +898,9 @@ def _fast_load(document: Any) -> Any:
     collection keys, other scalar types, a second document, nesting past
     ``_FAST_LOAD_MAX_DEPTH``, and every document libyaml rejects.
     """
-    if not isinstance(document, str) or "\t" in document:
+    if not (isinstance(document, str) and document.isascii() and "\t" not in document and "?" not in document):
         return _UNDECIDED
-    if not document.isascii() and any(map(document.__contains__, "\ufeff\x85\u2028\u2029")):
-        return _UNDECIDED
-    try:
-        parser = _FAST_LOADER(document)
-    except UnicodeEncodeError:  # a lone surrogate has no UTF-8 form for libyaml
-        return _UNDECIDED
+    parser = _FAST_LOADER(document)
     root: list = []
     stack: list = [root]  # the open collections, innermost last, under a holder for the document
     keys: list = [_NO_KEY]  # for each open mapping, the key awaiting its value
@@ -919,7 +916,7 @@ def _fast_load(document: Any) -> Any:
                     if style == "|" or style == ">":
                         if tag is not None or _HEADER_COMMENT(document, event.start_mark.index + 1):
                             return _UNDECIDED
-                    elif flow and (tag is not None or style == "" and "?" in value):
+                    elif flow and tag is not None:
                         return _UNDECIDED
                     # the reference resolves every ``!``-tagged scalar; libyaml
                     # marks an empty one as not to be resolved
@@ -1641,28 +1638,9 @@ def _perimeter_members(s: Scenario, idx: ScenarioIndex) -> tuple[frozenset[str] 
     kept = {}
     if base is not None and idx.nodes is base._index.nodes:
         kept = {id(p): x for p, x in zip(base.perimeters, base._index.perimeter_members)}
-    return tuple(kept[id(p)] if id(p) in kept else _members(p, idx) for p in s.perimeters)
-
-
-def _members(p: m.AbstractPerimeter, idx: ScenarioIndex) -> frozenset[str] | CloudPerimError:
-    """What ``m.resolve_members(p, idx.nodes)`` returns or raises, read off the
-    ancestor chains: of several projects whose chain is an error, the first in
-    node order gives it."""
-    folders, tags = frozenset(p.members.folders), frozenset(p.members.tags)
-    selected = set()
-    for nid, node in idx.nodes.items():
-        if node.kind is not m.NodeKind.PROJECT:
-            continue
-        chain = idx.chains[nid]
-        if isinstance(chain, CloudPerimError):
-            return chain
-        if (
-            nid in p.members.projects
-            or not folders.isdisjoint(chain)
-            or tags and not tags.isdisjoint(m.inherited_tags(idx.nodes[n].tags for n in chain))
-        ):
-            selected.add(nid)
-    return frozenset(selected) if selected else m.EmptyPerimeterError(p.id)
+    return tuple(
+        kept[id(p)] if id(p) in kept else _outcome(lambda: m.resolve_members(p, idx.nodes)) for p in s.perimeters
+    )
 
 
 def _source_nets(s: Scenario, idx: ScenarioIndex) -> dict[str, tuple[prefix.Interval, ...]]:

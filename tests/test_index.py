@@ -13,7 +13,6 @@ import dataclasses
 import random
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -26,7 +25,6 @@ from cloudperim import (
     validate_scenario,
 )
 from cloudperim import model as m
-from cloudperim import scenario
 from cloudperim.analysis import default_request_space
 from cloudperim.errors import CloudPerimError, InvalidHierarchyError, InvalidScenarioError, UnknownNodeError
 
@@ -120,46 +118,6 @@ def test_index_facts_match_the_reference_walks_on_random_scenarios():
         _assert_index_matches_walks(s)
         for broken in _broken_hierarchies(s):
             _assert_index_matches_walks(broken)
-
-
-def _assert_members_are_the_reference_walks(s):
-    """Each perimeter's members read off the ancestor chains are what
-    ``m.resolve_members`` returns; where it raises a hierarchy error, the
-    error is the chain's of the first project in node order that has one.
-    Returns the outcomes."""
-    nodes = {n.id: n for n in s.nodes}
-    chains = {nid: _outcome(lambda: tuple(m.ancestors(nid, nodes))) for nid in nodes}
-    projects = [nid for nid, n in nodes.items() if n.kind is m.NodeKind.PROJECT]
-    first_error = next((chains[nid] for nid in projects if isinstance(chains[nid], CloudPerimError)), None)
-    outcomes = []
-    for p in s.perimeters:
-        want = _outcome(lambda: m.resolve_members(p, nodes))
-        got = scenario._members(p, SimpleNamespace(nodes=nodes, chains=chains))
-        if isinstance(want, m.EmptyPerimeterError):
-            assert (type(got), str(got)) == (type(want), str(want)), p.id
-        elif isinstance(want, CloudPerimError):
-            assert got is first_error and type(got) is type(want), p.id
-        else:
-            assert got == want, p.id
-        outcomes.append(got)
-    return outcomes
-
-
-def test_perimeter_members_are_the_reference_walks():
-    scenarios = [builtin_scenario(name) for name in TEMPLATE_NAMES]
-    scenarios += [genrandom.random_scenario(random.Random(seed), with_edges=seed % 2 == 1) for seed in range(20)]
-    scenarios.append(parse_scenario(gen.hub_and_spoke(200, seed=0).text()))
-    for s in scenarios:
-        _assert_members_are_the_reference_walks(s)
-        if not validate_scenario(s):
-            assert list(s.index().perimeter_members) == [m.resolve_members(p, s.index().nodes) for p in s.perimeters]
-    fig3 = builtin_scenario("fig3-hierarchy")
-    empty = dataclasses.replace(fig3.perimeters[0], id="nothing", members=m.MemberSelector())
-    outcomes = [x for broken in _broken_hierarchies(fig3) for x in _assert_members_are_the_reference_walks(broken)]
-    assert any(isinstance(x, InvalidHierarchyError) for x in outcomes)
-    assert any(isinstance(x, m.EmptyPerimeterError) for x in _assert_members_are_the_reference_walks(
-        dataclasses.replace(fig3, perimeters=fig3.perimeters + (empty,))
-    ))
 
 
 def _query(s):
