@@ -202,8 +202,9 @@ def _cmd_compile(args) -> int:
     else:
         print(f"compiled {args.perimeter!r} with mechanism {compiled.mechanism.value}:")
         for rule in compiled.firewall_rules:
+            ports = ",".join(str(lo) if lo == hi else f"{lo}-{hi}" for lo, hi in rule.ports)
             print(f"  firewall {rule.id} [{rule.scope} p{rule.priority}] {rule.action.value} "
-                  f"{','.join(rule.src)} -> {','.join(rule.dst)}")
+                  f"{','.join(rule.src)} -> {','.join(rule.dst)}{f' ports {ports}' if ports else ''}")
         for rule in compiled.gateway_rules:
             print(f"  gateway  {rule.id} {rule.src_zone} -> {rule.dst_zone} {rule.action.value}")
         for b in compiled.bindings:

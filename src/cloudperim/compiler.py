@@ -18,7 +18,6 @@ ones a backend cannot avoid (ephemeral addressing, 5-tuple fidelity).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import replace
 from enum import Enum
 
@@ -73,19 +72,8 @@ def _perimeter(s: Scenario, perimeter_id: str) -> m.AbstractPerimeter:
     return p
 
 
-def _member_segments(s: Scenario, members: frozenset[str]) -> list[m.NetworkSegment]:
-    return sorted(
-        (seg for seg in s.segments if seg.project in members), key=lambda seg: seg.id
-    )
-
-
-def _no_internet_posture(p: m.AbstractPerimeter) -> bool:
-    for rule in p.egress:
-        if not rule.targets:
-            return False
-        if any(t.service == m.INTERNET for t in rule.targets):
-            return False
-    return True
+# compute whose addresses are ephemeral, so no 5-tuple pins them
+_EPHEMERAL = frozenset({m.ComputeKind.KUBERNETES, m.ComputeKind.SERVERLESS})
 
 
 def _rule_fidelity_notes(p: m.AbstractPerimeter) -> list[str]:
@@ -139,17 +127,15 @@ def _compile_hybrid(
             "perimeter does not bind the data-plane mechanism; the rule set is emitted "
             "ready to bind but the scenario's enforcement is unchanged"
         )
-    if enforces_crossings and _no_internet_posture(p):
-        chains = [s.index().folders_above(prj) for prj in sorted(members)]
-        common = set(chains[0]).intersection(*chains[1:])
-        deepest = next((f for f in reversed(chains[0]) if f in common), None)
-        scope = f"folder:{deepest}" if deepest else m.ORG_SCOPE
-        existing = [r.priority for r in s.firewall_rules if r.scope == scope]
+    if enforces_crossings and not p.allows_internet:
+        idx = s.index()
+        common = idx.common_folders(members)
+        scope = f"folder:{common[-1]}" if common else m.ORG_SCOPE
         firewall.append(
             m.FirewallRule(
                 id=f"{p.id}-hier-deny-internet",
                 scope=scope,
-                priority=(min(existing) if existing else 1000) - 10,
+                priority=idx.lowest_priority(scope) - 10,
                 action=m.RuleAction.DENY,
                 src=(m.ANY,),
                 dst=(m.INTERNET,),
@@ -182,10 +168,8 @@ def _compile_lift_shift(
     s: Scenario, p: m.AbstractPerimeter, members: frozenset[str]
 ) -> CompiledRuleSet:
     idx = s.index()
-    segments = _member_segments(s, members)
-    member_services = sorted(
-        (svc for svc in s.services if svc.project in members), key=lambda x: x.id
-    )
+    segments = idx.member_segments(members)
+    member_services = idx.member_services(members)
     for svc in member_services:
         if svc.compute is m.ComputeKind.SERVERLESS:
             bridged = any(
@@ -201,101 +185,43 @@ def _compile_lift_shift(
             f"perimeter {p.id!r} members own no addressable segments"
         )
 
-    # each rule's priority is its offset in the block until the block's size is known
-    prio = itertools.count()
-    firewall: list[m.FirewallRule] = [
-        m.FirewallRule(
-            id=f"{p.id}-ls-intra",
-            scope=m.ORG_SCOPE,
-            priority=next(prio),
-            action=m.RuleAction.ALLOW,
-            src=member_cidrs,
-            dst=member_cidrs,
-        )
-    ]
+    firewall: list[m.FirewallRule] = []
     gateway: list[m.GatewayRule] = []
+
+    def fw(suffix: str, action: m.RuleAction, src, dst, port: int | None = None) -> None:
+        # a rule's priority is its offset in the block until the block's size is known
+        firewall.append(m.FirewallRule(
+            id=f"{p.id}-ls-{suffix}", scope=m.ORG_SCOPE, priority=len(firewall), action=action,
+            src=src, dst=dst, ports=((port, port),) if port is not None else (),
+        ))
+
+    def gw(suffix: str, src_zone: str, dst_zone: str) -> None:
+        gateway.append(m.GatewayRule(
+            id=f"{p.id}-ls-gw-{suffix}", src_zone=src_zone, dst_zone=dst_zone, action=m.RuleAction.ALLOW
+        ))
+
+    allow, deny = m.RuleAction.ALLOW, m.RuleAction.DENY
+    fw("intra", allow, member_cidrs, member_cidrs)
     for i, rule in enumerate(p.egress):
-        targets = rule.targets or (m.PerimeterTarget(),)
-        for j, t in enumerate(targets):
-            dst, port = _expand_target(s, t)
-            firewall.append(
-                m.FirewallRule(
-                    id=f"{p.id}-ls-egress-{i}-{j}",
-                    scope=m.ORG_SCOPE,
-                    priority=next(prio),
-                    action=m.RuleAction.ALLOW,
-                    src=member_cidrs,
-                    dst=dst,
-                    ports=((port, port),) if port is not None else (),
-                )
-            )
+        for j, t in enumerate(rule.targets or (m.PerimeterTarget(),)):
+            fw(f"egress-{i}-{j}", allow, member_cidrs, *_expand_target(s, t))
+            zone = t.service if t.service in (m.ANY, m.INTERNET) else idx.services[t.service].segment
             for seg in segments:
-                zone = m.INTERNET
-                if t.service not in (m.ANY, m.INTERNET):
-                    zone = idx.services[t.service].segment
-                elif t.service == m.ANY:
-                    zone = m.ANY
-                gateway.append(
-                    m.GatewayRule(
-                        id=f"{p.id}-ls-gw-egress-{i}-{j}-{seg.id}",
-                        src_zone=seg.id,
-                        dst_zone=zone,
-                        action=m.RuleAction.ALLOW,
-                    )
-                )
+                gw(f"egress-{i}-{j}-{seg.id}", seg.id, zone)
     for i, rule in enumerate(p.ingress):
         src = [tok for tok in rule.networks if tok != m.ANY] or [m.ANY]
-        targets = rule.targets or (m.PerimeterTarget(),)
-        for j, t in enumerate(targets):
+        for j, t in enumerate(rule.targets or (m.PerimeterTarget(),)):
             if t.service not in (m.ANY, m.INTERNET) and idx.services[t.service].project not in members:
                 continue
             dst, port = _expand_target(s, t)
-            if dst == [m.ANY]:
-                dst = list(member_cidrs)
-            firewall.append(
-                m.FirewallRule(
-                    id=f"{p.id}-ls-ingress-{i}-{j}",
-                    scope=m.ORG_SCOPE,
-                    priority=next(prio),
-                    action=m.RuleAction.ALLOW,
-                    src=src,
-                    dst=dst,
-                    ports=((port, port),) if port is not None else (),
-                )
-            )
+            fw(f"ingress-{i}-{j}", allow, src, member_cidrs if dst == [m.ANY] else dst, port)
             for seg in segments:
                 for zone in (tok for tok in src if tok in m.DISTINGUISHED_LOCI):
-                    gateway.append(
-                        m.GatewayRule(
-                            id=f"{p.id}-ls-gw-ingress-{i}-{j}-{seg.id}",
-                            src_zone=zone,
-                            dst_zone=seg.id,
-                            action=m.RuleAction.ALLOW,
-                        )
-                    )
-    firewall.append(
-        m.FirewallRule(
-            id=f"{p.id}-ls-deny-egress",
-            scope=m.ORG_SCOPE,
-            priority=next(prio),
-            action=m.RuleAction.DENY,
-            src=member_cidrs,
-            dst=(m.ANY,),
-        )
-    )
-    firewall.append(
-        m.FirewallRule(
-            id=f"{p.id}-ls-deny-ingress",
-            scope=m.ORG_SCOPE,
-            priority=next(prio),
-            action=m.RuleAction.DENY,
-            src=(m.ANY,),
-            dst=member_cidrs,
-        )
-    )
+                    gw(f"ingress-{i}-{j}-{seg.id}", zone, seg.id)
+    fw("deny-egress", deny, member_cidrs, (m.ANY,))
+    fw("deny-ingress", deny, (m.ANY,), member_cidrs)
     # one block of distinct priorities, all below the lowest at organization scope
-    existing = [r.priority for r in s.firewall_rules if r.scope == m.ORG_SCOPE]
-    base = (min(existing) if existing else 1000) - max(1000, len(firewall))
+    base = idx.lowest_priority(m.ORG_SCOPE) - max(1000, len(firewall))
     firewall = [replace(r, priority=base + r.priority) for r in firewall]
 
     notes = [
@@ -303,11 +229,7 @@ def _compile_lift_shift(
         "rule set (gateways, endpoint policies) and address reuse can still diverge"
     ]
     notes.extend(_rule_fidelity_notes(p))
-    ephemeral = [
-        svc.id
-        for svc in member_services
-        if svc.compute in (m.ComputeKind.KUBERNETES, m.ComputeKind.SERVERLESS)
-    ]
+    ephemeral = [svc.id for svc in member_services if svc.compute in _EPHEMERAL]
     if ephemeral:
         notes.append(
             f"dynamically-addressed backends {ephemeral} enforce via ephemeral IPs; "
@@ -332,9 +254,7 @@ def _compile_lift_shift(
 def _compile_zero_trust(
     s: Scenario, p: m.AbstractPerimeter, members: frozenset[str]
 ) -> CompiledRuleSet:
-    member_services = sorted(
-        (svc for svc in s.services if svc.project in members), key=lambda x: x.id
-    )
+    member_services = s.index().member_services(members)
     bindings: list[m.RBACBinding] = []
     for caller in member_services:
         for callee in member_services:
@@ -423,7 +343,7 @@ def verify_compilation(
     divergences = []
     for d in diffs:
         svc = idx.services.get(d.request.target)
-        if svc is not None and svc.compute in (m.ComputeKind.KUBERNETES, m.ComputeKind.SERVERLESS):
+        if svc is not None and svc.compute in _EPHEMERAL:
             cls = "EXPECTED_EPHEMERAL"
         elif has_fidelity_gap:
             cls = "EXPECTED_FIDELITY"

@@ -52,7 +52,7 @@ def _finding(code: str, severity: str, subject: str, message: str) -> Finding:
 
 
 def lint(s: Scenario) -> list[Finding]:
-    """Run every lint check; returns findings sorted by (code, subject)."""
+    """Run every lint check; returns findings sorted by (code, subject, message)."""
     idx = s.index()
     findings: list[Finding] = []
     memberships = idx.memberships()
@@ -91,42 +91,27 @@ def lint(s: Scenario) -> list[Finding]:
             )
 
     # BP2: routable cross-perimeter traffic without any declared crossing rules
-    seg_by_project: dict[str, list[m.NetworkSegment]] = {}
-    for seg in s.segments:
-        seg_by_project.setdefault(seg.project, []).append(seg)
-
-    def member_segments(perimeter_id: str) -> list[m.NetworkSegment]:
-        return [
-            seg
-            for prj in sorted(memberships[perimeter_id])
-            for seg in seg_by_project.get(prj, [])
-        ]
+    def ungated(seg: m.NetworkSegment, svc: m.ServiceSpec) -> bool:
+        """Whether a route from ``seg`` to ``svc`` passes no gateway hop, or one without rules."""
+        path = route_mod.resolve_path(s, seg.id, svc.id)
+        if not isinstance(path, route_mod.RoutePath):
+            return False
+        gateways = path.gateway_hops()
+        return not gateways or not all(idx.edges[h.edge].gateway_rules for h in gateways)
 
     for p in s.perimeters:
         for q in s.perimeters:
             if p.id == q.id:
                 continue
-            governed_by_rules = (
-                m.Mechanism.DATA_PLANE_PERIMETER in p.mechanisms and p.egress
-            ) or (m.Mechanism.DATA_PLANE_PERIMETER in q.mechanisms and q.ingress)
-            ungoverned_path = False
-            for seg in member_segments(p.id):
-                for svc in s.services:
-                    if svc.project not in memberships[q.id]:
-                        continue
-                    path = route_mod.resolve_path(s, seg.id, svc.id)
-                    if not isinstance(path, route_mod.RoutePath):
-                        continue
-                    gateways = path.gateway_hops()
-                    gated = bool(gateways) and all(
-                        idx.edges[h.edge].gateway_rules for h in gateways
-                    )
-                    if not gated and not governed_by_rules:
-                        ungoverned_path = True
-                        break
-                if ungoverned_path:
-                    break
-            if ungoverned_path:
+            if (m.Mechanism.DATA_PLANE_PERIMETER in p.mechanisms and p.egress) or (
+                m.Mechanism.DATA_PLANE_PERIMETER in q.mechanisms and q.ingress
+            ):
+                continue  # perimeter rules govern the pair
+            if any(
+                ungated(seg, svc)
+                for seg in idx.member_segments(memberships[p.id])
+                for svc in idx.member_services(memberships[q.id])
+            ):
                 findings.append(
                     _finding(
                         "BP2_NO_XPERIM_RULES",
@@ -142,7 +127,7 @@ def lint(s: Scenario) -> list[Finding]:
         members = sorted(memberships[p.id])
         if len(members) < 2:
             continue
-        if not set.intersection(*(set(idx.folders_above(prj)) for prj in members)):
+        if not idx.common_folders(memberships[p.id]):
             findings.append(
                 _finding(
                     "BP3_HIERARCHY_MISMATCH",
@@ -186,26 +171,15 @@ def lint(s: Scenario) -> list[Finding]:
 
     # BP5: no-internet posture claiming hierarchical-firewall backing without a deny
     for p in s.perimeters:
-        if m.Mechanism.HIERARCHICAL_FIREWALL not in p.mechanisms:
+        if m.Mechanism.HIERARCHICAL_FIREWALL not in p.mechanisms or p.allows_internet:
             continue
-        allows_internet = any(
-            t.service == m.INTERNET for rule in p.egress for t in rule.targets
-        ) or any(not rule.targets for rule in p.egress)
-        if allows_internet:
-            continue
-        members = memberships[p.id]
-        backed = False
-        for fw in s.firewall_rules:
-            if fw.action is not m.RuleAction.DENY:
-                continue
-            if not any(tok in (m.INTERNET, m.ANY) for tok in fw.dst):
-                continue
-            if fw.scope == m.ORG_SCOPE:
-                backed = True
-                break
-            if fw.scope_kind == "folder" and all(fw.scope_id in idx.chains[prj] for prj in members):
-                backed = True
-                break
+        common = idx.common_folders(memberships[p.id])
+        backed = any(
+            fw.action is m.RuleAction.DENY
+            and any(tok in (m.INTERNET, m.ANY) for tok in fw.dst)
+            and (fw.scope == m.ORG_SCOPE or fw.scope_kind == "folder" and fw.scope_id in common)
+            for fw in s.firewall_rules
+        )
         if not backed:
             findings.append(
                 _finding(
@@ -245,7 +219,7 @@ def lint(s: Scenario) -> list[Finding]:
 
     # BP7: internet-exposed perimeter without the matching org constraint
     for p in s.perimeters:
-        for seg in member_segments(p.id):
+        for seg in idx.member_segments(memberships[p.id]):
             if not any(m.INTERNET in e.ends and seg.id in e.ends for e in s.edges):
                 continue
             chain = idx.chains[seg.project]

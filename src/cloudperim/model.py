@@ -455,6 +455,12 @@ class AbstractPerimeter:
     egress: tuple[PerimeterRule, ...] = ()
     mechanisms: frozenset[Mechanism] = frozenset()
 
+    @property
+    def allows_internet(self) -> bool:
+        """Whether an egress rule admits INTERNET: one that names no target,
+        or one naming INTERNET (a ``*`` target counts in neither)."""
+        return any(not r.targets or any(t.service == INTERNET for t in r.targets) for r in self.egress)
+
 
 @value_type
 class TagCondition:

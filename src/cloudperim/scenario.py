@@ -231,6 +231,26 @@ class ScenarioIndex:
         """Perimeter id -> resolved member project set."""
         return dict(zip(self.perimeters, self.perimeter_members))  # the ids are unique, in scenario order
 
+    def member_segments(self, members: frozenset[str]) -> list[m.NetworkSegment]:
+        """The segments of the projects ``members``, by id."""
+        return sorted((x for x in self.segments.values() if x.project in members), key=lambda x: x.id)
+
+    def member_services(self, members: frozenset[str]) -> list[m.ServiceSpec]:
+        """The services of the projects ``members``, by id."""
+        return sorted((x for x in self.services.values() if x.project in members), key=lambda x: x.id)
+
+    def common_folders(self, members: frozenset[str]) -> tuple[str, ...]:
+        """The folders above every one of the projects ``members`` (at least
+        one), root first: in a tree, a prefix of each member's chain."""
+        first, *rest = members
+        return tuple(f for f in self.folders_above(first) if all(f in self.chains[prj] for prj in rest))
+
+    def lowest_priority(self, scope: str) -> int:
+        """The lowest firewall priority at ``scope``; where no rule is, 1000,
+        the priority a parsed rule takes by default."""
+        rules = self.firewall_rules_by_scope.get(scope)
+        return rules[0].priority if rules else 1000
+
 
 def _outcome(walk: Callable[[], Any]) -> Any:
     """What ``walk()`` returns, or the hierarchy error it raises."""

@@ -255,6 +255,22 @@ def test_compile_and_verify_compile(capsys):
     assert all(d["class"].startswith("EXPECTED") for d in divergences)
 
 
+@pytest.mark.parametrize("scenario, perimeter, rule, line_end", [
+    ("fig5-vm", "green", "green-ls-egress-1-0", "-> 10.3.0.10/32 ports 88"),
+    ("fig4-landing-point", "green", "green-ls-ingress-0-0", "ONPREM -> 172.16.1.10/32 ports 5432"),
+    ("fig4-landing-point", "green", "green-ls-intra", "-> 172.16.0.0/16"),
+], ids=["fig5-egress", "fig4-ingress", "fig4-no-ports"])
+def test_human_compile_prints_each_firewall_rules_ports(capsys, scenario, perimeter, rule, line_end):
+    """A lift-shift rule toward a service's address carries its port, and the
+    human output shows it; a rule with no ports ends at its destinations."""
+    code, out, _ = run(
+        capsys, "compile", "--scenario", scenario, "--perimeter", perimeter, "--mechanism", "lift-shift"
+    )
+    assert code == EXIT_OK
+    (line,) = [x for x in out.splitlines() if x.startswith(f"  firewall {rule} ")]
+    assert line.endswith(line_end)
+
+
 @pytest.mark.parametrize("egress_rules", [897, 1000])
 def test_lift_shift_of_a_large_perimeter_keeps_priorities_distinct(tmp_path, capsys, egress_rules):
     """However many rules a lift-shift perimeter emits, their priorities are

@@ -166,3 +166,91 @@ def test_edge_without_two_ends_is_reported_and_joins_nothing(ends):
             evaluate_flow(malformed, r)
         assert list(refused.value.violations) == violations
     assert malformed._index is None
+
+
+# ---------------------------------------------------------------------------
+# The perimeter facts that compilation and lint share, against brute force
+# ---------------------------------------------------------------------------
+
+
+def _perimeter_corpus():
+    """(name, scenario) for the templates, two estates and 50 random scenarios."""
+    yield from ((name, builtin_scenario(name)) for name in TEMPLATE_NAMES)
+    for spokes in (12, 40):
+        yield f"spokes{spokes}", parse_scenario(gen.hub_and_spoke(spokes, 0, 0).text())
+    for seed in range(50):
+        yield f"random{seed}", genrandom.random_scenario(random.Random(seed))
+
+
+@pytest.fixture(scope="module")
+def perimeter_corpus():
+    return list(_perimeter_corpus())
+
+
+def _members_by_walk(s):
+    """Perimeter id -> its member projects, by the model's reference walk."""
+    nodes = {n.id: n for n in s.nodes}
+    return {p.id: m.resolve_members(p, nodes) for p in s.perimeters}
+
+
+def test_member_segments_are_each_member_projects_segments_by_id(perimeter_corpus):
+    seen = 0
+    for name, s in perimeter_corpus:
+        idx = s.index()
+        for pid, members in _members_by_walk(s).items():
+            want = sorted(seg.id for seg in s.segments if seg.project in members)
+            assert [seg.id for seg in idx.member_segments(members)] == want, (name, pid)
+            assert [seg.id for seg in idx.member_segments(idx.memberships()[pid])] == want, (name, pid)
+            seen += len(want)
+    assert seen > 100
+
+
+def test_common_folders_are_the_folders_above_every_member_root_first(perimeter_corpus):
+    differing = 0
+    for name, s in perimeter_corpus:
+        nodes = {n.id: n for n in s.nodes}
+        idx = s.index()
+
+        def folders(node):
+            return [x for x in m.ancestors(node, nodes) if nodes[x].kind is m.NodeKind.FOLDER]
+
+        for pid, members in _members_by_walk(s).items():
+            common = set.intersection(*(set(folders(prj)) for prj in members))
+            want = tuple(sorted(common, key=lambda f: len(m.ancestors(f, nodes))))
+            assert idx.common_folders(members) == want, (name, pid)
+            differing += len({tuple(folders(prj)) for prj in members}) > 1
+    assert differing > 5  # members under different folders, so the intersection matters
+
+
+def test_internet_posture_is_a_per_rule_scan_of_egress(perimeter_corpus):
+    def scan(p):
+        for rule in p.egress:
+            if not rule.targets:
+                return True  # a rule with no targets admits any, INTERNET too
+            for t in rule.targets:
+                if t.service == m.INTERNET:
+                    return True
+        return False
+
+    postures = {True: 0, False: 0}
+    for name, s in perimeter_corpus:
+        for p in s.perimeters:
+            assert p.allows_internet is scan(p), (name, p.id)
+            postures[scan(p)] += 1
+    targetless = [(name, p.id) for name, s in perimeter_corpus for p in s.perimeters
+                  if any(not r.targets for r in p.egress)]
+    assert min(postures.values()) > 5 and len(targetless) > 5
+    # a ``*`` target is not INTERNET
+    star = m.AbstractPerimeter(
+        id="p", name="p", members=m.MemberSelector(),
+        egress=(m.PerimeterRule(id="r", targets=(m.PerimeterTarget(service=m.ANY),)),),
+    )
+    assert not star.allows_internet
+
+
+def test_lowest_priority_at_a_scope_is_the_minimum_over_its_rules(perimeter_corpus):
+    for name, s in perimeter_corpus:
+        idx = s.index()
+        for scope in {r.scope for r in s.firewall_rules} | {m.ORG_SCOPE, "folder:nowhere"}:
+            want = min((r.priority for r in s.firewall_rules if r.scope == scope), default=1000)
+            assert idx.lowest_priority(scope) == want, (name, scope)
