@@ -173,18 +173,14 @@ def test_edge_without_two_ends_is_reported_and_joins_nothing(ends):
 # ---------------------------------------------------------------------------
 
 
-def _perimeter_corpus():
-    """(name, scenario) for the templates, two estates and 50 random scenarios."""
-    yield from ((name, builtin_scenario(name)) for name in TEMPLATE_NAMES)
-    for spokes in (12, 40):
-        yield f"spokes{spokes}", parse_scenario(gen.hub_and_spoke(spokes, 0, 0).text())
-    for seed in range(50):
-        yield f"random{seed}", genrandom.random_scenario(random.Random(seed))
-
-
 @pytest.fixture(scope="module")
 def perimeter_corpus():
-    return list(_perimeter_corpus())
+    """(name, scenario) for the templates, two estates and 50 random scenarios."""
+    return (
+        [(name, builtin_scenario(name)) for name in TEMPLATE_NAMES]
+        + [(f"spokes{n}", parse_scenario(gen.hub_and_spoke(n, 0, 0).text())) for n in (12, 40)]
+        + [(f"random{seed}", genrandom.random_scenario(random.Random(seed))) for seed in range(50)]
+    )
 
 
 def _members_by_walk(s):
