@@ -16,8 +16,10 @@ exactly one point and reason.
 The chain splits at the principal. The network points (ROUTE through
 GATEWAY) see only the request's network leg: its source, target, source
 address and payload tags. They are evaluated once per leg and scenario, and
-the leg, with its finished trace steps and what the principal points read of
-it, is kept in the scenario index. The principal points (CONSUMER_ENDPOINT
+then the leg, with its finished trace steps and what the principal points
+read of it, is built once and kept in the scenario index. The firewall points
+read no rule text: they match the leg's intervals against the index's
+compiled ``firewall_scopes``, in the segment's ``scope_chains`` order. The principal points (CONSUMER_ENDPOINT
 through RBAC) run once per decision class (see ``principal_class``) and
 scenario: their answer, the decision and their steps, is kept in the index's
 class memo, and every other request of the class reuses it. A request that
@@ -41,11 +43,13 @@ from . import model as m
 from . import prefix
 from . import route as route_mod
 from .errors import UnknownEntityError
-from .scenario import Scenario, ScenarioIndex
+from .scenario import ORG_CHAIN, CompiledRule, Scenario, ScenarioIndex, ScopeChain
 
-FLOW_PROTOCOL = "tcp"  # modeled flows are connection-initiating TCP requests
 # (source, target, source address, payload tags): what the network points read of a request
 LegKey = tuple[str, str, str | None, frozenset[str]]
+# what the firewall reads of a leg: its source locus and intervals, its target
+# service (None for INTERNET) and the target's intervals, and its destination port
+Ends = tuple[str, tuple[prefix.Interval, ...], m.ServiceSpec | None, tuple[prefix.Interval, ...], int | None]
 # the source tokens of every leg that matches none: most allowed legs
 _NO_TOKENS: frozenset[str] = frozenset()
 
@@ -93,38 +97,23 @@ class RequestContext:
 # ---------------------------------------------------------------------------
 
 
-def _src_token_matches(token: str, leg: NetworkLeg) -> bool:
+def _src_token_matches(token: str, source: str, source_nets: tuple[prefix.Interval, ...]) -> bool:
     """A CIDR token matches the source address or any CIDR of the source segment."""
     if token == m.ANY:
         return True
     if token in m.DISTINGUISHED_LOCI:
-        return leg.source == token
-    return prefix.meets_any(prefix.network(token), leg.source_nets)
+        return source == token
+    return prefix.meets_any(prefix.network(token), source_nets)
 
 
-def _dst_token_matches(token: str, leg: NetworkLeg) -> bool:
-    """A CIDR token matches a target host address or any CIDR of the target's segment."""
-    if token == m.ANY:
-        return True
-    if token == m.INTERNET:
-        return leg.target_service is None
-    # flows never target ONPREM
-    return token != m.ONPREM and prefix.meets_any(prefix.network(token), leg.target_nets)
-
-
-def _firewall_rule_matches(rule: m.FirewallRule, leg: NetworkLeg) -> bool:
-    if rule.protocol not in ("any", FLOW_PROTOCOL):
-        return False
-    if not any(_src_token_matches(t, leg) for t in rule.src):
-        return False
-    if not any(_dst_token_matches(t, leg) for t in rule.dst):
-        return False
-    if rule.ports:
-        if leg.dst_port is None:
-            return False
-        if not any(lo <= leg.dst_port <= hi for lo, hi in rule.ports):
-            return False
-    return True
+def _admits(rule: CompiledRule, ends: Ends) -> bool:
+    """The compiled ``rule`` matches a flow with ``ends``: each side meets, and the port is in a range."""
+    source, source_nets, target_service, target_nets, port = ends
+    return (
+        (rule.src_any or source in rule.src_loci or prefix.meets(rule.src_nets, source_nets))
+        and (rule.dst_any or rule.dst_internet and target_service is None or prefix.meets(rule.dst_nets, target_nets))
+        and (not rule.ports or port is not None and any(lo <= port <= hi for lo, hi in rule.ports))
+    )
 
 
 def _predicate_matches(p: m.AccessPredicate, ctx: RequestContext) -> bool:
@@ -160,16 +149,16 @@ def _perimeter_rule_matches(rule: m.PerimeterRule, ctx: RequestContext) -> bool:
     return True
 
 
-def _gateway_rule_matches(rule: m.GatewayRule, hop: route_mod.Hop, leg: NetworkLeg) -> bool:
+def _gateway_rule_matches(rule: m.GatewayRule, hop: route_mod.Hop, payload_tags: frozenset[str]) -> bool:
     if rule.src_zone not in (m.ANY, hop.src):
         return False
     if rule.dst_zone not in (m.ANY, hop.dst):
         return False
     if not rule.new_connection:
         return False  # modeled flows are always new connections
-    if rule.protocol not in ("any", FLOW_PROTOCOL):
+    if rule.protocol not in ("any", m.FLOW_PROTOCOL):
         return False
-    if rule.content_class is not None and rule.content_class not in leg.payload_tags:
+    if rule.content_class is not None and rule.content_class not in payload_tags:
         return False
     return True
 
@@ -232,46 +221,34 @@ _DEFAULT_DENY = {
 }
 
 
-def _scope_chain(leg: NetworkLeg, idx: ScenarioIndex) -> list[tuple[str, str]]:
-    """(scope kind, scope key) list for this flow: org, folders root->leaf, segment.
+def _scope_chain(ends: Ends, idx: ScenarioIndex) -> ScopeChain:
+    """The scopes of a flow's firewall rules: org, folders root->leaf, segment.
 
     Anchored at the source side for segment-borne flows and at the target side
     for flows entering from ONPREM/INTERNET.
     """
-    anchor_seg = leg.source_segment
-    if anchor_seg is None and leg.target_service is not None:
-        anchor_seg = idx.segments[leg.target_service.segment]
-    scopes: list[tuple[str, str]] = [("organization", m.ORG_SCOPE)]
-    if anchor_seg is not None:
-        scopes.extend(("folder", f"folder:{f}") for f in idx.folders_above(anchor_seg.project))
-        scopes.append(("segment", f"segment:{anchor_seg.id}"))
-    return scopes
+    source, _, target_service, _, _ = ends
+    chains = idx.scope_chains
+    return chains.get(source) or (chains[target_service.segment] if target_service else ORG_CHAIN)
 
 
-def _flow_is_intra_segment(leg: NetworkLeg) -> bool:
-    if leg.source_segment is None:
-        return False
-    if leg.endpoint is not None:
-        return leg.endpoint.segment == leg.source_segment.id
-    if leg.target_service is not None:
-        return leg.target_service.segment == leg.source_segment.id
-    return False
-
-
-def _terminal_rule(leg: NetworkLeg, idx: ScenarioIndex) -> tuple[str, m.FirewallRule] | tuple[None, None]:
+def _terminal_rule(ends: Ends, idx: ScenarioIndex) -> tuple[str, m.FirewallRule] | tuple[None, None]:
     """(scope kind, rule) of the first matching non-delegate rule, scope by scope."""
-    for scope_kind, scope_key in _scope_chain(leg, idx):
-        for rule in idx.firewall_rules_by_scope.get(scope_key, ()):
-            if _firewall_rule_matches(rule, leg):
-                if rule.action is not m.RuleAction.DELEGATE:
-                    return scope_kind, rule
+    scopes = idx.firewall_scopes
+    for scope_kind, scope_key in _scope_chain(ends, idx):
+        for compiled in scopes.get(scope_key, ()):
+            if _admits(compiled, ends):
+                if compiled.rule.action is not m.RuleAction.DELEGATE:
+                    return scope_kind, compiled.rule
                 break  # hand over to the next scope
     return None, None
 
 
-def evaluate_firewall_chain(s: Scenario, leg: NetworkLeg) -> tuple[m.TraceStep, m.TraceStep]:
-    """Hierarchical then segment firewall steps for one flow."""
-    scope_kind, rule = _terminal_rule(leg, s.index())
+def evaluate_firewall_chain(ends: Ends, trusted: bool, idx: ScenarioIndex) -> tuple[m.TraceStep, m.TraceStep]:
+    """Hierarchical then segment firewall steps for a flow with ``ends``;
+    ``trusted`` when no rule matching leaves it allowed (it stays within a
+    trusting segment)."""
+    scope_kind, rule = _terminal_rule(ends, idx)
     if rule is not None:
         deny = rule.action is m.RuleAction.DENY
         if scope_kind == "segment":
@@ -282,23 +259,19 @@ def evaluate_firewall_chain(s: Scenario, leg: NetworkLeg) -> tuple[m.TraceStep, 
             _step(m.PointKind.HIER_FIREWALL, rule.id, m.DenyReason.HIER_FIREWALL if deny else None),
             _NOT_APPLICABLE[m.PointKind.SEGMENT_FIREWALL],
         )
-    if (
-        _flow_is_intra_segment(leg)
-        and leg.source_segment is not None
-        and leg.source_segment.trust_mode is m.TrustMode.TRUSTING
-    ):
+    if trusted:
         return _HIER_DEFAULT, _step(m.PointKind.SEGMENT_FIREWALL, m.DEFAULT_RULE)
     return _HIER_DEFAULT, _step(m.PointKind.SEGMENT_FIREWALL, m.DEFAULT_RULE, m.DenyReason.FIREWALL_DEFAULT)
 
 
-def evaluate_gateways(leg: NetworkLeg, idx: ScenarioIndex) -> m.TraceStep:
-    hops = leg.path.gateway_hops() if leg.path else []
+def evaluate_gateways(path: route_mod.RoutePath, payload_tags: frozenset[str], idx: ScenarioIndex) -> m.TraceStep:
+    hops = path.gateway_hops()
     if not hops:
         return _NOT_APPLICABLE[m.PointKind.GATEWAY]
     matched: list[str] = []
     for hop in hops:
         edge = idx.edges[hop.edge]
-        hit = next((r for r in edge.gateway_rules if _gateway_rule_matches(r, hop, leg)), None)
+        hit = next((r for r in edge.gateway_rules if _gateway_rule_matches(r, hop, payload_tags)), None)
         if hit is None:
             return _step(m.PointKind.GATEWAY, m.DEFAULT_RULE, m.DenyReason.GATEWAY)
         if hit.action is m.RuleAction.DENY:
@@ -406,14 +379,16 @@ def _steps(steps: Iterator[m.TraceStep]) -> tuple[m.Decision, m.DecisionTrace]:
     return m.ALLOW, tuple(taken)
 
 
-def _network_steps(s: Scenario, leg: NetworkLeg, idx: ScenarioIndex) -> Iterator[m.TraceStep]:
+def _network_steps(
+    path: route_mod.RoutePath | None, payload_tags: frozenset[str], ends: Ends, trusted: bool, idx: ScenarioIndex
+) -> Iterator[m.TraceStep]:
     """The step of each network point, computed as it is pulled."""
-    if leg.path is None:
+    if path is None:
         yield _NO_ROUTE
         return
-    yield _step(m.PointKind.ROUTE, leg.path.describe())
-    yield from evaluate_firewall_chain(s, leg)
-    yield evaluate_gateways(leg, idx)
+    yield _step(m.PointKind.ROUTE, path.describe())
+    yield from evaluate_firewall_chain(ends, trusted, idx)
+    yield evaluate_gateways(path, payload_tags, idx)
 
 
 def _principal_steps(s: Scenario, ctx: RequestContext) -> Iterator[m.TraceStep]:
@@ -470,7 +445,38 @@ def _network_leg(s: Scenario, idx: ScenarioIndex, key: LegKey) -> NetworkLeg:
         target_nets = tuple(host for host, _ in addresses) + idx.segment_nets[target_service.segment]
         dst_port = next((port for _, port in addresses if port is not None), None)
     source_segment = idx.segments.get(source)
-    facts = dict(
+    # an unmatched flow is allowed within a trusting segment
+    target_segment = endpoint.segment if endpoint else target_service and target_service.segment
+    trusted = (
+        source_segment is not None
+        and source_segment.id == target_segment
+        and source_segment.trust_mode is m.TrustMode.TRUSTING
+    )
+    ends = (source, source_nets, target_service, target_nets, dst_port)
+    decision, steps = _steps(_network_steps(path, payload_tags, ends, trusted, idx))
+    src = dst = context = idp = None
+    source_tokens = _NO_TOKENS
+    if decision.allowed:
+        src = idx.data_plane_perimeter.get(source_segment.project if source_segment else None)
+        dst = idx.data_plane_perimeter.get(target_service.project if target_service else None)
+        # the source tokens the principal points test: the endpoint's and
+        # attachment's predicates', and the crossed perimeters' rules'
+        tokens = {t for holder in (endpoint, attachment) if holder for p in holder.policy for t in p.cidrs}
+        if src is None or dst is None or src.id != dst.id:
+            for rule in (src.egress if src else ()) + (dst.ingress if dst else ()):
+                tokens.update(rule.networks)
+        source_tokens = frozenset(t for t in tokens if _src_token_matches(t, source, source_nets)) or _NO_TOKENS
+        # the endpoint fixes the attachment, and the target service its perimeter
+        context = (
+            endpoint.id if endpoint else None,
+            target_service.id if target_service else None,
+            src.id if src else None,
+            source_tokens,
+        )
+        if target_service is not None and target_service.auth_mode is m.AuthMode.ZERO_TRUST:
+            idp = target_service.idp
+    # the one leg object, built once its network points are evaluated
+    leg = idx.legs[key] = NetworkLeg(
         source=source,
         payload_tags=payload_tags,
         path=path,
@@ -481,38 +487,13 @@ def _network_leg(s: Scenario, idx: ScenarioIndex, key: LegKey) -> NetworkLeg:
         source_nets=source_nets,
         target_nets=target_nets,
         dst_port=dst_port,
-    )
-    # the finished leg is built anew from the facts: cheaper than dataclasses.replace
-    bare = NetworkLeg(**facts)
-    decision, steps = _steps(_network_steps(s, bare, idx))
-    if not decision.allowed:
-        leg = idx.legs[key] = NetworkLeg(**facts, steps=steps, denied=(decision, steps))
-        return leg
-    src = idx.data_plane_perimeter.get(source_segment.project if source_segment else None)
-    dst = idx.data_plane_perimeter.get(target_service.project if target_service else None)
-    # the source tokens the principal points test: the endpoint's and
-    # attachment's predicates', and the crossed perimeters' rules'
-    tokens = {t for holder in (endpoint, attachment) if holder for p in holder.policy for t in p.cidrs}
-    if src is None or dst is None or src.id != dst.id:
-        for rule in (src.egress if src else ()) + (dst.ingress if dst else ()):
-            tokens.update(rule.networks)
-    source_tokens = frozenset(t for t in tokens if _src_token_matches(t, bare)) or _NO_TOKENS
-    # the endpoint fixes the attachment, and the target service its perimeter
-    context = (
-        endpoint.id if endpoint else None,
-        target_service.id if target_service else None,
-        src.id if src else None,
-        source_tokens,
-    )
-    zero_trust = target_service is not None and target_service.auth_mode is m.AuthMode.ZERO_TRUST
-    leg = idx.legs[key] = NetworkLeg(
-        **facts,
         steps=steps,
+        denied=None if decision.allowed else (decision, steps),
         src_perimeter=src,
         dst_perimeter=dst,
         source_tokens=source_tokens,
         context=context,
-        idp=target_service.idp if zero_trust else None,
+        idp=idp,
     )
     return leg
 
@@ -625,19 +606,20 @@ _identities_hold = _facts_equal("policy_identities")
 _class_keys_hold = _facts_equal("policy_identities", "device_keys")
 
 
-def _matching(rules: tuple[m.FirewallRule, ...], leg: NetworkLeg) -> list[m.FirewallRule]:
-    return [rule for rule in rules if _firewall_rule_matches(rule, leg)]
+def _matching(scope: tuple[CompiledRule, ...], ends: Ends) -> list[m.FirewallRule]:
+    return [compiled.rule for compiled in scope if _admits(compiled, ends)]
 
 
 def _rules_hold(earlier: ScenarioIndex, idx: ScenarioIndex) -> Callable[[NetworkLeg], bool]:
-    """In each scope of the leg's chain, the rules that match it are the same, in order."""
-    before, after = earlier.firewall_rules_by_scope, idx.firewall_rules_by_scope
+    """In each scope of the leg's chain, the compiled rules that match it are the same, in order."""
+    before, after = earlier.firewall_scopes, idx.firewall_scopes
     changed = {key for key in before.keys() | after.keys() if before.get(key, ()) != after.get(key, ())}
 
     def holds(leg: NetworkLeg) -> bool:
+        ends = (leg.source, leg.source_nets, leg.target_service, leg.target_nets, leg.dst_port)
         return all(
-            key not in changed or _matching(before.get(key, ()), leg) == _matching(after.get(key, ()), leg)
-            for _, key in _scope_chain(leg, idx)
+            key not in changed or _matching(before.get(key, ()), ends) == _matching(after.get(key, ()), ends)
+            for _, key in _scope_chain(ends, idx)
         )
 
     return holds

@@ -391,6 +391,7 @@ class ConsumerEndpoint:
 # ---------------------------------------------------------------------------
 
 ORG_SCOPE = "organization"
+FLOW_PROTOCOL = "tcp"  # modeled flows are connection-initiating TCP requests
 
 
 @value_type

@@ -101,12 +101,19 @@ def first_host(text: str) -> str | None:
     return str(net.network_address + (net.num_addresses > 1))
 
 
-def meets_any(net: Interval | None, nets: Iterable[Interval]) -> bool:
+def meets_any(net: Interval | None, nets: Sequence[Interval]) -> bool:
     """True if ``net`` shares an address with one of ``nets``."""
-    if net is None:
-        return False
-    version, first, last = net
-    return any(v == version and f <= last and first <= l for v, f, l in nets)
+    return net is not None and meets((net,), nets)
+
+
+def meets(nets: Iterable[Interval], others: Sequence[Interval]) -> bool:
+    """True if an interval of ``nets`` shares an address with one of ``others``.
+    Loops, not ``any``: a leg's firewall rules call it once or twice each."""
+    for v, f, l in nets:
+        for w, g, m in others:
+            if v == w and f <= m and g <= l:
+                return True
+    return False
 
 
 def overlapping_pairs(groups: Sequence[Sequence[Interval]]) -> list[tuple[int, int]]:

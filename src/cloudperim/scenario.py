@@ -36,6 +36,24 @@ if TYPE_CHECKING:
 
 # (the locus a hop leaves, the id and kind of the edge it crosses)
 LastHop = tuple[str, str, m.EdgeKind]
+# (scope kind, scope key) pairs, the scopes a flow's firewall rules are read in
+ScopeChain = tuple[tuple[str, str], ...]
+ORG_CHAIN: ScopeChain = (("organization", m.ORG_SCOPE),)
+
+
+class CompiledRule(NamedTuple):
+    """A firewall rule of a flow's protocol as a flow is matched against it:
+    each side is ``*``, the loci it names and its CIDRs' intervals (a dst
+    ONPREM matches no flow, so it is left out), and the ports are the rule's."""
+
+    rule: m.FirewallRule
+    src_any: bool
+    src_loci: frozenset[str]
+    src_nets: tuple[prefix.Interval, ...]
+    dst_any: bool
+    dst_internet: bool
+    dst_nets: tuple[prefix.Interval, ...]
+    ports: tuple[tuple[int, int], ...]
 
 
 @m.value_type
@@ -117,8 +135,11 @@ class ScenarioIndex:
     node's ancestor chain, each perimeter's members and each segment's CIDR
     intervals, with the errors of hierarchy walks kept as values. A scenario
     with any violation is refused with ``InvalidScenarioError`` before
-    anything sorts or joins on them, so every query reads plain values.
-    Scenarios are frozen, so neither the facts nor the memos can go stale.
+    anything sorts or joins on them, so every query reads plain values. The
+    firewall is compiled then: ``firewall_scopes`` and ``scope_chains`` are
+    all a network leg's firewall points read, so no rule text is read on the
+    leg path. Scenarios are frozen, so neither the facts nor the memos can go
+    stale.
 
     A version made with ``dataclasses.replace`` shares every field it does not
     replace, so it derives again only what its edit touched, on a base
@@ -135,14 +156,14 @@ class ScenarioIndex:
     the text walk, and each family that checks one entity at a time while
     every other field it reads is held, check only the entities not held
     (another document parsed has no base, and is checked whole). Firewall
-    priorities are checked, and the rules by scope derived again, only in the
-    scopes that gained or lost a rule; a perimeter keeps its members while the
-    hierarchy is the same, and the routing graph is kept while what it reads
-    of the edges and segments is equal. The query memos (``QUERY_MEMOS``)
-    always start empty. Only ``analysis.diff_decisions``, which holds both
-    versions, fills the later one's memos from the earlier one's, with
-    ``engine.hand_on``: ``engine._MEMO_READS`` names the fields each memo's
-    entries read.
+    priorities are checked, and the rules by scope derived and compiled
+    again, only in the scopes that gained or lost a rule; a perimeter keeps
+    its members while the hierarchy is the same, and the routing graph is
+    kept while what it reads of the edges and segments is equal. The query
+    memos (``QUERY_MEMOS``) always start empty. Only
+    ``analysis.diff_decisions``, which holds both versions, fills the later
+    one's memos from the earlier one's, with ``engine.hand_on``:
+    ``engine._MEMO_READS`` names the fields each memo's entries read.
     """
 
     # the memos of queries over the scenario, each empty in a new index
@@ -176,6 +197,11 @@ class ScenarioIndex:
     # is unique in a scope of a valid scenario (PRIORITY_DUP); the scopes are
     # in no order that an edit keeps
     firewall_rules_by_scope: dict[str, tuple[m.FirewallRule, ...]]
+    # the same, less the rules of a protocol no flow has, compiled
+    firewall_scopes: dict[str, tuple[CompiledRule, ...]]
+    # segment id -> the scopes of its flows' firewall rules: the organization,
+    # the folders above its project root first, then the segment
+    scope_chains: dict[str, ScopeChain]
     # bindings with a permission naming the service, in scenario order
     bindings_for_service: dict[str, list[m.RBACBinding]]
     # what principal classes read: the identity tokens that bindings,
@@ -1686,6 +1712,33 @@ def _by_scope(s: Scenario, idx: ScenarioIndex) -> dict[str, tuple[m.FirewallRule
     return {**kept, **{scope: tuple(sorted(group, key=lambda r: r.priority)) for scope, group in by_scope.items()}}
 
 
+def _compiled(rule: m.FirewallRule) -> CompiledRule:
+    src_nets, dst_nets = (tuple(n for n in map(prefix.network, tokens) if n) for tokens in (rule.src, rule.dst))
+    return CompiledRule(
+        rule, m.ANY in rule.src, m.DISTINGUISHED_LOCI.intersection(rule.src), src_nets,
+        m.ANY in rule.dst, m.INTERNET in rule.dst, dst_nets, rule.ports,
+    )
+
+
+def _firewall_scopes(s: Scenario, idx: ScenarioIndex) -> dict[str, tuple[CompiledRule, ...]]:
+    """Each scope's rules of a flow's protocol, compiled; a scope whose rules
+    are the base's (``_by_scope`` kept them) keeps the base's compilation."""
+    base = idx._delta.base._index if idx._delta.base is not None else None
+    return {
+        scope: base.firewall_scopes[scope] if base is not None and base.firewall_rules_by_scope.get(scope) is rules
+        else tuple(_compiled(r) for r in rules if r.protocol in ("any", m.FLOW_PROTOCOL))
+        for scope, rules in idx.firewall_rules_by_scope.items()
+    }
+
+
+def _scope_chains(s: Scenario, idx: ScenarioIndex) -> dict[str, ScopeChain]:
+    return {
+        seg.id: (*ORG_CHAIN, *(("folder", f"folder:{f}") for f in idx.folders_above(seg.project)),
+                 ("segment", f"segment:{seg.id}"))
+        for seg in s.segments
+    }
+
+
 def _adjacency(s: Scenario, idx: ScenarioIndex) -> dict[str, tuple[tuple[str, LastHop], ...]]:
     """The routing graph: the base's while the non-routable segments and
     each edge's id, ends, kind and direction, in order, are equal, which is
@@ -1749,6 +1802,8 @@ _FACTS: dict[str, _Fact] = {
     "attachment_for_service": (("attachments",), lambda s, idx: {a.service: a for a in s.attachments}),
     "endpoints_for_attachment": (("endpoints",), lambda s, idx: _grouped((ep.attachment, ep) for ep in s.endpoints)),
     "firewall_rules_by_scope": (("firewall_rules",), _by_scope),
+    "firewall_scopes": (("firewall_rules",), _firewall_scopes),
+    "scope_chains": (("nodes", "segments"), _scope_chains),
     "bindings_for_service": (("bindings",), lambda s, idx: _grouped(
         (svc_id, b) for b in s.bindings for svc_id in dict.fromkeys(p.service for p in b.role)
     )),

@@ -20,7 +20,6 @@ from cloudperim.engine import (
     RequestContext,
     _network_leg,
     evaluate_endpoint_pair,
-    evaluate_firewall_chain,
     evaluate_rbac,
 )
 from cloudperim.errors import InvalidScenarioError, UnknownEntityError, UnknownNodeError
@@ -258,14 +257,54 @@ def test_delegate_at_last_scope_falls_to_default():
     assert verdicts(trace)[m.PointKind.SEGMENT_FIREWALL][1] == m.DEFAULT_RULE
 
 
-def _naive_firewall(s, leg):
-    """Spec-order scan: org, folders root->leaf, segment; first non-delegate match."""
-    from cloudperim.engine import _firewall_rule_matches, _scope_chain
+def _networks(texts, parse=None):
+    """The networks of the texts that ``parse`` (a CIDR parser by default) reads."""
+    import ipaddress
 
-    idx = s.index()
-    for kind, key in _scope_chain(leg, idx):
-        for rule in sorted((r for r in s.firewall_rules if r.scope == key), key=lambda r: r.priority):
-            if _firewall_rule_matches(rule, leg):
+    out = []
+    for text in texts:
+        try:
+            out.append(ipaddress.ip_network(parse(text) if parse else text, strict=False))
+        except ValueError:
+            pass
+    return out
+
+
+def _naive_firewall(s, r, leg):
+    """Spec-order scan of the rule text, sharing nothing with the engine's
+    matcher: org, folders root->leaf, segment; first non-delegate match. Only
+    the leg's source segment, target service and endpoint are read."""
+    nodes = {n.id: n for n in s.nodes}
+    segments = {x.id: x for x in s.segments}
+    anchor = leg.source_segment or (leg.target_service and segments[leg.target_service.segment])
+    scopes = [("organization", m.ORG_SCOPE)]
+    if anchor:
+        scopes += [("folder", f"folder:{n}") for n in m.ancestors(anchor.project, nodes)
+                   if nodes[n].kind is m.NodeKind.FOLDER]
+        scopes.append(("segment", f"segment:{anchor.id}"))
+    import ipaddress
+
+    sources = _networks([r.source_address] if r.source_address else [], ipaddress.ip_address)
+    sources += _networks(leg.source_segment.cidrs if leg.source_segment else ())
+    svc, ep = leg.target_service, leg.endpoint
+    hosts = [a for a in (ep and ep.address, svc and svc.address) if a]
+    targets = _networks(hosts, lambda a: ipaddress.ip_address(a.partition(":")[0]))
+    targets += _networks(segments[svc.segment].cidrs if svc else ())
+    port = next((int(a.partition(":")[2]) for a in hosts if ":" in a), None)
+
+    def meets(token, networks):
+        return any(n.version == x.version and n.overlaps(x) for n in _networks([token]) for x in networks)
+
+    def matches(rule):
+        src = any(t == m.ANY or (t == r.source if t in m.DISTINGUISHED_LOCI else meets(t, sources)) for t in rule.src)
+        dst = any(t == m.ANY or (t == m.INTERNET == r.target if t in m.DISTINGUISHED_LOCI else meets(t, targets))
+                  for t in rule.dst)
+        ports = not rule.ports or port is not None and any(lo <= port <= hi for lo, hi in rule.ports)
+        return rule.protocol in ("any", "tcp") and src and dst and ports
+
+    for kind, key in scopes:
+        for rule in sorted((x for x in s.firewall_rules if x.scope == key), key=lambda x: x.priority):
+            if matches(rule):
                 if rule.action is m.RuleAction.DELEGATE:
                     break
                 return kind, rule
@@ -308,13 +347,9 @@ def test_firewall_chain_matches_naive_scan_on_random_rules(seed):
             continue
         if leg.path is None:
             continue
-        hier, seg = evaluate_firewall_chain(dense, leg)
-        # the leg keeps the outcomes as its HIER_FIREWALL and SEGMENT_FIREWALL steps
-        assert [(st.verdict, st.rule) for st in leg.steps[1:3]] == [
-            (hier.verdict, hier.rule),
-            (seg.verdict, seg.rule),
-        ]
-        kind, rule = _naive_firewall(dense, leg)
+        # the leg keeps the firewall chain's outcomes as its HIER_FIREWALL and SEGMENT_FIREWALL steps
+        hier, seg = leg.steps[1:3]
+        kind, rule = _naive_firewall(dense, r, leg)
         if rule is None:
             assert hier.rule == m.DEFAULT_RULE and seg.rule in (m.DEFAULT_RULE,)
         elif kind in ("organization", "folder"):
@@ -695,7 +730,8 @@ def _last_host(cidr):
 
 def _source_addresses(s, source):
     """Addresses inside the source segment, inside another segment, outside
-    every segment, IPv6 and malformed."""
+    every segment, IPv6 and malformed; and at every segment CIDR's edges: its
+    first and last address, and the address one outside each end."""
     import ipaddress
 
     cidrs = [ipaddress.ip_network(c, strict=False) for seg in s.segments for c in seg.cidrs]
@@ -710,7 +746,11 @@ def _source_addresses(s, source):
         addresses.append(_last_host(own.cidrs[-1]))
     if other is not None:
         addresses.append(_last_host(other.cidrs[-1]))
-    return addresses
+    for net in cidrs:
+        first, last = net.network_address, net.broadcast_address
+        addresses += [str(first), str(last)]
+        addresses += [str(type(first)(a)) for a in (int(first) - 1, int(last) + 1) if 0 <= a < 2**net.max_prefixlen]
+    return list(dict.fromkeys(addresses))
 
 
 @pytest.mark.parametrize("name", sorted(__import__("cloudperim").TEMPLATE_NAMES))

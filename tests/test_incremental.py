@@ -619,10 +619,12 @@ def test_an_edit_walks_and_checks_only_the_entities_it_did_not_hold(monkeypatch,
     assert got == {"firewall rule id": [rule], "firewall values": [rule], "refs of firewall rules": [rule],
                    "priorities": in_scope}
     assert len(in_scope) < len(version.firewall_rules) / 4
-    # and only its scope's rules are sorted again
+    # and only its scope's rules are sorted and compiled again
     assert after.firewall_rules_by_scope[rule.scope] == tuple(sorted(in_scope, key=lambda r: r.priority))
     assert all(rules is before.firewall_rules_by_scope[scope]
+               and after.firewall_scopes[scope] is before.firewall_scopes[scope]
                for scope, rules in after.firewall_rules_by_scope.items() if scope != rule.scope)
+    assert after.firewall_scopes[rule.scope] is not before.firewall_scopes.get(rule.scope)
 
     # a binding dropped: no binding is walked or checked
     build(kinds["drop_binding"])

@@ -186,9 +186,9 @@ def test_firewall_chain_runs_once_per_routed_leg(name, monkeypatch):
     original = engine.evaluate_firewall_chain
     calls = []
 
-    def counted(s_, leg):
-        calls.append(leg)
-        return original(s_, leg)
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
 
     monkeypatch.setattr(engine, "evaluate_firewall_chain", counted)
     matrix = reachability_matrix(s)

@@ -8,7 +8,7 @@ from pathlib import Path
 import dataclasses
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cloudperim import TEMPLATE_NAMES, builtin_scenario, parse_scenario, template_text, validate_scenario
@@ -87,6 +87,37 @@ def test_overlap_equals_ipaddress(a, b):
     expected = x is not None and y is not None and x.version == y.version and x.overlaps(y)
     assert _meets(prefix.network(a), prefix.network(b)) == expected
     assert _meets(prefix.network(b), prefix.network(a)) == expected
+
+
+@st.composite
+def _interval(draw):
+    """A v4 or v6 interval whose ends are drawn from nine addresses at the
+    bottom or the top of the address space: sets of them often share only
+    an endpoint, and often hold one-address intervals."""
+    version = draw(st.sampled_from((4, 6)))
+    base = draw(st.sampled_from((0, 2 ** _BITS[version] - 9)))
+    first, last = sorted(draw(st.lists(st.integers(base, base + 8), min_size=2, max_size=2)))
+    return version, first, last
+
+
+def _ip_range(interval):
+    version, first, last = interval
+    address = ipaddress.IPv4Address if version == 4 else ipaddress.IPv6Address
+    return list(ipaddress.summarize_address_range(address(first), address(last)))
+
+
+@settings(max_examples=600, deadline=None)
+@given(a=st.lists(_interval(), max_size=4), b=st.lists(_interval(), max_size=4))
+@example(a=[(4, 0, 5)], b=[(4, 5, 8)])  # only an endpoint shared
+@example(a=[(4, 0, 4)], b=[(4, 5, 8)])  # adjacent, no address shared
+@example(a=[(4, 5, 5)], b=[(4, 5, 5)])  # one address each
+@example(a=[(4, 1, 1), (6, 3, 3)], b=[(6, 1, 1), (4, 3, 3)])  # mixed versions, equal numbers
+def test_meets_equals_ipaddress(a, b):
+    expected = any(
+        x.version == y.version and x.overlaps(y) for i in a for x in _ip_range(i) for j in b for y in _ip_range(j)
+    )
+    assert prefix.meets(a, b) == prefix.meets(b, a) == expected
+    assert prefix.meets_any(a[0] if a else None, b) == (bool(a) and prefix.meets(a[:1], b))
 
 
 @settings(max_examples=300, deadline=None)
