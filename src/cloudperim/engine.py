@@ -600,7 +600,9 @@ def _facts_equal(*facts: str) -> _Clause:
     return lambda earlier, idx: _always if all(getattr(earlier, f) == getattr(idx, f) for f in facts) else _never
 
 
-# what ``route._search`` reads; what a principal class reads of the policy, and of the perimeter rules
+# what a hub's ``route._search`` reads, and so every path: a spoke composes its
+# paths from the hubs' trees and its uplinks, derived from these facts alone;
+# what a principal class reads of the policy, and of the perimeter rules
 _routes_hold = _facts_equal("adjacency", "non_routable")
 _identities_hold = _facts_equal("policy_identities")
 _class_keys_hold = _facts_equal("policy_identities", "device_keys")

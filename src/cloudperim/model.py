@@ -334,6 +334,42 @@ class ConnectivityEdge:
         return b if locus == a else a
 
 
+class HopKind(str, Enum):
+    INTRA_SEGMENT = "intra-segment"
+    PEERING = "peering"
+    GATEWAY = "gateway"
+    INTERCONNECT = "interconnect"
+    VPN = "vpn"
+    NAT = "nat"
+    VPC_CONNECTOR = "vpc-connector"
+    ENDPOINT_TRAVERSAL = "endpoint-traversal"
+
+
+# the kind of the hop that crosses an edge of each kind
+EDGE_HOP_KIND = {
+    EdgeKind.PEERING: HopKind.PEERING,
+    EdgeKind.INTERCONNECT: HopKind.INTERCONNECT,
+    EdgeKind.VPN: HopKind.VPN,
+    EdgeKind.NAT_GATEWAY: HopKind.NAT,
+    EdgeKind.VPC_CONNECTOR: HopKind.VPC_CONNECTOR,
+    EdgeKind.GATEWAY_APPLIANCE: HopKind.GATEWAY,
+}
+
+
+@dataclass(frozen=True, slots=True)
+class Hop:
+    """One step of a route: across an edge, through a consumer endpoint, or within a segment."""
+
+    kind: HopKind
+    src: str
+    dst: str
+    edge: str | None = None        # connectivity edge or consumer endpoint id
+    attachment: str | None = None  # for endpoint-traversal hops
+
+    def describe(self) -> str:
+        return f"{self.kind.value}({self.edge})" if self.edge else self.kind.value
+
+
 # ---------------------------------------------------------------------------
 # Services and service networking
 # ---------------------------------------------------------------------------

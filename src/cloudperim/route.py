@@ -2,10 +2,16 @@
 
 Loci are network segments plus the distinguished ONPREM and INTERNET.
 Paths are shortest by hop count with lexicographic edge-id tie-break, so
-resolution is deterministic for a fixed scenario. One breadth-first search
-per source (two when the source also asks for INTERNET) yields a shortest-path
-tree over the index's per-locus adjacency; every path from that source is read
-off the tree, and the trees are memoised in the scenario index.
+resolution is deterministic for a fixed scenario. Hubs search and spokes
+compose. A spoke (``ScenarioIndex.uplinks``, read off the index's per-locus
+adjacency and non-routable segments) is a locus whose every way onward is
+through its uplinks, larger loci that are hubs; every other locus is a hub.
+A hub runs one breadth-first search over the adjacency (two when it is also
+asked for INTERNET), whose shortest-path tree holds its path to every locus
+it reaches; the trees are memoised in the scenario index. A spoke searches
+nothing: its path is a hop straight into the goal, or the shortest of a hop
+into an uplink followed by the uplink's path. The paths hold the
+adjacency's hop objects, so resolving one builds no hop of an edge.
 
 Non-routable segments are origins or destinations, never transit: a path
 may leave one only when it is the flow's source, and may enter one only
@@ -15,46 +21,15 @@ hop is legal only as the final hop toward INTERNET.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from . import model as m
 from . import prefix
 from .errors import UnknownLocusError, UnknownTargetError
-from .scenario import LastHop, Scenario, ScenarioIndex
+from .model import Hop, HopKind
+from .scenario import Scenario, ScenarioIndex
 
-
-class HopKind(str, Enum):
-    INTRA_SEGMENT = "intra-segment"
-    PEERING = "peering"
-    GATEWAY = "gateway"
-    INTERCONNECT = "interconnect"
-    VPN = "vpn"
-    NAT = "nat"
-    VPC_CONNECTOR = "vpc-connector"
-    ENDPOINT_TRAVERSAL = "endpoint-traversal"
-
-
-_EDGE_HOP = {
-    m.EdgeKind.PEERING: HopKind.PEERING,
-    m.EdgeKind.INTERCONNECT: HopKind.INTERCONNECT,
-    m.EdgeKind.VPN: HopKind.VPN,
-    m.EdgeKind.NAT_GATEWAY: HopKind.NAT,
-    m.EdgeKind.VPC_CONNECTOR: HopKind.VPC_CONNECTOR,
-    m.EdgeKind.GATEWAY_APPLIANCE: HopKind.GATEWAY,
-}
-
-
-@dataclass(frozen=True)
-class Hop:
-    kind: HopKind
-    src: str
-    dst: str
-    edge: str | None = None        # connectivity edge or consumer endpoint id
-    attachment: str | None = None  # for endpoint-traversal hops
-
-    def describe(self) -> str:
-        return f"{self.kind.value}({self.edge})" if self.edge else self.kind.value
+Path = tuple[Hop, ...]
 
 
 @m.value_type
@@ -85,8 +60,9 @@ class Unreachable:
     reason: UnreachableReason
 
 
-def _search(idx: ScenarioIndex, source: str, to_internet: bool) -> dict[str, LastHop]:
-    """Shortest-path tree from ``source``: locus -> the last hop of its path.
+def _search(idx: ScenarioIndex, source: str, to_internet: bool) -> dict[str, Path]:
+    """Shortest-path tree from ``source``: each locus reached -> its path,
+    the adjacency's hops (the source's is empty).
 
     Breadth-first, so loci are reached in hop-count order. Each level is kept
     in the order of its loci's edge-id sequences and adjacency lists are
@@ -94,23 +70,23 @@ def _search(idx: ScenarioIndex, source: str, to_internet: bool) -> dict[str, Las
     is minimal by (hop count, edge ids). NAT edges are usable only when the
     goal is INTERNET; a non-routable segment is left only when it is the source.
     Only that goal reads a tree toward INTERNET, so its search stops once
-    INTERNET is reached. The tree reads the index's ``adjacency`` and
-    ``non_routable`` facts alone, so it holds in every version where they are
-    equal (``engine._MEMO_READS``).
+    INTERNET is reached. Only hubs search (``_locus_path``). The tree reads
+    the index's ``adjacency`` and ``non_routable`` facts alone, so it holds
+    in every version where they are equal (``engine._MEMO_READS``).
     """
-    tree: dict[str, LastHop] = {}
-    seen = {source}
+    tree: dict[str, Path] = {source: ()}
     level = [source]
     while level:
         reached = []
         for at in level:
             if at in idx.non_routable and at != source:
                 continue
-            for nxt, hop in idx.adjacency.get(at, ()):
-                if nxt in seen or (hop[2] is m.EdgeKind.NAT_GATEWAY and not to_internet):
+            path = tree[at]
+            for hop in idx.adjacency.get(at, ()):
+                nxt = hop.dst
+                if nxt in tree or (hop.kind is HopKind.NAT and not to_internet):
                     continue
-                seen.add(nxt)
-                tree[nxt] = hop
+                tree[nxt] = (*path, hop)
                 if to_internet and nxt == m.INTERNET:
                     return tree
                 reached.append(nxt)
@@ -118,26 +94,42 @@ def _search(idx: ScenarioIndex, source: str, to_internet: bool) -> dict[str, Las
     return tree
 
 
-def _locus_path(s: Scenario, source: str, goal: str) -> list[Hop] | None:
-    """Deterministic shortest path between loci: (hop count, edge ids) minimal."""
-    if source == goal:
-        return []
-    idx = s.index()
-    key = (source, goal == m.INTERNET)
+def _tree(idx: ScenarioIndex, hub: str, to_internet: bool) -> dict[str, Path]:
+    """The hub's memoised search tree toward INTERNET or toward any other goal."""
+    key = (hub, to_internet)
     tree = idx.route_trees.get(key)
     if tree is None:
-        tree = idx.route_trees[key] = _search(idx, source, key[1])
-    hops: list[Hop] = []
-    at = goal
-    while at != source:
-        last = tree.get(at)
-        if last is None:
-            return None
-        prev, edge, kind = last
-        hops.append(Hop(kind=_EDGE_HOP[kind], src=prev, dst=at, edge=edge))
-        at = prev
-    hops.reverse()
-    return hops
+        tree = idx.route_trees[key] = _search(idx, hub, to_internet)
+    return tree
+
+
+def _locus_path(s: Scenario, source: str, goal: str) -> Path | None:
+    """Deterministic shortest path between loci: (hop count, edge ids) minimal.
+
+    A hub reads it off its tree. A spoke takes its first hop straight into
+    the goal; without one, its first hop into an uplink and then the
+    uplink's path, the shortest such, and the first in edge-id order of
+    those of one length. That is the same path: a shortest path from the
+    spoke leaves through a neighbour one hop closer to the goal, whose own
+    shortest path cannot come back through the spoke, and candidates of one
+    length differ first in their first hops.
+    """
+    if source == goal:
+        return ()
+    idx = s.index()
+    to_internet = goal == m.INTERNET
+    uplinks = idx.uplinks.get(source)
+    if uplinks is None:
+        return _tree(idx, source, to_internet).get(goal)
+    for hop in idx.adjacency[source]:
+        if hop.dst == goal:
+            return (hop,)
+    path = None
+    for hop in uplinks:
+        rest = _tree(idx, hop.dst, to_internet).get(goal)
+        if rest is not None and (path is None or len(rest) < len(path) - 1):
+            path = (hop, *rest)
+    return path
 
 
 def _traversal(ep: m.ConsumerEndpoint, svc: m.ServiceSpec) -> Hop:
@@ -145,11 +137,11 @@ def _traversal(ep: m.ConsumerEndpoint, svc: m.ServiceSpec) -> Hop:
     return Hop(kind=HopKind.ENDPOINT_TRAVERSAL, src=ep.segment, dst=svc.segment, edge=ep.id, attachment=ep.attachment)
 
 
-def _candidate_paths_to_service(s: Scenario, source: str, svc: m.ServiceSpec) -> list[list[Hop]]:
+def _candidate_paths_to_service(s: Scenario, source: str, svc: m.ServiceSpec) -> list[Path]:
     idx = s.index()
-    candidates: list[list[Hop]] = []
+    candidates: list[Path] = []
     if source == svc.segment:
-        candidates.append([Hop(kind=HopKind.INTRA_SEGMENT, src=source, dst=source)])
+        candidates.append((Hop(kind=HopKind.INTRA_SEGMENT, src=source, dst=source),))
     else:
         direct = _locus_path(s, source, svc.segment)
         if direct is not None:
@@ -159,11 +151,11 @@ def _candidate_paths_to_service(s: Scenario, source: str, svc: m.ServiceSpec) ->
         for ep in idx.endpoints_for_attachment.get(att.id, ()):
             lead = _locus_path(s, source, ep.segment)
             if lead is not None:
-                candidates.append(lead + [_traversal(ep, svc)])
+                candidates.append((*lead, _traversal(ep, svc)))
     return candidates
 
 
-def _pick(candidates: list[list[Hop]]) -> list[Hop] | None:
+def _pick(candidates: list[Path]) -> Path | None:
     if not candidates:
         return None
     return min(candidates, key=lambda hops: (len(hops), tuple(h.edge or "" for h in hops)))
@@ -192,17 +184,18 @@ def resolve_path(s: Scenario, source: str, target: str) -> RoutePath | Unreachab
         lead = _locus_path(s, source, ep.segment)
         if lead is None:
             return Unreachable(UnreachableReason.NO_PATH)
-        return RoutePath(lead + [_traversal(ep, idx.services[idx.attachments[ep.attachment].service])])
+        return RoutePath((*lead, _traversal(ep, idx.services[idx.attachments[ep.attachment].service])))
 
-    # bare address target
+    # bare address target: the source's own segment when it holds the address
+    # (non-routable segments may share CIDRs), else the first segment that does
     host = prefix.host(target)
+    if prefix.meets_any(host, idx.segment_nets.get(source, ())):
+        return RoutePath((Hop(kind=HopKind.INTRA_SEGMENT, src=source, dst=source),))
     holder = next(
         (seg for seg in s.segments if prefix.meets_any(host, idx.segment_nets[seg.id])), None
     )
     if holder is None:
         raise UnknownTargetError(target)
-    if holder.id == source:
-        return RoutePath((Hop(kind=HopKind.INTRA_SEGMENT, src=source, dst=source),))
     if holder.routability is m.Routability.NON_ROUTABLE:
         return Unreachable(UnreachableReason.NON_ROUTABLE)
     hops = _locus_path(s, source, holder.id)

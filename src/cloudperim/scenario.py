@@ -34,8 +34,6 @@ if TYPE_CHECKING:
     from .engine import NetworkLeg
 
 
-# (the locus a hop leaves, the id and kind of the edge it crosses)
-LastHop = tuple[str, str, m.EdgeKind]
 # (scope kind, scope key) pairs, the scopes a flow's firewall rules are read in
 ScopeChain = tuple[tuple[str, str], ...]
 ORG_CHAIN: ScopeChain = (("organization", m.ORG_SCOPE),)
@@ -158,9 +156,9 @@ class ScenarioIndex:
     (another document parsed has no base, and is checked whole). Firewall
     priorities are checked, and the rules by scope derived and compiled
     again, only in the scopes that gained or lost a rule; a perimeter keeps
-    its members while the hierarchy is the same, and the routing graph is
-    kept while what it reads of the edges and segments is equal. The query
-    memos (``QUERY_MEMOS``) always start empty. Only
+    its members while the hierarchy is the same, and the routing graph and
+    its spokes are kept while what they read of the edges and segments is
+    equal. The query memos (``QUERY_MEMOS``) always start empty. Only
     ``analysis.diff_decisions``, which holds both versions, fills the later
     one's memos from the earlier one's, with ``engine.hand_on``:
     ``engine._MEMO_READS`` names the fields each memo's entries read.
@@ -209,19 +207,21 @@ class ScenarioIndex:
     policy_identities: frozenset[str]
     device_keys: tuple[str, ...]
     non_routable: frozenset[str]
-    # the routing graph, which holds no edge, so no gateway rule (see _locus_adjacency)
-    adjacency: dict[str, tuple[tuple[str, LastHop], ...]]
+    # the routing graph, which holds no edge, so no gateway rule (see _locus_adjacency);
+    # each spoke -> the first hop into each of its uplinks (see _uplinks)
+    adjacency: dict[str, tuple[m.Hop, ...]]
+    uplinks: dict[str, tuple[m.Hop, ...]]
     trust_edges: dict[str, m.TrustEdge]
     # idp -> the (edge, next idp, mapping) moves of credential chains from it
     trust_moves: dict[str, list[tuple[m.TrustEdge, str, Mapping[str, str]]]]
     # project -> the data-plane perimeter holding it (no two overlap)
     data_plane_perimeter: dict[str, m.AbstractPerimeter]
-    # the query memos: (source, toward INTERNET) -> locus -> the last hop of
-    # its path; principal -> idp -> its credential chain; service -> its
+    # the query memos: (hub, toward INTERNET) -> locus -> its path from the
+    # hub; principal -> idp -> its credential chain; service -> its
     # target tags; (source, target, source address, payload tags) -> network
     # leg; answer key (see engine.principal_class) -> the principal points'
     # decision and steps; (principal, zero-trust idp or None) -> its class
-    route_trees: dict[tuple[str, bool], dict[str, LastHop]]
+    route_trees: dict[tuple[str, bool], dict[str, tuple[m.Hop, ...]]]
     credential_chains: dict[str, dict[str, m.CredentialChain]]
     target_tags: dict[str, frozenset[str]]
     legs: dict[tuple[str, str, str | None, frozenset[str]], NetworkLeg]
@@ -288,16 +288,16 @@ def _outcome(walk: Callable[[], Any]) -> Any:
 
 def _locus_adjacency(
     edges: tuple[m.ConnectivityEdge, ...], non_routable: frozenset[str]
-) -> dict[str, tuple[tuple[str, LastHop], ...]]:
-    """Locus -> the (next locus, the hop into it) pairs legal from it for any
-    flow, by edge id; a hop is (the locus it leaves, its edge's id and kind).
+) -> dict[str, tuple[m.Hop, ...]]:
+    """Locus -> the hops legal from it for any flow, by edge id; each is
+    built here once, and every path that takes it holds this object.
 
     An outbound-only edge leaves only its first end. Self-loops, NAT edges
     not leading into INTERNET, and entries into a non-routable segment other
     than by vpc-connector are never legal. The rules that depend on the flow
     (non-routable transit, NAT only toward INTERNET) are the route search's.
     """
-    out: dict[str, list[tuple[str, LastHop]]] = {}
+    out: dict[str, list[m.Hop]] = {}
     for e in edges:
         a, b = e.ends
         if a == b:
@@ -309,8 +309,8 @@ def _locus_adjacency(
                 continue
             if nxt in non_routable and e.kind is not m.EdgeKind.VPC_CONNECTOR:
                 continue
-            out.setdefault(at, []).append((nxt, (at, e.id, e.kind)))
-    return {at: tuple(sorted(pairs, key=lambda p: p[1][1])) for at, pairs in out.items()}
+            out.setdefault(at, []).append(m.Hop(m.EDGE_HOP_KIND[e.kind], at, nxt, e.id))
+    return {at: tuple(sorted(hops, key=lambda hop: hop.edge)) for at, hops in out.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -1739,7 +1739,7 @@ def _scope_chains(s: Scenario, idx: ScenarioIndex) -> dict[str, ScopeChain]:
     }
 
 
-def _adjacency(s: Scenario, idx: ScenarioIndex) -> dict[str, tuple[tuple[str, LastHop], ...]]:
+def _adjacency(s: Scenario, idx: ScenarioIndex) -> dict[str, tuple[m.Hop, ...]]:
     """The routing graph: the base's while the non-routable segments and
     each edge's id, ends, kind and direction, in order, are equal, which is
     all ``_locus_adjacency`` reads (an edit of a gateway rule replaces its
@@ -1750,6 +1750,39 @@ def _adjacency(s: Scenario, idx: ScenarioIndex) -> dict[str, tuple[tuple[str, La
                for a, b in zip(s.edges, base.edges)):
             return base._index.adjacency
     return _locus_adjacency(s.edges, idx.non_routable)
+
+
+def _uplinks(s: Scenario, idx: ScenarioIndex) -> dict[str, tuple[m.Hop, ...]]:
+    """Spoke -> the first hop (by edge id) into each of its uplinks, in
+    edge-id order; read off the routing graph and the non-routable segments
+    alone, so the base's while the graph is the base's object and the
+    non-routable segments are equal.
+
+    A locus's transit neighbours are the loci a hop other than NAT leads
+    into that are not non-routable segments: the only loci a path from it
+    can go on through. A spoke is a locus each of whose transit neighbours
+    has more transit neighbours than it has and is not a spoke itself; they
+    are its uplinks, and a locus with none is a spoke with no uplink. A
+    spoke's paths are composed from its uplinks' (``route._locus_path``).
+    Whether a locus is a spoke rests only on loci with more transit
+    neighbours, so the loci are taken from the most to the fewest.
+    """
+    base = idx._delta.base
+    if base is not None and idx.adjacency is base._index.adjacency and idx.non_routable == base._index.non_routable:
+        return base._index.uplinks
+    firsts = {}
+    for at, hops in idx.adjacency.items():
+        into: dict[str, m.Hop] = {}
+        for hop in hops:
+            if hop.kind is not m.HopKind.NAT and hop.dst not in idx.non_routable:
+                into.setdefault(hop.dst, hop)
+        firsts[at] = tuple(into.values())
+    uplinks: dict[str, tuple[m.Hop, ...]] = {}
+    for at in sorted(firsts, key=lambda at: len(firsts[at]), reverse=True):
+        degree = len(firsts[at])
+        if all(len(firsts.get(hop.dst, ())) > degree and hop.dst not in uplinks for hop in firsts[at]):
+            uplinks[at] = firsts[at]
+    return uplinks
 
 
 def _grouped(pairs: Iterable[tuple[str, Any]]) -> dict[str, list[Any]]:
@@ -1813,6 +1846,7 @@ _FACTS: dict[str, _Fact] = {
         x.id for x in s.segments if x.routability is m.Routability.NON_ROUTABLE
     )),
     "adjacency": (("edges", "segments"), _adjacency),
+    "uplinks": (("edges", "segments"), _uplinks),
     "trust_edges": (("trust_edges",), _ids("trust_edges")),
     "trust_moves": (("trust_edges",), _trust_moves),
     "data_plane_perimeter": (("nodes", "perimeters"), lambda s, idx: {

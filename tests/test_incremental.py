@@ -635,7 +635,7 @@ def test_an_edit_walks_and_checks_only_the_entities_it_did_not_hold(monkeypatch,
     before, after = build(version)
     (edge,) = [e for e, was in zip(version.edges, base.edges) if e is not was]
     assert got == dict.fromkeys(("edge id", "edge ends", "gateway values", "refs of edges", "edge kinds"), [edge])
-    assert after.adjacency is before.adjacency
+    assert after.adjacency is before.adjacency and after.uplinks is before.uplinks
 
 
 def test_an_edit_builds_on_the_live_index_sharing_the_most_fields_with_it(monkeypatch):
@@ -919,6 +919,25 @@ def test_route_trees_are_taken_while_the_topology_and_non_routable_segments_hold
         assert theirs and ours == (theirs if taken else {})
         for key, tree in ours.items():
             assert tree == route._search(after.index(), *key)
+
+
+def test_the_spokes_are_kept_while_the_routing_graph_is():
+    """A segment's trust mode edited: the non-routable segments are derived
+    again, equal, so the routing graph and its spokes are the base's. A
+    non-routable segment made routable: both are derived again."""
+    base, _, _ = _kinds_of_edit()
+    held = dataclasses.replace(base)  # a base lives as long as its scenario
+    before = held.index()
+    spoke = next(x for x in base.segments if x.routability is m.Routability.NON_ROUTABLE)
+    assert spoke.id in before.uplinks
+    trusted = dataclasses.replace(base, segments=_replaced(base.segments, spoke.id, trust_mode=m.TrustMode.ZERO_TRUST))
+    after = trusted.index()
+    assert after.non_routable is not before.non_routable and after.non_routable == before.non_routable
+    assert after.adjacency is before.adjacency and after.uplinks is before.uplinks
+    routable = dataclasses.replace(base, segments=_replaced(base.segments, spoke.id, routability=m.Routability.ROUTABLE))
+    after = routable.index()
+    assert after.adjacency is not before.adjacency and after.uplinks is not before.uplinks
+    assert after.uplinks == _scratch(routable).index().uplinks
 
 
 def test_a_perimeter_rebuilds_the_legs_from_and_to_its_projects():

@@ -10,6 +10,7 @@ import pytest
 
 from cloudperim import (
     TEMPLATE_NAMES,
+    Scenario,
     builtin_scenario,
     parse_scenario,
     resolve_path,
@@ -53,6 +54,44 @@ def test_fig4_direct_address_into_non_routable_backend():
     result = resolve_path(s, m.ONPREM, "172.16.2.10")
     assert isinstance(result, Unreachable)
     assert result.reason is UnreachableReason.NON_ROUTABLE
+
+
+def test_an_address_in_the_sources_own_segment_is_intra_segment():
+    """Every non-routable spoke of the estate is 172.16.0.0/16: from each, an
+    address there is its own, though the first segment holding it is
+    another; from the hub it is still behind a non-routable segment."""
+    s = parse_scenario(gen.hub_and_spoke(12, 0, 0).text())
+    shared = [x.id for x in s.segments if x.routability is m.Routability.NON_ROUTABLE]
+    assert len(shared) > 1
+    for source in shared:
+        path = resolve_path(s, source, "172.16.0.10")
+        assert path == RoutePath((route_mod.Hop(HopKind.INTRA_SEGMENT, source, source),)), source
+    assert resolve_path(s, "hub", "172.16.0.10") == Unreachable(UnreachableReason.NON_ROUTABLE)
+
+
+def _expected_address_answer(s, source, address):
+    """Intra-segment from a segment holding the address; from elsewhere, the
+    answer for the segment first in scenario order to hold it."""
+    host, nets = prefix.host(address), s.index().segment_nets
+    if prefix.meets_any(host, nets.get(source, ())):
+        return RoutePath((route_mod.Hop(HopKind.INTRA_SEGMENT, source, source),))
+    holder = next(x for x in s.segments if prefix.meets_any(host, nets[x.id]))
+    if holder.routability is m.Routability.NON_ROUTABLE:
+        return Unreachable(UnreachableReason.NON_ROUTABLE)
+    hops = _reference_locus_path(s, source, holder.id)
+    return RoutePath(hops) if hops is not None else Unreachable(UnreachableReason.NO_PATH)
+
+
+@pytest.mark.parametrize("name", TEMPLATE_NAMES)
+def test_template_addresses_resolve_from_their_holders(name):
+    """Each template's address answers: a source's own address is
+    intra-segment, and any other resolves toward its first holder as before."""
+    s = builtin_scenario(name)
+    addresses = [a for x in s.segments for a in map(prefix.first_host, x.cidrs) if a is not None]
+    assert addresses
+    for source in [x.id for x in s.segments] + [m.ONPREM, m.INTERNET]:
+        for address in addresses:
+            assert resolve_path(s, source, address) == _expected_address_answer(s, source, address), (source, address)
 
 
 def test_unknown_locus_and_target():
@@ -250,14 +289,14 @@ def _reference_locus_path(s, source, goal):
     """Goal-directed search scanning every edge at each popped locus; the
     goal is also the flow's final target."""
     if source == goal:
-        return []
+        return ()
     counter = 0  # heap tiebreaker; Hop tuples do not order
     queue = [(0, (), 0, source, ())]
     best = {source: (0, ())}
     while queue:
         dist, key, _, at, hops = heapq.heappop(queue)
         if at == goal:
-            return list(hops)
+            return hops
         if best.get(at, (dist, key)) < (dist, key):
             continue
         for edge, nxt in _reference_traversals(s, at, source, goal):
@@ -266,7 +305,7 @@ def _reference_locus_path(s, source, goal):
             if nxt in best and best[nxt] <= cand:
                 continue
             best[nxt] = cand
-            hop = route_mod.Hop(kind=route_mod._EDGE_HOP[edge.kind], src=at, dst=nxt, edge=edge.id)
+            hop = route_mod.Hop(kind=m.EDGE_HOP_KIND[edge.kind], src=at, dst=nxt, edge=edge.id)
             counter += 1
             heapq.heappush(queue, (dist + 1, cand_key, counter, nxt, hops + (hop,)))
     return None
@@ -280,11 +319,20 @@ def _resolve_or_error(resolve, s, source, target):
 
 
 def _assert_search_matches_reference(s, monkeypatch):
+    """Every (locus, target) answer of a copy of ``s`` is the answer with the
+    reference's paths; returns the copy, whose route memo is then full."""
     sources = [x.id for x in s.segments] + [m.ONPREM, m.INTERNET]
     targets = [x.id for x in s.services] + [x.id for x in s.endpoints] + [m.INTERNET]
     targets += [a for a in (prefix.first_host(x.cidrs[0]) for x in s.segments if x.cidrs) if a is not None]
+    paths = {}
+
+    def reference(s, source, goal):
+        if (source, goal) not in paths:
+            paths[source, goal] = _reference_locus_path(s, source, goal)
+        return paths[source, goal]
+
     with monkeypatch.context() as patched:
-        patched.setattr(route_mod, "_locus_path", _reference_locus_path)
+        patched.setattr(route_mod, "_locus_path", reference)
         expected = {
             (src, tgt): _resolve_or_error(resolve_path, s, src, tgt)
             for src in sources
@@ -293,6 +341,7 @@ def _assert_search_matches_reference(s, monkeypatch):
     fresh = dataclasses.replace(s)
     for (src, tgt), want in expected.items():
         assert _resolve_or_error(resolve_path, fresh, src, tgt) == want, (s.name, src, tgt)
+    return fresh
 
 
 @pytest.mark.parametrize("name", TEMPLATE_NAMES)
@@ -301,19 +350,174 @@ def test_search_matches_reference_on_templates(name, monkeypatch):
 
 
 def test_a_search_toward_internet_stops_at_internet_with_its_path():
-    """Only the INTERNET goal reads a tree toward INTERNET, so the search ends
-    with INTERNET reached: each source's path is still the reference's."""
+    """Only the INTERNET goal reads a tree toward INTERNET, so a hub's search
+    ends with INTERNET reached: each source's path is still the reference's.
+    A spoke keeps no tree."""
     scenarios = [builtin_scenario(name) for name in TEMPLATE_NAMES]
     scenarios.append(parse_scenario(gen.hub_and_spoke(40, seed=0).text()))
-    reached = 0
+    reached = searched = 0
     for s in scenarios:
         for src in [x.id for x in s.segments] + [m.ONPREM]:
             want = _reference_locus_path(s, src, m.INTERNET)
             assert route_mod._locus_path(s, src, m.INTERNET) == want, (s.name, src)
+            reached += want is not None
+            if src in s.index().uplinks:
+                continue
             tree = s.index().route_trees[(src, True)]
             assert (list(tree)[-1:] == [m.INTERNET]) == (want is not None), (s.name, src)
-            reached += want is not None
-    assert reached > 40
+            searched += 1
+    assert reached > 40 and searched > 10
+
+
+def test_spokes_compose_their_paths_and_only_hubs_keep_trees(monkeypatch):
+    """On the 40-spoke estate every locus but the hub and INTERNET is a spoke;
+    each (locus, target) answer is the reference's, and only the two hubs
+    search: three trees, where a search per source kept one per locus."""
+    s = parse_scenario(gen.hub_and_spoke(40, seed=0).text())
+    resolved = _assert_search_matches_reference(s, monkeypatch)
+    idx = resolved.index()
+    loci = {x.id for x in s.segments} | {m.ONPREM, m.INTERNET}
+    assert loci - idx.uplinks.keys() == {"hub", m.INTERNET}
+    assert {len(uplinks) for uplinks in idx.uplinks.values()} == {1, 2}
+    assert {hub for hub, _ in idx.route_trees} <= {"hub", m.INTERNET} and len(idx.route_trees) <= 3
+
+
+# ---------------------------------------------------------------------------
+# Topologies where most loci are spokes
+# ---------------------------------------------------------------------------
+
+_TRANSIT_KINDS = (m.EdgeKind.PEERING, m.EdgeKind.INTERCONNECT, m.EdgeKind.VPN, m.EdgeKind.GATEWAY_APPLIANCE)
+
+
+def _spoke_topology(rng):
+    """A seeded topology in which most loci are spokes. Three or four hubs
+    in a ring, ONPREM and INTERNET on them, and spokes of these kinds:
+
+    - one uplink, now and then over two parallel edges or leaving only;
+    - two uplinks on neighbouring hubs, so candidates tie on length;
+    - non-routable, entered by vpc-connector from a hub and leaving by
+      peering, now and then into a one-uplink spoke (so it searches);
+    - a stub whose one edge is a vpc-connector into a non-routable spoke;
+    - a leaf leaving only into a two-uplink spoke, which it does not compose through;
+    - a pair of one-uplink loci peered together: neighbours of equal degree, which search.
+
+    Some spokes also have NAT egress. Edge ids are drawn at random, so the
+    edge-id order of a spoke's uplinks is too."""
+    ids = iter(rng.sample(range(1000), 200))
+    edges = []
+
+    def edge(kind, a, b, direction=m.EdgeDirection.BIDIRECTIONAL):
+        edges.append(m.ConnectivityEdge(id=f"e{next(ids):03d}", kind=kind, ends=(a, b), direction=direction))
+
+    def transit(a, b):
+        kind = rng.choice(_TRANSIT_KINDS)
+        leaves_only = kind is not m.EdgeKind.PEERING and rng.random() < 0.2
+        edge(kind, a, b, m.EdgeDirection.OUTBOUND_ONLY if leaves_only else m.EdgeDirection.BIDIRECTIONAL)
+
+    hubs = [f"h{i}" for i in range(rng.randint(3, 4))]
+    for a, b in zip(hubs, hubs[1:] + hubs[:1]):
+        edge(rng.choice(_TRANSIT_KINDS), a, b)
+    edge(m.EdgeKind.INTERCONNECT, m.ONPREM, rng.choice(hubs))
+    edge(m.EdgeKind.GATEWAY_APPLIANCE, rng.choice(hubs), m.INTERNET)
+    kinds = ["one", "two", "nr", "stub", "leaf", "pair"]
+    kinds += rng.choices(["one", "one", "two", "two", "nr", "stub", "leaf", "pair"], k=rng.randint(6, 9))
+    segments = [m.NetworkSegment(id=h, project="prj", routability=m.Routability.ROUTABLE,
+                                 cidrs=(f"10.{i}.0.0/16",)) for i, h in enumerate(hubs)]
+    ones, twos, non_routable = [], [], []
+
+    def segment(name, routable=True):
+        segments.append(m.NetworkSegment(
+            id=name, project="prj",
+            routability=m.Routability.ROUTABLE if routable else m.Routability.NON_ROUTABLE,
+            cidrs=(f"10.{len(segments)}.0.0/16" if routable else "172.16.0.0/16",),
+        ))
+        return name
+
+    for i, kind in enumerate(kinds):
+        if kind == "one":
+            ones.append(spoke := segment(f"s{i}"))
+            hub = rng.choice(hubs)
+            for _ in range(rng.choice((1, 1, 2))):
+                transit(spoke, hub)
+        elif kind == "two":
+            twos.append(spoke := segment(f"s{i}"))
+            k = rng.randrange(len(hubs))
+            for hub in rng.sample([hubs[k], hubs[k - 1]], 2):
+                transit(spoke, hub)
+        elif kind == "nr":
+            non_routable.append(spoke := segment(f"s{i}", routable=False))
+            edge(m.EdgeKind.VPC_CONNECTOR, rng.choice(hubs), spoke)
+            edge(m.EdgeKind.PEERING, spoke, rng.choice(hubs + ones[-1:]))
+        elif kind == "stub" and non_routable:
+            edge(m.EdgeKind.VPC_CONNECTOR, segment(f"s{i}"), rng.choice(non_routable))
+        elif kind == "leaf" and twos:
+            edge(m.EdgeKind.VPN, segment(f"s{i}"), rng.choice(twos), m.EdgeDirection.OUTBOUND_ONLY)
+        elif kind == "pair":
+            a, b = segment(f"s{i}a"), segment(f"s{i}b")
+            transit(a, rng.choice(hubs))
+            transit(b, rng.choice(hubs))
+            edge(m.EdgeKind.PEERING, a, b)
+    for spoke in rng.sample(ones + twos, 2):
+        edge(m.EdgeKind.NAT_GATEWAY, spoke, m.INTERNET, m.EdgeDirection.OUTBOUND_ONLY)
+    return Scenario(
+        name="spokes",
+        nodes=(m.ResourceNode(id="org", kind=m.NodeKind.ORGANIZATION),
+               m.ResourceNode(id="prj", kind=m.NodeKind.PROJECT, parent="org")),
+        segments=tuple(segments),
+        edges=tuple(edges),
+    )
+
+
+def _tied_goals(s, spoke):
+    """The goals a spoke reaches through more than one uplink on one shortest length."""
+    idx = s.index()
+    direct = {hop.dst for hop in idx.adjacency[spoke]}
+    tied = []
+    for goal in [x.id for x in s.segments] + [m.ONPREM, m.INTERNET]:
+        if goal == spoke or goal in direct:
+            continue
+        lengths = [len(rest) for hop in idx.uplinks[spoke]
+                   if (rest := _reference_locus_path(s, hop.dst, goal)) is not None]
+        if lengths.count(min(lengths, default=None)) > 1:
+            tied.append(goal)
+    return tied
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_spoke_topologies_match_reference(seed):
+    """Every (source, goal) path is the reference's, and only hubs keep trees."""
+    s = _spoke_topology(random.Random(15000 + seed))
+    assert validate_scenario(s) == []
+    loci = [x.id for x in s.segments] + [m.ONPREM, m.INTERNET]
+    for source in loci:
+        for goal in loci:
+            assert route_mod._locus_path(s, source, goal) == _reference_locus_path(s, source, goal), (source, goal)
+    idx = s.index()
+    assert idx.route_trees and not {hub for hub, _ in idx.route_trees} & idx.uplinks.keys()
+
+
+def test_spoke_topologies_hold_every_case():
+    """Over the seeds of the test above, the generator makes each case it is for."""
+    seen = dict.fromkeys(("one uplink", "tied uplinks", "non-routable by connector", "outbound-only", "nat",
+                          "equal degree"), 0)
+    for seed in range(20):
+        s = _spoke_topology(random.Random(15000 + seed))
+        idx = s.index()
+        transit = {at: {hop.dst for hop in hops if hop.kind is not HopKind.NAT and hop.dst not in idx.non_routable}
+                   for at, hops in idx.adjacency.items()}
+        entered = {hop.dst for hops in idx.adjacency.values() for hop in hops if hop.kind is HopKind.VPC_CONNECTOR}
+        for at, uplinks in idx.uplinks.items():
+            seen["one uplink"] += len(uplinks) == 1
+            seen["tied uplinks"] += len(uplinks) > 1 and bool(_tied_goals(s, at))
+            seen["non-routable by connector"] += at in idx.non_routable and at in entered
+        seen["outbound-only"] += any(e.direction is m.EdgeDirection.OUTBOUND_ONLY for e in s.edges
+                                     if e.kind is not m.EdgeKind.NAT_GATEWAY)
+        seen["nat"] += any(e.kind is m.EdgeKind.NAT_GATEWAY for e in s.edges)
+        for at, near in transit.items():
+            if any(len(transit.get(n, ())) == len(near) for n in near):
+                assert at not in idx.uplinks, at  # a neighbour of equal degree: it searches
+                seen["equal degree"] += 1
+    assert min(seen.values()) >= 10, seen
 
 
 def _random_edge(rng, loci, edge_id):
