@@ -272,11 +272,12 @@ def exfiltration_paths(
                 continue
             extend(flows + [(principal, position, target, method)], trajectory + [nxt], nxt_held)
 
-    for principal in sorted(x.id for x in s.principals):
-        reader = frozenset({principal})
-        for locus in source_loci(s):
-            for _, target, method, _, _ in _moves(s, locus, reader, serving, DEFAULT_READ_METHODS):
-                extend([(principal, locus, target, method)], [locus], reader)
+    # a chain starts with one principal's read, so each reader holds only itself;
+    # every principal's reads from a locus are asked for at once
+    everyone = frozenset(x.id for x in s.principals)
+    for locus in source_loci(s):
+        for principal, target, method, _, _ in _moves(s, locus, everyone, serving, DEFAULT_READ_METHODS):
+            extend([(principal, locus, target, method)], [locus], frozenset({principal}))
 
     uniq = sorted(set(chains), key=lambda c: (len(c.flows), tuple(map(request_key, c.flows))))
     return ExfilReport(tag=tag, perimeter=perimeter, chains=tuple(uniq))

@@ -7,8 +7,10 @@ Every request produces one trace step per point, in the fixed order
 
 mirroring the physical path of a request. Each point's function returns
 its own step (a pair for the paired points), whose index is the point's
-position in that order; an answer that never varies, such as a point that
-does not apply, is one shared step. Evaluation collects the steps up to the
+position in that order. Steps are interned values: ``_step`` builds the step
+of each (point, rule, reason) once and every request that gets that answer
+shares it, and the answers that never vary, such as a point that does not
+apply, are also named once here. Evaluation collects the steps up to the
 first deny; the remaining points are recorded as not-applicable, so the
 overall verdict is Allow iff every step allows and a Deny always names
 exactly one point and reason.
@@ -35,6 +37,7 @@ unmatched traversals; endpoint policies allow when empty.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -187,28 +190,33 @@ def target_tags(s: Scenario, svc: m.ServiceSpec) -> frozenset[str]:
 # The position of each point in the chain, which is its steps' index.
 _POSITION = {point: i for i, point in enumerate(m.ENFORCEMENT_CHAIN)}
 
+STEP_MEMO_SIZE = 4096  # interned steps kept; a stream of new ones evicts the least recently used
 
-def _step(point: m.PointKind, rule: str, reason: m.DenyReason | None = None) -> m.TraceStep:
-    """``point``'s step: a deny for ``reason`` when one is given, else an allow."""
+
+@functools.lru_cache(maxsize=STEP_MEMO_SIZE)
+def _step(point: m.PointKind, rule: str, reason: m.DenyReason | None) -> m.TraceStep:
+    """``point``'s step: a deny for ``reason`` when one is given, else an allow.
+    A step is a value, so equal ones are shared; every caller passes all
+    three arguments by position, so each step has one key."""
     verdict = m.Verdict.ALLOW if reason is None else m.Verdict.DENY
     return m.TraceStep(_POSITION[point], point, verdict, rule, reason)
 
 
 # The step of each point that a request does not reach, or that does not apply.
-_NOT_APPLICABLE_STEPS: m.DecisionTrace = tuple(_step(point, m.NOT_APPLICABLE) for point in m.ENFORCEMENT_CHAIN)
+_NOT_APPLICABLE_STEPS: m.DecisionTrace = tuple(_step(point, m.NOT_APPLICABLE, None) for point in m.ENFORCEMENT_CHAIN)
 _NOT_APPLICABLE = dict(zip(m.ENFORCEMENT_CHAIN, _NOT_APPLICABLE_STEPS))
 # The answers that never vary, shared by every request that gets them.
 _NO_ROUTE = _step(m.PointKind.ROUTE, m.DEFAULT_RULE, m.DenyReason.NO_ROUTE)
-_HIER_DEFAULT = _step(m.PointKind.HIER_FIREWALL, m.DEFAULT_RULE)
+_HIER_DEFAULT = _step(m.PointKind.HIER_FIREWALL, m.DEFAULT_RULE, None)
 _INTRA_PERIMETER = (
-    _step(m.PointKind.PERIMETER_EGRESS, "intra-perimeter"),
-    _step(m.PointKind.PERIMETER_INGRESS, "intra-perimeter"),
+    _step(m.PointKind.PERIMETER_EGRESS, "intra-perimeter", None),
+    _step(m.PointKind.PERIMETER_INGRESS, "intra-perimeter", None),
 )
 _NO_CREDENTIAL = _step(m.PointKind.AUTHN, m.DEFAULT_RULE, m.DenyReason.NO_CREDENTIAL)
-_HOME_IDP = _step(m.PointKind.AUTHN, "home-idp")
+_HOME_IDP = _step(m.PointKind.AUTHN, "home-idp", None)
 # The default-rule steps of the principal points that no rule matched.
 _DEFAULT_ALLOW = {
-    point: _step(point, m.DEFAULT_RULE)
+    point: _step(point, m.DEFAULT_RULE, None)
     for point in (m.PointKind.CONSUMER_ENDPOINT, m.PointKind.PRODUCER_ATTACHMENT, m.PointKind.RBAC)
 }
 _DEFAULT_DENY = {
@@ -260,7 +268,7 @@ def evaluate_firewall_chain(ends: Ends, trusted: bool, idx: ScenarioIndex) -> tu
             _NOT_APPLICABLE[m.PointKind.SEGMENT_FIREWALL],
         )
     if trusted:
-        return _HIER_DEFAULT, _step(m.PointKind.SEGMENT_FIREWALL, m.DEFAULT_RULE)
+        return _HIER_DEFAULT, _step(m.PointKind.SEGMENT_FIREWALL, m.DEFAULT_RULE, None)
     return _HIER_DEFAULT, _step(m.PointKind.SEGMENT_FIREWALL, m.DEFAULT_RULE, m.DenyReason.FIREWALL_DEFAULT)
 
 
@@ -277,7 +285,7 @@ def evaluate_gateways(path: route_mod.RoutePath, payload_tags: frozenset[str], i
         if hit.action is m.RuleAction.DENY:
             return _step(m.PointKind.GATEWAY, hit.id, m.DenyReason.GATEWAY)
         matched.append(hit.id)
-    return _step(m.PointKind.GATEWAY, "+".join(matched))
+    return _step(m.PointKind.GATEWAY, "+".join(matched), None)
 
 
 def evaluate_endpoint_pair(ctx: RequestContext) -> tuple[m.TraceStep, m.TraceStep]:
@@ -310,7 +318,7 @@ def evaluate_perimeter_crossing(ctx: RequestContext) -> tuple[m.TraceStep, m.Tra
 
     def crossing(rules: tuple[m.PerimeterRule, ...], point: m.PointKind) -> m.TraceStep:
         hit = next((r for r in rules if _perimeter_rule_matches(r, ctx)), None)
-        return _DEFAULT_DENY[point] if hit is None else _step(point, hit.id)
+        return _DEFAULT_DENY[point] if hit is None else _step(point, hit.id, None)
 
     egress, ingress = m.PointKind.PERIMETER_EGRESS, m.PointKind.PERIMETER_INGRESS
     return (
@@ -334,7 +342,7 @@ def evaluate_authn(s: Scenario, ctx: RequestContext) -> tuple[m.TraceStep, m.Pri
             return _NO_CREDENTIAL, ctx.principal
     terminal = ctx.index.principals[chain.terminal_principal]
     edges = "+".join(step.edge for step in chain.steps if step.edge)
-    return (_step(m.PointKind.AUTHN, edges) if edges else _HOME_IDP), terminal
+    return (_step(m.PointKind.AUTHN, edges, None) if edges else _HOME_IDP), terminal
 
 
 def evaluate_rbac(
@@ -352,14 +360,14 @@ def evaluate_rbac(
     )
     if svc.auth_mode is m.AuthMode.ZERO_TRUST:
         if satisfied is not None:
-            return _step(m.PointKind.RBAC, satisfied.id)
+            return _step(m.PointKind.RBAC, satisfied.id, None)
         return _DEFAULT_DENY[m.PointKind.RBAC]
     # perimeter-trusting: absence of bindings denies nothing; a governing
     # grant makes its tag condition binding
     if not applicable:
         return _DEFAULT_ALLOW[m.PointKind.RBAC]
     if satisfied is not None:
-        return _step(m.PointKind.RBAC, satisfied.id)
+        return _step(m.PointKind.RBAC, satisfied.id, None)
     return _step(m.PointKind.RBAC, applicable[0].id, m.DenyReason.RBAC_CONDITION)
 
 
@@ -386,7 +394,7 @@ def _network_steps(
     if path is None:
         yield _NO_ROUTE
         return
-    yield _step(m.PointKind.ROUTE, path.describe())
+    yield _step(m.PointKind.ROUTE, path.describe(), None)
     yield from evaluate_firewall_chain(ends, trusted, idx)
     yield evaluate_gateways(path, payload_tags, idx)
 

@@ -365,9 +365,11 @@ class Hop:
     dst: str
     edge: str | None = None        # connectivity edge or consumer endpoint id
     attachment: str | None = None  # for endpoint-traversal hops
+    # how a route's description names the hop, set once at construction
+    label: str = field(init=False, repr=False, compare=False)
 
-    def describe(self) -> str:
-        return f"{self.kind.value}({self.edge})" if self.edge else self.kind.value
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "label", f"{self.kind.value}({self.edge})" if self.edge else self.kind.value)
 
 
 # ---------------------------------------------------------------------------

@@ -86,12 +86,11 @@ def _all_simple_paths(s: Scenario, source: str, goal: str, final_target: str) ->
 
 
 def _oracle_route(s: Scenario, source: str, target: str):
-    """Returns (gateway traversals, endpoint or None, reached: bool, key)."""
+    """(gateway traversals, endpoint id or None) of the chosen path, or None when there is no path."""
     services = {x.id: x for x in s.services}
     endpoints = {x.id: x for x in s.endpoints}
     attachments = {x.id: x for x in s.attachments}
     att_for_svc = {a.service: a for a in s.attachments}
-    segs = {x.id: x for x in s.segments}
 
     def locus_paths(goal: str, final: str) -> list[list[tuple[str, str, str]]]:
         raw = _all_simple_paths(s, source, goal, final)
@@ -113,23 +112,11 @@ def _oracle_route(s: Scenario, source: str, target: str):
                     continue
                 for lead in locus_paths(ep.segment, ep.segment) if ep.segment != source else [[]]:
                     candidates.append((lead + [(ep.id, ep.segment, svc.segment)], ep.id))
-    elif target in endpoints:
+    else:  # an endpoint with a known service behind it: oracle_decide refuses any other target
         ep = endpoints[target]
-        att = attachments.get(ep.attachment)
-        svc = services.get(att.service) if att else None
-        if svc is None:
-            raise UnknownEntityError(target)
+        svc = services[attachments[ep.attachment].service]
         for lead in locus_paths(ep.segment, ep.segment) if ep.segment != source else [[]]:
             candidates.append((lead + [(ep.id, ep.segment, svc.segment)], ep.id))
-    else:
-        host = target.split(":")[0]
-        holder = next((g for g in s.segments if any(_addr_in(host, c) for c in g.cidrs)), None)
-        if holder is None:
-            raise UnknownEntityError(target)
-        if holder.id == source:
-            candidates.append(([("", source, source)], None))
-        elif holder.routability is not m.Routability.NON_ROUTABLE:
-            candidates.extend((p, None) for p in locus_paths(holder.id, holder.id))
 
     if not candidates:
         return None

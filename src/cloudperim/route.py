@@ -11,7 +11,10 @@ asked for INTERNET), whose shortest-path tree holds its path to every locus
 it reaches; the trees are memoised in the scenario index. A spoke searches
 nothing: its path is a hop straight into the goal, or the shortest of a hop
 into an uplink followed by the uplink's path. The paths hold the
-adjacency's hop objects, so resolving one builds no hop of an edge.
+adjacency's hop objects, and the endpoint-traversal and intra-segment hops
+are interned by their field values (``_hop``), so each hop is built once and
+resolving a path again builds none. A hop carries its label, set when it is
+built, and a path's description joins its hops' labels.
 
 Non-routable segments are origins or destinations, never transit: a path
 may leave one only when it is the flow's source, and may enter one only
@@ -21,6 +24,7 @@ hop is legal only as the final hop toward INTERNET.
 
 from __future__ import annotations
 
+import functools
 from enum import Enum
 
 from . import model as m
@@ -30,6 +34,8 @@ from .model import Hop, HopKind
 from .scenario import Scenario, ScenarioIndex
 
 Path = tuple[Hop, ...]
+
+HOP_MEMO_SIZE = 4096  # interned hops kept; a stream of new ones evicts the least recently used
 
 
 @m.value_type
@@ -47,7 +53,7 @@ class RoutePath:
         return [h for h in self.hops if h.kind is HopKind.GATEWAY]
 
     def describe(self) -> str:
-        return "+".join(h.describe() for h in self.hops) or "local"
+        return "+".join(h.label for h in self.hops) or "local"
 
 
 class UnreachableReason(str, Enum):
@@ -132,16 +138,27 @@ def _locus_path(s: Scenario, source: str, goal: str) -> Path | None:
     return path
 
 
+@functools.lru_cache(maxsize=HOP_MEMO_SIZE)
+def _hop(kind: HopKind, src: str, dst: str, edge: str | None, attachment: str | None) -> Hop:
+    """The one hop of these field values: a hop is a value, so equal ones are shared."""
+    return Hop(kind, src, dst, edge, attachment)
+
+
 def _traversal(ep: m.ConsumerEndpoint, svc: m.ServiceSpec) -> Hop:
     """The endpoint-traversal hop through ``ep`` into the segment of ``svc``, the service behind it."""
-    return Hop(kind=HopKind.ENDPOINT_TRAVERSAL, src=ep.segment, dst=svc.segment, edge=ep.id, attachment=ep.attachment)
+    return _hop(HopKind.ENDPOINT_TRAVERSAL, ep.segment, svc.segment, ep.id, ep.attachment)
+
+
+def _within(segment: str) -> Hop:
+    """The intra-segment hop of ``segment``."""
+    return _hop(HopKind.INTRA_SEGMENT, segment, segment, None, None)
 
 
 def _candidate_paths_to_service(s: Scenario, source: str, svc: m.ServiceSpec) -> list[Path]:
     idx = s.index()
     candidates: list[Path] = []
     if source == svc.segment:
-        candidates.append((Hop(kind=HopKind.INTRA_SEGMENT, src=source, dst=source),))
+        candidates.append((_within(source),))
     else:
         direct = _locus_path(s, source, svc.segment)
         if direct is not None:
@@ -190,7 +207,7 @@ def resolve_path(s: Scenario, source: str, target: str) -> RoutePath | Unreachab
     # (non-routable segments may share CIDRs), else the first segment that does
     host = prefix.host(target)
     if prefix.meets_any(host, idx.segment_nets.get(source, ())):
-        return RoutePath((Hop(kind=HopKind.INTRA_SEGMENT, src=source, dst=source),))
+        return RoutePath((_within(source),))
     holder = next(
         (seg for seg in s.segments if prefix.meets_any(host, idx.segment_nets[seg.id])), None
     )

@@ -182,6 +182,25 @@ def test_exfil_unknown_perimeter_and_tag():
         exfiltration_paths(s, "alien:true", "yellow")
 
 
+def test_exfiltration_asks_moves_once_per_locus_for_every_reader(monkeypatch):
+    """At bound 1 a chain is one read, so ``_moves`` is asked once per source
+    locus, with every principal held, for the readers of all principals: not
+    once per (principal, locus)."""
+    s = dataclasses.replace(parse_scenario(gen.hub_and_spoke(12, 0, 0).text()))
+    asked = []
+    moves = analysis._moves
+
+    def spy(s, locus, held, targets, methods):
+        asked.append((locus, held))
+        return moves(s, locus, held, targets, methods)
+
+    monkeypatch.setattr(analysis, "_moves", spy)
+    report = exfiltration_paths(s, "pci:true", "dp-g0", bound=1)
+    everyone = frozenset(p.id for p in s.principals)
+    assert asked == [(locus, everyone) for locus in source_loci(s)]
+    assert len(everyone) > 1 and not report.empty
+
+
 def test_explicit_green_escape_is_a_two_hop_chain():
     """A reader outside the perimeter plus internet egress yields a 2-link chain."""
     s = builtin_scenario("fig1-lift-shift")

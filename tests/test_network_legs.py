@@ -200,6 +200,31 @@ def test_firewall_chain_runs_once_per_routed_leg(name, monkeypatch):
     assert len(calls) == len(routed)
 
 
+def test_legs_that_share_a_deciding_firewall_rule_hold_one_step_object():
+    """Steps are interned: on a cold index, two legs whose firewall step names
+    the same rule hold the same step object, and so does every other pair of
+    equal network steps."""
+    firewall = (m.PointKind.HIER_FIREWALL, m.PointKind.SEGMENT_FIREWALL)
+    shared = 0
+    for name in TEMPLATE_NAMES:
+        s = dataclasses.replace(builtin_scenario(name))
+        for r in default_request_space(s):
+            evaluate_flow(s, r)
+        legs = list(s.index().legs.values())
+        assert len(legs) > 1, name
+        seen: dict = {}
+        for leg in legs:
+            for step in leg.steps:
+                assert seen.setdefault(step, step) is step, (name, step)
+        by_rule: dict = {}
+        for leg in legs:
+            for step in leg.steps:
+                if step.point in firewall and step.rule not in (m.DEFAULT_RULE, m.NOT_APPLICABLE):
+                    by_rule.setdefault(step, []).append(leg)
+        shared += sum(len(held) > 1 for held in by_rule.values())
+    assert shared > 0
+
+
 def test_denied_leg_answers_every_principal_with_one_shared_answer():
     s = dataclasses.replace(builtin_scenario("fig3-hierarchy"))  # isolated segments
     first = evaluate_flow(s, m.FlowRequest("sa:web-prod", "net-web-prod", "pay-prod"))

@@ -382,6 +382,41 @@ def test_spokes_compose_their_paths_and_only_hubs_keep_trees(monkeypatch):
     assert {hub for hub, _ in idx.route_trees} <= {"hub", m.INTERNET} and len(idx.route_trees) <= 3
 
 
+@pytest.mark.parametrize("name", [*TEMPLATE_NAMES, "spokes40"])
+def test_resolving_a_pair_again_builds_no_hop(name, monkeypatch):
+    """Edge hops are the index's, and endpoint-traversal and intra-segment
+    hops are interned by their field values: after one resolution of every
+    (locus, service or endpoint) pair, resolving each again builds no hop and
+    gives a path of the same hop objects, each with its label."""
+    if name == "spokes40":
+        s = parse_scenario(gen.hub_and_spoke(40, seed=0).text())
+    else:
+        s = dataclasses.replace(builtin_scenario(name))
+    pairs = [
+        (source, target)
+        for source in [x.id for x in s.segments] + [m.ONPREM, m.INTERNET]
+        for target in [x.id for x in s.services] + [x.id for x in s.endpoints]
+    ]
+    first = {pair: resolve_path(s, *pair) for pair in pairs}
+    built = []
+    init = m.Hop.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append((args, kwargs))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(m.Hop, "__init__", counted)
+    again = {pair: resolve_path(s, *pair) for pair in pairs}
+    assert built == []
+    assert again == first
+    paths = [(first[pair], again[pair]) for pair in pairs if isinstance(first[pair], RoutePath)]
+    assert paths and all(a is b for before, after in paths for a, b in zip(before.hops, after.hops))
+    for _, path in paths:
+        assert path.describe() == "+".join(
+            f"{hop.kind.value}({hop.edge})" if hop.edge else hop.kind.value for hop in path.hops
+        )
+
+
 # ---------------------------------------------------------------------------
 # Topologies where most loci are spokes
 # ---------------------------------------------------------------------------
